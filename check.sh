@@ -73,6 +73,13 @@ go build ./... || fail build "go build failed (see above)"
 echo "check: go test ./..."
 go test ./... || fail test "go test failed (see above)"
 
+# bench/ is a nested module (its own go.mod), so the root ./... never
+# builds it; it compiles against the root packages, so vet and test it
+# here, offline like bench/run.sh builds it.
+echo "check: bench module (go vet + go test -short)"
+(cd bench && export GOPROXY=off GOWORK=off && go vet ./... && go test -short ./...) ||
+    fail bench-module "the nested bench/ module failed to vet or test (see above)"
+
 # The bench gates mirror CI's bench job: every gated cupidbench
 # experiment, in the same order. Short overload windows keep the local
 # run interactive; CI's nightly deep suite runs the full-length ones.

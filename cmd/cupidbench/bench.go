@@ -2,8 +2,8 @@ package main
 
 // The bench experiment: a sequential-vs-parallel perf trajectory for the
 // whole Match pipeline plus the repository workloads (1-vs-K prepared
-// batch, 1-vs-200 pruned retrieval, 1-vs-2000 indexed retrieval, and the
-// write-heavy snapshot-vs-WAL registration workload), written to
+// batch, 1-vs-200 pruned retrieval and 1-vs-2000 indexed retrieval),
+// written to
 // BENCH_cupid.json so future PRs have a baseline to compare against,
 // plus a self-check that keeps `go vet`, the -race determinism tests,
 // gofmt and the doc-presence gate green before any number is trusted.
@@ -15,11 +15,8 @@ import (
 	"os/exec"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	cupid "repro"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -61,9 +58,9 @@ type BatchPoint struct {
 
 // PrunePoint measures candidate pruning on the big-repository workload:
 // one probe ranked against K prepared schemas, exhaustively (MatchAll runs
-// the full tree match K times) versus pruned (MatchTop runs cheap
-// signature affinities over all K, then the full match only on the top
-// candidates). Recall@K compares the two top-K result lists; the bench
+// the full tree match K times) versus pruned (the forced pruned strategy
+// runs cheap signature affinities over all K, then the full match only on
+// the top candidates). Recall@K compares the two top-K result lists; the bench
 // fails unless it is exactly 1.0 — pruning must not change what the
 // caller sees on this corpus.
 type PrunePoint struct {
@@ -79,10 +76,10 @@ type PrunePoint struct {
 
 // IndexPoint measures indexed retrieval on the big-repository workload:
 // one probe ranked against K prepared schemas three ways — exhaustively
-// (MatchAll), signature-pruned (MatchTop: an affinity against every
-// entry, full match on the top quarter), and indexed (MatchIndexed: the
-// sharded token inverted index generates candidates from genuine token
-// overlap only, full match on the top eighth). Recall@K is averaged over
+// (MatchAll), signature-pruned (an affinity against every entry, full
+// match on the top quarter), and indexed (the sharded token inverted index
+// generates candidates from genuine token overlap only, full match on the
+// top eighth), the latter two as forced plans. Recall@K is averaged over
 // one probe per corpus family against the exact scan; the bench fails
 // unless indexed recall is >= 0.98 and the indexed path beats the pruned
 // one on wall clock.
@@ -109,32 +106,6 @@ type IndexPoint struct {
 	PrunedRecallAtK float64 `json:"pruned_recall_at_k"`
 }
 
-// WritePoint measures the write-heavy repository workload: sustained
-// schema registrations into a durable registry, snapshot-per-mutation
-// (the pre-WAL write path: every acknowledged mutation rewrites and
-// fsyncs a full corpus image, O(corpus) per request) versus the
-// write-ahead journal with group commit (one checksummed record append,
-// concurrent writers batched into shared fsyncs, O(record) per request).
-// Measured at 1 and at 8 concurrent writers over a pre-seeded corpus; the
-// bench fails unless the WAL beats snapshotting on registrations/sec at 8
-// writers. Post-crash ranking fidelity is not measured here — the
-// crash-injection suites in internal/registry and cmd/cupidd assert it.
-type WritePoint struct {
-	// SeedCorpus is the repository size before the timed window (the
-	// snapshot path pays a rewrite of at least this much per mutation).
-	SeedCorpus int `json:"seed_corpus"`
-	// WindowMS is the timed window per mode/writer-count cell.
-	WindowMS int64 `json:"window_ms"`
-	// Registrations/sec per cell.
-	SnapshotRegsPerSec1W float64 `json:"snapshot_regs_per_sec_1w"`
-	SnapshotRegsPerSec8W float64 `json:"snapshot_regs_per_sec_8w"`
-	WALRegsPerSec1W      float64 `json:"wal_regs_per_sec_1w"`
-	WALRegsPerSec8W      float64 `json:"wal_regs_per_sec_8w"`
-	// SpeedupAt8W is WAL over snapshot throughput at 8 concurrent writers
-	// (the gated cell).
-	SpeedupAt8W float64 `json:"speedup_at_8w"`
-}
-
 // BenchReport is the file format of BENCH_cupid.json.
 type BenchReport struct {
 	GeneratedUnix int64        `json:"generated_unix"`
@@ -155,9 +126,6 @@ type BenchReport struct {
 	// inverted index must beat the pruned scan on time with recall@10 >=
 	// 0.98 against the exact scan.
 	Index *IndexPoint `json:"index,omitempty"`
-	// Write is the write-heavy workload: WAL group commit must beat
-	// snapshot-per-mutation on registrations/sec at 8 concurrent writers.
-	Write *WritePoint `json:"write,omitempty"`
 	// Overload is the serving-layer saturation sweep (-exp overload):
 	// closed-loop mixed traffic at 1x/2x/4x capacity through the
 	// admission-controlled frontend, plus the match cache's warm-vs-cold
@@ -398,12 +366,13 @@ func runPrune(cfg core.Config) (*PrunePoint, error) {
 		return nil, err
 	}
 	opt := registry.DefaultPruneOptions()
+	plan := registry.PlanOptions{Force: registry.StrategyPruned, Prune: opt}
 
 	full, err := reg.MatchAll(probe, pruneTopK)
 	if err != nil {
 		return nil, err
 	}
-	pruned, err := reg.MatchTop(probe, pruneTopK, opt)
+	pruned, _, err := reg.Match(probe, pruneTopK, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +392,7 @@ func runPrune(cfg core.Config) (*PrunePoint, error) {
 		return nil, err
 	}
 	prunedNs, _, err := timeOp(func() error {
-		_, err := reg.MatchTop(probe, pruneTopK, opt)
+		_, _, err := reg.Match(probe, pruneTopK, plan)
 		return err
 	})
 	if err != nil {
@@ -458,8 +427,8 @@ func topNames(ranked []registry.Ranked) map[string]bool {
 }
 
 // runIndexed measures the 1-vs-2000 retrieval workload on the family
-// corpus: exhaustive MatchAll vs signature-pruned MatchTop vs indexed
-// MatchIndexed. Wall clock is measured on one probe; recall@K is averaged
+// corpus: exhaustive MatchAll vs the forced signature-pruned and indexed
+// strategies. Wall clock is measured on one probe; recall@K is averaged
 // over one probe per family (10 probes) so the >= 0.98 gate has real
 // granularity instead of 1/topK steps.
 func runIndexed(cfg core.Config) (*IndexPoint, error) {
@@ -475,6 +444,8 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 	}
 	pruneOpt := registry.DefaultPruneOptions()
 	indexOpt := registry.DefaultIndexOptions()
+	prunePlan := registry.PlanOptions{Force: registry.StrategyPruned, Prune: pruneOpt}
+	indexPlan := registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt}
 
 	recall, prunedRecall := 0.0, 0.0
 	for fam := 0; fam < workloads.NumFamilies(); fam++ {
@@ -486,11 +457,11 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		indexed, _, err := reg.MatchIndexed(probe, indexTopK, indexOpt)
+		indexed, _, err := reg.Match(probe, indexTopK, indexPlan)
 		if err != nil {
 			return nil, err
 		}
-		pruned, err := reg.MatchTop(probe, indexTopK, pruneOpt)
+		pruned, _, err := reg.Match(probe, indexTopK, prunePlan)
 		if err != nil {
 			return nil, err
 		}
@@ -514,7 +485,7 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, stats, err := reg.MatchIndexed(probe, indexTopK, indexOpt)
+	_, stats, err := reg.Match(probe, indexTopK, indexPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -526,14 +497,14 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 		return nil, err
 	}
 	prunedNs, _, err := timeOp(func() error {
-		_, err := reg.MatchTop(probe, indexTopK, pruneOpt)
+		_, _, err := reg.Match(probe, indexTopK, prunePlan)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	indexedNs, _, err := timeOp(func() error {
-		_, _, err := reg.MatchIndexed(probe, indexTopK, indexOpt)
+		_, _, err := reg.Match(probe, indexTopK, indexPlan)
 		return err
 	})
 	if err != nil {
@@ -555,107 +526,6 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 	}, nil
 }
 
-// Write-heavy workload shape: writeSeed schemas registered before the
-// timed window (so the snapshot path's O(corpus) rewrite has a real
-// corpus), then writeWindow of sustained registrations per cell.
-const (
-	writeSeed    = 200
-	writeWindow  = 300 * time.Millisecond
-	writeWriters = 8
-)
-
-// writeDDL synthesizes a small, distinct DDL document per registration —
-// the write path's cost should be dominated by durability, not parsing.
-func writeDDL(i int) string {
-	return fmt.Sprintf("CREATE TABLE Reg%d (ID INT PRIMARY KEY, Label%d VARCHAR(32), Amount DECIMAL(10,2), Created DATE);", i, i%7)
-}
-
-// measureWrites opens a durable registry in the given mode under a fresh
-// temp dir, seeds it, and counts how many registrations the given number
-// of concurrent writers complete in the timed window.
-func measureWrites(cfg core.Config, wal bool, writers int) (regsPerSec float64, err error) {
-	dir, err := os.MkdirTemp("", "cupidbench-write-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	m, err := core.NewMatcher(cfg)
-	if err != nil {
-		return 0, err
-	}
-	opts := registry.PersistOptions{} // snapshot-per-mutation, fsync'd
-	if wal {
-		opts = registry.DefaultPersistOptions()
-	}
-	p, _, err := registry.OpenPersistentOptions(dir, m, opts, cupid.ParseSchema)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Close()
-	for i := 0; i < writeSeed; i++ {
-		if _, _, err := p.RegisterSource(fmt.Sprintf("seed%d", i), "sql", []byte(writeDDL(i))); err != nil {
-			return 0, err
-		}
-	}
-
-	var (
-		ops    atomic.Int64
-		nextID atomic.Int64
-		wg     sync.WaitGroup
-		errMu  sync.Mutex
-		runErr error
-	)
-	deadline := time.Now().Add(writeWindow)
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				i := int(nextID.Add(1)) + writeSeed
-				if _, _, err := p.RegisterSource(fmt.Sprintf("reg%d", i), "sql", []byte(writeDDL(i))); err != nil {
-					errMu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				ops.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if runErr != nil {
-		return 0, runErr
-	}
-	if err := p.Close(); err != nil {
-		return 0, err
-	}
-	return float64(ops.Load()) / elapsed.Seconds(), nil
-}
-
-// runWriteHeavy measures the four cells of the write workload.
-func runWriteHeavy(cfg core.Config) (*WritePoint, error) {
-	pt := &WritePoint{SeedCorpus: writeSeed, WindowMS: writeWindow.Milliseconds()}
-	var err error
-	if pt.SnapshotRegsPerSec1W, err = measureWrites(cfg, false, 1); err != nil {
-		return nil, err
-	}
-	if pt.SnapshotRegsPerSec8W, err = measureWrites(cfg, false, writeWriters); err != nil {
-		return nil, err
-	}
-	if pt.WALRegsPerSec1W, err = measureWrites(cfg, true, 1); err != nil {
-		return nil, err
-	}
-	if pt.WALRegsPerSec8W, err = measureWrites(cfg, true, writeWriters); err != nil {
-		return nil, err
-	}
-	pt.SpeedupAt8W = pt.WALRegsPerSec8W / pt.SnapshotRegsPerSec8W
-	return pt, nil
-}
-
 // runBench executes the sweep and writes the JSON report.
 func runBench(outPath string, withSelfCheck bool) error {
 	if withSelfCheck {
@@ -674,14 +544,11 @@ func runBench(outPath string, withSelfCheck bool) error {
 			"batch = 1 probe vs K prepared repository schemas: naive re-runs " +
 			"expansion+analysis per Match call, prepared pays them once (registry). " +
 			"prune = 1 probe vs K on the family corpus: full MatchAll scan vs " +
-			"signature-pruned MatchTop, recall@K asserted exactly 1.0. " +
-			"index = 1 probe vs 2000 on the family corpus: token inverted index " +
-			"(MatchIndexed) vs pruned scan vs full scan, recall@10 averaged over " +
-			"one probe per family and asserted >= 0.98, indexed required to beat " +
-			"pruned on wall clock. " +
-			"write = sustained registrations into a durable registry over a " +
-			"pre-seeded corpus: snapshot-per-mutation vs WAL group commit at 1 " +
-			"and 8 concurrent writers; the WAL must win on regs/sec at 8 writers",
+			"the forced signature-pruned strategy, recall@K asserted exactly 1.0. " +
+			"index = 1 probe vs 2000 on the family corpus: forced token inverted " +
+			"index vs pruned scan vs full scan, recall@10 averaged over one probe " +
+			"per family and asserted >= 0.98, indexed required to beat pruned on " +
+			"wall clock",
 	}
 	fmt.Println("cupidbench: sequential vs parallel pipeline sweep")
 	fmt.Printf("  GOMAXPROCS=%d NumCPU=%d workers=%d\n", report.GoMaxProcs, report.NumCPU, report.Workers)
@@ -736,7 +603,7 @@ func runBench(outPath string, withSelfCheck bool) error {
 	}
 	report.Prune = prune
 	fmt.Printf("  full scan (MatchAll):     %-13d ns/op\n", prune.FullNsPerOp)
-	fmt.Printf("  pruned (MatchTop, %3d):   %-13d ns/op\n", prune.Candidates, prune.PrunedNsPerOp)
+	fmt.Printf("  pruned (%3d):             %-13d ns/op\n", prune.Candidates, prune.PrunedNsPerOp)
 	fmt.Printf("  speedup: %.2fx  recall@%d: %.3f\n", prune.Speedup, prune.TopK, prune.RecallAtK)
 	if prune.RecallAtK != 1.0 {
 		return fmt.Errorf("prune workload recall regression: recall@%d = %.3f, want exactly 1.0 (pruning changed the top-K ranking)", prune.TopK, prune.RecallAtK)
@@ -752,8 +619,8 @@ func runBench(outPath string, withSelfCheck bool) error {
 	}
 	report.Index = idx
 	fmt.Printf("  full scan (MatchAll):        %-13d ns/op\n", idx.FullNsPerOp)
-	fmt.Printf("  pruned (MatchTop, %4d):     %-13d ns/op  recall@%d %.3f\n", idx.PrunedCandidates, idx.PrunedNsPerOp, idx.TopK, idx.PrunedRecallAtK)
-	fmt.Printf("  indexed (MatchIndexed, %3d): %-13d ns/op  recall@%d %.3f  scored %d/%d\n",
+	fmt.Printf("  pruned (%4d):               %-13d ns/op  recall@%d %.3f\n", idx.PrunedCandidates, idx.PrunedNsPerOp, idx.TopK, idx.PrunedRecallAtK)
+	fmt.Printf("  indexed (%3d):               %-13d ns/op  recall@%d %.3f  scored %d/%d\n",
 		idx.IndexedCandidates, idx.IndexedNsPerOp, idx.TopK, idx.RecallAtK, idx.CandidatesScored, idx.K)
 	fmt.Printf("  speedup vs pruned: %.2fx  vs full: %.2fx\n", idx.SpeedupVsPruned, idx.SpeedupVsFull)
 	if idx.RecallAtK < 0.98 {
@@ -761,22 +628,6 @@ func runBench(outPath string, withSelfCheck bool) error {
 	}
 	if idx.IndexedNsPerOp >= idx.PrunedNsPerOp {
 		return fmt.Errorf("index workload regression: indexed retrieval must beat the pruned scan on time (got %d vs %d ns/op)", idx.IndexedNsPerOp, idx.PrunedNsPerOp)
-	}
-
-	fmt.Printf("cupidbench: write-heavy workload (seed corpus %d, %v per cell)\n", writeSeed, writeWindow)
-	wr, err := runWriteHeavy(cfg)
-	if err != nil {
-		return err
-	}
-	report.Write = wr
-	fmt.Printf("  snapshot-per-mutation:  %8.0f regs/sec (1 writer)  %8.0f regs/sec (%d writers)\n",
-		wr.SnapshotRegsPerSec1W, wr.SnapshotRegsPerSec8W, writeWriters)
-	fmt.Printf("  WAL group commit:       %8.0f regs/sec (1 writer)  %8.0f regs/sec (%d writers)\n",
-		wr.WALRegsPerSec1W, wr.WALRegsPerSec8W, writeWriters)
-	fmt.Printf("  speedup at %d writers: %.2fx\n", writeWriters, wr.SpeedupAt8W)
-	if wr.WALRegsPerSec8W <= wr.SnapshotRegsPerSec8W {
-		return fmt.Errorf("write workload regression: WAL group commit must beat snapshot-per-mutation on registrations/sec at %d writers (got %.0f vs %.0f)",
-			writeWriters, wr.WALRegsPerSec8W, wr.SnapshotRegsPerSec8W)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -38,7 +38,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	cupid "repro"
@@ -146,19 +145,7 @@ func clusterShards(m *core.Matcher, corpus []*model.Schema, n int) ([]*registry.
 	for i := range shards {
 		shards[i] = registry.NewWithMatcher(m)
 	}
-	var mu sync.Mutex
-	var firstErr error
-	par.For(len(corpus), func(i int) {
-		s := corpus[i]
-		if _, _, err := shards[ring.Owner(s.Name)].Register(s.Name, s); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return shards, firstErr
+	return shards, registerCorpus(corpus, func(s *model.Schema) *registry.Registry { return shards[ring.Owner(s.Name)] })
 }
 
 // scatterGather runs one probe through every shard serially, returning
@@ -385,7 +372,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 		if err != nil {
 			return nil, err
 		}
-		p, warns, err := registry.OpenPersistentOptions(dir, m, registry.PersistOptions{WAL: true}, cupid.ParseSchema)
+		p, warns, err := registry.OpenPersistentOptions(dir, m, registry.PersistOptions{}, cupid.ParseSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -460,10 +447,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 	if err != nil {
 		return err
 	}
-	target, err := pri.ReplicationPos()
-	if err != nil {
-		return err
-	}
+	target := pri.ReplicationPos()
 	if _, err := shipStream(pri, fol, state, checkpoint, 0, &target, nil); err != nil {
 		return err
 	}

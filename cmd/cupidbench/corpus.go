@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	cupid "repro"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/workloads"
@@ -83,19 +83,7 @@ func corpusRegistry(cfg core.Config, k int) (*registry.Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	docs := namedFamilyCorpus(k)
-	var mu sync.Mutex
-	var firstErr error
-	par.For(len(docs), func(i int) {
-		if _, _, err := reg.Register(docs[i].Name, docs[i]); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return reg, firstErr
+	return reg, registerCorpus(namedFamilyCorpus(k), func(*model.Schema) *registry.Registry { return reg })
 }
 
 // runCorpusRouting measures the routing cell: cluster the 10k corpus,
@@ -143,12 +131,12 @@ func runCorpusRouting(cfg core.Config, point *CorpusPoint) error {
 		}
 	}
 
-	indexOpt := registry.DefaultIndexOptions()
+	indexOpt := registry.PlanOptions{Force: registry.StrategyIndexed, Index: registry.DefaultIndexOptions()}
 	famOpt := registry.DefaultPlanOptions()
 	famOpt.Force = registry.StrategyFamily
 	bestNs, rankings, err := sweepInterleaved(probes, corpusReps, []func(*core.Prepared) ([]registry.Ranked, error){
 		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.MatchIndexed(p, corpusTopK, indexOpt)
+			ranked, _, err := reg.Match(p, corpusTopK, indexOpt)
 			return ranked, err
 		},
 		func(p *core.Prepared) ([]registry.Ranked, error) {
@@ -209,7 +197,7 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 		if err != nil {
 			return nil, err
 		}
-		p, warns, err := registry.OpenPersistentOptions(dir, m, registry.PersistOptions{WAL: true}, cupid.ParseSchema)
+		p, warns, err := registry.OpenPersistentOptions(dir, m, registry.PersistOptions{}, cupid.ParseSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -272,10 +260,7 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 		return err
 	}
 	defer fol.Close()
-	target, err := pri2.ReplicationPos()
-	if err != nil {
-		return err
-	}
+	target := pri2.ReplicationPos()
 	state := &registry.ReplState{}
 	if _, err := shipStream(pri2, fol, state, registry.ReplPos{}, 0, &target, nil); err != nil {
 		return err

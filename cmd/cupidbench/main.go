@@ -21,7 +21,7 @@
 //	bench      sequential-vs-parallel perf sweep + the 1-vs-K batch
 //	           repository workload (naive Match calls vs the prepared-
 //	           schema registry) + the 1-vs-200 pruned-retrieval workload
-//	           (exhaustive MatchAll vs signature-pruned MatchTop, recall@K
+//	           (exhaustive scan vs the signature-pruned strategy, recall@K
 //	           asserted 1.0) -> BENCH_cupid.json
 //	overload   serving-layer saturation harness: closed-loop mixed
 //	           register/match traffic at 1x/2x/4x capacity through the

@@ -260,7 +260,7 @@ func rankingIdentity(ranked []registry.Ranked) string {
 func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	spec := overloadSpec()
 	probe := probes[3%len(probes)]
-	direct, _, err := reg.MatchIndexed(probe, spec.TopK, spec.Index)
+	direct, _, err := reg.Match(probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: spec.Index})
 	if err != nil {
 		return err
 	}
@@ -322,7 +322,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if got, wantBudget := deg.Stats.CandidateBudget, halved.Limit(reg.Len(), spec.TopK); got != wantBudget {
 		return fmt.Errorf("overload identity: degraded budget = %d, want the halved limit %d", got, wantBudget)
 	}
-	shrunk, _, err := reg.MatchIndexed(probe, spec.TopK, halved)
+	shrunk, _, err := reg.Match(probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: halved})
 	if err != nil {
 		return err
 	}

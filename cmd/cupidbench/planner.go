@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/workloads"
@@ -149,10 +150,17 @@ func plannerRegistry(cfg core.Config, k int) (*registry.Registry, error) {
 		PerFamily: k / workloads.NumFamilies(),
 		Seed:      17,
 	})
+	return reg, registerCorpus(corpus, func(*model.Schema) *registry.Registry { return reg })
+}
+
+// registerCorpus registers every schema into the registry target picks
+// for it, fanned over the worker pool, and returns the first error.
+func registerCorpus(corpus []*model.Schema, target func(*model.Schema) *registry.Registry) error {
 	var mu sync.Mutex
 	var firstErr error
 	par.For(len(corpus), func(i int) {
-		if _, _, err := reg.Register(corpus[i].Name, corpus[i]); err != nil {
+		s := corpus[i]
+		if _, _, err := target(s).Register(s.Name, s); err != nil {
 			mu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -160,7 +168,7 @@ func plannerRegistry(cfg core.Config, k int) (*registry.Registry, error) {
 			mu.Unlock()
 		}
 	})
-	return reg, firstErr
+	return firstErr
 }
 
 // sweep runs every probe through one retrieval policy, returning the
@@ -269,10 +277,11 @@ func runPlannerScale(cfg core.Config, k int) (*PlannerScalePoint, error) {
 			return reg.MatchAll(p, plannerTopK)
 		},
 		func(p *core.Prepared) ([]registry.Ranked, error) {
-			return reg.MatchTop(p, plannerTopK, pruneOpt)
+			ranked, _, err := reg.Match(p, plannerTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: pruneOpt})
+			return ranked, err
 		},
 		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.MatchIndexed(p, plannerTopK, indexOpt)
+			ranked, _, err := reg.Match(p, plannerTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt})
 			return ranked, err
 		},
 		func(p *core.Prepared) ([]registry.Ranked, error) {

@@ -146,7 +146,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// backlog is applied, then turns ready and holds shard 0's exact
 	// schema set.
 	fdir := t.TempDir()
-	fs, err := newServerFromOptions(&options{dataDir: fdir, wal: true, follow: urls[0], minAccept: 0.5})
+	fs, err := newServerFromOptions(&options{dataDir: fdir, follow: urls[0], minAccept: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

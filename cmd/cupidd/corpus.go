@@ -47,13 +47,15 @@ type clusterJobs struct {
 }
 
 // start registers a new running job, refusing while another is running.
-func (c *clusterJobs) start() (*clusterJob, error) {
+// It returns a copy: the job goroutine updates the stored state under
+// c.mu while the handler is still encoding its 202 reply.
+func (c *clusterJobs) start() (clusterJob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.running {
 		for _, j := range c.jobs {
 			if j.Status == "running" {
-				return nil, errf(http.StatusConflict, "clustering job %d is already running", j.ID)
+				return clusterJob{}, errf(http.StatusConflict, "clustering job %d is already running", j.ID)
 			}
 		}
 	}
@@ -64,7 +66,7 @@ func (c *clusterJobs) start() (*clusterJob, error) {
 	j := &clusterJob{ID: c.seq, Status: "running"}
 	c.jobs[j.ID] = j
 	c.running = true
-	return j, nil
+	return *j, nil
 }
 
 // finish records a job's outcome.

@@ -8,8 +8,8 @@
 // worker pool.
 //
 // With -data the repository is durable: every mutation's source document
-// is journaled through an append-only write-ahead log (-wal, on by
-// default) — each Register/Replace/Remove appends one checksummed record,
+// is journaled through an append-only write-ahead log — each
+// Register/Replace/Remove appends one checksummed record,
 // a group-commit loop batches concurrent writers into a single fsync
 // (linger tunable via -wal-group-commit), and a background compactor
 // folds the journal into a fresh snapshot generation once it passes
@@ -17,9 +17,8 @@
 // write cost is O(record) instead of O(corpus). A restart recovers the
 // newest consistent snapshot plus the ordered journal tail (torn tails
 // truncated) and serves bit-identical match rankings; docs/PERSISTENCE.md
-// is the full durability contract. -wal=false falls back to the legacy
-// snapshot-per-mutation path (batched with -snapshot-interval, which
-// implies the legacy mode when set). The sharded token inverted index
+// is the full durability contract; a snapshot-only data directory opens
+// as the journal's base generation. The sharded token inverted index
 // behind batch matching is never persisted; recovery rebuilds it
 // deterministically while re-registering the recovered documents.
 //
@@ -31,9 +30,8 @@
 // schemas sharing at least one normalized token with the source are
 // touched, re-ranked by exact signature affinity, and just the top
 // candidates pay the full tree match — and size the candidate budget to
-// the query's actual posting pool. -retrieval=index|pruned|exact forces
-// one path (the deprecated -index/-exact aliases still work; every
-// response reports the "strategy" that ran).
+// the query's actual posting pool. -retrieval=index|pruned|family|exact
+// forces one path (every response reports the "strategy" that ran).
 //
 // The server is overload-resilient (docs/ARCHITECTURE.md has the serving
 // layer diagram). Match traffic and mutations are admitted through
@@ -68,18 +66,12 @@
 //	                       replays the primary's /replicate stream into
 //	                       its own journal and index, checkpoints its
 //	                       position, and reconnects with backoff; requires
-//	                       -data with the write-ahead journal
-//	-wal                   journal mutations to a write-ahead log with group
-//	                       commit and background compaction (default true;
-//	                       =false falls back to legacy full snapshots)
+//	                       -data
 //	-wal-group-commit DUR  linger after a write batch opens, letting more
 //	                       concurrent writers join the same fsync (default 0:
 //	                       batch only what queued during the previous fsync)
 //	-compact-threshold N   fold the journal into a new snapshot generation
 //	                       once it exceeds N bytes (default 1 MiB)
-//	-snapshot-interval DUR legacy snapshot batching (implies -wal=false):
-//	                       snapshot at most once per DUR; 0 = fsync a full
-//	                       snapshot synchronously on every mutation
 //	-retrieval MODE        /match/batch retrieval strategy: auto (default;
 //	                       a stats-driven planner picks exact, pruned,
 //	                       indexed or family retrieval plus a candidate
@@ -89,11 +81,6 @@
 //	                       family-routed matching through the installed
 //	                       corpus clustering) or exact (force exhaustive
 //	                       scans)
-//	-index                 deprecated alias: -index is -retrieval=index,
-//	                       -index=false is -retrieval=pruned; contradicting
-//	                       an explicit -retrieval is refused
-//	-exact                 deprecated alias for -retrieval=exact;
-//	                       contradicting -retrieval or -index is refused
 //	-concurrency N         concurrent match requests admitted (default 0:
 //	                       one per match worker)
 //	-write-concurrency N   concurrent mutations admitted (default 2)
@@ -192,7 +179,7 @@ type server struct {
 	maxBody int64
 	// retrieval is /match/batch's strategy: the zero value
 	// (cupid.RetrievalAuto) plans per query, the others force one path
-	// (-retrieval=index|pruned|exact and the deprecated aliases).
+	// (-retrieval=index|pruned|family|exact).
 	retrieval cupid.RetrievalStrategy
 	prune     cupid.PruneOptions
 	// indexOpt sizes the indexed path's candidate budget (same Limit
@@ -225,8 +212,8 @@ func newServer(cfg cupid.Config) (*server, error) {
 	return s, nil
 }
 
-// newPersistentServer builds a server on a durable registry rooted at dir
-// in the durability mode popt selects (WAL or legacy snapshots).
+// newPersistentServer builds a server on a durable registry rooted at dir,
+// journaling under popt.
 func newPersistentServer(cfg cupid.Config, dir string, popt cupid.PersistOptions) (*server, error) {
 	m, err := cupid.NewMatcher(cfg)
 	if err != nil {
@@ -257,7 +244,7 @@ func (s *server) initServing(opt *options) {
 	}
 }
 
-// close flushes and detaches the persistence layer, if any.
+// close drains and closes the persistence layer, if any.
 func (s *server) close() error {
 	if s.persist == nil {
 		return nil
@@ -435,7 +422,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.persist != nil {
 		// The durable path parses and persists the source document
 		// verbatim, so a restart re-parses exactly what was registered. A
-		// failed snapshot write (entry exists but err != nil) is a
+		// failed journal commit (entry exists but err != nil) is a
 		// server-side error: the mutation is in memory but its durability
 		// could not be guaranteed.
 		e, created, err = s.persist.RegisterSourceInstances(req.Name, req.Format, []byte(req.Content), instances)
@@ -559,10 +546,6 @@ func replQuery(pos cupid.ReplPos) string {
 func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.persist == nil {
 		writeError(w, errf(http.StatusNotImplemented, "replication requires -data with the write-ahead journal"))
-		return
-	}
-	if _, err := s.persist.ReplicationPos(); err != nil {
-		writeError(w, errf(http.StatusNotImplemented, "%v", err))
 		return
 	}
 	var from cupid.ReplPos
@@ -972,37 +955,28 @@ func (s *server) drainGuard(next http.Handler) http.Handler {
 	})
 }
 
-// options holds every command-line flag value. The zero value runs the
-// legacy synchronous-snapshot persistence (tests construct it directly);
-// the flag defaults declared in newFlagSet select the WAL.
+// options holds every command-line flag value. Tests construct it
+// directly; a zero field means the same as its flag default where the two
+// differ only in spelling (retrieval "" is auto, compactThreshold 0 the
+// default threshold).
 type options struct {
-	addr                string
-	thesaurusPath       string
-	noThesaurus         bool
-	oneToOne            bool
-	minAccept           float64
-	dataDir             string
-	follow              string
-	wal                 bool
-	walSet              bool // -wal passed explicitly (run() records it)
-	walGroupCommit      time.Duration
-	walGroupCommitSet   bool // -wal-group-commit passed explicitly
-	compactThreshold    int64
-	compactThresholdSet bool // -compact-threshold passed explicitly
-	snapshotInterval    time.Duration
-	retrieval           string
-	retrievalSet        bool // -retrieval passed explicitly
-	useIndex            bool
-	indexSet            bool // -index passed explicitly (deprecated alias)
-	exact               bool
-	exactSet            bool // -exact passed explicitly (deprecated alias)
-	concurrency         int
-	writeConcurrency    int
-	queueDepth          int
-	queueWait           time.Duration
-	matchDeadline       time.Duration
-	cacheCap            int
-	maxBody             int64
+	addr             string
+	thesaurusPath    string
+	noThesaurus      bool
+	oneToOne         bool
+	minAccept        float64
+	dataDir          string
+	follow           string
+	walGroupCommit   time.Duration
+	compactThreshold int64
+	retrieval        string
+	concurrency      int
+	writeConcurrency int
+	queueDepth       int
+	queueWait        time.Duration
+	matchDeadline    time.Duration
+	cacheCap         int
+	maxBody          int64
 }
 
 // serveOptions derives the serving-layer configuration from the flags.
@@ -1026,14 +1000,10 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.BoolVar(&opt.oneToOne, "one-to-one", false, "generate 1:1 mappings")
 	fs.Float64Var(&opt.minAccept, "min", 0.5, "acceptance threshold thaccept")
 	fs.StringVar(&opt.dataDir, "data", "", "persist the schema repository under this directory (default: in-memory only)")
-	fs.StringVar(&opt.follow, "follow", "", "replicate from the primary cupidd at this URL (read-only replica; requires -data with the write-ahead journal)")
-	fs.BoolVar(&opt.wal, "wal", true, "journal mutations to a write-ahead log with group commit and background compaction; =false falls back to legacy full snapshots per mutation")
+	fs.StringVar(&opt.follow, "follow", "", "replicate from the primary cupidd at this URL (read-only replica; requires -data)")
 	fs.DurationVar(&opt.walGroupCommit, "wal-group-commit", 0, "linger this long after a write batch opens so more concurrent writers join the same fsync; 0 batches only what queued during the previous fsync")
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
-	fs.DurationVar(&opt.snapshotInterval, "snapshot-interval", 0, "legacy snapshot batching (setting it implies -wal=false): snapshot at most once per interval; 0 snapshots synchronously on every mutation")
-	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned or exact")
-	fs.BoolVar(&opt.useIndex, "index", true, "deprecated alias: -index is -retrieval=index, -index=false is -retrieval=pruned")
-	fs.BoolVar(&opt.exact, "exact", false, "deprecated alias for -retrieval=exact")
+	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned, family or exact")
 	fs.IntVar(&opt.concurrency, "concurrency", 0, "concurrent match requests admitted; 0 sizes the pool to the match worker count")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "bounded admission queue per pool; arrivals beyond it are rejected with 429 immediately; 0 means 8x the pool's concurrency")
@@ -1044,36 +1014,13 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	return fs, opt
 }
 
-// persistOptions derives the durability mode from the flags.
-// -snapshot-interval is the legacy alias: setting it selects the legacy
-// snapshot path (as it always did) unless -wal was passed explicitly too,
-// which is a contradiction worth refusing rather than guessing about.
+// persistOptions derives the journal tuning from the flags.
 func (opt *options) persistOptions() (cupid.PersistOptions, error) {
-	if opt.snapshotInterval < 0 {
-		return cupid.PersistOptions{}, fmt.Errorf("negative -snapshot-interval %v", opt.snapshotInterval)
-	}
 	if opt.walGroupCommit < 0 {
 		return cupid.PersistOptions{}, fmt.Errorf("negative -wal-group-commit %v", opt.walGroupCommit)
 	}
 	if opt.compactThreshold < 0 {
 		return cupid.PersistOptions{}, fmt.Errorf("negative -compact-threshold %d", opt.compactThreshold)
-	}
-	if opt.snapshotInterval > 0 || !opt.wal {
-		if opt.snapshotInterval > 0 && opt.wal && opt.walSet {
-			return cupid.PersistOptions{}, fmt.Errorf("-wal and -snapshot-interval are mutually exclusive (the journal makes every acknowledged mutation durable; there is nothing to batch into interval snapshots)")
-		}
-		// The WAL tuning flags have no effect on the legacy snapshot
-		// path; passing them alongside it is a contradiction worth
-		// refusing rather than silently ignoring. The explicit-set flags
-		// catch even a value equal to the default; the value checks catch
-		// programmatic construction.
-		if opt.walGroupCommitSet || opt.walGroupCommit != 0 {
-			return cupid.PersistOptions{}, fmt.Errorf("-wal-group-commit is only meaningful with -wal")
-		}
-		if opt.compactThresholdSet || (opt.compactThreshold != 0 && opt.compactThreshold != cupid.DefaultPersistOptions().CompactBytes) {
-			return cupid.PersistOptions{}, fmt.Errorf("-compact-threshold is only meaningful with -wal")
-		}
-		return cupid.PersistOptions{SnapshotInterval: opt.snapshotInterval}, nil
 	}
 	popt := cupid.DefaultPersistOptions()
 	popt.GroupCommitWindow = opt.walGroupCommit
@@ -1083,70 +1030,14 @@ func (opt *options) persistOptions() (cupid.PersistOptions, error) {
 	return popt, nil
 }
 
-// recordExplicitFlags notes which flags were passed explicitly (call
-// after fs.Parse); the contradiction refusals in persistOptions and
-// retrievalStrategy distinguish an explicit value from a default.
-func (opt *options) recordExplicitFlags(fs *flag.FlagSet) {
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "wal":
-			opt.walSet = true
-		case "wal-group-commit":
-			opt.walGroupCommitSet = true
-		case "compact-threshold":
-			opt.compactThresholdSet = true
-		case "retrieval":
-			opt.retrievalSet = true
-		case "index":
-			opt.indexSet = true
-		case "exact":
-			opt.exactSet = true
-		}
-	})
-}
-
-// retrievalStrategy derives the /match/batch strategy from the flags.
-// -retrieval is the single knob; -index and -exact are the deprecated
-// aliases it replaced, mapped onto forced strategies exactly as they used
-// to behave (-exact wins over -index's default-true value, as it always
-// did). An alias that contradicts an explicit -retrieval — or -exact
-// alongside an explicit -index=true — is refused rather than guessed
-// about, mirroring the -wal/-snapshot-interval precedent. The
-// explicit-set flags catch even a value equal to the default; the value
-// checks catch programmatic construction (a zero options value keeps its
-// legacy meaning: the pruned scan).
+// retrievalStrategy derives the /match/batch strategy from -retrieval;
+// the empty string (a directly constructed options value) is the flag
+// default, auto.
 func (opt *options) retrievalStrategy() (cupid.RetrievalStrategy, error) {
-	alias, aliasFlag := cupid.RetrievalAuto, ""
-	switch {
-	case opt.exactSet || opt.exact:
-		if opt.indexSet && opt.useIndex {
-			return 0, fmt.Errorf("-exact and -index are contradictory (use -retrieval=exact or -retrieval=index)")
-		}
-		alias, aliasFlag = cupid.RetrievalExact, "-exact"
-	case opt.indexSet && opt.useIndex:
-		alias, aliasFlag = cupid.RetrievalIndexed, "-index"
-	case (opt.indexSet || opt.retrieval == "") && !opt.useIndex:
-		alias, aliasFlag = cupid.RetrievalPruned, "-index=false"
-	}
 	if opt.retrieval == "" {
-		// Programmatic construction predating -retrieval: the legacy bools
-		// decide, with the old default (indexed) when nothing forces a path.
-		if aliasFlag == "" {
-			return cupid.RetrievalIndexed, nil
-		}
-		return alias, nil
+		return cupid.RetrievalAuto, nil
 	}
-	strat, err := cupid.ParseRetrievalStrategy(opt.retrieval)
-	if err != nil {
-		return 0, err
-	}
-	if aliasFlag != "" {
-		if opt.retrievalSet && strat != alias {
-			return 0, fmt.Errorf("%s contradicts -retrieval=%s (drop the deprecated alias)", aliasFlag, opt.retrieval)
-		}
-		return alias, nil
-	}
-	return strat, nil
+	return cupid.ParseRetrievalStrategy(opt.retrieval)
 }
 
 // newServerFromOptions assembles the configured server.
@@ -1201,9 +1092,6 @@ func newServerFromOptions(opt *options) (*server, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		if opt.follow != "" && !popt.WAL {
-			return nil, fmt.Errorf("-follow requires the write-ahead journal (drop -wal=false / -snapshot-interval)")
-		}
 		s, err = newPersistentServer(cfg, opt.dataDir, popt)
 	} else {
 		s, err = newServer(cfg)
@@ -1226,17 +1114,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opt.recordExplicitFlags(fs)
 	s, err := newServerFromOptions(opt)
 	if err != nil {
 		return err
 	}
 	if s.persist != nil {
-		mode := "write-ahead journal"
-		if popt, _ := opt.persistOptions(); !popt.WAL {
-			mode = "legacy snapshots"
-		}
-		log.Printf("cupidd: repository persisted under %s via %s (%d schemas restored)", opt.dataDir, mode, s.reg.Len())
+		log.Printf("cupidd: repository persisted under %s via the write-ahead journal (%d schemas restored)", opt.dataDir, s.reg.Len())
 	}
 	srv := &http.Server{
 		Addr:              opt.addr,
@@ -1270,13 +1153,13 @@ func run(args []string) error {
 		log.Printf("cupidd: listening on %s", opt.addr)
 		errCh <- srv.ListenAndServe()
 	}()
-	// closeLoud flushes the persistence layer on the error exits, where the
-	// HTTP error takes precedence but a dropped snapshot must not vanish
+	// closeLoud closes the journal on the error exits, where the HTTP
+	// error takes precedence but a persistence failure must not vanish
 	// silently.
 	closeLoud := func() {
 		waitFollow()
 		if err := s.close(); err != nil {
-			log.Printf("cupidd: flushing repository snapshot: %v", err)
+			log.Printf("cupidd: closing repository journal: %v", err)
 		}
 	}
 	select {
@@ -1299,11 +1182,11 @@ func run(args []string) error {
 			closeLoud()
 			return err
 		}
-		// Flush any pending snapshot only after in-flight requests (and the
+		// Close the journal only after in-flight requests (and the
 		// replication apply loop, on a follower) drained.
 		waitFollow()
 		if err := s.close(); err != nil {
-			return fmt.Errorf("flushing repository snapshot: %w", err)
+			return fmt.Errorf("closing repository journal: %w", err)
 		}
 		return nil
 	}

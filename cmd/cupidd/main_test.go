@@ -438,11 +438,8 @@ func TestServerBatchRetrievalModes(t *testing.T) {
 	}
 }
 
-// TestRetrievalFlagResolution covers the -retrieval knob and its
-// deprecated -index/-exact aliases: every alias maps onto the forced
-// strategy it always selected, agreement with an explicit -retrieval is
-// accepted, and contradictions are refused (mirroring the
-// -wal/-snapshot-interval precedent).
+// TestRetrievalFlagResolution covers the -retrieval knob: every spelling
+// maps onto its strategy and unknown values are refused.
 func TestRetrievalFlagResolution(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -456,19 +453,8 @@ func TestRetrievalFlagResolution(t *testing.T) {
 		{name: "retrieval indexed spelling", args: []string{"-retrieval=indexed"}, want: cupid.RetrievalIndexed},
 		{name: "retrieval pruned", args: []string{"-retrieval=pruned"}, want: cupid.RetrievalPruned},
 		{name: "retrieval exact", args: []string{"-retrieval=exact"}, want: cupid.RetrievalExact},
+		{name: "retrieval family", args: []string{"-retrieval=family"}, want: cupid.RetrievalFamily},
 		{name: "unknown strategy", args: []string{"-retrieval=fuzzy"}, wantErr: true},
-		{name: "exact alias", args: []string{"-exact"}, want: cupid.RetrievalExact},
-		{name: "index alias", args: []string{"-index"}, want: cupid.RetrievalIndexed},
-		{name: "index=false alias", args: []string{"-index=false"}, want: cupid.RetrievalPruned},
-		{name: "exact beats index default", args: []string{"-exact", "-index=false"}, want: cupid.RetrievalExact},
-		{name: "exact vs explicit index", args: []string{"-exact", "-index"}, wantErr: true},
-		{name: "alias agrees with retrieval", args: []string{"-retrieval=exact", "-exact"}, want: cupid.RetrievalExact},
-		{name: "index agrees with retrieval", args: []string{"-retrieval=index", "-index"}, want: cupid.RetrievalIndexed},
-		{name: "pruned agrees with index=false", args: []string{"-retrieval=pruned", "-index=false"}, want: cupid.RetrievalPruned},
-		{name: "exact contradicts retrieval", args: []string{"-retrieval=index", "-exact"}, wantErr: true},
-		{name: "index contradicts retrieval", args: []string{"-retrieval=pruned", "-index"}, wantErr: true},
-		{name: "index=false contradicts retrieval", args: []string{"-retrieval=index", "-index=false"}, wantErr: true},
-		{name: "alias contradicts explicit auto", args: []string{"-retrieval=auto", "-index"}, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -476,7 +462,6 @@ func TestRetrievalFlagResolution(t *testing.T) {
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
-			opt.recordExplicitFlags(fs)
 			got, err := opt.retrievalStrategy()
 			if tc.wantErr {
 				if err == nil {
@@ -493,21 +478,8 @@ func TestRetrievalFlagResolution(t *testing.T) {
 		})
 	}
 
-	// Programmatic construction (the zero options value and the legacy
-	// bools) keeps its pre--retrieval meaning.
-	legacy := []struct {
-		opt  options
-		want cupid.RetrievalStrategy
-	}{
-		{options{}, cupid.RetrievalPruned},
-		{options{useIndex: true}, cupid.RetrievalIndexed},
-		{options{exact: true}, cupid.RetrievalExact},
-		{options{exact: true, useIndex: true}, cupid.RetrievalExact},
-	}
-	for _, tc := range legacy {
-		got, err := tc.opt.retrievalStrategy()
-		if err != nil || got != tc.want {
-			t.Errorf("programmatic %+v: strategy = %v, err %v; want %v", tc.opt, got, err, tc.want)
-		}
+	// A directly constructed zero options value means the flag default.
+	if got, err := (&options{}).retrievalStrategy(); err != nil || got != cupid.RetrievalAuto {
+		t.Errorf("zero options: strategy = %v, err %v; want auto", got, err)
 	}
 }

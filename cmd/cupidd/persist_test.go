@@ -2,7 +2,8 @@ package main
 
 // Integration coverage for the persistence layer as wired into the server:
 // restart on a populated -data dir serves identical /match/batch rankings,
-// and a torn snapshot falls back to the last consistent one.
+// and a torn snapshot falls back to the previous generation plus its
+// journal tail.
 
 import (
 	"bytes"
@@ -20,18 +21,12 @@ import (
 	"repro/internal/registry"
 )
 
-// newPersistentTestServer builds a server persisting under dir; the close
-// function flushes the snapshot (call it before "restarting").
-func newPersistentTestServer(t *testing.T, dir string, interval time.Duration) (*httptest.Server, func()) {
-	t.Helper()
-	return newOptionsTestServer(t, &options{dataDir: dir, snapshotInterval: interval, minAccept: 0.5})
-}
-
 // newWALTestServer builds a server persisting under dir through the
-// write-ahead journal (the -wal default path).
+// write-ahead journal with the default flags; the close function drains
+// and closes the journal (call it before "restarting").
 func newWALTestServer(t *testing.T, dir string) (*httptest.Server, func()) {
 	t.Helper()
-	return newOptionsTestServer(t, &options{dataDir: dir, wal: true, minAccept: 0.5})
+	return newOptionsTestServer(t, &options{dataDir: dir, minAccept: 0.5})
 }
 
 func newOptionsTestServer(t *testing.T, opt *options) (*httptest.Server, func()) {
@@ -74,7 +69,7 @@ func batchOf(t *testing.T, ts *httptest.Server, body any) batchResponse {
 func TestServerRestartServesIdenticalRankings(t *testing.T) {
 	dir := t.TempDir()
 
-	ts1, close1 := newPersistentTestServer(t, dir, 0)
+	ts1, close1 := newWALTestServer(t, dir)
 	register(t, ts1, "orders", "sql", ordersDDL)
 	register(t, ts1, "purchases", "sql", purchasesDDL)
 	register(t, ts1, "inventory", "json", inventoryJSON)
@@ -87,7 +82,7 @@ func TestServerRestartServesIdenticalRankings(t *testing.T) {
 
 	// Restart on the same data dir: rankings — names, scores, fingerprints,
 	// leaf mappings — must be identical.
-	ts2, _ := newPersistentTestServer(t, dir, 0)
+	ts2, _ := newWALTestServer(t, dir)
 	var list struct {
 		Schemas []schemaInfo `json:"schemas"`
 	}
@@ -105,18 +100,23 @@ func TestServerRestartServesIdenticalRankings(t *testing.T) {
 	}
 }
 
+// TestServerRestartAfterTornSnapshot tears the newest snapshot generation:
+// recovery falls back to the previous one and replays its journal tail, so
+// the restarted server still serves every acknowledged schema.
 func TestServerRestartAfterTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
+	probe := map[string]any{"source": map[string]string{"format": "sql", "content": purchasesDDL}}
 
-	ts1, close1 := newPersistentTestServer(t, dir, 0)
+	// A one-byte compaction threshold folds every mutation into a snapshot
+	// generation; Close waits for the compaction, so two server lifetimes
+	// leave exactly two generations.
+	ts1, close1 := newOptionsTestServer(t, &options{dataDir: dir, compactThreshold: 1, minAccept: 0.5})
 	register(t, ts1, "orders", "sql", ordersDDL)
-	baseline := batchOf(t, ts1, map[string]any{
-		"source": map[string]string{"format": "sql", "content": purchasesDDL},
-	})
-	// Second mutation writes a second snapshot generation; tearing it must
-	// roll the repository back to the single-schema state.
-	register(t, ts1, "inventory", "json", inventoryJSON)
 	close1()
+	ts2, close2 := newOptionsTestServer(t, &options{dataDir: dir, compactThreshold: 1, minAccept: 0.5})
+	register(t, ts2, "inventory", "json", inventoryJSON)
+	baseline := batchOf(t, ts2, probe)
+	close2()
 
 	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.jsonl"))
 	if err != nil || len(snaps) < 2 {
@@ -131,41 +131,16 @@ func TestServerRestartAfterTornSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts2, _ := newPersistentTestServer(t, dir, 0)
+	ts3, _ := newWALTestServer(t, dir)
 	var list struct {
 		Schemas []schemaInfo `json:"schemas"`
 	}
-	call(t, ts2, http.MethodGet, "/schemas", nil, &list)
-	if len(list.Schemas) != 1 || list.Schemas[0].Name != "orders" {
-		t.Fatalf("torn-snapshot recovery restored %+v, want just orders", list.Schemas)
+	call(t, ts3, http.MethodGet, "/schemas", nil, &list)
+	if len(list.Schemas) != 2 {
+		t.Fatalf("torn-snapshot recovery restored %+v, want orders and inventory", list.Schemas)
 	}
-	// And the surviving state matches exactly what that snapshot served.
-	got := batchOf(t, ts2, map[string]any{
-		"source": map[string]string{"format": "sql", "content": purchasesDDL},
-	})
-	if !reflect.DeepEqual(baseline, got) {
-		t.Error("recovered repository serves different rankings than the consistent snapshot did")
-	}
-}
-
-// TestServerBatchedSnapshotFlushedOnClose covers -snapshot-interval > 0:
-// nothing hits disk per mutation, but a graceful shutdown flushes.
-func TestServerBatchedSnapshotFlushedOnClose(t *testing.T) {
-	dir := t.TempDir()
-	ts1, close1 := newPersistentTestServer(t, dir, time.Hour)
-	register(t, ts1, "orders", "sql", ordersDDL)
-	if snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.jsonl")); len(snaps) != 0 {
-		t.Fatalf("batched mode wrote %v before close", snaps)
-	}
-	close1()
-
-	ts2, _ := newPersistentTestServer(t, dir, time.Hour)
-	var list struct {
-		Schemas []schemaInfo `json:"schemas"`
-	}
-	call(t, ts2, http.MethodGet, "/schemas", nil, &list)
-	if len(list.Schemas) != 1 {
-		t.Fatalf("batched-mode restart restored %d schemas, want 1", len(list.Schemas))
+	if got := batchOf(t, ts3, probe); !reflect.DeepEqual(baseline, got) {
+		t.Error("recovered repository serves different rankings than before the tear")
 	}
 }
 
@@ -283,7 +258,7 @@ func TestServerWALCrashInjectionBitIdenticalBatch(t *testing.T) {
 // server options and checks a restart serves the folded state.
 func TestServerWALCompactionAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	ts1, close1 := newOptionsTestServer(t, &options{dataDir: dir, wal: true, compactThreshold: 1, minAccept: 0.5})
+	ts1, close1 := newOptionsTestServer(t, &options{dataDir: dir, compactThreshold: 1, minAccept: 0.5})
 	register(t, ts1, "orders", "sql", ordersDDL)
 	register(t, ts1, "purchases", "sql", purchasesDDL)
 	register(t, ts1, "inventory", "json", inventoryJSON)
@@ -306,26 +281,22 @@ func TestServerWALCompactionAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestPersistOptionsFlagSemantics pins the -wal / -snapshot-interval
-// interplay: the interval is a legacy alias that implies the snapshot
-// path, and explicitly combining it with -wal is refused.
+// TestPersistOptionsFlagSemantics pins how the journal flags map onto
+// PersistOptions: the zero options value is the default configuration,
+// set flags override it, and negative values are refused.
 func TestPersistOptionsFlagSemantics(t *testing.T) {
+	tuned := cupid.DefaultPersistOptions()
+	tuned.GroupCommitWindow, tuned.CompactBytes = time.Millisecond, 4096
 	cases := []struct {
 		name    string
 		opt     options
-		wantWAL bool
+		want    cupid.PersistOptions
 		wantErr bool
 	}{
-		{"default flags", options{wal: true}, true, false},
-		{"interval alias", options{wal: true, snapshotInterval: time.Second}, false, false},
-		{"explicit contradiction", options{wal: true, walSet: true, snapshotInterval: time.Second}, false, true},
-		{"legacy sync", options{}, false, false},
-		{"negative interval", options{snapshotInterval: -time.Second}, false, true},
-		{"negative linger", options{wal: true, walGroupCommit: -time.Second}, false, true},
-		{"negative threshold", options{wal: true, compactThreshold: -1}, false, true},
-		{"linger without wal", options{walGroupCommit: time.Millisecond}, false, true},
-		{"threshold without wal", options{compactThreshold: 4096, snapshotInterval: time.Second}, false, true},
-		{"explicit default threshold without wal", options{compactThresholdSet: true, compactThreshold: 1 << 20, snapshotInterval: time.Second}, false, true},
+		{"default flags", options{}, cupid.DefaultPersistOptions(), false},
+		{"tuned", options{walGroupCommit: time.Millisecond, compactThreshold: 4096}, tuned, false},
+		{"negative linger", options{walGroupCommit: -time.Second}, cupid.PersistOptions{}, true},
+		{"negative threshold", options{compactThreshold: -1}, cupid.PersistOptions{}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -339,24 +310,24 @@ func TestPersistOptionsFlagSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if popt.WAL != tc.wantWAL {
-				t.Errorf("WAL=%v, want %v", popt.WAL, tc.wantWAL)
+			if popt != tc.want {
+				t.Errorf("persistOptions() = %+v, want %+v", popt, tc.want)
 			}
 		})
 	}
-	// The documented default flag set selects the WAL.
+	// The documented default flag set is the default configuration.
 	fs, opt := newFlagSet()
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
 	popt, err := opt.persistOptions()
-	if err != nil || !popt.WAL {
-		t.Errorf("default flags: popt=%+v err=%v, want WAL mode", popt, err)
+	if err != nil || popt != cupid.DefaultPersistOptions() {
+		t.Errorf("default flags: popt=%+v err=%v, want %+v", popt, err, cupid.DefaultPersistOptions())
 	}
 }
 
-// TestServerExactFlagMatchesPrunedOnSmallRepo sanity-checks that -exact
-// and the default pruned path agree on a small repository (pruning cannot
+// TestServerExactFlagMatchesPrunedOnSmallRepo sanity-checks that
+// -retrieval=exact and the pruned path agree on a small repository (pruning cannot
 // engage below the candidate floor).
 func TestServerExactFlagMatchesPrunedOnSmallRepo(t *testing.T) {
 	build := func(strat cupid.RetrievalStrategy) batchResponse {

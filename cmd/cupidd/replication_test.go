@@ -32,7 +32,7 @@ type replTestServer struct {
 // replica of that URL with the follow loop running.
 func newReplServer(t *testing.T, dir, follow string) *replTestServer {
 	t.Helper()
-	s, err := newServerFromOptions(&options{dataDir: dir, wal: true, follow: follow, minAccept: 0.5})
+	s, err := newServerFromOptions(&options{dataDir: dir, follow: follow, minAccept: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +306,8 @@ func TestReadyzReportsCatchingUpDistinctly(t *testing.T) {
 	// never seen the primary's horizon. (No follow loop is even needed —
 	// readiness is state, not liveness.)
 	s, err := newServerFromOptions(&options{
-		dataDir: t.TempDir(), wal: true,
-		follow: "http://127.0.0.1:1", minAccept: 0.5,
+		dataDir: t.TempDir(),
+		follow:  "http://127.0.0.1:1", minAccept: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +341,7 @@ func TestFollowFlagValidation(t *testing.T) {
 		opt  options
 	}{
 		{"follow without data", options{follow: "http://localhost:1", minAccept: 0.5}},
-		{"relative url", options{follow: "localhost:1", dataDir: t.TempDir(), wal: true, minAccept: 0.5}},
-		{"follow with legacy snapshots", options{follow: "http://localhost:1", dataDir: t.TempDir(), snapshotInterval: time.Second, minAccept: 0.5}},
+		{"relative url", options{follow: "localhost:1", dataDir: t.TempDir(), minAccept: 0.5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -61,22 +61,22 @@
 // with results bit-identical to Match, turning the per-schema phases into
 // a one-time cost. SchemaRegistry stores prepared schemas keyed by name
 // and content fingerprint and ranks a whole repository against one
-// incoming schema: MatchAll scans exhaustively, MatchTop prunes
-// candidates first by cheap per-schema signatures (size + normalized
-// token overlap, see Prepared.Signature) so only the top fraction pays
-// the full tree match, and MatchIndexed generates candidates sublinearly
-// from a sharded token inverted index maintained incrementally on every
-// mutation — only entries sharing a normalized token with the query are
-// touched. Those three are forced forms of one planned entry point:
-// SchemaRegistry.Match consults cheap per-probe statistics (corpus size,
-// posting-list lengths, stop-token density) and picks a strategy and
-// candidate budget per query, with RetrievalStats reporting the decision
-// and what it cost. PersistentRegistry makes the
-// repository durable —
-// every mutation journals the schema's source document into a versioned
-// JSON-lines snapshot store (atomic write+rename, fsync'd; synchronous
-// or interval-batched) and a restart restores the newest consistent
-// snapshot with bit-identical rankings. The cupidd command serves
+// incoming schema through one planned entry point: SchemaRegistry.Match
+// consults cheap per-probe statistics (corpus size, posting-list lengths,
+// stop-token density) and picks a strategy and candidate budget per
+// query, with RetrievalStats reporting the decision and what it cost.
+// PlanOptions.Force pins one strategy: the exhaustive scan (also spelled
+// MatchAll), the pruned scan that ranks candidates first by cheap
+// per-schema signatures (size + normalized token overlap, see
+// Prepared.Signature) so only the top fraction pays the full tree match,
+// or indexed retrieval that generates candidates sublinearly from a
+// sharded token inverted index maintained incrementally on every mutation
+// — only entries sharing a normalized token with the query are touched.
+// PersistentRegistry makes the repository durable — every mutation
+// appends the schema's source document to a write-ahead journal that a
+// background compactor folds into versioned JSON-lines snapshots, and a
+// restart restores the newest consistent snapshot plus the journal tail
+// with bit-identical rankings. The cupidd command serves
 // register/list/match/batch over HTTP/JSON on top of all of this
 // (docs/API.md is the full reference; docs/ARCHITECTURE.md the system
 // tour).
@@ -85,7 +85,7 @@
 // sequential-vs-parallel pipeline on synthetic schemas of growing size,
 // the 1-vs-K batch repository workload (naive Match calls vs the
 // prepared-schema registry), the 1-vs-200 pruned-retrieval workload
-// (exhaustive MatchAll vs signature-pruned MatchTop, recall@K asserted
+// (exhaustive scan vs signature-pruned scan, recall@K asserted
 // exactly 1.0), and the 1-vs-2000 indexed-retrieval workload (inverted
 // index vs pruned scan vs full scan, recall@10 asserted >= 0.98 and the
 // indexed path required to beat the pruned one); it self-checks with go vet, gofmt, doc presence and the
@@ -98,7 +98,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/avro"
 	"repro/internal/core"
@@ -327,17 +326,19 @@ func NewRegistry(cfg Config) (*SchemaRegistry, error) { return registry.New(cfg)
 // Matcher.
 func NewRegistryWithMatcher(m *Matcher) *SchemaRegistry { return registry.NewWithMatcher(m) }
 
-// PruneOptions sizes the candidate set SchemaRegistry.MatchTop lets
-// through to the full tree match (candidate fraction and floor).
+// PruneOptions sizes the candidate set the pruned and indexed strategies
+// let through to the full tree match (candidate fraction and floor).
 type PruneOptions = registry.PruneOptions
 
 // DefaultPruneOptions keeps the top quarter of the repository, never fewer
-// than 16 candidates.
+// than 16 candidates — the PlanOptions.Prune budget SchemaRegistry.Match
+// runs the pruned strategy under (Force = RetrievalPruned or planned).
 func DefaultPruneOptions() PruneOptions { return registry.DefaultPruneOptions() }
 
-// DefaultIndexOptions sizes SchemaRegistry.MatchIndexed's candidate
-// budget: an eighth of the repository, never fewer than 16 candidates
-// (the indexed path's candidates all share tokens with the query, so it
+// DefaultIndexOptions is the PlanOptions.Index budget SchemaRegistry.Match
+// runs the indexed strategy under (Force = RetrievalIndexed or planned):
+// an eighth of the repository, never fewer than 16 candidates (the
+// indexed path's candidates all share tokens with the query, so it
 // affords a tighter fraction than pruning at equal recall).
 func DefaultIndexOptions() PruneOptions { return registry.DefaultIndexOptions() }
 
@@ -358,10 +359,11 @@ const (
 	RetrievalAuto = registry.StrategyAuto
 	// RetrievalExact forces the exhaustive scan (MatchAll).
 	RetrievalExact = registry.StrategyExact
-	// RetrievalPruned forces the linear signature-pruned scan (MatchTop).
+	// RetrievalPruned forces the linear signature-pruned scan
+	// (SchemaRegistry.Match with PlanOptions.Force = RetrievalPruned).
 	RetrievalPruned = registry.StrategyPruned
 	// RetrievalIndexed forces inverted-index candidate generation
-	// (MatchIndexed).
+	// (SchemaRegistry.Match with PlanOptions.Force = RetrievalIndexed).
 	RetrievalIndexed = registry.StrategyIndexed
 	// RetrievalFamily forces family-routed matching: probe the installed
 	// corpus clustering's medoids, full-match only inside the winning
@@ -394,22 +396,21 @@ type PlanOptions = registry.PlanOptions
 func DefaultPlanOptions() PlanOptions { return registry.DefaultPlanOptions() }
 
 // PersistentRegistry is a SchemaRegistry whose contents survive restarts:
-// each mutation's source document is made durable either through the
-// write-ahead journal (checksummed appends, group-commit fsync batching,
-// background compaction into snapshot generations — the default) or the
-// legacy full-snapshot modes, and opening the data directory recovers the
-// newest consistent snapshot plus the ordered journal tail. Matching is
+// each mutation's source document is made durable through the write-ahead
+// journal (checksummed appends, group-commit fsync batching, background
+// compaction into snapshot generations), and opening the data directory
+// recovers the newest consistent snapshot plus the ordered journal tail. Matching is
 // served from memory exactly like the plain registry. The cupidd server
 // runs on one when started with -data; docs/PERSISTENCE.md specifies the
 // durability contract.
 type PersistentRegistry = registry.Persistent
 
-// PersistOptions selects and tunes a PersistentRegistry's durability
-// mode: the write-ahead journal (WAL, group-commit window, compaction
-// thresholds) or the legacy snapshot modes (SnapshotInterval).
+// PersistOptions tunes a PersistentRegistry's write-ahead journal: the
+// group-commit window and the compaction thresholds. The zero value takes
+// the defaults.
 type PersistOptions = registry.PersistOptions
 
-// DefaultPersistOptions is WAL mode with the default compaction
+// DefaultPersistOptions is the journal with the default compaction
 // thresholds — the configuration cupidd runs unless flagged otherwise.
 func DefaultPersistOptions() PersistOptions { return registry.DefaultPersistOptions() }
 
@@ -436,20 +437,11 @@ type ReplState = registry.ReplState
 // whether the follower has caught up.
 type ReplStatus = registry.ReplStatus
 
-// OpenPersistentRegistry opens (creating if needed) the data directory,
-// recovers the repository, and returns the durable registry in the legacy
-// snapshot mode: interval 0 snapshots synchronously on every mutation,
-// interval > 0 batches snapshots in the background (Close flushes).
-// OpenPersistentRegistryOptions selects the WAL instead. Warnings report
-// everything recovery had to skip or repair.
-func OpenPersistentRegistry(dir string, m *Matcher, interval time.Duration) (p *PersistentRegistry, warnings []string, err error) {
-	return registry.OpenPersistent(dir, m, interval, ParseSchema)
-}
-
-// OpenPersistentRegistryOptions opens the data directory in the mode opts
-// selects — use DefaultPersistOptions for the write-ahead journal — and
-// recovers the repository (newest consistent snapshot + ordered journal
-// tail replay). A directory written by either mode opens under the other.
+// OpenPersistentRegistryOptions opens (creating if needed) the data
+// directory, recovers the repository (newest consistent snapshot +
+// ordered journal tail replay; a snapshot-only directory is a base
+// generation), and returns the durable registry journaling under opts.
+// Warnings report everything recovery had to skip or repair.
 func OpenPersistentRegistryOptions(dir string, m *Matcher, opts PersistOptions) (p *PersistentRegistry, warnings []string, err error) {
 	return registry.OpenPersistentOptions(dir, m, opts, ParseSchema)
 }

@@ -46,7 +46,7 @@ type Prepared struct {
 	pathToks []linguistic.TokenSet
 
 	// sig caches the pruning signature. Lazy like fp: only repository
-	// candidate pruning (registry.MatchTop) reads it, so plain Match never
+	// retrieval (registry pruning and indexing) reads it, so plain Match never
 	// pays the token-bag sweep.
 	sigOnce sync.Once
 	sig     model.Signature
@@ -90,7 +90,7 @@ func (p *Prepared) Fingerprint() string {
 // Signature returns the schema's retrieval signature (model.Signature):
 // element count, expanded-tree leaf count, and the weighted normalized
 // token bag of the cached linguistic analysis. The repository's candidate
-// pruning stage (registry.MatchTop) ranks entries by signature affinity
+// pruning stage (the registry's pruned strategy) ranks entries by signature affinity
 // before running the full tree match on the survivors, and the inverted
 // index (internal/index) posts each token with its stable weight.
 // Computed on first use, concurrency-safe, immutable afterwards.

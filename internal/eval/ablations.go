@@ -35,7 +35,6 @@ func Ablations() ([]AblationRow, error) {
 	}{
 		{"baseline", func(*core.Config) {}},
 		{"lazy-memo", func(c *core.Config) { c.Structural.LazyMemo = true }},
-		{"bitset-links", func(c *core.Config) { c.Structural.FastStrongLinks = true }},
 		{"children-shortcut", func(c *core.Config) { c.Structural.ChildrenShortcut = true }},
 		{"no-leafcount-pruning", func(c *core.Config) { c.Structural.LeafCountPruning = false }},
 		{"no-optional-discount", func(c *core.Config) { c.Structural.OptionalDiscount = false }},

@@ -30,11 +30,6 @@ func TestAblations(t *testing.T) {
 	if lm.Metrics != base.Metrics {
 		t.Errorf("lazy memo changed the metrics: %v vs %v", lm.Metrics, base.Metrics)
 	}
-	// Bitset strong links: also guaranteed result-identical.
-	bl := byName["bitset-links"]
-	if bl.Metrics != base.Metrics {
-		t.Errorf("bitset links changed the metrics: %v vs %v", bl.Metrics, base.Metrics)
-	}
 	// Children shortcut fires and keeps recall high.
 	cs := byName["children-shortcut"]
 	if cs.Shortcuts == 0 {

@@ -1,6 +1,6 @@
 // Package index implements the repository's sharded token inverted index:
 // the sublinear candidate-generation stage of retrieval. Where signature
-// pruning (registry.MatchTop) still computes an affinity against every
+// pruning (the registry's pruned strategy) still computes an affinity against every
 // stored schema — O(n) per query — the index inverts the token bags once,
 // at registration: each normalized signature token maps to a posting list
 // of the schemas containing it, so a query only ever touches schemas that
@@ -22,7 +22,7 @@
 //     all), descending, ties broken by key, and truncated to the
 //     candidate budget.
 //
-// The caller (registry.MatchIndexed) then runs the full tree match on the
+// The caller (the registry's indexed strategy) then runs the full tree match on the
 // returned candidates only. A schema whose only overlap with the query is
 // skipped common tokens is unreachable — by construction such a schema's
 // token Jaccard is low, and the recall trade is measured, not assumed
@@ -81,7 +81,7 @@ type docInfo struct {
 }
 
 // shard is one doc-partition of the index. All its state is guarded by
-// one RWMutex: maintenance takes the write lock, retrieval the read lock,
+// its own RWMutex: maintenance takes the write lock, retrieval the read lock,
 // and different shards never contend.
 type shard struct {
 	mu    sync.RWMutex

@@ -131,8 +131,8 @@ const affinityTokenWeight = 0.75
 // Affinity is the pruning score in [0,1]: a weighted blend of token
 // Jaccard and size similarity. It is intentionally crude — its only job is
 // to rank likely candidates ahead of unlikely ones so the expensive tree
-// match runs on a fraction of the repository (registry.MatchTop asserts
-// the ranking quality empirically; cupidbench records recall@K).
+// match runs on a fraction of the repository (the registry's pruned
+// strategy; cupidbench records the ranking quality as recall@K).
 func (s Signature) Affinity(o Signature) float64 {
 	return affinityTokenWeight*s.TokenJaccard(o) + (1-affinityTokenWeight)*s.SizeSim(o)
 }

@@ -41,14 +41,11 @@ func TestMatchContextCanceledReturnsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := r.MatchAllContext(ctx, probe, 5); err != context.Canceled {
-		t.Errorf("MatchAllContext on canceled ctx = %v, want context.Canceled", err)
-	}
-	if _, err := r.MatchTopContext(ctx, probe, 5, PruneOptions{Fraction: 0.25, MinCandidates: 4}); err != context.Canceled {
-		t.Errorf("MatchTopContext on canceled ctx = %v, want context.Canceled", err)
-	}
-	if _, _, err := r.MatchIndexedContext(ctx, probe, 5, PruneOptions{Fraction: 0.25, MinCandidates: 4}); err != context.Canceled {
-		t.Errorf("MatchIndexedContext on canceled ctx = %v, want context.Canceled", err)
+	opt := PruneOptions{Fraction: 0.25, MinCandidates: 4}
+	for _, force := range []Strategy{StrategyExact, StrategyPruned, StrategyIndexed} {
+		if _, _, err := r.MatchContext(ctx, probe, 5, PlanOptions{Force: force, Prune: opt, Index: opt}); err != context.Canceled {
+			t.Errorf("force=%s on canceled ctx = %v, want context.Canceled", force, err)
+		}
 	}
 }
 
@@ -98,12 +95,12 @@ func TestMatchContextCancellationIsPrompt(t *testing.T) {
 
 	const fuse = 5 // scored candidates before Err() starts reporting Canceled
 	ctx := newCountdownCtx(fuse)
-	ranked, err := r.MatchAllContext(ctx, probe, 5)
+	ranked, _, err := r.MatchContext(ctx, probe, 5, PlanOptions{Force: StrategyExact})
 	if err != context.Canceled {
-		t.Fatalf("canceled MatchAllContext = %v, want context.Canceled", err)
+		t.Fatalf("canceled exact scan = %v, want context.Canceled", err)
 	}
 	if ranked != nil {
-		t.Errorf("canceled MatchAllContext returned a partial ranking (%d entries), want nil", len(ranked))
+		t.Errorf("canceled exact scan returned a partial ranking (%d entries), want nil", len(ranked))
 	}
 	// The loop checks Err() once per candidate; after the first Canceled it
 	// must stop immediately. ForCtx consults Err() once more for its return
@@ -124,38 +121,18 @@ func TestMatchContextIdenticalToContextFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := PruneOptions{Fraction: 0.25, MinCandidates: 4}
-	ctx := context.Background()
-
-	type pathPair struct {
-		name     string
-		plain    func() ([]Ranked, error)
-		threaded func() ([]Ranked, error)
-	}
-	paths := []pathPair{
-		{"MatchAll",
-			func() ([]Ranked, error) { return r.MatchAll(probe, 10) },
-			func() ([]Ranked, error) { return r.MatchAllContext(ctx, probe, 10) }},
-		{"MatchTop",
-			func() ([]Ranked, error) { return r.MatchTop(probe, 10, opt) },
-			func() ([]Ranked, error) { return r.MatchTopContext(ctx, probe, 10, opt) }},
-		{"MatchIndexed",
-			func() ([]Ranked, error) { ranked, _, err := r.MatchIndexed(probe, 10, opt); return ranked, err },
-			func() ([]Ranked, error) {
-				ranked, _, err := r.MatchIndexedContext(ctx, probe, 10, opt)
-				return ranked, err
-			}},
-	}
-	for _, p := range paths {
-		a, err := p.plain()
+	for _, force := range []Strategy{StrategyAuto, StrategyExact, StrategyPruned, StrategyIndexed} {
+		plan := PlanOptions{Force: force, Prune: opt, Index: opt}
+		a, _, err := r.Match(probe, 10, plan)
 		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
+			t.Fatalf("force=%s: %v", force, err)
 		}
-		b, err := p.threaded()
+		b, _, err := r.MatchContext(context.Background(), probe, 10, plan)
 		if err != nil {
-			t.Fatalf("%s (ctx): %v", p.name, err)
+			t.Fatalf("force=%s (ctx): %v", force, err)
 		}
 		if fmt.Sprint(rankingKey(a)) != fmt.Sprint(rankingKey(b)) {
-			t.Errorf("%s: ctx-threaded ranking differs from context-free:\n%v\nvs\n%v", p.name, rankingKey(a), rankingKey(b))
+			t.Errorf("force=%s: ctx-threaded ranking differs from context-free:\n%v\nvs\n%v", force, rankingKey(a), rankingKey(b))
 		}
 	}
 }
@@ -168,7 +145,7 @@ func rankingKey(ranked []Ranked) []string {
 	return out
 }
 
-// TestRetrievalStatsReportsBudget asserts every MatchIndexed outcome
+// TestRetrievalStatsReportsBudget asserts every forced indexed outcome
 // carries the candidate budget it ran under — the field the serving layer
 // relies on to make degraded rankings self-describing.
 func TestRetrievalStatsReportsBudget(t *testing.T) {
@@ -178,7 +155,7 @@ func TestRetrievalStatsReportsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := PruneOptions{Fraction: 0.125, MinCandidates: 4}
-	_, st, err := r.MatchIndexed(probe, 5, opt)
+	_, st, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +163,10 @@ func TestRetrievalStatsReportsBudget(t *testing.T) {
 		t.Errorf("CandidateBudget = %d, want Limit(%d, 5) = %d", st.CandidateBudget, r.Len(), want)
 	}
 	if st.Degraded {
-		t.Error("MatchIndexed set Degraded itself; only the serving layer may")
+		t.Error("an undegraded indexed run set Degraded; only the serving layer may")
 	}
 	// The exact-scan fallback reports its (over-)budget too.
-	_, st, err = r.MatchIndexed(probe, 5, PruneOptions{})
+	_, st, err = r.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}

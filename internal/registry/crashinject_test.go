@@ -152,7 +152,7 @@ func copyCrashDir(t *testing.T, src string) string {
 // registry (closed via cleanup).
 func recoverCrashDir(t *testing.T, dir string, m *core.Matcher) *Persistent {
 	t.Helper()
-	p, warns, err := OpenPersistentOptions(dir, m, PersistOptions{WAL: true}, storeParse)
+	p, warns, err := OpenPersistentOptions(dir, m, PersistOptions{}, storeParse)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}

@@ -3,15 +3,17 @@ package registry
 // Godoc hygiene for the repository layer: every exported symbol in
 // internal/registry and internal/index must carry a doc comment (the
 // per-symbol half of what check.sh's package-comment gate enforces at
-// package granularity), and the package docs must not describe a
-// pre-sharded registry — the audit that caught PR 4's stale comments,
-// kept as a test so they cannot regress.
+// package granularity), and the sources and docs must not describe a
+// removed design — the audit that caught PR 4's stale comments, kept as a
+// test so they cannot regress.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,34 +80,63 @@ func TestExportedSymbolsAreDocumented(t *testing.T) {
 	}
 }
 
-// TestNoStaleSingleMapDocs greps the non-test sources for wording that
-// described the pre-sharded, single-mutex registry ("a single map guarded
-// by one RWMutex"): since PR 4 the repository is 16 name-hashed shards
-// and any comment claiming otherwise misleads.
+// TestNoStaleSingleMapDocs greps the repository's non-test Go sources,
+// README.md and docs/*.md for wording that describes removed designs: the
+// pre-sharded, single-mutex registry ("a single map guarded by one
+// RWMutex" — since PR 4 the repository is 16 name-hashed shards), and the
+// names of deleted entry points, options and flags. CHANGES.md and
+// ROADMAP.md are history and stay out of the scan.
 func TestNoStaleSingleMapDocs(t *testing.T) {
 	stale := []string{
 		"single map",
 		"one RWMutex",
 		"a global lock",
 		"the registry mutex",
+		"MatchTop",
+		"MatchIndexed",
+		"MatchAllContext",
+		"MatchAllSchema",
+		"OpenPersistent(",
+		"SnapshotInterval",
+		"FastStrongLinks",
+		"-snapshot-interval",
+		"-wal=false",
 	}
-	entries, err := os.ReadDir(".")
+	const root = "../.."
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			files = append(files, path)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(append(files, filepath.Join(root, "README.md")), docs...)
+	for _, name := range files {
 		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := strings.ToLower(string(b))
 		for _, phrase := range stale {
-			if strings.Contains(src, phrase) {
-				t.Errorf("%s still describes the pre-sharded registry (%q)", name, phrase)
+			if strings.Contains(src, strings.ToLower(phrase)) {
+				t.Errorf("%s still names a removed design (%q)", name, phrase)
 			}
 		}
 	}

@@ -129,7 +129,7 @@ func TestFamilyRouteWithinIndexedTopK(t *testing.T) {
 		if st.Strategy != StrategyFamily || st.FamilyFallback {
 			t.Fatalf("probe %d: strategy %v fallback %v, want a routed family match", fam, st.Strategy, st.FamilyFallback)
 		}
-		indexed, _, err := r.MatchIndexed(probe, topK, DefaultIndexOptions())
+		indexed, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed, Index: DefaultIndexOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestFamiliesStalenessAndFallback(t *testing.T) {
 	if !st.FamilyFallback {
 		t.Fatalf("stale clustering did not fall back (stats %+v)", st)
 	}
-	indexed, _, err := r.MatchIndexed(probe, 5, DefaultIndexOptions())
+	indexed, _, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: DefaultIndexOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFamiliesStalenessAndFallback(t *testing.T) {
 // clustering durably.
 func TestFamiliesPersistAcrossRestartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	p := newWAL(t, dir, PersistOptions{WAL: true})
+	p := newWAL(t, dir, PersistOptions{})
 	for _, s := range familyTestCorpus(120) {
 		if _, _, err := p.Register(s.Name, s); err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestFamiliesPersistAcrossRestartByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2 := newWAL(t, dir, PersistOptions{WAL: true})
+	p2 := newWAL(t, dir, PersistOptions{})
 	if got := p2.FamiliesJSON(); !bytes.Equal(got, want) {
 		t.Fatalf("restarted node serves different clustering bytes:\n%s\nvs\n%s", got, want)
 	}
@@ -264,7 +264,7 @@ func TestFamiliesPersistAcrossRestartByteIdentical(t *testing.T) {
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p3 := newWAL(t, dir, PersistOptions{WAL: true})
+	p3 := newWAL(t, dir, PersistOptions{})
 	defer p3.Close()
 	if p3.FamiliesJSON() != nil {
 		t.Fatal("removed clustering came back after restart")
@@ -275,7 +275,7 @@ func TestFamiliesPersistAcrossRestartByteIdentical(t *testing.T) {
 // format are rejected as ordinary registrations on every path.
 func TestFamiliesDocNameReserved(t *testing.T) {
 	dir := t.TempDir()
-	p := newWAL(t, dir, PersistOptions{WAL: true})
+	p := newWAL(t, dir, PersistOptions{})
 	defer p.Close()
 	if _, _, err := p.RegisterSource(FamiliesDocName, "json", []byte(`{}`)); err == nil {
 		t.Error("RegisterSource accepted the reserved families document name")

@@ -1,11 +1,5 @@
 package registry
 
-import (
-	"context"
-
-	"repro/internal/core"
-)
-
 // RetrievalStats reports what one retrieval call did — the decision the
 // planner made (or the caller forced), the inputs it decided from, and
 // what the execution actually touched. Every retrieval path returns it
@@ -15,8 +9,8 @@ type RetrievalStats struct {
 	// Strategy is the retrieval path that ran (never StrategyAuto).
 	Strategy Strategy
 	// Planned reports the strategy was chosen by the planner from
-	// per-probe statistics; false means the caller forced it (the legacy
-	// entry points, or cupidd's -retrieval=index|pruned|exact).
+	// per-probe statistics; false means the caller forced it
+	// (PlanOptions.Force, or cupidd's -retrieval=index|pruned|exact).
 	Planned bool
 	// CandidatesScored is the number of entries whose cheap signature was
 	// scored during candidate generation: the inverted index's accumulator
@@ -68,48 +62,4 @@ type RetrievalStats struct {
 	// one — no clustering installed, the clustering gone stale, or its
 	// medoids no longer resolving — and fell back to the indexed path.
 	FamilyFallback bool
-}
-
-// MatchIndexed is the inverted-index form of MatchTop: instead of scoring
-// a signature affinity against every entry (O(n) per query), it asks the
-// sharded token inverted index for candidates — accumulating weighted
-// token overlap over the posting lists of the query's tokens, then
-// re-ranking the accumulator's survivors by the exact signature affinity
-// — and runs the full tree match only on the top candidates per opt. Only
-// entries sharing at least one normalized token with the query are ever
-// touched, so retrieval cost scales with the query's posting lists, not
-// the repository size. The candidate budget is the same shared policy as
-// the pruned path (PruneOptions.Limit).
-//
-// The returned ranking is exact over the candidate set (scores are real
-// MatchPrepared scores, never affinities or overlaps), deterministic for
-// a given entry set regardless of worker count or of the
-// Register/Replace/Remove interleaving that produced the index (asserted
-// by the property tests).
-//
-// Two cases fall back to exact scans, reported in the stats: a
-// repository at or below the candidate floor (where indexing buys
-// nothing), and a query whose signature has no tokens (which shares
-// nothing with anything — the index would return zero candidates, the
-// scan still ranks by tree match). Entries whose signatures share no
-// token with a token-bearing query are unreachable by design; that recall
-// trade is measured by cupidbench (recall@10 vs the exact scan on the
-// 1-vs-2000 corpus) and callers that need the full-scan guarantee use
-// MatchAll.
-//
-// MatchIndexed is a forced-plan wrapper over the planned entry point
-// (Match with PlanOptions.Force = StrategyIndexed) and behaves
-// bit-identically to its pre-planner implementation; Match with
-// StrategyAuto lets the planner pick the strategy and budget per probe.
-func (r *Registry) MatchIndexed(src *core.Prepared, topK int, opt PruneOptions) ([]Ranked, RetrievalStats, error) {
-	return r.MatchIndexedContext(context.Background(), src, topK, opt)
-}
-
-// MatchIndexedContext is MatchIndexed with a request lifecycle: the
-// candidate tree-match loop (the expensive part — each iteration is a
-// full TreeMatch) checks ctx cooperatively before every candidate, so an
-// abandoned caller stops consuming CPU mid-ranking. It returns ctx.Err()
-// when cut short.
-func (r *Registry) MatchIndexedContext(ctx context.Context, src *core.Prepared, topK int, opt PruneOptions) ([]Ranked, RetrievalStats, error) {
-	return r.MatchContext(ctx, src, topK, PlanOptions{Force: StrategyIndexed, Index: opt})
 }

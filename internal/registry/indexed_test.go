@@ -21,7 +21,7 @@ func TestMatchIndexedSmallRepositoryEqualsFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, st, err := r.MatchIndexed(probe, 0, DefaultPruneOptions())
+	indexed, st, err := r.Match(probe, 0, PlanOptions{Force: StrategyIndexed, Index: DefaultPruneOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestMatchIndexedRecallOnFamilyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, st, err := r.MatchIndexed(probe, topK, DefaultPruneOptions())
+	indexed, st, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed, Index: DefaultPruneOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestMatchIndexedEqualsFromScratchAfterInterleaving(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, incSt, err := r.MatchIndexed(probe, 5, opt)
+			inc, incSt, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
-			scr, scrSt, err := fresh.MatchIndexed(freshProbe, 5, opt)
+			scr, scrSt, err := fresh.Match(freshProbe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestMatchIndexedRebuiltOnRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, warns, err := OpenPersistent(dir, m, 0, nil)
+		p, warns, err := OpenPersistentOptions(dir, m, PersistOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestMatchIndexedRebuiltOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, beforeSt, err := p.MatchIndexed(probe, 5, opt)
+	before, beforeSt, err := p.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMatchIndexedRebuiltOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, afterSt, err := p2.MatchIndexed(probe2, 5, opt)
+	after, afterSt, err := p2.Match(probe2, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +221,14 @@ func TestMatchIndexedDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	opt := DefaultPruneOptions()
 	prev := par.SetMaxWorkers(1)
-	seq, seqSt, err := r.MatchIndexed(probe, 8, opt)
+	seq, seqSt, err := r.Match(probe, 8, PlanOptions{Force: StrategyIndexed, Index: opt})
 	par.SetMaxWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par.SetMaxWorkers(8)
 	defer par.SetMaxWorkers(prev)
-	conc, concSt, err := r.MatchIndexed(probe, 8, opt)
+	conc, concSt, err := r.Match(probe, 8, PlanOptions{Force: StrategyIndexed, Index: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,34 +14,26 @@ import (
 )
 
 // Persistent is a Registry whose contents survive restarts. It embeds the
-// in-memory Registry — matching (MatchAll, MatchTop, MatchIndexed, Get,
-// List) is served straight from memory at the same cost — and makes every
-// mutation's source document durable through one of two write paths:
+// in-memory Registry — matching (Match, MatchAll, Get, List) is served
+// straight from memory at the same cost — and makes every mutation's
+// source document durable through a write-ahead journal: each
+// Register/Replace/Remove appends one checksummed, length-prefixed record.
+// A group-commit loop batches concurrent writers into a single fsync —
+// write cost is O(record), not O(corpus) — and a background compactor
+// folds the journal tail into a fresh snapshot generation once it passes
+// a size/record threshold. An acknowledged mutation is on disk.
 //
-//   - WAL mode (PersistOptions.WAL, the default the cupidd server runs):
-//     each Register/Replace/Remove appends one checksummed,
-//     length-prefixed record to an append-only journal. A group-commit
-//     loop batches concurrent writers into a single fsync — write cost is
-//     O(record), not O(corpus) — and a background compactor folds the
-//     journal tail into a fresh snapshot generation once it passes a
-//     size/record threshold. An acknowledged mutation is on disk.
-//   - Snapshot mode (legacy): every mutation rewrites and fsyncs a full
-//     snapshot before returning (interval 0), or mutations mark the
-//     repository dirty and a background writer snapshots at most once per
-//     SnapshotInterval, flushing on Close. A crash can lose at most the
-//     last interval's mutations.
-//
-// Both modes recover identically (Store.Recover): newest consistent
-// snapshot + ordered journal tail replay, so a data directory written by
-// either mode opens under the other. docs/PERSISTENCE.md specifies the
-// on-disk formats, fsync points and crash matrix.
+// Recovery (Store.Recover) restores the newest consistent snapshot and
+// replays the ordered journal tail on top of it; a snapshot-only data
+// directory is simply a base generation with no tail. docs/PERSISTENCE.md
+// specifies the on-disk formats, fsync points and crash matrix.
 //
 // Mutations are serialized by an internal lock so the persisted document
 // set can never disagree with the in-memory registry; reads and matching
-// never take that lock. In WAL mode the lock covers only the in-memory
-// commit and the journal enqueue — the fsync wait happens outside it,
-// which is what lets concurrent writers share one disk barrier. After
-// Close every mutation fails; reads keep serving the in-memory state.
+// never take that lock. The lock covers only the in-memory commit and the
+// journal enqueue — the fsync wait happens outside it, which is what lets
+// concurrent writers share one disk barrier. After Close every mutation
+// fails; reads keep serving the in-memory state.
 type Persistent struct {
 	*Registry
 	store *Store
@@ -49,9 +41,8 @@ type Persistent struct {
 
 	mu      sync.Mutex // serializes mutations + snapshot/journal state
 	docs    map[string]Doc
-	dirty   bool
 	closed  bool
-	pending []walReq // WAL mode: records awaiting the next group commit
+	pending []walReq // records awaiting the next group commit
 	// unjournaled marks names whose latest in-memory mutation has not
 	// been confirmed durable yet (the record is in flight or its commit
 	// failed). An idempotent re-registration (or a Remove of an absent
@@ -67,15 +58,14 @@ type Persistent struct {
 
 	kick       chan struct{} // signals the committer that pending is non-empty
 	stop       chan struct{}
-	wg         sync.WaitGroup // committer (WAL) / interval writer (snapshot)
+	wg         sync.WaitGroup // the group-commit committer
 	compacting atomic.Bool    // one background compaction at a time
 	compactWG  sync.WaitGroup
 
 	wal *walFile // owned by the committer once it starts
 	// hub fans committed journal records out to replication followers
-	// (repl.go); non-nil exactly in WAL mode. The committer publishes each
-	// batch after its fsync and rebases the hub when compaction rotates
-	// the journal.
+	// (repl.go). The committer publishes each batch after its fsync and
+	// rebases the hub when compaction rotates the journal.
 	hub *replHub
 
 	closeOnce sync.Once
@@ -101,16 +91,9 @@ type pendingMark struct {
 	op  string // walOpPut or walOpDel
 }
 
-// PersistOptions selects and tunes the durability mode; the zero value is
-// legacy synchronous snapshot mode and DefaultPersistOptions is the WAL.
+// PersistOptions tunes the write-ahead journal; the zero value takes the
+// default thresholds (DefaultPersistOptions spells them out).
 type PersistOptions struct {
-	// WAL selects the write-ahead-journal mode. When false the legacy
-	// snapshot modes apply, chosen by SnapshotInterval.
-	WAL bool
-	// SnapshotInterval batches legacy-mode snapshots: 0 snapshots
-	// synchronously on every mutation, > 0 at most once per interval.
-	// Ignored in WAL mode.
-	SnapshotInterval time.Duration
 	// GroupCommitWindow is how long the WAL committer lingers after the
 	// first writer of a batch arrives, letting concurrent writers join the
 	// same fsync. 0 still group-commits: everything queued while the
@@ -132,11 +115,11 @@ const (
 	DefaultCompactRecords = 4096
 )
 
-// DefaultPersistOptions is WAL mode with the default compaction
+// DefaultPersistOptions is the journal with the default compaction
 // thresholds and no extra group-commit linger — the configuration cupidd
 // runs unless flagged otherwise.
 func DefaultPersistOptions() PersistOptions {
-	return PersistOptions{WAL: true, CompactBytes: DefaultCompactBytes, CompactRecords: DefaultCompactRecords}
+	return PersistOptions{CompactBytes: DefaultCompactBytes, CompactRecords: DefaultCompactRecords}
 }
 
 // normalized fills zero thresholds and clamps negative durations.
@@ -147,31 +130,22 @@ func (o PersistOptions) normalized() PersistOptions {
 	if o.CompactRecords <= 0 {
 		o.CompactRecords = DefaultCompactRecords
 	}
-	if o.SnapshotInterval < 0 {
-		o.SnapshotInterval = 0
-	}
 	if o.GroupCommitWindow < 0 {
 		o.GroupCommitWindow = 0
 	}
 	return o
 }
 
-// OpenPersistent opens the data directory in legacy snapshot mode — kept
-// for callers of the pre-WAL API. See OpenPersistentOptions.
-func OpenPersistent(dir string, m *core.Matcher, interval time.Duration, parse ParseFunc) (p *Persistent, warnings []string, err error) {
-	return OpenPersistentOptions(dir, m, PersistOptions{SnapshotInterval: interval}, parse)
-}
-
 // OpenPersistentOptions opens the data directory, recovers the repository
 // (newest consistent snapshot + ordered journal tail replay) into a fresh
-// registry around the given matcher, and returns the durable registry in
-// the requested mode. Warnings describe everything recovery skipped,
-// truncated or deleted (e.g. a torn journal tail). A nil parse restricts
-// persisted documents to the native "json" format.
+// registry around the given matcher, and returns the durable registry
+// with its group-commit loop running. Warnings describe everything
+// recovery skipped, truncated or deleted (e.g. a torn journal tail). A nil
+// parse restricts persisted documents to the native "json" format.
 //
-// A legacy data directory (snapshots only) is a valid generation under
-// WAL mode: the newest snapshot becomes the journal's base generation and
-// a fresh wal-<seq>.log is created beside it on the first mutation.
+// A snapshot-only data directory is a valid generation: the newest
+// snapshot becomes the journal's base generation, and a fresh
+// wal-<seq>.log opened beside it receives the first mutation.
 func OpenPersistentOptions(dir string, m *core.Matcher, opts PersistOptions, parse ParseFunc) (p *Persistent, warnings []string, err error) {
 	st, err := OpenStore(dir, parse)
 	if err != nil {
@@ -236,48 +210,25 @@ func OpenPersistentOptions(dir string, m *core.Matcher, opts PersistOptions, par
 			p.docs[famDoc.Name] = *famDoc
 		}
 	}
-	switch {
-	case p.opts.WAL:
-		w, err := st.openWAL(rec.WALBase, rec.WALRecords)
-		if err != nil {
-			st.Close()
-			return nil, rec.Warnings, err
-		}
-		p.wal = w
-		// Prime the replication replay buffer with the live journal's
-		// recovered records, so a follower whose checkpoint predates this
-		// restart can still resume as a tail instead of a full resync.
-		var primed []walRecord
-		if rec.WALRecords > 0 {
-			if recs, _, _, err := scanWAL(st.walPath(rec.WALBase)); err == nil {
-				primed = recs
-			}
-		}
-		p.hub = newReplHub(rec.WALBase, primed)
-		p.wg.Add(1)
-		go p.committer()
-	case p.opts.SnapshotInterval > 0:
-		p.wg.Add(1)
-		go p.writer()
+	w, err := st.openWAL(rec.WALBase, rec.WALRecords)
+	if err != nil {
+		st.Close()
+		return nil, rec.Warnings, err
 	}
+	p.wal = w
+	// Prime the replication replay buffer with the live journal's
+	// recovered records, so a follower whose checkpoint predates this
+	// restart can still resume as a tail instead of a full resync.
+	var primed []walRecord
+	if rec.WALRecords > 0 {
+		if recs, _, _, err := scanWAL(st.walPath(rec.WALBase)); err == nil {
+			primed = recs
+		}
+	}
+	p.hub = newReplHub(rec.WALBase, primed)
+	p.wg.Add(1)
+	go p.committer()
 	return p, rec.Warnings, nil
-}
-
-// writer is the legacy batched-mode background snapshotter.
-func (p *Persistent) writer() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.opts.SnapshotInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := p.Flush(); err != nil {
-				p.noteErr(err)
-			}
-		case <-p.stop:
-			return
-		}
-	}
 }
 
 // committer is the WAL group-commit loop: the journal's only writer. Each
@@ -444,39 +395,12 @@ func (p *Persistent) Doc(name string) (Doc, bool) {
 func (p *Persistent) Compacting() bool { return p.compacting.Load() }
 
 // Err returns the first background persistence failure, if any: a
-// batched-mode snapshot write, a WAL compaction, or a group-commit append
-// (which every batched writer also received synchronously).
+// compaction or a group-commit append (which every batched writer also
+// received synchronously).
 func (p *Persistent) Err() error {
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
 	return p.saveErr
-}
-
-// snapshotLocked writes the current document set; callers hold p.mu.
-func (p *Persistent) snapshotLocked() error {
-	docs := make([]Doc, 0, len(p.docs))
-	for _, d := range p.docs {
-		docs = append(docs, d)
-	}
-	if err := p.store.Save(docs); err != nil {
-		return err
-	}
-	p.dirty = false
-	return nil
-}
-
-// noteMutationLocked persists per the legacy durability mode; callers
-// hold p.mu. The dirty flag is raised before a synchronous snapshot
-// attempt (and cleared only by a successful one), so a failed write
-// leaves the repository marked un-persisted and a later mutation, Flush
-// or Close retries it — otherwise a transient disk error would strand
-// acknowledged in-memory state ahead of disk forever.
-func (p *Persistent) noteMutationLocked() error {
-	p.dirty = true
-	if p.opts.SnapshotInterval == 0 {
-		return p.snapshotLocked()
-	}
-	return nil
 }
 
 // enqueueLocked queues one journal record for the next group commit and
@@ -554,29 +478,17 @@ func (p *Persistent) register(name string, s *model.Schema, samples instance.Sam
 	}
 	if !created {
 		if cur, ok := p.docs[e.Name]; ok {
-			if p.opts.WAL {
-				// Idempotent re-registration: free when the content is
-				// confirmed durable. A pending marker means the original
-				// commit failed or is still in flight, and an
-				// acknowledgment re-promises durability — so this is the
-				// retry that must land a fresh record first (replay
-				// dedups duplicates last-writer-wins).
-				if _, pending := p.unjournaled[e.Name]; !pending {
-					p.mu.Unlock()
-					return e, false, nil
-				}
-				return e, false, p.journalPutLocked(cur, "re-registered")
-			}
-			// Legacy: nothing new to persist — unless an earlier
-			// synchronous snapshot failed, in which case this is the retry
-			// that must land the state on disk before acknowledging.
-			if p.dirty && p.opts.SnapshotInterval == 0 {
-				err := p.snapshotLocked()
+			// Idempotent re-registration: free when the content is
+			// confirmed durable. A pending marker means the original
+			// commit failed or is still in flight, and an acknowledgment
+			// re-promises durability — so this is the retry that must land
+			// a fresh record first (replay dedups duplicates
+			// last-writer-wins).
+			if _, pending := p.unjournaled[e.Name]; !pending {
 				p.mu.Unlock()
-				return e, false, err
+				return e, false, nil
 			}
-			p.mu.Unlock()
-			return e, false, nil
+			return e, false, p.journalPutLocked(cur, "re-registered")
 		}
 	}
 	d, err := doc(e)
@@ -585,14 +497,6 @@ func (p *Persistent) register(name string, s *model.Schema, samples instance.Sam
 		return e, created, err
 	}
 	p.docs[e.Name] = d
-	if !p.opts.WAL {
-		err := p.noteMutationLocked()
-		p.mu.Unlock()
-		if err != nil {
-			return e, created, fmt.Errorf("registry: registered %q but persisting failed: %w", e.Name, err)
-		}
-		return e, created, nil
-	}
 	return e, created, p.journalPutLocked(d, "registered")
 }
 
@@ -647,7 +551,7 @@ func familiesFingerprint(raw []byte) string {
 
 // StoreFamilies validates and installs a corpus clustering result and
 // persists its canonical bytes as the reserved metadata document — one
-// journaled put through the ordinary WAL/snapshot path, so the clustering
+// journaled put through the ordinary journal path, so the clustering
 // survives restarts, folds into compaction snapshots, and streams to
 // replication followers like any other acknowledged mutation.
 func (p *Persistent) StoreFamilies(res *corpus.Result) error {
@@ -682,26 +586,13 @@ func (p *Persistent) storeFamiliesJSON(raw []byte) error {
 	}
 	p.docs[d.Name] = d
 	if identical {
-		if p.opts.WAL {
-			// Same idempotence contract as re-registration: free when the
-			// content is confirmed durable, a fresh record when a pending
-			// marker says the earlier commit never confirmed.
-			if _, pending := p.unjournaled[d.Name]; !pending {
-				p.mu.Unlock()
-				return nil
-			}
-		} else if !(p.dirty && p.opts.SnapshotInterval == 0) {
+		// Same idempotence contract as re-registration: free when the
+		// content is confirmed durable, a fresh record when a pending
+		// marker says the earlier commit never confirmed.
+		if _, pending := p.unjournaled[d.Name]; !pending {
 			p.mu.Unlock()
 			return nil
 		}
-	}
-	if !p.opts.WAL {
-		err := p.noteMutationLocked()
-		p.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("registry: installed corpus clustering but persisting failed: %w", err)
-		}
-		return nil
 	}
 	return p.journalPutLocked(d, "installed corpus clustering")
 }
@@ -735,19 +626,7 @@ func (p *Persistent) Remove(name string) (bool, error) {
 			existed = true
 		}
 	}
-	if !p.opts.WAL {
-		if !existed {
-			p.mu.Unlock()
-			return false, nil
-		}
-		err := p.noteMutationLocked()
-		p.mu.Unlock()
-		if err != nil {
-			return true, fmt.Errorf("registry: removed %q but persisting failed: %w", name, err)
-		}
-		return true, nil
-	}
-	// WAL mode: journal the deletion if the entry existed now, or if an
+	// Journal the deletion if the entry existed now, or if an
 	// earlier removal of this name is not yet confirmed durable — a
 	// retried Remove must land the del record before "already gone" can
 	// be an acknowledgment. The marker is stamped pessimistically before
@@ -770,28 +649,13 @@ func (p *Persistent) Remove(name string) (bool, error) {
 	return existed, nil
 }
 
-// Flush snapshots now if there are unpersisted legacy-mode mutations. In
-// WAL mode it is a no-op: every acknowledged mutation is already durable.
-func (p *Persistent) Flush() error {
-	if p.opts.WAL {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.dirty {
-		return nil
-	}
-	return p.snapshotLocked()
-}
-
 // Close makes the registry stop persisting and reports the first
 // persistence failure, if any. It is idempotent and safe to call
 // concurrently: every call returns the same outcome, after the shutdown
 // fully completed. The sequence drains, in order: new mutations are
-// rejected, the background loop (group-commit committer or interval
-// writer) finishes its in-flight work and exits, any in-flight compaction
-// completes, pending legacy-mode state is flushed, and the data directory
-// lock is released (another process may open it). The registry remains
+// rejected, the group-commit committer finishes its in-flight work and
+// exits, any in-flight compaction completes, the journal is closed, and
+// the data directory lock is released (another process may open it). The registry remains
 // readable in memory after Close; mutations fail.
 func (p *Persistent) Close() error {
 	p.closeOnce.Do(func() {
@@ -801,21 +665,8 @@ func (p *Persistent) Close() error {
 		close(p.stop)
 		p.wg.Wait()
 		p.compactWG.Wait()
-		if p.opts.WAL {
-			if err := p.wal.Close(); err != nil && !p.wal.failed {
-				p.noteErr(fmt.Errorf("registry: closing journal: %w", err))
-			}
-		} else {
-			// The writer goroutine (if any) has exited: this flush cannot
-			// race an interval snapshot, and a failed interval write is
-			// retried here rather than lost.
-			p.mu.Lock()
-			if p.dirty {
-				if err := p.snapshotLocked(); err != nil {
-					p.noteErr(err)
-				}
-			}
-			p.mu.Unlock()
+		if err := p.wal.Close(); err != nil && !p.wal.failed {
+			p.noteErr(fmt.Errorf("registry: closing journal: %w", err))
 		}
 		if err := p.store.Close(); err != nil {
 			p.noteErr(fmt.Errorf("registry: releasing data dir lock: %w", err))

@@ -1,10 +1,10 @@
 package registry
 
-// WAL-mode Persistent coverage: durability round trips, replace/remove
-// replay, group commit batching concurrent writers into shared fsyncs,
-// background compaction folding the journal into snapshot generations,
-// cross-mode data-directory compatibility, torn-tail recovery, and the
-// Close drain/idempotency contract.
+// Persistent coverage: durability round trips, replace/remove replay,
+// group commit batching concurrent writers into shared fsyncs, background
+// compaction folding the journal into snapshot generations, opening a
+// snapshot-only data directory, torn-tail recovery, and the Close
+// drain/idempotency contract.
 
 import (
 	"fmt"
@@ -19,11 +19,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// newWAL opens a WAL-mode Persistent over dir with the given options
-// (zero-valued fields take the defaults).
+// newWAL opens a Persistent over dir with the given options (zero-valued
+// fields take the defaults).
 func newWAL(t *testing.T, dir string, opts PersistOptions) *Persistent {
 	t.Helper()
-	opts.WAL = true
 	m, err := core.NewMatcher(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -218,38 +217,89 @@ func TestWALCompactionFoldsTailIntoSnapshot(t *testing.T) {
 	}
 }
 
-// TestWALOpensLegacyDirAndBack: a legacy snapshot directory is a valid
-// generation-0 for WAL mode, and a WAL directory recovers fully under a
-// legacy open (recovery replays the journal regardless of mode).
-func TestWALOpensLegacyDirAndBack(t *testing.T) {
+// legacyFixtureDocs is the final document set of testdata/legacy-datadir,
+// a snapshot-only data directory written by the retired
+// snapshot-per-mutation mode: register orders, billing, shipping and
+// customers, replace orders, remove shipping. Each mutation wrote one
+// generation; the last two (snapshot-5, snapshot-6) were retained.
+var legacyFixtureDocs = []Doc{
+	sqlDoc("billing", "CREATE TABLE Billing (BillID INT PRIMARY KEY, Total DECIMAL(10,2), Customer VARCHAR(64));"),
+	sqlDoc("customers", "CREATE TABLE Customers (CustomerID INT PRIMARY KEY, Name VARCHAR(64), Phone VARCHAR(32));"),
+	sqlDoc("orders", "CREATE TABLE Orders (OrderID INT PRIMARY KEY, Customer VARCHAR(64), Qty INT, Shipped DATE);"),
+}
+
+// TestLegacyDataDirOpensAsBaseGeneration: a snapshot-only data directory
+// opens as the journal's base generation. It restores the same entries,
+// fingerprints and rankings as a fresh registration of its documents, and
+// the first mutation lands in wal-<seq>.log beside the newest snapshot.
+func TestLegacyDataDirOpensAsBaseGeneration(t *testing.T) {
+	const fixture = "testdata/legacy-datadir"
 	dir := t.TempDir()
-	legacy := newPersistent(t, dir, 0)
-	if _, _, err := legacy.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
+	files, err := os.ReadDir(fixture)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	p := newWAL(t, dir, PersistOptions{})
+	defer p.Close()
 
-	wal := newWAL(t, dir, PersistOptions{})
-	if _, ok := wal.Get("orders"); !ok {
-		t.Fatal("legacy snapshot not restored under WAL mode")
-	}
-	if _, _, err := wal.RegisterSource("billing", "sql",
-		[]byte("CREATE TABLE Billing (BillID INT PRIMARY KEY);")); err != nil {
+	fresh, err := New(core.DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Close(); err != nil {
+	for _, d := range legacyFixtureDocs {
+		s, err := storeParse(d.Name, d.Format, []byte(d.Content))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fresh.Register(d.Name, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := p.List(), fresh.List()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Fingerprint != want[i].Fingerprint {
+			t.Errorf("entry %d: restored (%s, %s), fresh (%s, %s)",
+				i, got[i].Name, got[i].Fingerprint, want[i].Name, want[i].Fingerprint)
+		}
+	}
+	probe, err := storeParse("probe", "sql", []byte(storeDDL))
+	if err != nil {
 		t.Fatal(err)
 	}
+	rank := func(r *Registry) []Ranked {
+		src, err := r.Matcher().Prepare(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, err := r.MatchAll(src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ranked
+	}
+	assertSameRanking(t, rank(fresh), rank(p.Registry))
 
-	back := newPersistent(t, dir, 0)
-	defer back.Close()
-	if back.Len() != 2 {
-		t.Fatalf("legacy reopen of a WAL dir restored %d entries, want 2", back.Len())
+	if _, _, err := p.RegisterSource("shipping", "sql",
+		[]byte("CREATE TABLE Shipping (ShipID INT PRIMARY KEY);")); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := back.Get("billing"); !ok {
-		t.Error("journaled entry lost under legacy reopen")
+	if wals := walFiles(t, dir); len(wals) != 1 || filepath.Base(wals[0]) != walPrefix+"6"+walSuffix {
+		t.Fatalf("first mutation journaled into %v, want %s6%s beside snapshot-6", wals, walPrefix, walSuffix)
+	}
+	if p.wal.records != 1 {
+		t.Errorf("journal holds %d records after the first mutation, want 1", p.wal.records)
 	}
 }
 
@@ -282,7 +332,7 @@ func TestWALTornTailTruncatedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, warns, err := OpenPersistentOptions(dir, m, PersistOptions{WAL: true}, storeParse)
+	p2, warns, err := OpenPersistentOptions(dir, m, PersistOptions{}, storeParse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,52 +362,6 @@ func TestWALTornTailTruncatedOnRecovery(t *testing.T) {
 	defer p3.Close()
 	if p3.Len() != 4 {
 		t.Fatalf("post-truncation append lost: %d entries, want 4", p3.Len())
-	}
-}
-
-// TestCloseConcurrentWithIntervalFlush is the regression test for the
-// Close/interval-flush race: many goroutines closing a batched-mode
-// registry while its background writer is actively flushing must neither
-// panic (the old select-with-default double close) nor race the final
-// snapshot write, and every Close call must return the same outcome.
-func TestCloseConcurrentWithIntervalFlush(t *testing.T) {
-	for round := 0; round < 5; round++ {
-		dir := t.TempDir()
-		p := newPersistent(t, dir, time.Millisecond)
-		for i := 0; i < 3; i++ {
-			ddl := fmt.Sprintf("CREATE TABLE R%d (ID INT PRIMARY KEY);", i)
-			if _, _, err := p.RegisterSource(fmt.Sprintf("r%d", i), "sql", []byte(ddl)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Let the 1ms ticker get a flush in flight, then close from many
-		// goroutines at once.
-		time.Sleep(2 * time.Millisecond)
-		const closers = 6
-		errs := make([]error, closers)
-		var wg sync.WaitGroup
-		for i := 0; i < closers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = p.Close()
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != errs[0] {
-				t.Fatalf("Close call %d returned %v, call 0 returned %v", i, err, errs[0])
-			}
-		}
-		if errs[0] != nil {
-			t.Fatal(errs[0])
-		}
-		// The drained close must have flushed everything.
-		p2 := newPersistent(t, dir, 0)
-		if p2.Len() != 3 {
-			t.Fatalf("round %d: %d entries after concurrent close, want 3", round, p2.Len())
-		}
-		p2.Close()
 	}
 }
 
@@ -442,13 +446,13 @@ func TestDataDirLockedAgainstSecondProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenPersistentOptions(dir, m, PersistOptions{WAL: true}, storeParse); err == nil {
+	if _, _, err := OpenPersistentOptions(dir, m, PersistOptions{}, storeParse); err == nil {
 		t.Fatal("second open of a live data directory succeeded")
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := OpenPersistentOptions(dir, m, PersistOptions{WAL: true}, storeParse)
+	p2, _, err := OpenPersistentOptions(dir, m, PersistOptions{}, storeParse)
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}
@@ -539,35 +543,41 @@ func TestWALRemoveRetryJournalsDeletion(t *testing.T) {
 	}
 }
 
+// TestMutateAfterCloseFails: Close is idempotent and safe to call
+// concurrently — every call returns the same outcome — and afterwards
+// mutations fail while reads keep serving the in-memory state.
 func TestMutateAfterCloseFails(t *testing.T) {
-	for _, mode := range []string{"wal", "sync", "interval"} {
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			var p *Persistent
-			switch mode {
-			case "wal":
-				p = newWAL(t, dir, PersistOptions{})
-			case "sync":
-				p = newPersistent(t, dir, 0)
-			case "interval":
-				p = newPersistent(t, dir, time.Hour)
+	// One subtest per write mode; the journal (wal) is the only one.
+	t.Run("wal", func(t *testing.T) {
+		p := newWAL(t, t.TempDir(), PersistOptions{})
+		if _, _, err := p.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
+			t.Fatal(err)
+		}
+		const closers = 6
+		errs := make([]error, closers)
+		var wg sync.WaitGroup
+		for i := 0; i < closers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = p.Close()
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("Close call %d: %v", i, err)
 			}
-			if _, _, err := p.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := p.RegisterSource("late", "sql", []byte("CREATE TABLE L (ID INT);")); err == nil {
-				t.Error("registration after Close succeeded")
-			}
-			if _, err := p.Remove("orders"); err == nil {
-				t.Error("removal after Close succeeded")
-			}
-			// Reads keep serving the in-memory state.
-			if _, ok := p.Get("orders"); !ok {
-				t.Error("read after Close lost the entry")
-			}
-		})
-	}
+		}
+		if _, _, err := p.RegisterSource("late", "sql", []byte("CREATE TABLE L (ID INT);")); err == nil {
+			t.Error("registration after Close succeeded")
+		}
+		if _, err := p.Remove("orders"); err == nil {
+			t.Error("removal after Close succeeded")
+		}
+		// Reads keep serving the in-memory state.
+		if _, ok := p.Get("orders"); !ok {
+			t.Error("read after Close lost the entry")
+		}
+	})
 }

@@ -16,9 +16,7 @@ import (
 // reachable pool instead of a fixed fraction of the corpus. Planning is
 // O(probe tokens) and allocation-free; the decision and its inputs are
 // recorded in the returned RetrievalStats, so every ranking is
-// self-describing. The legacy entry points (MatchAll, MatchTop,
-// MatchIndexed) remain as thin forced-plan wrappers and behave
-// bit-identically to their pre-planner selves.
+// self-describing. PlanOptions.Force pins one strategy instead.
 
 // Strategy identifies one retrieval path through the repository.
 type Strategy uint8
@@ -30,11 +28,18 @@ const (
 	// StrategyExact is the exhaustive full scan (MatchAll): every entry
 	// pays the full tree match.
 	StrategyExact
-	// StrategyPruned is the linear signature-pruned scan (MatchTop): an
-	// affinity against every entry, full match on the top candidates.
+	// StrategyPruned is the linear signature-pruned scan: an affinity
+	// against every entry, full match on the top candidates. It trades
+	// the full scan's guarantee for match cost — a true top-K entry whose
+	// signature looks nothing like the source can be pruned away — and
+	// cupidbench measures that risk as recall@K.
 	StrategyPruned
-	// StrategyIndexed is the inverted-index path (MatchIndexed): only
-	// token-sharing entries are touched at all.
+	// StrategyIndexed is the inverted-index path: only entries sharing a
+	// normalized signature token with the probe are touched at all, so
+	// retrieval cost scales with the probe's posting lists, not the
+	// repository size. A repository at or below the candidate floor, or a
+	// token-less probe, falls back to an exact scan (Indexed=false in the
+	// stats).
 	StrategyIndexed
 	// StrategyFamily is the corpus-clustered route (families.go): the
 	// probe is tree-matched against the K family medoids first, then
@@ -86,11 +91,9 @@ func ParseStrategy(s string) (Strategy, error) {
 // shed load. The zero value plans automatically under full-scan budgets;
 // DefaultPlanOptions supplies the tuned per-path defaults.
 type PlanOptions struct {
-	// Force pins the strategy instead of planning: StrategyExact,
-	// StrategyPruned and StrategyIndexed reproduce the legacy MatchAll,
-	// MatchTop and MatchIndexed behavior exactly (budgets derived from
-	// the corpus size at execution, identical fallbacks). StrategyAuto —
-	// the zero value — plans from per-probe statistics.
+	// Force pins the strategy instead of planning; forced budgets are
+	// derived from the corpus size at execution (PruneOptions.Limit).
+	// StrategyAuto — the zero value — plans from per-probe statistics.
 	Force Strategy
 	// Prune sizes the pruned path's candidate budget (PruneOptions.Limit).
 	Prune PruneOptions
@@ -128,7 +131,7 @@ func (o PruneOptions) Halve() PruneOptions {
 // candidate budget it will run under, and — when the planner chose —
 // the statistics it chose from. Forced plans (Planned=false) carry
 // Budget=0: the executor derives the budget from the corpus size at
-// execution time, exactly like the legacy entry points did.
+// execution time.
 type Plan struct {
 	// Strategy is the path that will run (never StrategyAuto).
 	Strategy Strategy
@@ -174,8 +177,8 @@ type Plan struct {
 }
 
 // Plan decides how a probe will be retrieved, without running anything.
-// Forced strategies pass through (budgets resolved at execution, for
-// bit-identity with the legacy entry points). StrategyAuto consults
+// Forced strategies pass through (budgets resolved at execution).
+// StrategyAuto consults
 // index.ProbeStats — O(probe tokens), allocation-free — and picks
 // greedily:
 //
@@ -282,10 +285,9 @@ func (r *Registry) MatchContext(ctx context.Context, src *core.Prepared, topK in
 	return r.execute(ctx, src, topK, r.Plan(src, topK, opt))
 }
 
-// execute runs one plan. Forced plans re-derive their candidate budget
-// from the corpus size at execution time — the exact computation (and
-// the exact fallbacks) of the legacy entry points, which keeps the thin
-// wrappers bit-identical to their pre-planner behavior.
+// execute runs one plan. Forced plans derive their candidate budget from
+// the corpus size at execution time, so a forced ranking depends only on
+// the entry set it runs over.
 func (r *Registry) execute(ctx context.Context, src *core.Prepared, topK int, plan Plan) ([]Ranked, RetrievalStats, error) {
 	st := RetrievalStats{
 		Strategy:      plan.Strategy,

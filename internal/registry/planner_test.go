@@ -2,8 +2,10 @@ package registry
 
 import (
 	"context"
+	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
@@ -159,62 +161,118 @@ func TestAdaptiveBudget(t *testing.T) {
 	}
 }
 
-// TestForcedPlansMatchLegacyEntryPoints is the wrapper bit-identity
-// regression: Match with a forced strategy must produce exactly the
-// ranking of the corresponding legacy entry point, for every strategy,
-// on probes spanning the planner's decision space.
-func TestForcedPlansMatchLegacyEntryPoints(t *testing.T) {
+// forcedOracle rebuilds, outside the planner, the candidate set a forced
+// strategy must tree-match and the stats it must report. Pruned takes the
+// top Prune.Limit(n, topK) entries by signature affinity, ties broken by
+// name; indexed asks the inverted index for Index.Limit(n, topK)
+// candidates. Both fall back to every entry when the budget covers the
+// corpus, indexed also for a token-less probe. Degraded halves the budget
+// policies first; the exact scan has no budget to halve.
+func forcedOracle(r *Registry, src *core.Prepared, topK int, opt PlanOptions) ([]*Entry, RetrievalStats) {
+	if opt.Degraded {
+		opt.Prune, opt.Index = opt.Prune.Halve(), opt.Index.Halve()
+	}
+	entries := r.List()
+	n := len(entries)
+	st := RetrievalStats{Strategy: opt.Force, Degraded: opt.Degraded, Corpus: n, CandidatesScored: n, CandidatesMatched: n}
+	sig := src.Signature()
+	switch opt.Force {
+	case StrategyPruned:
+		st.CandidateBudget = opt.Prune.Limit(n, topK)
+		if st.CandidateBudget >= n {
+			return entries, st
+		}
+		sort.SliceStable(entries, func(i, j int) bool {
+			ai, aj := sig.Affinity(entries[i].Prepared.Signature()), sig.Affinity(entries[j].Prepared.Signature())
+			if ai != aj {
+				return ai > aj
+			}
+			return entries[i].Name < entries[j].Name
+		})
+		st.CandidatesMatched = st.CandidateBudget
+		return entries[:st.CandidateBudget], st
+	case StrategyIndexed:
+		st.CandidateBudget = opt.Index.Limit(n, topK)
+		if st.CandidateBudget >= n || len(sig.Tokens) == 0 {
+			return entries, st
+		}
+		cands, ist := r.idx.TopK(sig, st.CandidateBudget)
+		out := make([]*Entry, len(cands))
+		for i, c := range cands {
+			out[i], _ = r.Get(c.Key)
+		}
+		st.CandidatesScored, st.CandidatesMatched, st.Indexed = ist.Scored, len(out), true
+		return out, st
+	default:
+		st.Degraded, st.CandidateBudget = false, n
+		return entries, st
+	}
+}
+
+// oracleRank ranks candidates the way MatchAll ranks a repository: the
+// full MatchPrepared score, descending, ties broken by name, truncated to
+// topK.
+func oracleRank(t *testing.T, r *Registry, src *core.Prepared, cands []*Entry, topK int) []Ranked {
+	t.Helper()
+	out := make([]Ranked, len(cands))
+	for i, e := range cands {
+		res, err := r.Matcher().MatchPrepared(src, e.Prepared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = Ranked{Entry: e, Result: res, Score: Score(res)}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Entry.Name < out[j].Entry.Name
+	})
+	if topK < len(out) {
+		out = out[:topK]
+	}
+	return out
+}
+
+// TestForcedPlansMatchOracle: Match with a forced strategy must return
+// exactly the oracle's ranking of the oracle's candidate set, with the
+// oracle's stats, bit for bit — for every strategy, on probes spanning
+// the planner's decision space, under full and degraded (halved) budgets,
+// on a corpus large enough to prune and one small enough to fall back.
+func TestForcedPlansMatchOracle(t *testing.T) {
 	const topK = 10
-	r := newTestRegistry(t)
-	prunedCorpus(t, r, 120)
 	probes := []*model.Schema{
 		workloads.FamilyProbe(2, 7),
 		workloads.RareTokenProbe(4, 11),
 		workloads.StopHeavyProbe(13),
 		unseenProbe(),
 	}
-	for _, ps := range probes {
-		src := mustPrepare(t, r, ps)
-
-		wantExact, err := r.MatchAll(src, topK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotExact, st, err := r.Match(src, topK, PlanOptions{Force: StrategyExact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRanking(t, wantExact, gotExact)
-		if st.Planned || st.Strategy != StrategyExact {
-			t.Errorf("%s: forced exact stats = %+v", ps.Name, st)
-		}
-
-		popt := DefaultPruneOptions()
-		wantPruned, err := r.MatchTop(src, topK, popt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPruned, st, err := r.Match(src, topK, PlanOptions{Force: StrategyPruned, Prune: popt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRanking(t, wantPruned, gotPruned)
-		if st.Planned || st.Strategy != StrategyPruned {
-			t.Errorf("%s: forced pruned stats = %+v", ps.Name, st)
-		}
-
-		iopt := DefaultIndexOptions()
-		wantIndexed, ist, err := r.MatchIndexed(src, topK, iopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotIndexed, st, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed, Index: iopt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRanking(t, wantIndexed, gotIndexed)
-		if st != ist {
-			t.Errorf("%s: forced indexed stats = %+v, legacy %+v", ps.Name, st, ist)
+	for _, n := range []int{120, 12} {
+		r := newTestRegistry(t)
+		prunedCorpus(t, r, n)
+		for _, ps := range probes {
+			src := mustPrepare(t, r, ps)
+			// The oracle's ranking rule is MatchAll's.
+			all, err := r.MatchAll(src, topK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRanking(t, all, oracleRank(t, r, src, r.List(), topK))
+			for _, force := range []Strategy{StrategyExact, StrategyPruned, StrategyIndexed} {
+				for _, degraded := range []bool{false, true} {
+					opt := DefaultPlanOptions()
+					opt.Force, opt.Degraded = force, degraded
+					cands, wantSt := forcedOracle(r, src, topK, opt)
+					got, st, err := r.Match(src, topK, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameRanking(t, oracleRank(t, r, src, cands, topK), got)
+					if st != wantSt {
+						t.Errorf("n=%d %s force=%s degraded=%v: stats %+v, oracle %+v", n, ps.Name, force, degraded, st, wantSt)
+					}
+				}
+			}
 		}
 	}
 }
@@ -231,7 +289,7 @@ func TestMatchDegradedHalvesBudgets(t *testing.T) {
 	src := mustPrepare(t, r, workloads.FamilyProbe(3, 21))
 
 	iopt := DefaultIndexOptions()
-	want, wantSt, err := r.MatchIndexed(src, topK, iopt.Halve())
+	want, wantSt, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed, Index: iopt.Halve()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +307,7 @@ func TestMatchDegradedHalvesBudgets(t *testing.T) {
 	}
 
 	popt := DefaultPruneOptions()
-	want, err = r.MatchTop(src, topK, popt.Halve())
+	want, _, err = r.Match(src, topK, PlanOptions{Force: StrategyPruned, Prune: popt.Halve()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +362,11 @@ func TestPlannedRecallAtLeastBestStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, err := r.MatchTop(src, topK, DefaultPruneOptions())
+		pruned, _, err := r.Match(src, topK, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, _, err := r.MatchIndexed(src, topK, DefaultIndexOptions())
+		indexed, _, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed, Index: DefaultIndexOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func TestPruneOptionsLimit(t *testing.T) {
 		{200, 10, 50},  // fraction dominates
 		{40, 5, 16},    // floor dominates
 		{200, 80, 80},  // topK dominates
-		{10, 0, 16},    // floor above n: MatchTop falls back to a full scan
+		{10, 0, 16},    // floor above n: the pruned strategy scans everything
 		{1000, 0, 250}, // fraction of a big repository
 	}
 	for _, c := range cases {
@@ -50,7 +50,7 @@ func TestMatchTopSmallRepositoryEqualsFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := r.MatchTop(probe, 0, DefaultPruneOptions())
+	pruned, _, err := r.Match(probe, 0, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMatchTopRecallOnDiverseCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := r.MatchTop(probe, topK, DefaultPruneOptions())
+	pruned, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestMatchTopDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := par.SetMaxWorkers(1)
-	seq, err := r.MatchTop(probe, 8, DefaultPruneOptions())
+	seq, _, err := r.Match(probe, 8, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
 	par.SetMaxWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par.SetMaxWorkers(8)
 	defer par.SetMaxWorkers(prev)
-	parR, err := r.MatchTop(probe, 8, DefaultPruneOptions())
+	parR, _, err := r.Match(probe, 8, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,31 +9,30 @@
 //
 // Entries are keyed by name and content fingerprint (model.Fingerprint):
 // re-registering identical content under the same name is an idempotent
-// no-op, while changed content replaces the stale entry. MatchAll fans
-// one-vs-all matching out over the internal/par worker pool and returns
-// results ranked by score; the ranking is deterministic regardless of
-// worker count (asserted by the -race determinism tests).
+// no-op, while changed content replaces the stale entry. Matching fans
+// one-vs-all out over the internal/par worker pool and returns results
+// ranked by score; the ranking is deterministic regardless of worker
+// count (asserted by the -race determinism tests).
 //
 // Retrieval goes through one planned entry point (Match/MatchContext,
-// planner.go): a stats-driven planner picks per probe between the three
-// strategies — the exhaustive scan, the linear signature-pruned scan and
-// the inverted-index path — from cheap statistics the index maintains
-// (index.ProbeStats), and sizes the candidate budget to the probe's
-// reachable pool. The strategies themselves, also reachable as forced
-// plans through the legacy entry points:
+// planner.go): a stats-driven planner picks per probe between the
+// strategies — the exhaustive scan, the linear signature-pruned scan, the
+// inverted-index path and the family route — from cheap statistics the
+// index maintains (index.ProbeStats), and sizes the candidate budget to
+// the probe's reachable pool. PlanOptions.Force pins one strategy:
 //
-//   - Indexed retrieval (MatchIndexed): a sharded token inverted index
+//   - Indexed retrieval (StrategyIndexed): a sharded token inverted index
 //     (internal/index), maintained incrementally on every
 //     Register/Replace/Remove, generates candidates sublinearly — only
 //     entries sharing at least one normalized signature token with the
 //     query are ever touched — then re-ranks them by exact signature
 //     affinity and runs the full tree match on the survivors.
-//   - Candidate pruning (MatchTop): the linear-scan predecessor — an
+//   - Candidate pruning (StrategyPruned): the linear-scan predecessor — an
 //     affinity (size similarity + normalized token Jaccard,
 //     model.Signature) computed against *every* entry, full match on the
 //     top candidate fraction. Still exact over its candidate set, and the
-//     baseline the indexed path is benchmarked against. MatchAll remains
-//     the exact full scan.
+//     baseline the indexed path is benchmarked against.
+//   - The exact full scan (StrategyExact), also spelled MatchAll.
 //
 // Alongside those, the third serving layer:
 //   - Persistence (Persistent, Store, the write-ahead journal in
@@ -43,9 +42,8 @@
 //     and a background compactor folding the journal tail into versioned
 //     JSON-lines snapshot generations (atomic write+rename, fsync).
 //     Recovery is newest-consistent-snapshot + ordered tail replay with
-//     torn-tail truncation; the legacy snapshot-per-mutation and
-//     interval-batched modes remain available. docs/PERSISTENCE.md is
-//     the byte-level contract. The inverted index is never persisted:
+//     torn-tail truncation. docs/PERSISTENCE.md is the byte-level
+//     contract. The inverted index is never persisted:
 //     recovery re-registers every document, rebuilding it
 //     deterministically.
 //
@@ -108,7 +106,7 @@ type regShard struct {
 // or replace) upserts the entry's signature token bag, every Remove
 // evicts it. Same-name mutations are serialized by the name's shard lock,
 // so the index can never disagree with the map about a name's current
-// content; MatchIndexed consumes it.
+// content; the indexed strategy consumes it.
 type Registry struct {
 	matcher *core.Matcher
 	idx     *index.Index
@@ -316,18 +314,10 @@ func Score(res *core.Result) float64 {
 // The sweep runs over an immutable snapshot of the repository: entries
 // registered or removed concurrently do not affect an in-flight call, and
 // the ranking is deterministic for a given snapshot regardless of worker
-// count.
+// count. It is the shorthand for Match with PlanOptions.Force =
+// StrategyExact; MatchContext adds cancellation.
 func (r *Registry) MatchAll(src *core.Prepared, topK int) ([]Ranked, error) {
-	return r.MatchAllContext(context.Background(), src, topK)
-}
-
-// MatchAllContext is MatchAll with a request lifecycle: the per-entry
-// tree-match fan-out checks ctx cooperatively before every candidate, so
-// an abandoned caller (client disconnect, deadline) stops consuming CPU
-// mid-sweep. It returns ctx.Err() when cut short. It is a forced-plan
-// wrapper over MatchContext (PlanOptions.Force = StrategyExact).
-func (r *Registry) MatchAllContext(ctx context.Context, src *core.Prepared, topK int) ([]Ranked, error) {
-	ranked, _, err := r.MatchContext(ctx, src, topK, PlanOptions{Force: StrategyExact})
+	ranked, _, err := r.Match(src, topK, PlanOptions{Force: StrategyExact})
 	return ranked, err
 }
 
@@ -365,8 +355,8 @@ func (r *Registry) rank(ctx context.Context, entries []*Entry, src *core.Prepare
 	return out, nil
 }
 
-// PruneOptions sizes the candidate set MatchTop lets through to the full
-// tree match. The candidate budget for a repository of n entries is
+// PruneOptions sizes the candidate set the pruned and indexed strategies
+// let through to the full tree match. The candidate budget for a repository of n entries is
 //
 //	max(MinCandidates, ceil(Fraction·n), topK)
 //
@@ -388,7 +378,7 @@ func DefaultPruneOptions() PruneOptions {
 	return PruneOptions{Fraction: 0.25, MinCandidates: 16}
 }
 
-// DefaultIndexOptions sizes MatchIndexed's candidate budget: an eighth of
+// DefaultIndexOptions sizes the indexed strategy's candidate budget: an eighth of
 // the repository, never fewer than 16 candidates. The indexed path can
 // afford half the pruned path's fraction because its candidates are all
 // genuine token-sharers — the pruned path's quarter compensates for
@@ -401,9 +391,8 @@ func DefaultIndexOptions() PruneOptions {
 }
 
 // Limit returns the candidate budget for a repository of n entries: the
-// single, shared candidate-floor policy — the pruned (MatchTop) and
-// indexed (MatchIndexed) retrieval paths both size their candidate set
-// with this function, so the two paths can never drift apart on how many
+// single, shared candidate-floor policy — the pruned and indexed
+// retrieval paths both size their candidate set with this function, so the two paths can never drift apart on how many
 // entries reach the full tree match.
 //
 // The fraction is applied with a ceiling, never integer division, so it
@@ -438,46 +427,13 @@ func (o PruneOptions) Limit(n, topK int) int {
 	return l
 }
 
-// MatchTop is the pruned form of MatchAll: instead of tree-matching the
-// source against every entry, it first ranks the repository by signature
-// affinity — size similarity blended with normalized name/description
-// token Jaccard (model.Signature), both derived from the linguistic
-// analysis cached at registration — and runs the full match only on the
-// top candidates per opt. The returned ranking is exact over the candidate
-// set (scores are real MatchPrepared scores, never affinities).
-//
-// Pruning trades the guarantee of a full scan for sublinear match cost:
-// a true top-K entry whose cheap signature looks nothing like the source
-// can be pruned away. cupidbench measures that risk (recall@K on its
-// synthetic corpus, asserted 1.0 at the default options); callers that
-// need the exact ranking unconditionally use MatchAll — cupidd's -exact
-// flag does exactly that. Determinism is preserved: the affinity pre-rank
-// breaks ties by name, so equal snapshots prune identically regardless of
-// worker count.
-//
-// MatchTop still scores an affinity against every entry — O(n) per query.
-// MatchIndexed reaches the same kind of candidate set through the token
-// inverted index without touching non-overlapping entries, sized by the
-// same PruneOptions.Limit policy.
-func (r *Registry) MatchTop(src *core.Prepared, topK int, opt PruneOptions) ([]Ranked, error) {
-	return r.MatchTopContext(context.Background(), src, topK, opt)
-}
-
-// MatchTopContext is MatchTop with a request lifecycle: both the affinity
-// sweep and the candidate tree-match loop check ctx cooperatively, so an
-// abandoned caller stops consuming CPU. It returns ctx.Err() when cut
-// short. It is a forced-plan wrapper over MatchContext
-// (PlanOptions.Force = StrategyPruned).
-func (r *Registry) MatchTopContext(ctx context.Context, src *core.Prepared, topK int, opt PruneOptions) ([]Ranked, error) {
-	ranked, _, err := r.MatchContext(ctx, src, topK, PlanOptions{Force: StrategyPruned, Prune: opt})
-	return ranked, err
-}
-
 // pruneByAffinity is the pruned path's candidate-generation stage: rank
-// every entry by signature affinity against src (fanned over the worker
-// pool, ties broken by name so pruning is deterministic) and return the
-// top limit entries. The caller has already established limit <
-// len(entries).
+// every entry by signature affinity — size similarity blended with
+// normalized name/description token Jaccard (model.Signature), both
+// derived from the linguistic analysis cached at registration — against
+// src (fanned over the worker pool, ties broken by name so pruning is
+// deterministic) and return the top limit entries. The caller has already
+// established limit < len(entries).
 func (r *Registry) pruneByAffinity(ctx context.Context, entries []*Entry, src *core.Prepared, limit int) ([]*Entry, error) {
 	affs := make([]float64, len(entries))
 	srcSig := src.Signature()
@@ -501,15 +457,4 @@ func (r *Registry) pruneByAffinity(ctx context.Context, entries []*Entry, src *c
 		cands[i] = entries[order[i]]
 	}
 	return cands, nil
-}
-
-// MatchAllSchema prepares the schema with the registry's matcher and runs
-// MatchAll — the one-call form for serving an incoming (un-prepared)
-// schema.
-func (r *Registry) MatchAllSchema(s *model.Schema, topK int) ([]Ranked, error) {
-	p, err := r.matcher.Prepare(s)
-	if err != nil {
-		return nil, fmt.Errorf("registry: preparing source: %w", err)
-	}
-	return r.MatchAll(p, topK)
 }

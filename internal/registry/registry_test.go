@@ -125,7 +125,7 @@ func matchAllWorkers(t *testing.T, r *Registry, src *model.Schema, workers, topK
 	t.Helper()
 	prev := par.SetMaxWorkers(workers)
 	defer par.SetMaxWorkers(prev)
-	ranked, err := r.MatchAllSchema(src, topK)
+	ranked, err := r.MatchAll(mustPrepare(t, r, src), topK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestScoreEmptyMapping(t *testing.T) {
 	if _, _, err := r.Register("b", b); err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := r.MatchAllSchema(a, 0)
+	ranked, err := r.MatchAll(mustPrepare(t, r, a), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package registry
 
 // WAL shipping: the replication substrate behind cupidd's /replicate
-// endpoint. A primary running in WAL mode keeps the current journal
+// endpoint. A primary keeps the current journal
 // generation's records in an in-memory replay buffer (the replHub, fed by
 // the group-commit loop after each fsync) and streams them to followers;
 // each follower replays the records into its own Persistent registry —
@@ -255,14 +255,8 @@ func (h *replHub) after(cur ReplPos) (recs []walRecord, pos ReplPos, ok bool) {
 }
 
 // ReplicationPos reports the primary's current replication position (the
-// live journal generation and its committed record count). It errors on a
-// registry not running in WAL mode — there is no journal to ship.
-func (p *Persistent) ReplicationPos() (ReplPos, error) {
-	if p.hub == nil {
-		return ReplPos{}, fmt.Errorf("registry: replication requires WAL mode")
-	}
-	return p.hub.pos(), nil
-}
+// live journal generation and its committed record count).
+func (p *Persistent) ReplicationPos() ReplPos { return p.hub.pos() }
 
 // replSnapshot captures a consistent resync payload: the hub position
 // first, then the document set — the set is at least as new as the
@@ -313,9 +307,6 @@ func (p *Persistent) StreamReplication(ctx context.Context, w io.Writer, from Re
 }
 
 func (p *Persistent) streamReplication(ctx context.Context, w io.Writer, from ReplPos, heartbeat time.Duration) error {
-	if p.hub == nil {
-		return fmt.Errorf("registry: replication requires WAL mode")
-	}
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}

@@ -135,15 +135,12 @@ func assertConverged(t *testing.T, label string, primary, follower *Persistent, 
 // convergence.
 func TestReplicationTailConvergesLive(t *testing.T) {
 	m := replMatcher(t)
-	primary := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true})
-	follower := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true})
+	primary := openRepl(t, m, t.TempDir(), PersistOptions{})
+	follower := openRepl(t, m, t.TempDir(), PersistOptions{})
 	link := startRepl(t, primary, follower, ReplPos{}, nil)
 
 	applyOps(t, primary, crashOps(t))
-	target, err := primary.ReplicationPos()
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := primary.ReplicationPos()
 	link.waitApplied(t, target)
 	assertConverged(t, "live tail", primary, follower, m)
 	if st := link.state.Status(); !st.CaughtUp || st.Resyncs != 0 {
@@ -159,17 +156,14 @@ func TestReplicationTailConvergesLive(t *testing.T) {
 func TestReplicationResyncForStaleFollower(t *testing.T) {
 	m := replMatcher(t)
 	// Compact on every commit so the live generation moves past genesis.
-	primary := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true, CompactBytes: 1})
+	primary := openRepl(t, m, t.TempDir(), PersistOptions{CompactBytes: 1})
 	applyOps(t, primary, crashOps(t))
-	target, err := primary.ReplicationPos()
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := primary.ReplicationPos()
 	if target.Base == 0 {
 		t.Fatalf("primary never compacted (pos %v); the stale-checkpoint case needs a rotated journal", target)
 	}
 
-	follower := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true})
+	follower := openRepl(t, m, t.TempDir(), PersistOptions{})
 	// Diverged local state the snapshot must remove.
 	if _, _, err := follower.RegisterSource("ghost", "sql", []byte("CREATE TABLE Ghost (ID INT PRIMARY KEY);")); err != nil {
 		t.Fatal(err)
@@ -193,15 +187,12 @@ func TestReplicationResyncForStaleFollower(t *testing.T) {
 // (same connection) and the follower must still converge.
 func TestReplicationMidStreamResyncAcrossCompaction(t *testing.T) {
 	m := replMatcher(t)
-	primary := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true, CompactBytes: 1})
-	follower := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true})
+	primary := openRepl(t, m, t.TempDir(), PersistOptions{CompactBytes: 1})
+	follower := openRepl(t, m, t.TempDir(), PersistOptions{})
 	link := startRepl(t, primary, follower, ReplPos{}, nil)
 
 	applyOps(t, primary, crashOps(t))
-	target, err := primary.ReplicationPos()
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := primary.ReplicationPos()
 	link.waitApplied(t, target)
 	assertConverged(t, "compaction resync", primary, follower, m)
 	if st := link.state.Status(); st.Resyncs == 0 {
@@ -269,12 +260,9 @@ func replFrameBounds(b []byte) []int {
 func TestReplicationKilledAtEveryFrameBoundary(t *testing.T) {
 	m := replMatcher(t)
 	ops := crashOps(t)
-	primary := openRepl(t, m, t.TempDir(), PersistOptions{WAL: true})
+	primary := openRepl(t, m, t.TempDir(), PersistOptions{})
 	applyOps(t, primary, ops)
-	target, err := primary.ReplicationPos()
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := primary.ReplicationPos()
 	oracleRanking := rankingOf(t, primary.Registry, m)
 
 	// One hello frame, then every op as a rec frame.
@@ -295,7 +283,7 @@ func TestReplicationKilledAtEveryFrameBoundary(t *testing.T) {
 
 	run := func(label string, cut int, wantOps int, wantCleanEOF bool) {
 		dir := t.TempDir()
-		follower := openRepl(t, m, dir, PersistOptions{WAL: true})
+		follower := openRepl(t, m, dir, PersistOptions{})
 		var checkpoint ReplPos
 		err := follower.ApplyReplication(context.Background(), bytes.NewReader(stream[:cut]),
 			nil, func(p ReplPos) { checkpoint = p })
@@ -318,7 +306,7 @@ func TestReplicationKilledAtEveryFrameBoundary(t *testing.T) {
 
 		// Restart: recover the follower's own journal, reconnect from the
 		// checkpoint, and converge against the live primary.
-		restarted, warns, err := OpenPersistentOptions(dir, m, PersistOptions{WAL: true}, storeParse)
+		restarted, warns, err := OpenPersistentOptions(dir, m, PersistOptions{}, storeParse)
 		if err != nil {
 			t.Fatalf("%s: follower restart: %v", label, err)
 		}
@@ -348,22 +336,5 @@ func TestReplicationKilledAtEveryFrameBoundary(t *testing.T) {
 		if cut+3 <= len(stream) {
 			run(fmt.Sprintf("torn@frame %d", k), cut+3, wantOps, false)
 		}
-	}
-}
-
-// TestReplicationRequiresWAL pins the mode contract: a legacy snapshot
-// registry has no journal to ship and must refuse to stream.
-func TestReplicationRequiresWAL(t *testing.T) {
-	m := replMatcher(t)
-	p, warns, err := OpenPersistentOptions(t.TempDir(), m, PersistOptions{}, storeParse)
-	if err != nil || len(warns) != 0 {
-		t.Fatalf("open: %v %v", err, warns)
-	}
-	defer p.Close()
-	if _, err := p.ReplicationPos(); err == nil {
-		t.Error("ReplicationPos on a legacy registry reported a position")
-	}
-	if err := p.StreamReplication(context.Background(), io.Discard, ReplPos{}, 0); err == nil {
-		t.Error("StreamReplication on a legacy registry did not refuse")
 	}
 }

@@ -199,13 +199,6 @@ func (st *Store) path(seq uint64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("%s%d%s", snapshotPrefix, seq, snapshotSuffix))
 }
 
-// Save writes the given docs as the next snapshot generation. It is the
-// legacy (snapshot-mode) entry point; the WAL compactor uses SaveAt to
-// pin the generation number to the journal base it folds in.
-func (st *Store) Save(docs []Doc) error {
-	return st.SaveAt(st.seq+1, docs)
-}
-
 // SaveAt writes the given docs as snapshot generation seq: temp file,
 // fsync, atomic rename, directory fsync, then pruning of snapshot
 // generations older than the retained window and of journal files every

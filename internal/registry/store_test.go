@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -31,21 +30,26 @@ const storeDDL = `CREATE TABLE Orders (
 );
 CREATE TABLE Billing (BillID INT PRIMARY KEY, Total DECIMAL(10,2));`
 
-func newPersistent(t *testing.T, dir string, interval time.Duration) *Persistent {
+// writeGenerations writes each doc set as the next snapshot generation
+// (1, 2, ...) straight through the Store, leaving the on-disk shape of a
+// snapshot-only data directory.
+func writeGenerations(t *testing.T, dir string, gens ...[]Doc) {
 	t.Helper()
-	m, err := core.NewMatcher(core.DefaultConfig())
+	st, err := OpenStore(dir, storeParse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, warns, err := OpenPersistent(dir, m, interval, storeParse)
-	if err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	for i, docs := range gens {
+		if err := st.SaveAt(uint64(i+1), docs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, w := range warns {
-		t.Logf("open warning: %s", w)
-	}
-	return p
 }
+
+func sqlDoc(name, ddl string) Doc { return Doc{Name: name, Format: "sql", Content: ddl} }
+
+const billingDDL = "CREATE TABLE Billing (BillID INT PRIMARY KEY, Total DECIMAL(10,2));"
 
 func snapshotFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -59,7 +63,7 @@ func snapshotFiles(t *testing.T, dir string) []string {
 func TestPersistentRoundTripPreservesFingerprintAndRanking(t *testing.T) {
 	dir := t.TempDir()
 
-	p1 := newPersistent(t, dir, 0)
+	p1 := newWAL(t, dir, PersistOptions{})
 	e1, created, err := p1.RegisterSource("orders", "sql", []byte(storeDDL))
 	if err != nil || !created {
 		t.Fatalf("register: created=%v err=%v", created, err)
@@ -88,7 +92,7 @@ func TestPersistentRoundTripPreservesFingerprintAndRanking(t *testing.T) {
 
 	// Restart on the same dir: same entries, same fingerprints, identical
 	// ranking for the same probe.
-	p2 := newPersistent(t, dir, 0)
+	p2 := newWAL(t, dir, PersistOptions{})
 	defer p2.Close()
 	if p2.Len() != p1.Len() {
 		t.Fatalf("restart lost entries: %d vs %d", p2.Len(), p1.Len())
@@ -118,12 +122,11 @@ func TestPersistentRoundTripPreservesFingerprintAndRanking(t *testing.T) {
 
 func TestPersistentRemoveSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	p1 := newPersistent(t, dir, 0)
+	p1 := newWAL(t, dir, PersistOptions{})
 	if _, _, err := p1.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p1.RegisterSource("billing", "sql",
-		[]byte("CREATE TABLE Billing (BillID INT PRIMARY KEY, Total DECIMAL(10,2));")); err != nil {
+	if _, _, err := p1.RegisterSource("billing", "sql", []byte(billingDDL)); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := p1.Remove("orders")
@@ -134,7 +137,7 @@ func TestPersistentRemoveSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2 := newPersistent(t, dir, 0)
+	p2 := newWAL(t, dir, PersistOptions{})
 	defer p2.Close()
 	if _, ok := p2.Get("orders"); ok {
 		t.Error("removed entry came back after restart")
@@ -149,18 +152,8 @@ func TestPersistentRemoveSurvivesRestart(t *testing.T) {
 // consistent snapshot and serve its exact state.
 func TestCrashRecoveryTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	p1 := newPersistent(t, dir, 0)
-	if _, _, err := p1.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-		t.Fatal(err)
-	}
-	// Second mutation creates a second snapshot generation.
-	if _, _, err := p1.RegisterSource("billing", "sql",
-		[]byte("CREATE TABLE Billing (BillID INT PRIMARY KEY, Total DECIMAL(10,2));")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	orders := sqlDoc("orders", storeDDL)
+	writeGenerations(t, dir, []Doc{orders}, []Doc{orders, sqlDoc("billing", billingDDL)})
 
 	files := snapshotFiles(t, dir)
 	if len(files) != 2 {
@@ -180,7 +173,7 @@ func TestCrashRecoveryTornSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, warns, err := OpenPersistent(dir, m, 0, storeParse)
+	p2, warns, err := OpenPersistentOptions(dir, m, PersistOptions{}, storeParse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,22 +194,13 @@ func TestCrashRecoveryTornSnapshot(t *testing.T) {
 // skipped the same way.
 func TestCrashRecoveryGarbageSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	p1 := newPersistent(t, dir, 0)
-	if _, _, err := p1.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p1.RegisterSource("extra", "sql",
-		[]byte("CREATE TABLE Extra (ID INT PRIMARY KEY);")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	orders := sqlDoc("orders", storeDDL)
+	writeGenerations(t, dir, []Doc{orders}, []Doc{orders, sqlDoc("extra", "CREATE TABLE Extra (ID INT PRIMARY KEY);")})
 	files := snapshotFiles(t, dir)
 	if err := os.WriteFile(files[len(files)-1], []byte("{\"magic\":\"not-a-registry\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p2 := newPersistent(t, dir, 0)
+	p2 := newWAL(t, dir, PersistOptions{})
 	defer p2.Close()
 	if p2.Len() != 1 {
 		t.Fatalf("restored %d entries from fallback snapshot, want 1", p2.Len())
@@ -224,56 +208,16 @@ func TestCrashRecoveryGarbageSnapshot(t *testing.T) {
 }
 
 func TestPersistentEmptyDirStartsEmpty(t *testing.T) {
-	p := newPersistent(t, t.TempDir(), 0)
+	p := newWAL(t, t.TempDir(), PersistOptions{})
 	defer p.Close()
 	if p.Len() != 0 {
 		t.Fatalf("fresh store restored %d entries", p.Len())
 	}
 }
 
-func TestPersistentBatchedIntervalFlushesOnClose(t *testing.T) {
-	dir := t.TempDir()
-	// Interval long enough that the ticker never fires during the test:
-	// only Close's flush can have written the snapshot.
-	p1 := newPersistent(t, dir, time.Hour)
-	if _, _, err := p1.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotFiles(t, dir)) != 0 {
-		t.Error("batched mode snapshotted synchronously")
-	}
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotFiles(t, dir)) != 1 {
-		t.Error("Close did not flush the pending snapshot")
-	}
-	p2 := newPersistent(t, dir, time.Hour)
-	defer p2.Close()
-	if _, ok := p2.Get("orders"); !ok {
-		t.Error("entry lost across batched-mode restart")
-	}
-}
-
-func TestPersistentBatchedWriterFires(t *testing.T) {
-	dir := t.TempDir()
-	p := newPersistent(t, dir, 10*time.Millisecond)
-	defer p.Close()
-	if _, _, err := p.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(snapshotFiles(t, dir)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background writer never snapshotted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestPersistentNativeJSONFallbackRegister(t *testing.T) {
 	dir := t.TempDir()
-	p1 := newPersistent(t, dir, 0)
+	p1 := newWAL(t, dir, PersistOptions{})
 	w := workloads.Figure2()
 	if _, _, err := p1.Register("po", w.Source); err != nil {
 		t.Fatal(err)
@@ -281,7 +225,7 @@ func TestPersistentNativeJSONFallbackRegister(t *testing.T) {
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2 := newPersistent(t, dir, 0)
+	p2 := newWAL(t, dir, PersistOptions{})
 	defer p2.Close()
 	e, ok := p2.Get("po")
 	if !ok {
@@ -297,46 +241,11 @@ func TestPersistentNativeJSONFallbackRegister(t *testing.T) {
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p3 := newPersistent(t, dir, 0)
+	p3 := newWAL(t, dir, PersistOptions{})
 	defer p3.Close()
 	e3, _ := p3.Get("po")
 	if e3.Fingerprint != fp {
 		t.Errorf("native-JSON fallback fingerprint unstable across restarts: %s vs %s", e3.Fingerprint, fp)
-	}
-}
-
-// TestSyncSnapshotFailureIsRetried: in synchronous mode a failed snapshot
-// write must leave the repository dirty so a later attempt (retry of the
-// same registration, Flush, or Close) lands the state on disk — not
-// strand acknowledged in-memory state ahead of disk forever.
-func TestSyncSnapshotFailureIsRetried(t *testing.T) {
-	dir := t.TempDir()
-	p := newPersistent(t, dir, 0)
-	defer p.Close()
-
-	// Fail the snapshot's temp-file creation by yanking the data dir out
-	// from under the store (works regardless of euid, unlike chmod).
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := p.RegisterSource("orders", "sql", []byte(storeDDL))
-	if err == nil {
-		t.Fatal("registration acknowledged durable success while the snapshot write failed")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Retrying the identical registration must now write the snapshot.
-	if _, _, err := p.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-		t.Fatalf("retry after disk recovery: %v", err)
-	}
-	if len(snapshotFiles(t, dir)) == 0 {
-		t.Fatal("retry did not write the pending snapshot")
-	}
-	p2 := newPersistent(t, dir, 0)
-	defer p2.Close()
-	if _, ok := p2.Get("orders"); !ok {
-		t.Error("retried registration not durable")
 	}
 }
 
@@ -370,13 +279,7 @@ func TestRecoverRefusesNewerSnapshotVersion(t *testing.T) {
 // read it.
 func TestRecoverKeepsSnapshotItCannotParse(t *testing.T) {
 	dir := t.TempDir()
-	p := newPersistent(t, dir, 0)
-	if _, _, err := p.RegisterSource("orders", "sql", []byte(storeDDL)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeGenerations(t, dir, []Doc{sqlDoc("orders", storeDDL)})
 
 	// nil parse restricts the store to native JSON: the sql document is
 	// unreadable here, but its snapshot must survive untouched.
@@ -398,7 +301,7 @@ func TestRecoverKeepsSnapshotItCannotParse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2 := newPersistent(t, dir, 0)
+	p2 := newWAL(t, dir, PersistOptions{})
 	defer p2.Close()
 	if _, ok := p2.Get("orders"); !ok {
 		t.Error("snapshot was damaged by the json-only open; reopen with the right parser lost the entry")
@@ -407,14 +310,14 @@ func TestRecoverKeepsSnapshotItCannotParse(t *testing.T) {
 
 func TestStoreSnapshotRetention(t *testing.T) {
 	dir := t.TempDir()
-	p := newPersistent(t, dir, 0)
-	defer p.Close()
+	var gens [][]Doc
+	var docs []Doc
 	for i := 0; i < 5; i++ {
 		ddl := "CREATE TABLE T" + string(rune('A'+i)) + " (ID INT PRIMARY KEY);"
-		if _, _, err := p.RegisterSource("t"+string(rune('a'+i)), "sql", []byte(ddl)); err != nil {
-			t.Fatal(err)
-		}
+		docs = append(docs, sqlDoc("t"+string(rune('a'+i)), ddl))
+		gens = append(gens, append([]Doc(nil), docs...))
 	}
+	writeGenerations(t, dir, gens...)
 	if got := len(snapshotFiles(t, dir)); got != snapshotsKept {
 		t.Errorf("%d snapshot generations retained, want %d", got, snapshotsKept)
 	}

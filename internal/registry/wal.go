@@ -1,6 +1,6 @@
 package registry
 
-// The write-ahead journal behind Persistent's WAL mode. One WAL file holds
+// The write-ahead journal behind Persistent. One WAL file holds
 // the mutations that happened *after* the snapshot generation its name
 // carries: wal-<base>.log contains the ordered Register/Replace/Remove
 // tail on top of snapshot-<base>.jsonl (or on top of nothing for base 0).

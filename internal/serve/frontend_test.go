@@ -59,7 +59,7 @@ func calmOptions(cacheCap int) Options {
 
 // TestMatchBatchModesIdenticalToRegistry asserts the frontend adds no
 // ranking drift: every retrieval mode returns bit-identical rankings to
-// the registry method it fronts, with the budget reported.
+// the registry's own forced plan, with the budget reported.
 func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	r := testRegistry(t, 40)
 	f := NewFrontend(r, calmOptions(0))
@@ -72,7 +72,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := r.MatchAllContext(ctx, probe, 0)
+	direct, _, err := r.MatchContext(ctx, probe, 0, registry.PlanOptions{Force: registry.StrategyExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directRanked, directStats, err := r.MatchIndexedContext(ctx, probe, 5, index)
+	directRanked, directStats, err := r.MatchContext(ctx, probe, 5, registry.PlanOptions{Force: registry.StrategyIndexed, Index: index})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rankKey(res.Ranked) != rankKey(directRanked) {
-		t.Error("indexed mode: frontend ranking differs from MatchIndexed")
+		t.Error("indexed mode: frontend ranking differs from the forced indexed plan")
 	}
 	if res.Stats.CandidateBudget != directStats.CandidateBudget || res.Stats.CandidatesScored != directStats.CandidatesScored {
 		t.Errorf("indexed stats = %+v, want %+v", res.Stats, directStats)
@@ -102,12 +102,12 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directTop, err := r.MatchTopContext(ctx, probe, 5, prune)
+	directTop, _, err := r.MatchContext(ctx, probe, 5, registry.PlanOptions{Force: registry.StrategyPruned, Prune: prune})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rankKey(res.Ranked) != rankKey(directTop) {
-		t.Error("pruned mode: frontend ranking differs from MatchTop")
+		t.Error("pruned mode: frontend ranking differs from the forced pruned plan")
 	}
 	if want := prune.Limit(r.Len(), 5); res.Stats.CandidateBudget != want {
 		t.Errorf("pruned CandidateBudget = %d, want %d", res.Stats.CandidateBudget, want)
@@ -178,9 +178,9 @@ func TestInvalidationProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("op %d: MatchBatch: %v", i, err)
 			}
-			fresh, _, err := r.MatchIndexedContext(ctx, probe, spec.TopK, spec.Index)
+			fresh, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: spec.Index})
 			if err != nil {
-				t.Fatalf("op %d: fresh MatchIndexed: %v", i, err)
+				t.Fatalf("op %d: fresh indexed match: %v", i, err)
 			}
 			if rankKey(res.Ranked) != rankKey(fresh) {
 				t.Fatalf("op %d: stale cache hit (cached=%t):\n  served %s\n  fresh  %s",
@@ -285,7 +285,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	if full := index.Limit(r.Len(), spec.TopK); res.Stats.CandidateBudget >= full {
 		t.Errorf("degraded budget %d not below full budget %d", res.Stats.CandidateBudget, full)
 	}
-	direct, _, err := r.MatchIndexedContext(ctx, probe, spec.TopK, shrunk)
+	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: shrunk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,17 +82,6 @@ type Params struct {
 	// computed once and reused while their leaves are untouched. Results
 	// are identical with or without it.
 	LazyMemo bool
-	// FastStrongLinks replaces the strong-link existence scans of
-	// structuralSim with an incrementally maintained bitset index. Results
-	// are bit-for-bit identical to the naive scan (the index stores the
-	// outcome of the very same wsim >= thaccept comparison); it only
-	// applies to the default leaf basis. Off by default: benchmarks
-	// (BenchmarkStrongLinks) show the maintenance cost on boost-heavy
-	// workloads — every increase/decrease step recomputes the bits of all
-	// touched pairs — outweighs the query savings, because the naive scan
-	// already exits on the first link. Kept as a documented negative
-	// result and for workloads with rare adjustments.
-	FastStrongLinks bool
 	// ChildrenShortcut enables the §8.4 fast path for nearly identical
 	// schemas: the immediate children of two non-leaf nodes are compared
 	// first, and if a very good match is detected (linked fraction at or

@@ -37,7 +37,6 @@ type matcher struct {
 	// the lazy memo is only valid for untouched subtrees.
 	touchedS []bool
 	touchedT []bool
-	links    *linkIndex
 	memo     map[[2]string]float64
 	// frontier caches the descendant basis per node.
 	frontS, frontT [][]int
@@ -61,10 +60,6 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 	// values are not copy-invariant), so it is disabled otherwise.
 	if p.LazyMemo && p.StructuralBasis == BasisLeaves && p.FrontierDepth == 0 {
 		m.memo = map[[2]string]float64{}
-	}
-	// The bitset index likewise applies only to the leaf basis.
-	if p.FastStrongLinks && p.StructuralBasis == BasisLeaves && p.FrontierDepth == 0 {
-		m.links = newLinkIndex(ts, tt)
 	}
 	m.frontS = make([][]int, ns)
 	m.frontT = make([][]int, nt)
@@ -95,9 +90,6 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 			row[ti] = m.compat.Lookup(se.Type, te.Type)
 		}
 	})
-
-	// Populate the strong-link index from the initialized leaf values.
-	m.reindexLinks()
 
 	// Phase 2: post-order sweep over all node pairs. Sequential by design:
 	// the increase/decrease steps make later comparisons depend on earlier
@@ -221,27 +213,17 @@ func (m *matcher) structuralSim(s, t *schematree.Node, ls, lt []int) float64 {
 	}
 	linked := 0
 	total := 0
-	var sLo, sHi, tLo, tHi int
-	if m.links != nil {
-		sLo, sHi = leafRange(m.links, m.links.posS, ls)
-		tLo, tHi = leafRange(m.links, m.links.posT, lt)
-	}
 	count := func(from []int, to []int, fromTree int, anchor *schematree.Node) {
 		for _, xi := range from {
 			var has bool
-			switch {
-			case m.links != nil && fromTree == 0:
-				has = m.links.sourceHasLink(xi, tLo, tHi)
-			case m.links != nil:
-				has = m.links.targetHasLink(xi, sLo, sHi)
-			case fromTree == 0:
+			if fromTree == 0 {
 				for _, yi := range to {
 					if m.strongLink(xi, yi) {
 						has = true
 						break
 					}
 				}
-			default:
+			} else {
 				for _, yi := range to {
 					if m.strongLink(yi, xi) {
 						has = true
@@ -325,8 +307,8 @@ func (m *matcher) isOptionalBasis(fromTree, xi int, anchor *schematree.Node) boo
 }
 
 // adjustLeaves multiplies the structural similarity of every leaf pair
-// under (s,t) by factor, clamped to [0,1], records the touched leaves for
-// lazy-memo invalidation, and keeps the strong-link index exact.
+// under (s,t) by factor, clamped to [0,1], and records the touched leaves
+// for lazy-memo invalidation.
 func (m *matcher) adjustLeaves(s, t *schematree.Node, factor float64) {
 	for _, xi := range m.ts.Leaves(s) {
 		for _, yi := range m.tt.Leaves(t) {
@@ -337,22 +319,6 @@ func (m *matcher) adjustLeaves(s, t *schematree.Node, factor float64) {
 			m.res.SSim.Set(xi, yi, v)
 			m.touchedS[xi] = true
 			m.touchedT[yi] = true
-			if m.links != nil {
-				m.links.set(xi, yi, m.strongLink(xi, yi))
-			}
-		}
-	}
-}
-
-// reindexLinks rebuilds the strong-link index from the current leaf wsim
-// values (used after leaf initialization and by SecondPass).
-func (m *matcher) reindexLinks() {
-	if m.links == nil {
-		return
-	}
-	for _, xi := range m.ts.Leaves(m.ts.Root) {
-		for _, yi := range m.tt.Leaves(m.tt.Root) {
-			m.links.set(xi, yi, m.strongLink(xi, yi))
 		}
 	}
 }
@@ -435,10 +401,6 @@ func SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Para
 	}
 	for _, n := range tt.Nodes {
 		m.frontT[n.Idx] = m.basis(tt, n)
-	}
-	if p.FastStrongLinks && p.StructuralBasis == BasisLeaves && p.FrontierDepth == 0 {
-		m.links = newLinkIndex(ts, tt)
-		m.reindexLinks()
 	}
 	for _, s := range ts.Nodes {
 		for _, t := range tt.Nodes {
