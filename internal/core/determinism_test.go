@@ -34,6 +34,8 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 		workloads.Figure2(),   // canonical PO example
 		workloads.CIDXExcel(), // the paper's real-world PO workload
 		workloads.University(),
+		// Larger than par's inline threshold: the row loops really fan out.
+		workloads.Synthetic(workloads.SyntheticSpec{Tables: 10, ColsPerTable: 9, Depth: 2, Seed: 3, Rename: 0.3, Renest: 0.2}),
 	} {
 		seq := matchWorkers(t, w, 1)
 		par8 := matchWorkers(t, w, 8)

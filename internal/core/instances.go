@@ -110,9 +110,6 @@ func (p *Prepared) ProfiledLeaves() int { return len(p.profiles) }
 // back to the table. The closure reads immutable per-Prepared maps only,
 // so concurrent MatchPrepared calls stay race-free and deterministic.
 func leafCompatFn(src, dst map[*model.Element]*instance.Profile, table *structural.CompatTable) func(s, t *model.Element) (float64, bool) {
-	if table == nil {
-		table = structural.DefaultCompat()
-	}
 	return func(s, t *model.Element) (float64, bool) {
 		ps, ok := src[s]
 		if !ok {

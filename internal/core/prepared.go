@@ -141,22 +141,81 @@ func (p *Prepared) pathTokens() []linguistic.TokenSet {
 // of Prepare + MatchPrepared; the determinism tests assert the
 // equivalence). Both artifacts must have been built by this Matcher.
 func (m *Matcher) MatchPrepared(src, dst *Prepared) (*Result, error) {
+	res, err := m.newResult(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	if m.cfg.Mode == ModeLinguisticOnly {
+		return m.matchLinguisticOnly(res, src.pathTokens(), dst.pathTokens())
+	}
+	sp, err := m.treeMatch(res, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	if m.cfg.Mapping.NonLeaves {
+		// Second post-order traversal (§7): leaf similarity updates during
+		// TreeMatch may have changed non-leaf structural similarity.
+		structural.SecondPass(res.Struct, src.tree, dst.tree, res.LSim, sp)
+	}
+	res.WSim = res.Struct.WSim
+	res.Mapping = mapping.Generate(src.tree, dst.tree, res.Struct, res.LSim, m.cfg.Mapping)
+	return res, nil
+}
+
+// ScoreOnly reports whether MatchScore can rank this configuration: full
+// mode with 1:n leaf mappings, whose leaf score is fixed once TreeMatch
+// returns. Under 1:1 cardinality the greedy pick reads non-leaf (parent)
+// similarities that SecondPass rewrites, and the other modes do not run
+// the TreeMatch pipeline at all, so those need MatchPrepared.
+func (m *Matcher) ScoreOnly() bool {
+	return m.cfg.Mode == ModeFull && m.cfg.Mapping.Cardinality == mapping.OneToN
+}
+
+// MatchScore returns the repository ranking score of matching src against
+// dst — the sum of the 1:n leaf mapping's wsim values, added in target
+// post-order and normalized by the larger tree's leaf count, which is
+// registry.Score of MatchPrepared(src, dst) bit for bit — at the cost
+// ranking needs: the pipeline stops after TreeMatch, with no SecondPass,
+// no mapping generation and no matrices kept. It requires ScoreOnly.
+func (m *Matcher) MatchScore(src, dst *Prepared) (float64, error) {
+	if !m.ScoreOnly() {
+		return 0, fmt.Errorf("core: MatchScore needs full mode with 1:n mappings (use MatchPrepared)")
+	}
+	res, err := m.newResult(src, dst)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := m.treeMatch(res, src, dst); err != nil {
+		return 0, err
+	}
+	leaves := max(src.tree.NumLeaves(), dst.tree.NumLeaves())
+	if leaves == 0 {
+		return 0, nil
+	}
+	return mapping.LeafWSimSum(src.tree, dst.tree, res.Struct.WSim, m.cfg.Mapping) / float64(leaves), nil
+}
+
+// newResult checks that both artifacts belong to this matcher and starts
+// their Result.
+func (m *Matcher) newResult(src, dst *Prepared) (*Result, error) {
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("core: nil prepared schema")
 	}
 	if src.owner != m || dst.owner != m {
 		return nil, fmt.Errorf("core: prepared schema belongs to a different matcher (prepare and match with the same Matcher)")
 	}
-	res := &Result{
+	return &Result{
 		SourceTree: src.tree,
 		TargetTree: dst.tree,
 		SourceInfo: src.info,
 		TargetInfo: dst.info,
-	}
-	if m.cfg.Mode == ModeLinguisticOnly {
-		return m.matchLinguisticOnly(res, src.pathTokens(), dst.pathTokens())
-	}
+	}, nil
+}
 
+// treeMatch runs the pipeline through TreeMatch into res (LSim and Struct)
+// and returns the structural parameters it ran under, which SecondPass
+// must reuse.
+func (m *Matcher) treeMatch(res *Result, src, dst *Prepared) (structural.Params, error) {
 	// Element-level lsim lifted to tree nodes (context copies inherit the
 	// similarity of their element — linguistic matching is unaffected by
 	// the graph-to-tree expansion, §8.2).
@@ -165,8 +224,9 @@ func (m *Matcher) MatchPrepared(src, dst *Prepared) (*Result, error) {
 	if m.cfg.Mode == ModeStructuralOnly {
 		elemLSim.Zero()
 	}
+	sp := m.cfg.Structural
 	if err := m.applyInitialMapping(src.schema, dst.schema, elemLSim); err != nil {
-		return nil, err
+		return sp, err
 	}
 	res.LSim = liftToNodes(src.tree, dst.tree, elemLSim)
 
@@ -176,17 +236,9 @@ func (m *Matcher) MatchPrepared(src, dst *Prepared) (*Result, error) {
 	// evidence, internal/instance). The hook rides on a per-call copy of
 	// the structural parameters; with either side profile-free the copy is
 	// hook-less and the pipeline is bit-identical to the profile-free path.
-	sp := m.cfg.Structural
 	if len(src.profiles) > 0 && len(dst.profiles) > 0 {
-		sp.LeafCompat = leafCompatFn(src.profiles, dst.profiles, sp.Compat)
+		sp.LeafCompat = leafCompatFn(src.profiles, dst.profiles, sp.Table())
 	}
 	res.Struct = structural.TreeMatch(src.tree, dst.tree, res.LSim, sp)
-	if m.cfg.Mapping.NonLeaves {
-		// Second post-order traversal (§7): leaf similarity updates during
-		// TreeMatch may have changed non-leaf structural similarity.
-		structural.SecondPass(res.Struct, src.tree, dst.tree, res.LSim, sp)
-	}
-	res.WSim = res.Struct.WSim
-	res.Mapping = mapping.Generate(src.tree, dst.tree, res.Struct, res.LSim, m.cfg.Mapping)
-	return res, nil
+	return sp, nil
 }

@@ -1,11 +1,11 @@
 package linguistic_test
 
 // Parallel-vs-sequential determinism of the linguistic phase: LSim fans
-// category-pair and element-pair comparisons out over a worker pool, and
-// the ISSUE contract is that the parallel result is bit-identical to the
-// sequential one. Run with -race: these tests force multiple workers even
-// on a single-core machine, so the sharded sim cache and the disjoint
-// matrix writes are actually exercised concurrently.
+// its element rows out over a worker pool, and the contract is that the
+// parallel result is bit-identical to the sequential one. Run with -race:
+// these tests force multiple workers even on a single-core machine, so
+// the sharded sim cache, the name memo and the disjoint matrix writes are
+// actually exercised concurrently.
 
 import (
 	"testing"
@@ -27,7 +27,10 @@ func lsimWithWorkers(t *testing.T, w workloads.Workload, workers int) (map[[2]in
 }
 
 func TestLSimParallelMatchesSequential(t *testing.T) {
-	for _, w := range []workloads.Workload{workloads.CIDXExcel(), workloads.University()} {
+	// The synthetic pair has more elements than par's inline threshold, so
+	// its element rows really fan out.
+	large := workloads.Synthetic(workloads.SyntheticSpec{Tables: 10, ColsPerTable: 9, Depth: 2, Seed: 3, Rename: 0.3, Renest: 0.2})
+	for _, w := range []workloads.Workload{workloads.CIDXExcel(), workloads.University(), large} {
 		seqCompat, seqLSim := lsimWithWorkers(t, w, 1)
 		parCompat, parLSim := lsimWithWorkers(t, w, 8)
 

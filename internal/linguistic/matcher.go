@@ -2,8 +2,8 @@ package linguistic
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/model"
@@ -62,17 +62,23 @@ func (p Params) Validate() error {
 }
 
 // Matcher performs linguistic matching with one thesaurus and one
-// parameter set. It caches token-pair similarities across calls in a
-// sharded striped-mutex cache, so a Matcher IS safe for concurrent use:
-// Analyze, NameSim(TS), CompatiblePairs and LSim may be called from many
-// goroutines at once (LSim itself fans its inner loops out over a bounded
-// worker pool). The only caveat is setup: do not mutate P or Th while
-// matching is in flight.
+// parameter set. It caches across calls — token-pair similarities in a
+// sharded striped-mutex cache, normalized names as dense IDs and their name
+// similarities in a lock-free memo (memo.go), every cache bounded — so a
+// Matcher IS safe for concurrent use: Analyze, NameSim(TS),
+// CompatiblePairs and LSim may be called from many goroutines at once
+// (LSim itself fans its inner loops out over a bounded worker pool).
+// Changing P or Th between calls starts a fresh name memo; do not mutate
+// them while matching is in flight.
 type Matcher struct {
 	Th *thesaurus.Thesaurus
 	P  Params
 
 	simCache *simCache
+	names    atomic.Pointer[nameTable]
+	// nameCap and memoCap bound the name interner and the memo (powers of
+	// two; defaultNameCap and defaultMemoCap unless a test shrinks them).
+	nameCap, memoCap int
 }
 
 // NewMatcher returns a matcher over the given thesaurus (nil means an
@@ -81,7 +87,8 @@ func NewMatcher(th *thesaurus.Thesaurus) *Matcher {
 	if th == nil {
 		th = thesaurus.New()
 	}
-	return &Matcher{Th: th, P: DefaultParams(), simCache: newSimCache()}
+	return &Matcher{Th: th, P: DefaultParams(), simCache: newSimCache(defaultTokenCap),
+		nameCap: defaultNameCap, memoCap: defaultMemoCap}
 }
 
 // simCacheShards is the stripe count of the token-pair similarity cache.
@@ -91,9 +98,11 @@ const simCacheShards = 64
 
 // simCache is a striped-mutex map from an ordered token pair to its
 // thesaurus similarity. Stripes are selected by FNV-1a hash of the pair,
-// so goroutines computing different pairs rarely share a lock.
+// so goroutines computing different pairs rarely share a lock. Each stripe
+// holds at most shardCap pairs and empties itself when full.
 type simCache struct {
-	shards [simCacheShards]simCacheShard
+	shards   [simCacheShards]simCacheShard
+	shardCap int
 }
 
 type simCacheShard struct {
@@ -101,8 +110,8 @@ type simCacheShard struct {
 	m  map[[2]string]float64
 }
 
-func newSimCache() *simCache {
-	c := &simCache{}
+func newSimCache(capacity int) *simCache {
+	c := &simCache{shardCap: max(1, capacity/simCacheShards)}
 	for i := range c.shards {
 		c.shards[i].m = make(map[[2]string]float64)
 	}
@@ -132,6 +141,9 @@ func (c *simCache) get(key [2]string) (float64, bool) {
 func (c *simCache) put(key [2]string, v float64) {
 	sh := c.shard(key)
 	sh.mu.Lock()
+	if len(sh.m) >= c.shardCap {
+		clear(sh.m)
+	}
 	sh.m[key] = v
 	sh.mu.Unlock()
 }
@@ -259,6 +271,9 @@ type SchemaInfo struct {
 	// description.
 	descOnce sync.Once
 	descToks []*TokenSet
+	// ids caches the element and category name IDs under the owning
+	// matcher's current name table (memo.go); assigned on first LSim.
+	ids atomic.Pointer[infoIDs]
 }
 
 // CategoriesOf returns the indexes of the categories the element belongs
@@ -331,39 +346,17 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 // CompatiblePairs computes, for two analyzed schemas, the pairs of
 // categories whose keyword sets are name-similar above Thns, together with
 // the name similarity of the keyword sets (used later to scale lsim).
-//
-// The category-pair sweep is quadratic in the number of categories and
-// each cell is an independent NameSimTS call, so rows fan out over the
-// par worker pool; each worker fills its own row slice and the merge is a
-// deterministic row-order append, making the result identical to the
-// sequential sweep.
 func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
-	na := len(a.Categories)
-	rows := make([][]catPair, na)
-	par.For(na, func(i int) {
-		ka := a.Categories[i].Keywords
-		var row []catPair
-		for j, cb := range b.Categories {
-			ns := m.NameSimTS(ka, cb.Keywords)
-			if ns >= m.P.Thns {
-				row = append(row, catPair{j: j, ns: ns})
-			}
-		}
-		rows[i] = row
-	})
+	sims := m.simsFor(a, b)
 	out := make(map[[2]int]float64)
-	for i, row := range rows {
-		for _, c := range row {
-			out[[2]int{i, c.j}] = c.ns
+	for i, nb := 0, len(b.Categories); i < len(a.Categories); i++ {
+		for j := 0; j < nb; j++ {
+			if ns := sims.category(a, b, i, j); ns >= m.P.Thns {
+				out[[2]int{i, j}] = ns
+			}
 		}
 	}
 	return out
-}
-
-// catPair is one compatible target category in a source category's row.
-type catPair struct {
-	j  int
-	ns float64
 }
 
 // LSim computes the table of linguistic similarity coefficients between the
@@ -374,45 +367,42 @@ type catPair struct {
 // Similarity is zero for element pairs that share no compatible categories.
 // The result is indexed (elementID of a, elementID of b).
 //
-// The element-pair comparisons — the dominant cost of the whole pipeline —
-// run on the par worker pool: the scale map is reduced sequentially (max
-// is order-independent), then each surviving pair's NameSimTS·scale lands
-// in its own matrix cell, so the parallel result is bit-identical to the
-// sequential one.
+// Every ns goes through the matcher's name memo (memo.go): the names of a
+// and b are interned on their first LSim, and each distinct name pair's
+// NameSimTS is computed once per memo generation, then looked up. The
+// category scale is a dense element-by-element table (max is
+// order-independent), and the element rows fan out over the par worker
+// pool, each writing its own matrix row, so the result is bit-identical to
+// a sequential sweep of per-pair NameSimTS calls.
 func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
-	compat := m.CompatiblePairs(a, b)
-	lsim := matrix.New(a.Schema.Len(), b.Schema.Len())
-	// Scale per element pair: best compatible category pair.
-	scale := map[[2]int]float64{}
-	// Deterministic iteration over compat.
-	keys := make([][2]int, 0, len(compat))
-	for k := range compat {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		ns := compat[k]
-		for _, ma := range a.Categories[k[0]].Members {
-			for _, mb := range b.Categories[k[1]].Members {
-				p := [2]int{ma, mb}
-				if ns > scale[p] {
-					scale[p] = ns
+	sims := m.simsFor(a, b)
+	na, nb := a.Schema.Len(), b.Schema.Len()
+	// Scale per element pair: the best compatible category pair.
+	scale := make([]float64, na*nb)
+	for i, ca := range a.Categories {
+		for j, cb := range b.Categories {
+			ns := sims.category(a, b, i, j)
+			if ns < m.P.Thns {
+				continue
+			}
+			for _, ma := range ca.Members {
+				row := scale[ma*nb : (ma+1)*nb]
+				for _, mb := range cb.Members {
+					if ns > row[mb] {
+						row[mb] = ns
+					}
 				}
 			}
 		}
 	}
-	pairs := make([][2]int, 0, len(scale))
-	for p := range scale {
-		pairs = append(pairs, p)
-	}
-	par.For(len(pairs), func(k int) {
-		p := pairs[k]
-		lsim.Set(p[0], p[1], m.NameSimTS(a.Tokens[p[0]], b.Tokens[p[1]])*scale[p])
+	lsim := matrix.New(na, nb)
+	par.For(na, func(i int) {
+		out := lsim.Row(i)
+		for j, s := range scale[i*nb : (i+1)*nb] {
+			if s > 0 {
+				out[j] = sims.element(a, b, i, j) * s
+			}
+		}
 	})
 	return lsim
 }

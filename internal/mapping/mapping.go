@@ -257,6 +257,38 @@ func generateOneToN(ts, tt *schematree.Tree, res *structural.Result, lsim matrix
 	return out
 }
 
+// LeafWSimSum returns the sum of the wsim values of the leaf elements that
+// Generate emits under OneToN cardinality, added in target post-order (the
+// order of Mapping.Leaves), without building the mapping. For each eligible
+// target leaf the naive scheme's pick has the largest acceptable wsim —
+// the tie-breaks only choose among sources of equal wsim — so the sum needs
+// only the per-target maximum. It reads the leaf cells of wsim only, which
+// structural.SecondPass never changes.
+func LeafWSimSum(ts, tt *schematree.Tree, wsim matrix.Matrix, opt Options) float64 {
+	best := make([]float64, tt.Len())
+	for i := range best {
+		best[i] = -1 // below every acceptable wsim (ThAccept >= 0)
+	}
+	for _, s := range ts.Nodes {
+		if !eligible(s, true, opt) {
+			continue
+		}
+		row := wsim.Row(s.Idx)
+		for _, t := range tt.Nodes {
+			if w := row[t.Idx]; w >= opt.ThAccept && w > best[t.Idx] && eligible(t, true, opt) {
+				best[t.Idx] = w
+			}
+		}
+	}
+	sum := 0.0
+	for _, w := range best {
+		if w >= 0 {
+			sum += w
+		}
+	}
+	return sum
+}
+
 // generateOneToOne greedily picks the globally best acceptable pairs,
 // consuming each source and target at most once. Ties break on post-order
 // indexes for determinism.

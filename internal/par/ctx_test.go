@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCtxRunsAllWithoutCancellation(t *testing.T) {
@@ -64,5 +65,40 @@ func TestForCtxNilAndBackgroundFastPath(t *testing.T) {
 	}
 	if ran.Load() != 10 {
 		t.Fatalf("ForCtx(nil) ran %d iterations, want 10", ran.Load())
+	}
+}
+
+// TestLoopGrain: For runs loops below seqThreshold inline, one iteration
+// at a time, while the coarse-grained ForCtx overlaps even two iterations.
+func TestLoopGrain(t *testing.T) {
+	prev := SetMaxWorkers(2)
+	defer SetMaxWorkers(prev)
+	var inFlight, peak atomic.Int64
+	For(seqThreshold-1, func(int) {
+		if n := inFlight.Add(1); n > peak.Load() {
+			peak.Store(n)
+		}
+		inFlight.Add(-1)
+	})
+	if peak.Load() != 1 {
+		t.Errorf("For below the threshold ran %d iterations at once, want 1", peak.Load())
+	}
+	second := make(chan struct{})
+	overlapped := false
+	if err := ForCtx(context.Background(), 2, func(i int) {
+		if i == 1 {
+			close(second)
+			return
+		}
+		select {
+		case <-second:
+			overlapped = true
+		case <-time.After(10 * time.Second):
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !overlapped {
+		t.Error("ForCtx ran a two-iteration loop inline")
 	}
 }

@@ -39,10 +39,11 @@ func TestForNestedDoesNotDeadlock(t *testing.T) {
 	prev := SetMaxWorkers(4)
 	defer SetMaxWorkers(prev)
 	var total atomic.Int64
-	For(10, func(i int) {
-		For(10, func(j int) { total.Add(1) })
+	// Both levels above the inline threshold, so both spawn workers.
+	For(seqThreshold, func(i int) {
+		For(seqThreshold, func(j int) { total.Add(1) })
 	})
-	if total.Load() != 100 {
-		t.Fatalf("nested For ran %d iterations, want 100", total.Load())
+	if total.Load() != seqThreshold*seqThreshold {
+		t.Fatalf("nested For ran %d iterations, want %d", total.Load(), seqThreshold*seqThreshold)
 	}
 }

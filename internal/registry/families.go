@@ -20,7 +20,6 @@ package registry
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -185,11 +184,12 @@ func (r *Registry) usableFamilies() *familyView {
 	return fv
 }
 
-// executeFamily runs the family route of one plan: tree-match the family
-// medoids (real scores — every medoid result is reusable, the medoid
-// being a member of its own family), pick the best-scoring medoid's
-// family, full-match every member of that family, and merge them with
-// the medoid results under the single-node ranking order. The winning
+// executeFamily runs the family route of one plan: score the family
+// medoids (real scores — every medoid score is reusable, the medoid being
+// a member of its own family), pick the best-scoring medoid's family,
+// score every member of that family, and merge them with the medoid
+// scores under the single-node ranking order; only the merged top K get
+// full results. The winning
 // family is matched whole, never affinity-pruned: within a family the
 // signatures are near-uniform by construction (that is what made it a
 // family), so an affinity cut there is close to a random sample and
@@ -231,11 +231,17 @@ func (r *Registry) executeFamily(ctx context.Context, src *core.Prepared, topK i
 	}
 	st.Families = len(medoids)
 
-	medRanked, err := r.rank(ctx, medoids, src, 0)
+	medRanked, err := r.score(ctx, medoids, src, topK <= 0)
 	if err != nil {
 		return nil, st, err
 	}
-	winner := medRanked[0].Entry
+	win := medRanked[0]
+	for _, rk := range medRanked[1:] {
+		if rankedBefore(rk, win) {
+			win = rk
+		}
+	}
+	winner := win.Entry
 	st.Family = winner.Name
 	members := fv.res.Families[fv.family[winner.Name]].Members
 	entries := make([]*Entry, 0, len(members))
@@ -249,20 +255,14 @@ func (r *Registry) executeFamily(ctx context.Context, src *core.Prepared, topK i
 	}
 	st.CandidateBudget = len(medoids) + len(members)
 	st.CandidatesScored = len(medoids) + len(entries)
-	ranked, err := r.rank(ctx, entries, src, 0)
+	ranked, err := r.score(ctx, entries, src, topK <= 0 || topK >= len(medoids)+len(entries))
 	if err != nil {
 		return nil, st, err
 	}
 	st.CandidatesMatched = len(medoids) + len(entries)
-	merged := append(ranked, medRanked...)
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
-		}
-		return merged[i].Entry.Name < merged[j].Entry.Name
-	})
-	if topK > 0 && topK < len(merged) {
-		merged = merged[:topK]
+	merged, err := r.top(ctx, src, append(ranked, medRanked...), topK)
+	if err != nil {
+		return nil, st, err
 	}
 	return merged, st, nil
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/model"
 	"repro/internal/workloads"
@@ -141,6 +142,77 @@ func TestFamilyRouteWithinIndexedTopK(t *testing.T) {
 			if !inIndexed[rk.Entry.Name] {
 				t.Errorf("probe %d: family result %d (%s) is outside the flat indexed top-%d",
 					fam, i, rk.Entry.Name, topK)
+			}
+		}
+	}
+}
+
+// familyOracle reproduces the family route with full matches: rank the
+// installed medoids by their full MatchPrepared score, take the winner's
+// family, rank its members and the medoids together.
+func familyOracle(t *testing.T, r *Registry, src *core.Prepared, topK int) ([]Ranked, RetrievalStats) {
+	t.Helper()
+	fams := r.Families().Families
+	medoids := make([]*Entry, len(fams))
+	for i, f := range fams {
+		medoids[i], _ = r.Get(f.Medoid)
+	}
+	win := oracleRank(t, r, src, medoids, 1)[0].Entry.Name
+	cands := append([]*Entry(nil), medoids...)
+	members := 0
+	for _, f := range fams {
+		if f.Medoid != win {
+			continue
+		}
+		members = len(f.Members)
+		for _, name := range f.Members {
+			if e, _ := r.Get(name); name != win {
+				cands = append(cands, e)
+			}
+		}
+	}
+	st := RetrievalStats{
+		Strategy: StrategyFamily, Families: len(medoids), Family: win,
+		CandidateBudget: len(medoids) + members, CandidatesScored: len(cands), CandidatesMatched: len(cands),
+	}
+	return oracleRank(t, r, src, cands, topK), st
+}
+
+// TestFamilyRouteScoreOnlyMatchesFullMatch: the family route scores its
+// medoids and the winning family without the full pipeline, then
+// materializes the merged top K. Its ranking, results and stats must equal
+// a full-match transcription of the route, for bounded and unbounded
+// rankings and under degraded budgets.
+func TestFamilyRouteScoreOnlyMatchesFullMatch(t *testing.T) {
+	r := newTestRegistry(t)
+	for _, s := range familyTestCorpus(120) {
+		if _, _, err := r.Register(s.Name, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := r.ClusterFamilies(corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetFamilies(res); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []int{0, 3, 7} {
+		src := mustPrepare(t, r, workloads.FamilyProbe(fam, 99))
+		for _, topK := range []int{10, 3, 0} {
+			want, wantSt := familyOracle(t, r, src, topK)
+			for _, degraded := range []bool{false, true} {
+				opt := DefaultPlanOptions()
+				opt.Force, opt.Degraded = StrategyFamily, degraded
+				got, st, err := r.Match(src, topK, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameFullRanking(t, want, got)
+				wantSt.Degraded = degraded
+				if st != wantSt {
+					t.Errorf("family %d topK=%d degraded=%v: stats %+v, oracle %+v", fam, topK, degraded, st, wantSt)
+				}
 			}
 		}
 	}

@@ -18,8 +18,11 @@ type RetrievalStats struct {
 	// sweep and the scans. The gap between this and the repository size is
 	// the work the index never did.
 	CandidatesScored int
-	// CandidatesMatched is the number of entries that reached the full
-	// tree match.
+	// CandidatesMatched is the number of entries that reached the tree
+	// match: each was scored through TreeMatch (core.Matcher.MatchScore,
+	// or MatchPrepared where the configuration's leaf score needs the
+	// whole pipeline). Materializing the full results of the returned top
+	// K afterwards is not counted.
 	CandidatesMatched int
 	// CandidateBudget is the candidate limit the call ran under: the
 	// planner's adaptive budget on planned runs, PruneOptions.Limit for

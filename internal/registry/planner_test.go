@@ -2,10 +2,13 @@ package registry
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
@@ -211,7 +214,7 @@ func forcedOracle(r *Registry, src *core.Prepared, topK int, opt PlanOptions) ([
 
 // oracleRank ranks candidates the way MatchAll ranks a repository: the
 // full MatchPrepared score, descending, ties broken by name, truncated to
-// topK.
+// topK (<= 0 keeps all).
 func oracleRank(t *testing.T, r *Registry, src *core.Prepared, cands []*Entry, topK int) []Ranked {
 	t.Helper()
 	out := make([]Ranked, len(cands))
@@ -228,48 +231,88 @@ func oracleRank(t *testing.T, r *Registry, src *core.Prepared, cands []*Entry, t
 		}
 		return out[i].Entry.Name < out[j].Entry.Name
 	})
-	if topK < len(out) {
+	if topK > 0 && topK < len(out) {
 		out = out[:topK]
 	}
 	return out
 }
 
+// assertSameFullRanking is assertSameRanking plus the materialized
+// results: every returned entry carries a full result whose leaf and
+// non-leaf mappings equal the oracle's, and scores agree to the last bit.
+func assertSameFullRanking(t *testing.T, want, got []Ranked) {
+	t.Helper()
+	assertSameRanking(t, want, got)
+	for i := range want {
+		if w, g := fmt.Sprintf("%.17g", want[i].Score), fmt.Sprintf("%.17g", got[i].Score); w != g {
+			t.Errorf("rank %d (%s): score %s, oracle %s", i, got[i].Entry.Name, g, w)
+		}
+		if got[i].Result == nil {
+			t.Fatalf("rank %d (%s): returned without a result", i, got[i].Entry.Name)
+		}
+		if !slices.Equal(want[i].Result.Mapping.Leaves, got[i].Result.Mapping.Leaves) ||
+			!slices.Equal(want[i].Result.Mapping.NonLeaves, got[i].Result.Mapping.NonLeaves) {
+			t.Errorf("rank %d (%s): mapping differs from the full match", i, got[i].Entry.Name)
+		}
+	}
+}
+
 // TestForcedPlansMatchOracle: Match with a forced strategy must return
 // exactly the oracle's ranking of the oracle's candidate set, with the
-// oracle's stats, bit for bit — for every strategy, on probes spanning
-// the planner's decision space, under full and degraded (halved) budgets,
-// on a corpus large enough to prune and one small enough to fall back.
+// oracle's stats and full results for the returned entries, bit for bit —
+// for every strategy, on probes spanning the planner's decision space,
+// under full and degraded (halved) budgets, for a top-10 (score-only
+// ranking, then materialization) and an unbounded ranking, on a corpus
+// large enough to prune and one small enough to fall back. A 1:1
+// configuration, whose leaf score needs the full pipeline per candidate,
+// runs the same checks.
 func TestForcedPlansMatchOracle(t *testing.T) {
-	const topK = 10
 	probes := []*model.Schema{
 		workloads.FamilyProbe(2, 7),
 		workloads.RareTokenProbe(4, 11),
 		workloads.StopHeavyProbe(13),
 		unseenProbe(),
 	}
-	for _, n := range []int{120, 12} {
-		r := newTestRegistry(t)
-		prunedCorpus(t, r, n)
-		for _, ps := range probes {
+	oneToOne := core.DefaultConfig()
+	oneToOne.Mapping.Cardinality = mapping.OneToOne
+	cases := []struct {
+		cfg    core.Config
+		n      int
+		probes []*model.Schema
+	}{
+		{core.DefaultConfig(), 120, probes},
+		{core.DefaultConfig(), 12, probes},
+		{oneToOne, 120, probes[:2]},
+	}
+	for _, tc := range cases {
+		r, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prunedCorpus(t, r, tc.n)
+		for _, ps := range tc.probes {
 			src := mustPrepare(t, r, ps)
-			// The oracle's ranking rule is MatchAll's.
-			all, err := r.MatchAll(src, topK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRanking(t, all, oracleRank(t, r, src, r.List(), topK))
-			for _, force := range []Strategy{StrategyExact, StrategyPruned, StrategyIndexed} {
-				for _, degraded := range []bool{false, true} {
-					opt := DefaultPlanOptions()
-					opt.Force, opt.Degraded = force, degraded
-					cands, wantSt := forcedOracle(r, src, topK, opt)
-					got, st, err := r.Match(src, topK, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameRanking(t, oracleRank(t, r, src, cands, topK), got)
-					if st != wantSt {
-						t.Errorf("n=%d %s force=%s degraded=%v: stats %+v, oracle %+v", n, ps.Name, force, degraded, st, wantSt)
+			for _, topK := range []int{10, 0} {
+				// The oracle's ranking rule is MatchAll's.
+				all, err := r.MatchAll(src, topK)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameFullRanking(t, oracleRank(t, r, src, r.List(), topK), all)
+				for _, force := range []Strategy{StrategyExact, StrategyPruned, StrategyIndexed} {
+					for _, degraded := range []bool{false, true} {
+						opt := DefaultPlanOptions()
+						opt.Force, opt.Degraded = force, degraded
+						cands, wantSt := forcedOracle(r, src, topK, opt)
+						got, st, err := r.Match(src, topK, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSameFullRanking(t, oracleRank(t, r, src, cands, topK), got)
+						if st != wantSt {
+							t.Errorf("n=%d %s topK=%d force=%s degraded=%v: stats %+v, oracle %+v",
+								tc.n, ps.Name, topK, force, degraded, st, wantSt)
+						}
 					}
 				}
 			}

@@ -279,7 +279,10 @@ type Ranked struct {
 	// match target).
 	Entry *Entry
 	// Result is the full match output (source = the MatchAll argument,
-	// target = Entry's schema).
+	// target = Entry's schema). Ranking itself needs only the score, so
+	// Result is materialized for the returned entries only: every Ranked a
+	// retrieval call returns carries it, while the candidates it ranked
+	// below the top K never had one built.
 	Result *core.Result
 	// Score is the ranking score; see Score.
 	Score float64
@@ -321,38 +324,100 @@ func (r *Registry) MatchAll(src *core.Prepared, topK int) ([]Ranked, error) {
 	return ranked, err
 }
 
-// rank runs the full tree match of src against every given entry (fanned
-// over the worker pool, canceled cooperatively per candidate via ctx) and
-// returns the descending-score ranking, ties broken by name, truncated to
-// topK (<= 0 keeps all).
+// rank matches src against every given entry (fanned over the worker
+// pool, canceled cooperatively per candidate via ctx) and returns the
+// descending-score ranking, ties broken by name, truncated to topK (<= 0
+// keeps all). When the ranking drops entries, candidates are scored with
+// the score-only kernel and only the returned top K get a full result.
 func (r *Registry) rank(ctx context.Context, entries []*Entry, src *core.Prepared, topK int) ([]Ranked, error) {
-	out := make([]Ranked, len(entries))
-	errs := make([]error, len(entries))
-	if err := par.ForCtx(ctx, len(entries), func(i int) {
-		res, err := r.matcher.MatchPrepared(src, entries[i].Prepared)
-		if err != nil {
-			errs[i] = fmt.Errorf("registry: matching against %q: %w", entries[i].Name, err)
-			return
-		}
-		out[i] = Ranked{Entry: entries[i], Result: res, Score: Score(res)}
-	}); err != nil {
+	ranked, err := r.score(ctx, entries, src, topK <= 0 || topK >= len(entries))
+	if err != nil {
 		return nil, err
+	}
+	return r.top(ctx, src, ranked, topK)
+}
+
+// score runs one match per entry, fanned over the worker pool. Unless full
+// is set, or the configuration's leaf score depends on the whole pipeline
+// (core.Matcher.ScoreOnly), it runs core.Matcher.MatchScore — TreeMatch
+// and the leaf score, nothing kept — and leaves Result nil; otherwise it
+// runs MatchPrepared and keeps the result.
+func (r *Registry) score(ctx context.Context, entries []*Entry, src *core.Prepared, full bool) ([]Ranked, error) {
+	full = full || !r.matcher.ScoreOnly()
+	out := make([]Ranked, len(entries))
+	err := forEach(ctx, len(entries), func(i int) error {
+		rk := &out[i]
+		rk.Entry = entries[i]
+		if full {
+			return r.materialize(src, rk)
+		}
+		s, err := r.matcher.MatchScore(src, rk.Entry.Prepared)
+		if err != nil {
+			return fmt.Errorf("registry: matching against %q: %w", rk.Entry.Name, err)
+		}
+		rk.Score = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// materialize runs the full match of src against rk's entry and records
+// its result and score.
+func (r *Registry) materialize(src *core.Prepared, rk *Ranked) error {
+	res, err := r.matcher.MatchPrepared(src, rk.Entry.Prepared)
+	if err != nil {
+		return fmt.Errorf("registry: matching against %q: %w", rk.Entry.Name, err)
+	}
+	rk.Result, rk.Score = res, Score(res)
+	return nil
+}
+
+// forEach runs fn(i) for every i in [0, n) over the worker pool, canceled
+// cooperatively via ctx, and returns ctx's error or else the first error
+// by index.
+func forEach(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	if err := par.ForCtx(ctx, n, func(i int) { errs[i] = fn(i) }); err != nil {
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	return nil
+}
+
+// rankedBefore is the ranking order: descending score, ties broken by name.
+func rankedBefore(a, b Ranked) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Entry.Name < b.Entry.Name
+}
+
+// top sorts scored candidates into ranking order and returns the first
+// topK (<= 0 keeps all) in a slice of their own — a cached ranking never
+// pins the candidates it dropped — materializing (in parallel) every
+// returned entry scored without a result.
+func (r *Registry) top(ctx context.Context, src *core.Prepared, ranked []Ranked, topK int) ([]Ranked, error) {
+	sort.SliceStable(ranked, func(i, j int) bool { return rankedBefore(ranked[i], ranked[j]) })
+	if topK > 0 && topK < len(ranked) {
+		ranked = append([]Ranked(nil), ranked[:topK]...)
+	}
+	err := forEach(ctx, len(ranked), func(i int) error {
+		if ranked[i].Result != nil {
+			return nil
 		}
-		return out[i].Entry.Name < out[j].Entry.Name
+		return r.materialize(src, &ranked[i])
 	})
-	if topK > 0 && topK < len(out) {
-		out = out[:topK]
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return ranked, nil
 }
 
 // PruneOptions sizes the candidate set the pruned and indexed strategies

@@ -46,7 +46,10 @@ func matchWithWorkers(t *testing.T, w workloads.Workload, workers int) (*structu
 }
 
 func TestTreeMatchParallelMatchesSequential(t *testing.T) {
-	for _, w := range []workloads.Workload{workloads.CIDXExcel(), workloads.University()} {
+	// The synthetic pair has more leaves than par's inline threshold, so
+	// its leaf sweeps really fan out.
+	large := workloads.Synthetic(workloads.SyntheticSpec{Tables: 10, ColsPerTable: 9, Depth: 2, Seed: 3, Rename: 0.3, Renest: 0.2})
+	for _, w := range []workloads.Workload{workloads.CIDXExcel(), workloads.University(), large} {
 		seq, seq2 := matchWithWorkers(t, w, 1)
 		par8, par8x2 := matchWithWorkers(t, w, 8)
 

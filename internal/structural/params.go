@@ -177,11 +177,25 @@ func (c *CompatTable) Set(a, b model.DataType, v float64) {
 	c[b][a] = v
 }
 
-// DefaultCompat builds the default compatibility table: 0.5 on the
-// diagonal; 0.45 within the numeric and temporal families; strings are
-// weakly compatible with everything (0.3) since text can encode any value;
-// untyped and "any" elements are treated like strings; identifiers pair
-// with each other; everything else defaults to 0.1.
+// defaultCompat is the read-only default table behind Params.Table, built
+// once instead of on every match.
+var defaultCompat = DefaultCompat()
+
+// Table returns the compatibility table a match runs with: Compat, or the
+// shared default when it is nil. The shared table is read-only — callers
+// that want to Set entries start from their own DefaultCompat copy.
+func (p Params) Table() *CompatTable {
+	if p.Compat != nil {
+		return p.Compat
+	}
+	return defaultCompat
+}
+
+// DefaultCompat builds a fresh copy of the default compatibility table:
+// 0.5 on the diagonal; 0.45 within the numeric and temporal families;
+// strings are weakly compatible with everything (0.3) since text can
+// encode any value; untyped and "any" elements are treated like strings;
+// identifiers pair with each other; everything else defaults to 0.1.
 func DefaultCompat() *CompatTable {
 	var c CompatTable
 	for a := model.DataType(0); a < model.NumDataTypes; a++ {

@@ -47,10 +47,7 @@ type matcher struct {
 // package derives it from element-level linguistic similarity. The
 // parameter set p should satisfy p.Validate().
 func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
-	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Compat}
-	if m.compat == nil {
-		m.compat = DefaultCompat()
-	}
+	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Table()}
 	ns, nt := ts.Len(), tt.Len()
 	m.res = &Result{SSim: matrix.New(ns, nt), WSim: matrix.New(ns, nt)}
 	m.touchedS = make([]bool, ns)
@@ -388,10 +385,7 @@ func (m *matcher) memoStore(s, t *schematree.Node, ls, lt []int, v float64) {
 // similarity of non-leaf nodes after they were first calculated). No
 // increase/decrease steps run during the second pass.
 func SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
-	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Compat, res: res}
-	if m.compat == nil {
-		m.compat = DefaultCompat()
-	}
+	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, res: res}
 	m.touchedS = make([]bool, ts.Len())
 	m.touchedT = make([]bool, tt.Len())
 	m.frontS = make([][]int, ts.Len())
