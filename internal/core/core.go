@@ -225,9 +225,10 @@ func (m *Matcher) applyInitialMapping(src, dst *model.Schema, elemLSim matrix.Ma
 }
 
 // liftToNodes turns an element-level similarity matrix into a node-level
-// one: every context copy of an element inherits the element's value.
-func liftToNodes(ts, tt *schematree.Tree, elem matrix.Matrix) matrix.Matrix {
-	out := matrix.New(ts.Len(), tt.Len())
+// one over buf's storage (matrix.Matrix.Reshape; a zero buf allocates):
+// every context copy of an element inherits the element's value.
+func liftToNodes(buf matrix.Matrix, ts, tt *schematree.Tree, elem matrix.Matrix) matrix.Matrix {
+	out := buf.Reshape(ts.Len(), tt.Len())
 	par.For(ts.Len(), func(i int) {
 		row := elem.Row(ts.Nodes[i].Elem.ID())
 		dst := out.Row(i)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/instance"
 	"repro/internal/linguistic"
 	"repro/internal/mapping"
+	"repro/internal/matrix"
 	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/schematree"
@@ -139,8 +140,18 @@ func (p *Prepared) pathTokens() []linguistic.TokenSet {
 // the per-schema validation/expansion/analysis phases. The result is
 // bit-identical to Match on the same schemas (Match is implemented on top
 // of Prepare + MatchPrepared; the determinism tests assert the
-// equivalence). Both artifacts must have been built by this Matcher.
+// equivalence). Both artifacts must have been built by this Matcher. The
+// temporaries it does not return (the element-level lsim table, TreeMatch
+// and SecondPass working memory) come from the pooled kernel scratch; the
+// matrices of the Result are always freshly allocated.
 func (m *Matcher) MatchPrepared(src, dst *Prepared) (*Result, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return m.matchPrepared(sc, src, dst)
+}
+
+// matchPrepared is MatchPrepared with its temporaries drawn from sc.
+func (m *Matcher) matchPrepared(sc *scratch, src, dst *Prepared) (*Result, error) {
 	res, err := m.newResult(src, dst)
 	if err != nil {
 		return nil, err
@@ -148,14 +159,15 @@ func (m *Matcher) MatchPrepared(src, dst *Prepared) (*Result, error) {
 	if m.cfg.Mode == ModeLinguisticOnly {
 		return m.matchLinguisticOnly(res, src.pathTokens(), dst.pathTokens())
 	}
-	sp, err := m.treeMatch(res, src, dst)
-	if err != nil {
+	res.Struct = new(structural.Result)
+	var sp structural.Params
+	if res.LSim, sp, err = m.treeMatch(sc, matrix.Matrix{}, res.Struct, src, dst); err != nil {
 		return nil, err
 	}
 	if m.cfg.Mapping.NonLeaves {
 		// Second post-order traversal (§7): leaf similarity updates during
 		// TreeMatch may have changed non-leaf structural similarity.
-		structural.SecondPass(res.Struct, src.tree, dst.tree, res.LSim, sp)
+		sc.tm.SecondPass(res.Struct, src.tree, dst.tree, res.LSim, sp)
 	}
 	res.WSim = res.Struct.WSim
 	res.Mapping = mapping.Generate(src.tree, dst.tree, res.Struct, res.LSim, m.cfg.Mapping)
@@ -176,33 +188,52 @@ func (m *Matcher) ScoreOnly() bool {
 // post-order and normalized by the larger tree's leaf count, which is
 // registry.Score of MatchPrepared(src, dst) bit for bit — at the cost
 // ranking needs: the pipeline stops after TreeMatch, with no SecondPass,
-// no mapping generation and no matrices kept. It requires ScoreOnly.
+// no mapping generation and no matrices kept. Every table it builds
+// (element and node lsim, ssim, wsim) and all of TreeMatch's working
+// memory come from one pooled kernel scratch, returned before MatchScore
+// does, so a warm call allocates only a handful of small objects. It
+// requires ScoreOnly.
 func (m *Matcher) MatchScore(src, dst *Prepared) (float64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return m.score(sc, src, dst)
+}
+
+// score is MatchScore with every table and all working memory drawn from
+// sc.
+func (m *Matcher) score(sc *scratch, src, dst *Prepared) (float64, error) {
 	if !m.ScoreOnly() {
 		return 0, fmt.Errorf("core: MatchScore needs full mode with 1:n mappings (use MatchPrepared)")
 	}
-	res, err := m.newResult(src, dst)
-	if err != nil {
+	if err := m.owns(src, dst); err != nil {
 		return 0, err
 	}
-	if _, err := m.treeMatch(res, src, dst); err != nil {
+	var err error
+	if sc.lsim, _, err = m.treeMatch(sc, sc.lsim, &sc.st, src, dst); err != nil {
 		return 0, err
 	}
 	leaves := max(src.tree.NumLeaves(), dst.tree.NumLeaves())
 	if leaves == 0 {
 		return 0, nil
 	}
-	return mapping.LeafWSimSum(src.tree, dst.tree, res.Struct.WSim, m.cfg.Mapping) / float64(leaves), nil
+	return mapping.LeafWSimSum(src.tree, dst.tree, sc.st.WSim, m.cfg.Mapping) / float64(leaves), nil
 }
 
-// newResult checks that both artifacts belong to this matcher and starts
-// their Result.
-func (m *Matcher) newResult(src, dst *Prepared) (*Result, error) {
+// owns checks that both artifacts exist and belong to this matcher.
+func (m *Matcher) owns(src, dst *Prepared) error {
 	if src == nil || dst == nil {
-		return nil, fmt.Errorf("core: nil prepared schema")
+		return fmt.Errorf("core: nil prepared schema")
 	}
 	if src.owner != m || dst.owner != m {
-		return nil, fmt.Errorf("core: prepared schema belongs to a different matcher (prepare and match with the same Matcher)")
+		return fmt.Errorf("core: prepared schema belongs to a different matcher (prepare and match with the same Matcher)")
+	}
+	return nil
+}
+
+// newResult checks the artifacts (owns) and starts their Result.
+func (m *Matcher) newResult(src, dst *Prepared) (*Result, error) {
+	if err := m.owns(src, dst); err != nil {
+		return nil, err
 	}
 	return &Result{
 		SourceTree: src.tree,
@@ -212,23 +243,25 @@ func (m *Matcher) newResult(src, dst *Prepared) (*Result, error) {
 	}, nil
 }
 
-// treeMatch runs the pipeline through TreeMatch into res (LSim and Struct)
-// and returns the structural parameters it ran under, which SecondPass
-// must reuse.
-func (m *Matcher) treeMatch(res *Result, src, dst *Prepared) (structural.Params, error) {
+// treeMatch runs the pipeline through TreeMatch. The node-level lsim is
+// built over lsim's storage (Reshape) and returned, TreeMatch writes its
+// matrices into st's storage, and the element-level lsim and TreeMatch's
+// working memory come from sc. It also returns the structural parameters
+// it ran under, which SecondPass must reuse.
+func (m *Matcher) treeMatch(sc *scratch, lsim matrix.Matrix, st *structural.Result, src, dst *Prepared) (matrix.Matrix, structural.Params, error) {
 	// Element-level lsim lifted to tree nodes (context copies inherit the
 	// similarity of their element — linguistic matching is unaffected by
 	// the graph-to-tree expansion, §8.2).
-	elemLSim := m.ling.LSim(res.SourceInfo, res.TargetInfo)
-	m.ling.BlendDescriptions(res.SourceInfo, res.TargetInfo, elemLSim, m.cfg.DescriptionWeight)
+	sc.elem = m.ling.LSimInto(sc.elem, src.info, dst.info)
+	m.ling.BlendDescriptions(src.info, dst.info, sc.elem, m.cfg.DescriptionWeight)
 	if m.cfg.Mode == ModeStructuralOnly {
-		elemLSim.Zero()
+		sc.elem.Zero()
 	}
 	sp := m.cfg.Structural
-	if err := m.applyInitialMapping(src.schema, dst.schema, elemLSim); err != nil {
-		return sp, err
+	if err := m.applyInitialMapping(src.schema, dst.schema, sc.elem); err != nil {
+		return lsim, sp, err
 	}
-	res.LSim = liftToNodes(src.tree, dst.tree, elemLSim)
+	lsim = liftToNodes(lsim, src.tree, dst.tree, sc.elem)
 
 	// Instance-aware leaf initialization: when BOTH artifacts carry value
 	// profiles, leaf pairs profiled on both sides blend observed-value
@@ -239,6 +272,6 @@ func (m *Matcher) treeMatch(res *Result, src, dst *Prepared) (structural.Params,
 	if len(src.profiles) > 0 && len(dst.profiles) > 0 {
 		sp.LeafCompat = leafCompatFn(src.profiles, dst.profiles, sp.Table())
 	}
-	res.Struct = structural.TreeMatch(src.tree, dst.tree, res.LSim, sp)
-	return sp, nil
+	sc.tm.TreeMatch(st, src.tree, dst.tree, lsim, sp)
+	return lsim, sp, nil
 }

@@ -365,20 +365,28 @@ func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
 //	lsim(m1,m2) = ns(m1,m2) · max{ns(c1,c2) : c1∈C1, c2∈C2 compatible}
 //
 // Similarity is zero for element pairs that share no compatible categories.
-// The result is indexed (elementID of a, elementID of b).
+// The result is indexed (elementID of a, elementID of b). LSim allocates
+// its result; LSimInto computes the same table into reusable storage.
+func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
+	return m.LSimInto(matrix.Matrix{}, a, b)
+}
+
+// LSimInto is LSim computed over dst's backing store (matrix.Matrix.Reshape:
+// dst is reused when it has the capacity, and the result then aliases it).
 //
 // Every ns goes through the matcher's name memo (memo.go): the names of a
 // and b are interned on their first LSim, and each distinct name pair's
 // NameSimTS is computed once per memo generation, then looked up. The
-// category scale is a dense element-by-element table (max is
-// order-independent), and the element rows fan out over the par worker
-// pool, each writing its own matrix row, so the result is bit-identical to
-// a sequential sweep of per-pair NameSimTS calls.
-func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
+// category scale of every element pair (max is order-independent) is built
+// in the result table itself and then multiplied in place by the pair's
+// name similarity, so the table is the only working memory. The element
+// rows fan out over the par worker pool, each writing its own matrix row,
+// so the result is bit-identical to a sequential sweep of per-pair
+// NameSimTS calls.
+func (m *Matcher) LSimInto(dst matrix.Matrix, a, b *SchemaInfo) matrix.Matrix {
 	sims := m.simsFor(a, b)
-	na, nb := a.Schema.Len(), b.Schema.Len()
+	lsim := dst.Reshape(a.Schema.Len(), b.Schema.Len())
 	// Scale per element pair: the best compatible category pair.
-	scale := make([]float64, na*nb)
 	for i, ca := range a.Categories {
 		for j, cb := range b.Categories {
 			ns := sims.category(a, b, i, j)
@@ -386,7 +394,7 @@ func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
 				continue
 			}
 			for _, ma := range ca.Members {
-				row := scale[ma*nb : (ma+1)*nb]
+				row := lsim.Row(ma)
 				for _, mb := range cb.Members {
 					if ns > row[mb] {
 						row[mb] = ns
@@ -395,12 +403,11 @@ func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
 			}
 		}
 	}
-	lsim := matrix.New(na, nb)
-	par.For(na, func(i int) {
-		out := lsim.Row(i)
-		for j, s := range scale[i*nb : (i+1)*nb] {
+	par.For(lsim.Rows(), func(i int) {
+		row := lsim.Row(i)
+		for j, s := range row {
 			if s > 0 {
-				out[j] = sims.element(a, b, i, j) * s
+				row[j] = sims.element(a, b, i, j) * s
 			}
 		}
 	})

@@ -262,28 +262,24 @@ func generateOneToN(ts, tt *schematree.Tree, res *structural.Result, lsim matrix
 // order of Mapping.Leaves), without building the mapping. For each eligible
 // target leaf the naive scheme's pick has the largest acceptable wsim —
 // the tie-breaks only choose among sources of equal wsim — so the sum needs
-// only the per-target maximum. It reads the leaf cells of wsim only, which
-// structural.SecondPass never changes.
+// only the per-target maximum, taken target by target over the source
+// leaves: no working memory at all. It reads the leaf cells of wsim only,
+// which structural.SecondPass never changes.
 func LeafWSimSum(ts, tt *schematree.Tree, wsim matrix.Matrix, opt Options) float64 {
-	best := make([]float64, tt.Len())
-	for i := range best {
-		best[i] = -1 // below every acceptable wsim (ThAccept >= 0)
-	}
-	for _, s := range ts.Nodes {
-		if !eligible(s, true, opt) {
+	srcLeaves := ts.Leaves(ts.Root)
+	sum := 0.0
+	for _, ti := range tt.Leaves(tt.Root) {
+		if !eligible(tt.Nodes[ti], true, opt) {
 			continue
 		}
-		row := wsim.Row(s.Idx)
-		for _, t := range tt.Nodes {
-			if w := row[t.Idx]; w >= opt.ThAccept && w > best[t.Idx] && eligible(t, true, opt) {
-				best[t.Idx] = w
+		best := -1.0 // below every acceptable wsim (ThAccept >= 0)
+		for _, si := range srcLeaves {
+			if w := wsim.At(si, ti); w >= opt.ThAccept && w > best && eligible(ts.Nodes[si], true, opt) {
+				best = w
 			}
 		}
-	}
-	sum := 0.0
-	for _, w := range best {
-		if w >= 0 {
-			sum += w
+		if best >= 0 {
+			sum += best
 		}
 	}
 	return sum

@@ -26,6 +26,25 @@ func New(rows, cols int) Matrix {
 	return Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// Reshape returns a zeroed rows×cols matrix over m's backing store when its
+// capacity suffices, and over a fresh allocation otherwise; in the first
+// case the result aliases m. It is how reusable working memory becomes a
+// matrix of a new shape: the zero Matrix has no capacity, so
+// Matrix{}.Reshape(r, c) is New(r, c).
+func (m Matrix) Reshape(rows, cols int) Matrix {
+	n := rows * cols
+	if cap(m.data) < n {
+		return New(rows, cols)
+	}
+	data := m.data[:n]
+	clear(data)
+	return Matrix{rows: rows, cols: cols, data: data}
+}
+
+// Cap returns the number of cells the backing store can hold without
+// reallocating.
+func (m Matrix) Cap() int { return cap(m.data) }
+
 // FromRows builds a Matrix by copying a [][]float64; it panics on ragged
 // input. Convenience for tests and callers migrating from the old
 // representation.

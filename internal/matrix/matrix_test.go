@@ -73,3 +73,30 @@ func TestEmpty(t *testing.T) {
 		t.Fatal("2x2 matrix reported Empty")
 	}
 }
+
+func TestReshapeReusesAndClears(t *testing.T) {
+	big := New(4, 5)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			big.Set(i, j, 1)
+		}
+	}
+	small := big.Reshape(3, 2)
+	if small.Rows() != 3 || small.Cols() != 2 || small.Cap() != big.Cap() {
+		t.Fatalf("Reshape(3, 2) = %dx%d cap %d, want 3x2 over the 20-cell store", small.Rows(), small.Cols(), small.Cap())
+	}
+	if !small.Equal(New(3, 2)) {
+		t.Fatalf("Reshape left stale cells: %v", small.Row(0))
+	}
+	small.Set(0, 0, 7)
+	if big.At(0, 0) != 7 {
+		t.Fatal("Reshape within capacity does not alias the backing store")
+	}
+	grown := small.Reshape(5, 5)
+	if grown.Cap() != 25 || !grown.Equal(New(5, 5)) {
+		t.Fatalf("Reshape past capacity: cap %d, want a fresh zeroed 25-cell store", grown.Cap())
+	}
+	if z := (Matrix{}).Reshape(2, 3); z.Rows() != 2 || z.Cols() != 3 || !z.Equal(New(2, 3)) {
+		t.Fatal("the zero Matrix does not reshape like New")
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/workloads"
@@ -278,10 +279,15 @@ func TestCrashInjectionMidCompaction(t *testing.T) {
 	oracleRanking := rankingOf(t, oracle, m)
 
 	// Build with compaction forced on every commit, then synthesize the
-	// crash states from a copy of the healthy directory.
+	// crash states from a copy of the healthy directory. Each op waits for
+	// the compaction it triggered: a commit arriving while a compaction
+	// is still writing skips its own, so a slow first compaction would
+	// otherwise leave one snapshot generation and nothing for the torn
+	// cell below to fall back to.
 	dir := t.TempDir()
 	p := newWAL(t, dir, PersistOptions{CompactBytes: 1})
 	for _, op := range ops {
+		base := p.ReplicationPos().Base
 		switch op.op {
 		case "put":
 			if _, _, err := p.RegisterSource(op.name, op.format, []byte(op.content)); err != nil {
@@ -292,6 +298,7 @@ func TestCrashInjectionMidCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		awaitCompaction(t, p, base)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -300,8 +307,12 @@ func TestCrashInjectionMidCompaction(t *testing.T) {
 	// Crash cell: newest snapshot torn mid-write (truncated) — recovery
 	// falls back to the prior generation plus both journal tails.
 	dirTorn := copyCrashDir(t, dir)
-	snaps := snapshotFiles(t, dirTorn)
-	newest := snaps[len(snaps)-1]
+	st := &Store{dir: dirTorn}
+	seqs := st.sequences()
+	if len(seqs) < 2 {
+		t.Fatalf("want two snapshot generations to tear the newest of, have %v", seqs)
+	}
+	newest := st.path(seqs[len(seqs)-1])
 	b, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -342,5 +353,19 @@ func TestCrashInjectionMidCompaction(t *testing.T) {
 	assertPrefixState(t, "stale journal leftover", rec3, oracle, oracleRanking, m)
 	if _, err := os.Stat(stalePath); !os.IsNotExist(err) {
 		t.Errorf("stale journal not cleaned up at recovery (stat err %v)", err)
+	}
+}
+
+// awaitCompaction waits until the journal has rotated past generation
+// base and the compaction that rotated it has written its snapshot.
+func awaitCompaction(t *testing.T, p *Persistent, base uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.ReplicationPos().Base <= base || p.Compacting() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no compaction past generation %d within 10s (at %d, compacting %v)",
+				base, p.ReplicationPos().Base, p.Compacting())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -54,6 +54,9 @@ type Node struct {
 	// on the path from the root to this leaf (-1 when none): the leaf is
 	// optional relative to ancestor a iff optDepth > a.Depth.
 	optDepth int
+	// leafLo and leafHi bound the subtree's leaves within Tree.leafIdx
+	// (leafIdx[leafLo:leafHi]); recorded by Build.
+	leafLo, leafHi int
 }
 
 // IsLeaf reports whether the node has no children.
@@ -103,12 +106,12 @@ func (t *Tree) Len() int { return len(t.Nodes) }
 func (t *Tree) NumLeaves() int { return len(t.leafIdx) }
 
 // Leaves returns the post-order indexes of the leaves in the subtree
-// rooted at n, ascending. The slice aliases internal storage; do not
-// modify.
+// rooted at n, ascending; for a leaf, the one-element slice of its own
+// index. Build records every subtree's range of the tree's leaf list, so
+// this is a slice expression: O(1), allocation-free. The slice aliases
+// internal storage; do not modify.
 func (t *Tree) Leaves(n *Node) []int {
-	lo := sort.SearchInts(t.leafIdx, n.SubFirst)
-	hi := sort.SearchInts(t.leafIdx, n.Idx+1)
-	return t.leafIdx[lo:hi]
+	return t.leafIdx[n.leafLo:n.leafHi:n.leafHi]
 }
 
 // LeafCount returns the number of leaves under n (n itself when a leaf).
@@ -404,7 +407,7 @@ func (b *builder) copySubtree(orig *Node, parent *Node) *Node {
 }
 
 // finalize assigns post-order indexes, depths, subtree ranges, leaf lists
-// and per-leaf optional depths.
+// (with every node's range of them) and per-leaf optional depths.
 func (b *builder) finalize() {
 	t := b.tree
 	t.Nodes = t.Nodes[:0]
@@ -415,7 +418,7 @@ func (b *builder) finalize() {
 		if n.Elem.Optional {
 			deepOpt = depth
 		}
-		first := len(t.Nodes)
+		first, leafLo := len(t.Nodes), len(t.leafIdx)
 		for _, c := range n.Children {
 			f := walk(c, depth+1, deepOpt)
 			if f < first {
@@ -429,6 +432,7 @@ func (b *builder) finalize() {
 			t.leafIdx = append(t.leafIdx, n.Idx)
 		}
 		n.SubFirst = first
+		n.leafLo, n.leafHi = leafLo, len(t.leafIdx)
 		t.Nodes = append(t.Nodes, n)
 		return first
 	}

@@ -2,10 +2,13 @@ package schematree
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/workloads"
 )
 
 // buildShared builds the paper's §8.2 example: PurchaseOrder where Address
@@ -401,5 +404,51 @@ func TestTreeInvariants(t *testing.T) {
 	// Root covers everything.
 	if tr.Root.Idx != tr.Len()-1 || tr.Root.SubFirst != 0 {
 		t.Error("root range wrong")
+	}
+}
+
+// TestLeavesMatchesSubtreeRangeSearch: the leaf range Build records per
+// node must give exactly the slice the subtree range [SubFirst, Idx]
+// selects from the tree's leaf list by binary search, for every node of
+// synthetic trees (with foreign keys), a family corpus, join views (RDB,
+// Star) and type substitution (CIDX/Excel, the shared-type PO).
+func TestLeavesMatchesSubtreeRangeSearch(t *testing.T) {
+	schemas := []*model.Schema{workloads.CIDX(), workloads.Excel(), workloads.RDB(), workloads.Star()}
+	for _, w := range []workloads.Workload{
+		workloads.SharedTypePO(),
+		workloads.Synthetic(workloads.SyntheticSpec{Tables: 6, ColsPerTable: 7, Depth: 3, Seed: 4, Rename: 0.3, Renest: 0.3, FKs: 3}),
+		workloads.Synthetic(workloads.SyntheticSpec{Tables: 2, ColsPerTable: 1, Depth: 1, Seed: 1}),
+	} {
+		schemas = append(schemas, w.Source, w.Target)
+	}
+	schemas = append(schemas, workloads.FamilyCorpus(workloads.FamilyCorpusSpec{Families: 3, PerFamily: 3, Seed: 5})...)
+	s, _ := buildShared(t)
+	schemas = append(schemas, s)
+
+	joinViews, copies := 0, 0
+	for _, s := range schemas {
+		tr, err := Build(s, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		var leaves []int
+		for _, n := range tr.Nodes {
+			if n.IsLeaf() {
+				leaves = append(leaves, n.Idx)
+			}
+		}
+		for _, n := range tr.Nodes {
+			lo := sort.SearchInts(leaves, n.SubFirst)
+			hi := sort.SearchInts(leaves, n.Idx+1)
+			if got, want := tr.Leaves(n), leaves[lo:hi]; !slices.Equal(got, want) {
+				t.Fatalf("%s: Leaves(%s) = %v, subtree range gives %v", s.Name, n.Path(), got, want)
+			}
+		}
+		st := tr.ComputeStats()
+		joinViews += st.JoinViews
+		copies += st.Copies
+	}
+	if joinViews == 0 || copies == 0 {
+		t.Fatalf("the trees cover %d join views and %d context copies, want both", joinViews, copies)
 	}
 }

@@ -42,29 +42,42 @@ type matcher struct {
 	frontS, frontT [][]int
 }
 
+// Scratch is reusable working memory for TreeMatch and SecondPass: the
+// per-node touched flags and basis slices, grown to the largest trees it
+// has served and reused (cleared) on every call. The zero value is ready
+// to use; a Scratch must not be used by two calls at once. It keeps no
+// reference to trees, matrices or results once a call returns.
+type Scratch struct {
+	m matcher
+}
+
 // TreeMatch runs the algorithm of Figure 3 over two expanded schema trees.
 // lsim must be indexed by node post-order indexes ([sIdx][tIdx]); the core
 // package derives it from element-level linguistic similarity. The
-// parameter set p should satisfy p.Validate().
+// parameter set p should satisfy p.Validate(). TreeMatch allocates its
+// result and working memory; Scratch.TreeMatch runs the same algorithm on
+// reused memory.
 func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
-	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Table()}
+	res := new(Result)
+	new(Scratch).TreeMatch(res, ts, tt, lsim, p)
+	return res
+}
+
+// TreeMatch is the package-level TreeMatch with its working memory drawn
+// from sc and its result written into res: res.SSim and res.WSim are
+// reshaped over their own storage (matrix.Matrix.Reshape, so a zero Result
+// gets fresh matrices and a reused one keeps its capacity), and the
+// statistics restart from zero.
+func (sc *Scratch) TreeMatch(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
 	ns, nt := ts.Len(), tt.Len()
-	m.res = &Result{SSim: matrix.New(ns, nt), WSim: matrix.New(ns, nt)}
-	m.touchedS = make([]bool, ns)
-	m.touchedT = make([]bool, nt)
+	*res = Result{SSim: res.SSim.Reshape(ns, nt), WSim: res.WSim.Reshape(ns, nt)}
+	m := sc.start(res, ts, tt, lsim, p)
+	defer sc.release()
 	// The lazy memo's copy-invariance argument holds for the leaf basis
 	// only (frontier and children bases include non-leaf cells whose
 	// values are not copy-invariant), so it is disabled otherwise.
 	if p.LazyMemo && p.StructuralBasis == BasisLeaves && p.FrontierDepth == 0 {
 		m.memo = map[[2]string]float64{}
-	}
-	m.frontS = make([][]int, ns)
-	m.frontT = make([][]int, nt)
-	for _, n := range ts.Nodes {
-		m.frontS[n.Idx] = m.basis(ts, n)
-	}
-	for _, n := range tt.Nodes {
-		m.frontT[n.Idx] = m.basis(tt, n)
 	}
 
 	// Phase 1: initialize leaf structural similarity from the data-type
@@ -75,11 +88,11 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 	par.For(len(srcLeaves), func(i int) {
 		si := srcLeaves[i]
 		se := ts.Nodes[si].Elem
-		row := m.res.SSim.Row(si)
+		row := res.SSim.Row(si)
 		for _, ti := range tgtLeaves {
 			te := tt.Nodes[ti].Elem
-			if p.LeafCompat != nil {
-				if v, ok := p.LeafCompat(se, te); ok {
+			if m.p.LeafCompat != nil {
+				if v, ok := m.p.LeafCompat(se, te); ok {
 					row[ti] = v
 					continue
 				}
@@ -102,22 +115,67 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 	// (reads final ssim/lsim, writes disjoint wsim rows).
 	par.For(len(srcLeaves), func(i int) {
 		si := srcLeaves[i]
-		wRow := m.res.WSim.Row(si)
+		wRow := res.WSim.Row(si)
 		for _, ti := range tgtLeaves {
 			wRow[ti] = m.wsimLeaf(si, ti)
 		}
 	})
-	return m.res
+}
+
+// start readies sc's matcher for one call: cleared touched flags and the
+// basis of every node of both trees, in the scratch's reused storage.
+func (sc *Scratch) start(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *matcher {
+	m := &sc.m
+	*m = matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Table(), res: res,
+		touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT}
+	m.touchedS = resetFlags(m.touchedS, ts.Len())
+	m.touchedT = resetFlags(m.touchedT, tt.Len())
+	m.frontS = m.bases(m.frontS, ts)
+	m.frontT = m.bases(m.frontT, tt)
+	return m
+}
+
+// release drops every reference the finished call left in sc, keeping
+// only the reusable storage.
+func (sc *Scratch) release() {
+	m := &sc.m
+	clear(m.frontS)
+	clear(m.frontT)
+	*m = matcher{touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT}
+}
+
+// resetFlags returns buf resized to n cleared flags, reallocating only when
+// its capacity falls short.
+func resetFlags(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// bases returns buf resized to tr's node count, holding every node's basis
+// (indexed by post-order index).
+func (m *matcher) bases(buf [][]int, tr *schematree.Tree) [][]int {
+	if cap(buf) < tr.Len() {
+		buf = make([][]int, tr.Len())
+	}
+	buf = buf[:tr.Len()]
+	for _, n := range tr.Nodes {
+		buf[n.Idx] = m.basis(tr, n)
+	}
+	return buf
 }
 
 // basis returns the descendant set that drives structural similarity for a
 // node: its leaves (default), its depth-k frontier, or its immediate
-// children (ablation). For a leaf it is the node itself.
+// children (ablation). For a leaf it is the node itself — the tree's own
+// one-element leaf range, so the default basis never allocates.
 func (m *matcher) basis(tr *schematree.Tree, n *schematree.Node) []int {
-	if n.IsLeaf() {
-		return []int{n.Idx}
-	}
 	switch {
+	case n.IsLeaf():
+		return tr.Leaves(n)
 	case m.p.StructuralBasis == BasisChildren:
 		out := make([]int, len(n.Children))
 		for i, c := range n.Children {
@@ -383,19 +441,17 @@ func (m *matcher) memoStore(s, t *schematree.Node, ls, lt []int, v float64) {
 // non-leaf pairs from the final leaf similarities (paper §7: the updating
 // of leaf similarities during tree match may affect the structural
 // similarity of non-leaf nodes after they were first calculated). No
-// increase/decrease steps run during the second pass.
+// increase/decrease steps run during the second pass. SecondPass
+// allocates its working memory; Scratch.SecondPass reuses it.
 func SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
-	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, res: res}
-	m.touchedS = make([]bool, ts.Len())
-	m.touchedT = make([]bool, tt.Len())
-	m.frontS = make([][]int, ts.Len())
-	m.frontT = make([][]int, tt.Len())
-	for _, n := range ts.Nodes {
-		m.frontS[n.Idx] = m.basis(ts, n)
-	}
-	for _, n := range tt.Nodes {
-		m.frontT[n.Idx] = m.basis(tt, n)
-	}
+	new(Scratch).SecondPass(res, ts, tt, lsim, p)
+}
+
+// SecondPass is the package-level SecondPass with its working memory drawn
+// from sc.
+func (sc *Scratch) SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
+	m := sc.start(res, ts, tt, lsim, p)
+	defer sc.release()
 	for _, s := range ts.Nodes {
 		for _, t := range tt.Nodes {
 			if s.IsLeaf() && t.IsLeaf() {

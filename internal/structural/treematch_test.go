@@ -1,6 +1,7 @@
 package structural
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/matrix"
@@ -334,27 +335,31 @@ func TestOptionalDiscount(t *testing.T) {
 	}
 }
 
+// sharedAddressPO builds a PO whose ShipTo and BillTo share one Address
+// type: duplicated subtrees, on which the lazy memo hits.
+func sharedAddressPO(t *testing.T) *model.Schema {
+	t.Helper()
+	s := model.New("PO")
+	addr := s.AddChild(s.Root(), "Address", model.KindType)
+	s.AddChild(addr, "Street", model.KindColumn).Type = model.DTString
+	s.AddChild(addr, "City", model.KindColumn).Type = model.DTString
+	s.AddChild(addr, "Zip", model.KindColumn).Type = model.DTString
+	ship := s.AddChild(s.Root(), "ShipTo", model.KindElement)
+	bill := s.AddChild(s.Root(), "BillTo", model.KindElement)
+	if err := s.DeriveFrom(ship, addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeriveFrom(bill, addr); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestLazyMemoIdenticalResults: lazy expansion is an optimization only —
 // results must match the eager computation bit for bit, and it must
 // actually hit its memo on a schema with shared types.
 func TestLazyMemoIdenticalResults(t *testing.T) {
-	build := func() *model.Schema {
-		s := model.New("PO")
-		addr := s.AddChild(s.Root(), "Address", model.KindType)
-		s.AddChild(addr, "Street", model.KindColumn).Type = model.DTString
-		s.AddChild(addr, "City", model.KindColumn).Type = model.DTString
-		s.AddChild(addr, "Zip", model.KindColumn).Type = model.DTString
-		ship := s.AddChild(s.Root(), "ShipTo", model.KindElement)
-		bill := s.AddChild(s.Root(), "BillTo", model.KindElement)
-		if err := s.DeriveFrom(ship, addr); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DeriveFrom(bill, addr); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	ts, tt := mustTree(t, build()), mustTree(t, build())
+	ts, tt := mustTree(t, sharedAddressPO(t)), mustTree(t, sharedAddressPO(t))
 	lsim := lsimByName(ts, tt, nil)
 
 	p := DefaultParams()
@@ -454,6 +459,49 @@ func TestDeterminism(t *testing.T) {
 			if a.WSim.At(i, j) != b.WSim.At(i, j) {
 				t.Fatalf("nondeterministic wsim at %d,%d", i, j)
 			}
+		}
+	}
+}
+
+// TestScratchReuseMatchesFresh runs TreeMatch and SecondPass for a
+// sequence of pairs through one Scratch and one reused Result — large,
+// then the small shared-type pair under the lazy memo (whose hits depend
+// on cleared touched flags), then large again — and requires matrices and
+// statistics identical to the allocating forms.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	wide := model.New("Wide")
+	for i := 0; i < 6; i++ {
+		tbl := wide.AddChild(wide.Root(), fmt.Sprintf("T%d", i), model.KindTable)
+		for j := 0; j < 8; j++ {
+			wide.AddChild(tbl, fmt.Sprintf("C%d", (i+j)%10), model.KindColumn).Type = model.DTInt
+		}
+	}
+	large := mustTree(t, wide)
+	shared := mustTree(t, sharedAddressPO(t))
+	lazy := DefaultParams()
+	lazy.LazyMemo = true
+	if TreeMatch(shared, shared, lsimByName(shared, shared, nil), lazy).MemoHits == 0 {
+		t.Fatal("the shared-type pair records no memo hits: the sequence would not cover the touched flags")
+	}
+	type pair struct {
+		ts, tt *schematree.Tree
+		p      Params
+	}
+	seq := []pair{{large, large, DefaultParams()}, {shared, shared, lazy}, {large, shared, lazy}, {shared, shared, lazy}, {large, large, lazy}}
+	var sc Scratch
+	var res Result
+	for i, c := range seq {
+		lsim := lsimByName(c.ts, c.tt, nil)
+		want := TreeMatch(c.ts, c.tt, lsim, c.p)
+		sc.TreeMatch(&res, c.ts, c.tt, lsim, c.p)
+		stats := func(r *Result) [4]int { return [4]int{r.Comparisons, r.Pruned, r.MemoHits, r.Shortcuts} }
+		if !res.SSim.Equal(want.SSim) || !res.WSim.Equal(want.WSim) || stats(&res) != stats(want) {
+			t.Fatalf("pair %d: TreeMatch on a reused scratch differs (stats %v, fresh %v)", i, stats(&res), stats(want))
+		}
+		SecondPass(want, c.ts, c.tt, lsim, c.p)
+		sc.SecondPass(&res, c.ts, c.tt, lsim, c.p)
+		if !res.SSim.Equal(want.SSim) || !res.WSim.Equal(want.WSim) || stats(&res) != stats(want) {
+			t.Fatalf("pair %d: SecondPass on a reused scratch differs (stats %v, fresh %v)", i, stats(&res), stats(want))
 		}
 	}
 }

@@ -6,6 +6,7 @@ package cupid_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/linguistic"
 	"repro/internal/matrix"
 	"repro/internal/par"
@@ -135,6 +136,13 @@ func BenchmarkLSimWarm(b *testing.B) {
 	}
 }
 
+// allocWorkload is the mid-size synthetic pair of the allocation pins.
+func allocWorkload() workloads.Workload {
+	return workloads.Synthetic(workloads.SyntheticSpec{
+		Tables: 4, ColsPerTable: 8, Depth: 2, Seed: 2, Rename: 0.3, Renest: 0.2,
+	})
+}
+
 // allocFixture builds the mid-size synthetic schema pair used by the
 // allocation-regression assertions (41 elements per side with the default
 // spec: big enough that a per-row or per-call allocation regression is
@@ -142,9 +150,7 @@ func BenchmarkLSimWarm(b *testing.B) {
 func allocFixture(tb testing.TB) (lm *linguistic.Matcher, a, c *linguistic.SchemaInfo,
 	ts, tt *schematree.Tree, lsim matrix.Matrix) {
 	tb.Helper()
-	w := workloads.Synthetic(workloads.SyntheticSpec{
-		Tables: 4, ColsPerTable: 8, Depth: 2, Seed: 2, Rename: 0.3, Renest: 0.2,
-	})
+	w := allocWorkload()
 	lm = linguistic.NewMatcher(workloads.PaperThesaurus())
 	a = lm.Analyze(w.Source)
 	c = lm.Analyze(w.Target)
@@ -167,11 +173,12 @@ func allocFixture(tb testing.TB) (lm *linguistic.Matcher, a, c *linguistic.Schem
 
 // TestAllocRegressions pins the allocation behaviour of the hot paths on a
 // mid-size synthetic schema. Bounds carry ~2x headroom over the measured
-// values (0, 4, 75 at the time of writing), so incidental churn passes
-// but reintroducing a per-call or per-row allocation (e.g. ByType
+// values (0, 3, 10 and 5 at the time of writing), so incidental churn
+// passes but reintroducing a per-call or per-row allocation (e.g. ByType
 // re-filtering, [][]float64 row allocation, an allocating name-memo
-// lookup) fails loudly. Runs with one worker so the goroutine machinery of
-// the parallel path is not counted.
+// lookup, a per-leaf basis slice, kernel working memory outside the pooled
+// scratch) fails loudly. Runs with one worker so the goroutine machinery
+// of the parallel path is not counted.
 func TestAllocRegressions(t *testing.T) {
 	prev := par.SetMaxWorkers(1)
 	defer par.SetMaxWorkers(prev)
@@ -185,17 +192,46 @@ func TestAllocRegressions(t *testing.T) {
 	}
 
 	// A warm name-memo lookup allocates nothing: on a warm memo LSim
-	// allocates the same handful of per-call buffers (matrix, scale table)
-	// whether the pair needs few name lookups or many.
+	// allocates the same handful of per-call objects (the table, the row
+	// closure) whether the pair needs few name lookups or many.
 	lm.LSim(a, a) // memoize the self-pair; the fixture already ran (a, c)
 	few := testing.AllocsPerRun(10, func() { lm.LSim(a, c) })
 	many := testing.AllocsPerRun(10, func() { lm.LSim(a, a) })
-	if few != many || few > 8 {
-		t.Errorf("warm LSim allocates %.1f and %.1f objects/op for different lookup counts, want the same <= 8", few, many)
+	if few != many || few > 6 {
+		t.Errorf("warm LSim allocates %.1f and %.1f objects/op for different lookup counts, want the same <= 6", few, many)
 	}
 
 	p := structural.DefaultParams()
-	if got := testing.AllocsPerRun(10, func() { structural.TreeMatch(ts, tt, lsim, p) }); got > 150 {
-		t.Errorf("TreeMatch allocates %.1f objects/op, want <= 150", got)
+	if got := testing.AllocsPerRun(10, func() { structural.TreeMatch(ts, tt, lsim, p) }); got > 20 {
+		t.Errorf("TreeMatch allocates %.1f objects/op, want <= 20", got)
+	}
+
+	// A warm MatchScore draws every table and all TreeMatch working
+	// memory from the pooled kernel scratch: the same few objects per
+	// candidate on a small pair as on the mid-size one.
+	m, err := core.NewMatcher(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := func(w workloads.Workload) float64 {
+		src, err := m.Prepare(w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := m.Prepare(w.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := m.MatchScore(src, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the name memo and the pool
+		return testing.AllocsPerRun(100, run)
+	}
+	small, mid := score(workloads.Figure2()), score(allocWorkload())
+	if small != mid || small > 8 {
+		t.Errorf("warm MatchScore allocates %.1f (small pair) and %.1f (mid-size pair) objects/op, want the same <= 8", small, mid)
 	}
 }
