@@ -1,8 +1,9 @@
 #!/bin/sh
-# check.sh — the repository's `make check` equivalent: the same gate that
-# `cupidbench -exp bench` runs before recording benchmarks, runnable
-# standalone and from CI (.github/workflows/ci.yml). Fails on formatting
-# drift before anything else so BENCH_cupid.json and reviews never see
+# check.sh — the repository's `make check` equivalent, runnable
+# standalone and from CI (.github/workflows/ci.yml and the nightly
+# suite): gofmt, vet, docs and tests first, then the cupidbench gates, so
+# BENCH_cupid.json is only recorded from a tree that passes them. Fails
+# on formatting drift before anything else so reviews never see
 # unformatted sources.
 #
 # CI conveniences:

@@ -3,19 +3,13 @@ package main
 // The bench experiment: a sequential-vs-parallel perf trajectory for the
 // whole Match pipeline plus the repository workloads (1-vs-K prepared
 // batch, 1-vs-200 pruned retrieval and 1-vs-2000 indexed retrieval),
-// written to
-// BENCH_cupid.json so future PRs have a baseline to compare against,
-// plus a self-check that keeps `go vet`, the -race determinism tests,
-// gofmt and the doc-presence gate green before any number is trusted.
+// merged into BENCH_cupid.json so future changes have a baseline to
+// compare against. CI records numbers only after its check job
+// (check.sh's gofmt, vet and doc gates plus the -race suites) passes.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
 	"runtime"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -106,60 +100,6 @@ type IndexPoint struct {
 	PrunedRecallAtK float64 `json:"pruned_recall_at_k"`
 }
 
-// BenchReport is the file format of BENCH_cupid.json.
-type BenchReport struct {
-	GeneratedUnix int64        `json:"generated_unix"`
-	GoMaxProcs    int          `json:"go_maxprocs"`
-	NumCPU        int          `json:"num_cpu"`
-	Workers       int          `json:"workers"`
-	Note          string       `json:"note"`
-	Points        []BenchPoint `json:"points"`
-	// Batch is the 1-vs-K repository workload (the registry's raison
-	// d'être): prepared matching must beat K independent Match calls on
-	// both time and allocations.
-	Batch *BatchPoint `json:"batch,omitempty"`
-	// Prune is the big-repository retrieval workload: signature-based
-	// candidate pruning must beat the exhaustive scan on time with
-	// recall@K = 1.0.
-	Prune *PrunePoint `json:"prune,omitempty"`
-	// Index is the 1-vs-2000 retrieval workload: the sharded token
-	// inverted index must beat the pruned scan on time with recall@10 >=
-	// 0.98 against the exact scan.
-	Index *IndexPoint `json:"index,omitempty"`
-	// Overload is the serving-layer saturation sweep (-exp overload):
-	// closed-loop mixed traffic at 1x/2x/4x capacity through the
-	// admission-controlled frontend, plus the match cache's warm-vs-cold
-	// cell. Gated: goodput at 2x >= 0.8x capacity, the 2x p99 bounded by
-	// queue-wait + 5x the 1x p99, cache-warm >= 10x cold.
-	Overload *OverloadPoint `json:"overload,omitempty"`
-	// Planner is the planner-vs-static retrieval workload (-exp planner):
-	// the stats-driven adaptive planner against every static policy at
-	// three FamilyCorpus scales. Gated: planned recall@10 exactly 1.0,
-	// planned aggregate sweep time never above any static policy, and an
-	// allocation-free planning step.
-	Planner *PlannerPoint `json:"planner,omitempty"`
-	// Cluster is the scale-out workload (-exp cluster): scatter-gather
-	// scaling over 1/2/4 consistent-hash shards (critical-path timing),
-	// merged-ranking recall through the router's merge, and the
-	// killed-and-restarted replica convergence cell. Gated: >= 1.6x
-	// aggregate matches/sec from 1 to 4 shards, merged recall@10
-	// exactly 1.0, byte-identical replica rankings.
-	Cluster *ClusterPoint `json:"cluster,omitempty"`
-	// Corpus is the corpus-clustering workload (-exp corpus): family-routed
-	// retrieval vs the flat indexed path on a clustered 10k FamilyCorpus
-	// registry, plus clustering durability. Gated: the family sweep beats
-	// flat indexed, family recall@10 >= 0.98 vs the exhaustive scan, and a
-	// restarted node and a replication follower both serve byte-identical
-	// clustering bytes.
-	Corpus *CorpusPoint `json:"corpus,omitempty"`
-	// CrossFormat is the generic-model fan-in workload (-exp crossformat):
-	// cross-format self-match over the examples/crossformat corpus plus
-	// the instance tie-break cell on byte-identical DDL. Gated: self-match
-	// top-1 >= 0.95, cross-format recall@10 exactly 1.0, and instance
-	// blending strictly beating name-only top-1 on the ambiguous corpus.
-	CrossFormat *CrossFormatPoint `json:"crossformat,omitempty"`
-}
-
 // benchSpecs is the sweep measured by -exp bench: the eval scalability
 // specs plus one larger workload so the trajectory has a point where the
 // quadratic phases clearly dominate.
@@ -171,103 +111,22 @@ func benchSpecs() []workloads.SyntheticSpec {
 	return specs
 }
 
-// selfCheck runs `go vet ./...` and the -race determinism tests of the
-// parallelized packages before benchmarking, so a reported speedup can
-// never come from a racy (hence potentially wrong) build. Gated on the go
-// toolchain being installed; the bench binary may run on machines without
-// it.
-func selfCheck() error {
-	if _, err := exec.LookPath("go"); err != nil {
-		fmt.Println("bench self-check: go toolchain not found, skipping vet/race checks")
-		return nil
+// withWorkers is op run under a worker cap of n (0 = the default pool),
+// restoring the previous cap after each call.
+func withWorkers(n int, op func() error) func() error {
+	return func() error {
+		prev := par.SetMaxWorkers(n)
+		defer par.SetMaxWorkers(prev)
+		return op()
 	}
-	// The checks operate on the module in the current directory; an
-	// installed binary run from elsewhere has no sources to check.
-	if _, err := os.Stat("go.mod"); err != nil {
-		fmt.Println("bench self-check: no go.mod in current directory, skipping vet/race checks (run from the repo root to enable)")
-		return nil
-	}
-	steps := [][]string{
-		{"go", "vet", "./..."},
-		{"go", "test", "-race", "-count=1", "./internal/linguistic", "./internal/structural", "./internal/registry", "./internal/index"},
-	}
-	for _, args := range steps {
-		fmt.Printf("bench self-check: %v\n", args)
-		cmd := exec.Command(args[0], args[1:]...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("bench self-check failed (%v): %w", args, err)
-		}
-	}
-	// Doc-presence gate: the entry-point documentation (README, the
-	// architecture and API references) is part of the contract ./check.sh
-	// enforces; benchmarks are only recorded from a tree that carries it.
-	for _, f := range []string{"README.md", "docs/ARCHITECTURE.md", "docs/API.md", "docs/PERSISTENCE.md"} {
-		if _, err := os.Stat(f); err != nil {
-			return fmt.Errorf("bench self-check: required documentation missing: %s", f)
-		}
-	}
-	// Formatting gate: benchmarks are only recorded from a gofmt-clean
-	// tree, so BENCH_cupid.json never snapshots drifting sources (the
-	// standalone ./check.sh runs the same gate).
-	if _, err := exec.LookPath("gofmt"); err != nil {
-		fmt.Println("bench self-check: gofmt not found, skipping format gate")
-		return nil
-	}
-	fmt.Println("bench self-check: gofmt -l .")
-	out, err := exec.Command("gofmt", "-l", ".").Output()
-	if err != nil {
-		return fmt.Errorf("bench self-check: gofmt: %w", err)
-	}
-	if dirty := strings.TrimSpace(string(out)); dirty != "" {
-		return fmt.Errorf("bench self-check: gofmt needed on:\n%s", dirty)
-	}
-	return nil
-}
-
-// timeOp times op (one warm-up call, then repeats until minDuration),
-// returning ns/op and heap-objects/op.
-func timeOp(op func() error) (nsPerOp, allocsPerOp int64, err error) {
-	// Warm-up run (page in schemas, thesaurus, code paths).
-	if err = op(); err != nil {
-		return 0, 0, err
-	}
-	const minDuration = 300 * time.Millisecond
-	const minIters = 3
-	var ms0, ms1 runtime.MemStats
-	iters := 0
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for time.Since(start) < minDuration || iters < minIters {
-		if err = op(); err != nil {
-			return 0, 0, err
-		}
-		iters++
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	return elapsed.Nanoseconds() / int64(iters), int64(ms1.Mallocs-ms0.Mallocs) / int64(iters), nil
-}
-
-// measure times the full pipeline on one workload at the given worker cap.
-// Each iteration builds a fresh Matcher (cold caches), matching how the
-// eval harness runs.
-func measure(w workloads.Workload, cfg core.Config, workers int) (nsPerOp, allocsPerOp int64, err error) {
-	prev := par.SetMaxWorkers(workers)
-	defer par.SetMaxWorkers(prev)
-	return timeOp(func() error {
-		_, _, err := eval.RunCupid(w, cfg)
-		return err
-	})
 }
 
 // batchK is the repository size of the batch workload: one probe schema
-// against K=50 prepared schemas (the ISSUE acceptance criterion).
+// against K=50 prepared schemas.
 const batchK = 50
 
 // runBatch measures the repository workload. The naive baseline issues K
-// independent Match calls on a shared matcher — today's API, which
+// independent Match calls on a shared matcher — the pairwise API, which
 // re-validates, re-expands and re-analyzes the probe and the stored
 // schema on every call. The prepared path registers the repository once
 // (outside the timed loop; that is the point of the registry), then pays
@@ -286,59 +145,52 @@ func runBatch(cfg core.Config) (*BatchPoint, error) {
 		repo[i] = s
 		repoElements += s.Len()
 	}
-
 	naive, err := core.NewMatcher(cfg)
 	if err != nil {
 		return nil, err
 	}
-	naiveNs, naiveAllocs, err := timeOp(func() error {
-		for _, s := range repo {
-			if _, err := naive.Match(probe, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	reg, err := registry.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range repo {
-		if _, _, err := reg.Register(s.Name, s); err != nil {
-			return nil, err
-		}
+	if err := registerCorpus(repo, func(*model.Schema) *registry.Registry { return reg }); err != nil {
+		return nil, err
 	}
-	prepNs, prepAllocs, err := timeOp(func() error {
-		p, err := reg.Matcher().Prepare(probe)
-		if err != nil {
+	t, err := timeArms(
+		func() error {
+			for _, s := range repo {
+				if _, err := naive.Match(probe, s); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func() error {
+			p, err := reg.Matcher().Prepare(probe)
+			if err != nil {
+				return err
+			}
+			_, err = reg.MatchAll(p, 0)
 			return err
-		}
-		_, err = reg.MatchAll(p, 0)
-		return err
-	})
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
-
 	return &BatchPoint{
 		K:                   batchK,
 		ProbeElements:       probe.Len(),
 		RepoElements:        repoElements,
-		NaiveNsPerOp:        naiveNs,
-		PreparedNsPerOp:     prepNs,
-		NaiveAllocsPerOp:    naiveAllocs,
-		PreparedAllocsPerOp: prepAllocs,
-		Speedup:             float64(naiveNs) / float64(prepNs),
+		NaiveNsPerOp:        t[0].ns,
+		PreparedNsPerOp:     t[1].ns,
+		NaiveAllocsPerOp:    t[0].allocs,
+		PreparedAllocsPerOp: t[1].allocs,
+		Speedup:             float64(t[0].ns) / float64(t[1].ns),
 	}, nil
 }
 
 // pruneK is the repository size of the pruning workload and pruneTopK the
-// requested ranking depth (the ISSUE acceptance criterion: 1-vs-200,
-// recall@K = 1.0).
+// requested ranking depth (1-vs-200, recall@K = 1.0).
 const (
 	pruneK    = 200
 	pruneTopK = 10
@@ -351,80 +203,47 @@ const (
 // signature-ranked candidates. Besides timing, it verifies recall: the
 // pruned top-K must be element-for-element the exhaustive top-K.
 func runPrune(cfg core.Config) (*PrunePoint, error) {
-	reg, err := registry.New(cfg)
+	reg, err := familyRegistry(cfg, pruneK, 11)
 	if err != nil {
 		return nil, err
 	}
-	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: pruneK / 10, Seed: 11})
-	for _, s := range corpus {
-		if _, _, err := reg.Register(s.Name, s); err != nil {
-			return nil, err
-		}
-	}
-	probe, err := reg.Matcher().Prepare(workloads.FamilyProbe(3, 42))
+	probes, err := prepareProbes(reg.Matcher(), []*model.Schema{workloads.FamilyProbe(3, 42)})
 	if err != nil {
 		return nil, err
 	}
 	opt := registry.DefaultPruneOptions()
-	plan := registry.PlanOptions{Force: registry.StrategyPruned, Prune: opt}
-
-	full, err := reg.MatchAll(probe, pruneTopK)
-	if err != nil {
-		return nil, err
-	}
-	pruned, _, err := reg.Match(probe, pruneTopK, plan)
+	var full, pruned [][]registry.Ranked
+	t, err := timeArms(
+		sweepArm(probes, retrieval(reg, pruneTopK, exactPlan), &full),
+		sweepArm(probes, retrieval(reg, pruneTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: opt}), &pruned),
+	)
 	if err != nil {
 		return nil, err
 	}
 	recall := 0.0
-	for i := range full {
-		if i < len(pruned) && pruned[i].Entry.Name == full[i].Entry.Name && pruned[i].Score == full[i].Score {
+	for i, rk := range full[0] {
+		if i < len(pruned[0]) && pruned[0][i].Entry.Name == rk.Entry.Name && pruned[0][i].Score == rk.Score {
 			recall++
 		}
-	}
-	recall /= float64(len(full))
-
-	fullNs, _, err := timeOp(func() error {
-		_, err := reg.MatchAll(probe, pruneTopK)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	prunedNs, _, err := timeOp(func() error {
-		_, _, err := reg.Match(probe, pruneTopK, plan)
-		return err
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &PrunePoint{
 		K:             pruneK,
 		TopK:          pruneTopK,
 		Candidates:    opt.Limit(pruneK, pruneTopK),
-		FullNsPerOp:   fullNs,
-		PrunedNsPerOp: prunedNs,
-		Speedup:       float64(fullNs) / float64(prunedNs),
-		RecallAtK:     recall,
+		FullNsPerOp:   t[0].ns,
+		PrunedNsPerOp: t[1].ns,
+		Speedup:       float64(t[0].ns) / float64(t[1].ns),
+		RecallAtK:     recall / float64(len(full[0])),
 	}, nil
 }
 
 // indexK is the repository size of the indexed retrieval workload and
-// indexTopK its ranking depth (the ISSUE acceptance criterion: 1-vs-2000,
-// recall@10 >= 0.98 vs the exact scan, indexed beats pruned on time).
+// indexTopK its ranking depth (1-vs-2000, recall@10 >= 0.98 vs the exact
+// scan, indexed beats pruned on time).
 const (
 	indexK    = 2000
 	indexTopK = 10
 )
-
-// topNames returns the entry-name set of a ranking.
-func topNames(ranked []registry.Ranked) map[string]bool {
-	out := make(map[string]bool, len(ranked))
-	for _, rk := range ranked {
-		out[rk.Entry.Name] = true
-	}
-	return out
-}
 
 // runIndexed measures the 1-vs-2000 retrieval workload on the family
 // corpus: exhaustive MatchAll vs the forced signature-pruned and indexed
@@ -432,81 +251,35 @@ func topNames(ranked []registry.Ranked) map[string]bool {
 // over one probe per family (10 probes) so the >= 0.98 gate has real
 // granularity instead of 1/topK steps.
 func runIndexed(cfg core.Config) (*IndexPoint, error) {
-	reg, err := registry.New(cfg)
+	reg, err := familyRegistry(cfg, indexK, 17)
 	if err != nil {
 		return nil, err
 	}
-	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: indexK / workloads.NumFamilies(), Seed: 17})
-	for _, s := range corpus {
-		if _, _, err := reg.Register(s.Name, s); err != nil {
-			return nil, err
-		}
+	probes, err := prepareProbes(reg.Matcher(), familyProbes(99))
+	if err != nil {
+		return nil, err
 	}
 	pruneOpt := registry.DefaultPruneOptions()
 	indexOpt := registry.DefaultIndexOptions()
-	prunePlan := registry.PlanOptions{Force: registry.StrategyPruned, Prune: pruneOpt}
-	indexPlan := registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt}
-
-	recall, prunedRecall := 0.0, 0.0
-	for fam := 0; fam < workloads.NumFamilies(); fam++ {
-		probe, err := reg.Matcher().Prepare(workloads.FamilyProbe(fam, 99))
-		if err != nil {
-			return nil, err
-		}
-		full, err := reg.MatchAll(probe, indexTopK)
-		if err != nil {
-			return nil, err
-		}
-		indexed, _, err := reg.Match(probe, indexTopK, indexPlan)
-		if err != nil {
-			return nil, err
-		}
-		pruned, _, err := reg.Match(probe, indexTopK, prunePlan)
-		if err != nil {
-			return nil, err
-		}
-		exact := topNames(full)
-		for _, rk := range indexed {
-			if exact[rk.Entry.Name] {
-				recall++
-			}
-		}
-		for _, rk := range pruned {
-			if exact[rk.Entry.Name] {
-				prunedRecall++
-			}
-		}
+	policies := []policy{
+		retrieval(reg, indexTopK, exactPlan),
+		retrieval(reg, indexTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: pruneOpt}),
+		retrieval(reg, indexTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt}),
 	}
-	probes := float64(workloads.NumFamilies() * indexTopK)
-	recall /= probes
-	prunedRecall /= probes
-
-	probe, err := reg.Matcher().Prepare(workloads.FamilyProbe(4, 99))
+	rankings := make([][][]registry.Ranked, len(policies))
+	timed := make([]func() error, len(policies))
+	var sink [][]registry.Ranked
+	for i, run := range policies {
+		if err := sweepArm(probes, run, &rankings[i])(); err != nil {
+			return nil, err
+		}
+		timed[i] = sweepArm(probes[4:5], run, &sink)
+	}
+	_, stats, err := reg.Match(probes[4], indexTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt})
 	if err != nil {
 		return nil, err
 	}
-	_, stats, err := reg.Match(probe, indexTopK, indexPlan)
-	if err != nil {
-		return nil, err
-	}
-	fullNs, _, err := timeOp(func() error {
-		_, err := reg.MatchAll(probe, indexTopK)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	prunedNs, _, err := timeOp(func() error {
-		_, _, err := reg.Match(probe, indexTopK, prunePlan)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	indexedNs, _, err := timeOp(func() error {
-		_, _, err := reg.Match(probe, indexTopK, indexPlan)
-		return err
-	})
+	t, err := timeArms(timed...)
 	if err != nil {
 		return nil, err
 	}
@@ -516,51 +289,46 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 		PrunedCandidates:  pruneOpt.Limit(indexK, indexTopK),
 		IndexedCandidates: indexOpt.Limit(indexK, indexTopK),
 		CandidatesScored:  stats.CandidatesScored,
-		FullNsPerOp:       fullNs,
-		PrunedNsPerOp:     prunedNs,
-		IndexedNsPerOp:    indexedNs,
-		SpeedupVsPruned:   float64(prunedNs) / float64(indexedNs),
-		SpeedupVsFull:     float64(fullNs) / float64(indexedNs),
-		RecallAtK:         recall,
-		PrunedRecallAtK:   prunedRecall,
+		FullNsPerOp:       t[0].ns,
+		PrunedNsPerOp:     t[1].ns,
+		IndexedNsPerOp:    t[2].ns,
+		SpeedupVsPruned:   float64(t[1].ns) / float64(t[2].ns),
+		SpeedupVsFull:     float64(t[0].ns) / float64(t[2].ns),
+		RecallAtK:         meanRecall(rankings[0], rankings[2]),
+		PrunedRecallAtK:   meanRecall(rankings[0], rankings[1]),
 	}, nil
 }
 
-// runBench executes the sweep and writes the JSON report.
-func runBench(outPath string, withSelfCheck bool) error {
-	if withSelfCheck {
-		if err := selfCheck(); err != nil {
-			return err
-		}
-	}
-	report := BenchReport{
-		GeneratedUnix: time.Now().Unix(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Workers:       par.Workers(),
-		Note: "full Match pipeline, fresh matcher per op; sequential = 1 worker, " +
-			"parallel = default pool; speedup tracks wall clock and approaches the " +
-			"core count on multi-core hardware (1.0 on a single-core machine). " +
-			"batch = 1 probe vs K prepared repository schemas: naive re-runs " +
-			"expansion+analysis per Match call, prepared pays them once (registry). " +
-			"prune = 1 probe vs K on the family corpus: full MatchAll scan vs " +
-			"the forced signature-pruned strategy, recall@K asserted exactly 1.0. " +
-			"index = 1 probe vs 2000 on the family corpus: forced token inverted " +
-			"index vs pruned scan vs full scan, recall@10 averaged over one probe " +
-			"per family and asserted >= 0.98, indexed required to beat pruned on " +
-			"wall clock",
-	}
+// benchNote explains the bench blocks of the report.
+const benchNote = "full Match pipeline, fresh matcher per op; sequential = 1 worker, " +
+	"parallel = default pool; speedup tracks wall clock and approaches the " +
+	"core count on multi-core hardware (1.0 on a single-core machine). " +
+	"batch = 1 probe vs K prepared repository schemas: naive re-runs " +
+	"expansion+analysis per Match call, prepared pays them once (registry). " +
+	"prune = 1 probe vs K on the family corpus: full MatchAll scan vs " +
+	"the forced signature-pruned strategy, recall@K asserted exactly 1.0. " +
+	"index = 1 probe vs 2000 on the family corpus: forced token inverted " +
+	"index vs pruned scan vs full scan, recall@10 averaged over one probe " +
+	"per family and asserted >= 0.98, indexed required to beat pruned on " +
+	"wall clock. Every ns/op is the fastest of the interleaved repetitions"
+
+// runBench executes the sweep and the repository workloads, enforces
+// their gates, and merges the bench blocks into the report at outPath.
+func runBench(outPath string) error {
 	fmt.Println("cupidbench: sequential vs parallel pipeline sweep")
-	fmt.Printf("  GOMAXPROCS=%d NumCPU=%d workers=%d\n", report.GoMaxProcs, report.NumCPU, report.Workers)
+	fmt.Printf("  GOMAXPROCS=%d NumCPU=%d workers=%d\n", runtime.GOMAXPROCS(0), runtime.NumCPU(), par.Workers())
 	fmt.Println("  elements  leaves  seq ns/op      par ns/op      speedup  allocs seq/par")
 	cfg := core.DefaultConfig()
+	var points []BenchPoint
 	for _, spec := range benchSpecs() {
 		w := workloads.Synthetic(spec)
-		seqNs, seqAllocs, err := measure(w, cfg, 1)
-		if err != nil {
+		// Each op builds a fresh Matcher (cold caches), matching how the
+		// eval harness runs.
+		pipeline := func() error {
+			_, _, err := eval.RunCupid(w, cfg)
 			return err
 		}
-		parNs, parAllocs, err := measure(w, cfg, 0)
+		t, err := timeArms(withWorkers(1, pipeline), withWorkers(0, pipeline))
 		if err != nil {
 			return err
 		}
@@ -570,13 +338,13 @@ func runBench(outPath string, withSelfCheck bool) error {
 			Name:           w.Name,
 			Elements:       w.Source.Len() + w.Target.Len(),
 			Leaves:         src.Leaves + dst.Leaves,
-			SeqNsPerOp:     seqNs,
-			ParNsPerOp:     parNs,
-			SeqAllocsPerOp: seqAllocs,
-			ParAllocsPerOp: parAllocs,
-			Speedup:        float64(seqNs) / float64(parNs),
+			SeqNsPerOp:     t[0].ns,
+			ParNsPerOp:     t[1].ns,
+			SeqAllocsPerOp: t[0].allocs,
+			ParAllocsPerOp: t[1].allocs,
+			Speedup:        float64(t[0].ns) / float64(t[1].ns),
 		}
-		report.Points = append(report.Points, pt)
+		points = append(points, pt)
 		fmt.Printf("  %8d  %6d  %-13d  %-13d  %6.2fx  %d/%d  %s\n",
 			pt.Elements, pt.Leaves, pt.SeqNsPerOp, pt.ParNsPerOp, pt.Speedup,
 			pt.SeqAllocsPerOp, pt.ParAllocsPerOp, pt.Name)
@@ -586,7 +354,6 @@ func runBench(outPath string, withSelfCheck bool) error {
 	if err != nil {
 		return err
 	}
-	report.Batch = batch
 	fmt.Printf("  naive (K Match calls):    %-13d ns/op  %d allocs/op\n", batch.NaiveNsPerOp, batch.NaiveAllocsPerOp)
 	fmt.Printf("  prepared (registry):      %-13d ns/op  %d allocs/op\n", batch.PreparedNsPerOp, batch.PreparedAllocsPerOp)
 	fmt.Printf("  speedup: %.2fx  alloc ratio: %.2fx\n", batch.Speedup,
@@ -601,7 +368,6 @@ func runBench(outPath string, withSelfCheck bool) error {
 	if err != nil {
 		return err
 	}
-	report.Prune = prune
 	fmt.Printf("  full scan (MatchAll):     %-13d ns/op\n", prune.FullNsPerOp)
 	fmt.Printf("  pruned (%3d):             %-13d ns/op\n", prune.Candidates, prune.PrunedNsPerOp)
 	fmt.Printf("  speedup: %.2fx  recall@%d: %.3f\n", prune.Speedup, prune.TopK, prune.RecallAtK)
@@ -617,7 +383,6 @@ func runBench(outPath string, withSelfCheck bool) error {
 	if err != nil {
 		return err
 	}
-	report.Index = idx
 	fmt.Printf("  full scan (MatchAll):        %-13d ns/op\n", idx.FullNsPerOp)
 	fmt.Printf("  pruned (%4d):               %-13d ns/op  recall@%d %.3f\n", idx.PrunedCandidates, idx.PrunedNsPerOp, idx.TopK, idx.PrunedRecallAtK)
 	fmt.Printf("  indexed (%3d):               %-13d ns/op  recall@%d %.3f  scored %d/%d\n",
@@ -630,14 +395,8 @@ func runBench(outPath string, withSelfCheck bool) error {
 		return fmt.Errorf("index workload regression: indexed retrieval must beat the pruned scan on time (got %d vs %d ns/op)", idx.IndexedNsPerOp, idx.PrunedNsPerOp)
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench report written to %s\n", outPath)
-	return nil
+	return writeReport(outPath, func(r *BenchReport) {
+		r.Note = benchNote
+		r.Points, r.Batch, r.Prune, r.Index = points, batch, prune, idx
+	})
 }

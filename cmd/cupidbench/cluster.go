@@ -27,26 +27,17 @@ package main
 //     the primary keeps writing, the follower's directory is reopened
 //     (a fresh process, in effect) and the stream resumed from its
 //     checkpoint. Gated: the restarted follower's rankings are
-//     byte-identical (as JSON) to the primary's.
+//     byte-identical (as ranking keys) to the primary's.
 //
 // Results merge into BENCH_cupid.json next to the other experiments.
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"time"
 
-	cupid "repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/registry"
-	"repro/internal/workloads"
 )
 
 // clusterTopK is the ranking depth of every cluster-workload query.
@@ -69,11 +60,6 @@ var clusterShardCounts = []int{1, 2, 4}
 // per-query work.
 const clusterScalingGate = 1.6
 
-// clusterReps is how many times each shard-count sweep repeats; the
-// fastest repetition is kept (the retrieval paths are deterministic, so
-// repetitions are interchangeable and min strips scheduler noise).
-const clusterReps = 3
-
 // clusterReplicaKillLimit is how many stream bytes the follower is
 // allowed to read before the mid-stream kill. Sized to land partway
 // through the initial catch-up (a handful of multi-KB document records)
@@ -86,8 +72,9 @@ type ClusterScalePoint struct {
 	// MinShardDocs/MaxShardDocs report the ring's partition balance.
 	MinShardDocs int `json:"min_shard_docs"`
 	MaxShardDocs int `json:"max_shard_docs"`
-	// SweepNs is the fastest aggregate critical-path time for one full
-	// probe sweep.
+	// SweepNs is the aggregate critical-path time for one full probe
+	// sweep: per probe, the slowest shard's subquery, each subquery at
+	// its fastest repetition.
 	SweepNs int64 `json:"sweep_ns"`
 	// MatchesPerSec is probes / SweepNs: the aggregate throughput of a
 	// cluster with a core per shard.
@@ -113,24 +100,8 @@ type ClusterPoint struct {
 	ReplicaResyncs           int   `json:"replica_resyncs"`
 	// ReplicaConverged is the gated cell: after the mid-stream kill,
 	// the primary writing on, a directory reopen and a resumed stream,
-	// the follower's rankings marshal to exactly the primary's bytes.
+	// the follower's ranking keys equal the primary's byte for byte.
 	ReplicaConverged bool `json:"replica_converged"`
-}
-
-// clusterProbes prepares one family probe per domain with the given
-// matcher. Each side of a comparison prepares its own probes from the
-// same generated schemas, so prepared artifacts never cross matchers.
-func clusterProbes(m *core.Matcher) ([]*core.Prepared, error) {
-	probes := make([]*core.Prepared, 0, workloads.NumFamilies())
-	for f := 0; f < workloads.NumFamilies(); f++ {
-		p, err := m.Prepare(workloads.FamilyProbe(f, 1234))
-		if err != nil {
-			return nil, err
-		}
-		p.Signature()
-		probes = append(probes, p)
-	}
-	return probes, nil
 }
 
 // clusterShards partitions the corpus across n registries (shared
@@ -148,64 +119,61 @@ func clusterShards(m *core.Matcher, corpus []*model.Schema, n int) ([]*registry.
 	return shards, registerCorpus(corpus, func(s *model.Schema) *registry.Registry { return shards[ring.Owner(s.Name)] })
 }
 
-// scatterGather runs one probe through every shard serially, returning
-// the critical path (the slowest shard's subquery — the fan-out's wall
-// clock on a core-per-shard cluster) and the per-shard rankings.
-func scatterGather(shards []*registry.Registry, p *core.Prepared, opt registry.PlanOptions) (time.Duration, [][]registry.Ranked, error) {
-	ctx := context.Background()
-	var critical time.Duration
+// scatterGather runs one probe through every shard and returns the
+// per-shard rankings.
+func scatterGather(shards []*registry.Registry, p *core.Prepared, opt registry.PlanOptions) ([][]registry.Ranked, error) {
 	parts := make([][]registry.Ranked, len(shards))
 	for i, sh := range shards {
-		start := time.Now()
-		ranked, _, err := sh.MatchContext(ctx, p, clusterTopK, opt)
-		if err != nil {
-			return 0, nil, err
+		var err error
+		if parts[i], err = retrieval(sh, clusterTopK, opt)(p); err != nil {
+			return nil, err
 		}
-		if d := time.Since(start); d > critical {
-			critical = d
-		}
-		parts[i] = ranked
 	}
-	return critical, parts, nil
+	return parts, nil
 }
 
-// rankedKey is the comparable projection of one ranked result; two
-// repositories serve identical rankings iff their rankedKey lists
-// marshal to identical JSON.
-type rankedKey struct {
-	Name        string  `json:"name"`
-	Fingerprint string  `json:"fingerprint"`
-	Score       float64 `json:"score"`
-}
-
-func rankingBytes(ranked []registry.Ranked) ([]byte, error) {
-	keys := make([]rankedKey, len(ranked))
-	for i, r := range ranked {
-		keys[i] = rankedKey{Name: r.Entry.Name, Fingerprint: r.Entry.Fingerprint, Score: r.Score}
+// criticalPathNs times every probe's per-shard subqueries (each one a
+// timeArms arm, so each keeps its fastest repetition) and returns the
+// sweep's aggregate critical path: per probe, the slowest shard's
+// subquery — the fan-out's wall clock on a core-per-shard cluster.
+func criticalPathNs(shards []*registry.Registry, probes []*core.Prepared, opt registry.PlanOptions) (int64, error) {
+	var arms []func() error
+	var sink [][]registry.Ranked
+	for i := range probes {
+		for _, sh := range shards {
+			arms = append(arms, sweepArm(probes[i:i+1], retrieval(sh, clusterTopK, opt), &sink))
+		}
 	}
-	return json.Marshal(keys)
+	t, err := timeArms(arms...)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for i := 0; i < len(t); i += len(shards) {
+		var critical int64
+		for _, sub := range t[i : i+len(shards)] {
+			critical = max(critical, sub.ns)
+		}
+		total += critical
+	}
+	return total, nil
 }
 
 // runClusterScaling measures the scaling cells and the router-recall
 // cell over one shared corpus.
 func runClusterScaling(point *ClusterPoint) error {
-	cfg := core.DefaultConfig()
-	m, err := core.NewMatcher(cfg)
+	m, err := core.NewMatcher(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	corpus := namedFamilyCorpus(clusterCorpusSize)
-	probes, err := clusterProbes(m)
+	corpus := familyCorpus(clusterCorpusSize, 17)
+	probes, err := prepareProbes(m, familyProbes(1234))
 	if err != nil {
 		return err
 	}
 	point.Corpus = len(corpus)
 	point.TopK = clusterTopK
 	point.Probes = len(probes)
-
-	exactOpt := registry.DefaultPlanOptions()
-	exactOpt.Force = registry.StrategyExact
-	autoOpt := registry.DefaultPlanOptions()
 
 	fmt.Println("cupidbench: scatter-gather scaling (FamilyCorpus, exhaustive path, critical-path timing)")
 	fmt.Println("  shards  docs min/max  sweep ms  agg matches/sec")
@@ -218,64 +186,38 @@ func runClusterScaling(point *ClusterPoint) error {
 		}
 		minDocs, maxDocs := shards[0].Len(), shards[0].Len()
 		for _, sh := range shards[1:] {
-			if l := sh.Len(); l < minDocs {
-				minDocs = l
-			} else if l > maxDocs {
-				maxDocs = l
-			}
+			minDocs, maxDocs = min(minDocs, sh.Len()), max(maxDocs, sh.Len())
 		}
-		// Warm the code paths and page in the entries before timing.
-		if _, _, err := scatterGather(shards, probes[0], exactOpt); err != nil {
+		sweepNs, err := criticalPathNs(shards, probes, exactPlan)
+		if err != nil {
 			return err
-		}
-		var bestNs int64
-		for rep := 0; rep < clusterReps; rep++ {
-			runtime.GC()
-			var total time.Duration
-			for _, p := range probes {
-				critical, _, err := scatterGather(shards, p, exactOpt)
-				if err != nil {
-					return err
-				}
-				total += critical
-			}
-			if ns := total.Nanoseconds(); bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
 		}
 		// Rankings, outside the timed loops (deterministic paths).
 		if n == 1 {
-			truth = make([][]registry.Ranked, len(probes))
-			for i, p := range probes {
-				_, parts, err := scatterGather(shards, p, exactOpt)
-				if err != nil {
-					return err
-				}
-				truth[i] = parts[0]
+			if err := sweepArm(probes, retrieval(shards[0], clusterTopK, exactPlan), &truth)(); err != nil {
+				return err
 			}
 		}
 		if n == clusterShardCounts[len(clusterShardCounts)-1] {
-			mergedAuto = make([][]registry.Ranked, len(probes))
-			for i, p := range probes {
-				_, parts, err := scatterGather(shards, p, autoOpt)
+			for _, p := range probes {
+				parts, err := scatterGather(shards, p, registry.DefaultPlanOptions())
 				if err != nil {
 					return err
 				}
-				mergedAuto[i] = cluster.MergeRanked(parts, clusterTopK)
+				mergedAuto = append(mergedAuto, cluster.MergeRanked(parts, clusterTopK))
 			}
 		}
 		pt := ClusterScalePoint{
 			Shards:        n,
 			MinShardDocs:  minDocs,
 			MaxShardDocs:  maxDocs,
-			SweepNs:       bestNs,
-			MatchesPerSec: float64(len(probes)) / (float64(bestNs) / 1e9),
+			SweepNs:       sweepNs,
+			MatchesPerSec: float64(len(probes)) / (float64(sweepNs) / 1e9),
 		}
 		point.Scaling = append(point.Scaling, pt)
 		fmt.Printf("  %6d  %6d/%-6d  %8.1f  %15.1f\n",
-			n, minDocs, maxDocs, float64(bestNs)/1e6, pt.MatchesPerSec)
+			n, minDocs, maxDocs, float64(sweepNs)/1e6, pt.MatchesPerSec)
 	}
-
 	first, last := point.Scaling[0], point.Scaling[len(point.Scaling)-1]
 	point.Speedup1To4 = last.MatchesPerSec / first.MatchesPerSec
 	point.RouterRecall = meanRecall(truth, mergedAuto)
@@ -293,96 +235,16 @@ func runClusterScaling(point *ClusterPoint) error {
 	return nil
 }
 
-// namedFamilyCorpus generates the corpus; registration names are the
-// generated schema names (the ring hashes names, so naming is
-// placement).
-func namedFamilyCorpus(size int) []*model.Schema {
-	return workloads.FamilyCorpus(workloads.FamilyCorpusSpec{
-		PerFamily: size / workloads.NumFamilies(),
-		Seed:      17,
-	})
-}
-
-// shipStream drives one replication connection over an in-process pipe:
-// the primary's real StreamReplication on one end, the follower's real
-// ApplyReplication on the other. limit > 0 cuts the follower's read
-// after that many bytes (the mid-stream kill); target != nil stops the
-// connection cleanly once the follower has applied through target.
-// Returns the follower's position after the connection ends.
-func shipStream(pri, fol *registry.Persistent, state *registry.ReplState, from registry.ReplPos, limit int64, target *registry.ReplPos, onAdvance func(registry.ReplPos)) (registry.ReplPos, error) {
-	pr, pw := io.Pipe()
-	sctx, scancel := context.WithCancel(context.Background())
-	defer scancel()
-	streamDone := make(chan struct{})
-	go func() {
-		defer close(streamDone)
-		// Ctx-cancel returns nil; a severed pipe returns a transport
-		// error. Either way the deferred close delivers EOF (or the
-		// error) to the apply side.
-		_ = pri.StreamReplication(sctx, pw, from, 20*time.Millisecond)
-		pw.Close()
-	}()
-	if target != nil {
-		watchDone := make(chan struct{})
-		defer func() { <-watchDone }()
-		go func() {
-			defer close(watchDone)
-			for {
-				st := state.Status()
-				if st.CaughtUp && !st.Pos.Before(*target) {
-					scancel() // stream exits, closes pw, apply sees EOF
-					return
-				}
-				select {
-				case <-streamDone:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-			}
-		}()
-	}
-	var r io.Reader = pr
-	if limit > 0 {
-		r = io.LimitReader(pr, limit)
-	}
-	err := fol.ApplyReplication(context.Background(), r, state, onAdvance)
-	// Unblock the streamer if it is mid-write, then reap it.
-	scancel()
-	pr.CloseWithError(io.ErrClosedPipe)
-	<-streamDone
-	return state.Status().Pos, err
-}
-
 // runClusterReplica measures the replica-convergence cell.
 func runClusterReplica(point *ClusterPoint) (err error) {
 	cfg := core.DefaultConfig()
-	priDir, err := os.MkdirTemp("", "cupidbench-repl-pri-*")
+	priDir, folDir, cleanup, err := replicaDirs()
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(priDir)
-	folDir, err := os.MkdirTemp("", "cupidbench-repl-fol-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(folDir)
+	defer cleanup()
 
-	open := func(dir string) (*registry.Persistent, error) {
-		m, err := core.NewMatcher(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p, warns, err := registry.OpenPersistentOptions(dir, m, registry.PersistOptions{}, cupid.ParseSchema)
-		if err != nil {
-			return nil, err
-		}
-		if len(warns) > 0 {
-			return nil, fmt.Errorf("recovery warnings on %s: %v", dir, warns)
-		}
-		return p, nil
-	}
-
-	pri, err := open(priDir)
+	pri, err := openDataDir(cfg, priDir)
 	if err != nil {
 		return err
 	}
@@ -391,7 +253,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 	// The corpus is registered from serialized source bytes so both
 	// sides parse identical documents (identical fingerprints by
 	// construction; see Persistent.Register's normalization caveat).
-	corpus := namedFamilyCorpus(60)
+	corpus := familyCorpus(60, 17)
 	point.ReplicaDocs = len(corpus)
 	point.ReplicaKillLimitBytes = clusterReplicaKillLimit
 	registerSource := func(p *registry.Persistent, s *model.Schema) error {
@@ -410,7 +272,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 		}
 	}
 
-	fol, err := open(folDir)
+	fol, err := openDataDir(cfg, folDir)
 	if err != nil {
 		return err
 	}
@@ -443,7 +305,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 
 	// Restart: reopen the directory (a fresh matcher, as a new process
 	// would have) and resume the stream from the checkpoint.
-	fol, err = open(folDir)
+	fol, err = openDataDir(cfg, folDir)
 	if err != nil {
 		return err
 	}
@@ -455,39 +317,28 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 	point.ReplicaResyncs = st.Resyncs
 
 	// Byte-identical rankings: each side prepares the same probes with
-	// its own matcher and the JSON projections must match exactly.
-	priProbes, err := clusterProbes(pri.Matcher())
+	// its own matcher and the ranking keys must match exactly.
+	priProbes, err := prepareProbes(pri.Matcher(), familyProbes(1234))
 	if err != nil {
 		return err
 	}
-	folProbes, err := clusterProbes(fol.Matcher())
+	folProbes, err := prepareProbes(fol.Matcher(), familyProbes(1234))
 	if err != nil {
 		return err
 	}
-	exactOpt := registry.DefaultPlanOptions()
-	exactOpt.Force = registry.StrategyExact
-	ctx := context.Background()
 	converged := pri.Len() == fol.Len()
 	for i := range priProbes {
-		pRanked, _, err := pri.MatchContext(ctx, priProbes[i], clusterTopK, exactOpt)
+		pRanked, _, err := pri.Match(priProbes[i], clusterTopK, exactPlan)
 		if err != nil {
 			return err
 		}
-		fRanked, _, err := fol.MatchContext(ctx, folProbes[i], clusterTopK, exactOpt)
+		fRanked, _, err := fol.Match(folProbes[i], clusterTopK, exactPlan)
 		if err != nil {
 			return err
 		}
-		pb, err := rankingBytes(pRanked)
-		if err != nil {
-			return err
-		}
-		fb, err := rankingBytes(fRanked)
-		if err != nil {
-			return err
-		}
-		if string(pb) != string(fb) {
+		if pk, fk := rankingKey(pRanked), rankingKey(fRanked); pk != fk {
 			converged = false
-			fmt.Printf("  probe %d diverged:\n    primary  %s\n    follower %s\n", i, pb, fb)
+			fmt.Printf("  probe %d diverged:\n    primary  %s\n    follower %s\n", i, pk, fk)
 		}
 	}
 	point.ReplicaConverged = converged
@@ -500,7 +351,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 }
 
 // runCluster executes the cluster workload, enforces its gates, and
-// merges the result into the bench report at outPath.
+// merges the result into the report at outPath.
 func runCluster(outPath string) error {
 	point := &ClusterPoint{}
 	if err := runClusterScaling(point); err != nil {
@@ -510,28 +361,5 @@ func runCluster(outPath string) error {
 		return err
 	}
 
-	// Merge into the bench report without clobbering other experiments.
-	report := BenchReport{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", outPath, err)
-		}
-	}
-	report.GeneratedUnix = time.Now().Unix()
-	if report.GoMaxProcs == 0 {
-		report.GoMaxProcs = runtime.GOMAXPROCS(0)
-		report.NumCPU = runtime.NumCPU()
-		report.Workers = par.Workers()
-	}
-	report.Cluster = point
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("cluster results merged into %s\n", outPath)
-	return nil
+	return writeReport(outPath, func(r *BenchReport) { r.Cluster = point })
 }

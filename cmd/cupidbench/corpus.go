@@ -12,19 +12,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
-	cupid "repro"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/registry"
-	"repro/internal/workloads"
 )
 
 // corpusScale is the registry size of the routing cell: large enough that
@@ -34,10 +27,6 @@ const corpusScale = 10000
 
 // corpusTopK is the ranking depth of the routing sweeps.
 const corpusTopK = 10
-
-// corpusReps repeats each timed sweep, keeping the fastest (min-of-reps
-// over interleaved repetitions, same discipline as the planner workload).
-const corpusReps = 2
 
 // corpusRecallGate is the routing cell's recall floor against the
 // exhaustive scan.
@@ -76,20 +65,10 @@ type CorpusPoint struct {
 	ReplicaIdentical bool `json:"replica_identical"`
 }
 
-// corpusRegistry builds and fills the routing cell's registry (same
-// FamilyCorpus generation as the planner workload).
-func corpusRegistry(cfg core.Config, k int) (*registry.Registry, error) {
-	reg, err := registry.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return reg, registerCorpus(namedFamilyCorpus(k), func(*model.Schema) *registry.Registry { return reg })
-}
-
 // runCorpusRouting measures the routing cell: cluster the 10k corpus,
 // then race family-routed retrieval against the flat indexed path.
 func runCorpusRouting(cfg core.Config, point *CorpusPoint) error {
-	reg, err := corpusRegistry(cfg, corpusScale)
+	reg, err := familyRegistry(cfg, corpusScale, 17)
 	if err != nil {
 		return err
 	}
@@ -112,45 +91,30 @@ func runCorpusRouting(cfg core.Config, point *CorpusPoint) error {
 	// One family probe per domain — the incoming-schema shape the
 	// repository serves; rare-token probes are the planner workload's
 	// concern.
-	probes := make([]*core.Prepared, 0, workloads.NumFamilies())
-	for f := 0; f < workloads.NumFamilies(); f++ {
-		p, err := reg.Matcher().Prepare(workloads.FamilyProbe(f, 1234))
-		if err != nil {
-			return err
-		}
-		p.Signature()
-		probes = append(probes, p)
+	probes, err := prepareProbes(reg.Matcher(), familyProbes(1234))
+	if err != nil {
+		return err
 	}
 	point.Probes = len(probes)
 
 	// Exhaustive ground truth, untimed (the planner workload times it).
-	truth := make([][]registry.Ranked, len(probes))
-	for i, p := range probes {
-		if truth[i], err = reg.MatchAll(p, corpusTopK); err != nil {
-			return err
-		}
+	var truth, indexed, family [][]registry.Ranked
+	if err := sweepArm(probes, retrieval(reg, corpusTopK, exactPlan), &truth)(); err != nil {
+		return err
 	}
-
-	indexOpt := registry.PlanOptions{Force: registry.StrategyIndexed, Index: registry.DefaultIndexOptions()}
 	famOpt := registry.DefaultPlanOptions()
 	famOpt.Force = registry.StrategyFamily
-	bestNs, rankings, err := sweepInterleaved(probes, corpusReps, []func(*core.Prepared) ([]registry.Ranked, error){
-		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.Match(p, corpusTopK, indexOpt)
-			return ranked, err
-		},
-		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.Match(p, corpusTopK, famOpt)
-			return ranked, err
-		},
-	})
+	t, err := timeArms(
+		sweepArm(probes, retrieval(reg, corpusTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: registry.DefaultIndexOptions()}), &indexed),
+		sweepArm(probes, retrieval(reg, corpusTopK, famOpt), &family),
+	)
 	if err != nil {
 		return err
 	}
-	point.IndexedNs, point.FamilyNs = bestNs[0], bestNs[1]
+	point.IndexedNs, point.FamilyNs = t[0].ns, t[1].ns
 	point.FamilySpeedup = float64(point.IndexedNs) / float64(point.FamilyNs)
-	point.IndexedRecall = meanRecall(truth, rankings[0])
-	point.FamilyRecall = meanRecall(truth, rankings[1])
+	point.IndexedRecall = meanRecall(truth, indexed)
+	point.FamilyRecall = meanRecall(truth, family)
 
 	// The family route must actually route (not fall back), asserted via
 	// the stats of one representative call.
@@ -181,33 +145,13 @@ func runCorpusRouting(cfg core.Config, point *CorpusPoint) error {
 // runCorpusDurability measures the durability cell: persist a clustering
 // through the journal, restart, replicate, and compare canonical bytes.
 func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
-	priDir, err := os.MkdirTemp("", "cupidbench-corpus-pri-*")
+	priDir, folDir, cleanup, err := replicaDirs()
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(priDir)
-	folDir, err := os.MkdirTemp("", "cupidbench-corpus-fol-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(folDir)
+	defer cleanup()
 
-	open := func(dir string) (*registry.Persistent, error) {
-		m, err := core.NewMatcher(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p, warns, err := registry.OpenPersistentOptions(dir, m, registry.PersistOptions{}, cupid.ParseSchema)
-		if err != nil {
-			return nil, err
-		}
-		if len(warns) > 0 {
-			return nil, fmt.Errorf("recovery warnings on %s: %v", dir, warns)
-		}
-		return p, nil
-	}
-
-	pri, err := open(priDir)
+	pri, err := openDataDir(cfg, priDir)
 	if err != nil {
 		return err
 	}
@@ -216,7 +160,7 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 			pri.Close()
 		}
 	}()
-	docs := namedFamilyCorpus(corpusReplicaDocs)
+	docs := familyCorpus(corpusReplicaDocs, 17)
 	point.ReplicaDocs = len(docs)
 	for _, s := range docs {
 		if _, _, err := pri.Register(s.Name, s); err != nil {
@@ -241,7 +185,7 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 		return err
 	}
 	pri = nil
-	pri2, err := open(priDir)
+	pri2, err := openDataDir(cfg, priDir)
 	if err != nil {
 		return err
 	}
@@ -255,7 +199,7 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 
 	// Replicate: a fresh follower applying the replication stream must
 	// serve the same bytes (the metadata document ships like any put).
-	fol, err := open(folDir)
+	fol, err := openDataDir(cfg, folDir)
 	if err != nil {
 		return err
 	}
@@ -275,7 +219,7 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 }
 
 // runCorpus executes the corpus workload, enforces its gates, and merges
-// the result into the bench report at outPath.
+// the result into the report at outPath.
 func runCorpus(outPath string) error {
 	cfg := core.DefaultConfig()
 	point := &CorpusPoint{}
@@ -287,28 +231,5 @@ func runCorpus(outPath string) error {
 		return err
 	}
 
-	// Merge into the bench report without clobbering other experiments.
-	report := BenchReport{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", outPath, err)
-		}
-	}
-	report.GeneratedUnix = time.Now().Unix()
-	if report.GoMaxProcs == 0 {
-		report.GoMaxProcs = runtime.GOMAXPROCS(0)
-		report.NumCPU = runtime.NumCPU()
-		report.Workers = par.Workers()
-	}
-	report.Corpus = point
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("corpus results merged into %s\n", outPath)
-	return nil
+	return writeReport(outPath, func(r *BenchReport) { r.Corpus = point })
 }

@@ -13,16 +13,12 @@ package main
 // top-1 accuracy over name/type-only matching.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	cupid "repro"
 	"repro/internal/core"
 	"repro/internal/instance"
-	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/workloads"
 )
@@ -228,7 +224,7 @@ func runCrossFormatTieBreak(cfg core.Config, point *CrossFormatPoint) error {
 }
 
 // runCrossFormat executes the crossformat workload, enforces its gates,
-// and merges the result into the bench report at outPath.
+// and merges the result into the report at outPath.
 func runCrossFormat(outPath string) error {
 	cfg := core.DefaultConfig()
 	point := &CrossFormatPoint{}
@@ -240,28 +236,5 @@ func runCrossFormat(outPath string) error {
 		return err
 	}
 
-	// Merge into the bench report without clobbering other experiments.
-	report := BenchReport{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", outPath, err)
-		}
-	}
-	report.GeneratedUnix = time.Now().Unix()
-	if report.GoMaxProcs == 0 {
-		report.GoMaxProcs = runtime.GOMAXPROCS(0)
-		report.NumCPU = runtime.NumCPU()
-		report.Workers = par.Workers()
-	}
-	report.CrossFormat = point
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("crossformat results merged into %s\n", outPath)
-	return nil
+	return writeReport(outPath, func(r *BenchReport) { r.CrossFormat = point })
 }

@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	cupidbench [-exp NAME]
+//	cupidbench [-exp NAME] [-csv] [-benchout PATH] [-overload-window D]
+//	cupidbench -compare BASELINE [-benchout PATH]
 //
 // Experiments (-exp):
 //
@@ -22,25 +23,22 @@
 //	           repository workload (naive Match calls vs the prepared-
 //	           schema registry) + the 1-vs-200 pruned-retrieval workload
 //	           (exhaustive scan vs the signature-pruned strategy, recall@K
-//	           asserted 1.0) -> BENCH_cupid.json
+//	           asserted 1.0) + the 1-vs-2000 indexed-retrieval workload
 //	overload   serving-layer saturation harness: closed-loop mixed
 //	           register/match traffic at 1x/2x/4x capacity through the
 //	           admission-controlled frontend (goodput, shed, degraded,
 //	           p50/p99 per cell), cache warm-vs-cold speedup, and
 //	           cached/uncached/degraded ranking-identity checks
-//	           -> merged into BENCH_cupid.json
 //	planner    retrieval planner vs static policies: family and
 //	           rare-token probe sweeps over 1-vs-200, 1-vs-2000 and
 //	           1-vs-20000 FamilyCorpus registries, gated on planned
 //	           recall@10 = 1.0, planned aggregate time <= every static
 //	           policy, and an allocation-free planning step
-//	           -> merged into BENCH_cupid.json
 //	cluster    scale-out workload: scatter-gather over 1/2/4
 //	           consistent-hash shards (aggregate matches/sec gated
 //	           >= 1.6x from 1 to 4, merged recall@10 gated exactly
 //	           1.0) plus the killed-and-restarted replica, gated on
 //	           byte-identical convergence with the primary
-//	           -> merged into BENCH_cupid.json
 //	corpus     corpus clustering + family-routed retrieval: cluster a
 //	           10k FamilyCorpus registry into schema families and race
 //	           family-routed matching against the flat indexed path
@@ -48,7 +46,6 @@
 //	           scan), then persist a clustering through the journal
 //	           and gate a restarted node and a replication follower on
 //	           byte-identical family assignments
-//	           -> merged into BENCH_cupid.json
 //	crossformat  generic-model fan-in + instance-aware matching: the
 //	           cross-format corpus (each family rendered as SQL DDL,
 //	           JSON Schema and Avro; the examples/crossformat files)
@@ -57,23 +54,32 @@
 //	           ambiguous-names tie-break corpus matched with and
 //	           without instance profiles (instance blending gated to
 //	           strictly beat name-only top-1)
-//	           -> merged into BENCH_cupid.json
-//	all        everything (default; excludes tune, bench, overload,
-//	           planner, cluster, corpus and crossformat)
+//	all        the paper's experiments, table1 through ablation (default)
+//
+// bench, overload, planner, cluster, corpus and crossformat each merge
+// their own blocks into the report at -benchout (BENCH_cupid.json),
+// keeping every other experiment's, so they can run in any order. Every
+// timed comparison keeps each arm's fastest of interleaved repetitions;
+// one-off costs (the cache's cold pass, corpus clustering, the
+// cross-format sweep) are timed once. -overload-window sets the length
+// of each overload load cell.
 //
 // With -csv, the scale and ablation experiments additionally emit CSV to
 // stdout (the raw series behind the figures).
 //
 // With -compare BASELINE, no experiment runs: the report at -benchout is
-// diffed against the committed BASELINE and the command fails when any
-// speedup ratio degraded more than 25% or any recall metric dropped at
-// all — the bench-trend regression gate CI runs after regenerating the
-// report.
+// diffed against BASELINE and the command fails when any speedup ratio
+// degraded more than 25% or any recall metric dropped at all — the
+// bench-trend regression gate CI runs after regenerating the report.
+// Compare reports recorded on the same host: speedups depend on the
+// machine.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -92,49 +98,64 @@ func indent(s, prefix string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-func run(exp string, csvOut bool, benchOut string, benchSelfCheck bool, overloadWindow time.Duration) error {
-	all := exp == "all"
-	if all || exp == "table1" {
+// flags is the command line an experiment runs under.
+type flags struct {
+	csv            bool
+	benchOut       string
+	overloadWindow time.Duration
+}
+
+// experiment is one -exp choice. inAll marks the paper's experiments,
+// the ones -exp all runs; the rest are slow or write the bench report.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(flags) error
+}
+
+// experiments is the -exp table, in the order -exp all runs it.
+var experiments = []experiment{
+	{"table1", true, func(flags) error {
 		fmt.Println(eval.Table1())
-	}
-	if all || exp == "table2" {
+		return nil
+	}},
+	{"table2", true, func(flags) error {
 		rows, err := eval.Table2()
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(eval.RenderTable2(rows))
 		}
-		fmt.Println(eval.RenderTable2(rows))
-	}
-	if all || exp == "table3" {
+		return err
+	}},
+	{"table3", true, func(flags) error {
 		res, err := eval.Table3()
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(eval.RenderTable3(res))
 		}
-		fmt.Println(eval.RenderTable3(res))
-	}
-	if all || exp == "rdbstar" {
+		return err
+	}},
+	{"rdbstar", true, func(flags) error {
 		res, err := eval.RDBStar()
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(res.Render())
 		}
-		fmt.Println(res.Render())
-	}
-	if all || exp == "thesaurus" {
+		return err
+	}},
+	{"thesaurus", true, func(flags) error {
 		rs, err := eval.ThesaurusAblation()
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(eval.RenderAblations("thesaurus ablation (§9.3 conclusion 2)", rs, "no-thesaurus"))
 		}
-		fmt.Println(eval.RenderAblations("thesaurus ablation (§9.3 conclusion 2)", rs, "no-thesaurus"))
-	}
-	if all || exp == "lingonly" {
+		return err
+	}},
+	{"lingonly", true, func(flags) error {
 		rs, err := eval.LinguisticOnly()
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(eval.RenderAblations("linguistic-only over path names (§9.3 conclusion 3)", rs, "ling-only"))
 		}
-		fmt.Println(eval.RenderAblations("linguistic-only over path names (§9.3 conclusion 3)", rs, "ling-only"))
-	}
-	if all || exp == "university" {
-		w := workloads.University()
-		res, m, err := eval.RunCupid(w, core.DefaultConfig())
+		return err
+	}},
+	{"university", true, func(flags) error {
+		res, m, err := eval.RunCupid(workloads.University(), core.DefaultConfig())
 		if err != nil {
 			return err
 		}
@@ -142,94 +163,99 @@ func run(exp string, csvOut bool, benchOut string, benchSelfCheck bool, overload
 		fmt.Printf("  leaf mapping: %s\n", m)
 		fmt.Print(indent(res.Mapping.String(), "  "))
 		fmt.Println()
-	}
-	if all || exp == "scale" {
+		return nil
+	}},
+	{"scale", true, func(f flags) error {
 		pts, err := eval.Scalability()
 		if err != nil {
 			return err
 		}
 		fmt.Println(eval.RenderScale(pts))
-		if csvOut {
-			if err := eval.WriteScaleCSV(os.Stdout, pts); err != nil {
-				return err
-			}
+		if f.csv {
+			return eval.WriteScaleCSV(os.Stdout, pts)
 		}
-	}
-	if all || exp == "ablation" {
+		return nil
+	}},
+	{"ablation", true, func(f flags) error {
 		rows, err := eval.Ablations()
 		if err != nil {
 			return err
 		}
 		fmt.Println(eval.RenderAblationRows(rows))
-		if csvOut {
-			if err := eval.WriteAblationCSV(os.Stdout, rows); err != nil {
-				return err
-			}
+		if f.csv {
+			return eval.WriteAblationCSV(os.Stdout, rows)
 		}
-	}
-	if exp == "tune" { // not part of "all": the grid is slow
+		return nil
+	}},
+	{"tune", false, func(flags) error {
 		res, err := tuner.Grid(workloads.Figure2(), core.DefaultConfig(), tuner.DefaultSpace())
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Println(res.Render(10))
 		}
-		fmt.Println(res.Render(10))
-	}
-	if exp == "bench" { // not part of "all": minutes of timed runs
-		if err := runBench(benchOut, benchSelfCheck); err != nil {
-			return err
-		}
-	}
-	if exp == "overload" { // not part of "all": seconds of timed load cells
-		if err := runOverload(benchOut, overloadWindow); err != nil {
-			return err
-		}
-	}
-	if exp == "planner" { // not part of "all": builds a 20k-schema corpus
-		if err := runPlanner(benchOut); err != nil {
-			return err
-		}
-	}
-	if exp == "cluster" { // not part of "all": seconds of timed sweeps
-		if err := runCluster(benchOut); err != nil {
-			return err
+		return err
+	}},
+	{"bench", false, func(f flags) error { return runBench(f.benchOut) }},
+	{"overload", false, func(f flags) error { return runOverload(f.benchOut, f.overloadWindow) }},
+	{"planner", false, func(f flags) error { return runPlanner(f.benchOut) }},
+	{"cluster", false, func(f flags) error { return runCluster(f.benchOut) }},
+	{"corpus", false, func(f flags) error { return runCorpus(f.benchOut) }},
+	{"crossformat", false, func(f flags) error { return runCrossFormat(f.benchOut) }},
+}
+
+// selectExperiments resolves an -exp value: "all" is every inAll entry,
+// any other value one table entry. ok is false for an unknown name.
+func selectExperiments(name string) (sel []experiment, ok bool) {
+	for _, e := range experiments {
+		if e.name == name || (name == "all" && e.inAll) {
+			sel = append(sel, e)
 		}
 	}
-	if exp == "corpus" { // not part of "all": builds a 10k-schema corpus
-		if err := runCorpus(benchOut); err != nil {
-			return err
+	return sel, len(sel) > 0
+}
+
+// cli runs the command line args and returns the process exit code: 2
+// for a usage error (as the flag package does), 1 for a failed
+// experiment or gate.
+func cli(args []string, stderr io.Writer) int {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	fs := flag.NewFlagSet("cupidbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(append(names, "all"), ", "))
+	var f flags
+	fs.BoolVar(&f.csv, "csv", false, "also emit CSV for scale/ablation")
+	fs.StringVar(&f.benchOut, "benchout", "BENCH_cupid.json", "report the bench, overload, planner, cluster, corpus and crossformat experiments merge into")
+	fs.DurationVar(&f.overloadWindow, "overload-window", time.Second, "timed window per -exp overload load cell")
+	compare := fs.String("compare", "", "baseline BENCH_cupid.json to gate -benchout against: fail when any speedup ratio degrades > 25% or any recall drops (no experiment runs)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *compare != "" {
+		if err := runCompare(f.benchOut, *compare); err != nil {
+			fmt.Fprintln(stderr, "cupidbench:", err)
+			return 1
+		}
+		return 0
+	}
+	sel, ok := selectExperiments(*exp)
+	if !ok {
+		fmt.Fprintf(stderr, "cupidbench: unknown experiment %q\n", *exp)
+		return 2
+	}
+	for _, e := range sel {
+		if err := e.run(f); err != nil {
+			fmt.Fprintln(stderr, "cupidbench:", err)
+			return 1
 		}
 	}
-	if exp == "crossformat" { // not part of "all": merges into the bench report
-		if err := runCrossFormat(benchOut); err != nil {
-			return err
-		}
-	}
-	return nil
+	return 0
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, table3, rdbstar, thesaurus, lingonly, university, scale, ablation, tune, bench, overload, planner, cluster, corpus, crossformat, all")
-	csvOut := flag.Bool("csv", false, "also emit CSV for scale/ablation")
-	benchOut := flag.String("benchout", "BENCH_cupid.json", "output path for the -exp bench/overload/planner/cluster/corpus/crossformat report")
-	benchSelfCheck := flag.Bool("selfcheck", true, "run go vet + race determinism tests before -exp bench")
-	overloadWindow := flag.Duration("overload-window", time.Second, "timed window per -exp overload load cell")
-	compare := flag.String("compare", "", "baseline BENCH_cupid.json to gate -benchout against: fail when any speedup ratio degrades > 25% or any recall drops (no experiment runs)")
-	flag.Parse()
-	if *compare != "" {
-		if err := runCompare(*benchOut, *compare); err != nil {
-			fmt.Fprintln(os.Stderr, "cupidbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	switch *exp {
-	case "all", "table1", "table2", "table3", "rdbstar", "thesaurus", "lingonly", "university", "scale", "ablation", "tune", "bench", "overload", "planner", "cluster", "corpus", "crossformat":
-	default:
-		fmt.Fprintf(os.Stderr, "cupidbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-	if err := run(*exp, *csvOut, *benchOut, *benchSelfCheck, *overloadWindow); err != nil {
-		fmt.Fprintln(os.Stderr, "cupidbench:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stderr))
 }

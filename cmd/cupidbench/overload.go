@@ -14,11 +14,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,10 +23,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/serve"
-	"repro/internal/workloads"
 )
 
 // Overload workload shape. Capacity is defined by the read pool: slots
@@ -189,32 +184,25 @@ func runOverloadCell(front *serve.Frontend, probes []*core.Prepared, reserve []*
 // schemas registered, per-family probes prepared, and a reserve of
 // distinct schemas for the write mix.
 func overloadRegistry(cfg core.Config) (*registry.Registry, []*core.Prepared, []*model.Schema, error) {
-	reg, err := registry.New(cfg)
+	reg, err := familyRegistry(cfg, overloadCorpus, 11)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: overloadCorpus / workloads.NumFamilies(), Seed: 11})
-	for _, s := range corpus {
-		if _, _, err := reg.Register(s.Name, s); err != nil {
-			return nil, nil, nil, err
-		}
+	probes, err := prepareProbes(reg.Matcher(), familyProbes(42))
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	probes := make([]*core.Prepared, workloads.NumFamilies())
-	for fam := range probes {
-		p, err := reg.Matcher().Prepare(workloads.FamilyProbe(fam, 42))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		probes[fam] = p
-	}
-	reserve := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: overloadChurn / workloads.NumFamilies(), Seed: 99})
-	return reg, probes, reserve, nil
+	return reg, probes, familyCorpus(overloadChurn, 99), nil
 }
+
+// cacheWarmRounds is how many cache hits one timed warm round serves.
+const cacheWarmRounds = 200
 
 // runCacheCell measures the cold-vs-warm cost of a batch ranking through
 // a cache-enabled frontend: cold is the mean first-computation cost over
-// the probe set, warm the mean cost once every probe's ranking is
-// resident (pure cache hits, admission bypassed).
+// the probe set (one-shot by nature), warm the mean cost of a request in
+// a round of cacheWarmRounds once every probe's ranking is resident
+// (pure cache hits, admission bypassed).
 func runCacheCell(reg *registry.Registry, probes []*core.Prepared) (coldNs, warmNs int64, err error) {
 	front := serve.NewFrontend(reg, serve.Options{
 		CacheCapacity: 1024,
@@ -228,29 +216,22 @@ func runCacheCell(reg *registry.Registry, probes []*core.Prepared) (coldNs, warm
 		}
 	}
 	coldNs = time.Since(start).Nanoseconds() / int64(len(probes))
-	const warmRounds = 200
-	start = time.Now()
-	for i := 0; i < warmRounds; i++ {
-		res, err := front.MatchBatch(context.Background(), probes[i%len(probes)], spec)
-		if err != nil {
-			return 0, 0, err
+	t, err := timeArms(func() error {
+		for i := 0; i < cacheWarmRounds; i++ {
+			res, err := front.MatchBatch(context.Background(), probes[i%len(probes)], spec)
+			if err != nil {
+				return err
+			}
+			if !res.Cached {
+				return fmt.Errorf("warm cache cell: request %d recomputed (cache miss) despite no mutation", i)
+			}
 		}
-		if !res.Cached {
-			return 0, 0, fmt.Errorf("warm cache cell: request %d recomputed (cache miss) despite no mutation", i)
-		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	warmNs = time.Since(start).Nanoseconds() / warmRounds
-	return coldNs, warmNs, nil
-}
-
-// rankingIdentity renders a ranking as a comparable string (entry name +
-// full-precision score, the same identity the registry tests use).
-func rankingIdentity(ranked []registry.Ranked) string {
-	out := ""
-	for _, rk := range ranked {
-		out += fmt.Sprintf("%s:%.17g;", rk.Entry.Name, rk.Score)
-	}
-	return out
+	return coldNs, t[0].ns / cacheWarmRounds, nil
 }
 
 // overloadIdentity asserts the serving layer never changes what a caller
@@ -264,7 +245,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	want := rankingIdentity(direct)
+	want := rankingKey(direct)
 
 	// Cached path: cold fill, then a warm hit; both must equal direct.
 	cached := serve.NewFrontend(reg, serve.Options{CacheCapacity: 64, MatchDeadline: time.Minute})
@@ -279,10 +260,10 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if !warm.Cached {
 		return fmt.Errorf("overload identity: repeat ranking was not a cache hit")
 	}
-	if got := rankingIdentity(cold.Ranked); got != want {
+	if got := rankingKey(cold.Ranked); got != want {
 		return fmt.Errorf("overload identity: cold frontend ranking differs from the registry's\n got %s\nwant %s", got, want)
 	}
-	if got := rankingIdentity(warm.Ranked); got != want {
+	if got := rankingKey(warm.Ranked); got != want {
 		return fmt.Errorf("overload identity: cached ranking differs from the registry's\n got %s\nwant %s", got, want)
 	}
 
@@ -295,7 +276,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if plain.Cached {
 		return fmt.Errorf("overload identity: cache-disabled frontend served a cache hit")
 	}
-	if got := rankingIdentity(plain.Ranked); got != want {
+	if got := rankingKey(plain.Ranked); got != want {
 		return fmt.Errorf("overload identity: uncached ranking differs from the registry's\n got %s\nwant %s", got, want)
 	}
 
@@ -326,7 +307,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	if got, wantDeg := rankingIdentity(deg.Ranked), rankingIdentity(shrunk); got != wantDeg {
+	if got, wantDeg := rankingKey(deg.Ranked), rankingKey(shrunk); got != wantDeg {
 		return fmt.Errorf("overload identity: degraded ranking differs from the registry under the same shrunken budget\n got %s\nwant %s", got, wantDeg)
 	}
 	return nil
@@ -334,7 +315,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 
 // runOverload executes the saturation sweep, the cache cell and the
 // identity pass, enforces the overload gates, and merges the result into
-// the bench report at outPath (preserving any other experiment's data).
+// the report at outPath.
 func runOverload(outPath string, window time.Duration) error {
 	cfg := core.DefaultConfig()
 	reg, probes, reserve, err := overloadRegistry(cfg)
@@ -406,28 +387,5 @@ func runOverload(outPath string, window time.Duration) error {
 		return fmt.Errorf("overload gate: cache-warm speedup = %.1fx (cold %dns, warm %dns), want >= 10x", pt.CacheSpeedup, cold, warm)
 	}
 
-	// Merge into the bench report without clobbering other experiments.
-	report := BenchReport{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", outPath, err)
-		}
-	}
-	report.GeneratedUnix = time.Now().Unix()
-	if report.GoMaxProcs == 0 {
-		report.GoMaxProcs = runtime.GOMAXPROCS(0)
-		report.NumCPU = runtime.NumCPU()
-		report.Workers = par.Workers()
-	}
-	report.Overload = pt
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("overload results merged into %s\n", outPath)
-	return nil
+	return writeReport(outPath, func(r *BenchReport) { r.Overload = pt })
 }

@@ -14,19 +14,13 @@ package main
 // property tests in internal/registry, not gated here.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/workloads"
 )
@@ -41,14 +35,6 @@ const plannerTopK = 10
 // adaptive budget pays off.
 var plannerScales = []int{200, 2000, 20000}
 
-// plannerProbeSpec is one probe of the workload mix.
-type plannerProbeSpec struct {
-	name string
-	rare bool
-	fam  int
-	seed int64
-}
-
 // plannerProbes returns the probe mix for one corpus scale: one family
 // probe per domain, plus rare-token probes over four domains once the
 // corpus is large enough for them to be meaningful. Against the small
@@ -60,43 +46,18 @@ type plannerProbeSpec struct {
 // that shape is covered by the internal/registry property tests. The
 // large scale trims the mix — its exhaustive ground-truth sweeps
 // dominate the experiment's runtime — while keeping both probe shapes.
-func plannerProbes(k int) []plannerProbeSpec {
-	var specs []plannerProbeSpec
-	if k >= 20000 {
-		for _, f := range []int{0, 4, 8} {
-			specs = append(specs, plannerProbeSpec{name: fmt.Sprintf("fam%d", f), fam: f, seed: 1234})
-		}
-		for _, f := range []int{3, 6} {
-			specs = append(specs, plannerProbeSpec{name: fmt.Sprintf("rare%d", f), rare: true, fam: f, seed: 55})
-		}
-		return specs
-	}
-	for f := 0; f < workloads.NumFamilies(); f++ {
-		specs = append(specs, plannerProbeSpec{name: fmt.Sprintf("fam%d", f), fam: f, seed: 1234})
-	}
-	if k >= 2000 {
-		for _, f := range []int{1, 3, 6, 8} {
-			specs = append(specs, plannerProbeSpec{name: fmt.Sprintf("rare%d", f), rare: true, fam: f, seed: 55})
-		}
-	}
-	return specs
-}
-
-// plannerReps is how many times each policy's sweep is repeated at a
-// given corpus scale (the aggregate is the fastest repetition — the
-// standard way to strip scheduler and allocator noise from a
-// deterministic workload). Small corpora sweep in tens of milliseconds
-// and need the repetitions; the 20k scale's exhaustive sweep runs for
-// tens of seconds and is its own noise floor.
-func plannerReps(k int) int {
+func plannerProbes(k int) []*model.Schema {
+	fams, rares := familyProbes(1234), []int{1, 3, 6, 8}
 	switch {
 	case k >= 20000:
-		return 1
-	case k >= 2000:
-		return 3
-	default:
-		return 5
+		fams, rares = []*model.Schema{fams[0], fams[4], fams[8]}, []int{3, 6}
+	case k < 2000:
+		rares = nil
 	}
+	for _, f := range rares {
+		fams = append(fams, workloads.RareTokenProbe(f, 55))
+	}
+	return fams
 }
 
 // plannerNoiseMargin is the measurement-noise guard on the time gate: at
@@ -137,163 +98,43 @@ type PlannerPoint struct {
 	Scales []PlannerScalePoint `json:"scales"`
 }
 
-// plannerRegistry builds and fills the registry for one scale. Schemas
-// are generated and registered over the worker pool: corpus construction
-// is ~half linguistic analysis and dominates the experiment's setup at
-// the 20k scale.
-func plannerRegistry(cfg core.Config, k int) (*registry.Registry, error) {
-	reg, err := registry.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{
-		PerFamily: k / workloads.NumFamilies(),
-		Seed:      17,
-	})
-	return reg, registerCorpus(corpus, func(*model.Schema) *registry.Registry { return reg })
-}
-
-// registerCorpus registers every schema into the registry target picks
-// for it, fanned over the worker pool, and returns the first error.
-func registerCorpus(corpus []*model.Schema, target func(*model.Schema) *registry.Registry) error {
-	var mu sync.Mutex
-	var firstErr error
-	par.For(len(corpus), func(i int) {
-		s := corpus[i]
-		if _, _, err := target(s).Register(s.Name, s); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return firstErr
-}
-
-// sweep runs every probe through one retrieval policy, returning the
-// aggregate wall clock and the per-probe rankings.
-func sweep(probes []*core.Prepared, run func(*core.Prepared) ([]registry.Ranked, error)) (int64, [][]registry.Ranked, error) {
-	out := make([][]registry.Ranked, len(probes))
-	start := time.Now()
-	for i, p := range probes {
-		ranked, err := run(p)
-		if err != nil {
-			return 0, nil, err
-		}
-		out[i] = ranked
-	}
-	return time.Since(start).Nanoseconds(), out, nil
-}
-
-// sweepInterleaved repeats every policy's sweep reps times, cycling
-// through the policies within each repetition, and keeps each policy's
-// fastest aggregate. Two biases are neutralized beyond plain
-// min-of-reps: ambient load drifts over seconds, so running one
-// policy's repetitions back to back would hand whichever policy ran in
-// the quietest window a phantom win (cycling samples the same windows
-// for every policy); and the position within a cycle matters — the
-// exhaustive sweep's garbage inflates the GC pacer's target, taxing
-// whoever runs after it — so the starting policy rotates per repetition
-// and each sweep starts from a freshly collected heap. The retrieval
-// paths are deterministic, so the rankings of any repetition are
-// interchangeable.
-func sweepInterleaved(probes []*core.Prepared, reps int, runs []func(*core.Prepared) ([]registry.Ranked, error)) ([]int64, [][][]registry.Ranked, error) {
-	bestNs := make([]int64, len(runs))
-	out := make([][][]registry.Ranked, len(runs))
-	for r := 0; r < reps; r++ {
-		for j := range runs {
-			i := (r + j) % len(runs)
-			runtime.GC()
-			ns, ranked, err := sweep(probes, runs[i])
-			if err != nil {
-				return nil, nil, err
-			}
-			if out[i] == nil || ns < bestNs[i] {
-				bestNs[i], out[i] = ns, ranked
-			}
-		}
-	}
-	return bestNs, out, nil
-}
-
-// meanRecall is the mean top-K name overlap of each ranking with its
-// probe's exhaustive ground truth.
-func meanRecall(truth, got [][]registry.Ranked) float64 {
-	total, hits := 0, 0
-	for i := range truth {
-		exact := topNames(truth[i])
-		total += len(truth[i])
-		for _, rk := range got[i] {
-			if exact[rk.Entry.Name] {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
 // runPlannerScale measures one corpus scale.
 func runPlannerScale(cfg core.Config, k int) (*PlannerScalePoint, error) {
-	reg, err := plannerRegistry(cfg, k)
+	reg, err := familyRegistry(cfg, k, 17)
 	if err != nil {
 		return nil, err
 	}
-	specs := plannerProbes(k)
-	probes := make([]*core.Prepared, len(specs))
-	for i, ps := range specs {
-		s := workloads.FamilyProbe(ps.fam, ps.seed)
-		if ps.rare {
-			s = workloads.RareTokenProbe(ps.fam, ps.seed)
-		}
-		p, err := reg.Matcher().Prepare(s)
-		if err != nil {
-			return nil, err
-		}
-		p.Signature() // warm the cached signature: planning is measured, not memoization
-		probes[i] = p
+	probes, err := prepareProbes(reg.Matcher(), plannerProbes(k))
+	if err != nil {
+		return nil, err
 	}
-	pruneOpt := registry.DefaultPruneOptions()
 	indexOpt := registry.DefaultIndexOptions()
 	planOpt := registry.DefaultPlanOptions()
-
+	policies := []policy{
+		retrieval(reg, plannerTopK, exactPlan),
+		retrieval(reg, plannerTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: registry.DefaultPruneOptions()}),
+		retrieval(reg, plannerTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt}),
+		retrieval(reg, plannerTopK, planOpt),
+	}
+	// The exact sweep doubles as ground truth.
+	rankings := make([][][]registry.Ranked, len(policies))
+	arms := make([]func() error, len(policies))
+	for i, run := range policies {
+		arms[i] = sweepArm(probes, run, &rankings[i])
+	}
+	t, err := timeArms(arms...)
+	if err != nil {
+		return nil, err
+	}
 	pt := &PlannerScalePoint{
 		K:          reg.Len(),
 		Probes:     len(probes),
+		ExactNs:    t[0].ns,
+		PrunedNs:   t[1].ns,
+		IndexedNs:  t[2].ns,
+		PlannedNs:  t[3].ns,
 		Strategies: map[string]int{},
 	}
-
-	// One warm-up scan (page in entries and code paths), then the timed
-	// sweeps. The exact sweep doubles as ground truth.
-	if _, err := reg.MatchAll(probes[0], plannerTopK); err != nil {
-		return nil, err
-	}
-	reps := plannerReps(k)
-	bestNs, rankings, err := sweepInterleaved(probes, reps, []func(*core.Prepared) ([]registry.Ranked, error){
-		func(p *core.Prepared) ([]registry.Ranked, error) {
-			return reg.MatchAll(p, plannerTopK)
-		},
-		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.Match(p, plannerTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: pruneOpt})
-			return ranked, err
-		},
-		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.Match(p, plannerTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt})
-			return ranked, err
-		},
-		func(p *core.Prepared) ([]registry.Ranked, error) {
-			ranked, _, err := reg.Match(p, plannerTopK, planOpt)
-			return ranked, err
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	exactNs, prunedNs, indexedNs, plannedNs := bestNs[0], bestNs[1], bestNs[2], bestNs[3]
-	truth, pruned, indexed, planned := rankings[0], rankings[1], rankings[2], rankings[3]
 	// The decisions themselves, outside the timed loops (planning is
 	// deterministic, so these are exactly the choices the timed planned
 	// sweep made).
@@ -303,11 +144,9 @@ func runPlannerScale(cfg core.Config, k int) (*PlannerScalePoint, error) {
 		pt.Strategies[pl.Strategy.String()]++
 		budgets += int64(pl.Budget)
 	}
-
-	pt.ExactNs, pt.PrunedNs, pt.IndexedNs, pt.PlannedNs = exactNs, prunedNs, indexedNs, plannedNs
-	pt.PrunedRecall = meanRecall(truth, pruned)
-	pt.IndexedRecall = meanRecall(truth, indexed)
-	pt.PlannedRecall = meanRecall(truth, planned)
+	pt.PrunedRecall = meanRecall(rankings[0], rankings[1])
+	pt.IndexedRecall = meanRecall(rankings[0], rankings[2])
+	pt.PlannedRecall = meanRecall(rankings[0], rankings[3])
 	pt.MeanPlannedBudget = float64(budgets) / float64(len(probes))
 	pt.MeanStaticBudget = float64(indexOpt.Limit(reg.Len(), plannerTopK))
 	pt.PlanAllocsPerOp = testing.AllocsPerRun(200, func() {
@@ -331,8 +170,8 @@ func renderStrategies(m map[string]int) string {
 }
 
 // runPlanner executes the planner-vs-static workload at every scale,
-// enforces the planner gates, and merges the result into the bench
-// report at outPath (preserving any other experiment's data).
+// enforces the planner gates, and merges the result into the report at
+// outPath.
 func runPlanner(outPath string) error {
 	cfg := core.DefaultConfig()
 	point := &PlannerPoint{TopK: plannerTopK}
@@ -370,28 +209,5 @@ func runPlanner(outPath string) error {
 		}
 	}
 
-	// Merge into the bench report without clobbering other experiments.
-	report := BenchReport{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", outPath, err)
-		}
-	}
-	report.GeneratedUnix = time.Now().Unix()
-	if report.GoMaxProcs == 0 {
-		report.GoMaxProcs = runtime.GOMAXPROCS(0)
-		report.NumCPU = runtime.NumCPU()
-		report.Workers = par.Workers()
-	}
-	report.Planner = point
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("planner results merged into %s\n", outPath)
-	return nil
+	return writeReport(outPath, func(r *BenchReport) { r.Planner = point })
 }

@@ -88,9 +88,9 @@
 // (exhaustive scan vs signature-pruned scan, recall@K asserted
 // exactly 1.0), and the 1-vs-2000 indexed-retrieval workload (inverted
 // index vs pruned scan vs full scan, recall@10 asserted >= 0.98 and the
-// indexed path required to beat the pruned one); it self-checks with go vet, gofmt, doc presence and the
-// -race determinism tests, and writes the trajectory to BENCH_cupid.json
-// as the perf baseline for future changes.
+// indexed path required to beat the pruned one), and merges the
+// trajectory into BENCH_cupid.json as the perf baseline for future
+// changes.
 package cupid
 
 import (
