@@ -38,6 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/registry"
+	"repro/internal/serve"
 )
 
 // clusterTopK is the ranking depth of every cluster-workload query.
@@ -336,7 +337,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 		if err != nil {
 			return err
 		}
-		if pk, fk := rankingKey(pRanked), rankingKey(fRanked); pk != fk {
+		if pk, fk := rankingKey(serve.Project(pRanked)), rankingKey(serve.Project(fRanked)); pk != fk {
 			converged = false
 			fmt.Printf("  probe %d diverged:\n    primary  %s\n    follower %s\n", i, pk, fk)
 		}

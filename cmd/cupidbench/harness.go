@@ -26,6 +26,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/registry"
+	"repro/internal/serve"
 	"repro/internal/workloads"
 )
 
@@ -222,13 +223,19 @@ func meanRecall(truth, got [][]registry.Ranked) float64 {
 	return float64(hits) / float64(total)
 }
 
-// rankingKey renders a ranking as a comparable string (entry name,
-// fingerprint and full-precision score per result): two rankings are
-// identical iff their keys are equal.
-func rankingKey(ranked []registry.Ranked) string {
+// rankingKey renders a ranking as a comparable string: per result the
+// entry name, fingerprint and full-precision score, then every mapping
+// element's paths and similarities. Two rankings are identical, down to
+// the mappings a response serializes, iff their keys are equal. Registry
+// rankings go through serve.Project, the projection the frontend caches.
+func rankingKey(ranked []serve.Ranked) string {
 	var b strings.Builder
 	for _, rk := range ranked {
-		fmt.Fprintf(&b, "%s@%s:%.17g;", rk.Entry.Name, rk.Entry.Fingerprint, rk.Score)
+		fmt.Fprintf(&b, "%s@%s:%.17g{", rk.Entry.Name, rk.Entry.Fingerprint, rk.Score)
+		for _, e := range rk.Mapping.All() {
+			fmt.Fprintf(&b, "%s>%s:%.17g/%.17g/%.17g,", e.Source.Path(), e.Target.Path(), e.WSim, e.SSim, e.LSim)
+		}
+		b.WriteString("};")
 	}
 	return b.String()
 }

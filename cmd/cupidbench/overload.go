@@ -235,9 +235,9 @@ func runCacheCell(reg *registry.Registry, probes []*core.Prepared) (coldNs, warm
 }
 
 // overloadIdentity asserts the serving layer never changes what a caller
-// sees: cached, coalesced and uncached rankings are bit-identical to the
-// registry's own, and a degraded ranking equals the registry run under
-// the halved budget its RetrievalStats reports.
+// sees: cached, coalesced and uncached rankings, mappings included, are
+// bit-identical to the registry's own, and a degraded ranking equals the
+// registry run under the halved budget its RetrievalStats reports.
 func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	spec := overloadSpec()
 	probe := probes[3%len(probes)]
@@ -245,7 +245,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	want := rankingKey(direct)
+	want := rankingKey(serve.Project(direct))
 
 	// Cached path: cold fill, then a warm hit; both must equal direct.
 	cached := serve.NewFrontend(reg, serve.Options{CacheCapacity: 64, MatchDeadline: time.Minute})
@@ -307,7 +307,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	if got, wantDeg := rankingKey(deg.Ranked), rankingKey(shrunk); got != wantDeg {
+	if got, wantDeg := rankingKey(deg.Ranked), rankingKey(serve.Project(shrunk)); got != wantDeg {
 		return fmt.Errorf("overload identity: degraded ranking differs from the registry under the same shrunken budget\n got %s\nwant %s", got, wantDeg)
 	}
 	return nil

@@ -208,14 +208,14 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 	}
 	switch via {
 	case "direct":
-		res, cached, err := s.front.MatchPair(r.Context(), a.Prepared, c.Prepared)
+		m, cached, err := s.front.MatchPair(r.Context(), a.Prepared, c.Prepared)
 		if err != nil {
 			writeError(w, s.serveErr(err))
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "direct", "cached": cached,
-			"leaves": pairsOf(res.Mapping.Leaves), "nonLeaves": pairsOf(res.Mapping.NonLeaves),
+			"leaves": pairsOf(m.Leaves), "nonLeaves": pairsOf(m.NonLeaves),
 		})
 	case "family":
 		medoid, ok := s.reg.FamilyOf(aName)
@@ -240,17 +240,17 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		// A→M and C→M are the matches the family route (and any sibling
 		// derivation through this medoid) already pays for, so both hit the
 		// singleflight cache on repeat derivations.
-		resA, cachedA, err := s.front.MatchPair(r.Context(), a.Prepared, m.Prepared)
+		aToM, cachedA, err := s.front.MatchPair(r.Context(), a.Prepared, m.Prepared)
 		if err != nil {
 			writeError(w, s.serveErr(err))
 			return
 		}
-		resC, cachedC, err := s.front.MatchPair(r.Context(), c.Prepared, m.Prepared)
+		cToM, cachedC, err := s.front.MatchPair(r.Context(), c.Prepared, m.Prepared)
 		if err != nil {
 			writeError(w, s.serveErr(err))
 			return
 		}
-		composed := resA.Mapping.Compose(resC.Mapping.Invert())
+		composed := aToM.Compose(cToM.Invert())
 		writeJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "family", "medoid": medoid,
 			"cached": cachedA && cachedC,

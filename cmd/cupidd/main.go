@@ -91,7 +91,9 @@
 //	-match-deadline DUR    end-to-end deadline per match request
 //	                       (default 30s; 0 = none)
 //	-cache N               match cache capacity in entries (default 1024;
-//	                       0 disables caching)
+//	                       0 disables caching); an entry keeps mappings,
+//	                       not similarity matrices (~0.2 MB per pair of
+//	                       289-element schemas)
 //	-max-body N            request body cap in bytes (default 4 MiB)
 //
 // Endpoints (request and response bodies are JSON; docs/API.md is the full
@@ -724,17 +726,17 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	res, cached, err := s.front.MatchPair(r.Context(), src, dst)
+	m, cached, err := s.front.MatchPair(r.Context(), src, dst)
 	if err != nil {
 		writeError(w, s.serveErr(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"sourceSchema": res.SourceTree.Schema.Name,
-		"targetSchema": res.TargetTree.Schema.Name,
+		"sourceSchema": m.SourceSchema,
+		"targetSchema": m.TargetSchema,
 		"cached":       cached,
-		"leaves":       pairsOf(res.Mapping.Leaves),
-		"nonLeaves":    pairsOf(res.Mapping.NonLeaves),
+		"leaves":       pairsOf(m.Leaves),
+		"nonLeaves":    pairsOf(m.NonLeaves),
 	})
 }
 
@@ -810,7 +812,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Name:        rk.Entry.Name,
 			Fingerprint: rk.Entry.Fingerprint,
 			Score:       rk.Score,
-			Leaves:      pairsOf(rk.Result.Mapping.Leaves),
+			Leaves:      pairsOf(rk.Mapping.Leaves),
 		})
 	}
 	reply := map[string]any{
@@ -1009,7 +1011,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "bounded admission queue per pool; arrivals beyond it are rejected with 429 immediately; 0 means 8x the pool's concurrency")
 	fs.DurationVar(&opt.queueWait, "queue-wait", time.Second, "queueing latency target: a request that waits longer for a slot is rejected with 429 and a Retry-After hint")
 	fs.DurationVar(&opt.matchDeadline, "match-deadline", 30*time.Second, "end-to-end deadline per match request, threaded through the candidate-scoring loops; 0 disables")
-	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); 0 disables")
+	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the response's mappings, not the similarity matrices: about 0.2 MB per pair of 289-element schemas; 0 disables")
 	fs.Int64Var(&opt.maxBody, "max-body", 4<<20, "request body cap in bytes; larger bodies are rejected with 413")
 	return fs, opt
 }

@@ -6,11 +6,13 @@ package main
 // and a drain leaving a clean journal behind.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -424,6 +426,110 @@ func TestCacheFlagAndResponseFields(t *testing.T) {
 			t.Errorf("batch %d flagged cached with -cache=0", i)
 		}
 	}
+}
+
+// rawCall is call returning the raw JSON response body.
+func rawCall(t *testing.T, ts *httptest.Server, method, path string, body any) (int, json.RawMessage) {
+	t.Helper()
+	var raw json.RawMessage
+	code := call(t, ts, method, path, body, &raw)
+	return code, raw
+}
+
+// sameApartFromCached asserts two JSON object responses are byte-identical
+// in every field but "cached", and that "cached" reads wantA and wantB.
+func sameApartFromCached(t *testing.T, what string, a, b []byte, wantA, wantB bool) {
+	t.Helper()
+	fields := func(raw []byte, want bool) map[string]json.RawMessage {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("%s: response is not a JSON object: %v\n%s", what, err, raw)
+		}
+		if got := string(m["cached"]); got != strconv.FormatBool(want) {
+			t.Errorf("%s: cached = %s, want %t", what, got, want)
+		}
+		delete(m, "cached")
+		return m
+	}
+	fa, fb := fields(a, wantA), fields(b, wantB)
+	var leaves []jsonPair
+	if err := json.Unmarshal(fa["leaves"], &leaves); err != nil || len(leaves) == 0 {
+		t.Fatalf("%s: response has no leaf pairs to compare (err %v):\n%s", what, err, a)
+	}
+	if len(fa) != len(fb) {
+		t.Errorf("%s: %d fields vs %d", what, len(fa), len(fb))
+	}
+	for k, va := range fa {
+		if vb, ok := fb[k]; !ok || !bytes.Equal(va, vb) {
+			t.Errorf("%s: field %q differs:\n%s\nvs\n%s", what, k, va, vb)
+		}
+	}
+}
+
+// TestCachedMappingsAreByteIdentical asserts the cached pair mapping is
+// served exactly as computed: POST /match and GET /mappings?via=direct
+// answer byte-identically cold and warm (only "cached" changes), and a
+// via=family mapping composed from two cached pair mappings equals the
+// answer of a server that caches nothing.
+func TestCachedMappingsAreByteIdentical(t *testing.T) {
+	ts := newTestServer(t) // default -cache 1024
+	register(t, ts, "orders", "sql", ordersDDL)
+	register(t, ts, "purchases", "sql", purchasesDDL)
+	match := map[string]any{
+		"source": map[string]string{"name": "orders"},
+		"target": map[string]string{"format": "sql", "content": purchasesDDL},
+	}
+	for _, c := range []struct {
+		what, method, path string
+		body               any
+	}{
+		{"POST /match", http.MethodPost, "/match", match},
+		{"via=direct", http.MethodGet, "/mappings/orders/purchases?via=direct", nil},
+	} {
+		code, cold := rawCall(t, ts, c.method, c.path, c.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s cold: status %d: %s", c.what, code, cold)
+		}
+		code, warm := rawCall(t, ts, c.method, c.path, c.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s warm: status %d: %s", c.what, code, warm)
+		}
+		sameApartFromCached(t, c.what, cold, warm, false, true)
+	}
+
+	// via=family: the first call computes and caches A→M and C→M, the
+	// second composes the two cached mappings; both must equal what a
+	// cache-disabled server derives.
+	fs, opt := newFlagSet()
+	if err := fs.Parse([]string{"-cache", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := newServerFromOptions(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached := httptest.NewServer(plain.routes())
+	defer uncached.Close()
+	cached := newTestServer(t)
+	ord, _ := corpusFixture(t, cached)
+	corpusFixture(t, uncached)
+	clusterAndWait(t, cached)
+	clusterAndWait(t, uncached)
+	path := "/mappings/" + ord[0] + "/" + ord[1] + "?via=family"
+	code, want := rawCall(t, uncached, http.MethodGet, path, nil)
+	if code != http.StatusOK {
+		t.Fatalf("uncached via=family: status %d: %s", code, want)
+	}
+	code, cold := rawCall(t, cached, http.MethodGet, path, nil)
+	if code != http.StatusOK {
+		t.Fatalf("cold via=family: status %d: %s", code, cold)
+	}
+	code, warm := rawCall(t, cached, http.MethodGet, path, nil)
+	if code != http.StatusOK {
+		t.Fatalf("warm via=family: status %d: %s", code, warm)
+	}
+	sameApartFromCached(t, "via=family cold", want, cold, false, false)
+	sameApartFromCached(t, "via=family from cached mappings", want, warm, false, true)
 }
 
 // waitForCond polls cond generously instead of sleeping fixed amounts.

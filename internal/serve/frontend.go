@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/registry"
 )
 
@@ -128,14 +129,46 @@ type MatchSpec struct {
 // computation it shares. Cached reports the ranking came from the cache
 // or a coalesced flight rather than a fresh computation. Ranked is
 // shared when Cached — treat it as immutable.
+//
+// A cached Result holds its Ranked projections and nothing else of the
+// matches behind them: at pair-large's 289-element shape a cached pair
+// mapping retains about 0.2 MB, where the full core.Result it was
+// generated from (both analyses and three n×m similarity matrices) holds
+// about 2.2 MB.
 type Result struct {
 	// Ranked is the scored ranking.
-	Ranked []registry.Ranked
+	Ranked []Ranked
 	// Stats describes the retrieval that produced (or originally
 	// produced, when Cached) the ranking.
 	Stats registry.RetrievalStats
 	// Cached reports a cache hit or coalesced flight.
 	Cached bool
+}
+
+// Ranked is one entry of a MatchBatch ranking: the part of a
+// registry.Ranked that a response reads. It keeps the repository entry,
+// the ranking score and the generated mapping; the similarity matrices
+// and linguistic analyses of the core.Result the mapping came from are
+// dropped when the request ends instead of living as long as the cache
+// entry.
+type Ranked struct {
+	// Entry is the repository entry the source was matched against.
+	Entry *registry.Entry
+	// Score is the ranking score; see registry.Score.
+	Score float64
+	// Mapping is the match's generated mapping (source = the probe,
+	// target = Entry's schema).
+	Mapping *mapping.Mapping
+}
+
+// Project keeps what a response reads of each ranked result: entry,
+// score and mapping. It is the projection MatchBatch caches and returns.
+func Project(ranked []registry.Ranked) []Ranked {
+	out := make([]Ranked, len(ranked))
+	for i, rk := range ranked {
+		out[i] = Ranked{Entry: rk.Entry, Score: rk.Score, Mapping: rk.Result.Mapping}
+	}
+	return out
 }
 
 // MatchBatch ranks the repository against src under spec, going through
@@ -195,16 +228,21 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 	if st.Degraded {
 		f.degraded.Add(1)
 	}
-	return Result{Ranked: ranked, Stats: st}, nil
+	return Result{Ranked: Project(ranked), Stats: st}, nil
 }
 
 // MatchPair runs a single source-vs-target tree match through deadline,
-// cache and admission. The key is the fingerprint pair, so the cached
-// value is content-addressed and can never be stale; it still rides the
-// same cache (and is therefore dropped on Invalidate — a freshness
-// non-issue, only a warm-up cost). The bool reports a cache hit or
-// coalesced join. The returned Result is shared when cached — immutable.
-func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*core.Result, bool, error) {
+// cache and admission, and returns the match's generated mapping: the
+// mapping is what a response reads, so it is all the cache keeps (about
+// 0.2 MB per entry at pair-large's 289-element shape, against about
+// 2.2 MB for the full core.Result with its similarity matrices). Its
+// element node pointers keep both schema trees reachable for Compose and
+// Invert. The key is the fingerprint pair, so the cached value is
+// content-addressed and can never be stale; it still rides the same
+// cache (and is therefore dropped on Invalidate — a freshness non-issue,
+// only a warm-up cost). The bool reports a cache hit or coalesced join.
+// The returned mapping is shared when cached — immutable.
+func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*mapping.Mapping, bool, error) {
 	if f.draining.Load() {
 		return nil, false, ErrDraining
 	}
@@ -218,12 +256,15 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*cor
 		}
 		defer release()
 		res, err := f.reg.Matcher().MatchPrepared(src, dst)
-		return res, err == nil, err
+		if err != nil {
+			return nil, false, err
+		}
+		return res.Mapping, true, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(*core.Result), shared, nil
+	return v.(*mapping.Mapping), shared, nil
 }
 
 func (f *Frontend) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -245,14 +286,6 @@ func batchKey(src *core.Prepared, spec MatchSpec) string {
 		src.Fingerprint(), spec.TopK, spec.Retrieval,
 		spec.Prune.Fraction, spec.Prune.MinCandidates,
 		spec.Index.Fraction, spec.Index.MinCandidates)
-}
-
-// shrinkBudget halves a candidate budget for degraded operation — the
-// registry's PruneOptions.Halve, which PlanOptions.Degraded applies
-// inside the planner. Kept as the serving layer's name for the policy so
-// the degradation tests document the contract at this layer.
-func shrinkBudget(o registry.PruneOptions) registry.PruneOptions {
-	return o.Halve()
 }
 
 // FrontendStats snapshots the serving layer for /healthz-style reporting.

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/registry"
 	"repro/internal/workloads"
 )
@@ -38,12 +41,40 @@ func prepProbe(t *testing.T, r *registry.Registry, family int, seed int64) *core
 	return p
 }
 
-func rankKey(ranked []registry.Ranked) string {
+func rankKey(ranked []Ranked) string {
 	out := ""
 	for _, rk := range ranked {
 		out += fmt.Sprintf("%s:%.17g;", rk.Entry.Name, rk.Score)
 	}
 	return out
+}
+
+// sameMapping reports the first difference between two mappings, element
+// by element: schema names, source and target paths, and bit-identical
+// wsim, ssim and lsim for every leaf and non-leaf element.
+func sameMapping(want, got *mapping.Mapping) error {
+	if want.SourceSchema != got.SourceSchema || want.TargetSchema != got.TargetSchema {
+		return fmt.Errorf("schemas %s→%s, want %s→%s", got.SourceSchema, got.TargetSchema, want.SourceSchema, want.TargetSchema)
+	}
+	for _, part := range []struct {
+		name      string
+		want, got []mapping.Element
+	}{{"leaf", want.Leaves, got.Leaves}, {"non-leaf", want.NonLeaves, got.NonLeaves}} {
+		if len(part.want) != len(part.got) {
+			return fmt.Errorf("%d %s elements, want %d", len(part.got), part.name, len(part.want))
+		}
+		for i, w := range part.want {
+			g := part.got[i]
+			if g.Source.Path() != w.Source.Path() || g.Target.Path() != w.Target.Path() ||
+				math.Float64bits(g.WSim) != math.Float64bits(w.WSim) ||
+				math.Float64bits(g.SSim) != math.Float64bits(w.SSim) ||
+				math.Float64bits(g.LSim) != math.Float64bits(w.LSim) {
+				return fmt.Errorf("%s element %d = %v (ssim %v, lsim %v), want %v (ssim %v, lsim %v)",
+					part.name, i, g, g.SSim, g.LSim, w, w.SSim, w.LSim)
+			}
+		}
+	}
+	return nil
 }
 
 // calmOptions sizes a frontend so admission and degradation never
@@ -76,7 +107,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(direct) {
+	if rankKey(res.Ranked) != rankKey(Project(direct)) {
 		t.Error("exact mode: frontend ranking differs from MatchAll")
 	}
 	if res.Stats.CandidateBudget != r.Len() || res.Stats.Degraded {
@@ -91,7 +122,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(directRanked) {
+	if rankKey(res.Ranked) != rankKey(Project(directRanked)) {
 		t.Error("indexed mode: frontend ranking differs from the forced indexed plan")
 	}
 	if res.Stats.CandidateBudget != directStats.CandidateBudget || res.Stats.CandidatesScored != directStats.CandidatesScored {
@@ -106,7 +137,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(directTop) {
+	if rankKey(res.Ranked) != rankKey(Project(directTop)) {
 		t.Error("pruned mode: frontend ranking differs from the forced pruned plan")
 	}
 	if want := prune.Limit(r.Len(), 5); res.Stats.CandidateBudget != want {
@@ -139,6 +170,21 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	}
 	if rankKey(cold.Ranked) != rankKey(warm.Ranked) || cold.Stats != warm.Stats {
 		t.Error("cached reply differs from the fresh one")
+	}
+	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: spec.Retrieval, Index: spec.Index})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rankKey(cold.Ranked) != rankKey(Project(direct)) {
+		t.Fatal("frontend ranking differs from the registry's forced indexed plan")
+	}
+	for i, rk := range direct {
+		if err := sameMapping(rk.Result.Mapping, cold.Ranked[i].Mapping); err != nil {
+			t.Errorf("entry %d (%s): cold mapping: %v", i, rk.Entry.Name, err)
+		}
+		if err := sameMapping(rk.Result.Mapping, warm.Ranked[i].Mapping); err != nil {
+			t.Errorf("entry %d (%s): cached mapping: %v", i, rk.Entry.Name, err)
+		}
 	}
 	// A different spec is a different key.
 	other, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3, Index: spec.Index})
@@ -182,9 +228,9 @@ func TestInvalidationProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("op %d: fresh indexed match: %v", i, err)
 			}
-			if rankKey(res.Ranked) != rankKey(fresh) {
+			if rankKey(res.Ranked) != rankKey(Project(fresh)) {
 				t.Fatalf("op %d: stale cache hit (cached=%t):\n  served %s\n  fresh  %s",
-					i, res.Cached, rankKey(res.Ranked), rankKey(fresh))
+					i, res.Cached, rankKey(res.Ranked), rankKey(Project(fresh)))
 			}
 		case op < 8: // register a new schema, or replace an existing name
 			s := reserve[rng.Intn(len(reserve))]
@@ -278,7 +324,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	if !res.Stats.Degraded {
 		t.Fatal("saturated MatchBatch did not degrade")
 	}
-	shrunk := shrinkBudget(index)
+	shrunk := index.Halve()
 	if want := shrunk.Limit(r.Len(), spec.TopK); res.Stats.CandidateBudget != want {
 		t.Errorf("degraded CandidateBudget = %d, want shrunk limit %d", res.Stats.CandidateBudget, want)
 	}
@@ -289,7 +335,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(direct) {
+	if rankKey(res.Ranked) != rankKey(Project(direct)) {
 		t.Error("degraded ranking differs from an explicit run under the shrunk budget")
 	}
 	again, err := f.MatchBatch(ctx, probe, spec)
@@ -304,6 +350,9 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	}
 }
 
+// TestMatchPairCachedAndIdentical asserts the cold and the cached pair
+// mapping are both bit-identical, element by element, to a direct
+// MatchPrepared.
 func TestMatchPairCachedAndIdentical(t *testing.T) {
 	r := testRegistry(t, 20)
 	f := NewFrontend(r, calmOptions(16))
@@ -319,16 +368,87 @@ func TestMatchPairCachedAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Mapping.Leaves) != len(direct.Mapping.Leaves) {
-		t.Error("frontend pair match differs from MatchPrepared")
+	if len(direct.Mapping.Leaves) == 0 || len(direct.Mapping.NonLeaves) == 0 {
+		t.Fatalf("direct mapping has %d leaf and %d non-leaf elements; the pair must exercise both",
+			len(direct.Mapping.Leaves), len(direct.Mapping.NonLeaves))
+	}
+	if err := sameMapping(direct.Mapping, cold); err != nil {
+		t.Errorf("cold frontend pair mapping differs from MatchPrepared: %v", err)
 	}
 	warm, shared, err := f.MatchPair(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !shared || warm != cold {
-		t.Errorf("warm MatchPair = shared %t, same pointer %t; want a cache hit returning the shared result", shared, warm == cold)
+		t.Errorf("warm MatchPair = shared %t, same pointer %t; want a cache hit returning the shared mapping", shared, warm == cold)
 	}
+	if err := sameMapping(direct.Mapping, warm); err != nil {
+		t.Errorf("cached pair mapping differs from MatchPrepared: %v", err)
+	}
+}
+
+// TestCacheRetainsMappingsNotMatrices pins what a cache entry costs: the
+// heap a full cache retains per pair-large-shaped entry (289 elements,
+// 256 leaves per side) must stay under 1 MB. A cached mapping retains
+// about 0.2 MB; a cached core.Result, with its three 289×289 similarity
+// matrices, retains about 2.2 MB, so an entry that keeps the matrices
+// fails here.
+func TestCacheRetainsMappingsNotMatrices(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matches 20 large schema pairs twice")
+	}
+	const pairs = 20
+	r, err := registry.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := r.Matcher()
+	src := make([]*core.Prepared, pairs)
+	dst := make([]*core.Prepared, pairs)
+	for i := range src {
+		w := workloads.Synthetic(workloads.SyntheticSpec{
+			Tables: 16, ColsPerTable: 16, Depth: 2, Rename: 0.3, Renest: 0.2, Seed: int64(i + 1),
+		})
+		if src[i], err = m.Prepare(w.Source); err != nil {
+			t.Fatal(err)
+		}
+		if dst[i], err = m.Prepare(w.Target); err != nil {
+			t.Fatal(err)
+		}
+		// Warm the matcher: the linguistic memo and the pooled scratch
+		// grow on first use, and that growth is not the cache's.
+		if _, err := m.MatchPrepared(src[i], dst[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := NewFrontend(r, calmOptions(pairs))
+	heap := func() uint64 {
+		// Two collections: the first moves sync.Pool contents to the
+		// victim cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := range src {
+		if _, _, err := f.MatchPair(context.Background(), src[i], dst[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	if n := f.Stats().Cache.Len; n != pairs {
+		t.Fatalf("cache holds %d entries, want %d", n, pairs)
+	}
+	perEntry := (float64(after) - float64(before)) / pairs / (1 << 20)
+	t.Logf("retained heap per cached pair: %.3f MB", perEntry)
+	if perEntry >= 1 {
+		t.Errorf("a cached pair retains %.2f MB of heap, want < 1 MB: the cache keeps more than the mapping", perEntry)
+	}
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(src)
+	runtime.KeepAlive(dst)
 }
 
 func TestDrainRejectsNewWork(t *testing.T) {
