@@ -211,12 +211,15 @@ func runPrune(cfg core.Config) (*PrunePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := registry.DefaultPruneOptions()
 	var full, pruned [][]registry.Ranked
 	t, err := timeArms(
 		sweepArm(probes, retrieval(reg, pruneTopK, exactPlan), &full),
-		sweepArm(probes, retrieval(reg, pruneTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: opt}), &pruned),
+		sweepArm(probes, retrieval(reg, pruneTopK, registry.PlanOptions{Force: registry.StrategyPruned}), &pruned),
 	)
+	if err != nil {
+		return nil, err
+	}
+	candidates, err := forcedBudget(reg, probes[0], pruneTopK, registry.StrategyPruned)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +232,7 @@ func runPrune(cfg core.Config) (*PrunePoint, error) {
 	return &PrunePoint{
 		K:             pruneK,
 		TopK:          pruneTopK,
-		Candidates:    opt.Limit(pruneK, pruneTopK),
+		Candidates:    candidates,
 		FullNsPerOp:   t[0].ns,
 		PrunedNsPerOp: t[1].ns,
 		Speedup:       float64(t[0].ns) / float64(t[1].ns),
@@ -259,12 +262,10 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	pruneOpt := registry.DefaultPruneOptions()
-	indexOpt := registry.DefaultIndexOptions()
 	policies := []policy{
 		retrieval(reg, indexTopK, exactPlan),
-		retrieval(reg, indexTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: pruneOpt}),
-		retrieval(reg, indexTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt}),
+		retrieval(reg, indexTopK, registry.PlanOptions{Force: registry.StrategyPruned}),
+		retrieval(reg, indexTopK, registry.PlanOptions{Force: registry.StrategyIndexed}),
 	}
 	rankings := make([][][]registry.Ranked, len(policies))
 	timed := make([]func() error, len(policies))
@@ -275,7 +276,11 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 		}
 		timed[i] = sweepArm(probes[4:5], run, &sink)
 	}
-	_, stats, err := reg.Match(probes[4], indexTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt})
+	_, stats, err := reg.Match(probes[4], indexTopK, registry.PlanOptions{Force: registry.StrategyIndexed})
+	if err != nil {
+		return nil, err
+	}
+	prunedCandidates, err := forcedBudget(reg, probes[4], indexTopK, registry.StrategyPruned)
 	if err != nil {
 		return nil, err
 	}
@@ -286,8 +291,8 @@ func runIndexed(cfg core.Config) (*IndexPoint, error) {
 	return &IndexPoint{
 		K:                 indexK,
 		TopK:              indexTopK,
-		PrunedCandidates:  pruneOpt.Limit(indexK, indexTopK),
-		IndexedCandidates: indexOpt.Limit(indexK, indexTopK),
+		PrunedCandidates:  prunedCandidates,
+		IndexedCandidates: stats.CandidateBudget,
 		CandidatesScored:  stats.CandidatesScored,
 		FullNsPerOp:       t[0].ns,
 		PrunedNsPerOp:     t[1].ns,

@@ -105,7 +105,7 @@ func runCorpusRouting(cfg core.Config, point *CorpusPoint) error {
 	famOpt := registry.DefaultPlanOptions()
 	famOpt.Force = registry.StrategyFamily
 	t, err := timeArms(
-		sweepArm(probes, retrieval(reg, corpusTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: registry.DefaultIndexOptions()}), &indexed),
+		sweepArm(probes, retrieval(reg, corpusTopK, registry.PlanOptions{Force: registry.StrategyIndexed}), &indexed),
 		sweepArm(probes, retrieval(reg, corpusTopK, famOpt), &family),
 	)
 	if err != nil {

@@ -178,6 +178,13 @@ func retrieval(reg *registry.Registry, topK int, opt registry.PlanOptions) polic
 // exactPlan forces the exhaustive scan (what MatchAll runs).
 var exactPlan = registry.PlanOptions{Force: registry.StrategyExact}
 
+// forcedBudget is the candidate budget strategy s runs under, forced, at
+// reg's size: what its RetrievalStats report.
+func forcedBudget(reg *registry.Registry, p *core.Prepared, topK int, s registry.Strategy) (int, error) {
+	_, st, err := reg.Match(p, topK, registry.PlanOptions{Force: s})
+	return st.CandidateBudget, err
+}
+
 // sweepArm is the timeArms arm running every probe through run; it
 // leaves the rankings in *out. The retrieval paths are deterministic, so
 // any repetition's rankings are the rankings.

@@ -92,12 +92,7 @@ func percentileMS(lats []time.Duration, p float64) float64 {
 // overloadSpec is the retrieval mode every harness match uses: indexed
 // candidates under the default budgets, like a default-flag cupidd.
 func overloadSpec() serve.MatchSpec {
-	return serve.MatchSpec{
-		Retrieval: registry.StrategyIndexed,
-		TopK:      overloadTopK,
-		Prune:     registry.DefaultPruneOptions(),
-		Index:     registry.DefaultIndexOptions(),
-	}
+	return serve.MatchSpec{Retrieval: registry.StrategyIndexed, TopK: overloadTopK}
 }
 
 // runOverloadCell drives `workers` closed-loop clients (each issues its
@@ -241,7 +236,7 @@ func runCacheCell(reg *registry.Registry, probes []*core.Prepared) (coldNs, warm
 func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	spec := overloadSpec()
 	probe := probes[3%len(probes)]
-	direct, _, err := reg.Match(probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: spec.Index})
+	direct, _, err := reg.Match(probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed})
 	if err != nil {
 		return err
 	}
@@ -295,15 +290,13 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if !deg.Stats.Degraded {
 		return fmt.Errorf("overload identity: saturated one-slot frontend did not degrade")
 	}
-	halved := spec.Index
-	halved.Fraction /= 2
-	if halved.MinCandidates > 1 {
-		halved.MinCandidates /= 2
+	// The indexed budget halved, max(8, ceil(n/16), topK): half the floor
+	// of 16, half the 1/8 fraction, never below topK.
+	halved := max(8, (reg.Len()+15)/16, spec.TopK)
+	if got := deg.Stats.CandidateBudget; got != halved {
+		return fmt.Errorf("overload identity: degraded budget = %d, want the halved limit %d", got, halved)
 	}
-	if got, wantBudget := deg.Stats.CandidateBudget, halved.Limit(reg.Len(), spec.TopK); got != wantBudget {
-		return fmt.Errorf("overload identity: degraded budget = %d, want the halved limit %d", got, wantBudget)
-	}
-	shrunk, _, err := reg.Match(probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: halved})
+	shrunk, _, err := reg.Match(probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Degraded: true})
 	if err != nil {
 		return err
 	}

@@ -108,12 +108,11 @@ func runPlannerScale(cfg core.Config, k int) (*PlannerScalePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	indexOpt := registry.DefaultIndexOptions()
 	planOpt := registry.DefaultPlanOptions()
 	policies := []policy{
 		retrieval(reg, plannerTopK, exactPlan),
-		retrieval(reg, plannerTopK, registry.PlanOptions{Force: registry.StrategyPruned, Prune: registry.DefaultPruneOptions()}),
-		retrieval(reg, plannerTopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: indexOpt}),
+		retrieval(reg, plannerTopK, registry.PlanOptions{Force: registry.StrategyPruned}),
+		retrieval(reg, plannerTopK, registry.PlanOptions{Force: registry.StrategyIndexed}),
 		retrieval(reg, plannerTopK, planOpt),
 	}
 	// The exact sweep doubles as ground truth.
@@ -148,7 +147,11 @@ func runPlannerScale(cfg core.Config, k int) (*PlannerScalePoint, error) {
 	pt.IndexedRecall = meanRecall(rankings[0], rankings[2])
 	pt.PlannedRecall = meanRecall(rankings[0], rankings[3])
 	pt.MeanPlannedBudget = float64(budgets) / float64(len(probes))
-	pt.MeanStaticBudget = float64(indexOpt.Limit(reg.Len(), plannerTopK))
+	static, err := forcedBudget(reg, probes[0], plannerTopK, registry.StrategyIndexed)
+	if err != nil {
+		return nil, err
+	}
+	pt.MeanStaticBudget = float64(static)
 	pt.PlanAllocsPerOp = testing.AllocsPerRun(200, func() {
 		reg.Plan(probes[0], plannerTopK, planOpt)
 	})

@@ -183,10 +183,6 @@ type server struct {
 	// (cupid.RetrievalAuto) plans per query, the others force one path
 	// (-retrieval=index|pruned|family|exact).
 	retrieval cupid.RetrievalStrategy
-	prune     cupid.PruneOptions
-	// indexOpt sizes the indexed path's candidate budget (same Limit
-	// policy as prune, tighter default fraction).
-	indexOpt cupid.PruneOptions
 	// dataDir is the persistence root (-data); empty when in-memory. The
 	// follower checkpoint file lives here.
 	dataDir string
@@ -208,7 +204,7 @@ func newServer(cfg cupid.Config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &server{reg: reg, prune: cupid.DefaultPruneOptions(), indexOpt: cupid.DefaultIndexOptions()}
+	s := &server{reg: reg}
 	_, opt := newFlagSet() // flag defaults double as the serving defaults
 	s.initServing(opt)
 	return s, nil
@@ -228,7 +224,7 @@ func newPersistentServer(cfg cupid.Config, dir string, popt cupid.PersistOptions
 	for _, w := range warns {
 		log.Printf("cupidd: recovery: %s", w)
 	}
-	s := &server{reg: p.Registry, persist: p, prune: cupid.DefaultPruneOptions(), indexOpt: cupid.DefaultIndexOptions()}
+	s := &server{reg: p.Registry, persist: p}
 	_, opt := newFlagSet()
 	s.initServing(opt)
 	return s, nil
@@ -766,10 +762,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// then truncate — otherwise a registered source would eat one of the
 	// caller's topK slots with itself (one extra slot absorbs it). The
 	// default -retrieval=auto lets the registry's planner pick exhaustive,
-	// pruned or indexed retrieval plus a candidate budget per query;
-	// -retrieval=index|pruned|exact forces one path. With topK <= 0 the
-	// exact scan ranks the whole repository, the other paths their
-	// candidate set; "strategy" in the reply names what actually ran.
+	// pruned, indexed or family retrieval plus a candidate budget per
+	// query; -retrieval=index|pruned|family|exact forces one path. With
+	// topK <= 0 the exact scan ranks the whole repository, the other paths
+	// their candidate set; "strategy" in the reply names what actually ran
+	// (a family fallback names the path it fell back to).
 	//
 	// The call goes through the serving frontend: admission (429/503 when
 	// shed), the match deadline, the singleflight cache ("cached" in the
@@ -782,12 +779,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if want > 0 && srcName != "" {
 		want++
 	}
-	spec := serve.MatchSpec{
-		Retrieval: s.retrieval,
-		TopK:      want,
-		Prune:     s.prune,
-		Index:     s.indexOpt,
-	}
+	spec := serve.MatchSpec{Retrieval: s.retrieval, TopK: want}
 	if s.retrieval == cupid.RetrievalExact {
 		spec.TopK = 0 // exhaustive mode ranks the whole repository
 	}

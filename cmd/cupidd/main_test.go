@@ -336,19 +336,16 @@ func TestServerConcurrentClients(t *testing.T) {
 // retrieval modes — planned (-retrieval=auto, the default), forced
 // indexed, forced linear signature-pruned, forced exhaustive — and
 // asserts they agree on the top result, always report candidates_scored,
-// and name the strategy that ran. The candidate floors are lowered below
-// the repository size so the indexed and pruned paths genuinely engage
-// instead of falling back to the exact scan.
+// and name the strategy that ran. The repository outgrows the candidate
+// floor of 16, so the indexed and pruned paths genuinely engage instead of
+// falling back to the exact scan.
 func TestServerBatchRetrievalModes(t *testing.T) {
-	tightOpt := cupid.PruneOptions{Fraction: 0.5, MinCandidates: 2}
 	servers := map[string]*server{}
 	for _, mode := range []string{"auto", "indexed", "pruned", "exact"} {
 		s, err := newServer(cupid.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.prune = tightOpt
-		s.indexOpt = tightOpt
 		switch mode {
 		case "indexed":
 			s.retrieval = cupid.RetrievalIndexed
@@ -360,26 +357,33 @@ func TestServerBatchRetrievalModes(t *testing.T) {
 		servers[mode] = s
 	}
 
-	// orders + its true match, padded with unrelated domains so the
-	// candidate budget (floor 2, ½ of 6 = 3) is a real subset of the
-	// repository.
+	// orders + its true match, padded with seven copies of four unrelated
+	// domains: 30 schemas, so the candidate budget (the floor of 16) is a
+	// real subset of the repository.
 	schemas := []struct{ name, ddl string }{
 		{"orders", ordersDDL},
 		{"purchases", purchasesDDL},
-		// No *ID columns and no PRIMARY KEY constraints: both leave tokens
-		// ("id", "primary", "key", the identity concept) in every
-		// signature, and any shared token would make a filler an
-		// accumulator survivor.
-		{"telemetry", "CREATE TABLE Telemetry (Sensor INT, Voltage INT, Reading INT);"},
-		{"payroll", "CREATE TABLE Payroll (Employee INT, Salary DECIMAL(10,2), Grade INT);"},
-		{"astro", "CREATE TABLE Observations (Star INT, Magnitude INT, Redshift INT);"},
-		{"library", "CREATE TABLE Books (Shelf INT, Edition INT, Catalog INT);"},
+	}
+	// No *ID columns and no PRIMARY KEY constraints: both leave tokens
+	// ("id", "primary", "key", the identity concept) in every signature,
+	// and any shared token would make a filler an accumulator survivor.
+	fillers := []struct{ name, ddl string }{
+		{"telemetry", "CREATE TABLE Telemetry%d (Sensor INT, Voltage INT, Reading INT);"},
+		{"payroll", "CREATE TABLE Payroll%d (Employee INT, Salary DECIMAL(10,2), Grade INT);"},
+		{"astro", "CREATE TABLE Observations%d (Star INT, Magnitude INT, Redshift INT);"},
+		{"library", "CREATE TABLE Books%d (Shelf INT, Edition INT, Catalog INT);"},
+	}
+	for i := 0; i < 7; i++ {
+		for _, f := range fillers {
+			schemas = append(schemas, struct{ name, ddl string }{fmt.Sprintf("%s%d", f.name, i), fmt.Sprintf(f.ddl, i)})
+		}
 	}
 	type batchResp struct {
 		Source           string        `json:"source"`
 		Strategy         string        `json:"strategy"`
 		Planned          bool          `json:"planned"`
 		CandidatesScored int           `json:"candidates_scored"`
+		CandidateBudget  int           `json:"candidate_budget"`
 		Results          []batchResult `json:"results"`
 	}
 	got := map[string]batchResp{}
@@ -406,6 +410,11 @@ func TestServerBatchRetrievalModes(t *testing.T) {
 	// and the unrelated domains share nothing with orders.
 	if n := got["indexed"].CandidatesScored; n <= 0 || n >= len(schemas) {
 		t.Errorf("indexed: candidates_scored = %d, want in (0,%d) — the index did not engage", n, len(schemas))
+	}
+	for _, mode := range []string{"indexed", "pruned"} {
+		if b := got[mode].CandidateBudget; b != 16 {
+			t.Errorf("%s: candidate_budget = %d, want the floor of 16 — below the %d-schema repository", mode, b, len(schemas))
+		}
 	}
 	// Forced modes report themselves; the planned mode reports a concrete
 	// strategy (never "auto") and flags the decision as planned.

@@ -72,6 +72,9 @@
 // or indexed retrieval that generates candidates sublinearly from a
 // sharded token inverted index maintained incrementally on every mutation
 // — only entries sharing a normalized token with the query are touched.
+// The candidate budget is one fixed policy, max(16, ceil(f·n), topK) with
+// f = 1/4 for the pruned scan and 1/8 for the indexed path; the serving
+// layer's degradation halves the fraction and the floor.
 // PersistentRegistry makes the repository durable — every mutation
 // appends the schema's source document to a write-ahead journal that a
 // background compactor folds into versioned JSON-lines snapshots, and a
@@ -326,22 +329,6 @@ func NewRegistry(cfg Config) (*SchemaRegistry, error) { return registry.New(cfg)
 // Matcher.
 func NewRegistryWithMatcher(m *Matcher) *SchemaRegistry { return registry.NewWithMatcher(m) }
 
-// PruneOptions sizes the candidate set the pruned and indexed strategies
-// let through to the full tree match (candidate fraction and floor).
-type PruneOptions = registry.PruneOptions
-
-// DefaultPruneOptions keeps the top quarter of the repository, never fewer
-// than 16 candidates — the PlanOptions.Prune budget SchemaRegistry.Match
-// runs the pruned strategy under (Force = RetrievalPruned or planned).
-func DefaultPruneOptions() PruneOptions { return registry.DefaultPruneOptions() }
-
-// DefaultIndexOptions is the PlanOptions.Index budget SchemaRegistry.Match
-// runs the indexed strategy under (Force = RetrievalIndexed or planned):
-// an eighth of the repository, never fewer than 16 candidates (the
-// indexed path's candidates all share tokens with the query, so it
-// affords a tighter fraction than pruning at equal recall).
-func DefaultIndexOptions() PruneOptions { return registry.DefaultIndexOptions() }
-
 // RetrievalStats reports what one retrieval call did — the strategy that
 // ran (planned or forced), the statistics the planner decided from, and
 // how many entries were scored, tree-matched and budgeted. Every
@@ -387,12 +374,12 @@ type CorpusResult = corpus.Result
 type SchemaFamily = corpus.Family
 
 // PlanOptions configures SchemaRegistry.Match's planned retrieval: an
-// optional forced strategy, the per-path budget policies, and the
-// serving layer's degradation signal.
+// optional forced strategy and the serving layer's degradation signal,
+// which halves the candidate budgets.
 type PlanOptions = registry.PlanOptions
 
-// DefaultPlanOptions plans with the default pruned and indexed budget
-// policies and no forced strategy.
+// DefaultPlanOptions returns the zero PlanOptions: automatic planning
+// under the fixed candidate budgets.
 func DefaultPlanOptions() PlanOptions { return registry.DefaultPlanOptions() }
 
 // PersistentRegistry is a SchemaRegistry whose contents survive restarts:

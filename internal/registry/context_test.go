@@ -41,9 +41,8 @@ func TestMatchContextCanceledReturnsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	opt := PruneOptions{Fraction: 0.25, MinCandidates: 4}
 	for _, force := range []Strategy{StrategyExact, StrategyPruned, StrategyIndexed} {
-		if _, _, err := r.MatchContext(ctx, probe, 5, PlanOptions{Force: force, Prune: opt, Index: opt}); err != context.Canceled {
+		if _, _, err := r.MatchContext(ctx, probe, 5, PlanOptions{Force: force}); err != context.Canceled {
 			t.Errorf("force=%s on canceled ctx = %v, want context.Canceled", force, err)
 		}
 	}
@@ -120,16 +119,18 @@ func TestMatchContextIdenticalToContextFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := PruneOptions{Fraction: 0.25, MinCandidates: 4}
 	for _, force := range []Strategy{StrategyAuto, StrategyExact, StrategyPruned, StrategyIndexed} {
-		plan := PlanOptions{Force: force, Prune: opt, Index: opt}
-		a, _, err := r.Match(probe, 10, plan)
+		plan := PlanOptions{Force: force}
+		a, st, err := r.Match(probe, 10, plan)
 		if err != nil {
 			t.Fatalf("force=%s: %v", force, err)
 		}
 		b, _, err := r.MatchContext(context.Background(), probe, 10, plan)
 		if err != nil {
 			t.Fatalf("force=%s (ctx): %v", force, err)
+		}
+		if force != StrategyExact && st.CandidateBudget >= r.Len() {
+			t.Errorf("force=%s: budget %d covers the %d-entry corpus; the path did not narrow", force, st.CandidateBudget, r.Len())
 		}
 		if fmt.Sprint(rankingKey(a)) != fmt.Sprint(rankingKey(b)) {
 			t.Errorf("force=%s: ctx-threaded ranking differs from context-free:\n%v\nvs\n%v", force, rankingKey(a), rankingKey(b))
@@ -149,28 +150,34 @@ func rankingKey(ranked []Ranked) []string {
 // carries the candidate budget it ran under — the field the serving layer
 // relies on to make degraded rankings self-describing.
 func TestRetrievalStatsReportsBudget(t *testing.T) {
-	r := corpusRegistry(t, 60)
+	r := corpusRegistry(t, 200)
 	probe, err := r.Matcher().Prepare(workloads.FamilyProbe(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := PruneOptions{Fraction: 0.125, MinCandidates: 4}
-	_, st, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
+	_, st, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := opt.Limit(r.Len(), 5); st.CandidateBudget != want {
-		t.Errorf("CandidateBudget = %d, want Limit(%d, 5) = %d", st.CandidateBudget, r.Len(), want)
+	// max(16, ceil(200/8), 5)
+	if st.CandidateBudget != 25 || !st.Indexed {
+		t.Errorf("CandidateBudget = %d, Indexed = %v; want 25 from the index", st.CandidateBudget, st.Indexed)
 	}
 	if st.Degraded {
 		t.Error("an undegraded indexed run set Degraded; only the serving layer may")
 	}
-	// The exact-scan fallback reports its (over-)budget too.
-	_, st, err = r.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
+	// At or below the floor of 16 the indexed path falls back to the
+	// exact scan, and reports its (over-)budget too.
+	small := corpusRegistry(t, 10)
+	probe, err = small.Matcher().Prepare(workloads.FamilyProbe(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CandidateBudget < r.Len() {
-		t.Errorf("fallback CandidateBudget = %d, want >= corpus %d", st.CandidateBudget, r.Len())
+	_, st, err = small.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Indexed || st.CandidateBudget != 16 || st.CandidatesMatched != small.Len() {
+		t.Errorf("fallback stats %+v, want an exact scan of %d under budget 16", st, small.Len())
 	}
 }

@@ -101,6 +101,9 @@ func TestNoStaleSingleMapDocs(t *testing.T) {
 		"FastStrongLinks",
 		"-snapshot-interval",
 		"-wal=false",
+		"PruneOptions",
+		"DefaultIndexOptions",
+		"Halve(",
 	}
 	const root = "../.."
 	var files []string

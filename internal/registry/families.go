@@ -11,8 +11,8 @@ package registry
 // Freshness is judged against the registry's mutation counter: an
 // installed clustering records the counter at install time, and once the
 // corpus has mutated past a tolerance proportional to the clustered
-// corpus size the view stops being usable — the planner falls back to
-// the indexed path until a re-clustering is installed. The raw canonical
+// corpus size the view stops being usable — the planner plans without it
+// until a re-clustering is installed. The raw canonical
 // bytes are kept alongside the decoded result so the persistence layer
 // journals (and the server serves) exactly the bytes the clustering
 // produced, byte-identical across restarts and replicas.
@@ -121,8 +121,8 @@ func (r *Registry) SetFamiliesJSON(raw []byte) error {
 	return nil
 }
 
-// ClearFamilies removes the installed clustering; the planner falls back
-// to the indexed path.
+// ClearFamilies removes the installed clustering; the planner plans
+// without the family route.
 func (r *Registry) ClearFamilies() {
 	r.families.Store(nil)
 }
@@ -197,9 +197,11 @@ func (r *Registry) usableFamilies() *familyView {
 // narrowing, and the route's speed comes from one family plus the
 // medoid probes being far smaller than the flat indexed candidate
 // budget. When the installed clustering is unusable — none installed,
-// gone stale since planning, or its medoids no longer resolve — it
-// falls back to the indexed path and flags the stats FamilyFallback.
-func (r *Registry) executeFamily(ctx context.Context, src *core.Prepared, topK int, plan Plan, st RetrievalStats) ([]Ranked, RetrievalStats, error) {
+// gone stale since planning, or its medoids no longer resolve — a planned
+// call runs the plan the planner makes with the clustering left out, a
+// forced one the forced indexed path; either way the stats report the
+// strategy that ran, flagged FamilyFallback.
+func (r *Registry) executeFamily(ctx context.Context, src *core.Prepared, topK int, plan Plan) ([]Ranked, RetrievalStats, error) {
 	fv := r.usableFamilies()
 	var medoids []*Entry
 	if fv != nil {
@@ -214,21 +216,15 @@ func (r *Registry) executeFamily(ctx context.Context, src *core.Prepared, topK i
 		}
 	}
 	if fv == nil || len(medoids) < 2 {
-		np := plan
-		np.Strategy = StrategyIndexed
+		fallback := Plan{Strategy: StrategyIndexed, Degraded: plan.Degraded}
 		if plan.Planned {
-			// The budget the planner would have chosen had it gone indexed:
-			// the static policy, adapted down to the probe's biggest kept
-			// token cluster exactly as the indexed branch of Plan does.
-			np.Budget = plan.Index.Limit(r.Len(), topK)
-			if a := adaptiveBudget(plan.MaxKeptDF, plan.Index, topK); plan.MaxKeptDF > 0 && a < np.Budget {
-				np.Budget = a
-			}
+			fallback = r.plan(src, topK, plan.Degraded, nil)
 		}
-		ranked, fst, err := r.execute(ctx, src, topK, np)
-		fst.FamilyFallback = true
-		return ranked, fst, err
+		ranked, st, err := r.execute(ctx, src, topK, fallback)
+		st.FamilyFallback = true
+		return ranked, st, err
 	}
+	st := plan.stats()
 	st.Families = len(medoids)
 
 	medRanked, err := r.score(ctx, medoids, src, topK <= 0)

@@ -130,7 +130,7 @@ func TestFamilyRouteWithinIndexedTopK(t *testing.T) {
 		if st.Strategy != StrategyFamily || st.FamilyFallback {
 			t.Fatalf("probe %d: strategy %v fallback %v, want a routed family match", fam, st.Strategy, st.FamilyFallback)
 		}
-		indexed, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed, Index: DefaultIndexOptions()})
+		indexed, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestFamiliesStalenessAndFallback(t *testing.T) {
 	if !st.FamilyFallback {
 		t.Fatalf("stale clustering did not fall back (stats %+v)", st)
 	}
-	indexed, _, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: DefaultIndexOptions()})
+	indexed, _, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +284,57 @@ func TestFamiliesStalenessAndFallback(t *testing.T) {
 	}
 	if !r.FamiliesFresh() {
 		t.Fatal("re-clustering did not restore freshness")
+	}
+}
+
+// TestPlannedFamilyFallbackReplansWithoutFamilies: a planned family route
+// whose medoids stopped resolving (all but one removed, still within the
+// staleness tolerance) must run exactly the plan the planner makes with
+// no clustering installed. For an index-blind probe that plan is the
+// pruned scan; an indexed fallback would find no candidates at all.
+func TestPlannedFamilyFallbackReplansWithoutFamilies(t *testing.T) {
+	const topK = 10
+	r := newTestRegistry(t)
+	for _, s := range familyTestCorpus(600) {
+		if _, _, err := r.Register(s.Name, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := r.ClusterFamilies(corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetFamilies(res); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Families[1:] {
+		if !r.Remove(f.Medoid) {
+			t.Fatalf("removing medoid %s", f.Medoid)
+		}
+	}
+	if !r.FamiliesFresh() || r.Len() < familyAutoMinCorpus {
+		t.Fatalf("setup: fresh=%v corpus=%d; the planner must still pick the family route", r.FamiliesFresh(), r.Len())
+	}
+	src := mustPrepare(t, r, unseenProbe())
+	if p := r.Plan(src, topK, DefaultPlanOptions()); p.Strategy != StrategyFamily {
+		t.Fatalf("plan = %+v, want the family route", p)
+	}
+	got, st, err := r.Match(src, topK, DefaultPlanOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r.ClearFamilies()
+	want, wantSt, err := r.Match(src, topK, DefaultPlanOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != topK {
+		t.Fatalf("plan without families returned %d results, want %d (stats %+v)", len(want), topK, wantSt)
+	}
+	assertSameRanking(t, want, got)
+	if !st.FamilyFallback || st.Strategy != wantSt.Strategy {
+		t.Errorf("fallback stats %+v, want FamilyFallback and strategy %s", st, wantSt.Strategy)
 	}
 }
 

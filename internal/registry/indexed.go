@@ -25,19 +25,20 @@ type RetrievalStats struct {
 	// K afterwards is not counted.
 	CandidatesMatched int
 	// CandidateBudget is the candidate limit the call ran under: the
-	// planner's adaptive budget on planned runs, PruneOptions.Limit for
-	// the repository size and topK at hand on forced ones, the corpus
-	// size on exact scans — so a response always carries the budget that
+	// planner's budget on planned runs, budget(strategy, n, topK,
+	// degraded) for the repository size and topK at hand on forced ones,
+	// the corpus size on exact scans, the medoids plus the winning family
+	// on the family route — so a response always carries the budget that
 	// actually produced it.
 	CandidateBudget int
 	// Indexed reports whether the inverted index generated the candidates
 	// (false when the repository was small enough, or the query signature
 	// token-less, so an indexed call fell back to an exact scan).
 	Indexed bool
-	// Degraded reports that the budget was deliberately shrunk below its
-	// configured policy to shed load (PlanOptions.Degraded, set by the
-	// serving layer under saturation), so clients can tell a load-shed
-	// ranking from a full-budget one. Never set when the exact path ran.
+	// Degraded reports that the budget was deliberately halved to shed
+	// load (PlanOptions.Degraded, set by the serving layer under
+	// saturation), so clients can tell a load-shed ranking from a
+	// full-budget one. Never set when the exact path ran.
 	Degraded bool
 	// Corpus is the repository size the decision saw — a planner input,
 	// also filled on forced runs from the execution-time size.
@@ -63,6 +64,8 @@ type RetrievalStats struct {
 	Family string
 	// FamilyFallback reports that a family-strategy call could not run as
 	// one — no clustering installed, the clustering gone stale, or its
-	// medoids no longer resolving — and fell back to the indexed path.
+	// medoids no longer resolving — and fell back: a planned call to the
+	// plan made without the clustering, a forced one to the forced
+	// indexed path. Strategy names the path that ran.
 	FamilyFallback bool
 }

@@ -12,7 +12,7 @@ import (
 
 func TestMatchIndexedSmallRepositoryEqualsFullScan(t *testing.T) {
 	r := newTestRegistry(t)
-	prunedCorpus(t, r, 8) // below MinCandidates: retrieval must not engage
+	prunedCorpus(t, r, 8) // below the budget floor: retrieval must not engage
 	probe, err := r.Matcher().Prepare(workloads.Figure2().Source)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,7 @@ func TestMatchIndexedSmallRepositoryEqualsFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, st, err := r.Match(probe, 0, PlanOptions{Force: StrategyIndexed, Index: DefaultPruneOptions()})
+	indexed, st, err := r.Match(probe, 0, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,11 @@ func TestMatchIndexedSmallRepositoryEqualsFullScan(t *testing.T) {
 	}
 }
 
+// TestMatchIndexedRecallOnFamilyCorpus: the forced indexed path's top 10
+// recalls the exact scan's at >= 0.98. At n = 200 its budget is 25
+// candidates, an eighth of the corpus above the floor.
 func TestMatchIndexedRecallOnFamilyCorpus(t *testing.T) {
-	const n, topK = 100, 10
+	const n, topK = 200, 10
 	r := newTestRegistry(t)
 	prunedCorpus(t, r, n)
 	probe, err := r.Matcher().Prepare(workloads.FamilyProbe(2, 77))
@@ -46,7 +49,7 @@ func TestMatchIndexedRecallOnFamilyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, st, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed, Index: DefaultPruneOptions()})
+	indexed, st, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,8 @@ func TestMatchIndexedRecallOnFamilyCorpus(t *testing.T) {
 // incrementality property: after any interleaving of Register (inserts and
 // replaces) and Remove, indexed retrieval on the incrementally maintained
 // registry equals retrieval on a registry built from scratch over the
-// surviving entries.
+// surviving entries. The slots outnumber the budget floor, so the index
+// engages.
 func TestMatchIndexedEqualsFromScratchAfterInterleaving(t *testing.T) {
 	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 8, Seed: 3})
 	rng := rand.New(rand.NewSource(42))
@@ -90,11 +94,11 @@ func TestMatchIndexedEqualsFromScratchAfterInterleaving(t *testing.T) {
 		r := newTestRegistry(t)
 		type liveEntry struct{ idx int }
 		live := map[string]liveEntry{}
-		names := make([]string, 12)
+		names := make([]string, 48)
 		for i := range names {
 			names[i] = fmt.Sprintf("slot%d", i)
 		}
-		for op := 0; op < 60; op++ {
+		for op := 0; op < 200; op++ {
 			name := names[rng.Intn(len(names))]
 			if rng.Intn(3) < 2 { // register: fresh insert or content replace
 				ci := rng.Intn(len(corpus))
@@ -121,7 +125,6 @@ func TestMatchIndexedEqualsFromScratchAfterInterleaving(t *testing.T) {
 			}
 		}
 
-		opt := PruneOptions{Fraction: 0.25, MinCandidates: 4} // small floor so the index engages
 		for probeFam := 0; probeFam < 3; probeFam++ {
 			probe, err := r.Matcher().Prepare(workloads.FamilyProbe(probeFam, int64(trial)))
 			if err != nil {
@@ -131,15 +134,18 @@ func TestMatchIndexedEqualsFromScratchAfterInterleaving(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, incSt, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
+			inc, incSt, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			scr, scrSt, err := fresh.Match(freshProbe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
+			scr, scrSt, err := fresh.Match(freshProbe, 5, PlanOptions{Force: StrategyIndexed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameRanking(t, scr, inc)
+			if !incSt.Indexed || incSt.CandidateBudget >= r.Len() {
+				t.Errorf("trial %d probe %d: the index did not engage over %d entries (stats %+v)", trial, probeFam, r.Len(), incSt)
+			}
 			if incSt.CandidatesScored != scrSt.CandidatesScored {
 				t.Errorf("trial %d probe %d: scored %d vs from-scratch %d",
 					trial, probeFam, incSt.CandidatesScored, scrSt.CandidatesScored)
@@ -177,12 +183,11 @@ func TestMatchIndexedRebuiltOnRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opt := PruneOptions{Fraction: 0.25, MinCandidates: 4}
 	probe, err := p.Matcher().Prepare(workloads.FamilyProbe(1, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, beforeSt, err := p.Match(probe, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
+	before, beforeSt, err := p.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func TestMatchIndexedRebuiltOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, afterSt, err := p2.Match(probe2, 5, PlanOptions{Force: StrategyIndexed, Index: opt})
+	after, afterSt, err := p2.Match(probe2, 5, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,16 +224,15 @@ func TestMatchIndexedDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultPruneOptions()
 	prev := par.SetMaxWorkers(1)
-	seq, seqSt, err := r.Match(probe, 8, PlanOptions{Force: StrategyIndexed, Index: opt})
+	seq, seqSt, err := r.Match(probe, 8, PlanOptions{Force: StrategyIndexed})
 	par.SetMaxWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par.SetMaxWorkers(8)
 	defer par.SetMaxWorkers(prev)
-	conc, concSt, err := r.Match(probe, 8, PlanOptions{Force: StrategyIndexed, Index: opt})
+	conc, concSt, err := r.Match(probe, 8, PlanOptions{Force: StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,32 +242,28 @@ func TestMatchIndexedDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestPruneOptionsLimitTinyRepositories pins the budget's edge cases: the
+// fraction is applied with a ceiling, never integer division, so it cannot
+// collapse to zero candidates for tiny n; an empty or negative repository
+// is budgeted 0; a negative topK lifts nothing.
 func TestPruneOptionsLimitTinyRepositories(t *testing.T) {
-	// The fraction must never collapse to zero candidates for tiny n, and
-	// degenerate options normalize to the safe full scan.
-	frac := PruneOptions{Fraction: 0.25, MinCandidates: 1}
 	for n := 1; n <= 4; n++ {
-		if got := frac.Limit(n, 0); got < 1 {
-			t.Errorf("Limit(n=%d) = %d; the candidate floor collapsed", n, got)
+		for _, s := range []Strategy{StrategyPruned, StrategyIndexed} {
+			for _, degraded := range []bool{false, true} {
+				if got := budget(s, n, 0, degraded); got < 1 {
+					t.Errorf("budget(%s, n=%d, degraded=%v) = %d; the candidate floor collapsed", s, n, degraded, got)
+				}
+			}
 		}
 	}
-	cases := []struct {
-		name    string
-		opt     PruneOptions
-		n, topK int
-		want    int
-	}{
-		{"zero value scans everything", PruneOptions{}, 100, 0, 100},
-		{"negative fraction scans everything", PruneOptions{Fraction: -1, MinCandidates: 2}, 50, 0, 50},
-		{"fraction above 1 scans everything", PruneOptions{Fraction: 3}, 10, 0, 10},
-		{"non-positive floor lifted to 1", PruneOptions{Fraction: 0.1, MinCandidates: 0}, 8, 0, 1},
-		{"negative topK ignored", PruneOptions{Fraction: 0.5, MinCandidates: 1}, 8, -5, 4},
-		{"empty repository", DefaultPruneOptions(), 0, 10, 0},
-		{"negative n", DefaultPruneOptions(), -3, 10, 0},
-	}
-	for _, c := range cases {
-		if got := c.opt.Limit(c.n, c.topK); got != c.want {
-			t.Errorf("%s: Limit(n=%d, topK=%d) = %d, want %d", c.name, c.n, c.topK, got, c.want)
-		}
-	}
+	checkBudget(t, []budgetCase{
+		{StrategyPruned, 201, 0, false, 51},   // ceil(50.25)
+		{StrategyIndexed, 130, 0, false, 17},  // ceil(16.25), not the floor
+		{StrategyIndexed, 130, 0, true, 9},    // degraded ceiling: ceil(8.125)
+		{StrategyIndexed, 200, -5, false, 25}, // a negative topK lifts nothing
+		{StrategyPruned, 0, 10, false, 0},     // empty repository
+		{StrategyIndexed, -3, 10, false, 0},   // negative n
+		{StrategyIndexed, 0, 10, true, 0},     // degraded empty repository
+		{StrategyExact, 0, 10, false, 0},
+	})
 }

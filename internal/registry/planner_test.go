@@ -3,6 +3,7 @@ package registry
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -31,19 +32,36 @@ func TestStrategyStringParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPruneOptionsHalve(t *testing.T) {
-	cases := []struct{ in, want PruneOptions }{
-		{PruneOptions{Fraction: 0.25, MinCandidates: 16}, PruneOptions{Fraction: 0.125, MinCandidates: 8}},
-		{PruneOptions{Fraction: 0.125, MinCandidates: 1}, PruneOptions{Fraction: 0.0625, MinCandidates: 1}},
-		// Full-scan configs (fraction outside (0,1]) have no budget to halve.
-		{PruneOptions{}, PruneOptions{}},
-		{PruneOptions{Fraction: 2, MinCandidates: 16}, PruneOptions{Fraction: 2, MinCandidates: 16}},
-	}
-	for _, tc := range cases {
-		if got := tc.in.Halve(); got != tc.want {
-			t.Errorf("%+v.Halve() = %+v, want %+v", tc.in, got, tc.want)
+// budgetCase is one row of the candidate-budget policy tests: the budget
+// of strategy s over n entries for a topK request, degraded or not.
+type budgetCase struct {
+	s        Strategy
+	n, topK  int
+	degraded bool
+	want     int
+}
+
+func checkBudget(t *testing.T, cases []budgetCase) {
+	t.Helper()
+	for _, c := range cases {
+		if got := budget(c.s, c.n, c.topK, c.degraded); got != c.want {
+			t.Errorf("budget(%s, n=%d, topK=%d, degraded=%v) = %d, want %d", c.s, c.n, c.topK, c.degraded, got, c.want)
 		}
 	}
+}
+
+// TestPruneOptionsHalve pins the degraded budget (the policy PruneOptions.
+// Halve once spelled): load shedding halves both the fraction and the
+// floor of the budgeted paths, topK still lifts the budget, and the exact
+// scan is never degraded.
+func TestPruneOptionsHalve(t *testing.T) {
+	checkBudget(t, []budgetCase{
+		{StrategyPruned, 200, 10, true, 25},    // half the pruned fraction
+		{StrategyIndexed, 2000, 10, true, 125}, // 1/16 on the indexed path
+		{StrategyPruned, 40, 0, true, 8},       // half the floor
+		{StrategyIndexed, 40, 12, true, 12},    // topK still lifts
+		{StrategyExact, 200, 10, true, 200},    // exact is never degraded
+	})
 }
 
 // unseenProbe is a schema whose every token is absent from the family
@@ -91,13 +109,17 @@ func TestPlanAutoSelection(t *testing.T) {
 	r := newTestRegistry(t)
 	prunedCorpus(t, r, 200)
 
+	// The static budgets at n = 200, topK = 10: a quarter and an eighth of
+	// the corpus, both above the floor of 16.
+	const prunedBudget, indexedBudget = 50, 25
+
 	t.Run("index-blind probe", func(t *testing.T) {
 		src := mustPrepare(t, r, unseenProbe())
 		p := r.Plan(src, topK, opts)
 		if p.TokensIndexed != 0 {
 			t.Fatalf("probe unexpectedly shares tokens with the corpus: %+v", p)
 		}
-		want := opts.Prune.Limit(200, topK)
+		want := prunedBudget
 		if p.Strategy != StrategyPruned || !p.Planned || p.Budget != want {
 			t.Errorf("plan = %+v, want planned pruned with budget %d", p, want)
 		}
@@ -112,10 +134,10 @@ func TestPlanAutoSelection(t *testing.T) {
 		if p.TokensIndexed == 0 || p.PostingsKept == 0 {
 			t.Fatalf("stop-heavy probe should share kept tokens below the cutoff: %+v", p)
 		}
-		if p.MinKeptDF < opts.Index.Limit(200, topK) {
+		if p.MinKeptDF < indexedBudget {
 			t.Fatalf("stop-heavy probe's rarest kept token df %d fits the static budget", p.MinKeptDF)
 		}
-		want := opts.Prune.Limit(200, topK)
+		want := prunedBudget
 		if p.Strategy != StrategyPruned || !p.Planned || p.Budget != want {
 			t.Errorf("plan = %+v, want planned pruned with budget %d", p, want)
 		}
@@ -131,57 +153,57 @@ func TestPlanAutoSelection(t *testing.T) {
 			t.Fatalf("plan stats empty for a family probe: %+v", p)
 		}
 		// The budget is the adaptive cluster-sized one, capped at the
-		// static policy limit and floored at MinCandidates and topK.
-		want := opts.Index.Limit(200, topK)
-		if adaptive := adaptiveBudget(p.MaxKeptDF, opts.Index, topK); adaptive < want {
-			want = adaptive
-		}
+		// static budget and floored at 16 and topK.
+		want := min(indexedBudget, max(p.MaxKeptDF+p.MaxKeptDF/4, 16, topK))
 		if p.Budget != want {
 			t.Errorf("plan budget = %d, want %d (MaxKeptDF %d)", p.Budget, want, p.MaxKeptDF)
-		}
-		if static := opts.Index.Limit(200, topK); p.Budget > static {
-			t.Errorf("adaptive budget %d exceeds the static policy %d", p.Budget, static)
 		}
 	})
 }
 
 // TestAdaptiveBudget pins the cluster-plus-headroom sizing and its floors.
 func TestAdaptiveBudget(t *testing.T) {
-	opt := PruneOptions{Fraction: 0.125, MinCandidates: 16}
-	cases := []struct{ maxDF, topK, want int }{
-		{100, 10, 125}, // cluster + 25% headroom
-		{4, 10, 16},    // floored at MinCandidates
-		{4, 40, 40},    // floored at topK
-		{0, 0, 16},     // degenerate: the MinCandidates floor still applies
+	cases := []struct {
+		maxDF, topK int
+		degraded    bool
+		want        int
+	}{
+		{100, 10, false, 125}, // cluster + 25% headroom
+		{4, 10, false, 16},    // floored at 16
+		{4, 40, false, 40},    // floored at topK
+		{0, 0, false, 16},     // degenerate: the floor still applies
+		{4, 0, true, 8},       // degraded: the halved floor
+		{100, 10, true, 125},  // degraded: the cluster still decides
 	}
 	for _, tc := range cases {
-		if got := adaptiveBudget(tc.maxDF, opt, tc.topK); got != tc.want {
-			t.Errorf("adaptiveBudget(%d, topK %d) = %d, want %d", tc.maxDF, tc.topK, got, tc.want)
+		if got := adaptiveBudget(tc.maxDF, tc.topK, tc.degraded); got != tc.want {
+			t.Errorf("adaptiveBudget(%d, topK %d, degraded %v) = %d, want %d", tc.maxDF, tc.topK, tc.degraded, got, tc.want)
 		}
-	}
-	if got := adaptiveBudget(4, PruneOptions{}, 0); got != 5 {
-		t.Errorf("adaptiveBudget with zero floor = %d, want 5", got)
 	}
 }
 
 // forcedOracle rebuilds, outside the planner, the candidate set a forced
 // strategy must tree-match and the stats it must report. Pruned takes the
-// top Prune.Limit(n, topK) entries by signature affinity, ties broken by
-// name; indexed asks the inverted index for Index.Limit(n, topK)
+// top max(16, ceil(n/4), topK) entries by signature affinity, ties broken
+// by name; indexed asks the inverted index for max(16, ceil(n/8), topK)
 // candidates. Both fall back to every entry when the budget covers the
-// corpus, indexed also for a token-less probe. Degraded halves the budget
-// policies first; the exact scan has no budget to halve.
+// corpus, indexed also for a token-less probe. Degraded halves the
+// fractions and the floor; the exact scan has no budget to halve.
 func forcedOracle(r *Registry, src *core.Prepared, topK int, opt PlanOptions) ([]*Entry, RetrievalStats) {
+	pruned, indexed, floor := 0.25, 0.125, 16
 	if opt.Degraded {
-		opt.Prune, opt.Index = opt.Prune.Halve(), opt.Index.Halve()
+		pruned, indexed, floor = 0.125, 0.0625, 8
 	}
 	entries := r.List()
 	n := len(entries)
+	limit := func(fraction float64) int {
+		return max(floor, int(math.Ceil(fraction*float64(n))), topK)
+	}
 	st := RetrievalStats{Strategy: opt.Force, Degraded: opt.Degraded, Corpus: n, CandidatesScored: n, CandidatesMatched: n}
 	sig := src.Signature()
 	switch opt.Force {
 	case StrategyPruned:
-		st.CandidateBudget = opt.Prune.Limit(n, topK)
+		st.CandidateBudget = limit(pruned)
 		if st.CandidateBudget >= n {
 			return entries, st
 		}
@@ -195,7 +217,7 @@ func forcedOracle(r *Registry, src *core.Prepared, topK int, opt PlanOptions) ([
 		st.CandidatesMatched = st.CandidateBudget
 		return entries[:st.CandidateBudget], st
 	case StrategyIndexed:
-		st.CandidateBudget = opt.Index.Limit(n, topK)
+		st.CandidateBudget = limit(indexed)
 		if st.CandidateBudget >= n || len(sig.Tokens) == 0 {
 			return entries, st
 		}
@@ -320,50 +342,56 @@ func TestForcedPlansMatchOracle(t *testing.T) {
 	}
 }
 
-// TestMatchDegradedHalvesBudgets: a degraded planned/forced run must rank
-// exactly like the same strategy under pre-halved budget policies — the
-// serving layer's load shedding is a planner input, not a separate path —
-// and the stats must say so. A forced exact scan has no budget to shed,
-// so it never reports degraded.
+// TestMatchDegradedHalvesBudgets: a degraded forced run must run under
+// the halved budget — half the fraction, half the floor — and say so in
+// its stats, and a degraded planned run must plan under the halved
+// budgets. A forced exact scan has no budget to shed, so it never reports
+// degraded.
 func TestMatchDegradedHalvesBudgets(t *testing.T) {
 	const topK = 10
 	r := newTestRegistry(t)
-	prunedCorpus(t, r, 120)
+	prunedCorpus(t, r, 400)
 	src := mustPrepare(t, r, workloads.FamilyProbe(3, 21))
 
-	iopt := DefaultIndexOptions()
-	want, wantSt, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed, Index: iopt.Halve()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed, Index: iopt, Degraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRanking(t, want, got)
-	if !st.Degraded {
-		t.Error("degraded indexed run did not report Degraded")
-	}
-	wantSt.Degraded = true
-	if st != wantSt {
-		t.Errorf("degraded stats = %+v, want %+v", st, wantSt)
-	}
-
-	popt := DefaultPruneOptions()
-	want, _, err = r.Match(src, topK, PlanOptions{Force: StrategyPruned, Prune: popt.Halve()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err = r.Match(src, topK, PlanOptions{Force: StrategyPruned, Prune: popt, Degraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRanking(t, want, got)
-	if !st.Degraded {
-		t.Error("degraded pruned run did not report Degraded")
+	// At n = 400: pruned max(16, 100, 10) → max(8, 50, 10); indexed
+	// max(16, 50, 10) → max(8, 25, 10).
+	for _, tc := range []struct {
+		force          Strategy
+		full, degraded int
+	}{
+		{StrategyPruned, 100, 50},
+		{StrategyIndexed, 50, 25},
+	} {
+		_, st, err := r.Match(src, topK, PlanOptions{Force: tc.force})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Degraded || st.CandidateBudget != tc.full {
+			t.Errorf("%s: budget %d degraded %v, want %d undegraded", tc.force, st.CandidateBudget, st.Degraded, tc.full)
+		}
+		_, st, err = r.Match(src, topK, PlanOptions{Force: tc.force, Degraded: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Degraded || st.CandidateBudget != tc.degraded || st.CandidatesMatched != tc.degraded {
+			t.Errorf("%s degraded: budget %d matched %d degraded %v, want %d both and degraded",
+				tc.force, st.CandidateBudget, st.CandidatesMatched, st.Degraded, tc.degraded)
+		}
 	}
 
-	if _, st, err = r.Match(src, topK, PlanOptions{Force: StrategyExact, Degraded: true}); err != nil {
+	full := r.Plan(src, topK, DefaultPlanOptions())
+	shed := r.Plan(src, topK, PlanOptions{Degraded: true})
+	if full.Strategy != StrategyIndexed || shed.Strategy != StrategyIndexed {
+		t.Fatalf("plans %+v and %+v, want both indexed", full, shed)
+	}
+	if want := min(25, max(shed.MaxKeptDF+shed.MaxKeptDF/4, 8, topK)); !shed.Degraded || shed.Budget != want {
+		t.Errorf("degraded plan = %+v, want a degraded budget of %d", shed, want)
+	}
+	if shed.Budget > full.Budget {
+		t.Errorf("degraded plan budget %d exceeds the full plan's %d", shed.Budget, full.Budget)
+	}
+
+	if _, st, err := r.Match(src, topK, PlanOptions{Force: StrategyExact, Degraded: true}); err != nil {
 		t.Fatal(err)
 	} else if st.Degraded {
 		t.Error("a forced exact scan has no budget; it must not report Degraded")
@@ -405,11 +433,11 @@ func TestPlannedRecallAtLeastBestStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, _, err := r.Match(src, topK, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
+		pruned, _, err := r.Match(src, topK, PlanOptions{Force: StrategyPruned})
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, _, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed, Index: DefaultIndexOptions()})
+		indexed, _, err := r.Match(src, topK, PlanOptions{Force: StrategyIndexed})
 		if err != nil {
 			t.Fatal(err)
 		}

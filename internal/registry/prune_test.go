@@ -7,22 +7,21 @@ import (
 	"repro/internal/workloads"
 )
 
+// TestPruneOptionsLimit pins the undegraded candidate budget (the policy
+// PruneOptions.Limit once spelled): max(floor, ceil(f·n), topK) with
+// f = 1/4 on the pruned path and 1/8 on the indexed path and a floor of
+// 16. The exact scan is budgeted the whole repository and ignores topK.
 func TestPruneOptionsLimit(t *testing.T) {
-	opt := PruneOptions{Fraction: 0.25, MinCandidates: 16}
-	cases := []struct {
-		n, topK, want int
-	}{
-		{200, 10, 50},  // fraction dominates
-		{40, 5, 16},    // floor dominates
-		{200, 80, 80},  // topK dominates
-		{10, 0, 16},    // floor above n: the pruned strategy scans everything
-		{1000, 0, 250}, // fraction of a big repository
-	}
-	for _, c := range cases {
-		if got := opt.Limit(c.n, c.topK); got != c.want {
-			t.Errorf("limit(n=%d, topK=%d) = %d, want %d", c.n, c.topK, got, c.want)
-		}
-	}
+	checkBudget(t, []budgetCase{
+		{StrategyPruned, 200, 10, false, 50},    // fraction dominates
+		{StrategyPruned, 1000, 0, false, 250},   // fraction of a big repository
+		{StrategyIndexed, 2000, 10, false, 250}, // the indexed path's eighth
+		{StrategyPruned, 40, 5, false, 16},      // floor dominates
+		{StrategyIndexed, 10, 0, false, 16},     // floor above n: callers scan everything
+		{StrategyPruned, 200, 80, false, 80},    // topK lifts the budget
+		{StrategyExact, 200, 10, false, 200},    // exact: the whole repository
+		{StrategyExact, 5, 10, false, 5},        // exact ignores topK
+	})
 }
 
 // prunedCorpus registers a family-structured repository (domain-clustered
@@ -41,7 +40,7 @@ func prunedCorpus(t *testing.T, r *Registry, n int) {
 
 func TestMatchTopSmallRepositoryEqualsFullScan(t *testing.T) {
 	r := newTestRegistry(t)
-	prunedCorpus(t, r, 8) // below MinCandidates: pruning must not engage
+	prunedCorpus(t, r, 8) // below the budget floor: pruning must not engage
 	probe, err := r.Matcher().Prepare(workloads.Figure2().Source)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestMatchTopSmallRepositoryEqualsFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, _, err := r.Match(probe, 0, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
+	pruned, _, err := r.Match(probe, 0, PlanOptions{Force: StrategyPruned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestMatchTopRecallOnDiverseCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
+	pruned, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyPruned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +89,14 @@ func TestMatchTopDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := par.SetMaxWorkers(1)
-	seq, _, err := r.Match(probe, 8, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
+	seq, _, err := r.Match(probe, 8, PlanOptions{Force: StrategyPruned})
 	par.SetMaxWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par.SetMaxWorkers(8)
 	defer par.SetMaxWorkers(prev)
-	parR, _, err := r.Match(probe, 8, PlanOptions{Force: StrategyPruned, Prune: DefaultPruneOptions()})
+	parR, _, err := r.Match(probe, 8, PlanOptions{Force: StrategyPruned})
 	if err != nil {
 		t.Fatal(err)
 	}

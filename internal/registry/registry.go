@@ -57,7 +57,6 @@ package registry
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -418,78 +417,6 @@ func (r *Registry) top(ctx context.Context, src *core.Prepared, ranked []Ranked,
 		return nil, err
 	}
 	return ranked, nil
-}
-
-// PruneOptions sizes the candidate set the pruned and indexed strategies
-// let through to the full tree match. The candidate budget for a repository of n entries is
-//
-//	max(MinCandidates, ceil(Fraction·n), topK)
-//
-// so pruning only engages once the repository outgrows the floor, and a
-// caller asking for more results than the budget always gets at least topK
-// candidates matched.
-type PruneOptions struct {
-	// Fraction of the repository that reaches the full match, in (0,1].
-	Fraction float64
-	// MinCandidates is the floor below which pruning is pointless: small
-	// repositories are scanned exactly.
-	MinCandidates int
-}
-
-// DefaultPruneOptions keeps the top quarter of the repository, never fewer
-// than 16 candidates — the setting cupidbench validates recall@K = 1.0 for
-// on its 1-vs-200 corpus.
-func DefaultPruneOptions() PruneOptions {
-	return PruneOptions{Fraction: 0.25, MinCandidates: 16}
-}
-
-// DefaultIndexOptions sizes the indexed strategy's candidate budget: an eighth of
-// the repository, never fewer than 16 candidates. The indexed path can
-// afford half the pruned path's fraction because its candidates are all
-// genuine token-sharers — the pruned path's quarter compensates for
-// ranking blindly over every entry, overlap or not. The setting is
-// validated empirically like the pruned one: cupidbench's 1-vs-2000
-// workload asserts recall@10 >= 0.98 against the exact scan across all
-// family probes. Both policies flow through the same Limit function.
-func DefaultIndexOptions() PruneOptions {
-	return PruneOptions{Fraction: 0.125, MinCandidates: 16}
-}
-
-// Limit returns the candidate budget for a repository of n entries: the
-// single, shared candidate-floor policy — the pruned and indexed
-// retrieval paths both size their candidate set with this function, so the two paths can never drift apart on how many
-// entries reach the full tree match.
-//
-// The fraction is applied with a ceiling, never integer division, so it
-// cannot collapse to zero for tiny repositories (¼ of n=2 is 1 candidate,
-// not 0). Degenerate options are normalized rather than trusted: a
-// Fraction outside (0,1] means "everything" (the zero value is a full
-// scan, the safe default), a non-positive MinCandidates floor is lifted
-// to 1, and a negative topK counts as 0. n <= 0 always yields 0. The
-// returned budget may exceed n — callers treat that as "scan everything".
-func (o PruneOptions) Limit(n, topK int) int {
-	if n <= 0 {
-		return 0
-	}
-	f := o.Fraction
-	if f <= 0 || f > 1 {
-		f = 1
-	}
-	l := int(math.Ceil(f * float64(n)))
-	if l < 1 {
-		l = 1
-	}
-	floor := o.MinCandidates
-	if floor < 1 {
-		floor = 1
-	}
-	if l < floor {
-		l = floor
-	}
-	if l < topK {
-		l = topK
-	}
-	return l
 }
 
 // pruneByAffinity is the pruned path's candidate-generation stage: rank

@@ -109,17 +109,13 @@ func (f *Frontend) Draining() bool { return f.draining.Load() }
 // cupidd's -retrieval flag: the zero value (registry.StrategyAuto) lets
 // the registry's planner pick per probe, the other strategies force one
 // path. TopK is the ranking length requested from the registry (0 = rank
-// everything retrieved); Prune and Index are the per-path candidate
-// budget policies the planner (or a forced path) runs under.
+// everything retrieved). Every path runs under the registry's fixed
+// candidate budgets, halved when the frontend degrades.
 type MatchSpec struct {
 	// Retrieval picks the strategy (StrategyAuto plans per probe).
 	Retrieval registry.Strategy
 	// TopK is the requested ranking length (0 = everything retrieved).
 	TopK int
-	// Prune sizes the pruned path's candidate budget.
-	Prune registry.PruneOptions
-	// Index sizes the indexed path's candidate budget.
-	Index registry.PruneOptions
 }
 
 // Result is a MatchBatch outcome. Stats is the registry's own
@@ -204,9 +200,8 @@ func (f *Frontend) MatchBatch(ctx context.Context, src *core.Prepared, spec Matc
 // matchBatchAdmitted is the uncached path: acquire a read slot, decide
 // degradation from the pool's saturation, and hand the spec to the
 // registry's planned entry point. Degradation is a planner input
-// (PlanOptions.Degraded halves the budget policies exactly like the old
-// serving-layer special case did), not a serve-side rewrite of the spec;
-// the returned stats report what actually ran.
+// (PlanOptions.Degraded halves the candidate budgets), not a serve-side
+// rewrite of the spec; the returned stats report what actually ran.
 func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, spec MatchSpec) (Result, error) {
 	release, err := f.read.Acquire(ctx)
 	if err != nil {
@@ -218,8 +213,6 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 		f.degrade > 0 && f.read.Saturation() >= f.degrade
 	ranked, st, err := f.reg.MatchContext(ctx, src, spec.TopK, registry.PlanOptions{
 		Force:    spec.Retrieval,
-		Prune:    spec.Prune,
-		Index:    spec.Index,
 		Degraded: degraded,
 	})
 	if err != nil {
@@ -278,14 +271,11 @@ func (f *Frontend) withDeadline(ctx context.Context) (context.Context, context.C
 }
 
 // batchKey is the cache identity of a batch match: the source schema's
-// content hash plus every spec knob that can change the ranking. Registry
+// content hash plus every spec field that can change the ranking. Registry
 // content is deliberately absent — the epoch mechanism invalidates on
 // mutation instead.
 func batchKey(src *core.Prepared, spec MatchSpec) string {
-	return fmt.Sprintf("batch|%s|%d|%s|%g|%d|%g|%d",
-		src.Fingerprint(), spec.TopK, spec.Retrieval,
-		spec.Prune.Fraction, spec.Prune.MinCandidates,
-		spec.Index.Fraction, spec.Index.MinCandidates)
+	return fmt.Sprintf("batch|%s|%d|%s", src.Fingerprint(), spec.TopK, spec.Retrieval)
 }
 
 // FrontendStats snapshots the serving layer for /healthz-style reporting.

@@ -96,8 +96,6 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	f := NewFrontend(r, calmOptions(0))
 	probe := prepProbe(t, r, 1, 3)
 	ctx := context.Background()
-	prune := registry.PruneOptions{Fraction: 0.25, MinCandidates: 4}
-	index := registry.PruneOptions{Fraction: 0.25, MinCandidates: 4}
 
 	res, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyExact, TopK: 0})
 	if err != nil {
@@ -114,11 +112,11 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 		t.Errorf("exact stats = %+v; want full budget, not degraded", res.Stats)
 	}
 
-	res, err = f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5, Index: index})
+	res, err = f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	directRanked, directStats, err := r.MatchContext(ctx, probe, 5, registry.PlanOptions{Force: registry.StrategyIndexed, Index: index})
+	directRanked, directStats, err := r.MatchContext(ctx, probe, 5, registry.PlanOptions{Force: registry.StrategyIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,20 +126,24 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if res.Stats.CandidateBudget != directStats.CandidateBudget || res.Stats.CandidatesScored != directStats.CandidatesScored {
 		t.Errorf("indexed stats = %+v, want %+v", res.Stats, directStats)
 	}
+	if !res.Stats.Indexed || res.Stats.CandidateBudget >= r.Len() {
+		t.Errorf("indexed stats = %+v; the index must engage over %d entries", res.Stats, r.Len())
+	}
 
-	res, err = f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyPruned, TopK: 5, Prune: prune})
+	res, err = f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyPruned, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	directTop, _, err := r.MatchContext(ctx, probe, 5, registry.PlanOptions{Force: registry.StrategyPruned, Prune: prune})
+	directTop, _, err := r.MatchContext(ctx, probe, 5, registry.PlanOptions{Force: registry.StrategyPruned})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rankKey(res.Ranked) != rankKey(Project(directTop)) {
 		t.Error("pruned mode: frontend ranking differs from the forced pruned plan")
 	}
-	if want := prune.Limit(r.Len(), 5); res.Stats.CandidateBudget != want {
-		t.Errorf("pruned CandidateBudget = %d, want %d", res.Stats.CandidateBudget, want)
+	// max(16, ceil(40/4), 5): the floor, below the corpus.
+	if res.Stats.CandidateBudget != 16 || res.Stats.CandidatesMatched != 16 {
+		t.Errorf("pruned stats = %+v, want budget and matched 16", res.Stats)
 	}
 }
 
@@ -151,7 +153,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	r := testRegistry(t, 40)
 	f := NewFrontend(r, calmOptions(32))
 	probe := prepProbe(t, r, 2, 3)
-	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5, Index: registry.PruneOptions{Fraction: 0.25, MinCandidates: 4}}
+	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5}
 	ctx := context.Background()
 
 	cold, err := f.MatchBatch(ctx, probe, spec)
@@ -160,6 +162,9 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	}
 	if cold.Cached {
 		t.Fatal("first MatchBatch reported Cached")
+	}
+	if !cold.Stats.Indexed || cold.Stats.CandidateBudget >= r.Len() {
+		t.Fatalf("stats = %+v; the index must engage over %d entries", cold.Stats, r.Len())
 	}
 	warm, err := f.MatchBatch(ctx, probe, spec)
 	if err != nil {
@@ -171,7 +176,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	if rankKey(cold.Ranked) != rankKey(warm.Ranked) || cold.Stats != warm.Stats {
 		t.Error("cached reply differs from the fresh one")
 	}
-	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: spec.Retrieval, Index: spec.Index})
+	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: spec.Retrieval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +192,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 		}
 	}
 	// A different spec is a different key.
-	other, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3, Index: spec.Index})
+	other, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 // cupidd's handlers do — every cached batch reply must equal a fresh
 // registry computation. A single stale hit fails it.
 func TestInvalidationProperty(t *testing.T) {
-	r := testRegistry(t, 24)
+	r := testRegistry(t, 40)
 	f := NewFrontend(r, calmOptions(64))
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -214,7 +219,7 @@ func TestInvalidationProperty(t *testing.T) {
 		names = append(names, e.Name)
 	}
 	probes := []*core.Prepared{prepProbe(t, r, 0, 5), prepProbe(t, r, 2, 5), prepProbe(t, r, 4, 5)}
-	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5, Index: registry.PruneOptions{Fraction: 0.25, MinCandidates: 4}}
+	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5}
 
 	for i := 0; i < 150; i++ {
 		switch op := rng.Intn(10); {
@@ -224,9 +229,12 @@ func TestInvalidationProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("op %d: MatchBatch: %v", i, err)
 			}
-			fresh, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: spec.Index})
+			fresh, st, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed})
 			if err != nil {
 				t.Fatalf("op %d: fresh indexed match: %v", i, err)
+			}
+			if !st.Indexed {
+				t.Fatalf("op %d: the index did not engage over %d entries (stats %+v)", i, r.Len(), st)
 			}
 			if rankKey(res.Ranked) != rankKey(Project(fresh)) {
 				t.Fatalf("op %d: stale cache hit (cached=%t):\n  served %s\n  fresh  %s",
@@ -268,7 +276,7 @@ func TestInvalidationUnderConcurrentMutation(t *testing.T) {
 	f := NewFrontend(r, calmOptions(64))
 	ctx := context.Background()
 	probe := prepProbe(t, r, 1, 5)
-	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5, Index: registry.PruneOptions{Fraction: 0.25, MinCandidates: 4}}
+	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5}
 	reserve := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 4, Seed: 42})
 
 	var wg sync.WaitGroup
@@ -313,8 +321,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 		DegradeAt:     0.5,
 	})
 	probe := prepProbe(t, r, 3, 3)
-	index := registry.PruneOptions{Fraction: 0.5, MinCandidates: 4}
-	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3, Index: index}
+	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3}
 	ctx := context.Background()
 
 	res, err := f.MatchBatch(ctx, probe, spec)
@@ -324,14 +331,12 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	if !res.Stats.Degraded {
 		t.Fatal("saturated MatchBatch did not degrade")
 	}
-	shrunk := index.Halve()
-	if want := shrunk.Limit(r.Len(), spec.TopK); res.Stats.CandidateBudget != want {
-		t.Errorf("degraded CandidateBudget = %d, want shrunk limit %d", res.Stats.CandidateBudget, want)
+	// At 40 entries the full budget is the floor, max(16, ceil(40/8), 3) =
+	// 16; degraded halves the floor and the fraction: max(8, ceil(40/16), 3).
+	if res.Stats.CandidateBudget != 8 || !res.Stats.Indexed {
+		t.Errorf("degraded stats = %+v, want an indexed run under the shrunk budget 8", res.Stats)
 	}
-	if full := index.Limit(r.Len(), spec.TopK); res.Stats.CandidateBudget >= full {
-		t.Errorf("degraded budget %d not below full budget %d", res.Stats.CandidateBudget, full)
-	}
-	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Index: shrunk})
+	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: registry.StrategyIndexed, Degraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
