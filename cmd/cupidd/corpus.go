@@ -19,12 +19,12 @@ package main
 // composition of mappings "performed earlier".
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 	"sync"
 
 	cupid "repro"
+	"repro/internal/serve"
 )
 
 // clusterJob is one asynchronous clustering run's observable state.
@@ -55,7 +55,7 @@ func (c *clusterJobs) start() (clusterJob, error) {
 	if c.running {
 		for _, j := range c.jobs {
 			if j.Status == "running" {
-				return clusterJob{}, errf(http.StatusConflict, "clustering job %d is already running", j.ID)
+				return clusterJob{}, serve.Errorf(http.StatusConflict, "clustering job %d is already running", j.ID)
 			}
 		}
 	}
@@ -103,7 +103,7 @@ func (c *clusterJobs) get(id int) (clusterJob, bool) {
 // primary's clustering through replication instead of computing their own.
 func (s *server) handleClusterStart(w http.ResponseWriter, r *http.Request) {
 	if err := s.replicaWriteGuard(); err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	var req struct {
@@ -111,25 +111,24 @@ func (s *server) handleClusterStart(w http.ResponseWriter, r *http.Request) {
 		MinAffinity float64 `json:"min_affinity,omitempty"`
 	}
 	// An absent body means defaults; anything else malformed is refused.
-	if err := s.decodeBody(w, r, &req); err != nil && !isEmptyBodyErr(err) {
-		writeError(w, err)
+	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil && !isEmptyBodyErr(err) {
+		serve.WriteError(w, err)
 		return
 	}
 	opt := cupid.CorpusOptions{Neighbors: req.Neighbors, MinAffinity: req.MinAffinity}
 	j, err := s.corpusJobs.start()
 	if err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	go s.runClusterJob(j.ID, opt)
-	writeJSON(w, http.StatusAccepted, j)
+	serve.WriteJSON(w, http.StatusAccepted, j)
 }
 
 // isEmptyBodyErr reports whether a decode failure was just an absent body
 // (json.Decoder surfaces that as a bare EOF).
 func isEmptyBodyErr(err error) bool {
-	var he *httpError
-	return errors.As(err, &he) && he.msg == "decoding request body: EOF"
+	return err.Error() == "decoding request body: EOF"
 }
 
 // runClusterJob computes, installs and (when durable) persists one
@@ -158,15 +157,15 @@ func (s *server) runClusterJob(id int, opt cupid.CorpusOptions) {
 func (s *server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, errf(http.StatusBadRequest, "job id must be an integer"))
+		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "job id must be an integer"))
 		return
 	}
 	j, ok := s.corpusJobs.get(id)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no clustering job %d", id))
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "no clustering job %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	serve.WriteJSON(w, http.StatusOK, j)
 }
 
 // handleFamilies serves the installed clustering's canonical bytes
@@ -175,7 +174,7 @@ func (s *server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleFamilies(w http.ResponseWriter, _ *http.Request) {
 	raw := s.reg.FamiliesJSON()
 	if raw == nil {
-		writeError(w, errf(http.StatusNotFound, "no corpus clustering installed (POST /corpus/cluster)"))
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "no corpus clustering installed (POST /corpus/cluster)"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -198,43 +197,43 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 	}
 	a, ok := s.reg.Get(aName)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "schema %q is not registered", aName))
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", aName))
 		return
 	}
 	c, ok := s.reg.Get(cName)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "schema %q is not registered", cName))
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", cName))
 		return
 	}
 	switch via {
 	case "direct":
 		m, cached, err := s.front.MatchPair(r.Context(), a.Prepared, c.Prepared)
 		if err != nil {
-			writeError(w, s.serveErr(err))
+			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "direct", "cached": cached,
 			"leaves": pairsOf(m.Leaves), "nonLeaves": pairsOf(m.NonLeaves),
 		})
 	case "family":
 		medoid, ok := s.reg.FamilyOf(aName)
 		if !ok {
-			writeError(w, errf(http.StatusConflict, "schema %q is not in any family (cluster the corpus first: POST /corpus/cluster)", aName))
+			serve.WriteError(w, serve.Errorf(http.StatusConflict, "schema %q is not in any family (cluster the corpus first: POST /corpus/cluster)", aName))
 			return
 		}
 		cMedoid, ok := s.reg.FamilyOf(cName)
 		if !ok {
-			writeError(w, errf(http.StatusConflict, "schema %q is not in any family (cluster the corpus first: POST /corpus/cluster)", cName))
+			serve.WriteError(w, serve.Errorf(http.StatusConflict, "schema %q is not in any family (cluster the corpus first: POST /corpus/cluster)", cName))
 			return
 		}
 		if medoid != cMedoid {
-			writeError(w, errf(http.StatusConflict, "schemas %q (family %q) and %q (family %q) are in different families; use via=direct", aName, medoid, cName, cMedoid))
+			serve.WriteError(w, serve.Errorf(http.StatusConflict, "schemas %q (family %q) and %q (family %q) are in different families; use via=direct", aName, medoid, cName, cMedoid))
 			return
 		}
 		m, ok := s.reg.Get(medoid)
 		if !ok {
-			writeError(w, errf(http.StatusConflict, "family medoid %q is no longer registered; re-cluster the corpus", medoid))
+			serve.WriteError(w, serve.Errorf(http.StatusConflict, "family medoid %q is no longer registered; re-cluster the corpus", medoid))
 			return
 		}
 		// A→M and C→M are the matches the family route (and any sibling
@@ -242,21 +241,21 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		// singleflight cache on repeat derivations.
 		aToM, cachedA, err := s.front.MatchPair(r.Context(), a.Prepared, m.Prepared)
 		if err != nil {
-			writeError(w, s.serveErr(err))
+			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
 		cToM, cachedC, err := s.front.MatchPair(r.Context(), c.Prepared, m.Prepared)
 		if err != nil {
-			writeError(w, s.serveErr(err))
+			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
 		composed := aToM.Compose(cToM.Invert())
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "family", "medoid": medoid,
 			"cached": cachedA && cachedC,
 			"leaves": pairsOf(composed.Leaves), "nonLeaves": pairsOf(composed.NonLeaves),
 		})
 	default:
-		writeError(w, errf(http.StatusBadRequest, "query parameter via must be direct or family, got %q", via))
+		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "query parameter via must be direct or family, got %q", via))
 	}
 }

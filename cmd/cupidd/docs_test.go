@@ -54,7 +54,7 @@ func TestAPIDocRoutesMatchServer(t *testing.T) {
 	}
 	declared := map[string]bool{}
 	for _, rt := range s.routeTable() {
-		declared[rt.method+" "+rt.pattern] = true
+		declared[rt.Method+" "+rt.Pattern] = true
 	}
 
 	for r := range declared {
@@ -315,8 +315,8 @@ func TestCommandDocMentionsEveryFlagAndRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rt := range s.routeTable() {
-		if !strings.Contains(head, rt.pattern) {
-			t.Errorf("command doc comment does not mention route %s", rt.pattern)
+		if !strings.Contains(head, rt.Pattern) {
+			t.Errorf("command doc comment does not mention route %s", rt.Pattern)
 		}
 	}
 }

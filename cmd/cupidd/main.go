@@ -145,7 +145,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -155,7 +154,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -238,7 +236,7 @@ func (s *server) initServing(opt *options) {
 	s.front = serve.NewFrontend(s.reg, opt.serveOptions())
 	s.maxBody = opt.maxBody
 	if s.maxBody <= 0 {
-		s.maxBody = 4 << 20
+		s.maxBody = serve.DefaultMaxBody
 	}
 }
 
@@ -276,85 +274,6 @@ func infoOf(e *cupid.RegistryEntry) schemaInfo {
 	}
 }
 
-// httpError carries a status code (and an optional Retry-After hint for
-// overload rejections) out of a handler helper.
-type httpError struct {
-	code       int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func errf(code int, format string, args ...any) error {
-	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-}
-
-// serveErr maps serving-layer admission and lifecycle errors onto the
-// HTTP overload contract: 429 + Retry-After for shed load, 503 +
-// Retry-After for draining and for a blown match deadline. Anything else
-// passes through.
-func (s *server) serveErr(err error) error {
-	hint := s.front.ReadPool().MaxWait()
-	if hint < time.Second {
-		hint = time.Second
-	}
-	switch {
-	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrQueueWait):
-		return &httpError{code: http.StatusTooManyRequests, msg: "server overloaded: " + err.Error(), retryAfter: hint}
-	case errors.Is(err, serve.ErrDraining):
-		return &httpError{code: http.StatusServiceUnavailable, msg: "server is shutting down", retryAfter: time.Second}
-	case errors.Is(err, context.DeadlineExceeded):
-		return &httpError{code: http.StatusServiceUnavailable, msg: "match deadline exceeded under load; retry", retryAfter: time.Second}
-	case errors.Is(err, context.Canceled):
-		// The client is gone; the status is for the access log only.
-		return errf(http.StatusServiceUnavailable, "request canceled by client")
-	}
-	return err
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("cupidd: writing response: %v", err)
-	}
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	var he *httpError
-	if errors.As(err, &he) {
-		code = he.code
-		if he.retryAfter > 0 {
-			secs := int((he.retryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// decodeBody decodes a JSON request body, rejecting unknown fields so
-// client typos surface as errors instead of silent defaults, and capping
-// the body at -max-body bytes (413, and the connection closed, beyond —
-// http.MaxBytesReader stops a mis-sized upload from being read to the
-// end just to be refused).
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes (-max-body)", mbe.Limit)
-		}
-		return errf(http.StatusBadRequest, "decoding request body: %v", err)
-	}
-	return nil
-}
-
 // resolve turns a schemaRef into a prepared schema (plus its repository
 // name when registered).
 func (s *server) resolve(ref schemaRef) (*cupid.Prepared, string, error) {
@@ -362,30 +281,30 @@ func (s *server) resolve(ref schemaRef) (*cupid.Prepared, string, error) {
 	case ref.Name != "" && ref.Content == "":
 		e, ok := s.reg.Get(ref.Name)
 		if !ok {
-			return nil, "", errf(http.StatusNotFound, "schema %q is not registered", ref.Name)
+			return nil, "", serve.Errorf(http.StatusNotFound, "schema %q is not registered", ref.Name)
 		}
 		return e.Prepared, e.Name, nil
 	case ref.Content != "":
 		if ref.Format == "" {
-			return nil, "", errf(http.StatusBadRequest, "inline schema needs a format (one of %s)", strings.Join(cupid.SchemaFormats(), ", "))
+			return nil, "", serve.Errorf(http.StatusBadRequest, "inline schema needs a format (one of %s)", strings.Join(cupid.SchemaFormats(), ", "))
 		}
 		sch, err := cupid.ParseSchema(ref.Name, ref.Format, []byte(ref.Content))
 		if err != nil {
-			return nil, "", errf(http.StatusBadRequest, "parsing inline schema: %v", err)
+			return nil, "", serve.Errorf(http.StatusBadRequest, "parsing inline schema: %v", err)
 		}
 		p, err := s.reg.Matcher().Prepare(sch)
 		if err != nil {
-			return nil, "", errf(http.StatusBadRequest, "preparing inline schema: %v", err)
+			return nil, "", serve.Errorf(http.StatusBadRequest, "preparing inline schema: %v", err)
 		}
 		return p, "", nil
 	default:
-		return nil, "", errf(http.StatusBadRequest, `schema reference needs "name" or "format"+"content"`)
+		return nil, "", serve.Errorf(http.StatusBadRequest, `schema reference needs "name" or "format"+"content"`)
 	}
 }
 
 func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err := s.replicaWriteGuard(); err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	var req struct {
@@ -399,13 +318,13 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// source document.
 		Instances json.RawMessage `json:"instances,omitempty"`
 	}
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil {
+		serve.WriteError(w, err)
 		return
 	}
 	release, err := s.front.AcquireWrite(r.Context())
 	if err != nil {
-		writeError(w, s.serveErr(err))
+		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 		return
 	}
 	defer release()
@@ -428,7 +347,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			// The mutation is in memory even though durability failed, so
 			// cached rankings are stale either way.
 			s.front.Invalidate()
-			writeError(w, errf(http.StatusInternalServerError, "%v", err))
+			serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "%v", err))
 			return
 		}
 	} else {
@@ -446,7 +365,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeError(w, errf(http.StatusBadRequest, "%v", err))
+		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "%v", err))
 		return
 	}
 	// Invalidate after the mutation committed, before acknowledging it:
@@ -457,7 +376,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !created {
 		code = http.StatusOK // idempotent re-registration
 	}
-	writeJSON(w, code, infoOf(e))
+	serve.WriteJSON(w, code, infoOf(e))
 }
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -466,18 +385,18 @@ func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	for _, e := range entries {
 		infos = append(infos, infoOf(e))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"schemas": infos})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"schemas": infos})
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.replicaWriteGuard(); err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	name := r.PathValue("name")
 	release, err := s.front.AcquireWrite(r.Context())
 	if err != nil {
-		writeError(w, s.serveErr(err))
+		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 		return
 	}
 	defer release()
@@ -488,15 +407,15 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		ok = s.reg.Remove(name)
 	}
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "schema %q is not registered", name))
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", name))
 		return
 	}
 	s.front.Invalidate() // committed (even if journaling failed below): drop cached rankings
 	if err != nil {
-		writeError(w, errf(http.StatusInternalServerError, "%v", err))
+		serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "%v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
 // replicaWriteGuard refuses mutations on a read-only replica, naming the
@@ -505,7 +424,7 @@ func (s *server) replicaWriteGuard() error {
 	if s.primary == "" {
 		return nil
 	}
-	return errf(http.StatusForbidden, "read-only replica: writes go to the primary at %s", s.primary)
+	return serve.Errorf(http.StatusForbidden, "read-only replica: writes go to the primary at %s", s.primary)
 }
 
 // handleGetSchema serves one registered schema's stored source document —
@@ -517,15 +436,15 @@ func (s *server) replicaWriteGuard() error {
 func (s *server) handleGetSchema(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if s.persist == nil {
-		writeError(w, errf(http.StatusNotImplemented, "schema source documents are only stored with -data"))
+		serve.WriteError(w, serve.Errorf(http.StatusNotImplemented, "schema source documents are only stored with -data"))
 		return
 	}
 	doc, ok := s.persist.Doc(name)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "schema %q is not registered", name))
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	serve.WriteJSON(w, http.StatusOK, doc)
 }
 
 // replQuery encodes/decodes the follower's resume position in the
@@ -543,7 +462,7 @@ func replQuery(pos cupid.ReplPos) string {
 // docs/REPLICATION.md specifies the wire format.
 func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.persist == nil {
-		writeError(w, errf(http.StatusNotImplemented, "replication requires -data with the write-ahead journal"))
+		serve.WriteError(w, serve.Errorf(http.StatusNotImplemented, "replication requires -data with the write-ahead journal"))
 		return
 	}
 	var from cupid.ReplPos
@@ -551,7 +470,7 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("base"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, errf(http.StatusBadRequest, "query parameter base: %v", err))
+			serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "query parameter base: %v", err))
 			return
 		}
 		from.Base = n
@@ -559,7 +478,7 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("records"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, errf(http.StatusBadRequest, "query parameter records must be a non-negative integer"))
+			serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "query parameter records must be a non-negative integer"))
 			return
 		}
 		from.Records = n
@@ -708,26 +627,26 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		Source schemaRef `json:"source"`
 		Target schemaRef `json:"target"`
 	}
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil {
+		serve.WriteError(w, err)
 		return
 	}
 	src, _, err := s.resolve(req.Source)
 	if err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	dst, _, err := s.resolve(req.Target)
 	if err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	m, cached, err := s.front.MatchPair(r.Context(), src, dst)
 	if err != nil {
-		writeError(w, s.serveErr(err))
+		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"sourceSchema": m.SourceSchema,
 		"targetSchema": m.TargetSchema,
 		"cached":       cached,
@@ -749,13 +668,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Source schemaRef `json:"source"`
 		TopK   int       `json:"topK,omitempty"`
 	}
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
+	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil {
+		serve.WriteError(w, err)
 		return
 	}
 	src, srcName, err := s.resolve(req.Source)
 	if err != nil {
-		writeError(w, err)
+		serve.WriteError(w, err)
 		return
 	}
 	// Rank the repository, drop the source's trivial self-match, and only
@@ -779,13 +698,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if want > 0 && srcName != "" {
 		want++
 	}
-	spec := serve.MatchSpec{Retrieval: s.retrieval, TopK: want}
-	if s.retrieval == cupid.RetrievalExact {
-		spec.TopK = 0 // exhaustive mode ranks the whole repository
-	}
-	res, err := s.front.MatchBatch(r.Context(), src, spec)
+	res, err := s.front.MatchBatch(r.Context(), src, serve.MatchSpec{Retrieval: s.retrieval, TopK: want})
 	if err != nil {
-		writeError(w, s.serveErr(err))
+		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 		return
 	}
 	results := make([]batchResult, 0, len(res.Ranked))
@@ -825,7 +740,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if res.Stats.FamilyFallback {
 		reply["family_fallback"] = true
 	}
-	writeJSON(w, http.StatusOK, reply)
+	serve.WriteJSON(w, http.StatusOK, reply)
 }
 
 // sourceName labels the batch source: its repository name when registered,
@@ -837,32 +752,24 @@ func sourceName(p *cupid.Prepared, registered string) string {
 	return p.Schema().Name
 }
 
-// route is one HTTP endpoint; the table form keeps the mux, the command
-// doc and docs/API.md mechanically comparable (the doc-conformance test
-// walks it).
-type route struct {
-	method, pattern string
-	handler         http.HandlerFunc
-}
-
 // routeTable lists every endpoint the server exposes.
-func (s *server) routeTable() []route {
-	return []route{
-		{http.MethodPost, "/schemas", s.handleRegister},
-		{http.MethodGet, "/schemas", s.handleList},
-		{http.MethodGet, "/schemas/{name}", s.handleGetSchema},
-		{http.MethodDelete, "/schemas/{name}", s.handleDelete},
-		{http.MethodPost, "/match", s.handleMatch},
-		{http.MethodPost, "/match/batch", s.handleBatch},
-		{http.MethodGet, "/mappings/{a}/{c}", s.handleMapping},
-		{http.MethodPost, "/corpus/cluster", s.handleClusterStart},
-		{http.MethodGet, "/corpus/cluster/{id}", s.handleClusterStatus},
-		{http.MethodGet, "/corpus/families", s.handleFamilies},
-		{http.MethodGet, "/replicate", s.handleReplicate},
-		{http.MethodGet, "/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *server) routeTable() []serve.Route {
+	return []serve.Route{
+		{Method: http.MethodPost, Pattern: "/schemas", Handler: s.handleRegister},
+		{Method: http.MethodGet, Pattern: "/schemas", Handler: s.handleList},
+		{Method: http.MethodGet, Pattern: "/schemas/{name}", Handler: s.handleGetSchema},
+		{Method: http.MethodDelete, Pattern: "/schemas/{name}", Handler: s.handleDelete},
+		{Method: http.MethodPost, Pattern: "/match", Handler: s.handleMatch},
+		{Method: http.MethodPost, Pattern: "/match/batch", Handler: s.handleBatch},
+		{Method: http.MethodGet, Pattern: "/mappings/{a}/{c}", Handler: s.handleMapping},
+		{Method: http.MethodPost, Pattern: "/corpus/cluster", Handler: s.handleClusterStart},
+		{Method: http.MethodGet, Pattern: "/corpus/cluster/{id}", Handler: s.handleClusterStatus},
+		{Method: http.MethodGet, Pattern: "/corpus/families", Handler: s.handleFamilies},
+		{Method: http.MethodGet, Pattern: "/replicate", Handler: s.handleReplicate},
+		{Method: http.MethodGet, Pattern: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
+			serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		}},
-		{http.MethodGet, "/readyz", s.handleReady},
+		{Method: http.MethodGet, Pattern: "/readyz", Handler: s.handleReady},
 	}
 }
 
@@ -882,71 +789,24 @@ func (s *server) routeTable() []route {
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.front.Draining():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 	case s.replState != nil && !s.replState.Status().CaughtUp:
 		st := s.replState.Status()
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "reason": "catching_up",
 			"applied": st.Pos.String(), "horizon": st.Horizon.String(),
 		})
 	case s.persist != nil && s.persist.Compacting():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "compacting"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "compacting"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 	}
 }
 
 // routes builds the HTTP handler; split out so tests can drive the server
-// through httptest without binding a socket. Dispatch is per-pattern with
-// an explicit method map so that 405 (with an Allow header) and 404 keep
-// the JSON error contract instead of net/http's plain-text defaults, and
-// the whole tree sits behind the drain guard.
+// through httptest without binding a socket.
 func (s *server) routes() http.Handler {
-	byPattern := map[string]map[string]http.HandlerFunc{}
-	var patterns []string
-	for _, rt := range s.routeTable() {
-		if byPattern[rt.pattern] == nil {
-			byPattern[rt.pattern] = map[string]http.HandlerFunc{}
-			patterns = append(patterns, rt.pattern)
-		}
-		byPattern[rt.pattern][rt.method] = rt.handler
-	}
-	mux := http.NewServeMux()
-	for _, pattern := range patterns {
-		methods := byPattern[pattern]
-		allowed := make([]string, 0, len(methods))
-		for m := range methods {
-			allowed = append(allowed, m)
-		}
-		sort.Strings(allowed)
-		allow := strings.Join(allowed, ", ")
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			if h, ok := methods[r.Method]; ok {
-				h(w, r)
-				return
-			}
-			w.Header().Set("Allow", allow)
-			writeError(w, errf(http.StatusMethodNotAllowed, "method %s is not allowed for %s (allowed: %s)", r.Method, r.URL.Path, allow))
-		})
-	}
-	// Everything not matched above: JSON 404 instead of the mux default.
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, errf(http.StatusNotFound, "no such endpoint: %s", r.URL.Path))
-	})
-	return s.drainGuard(mux)
-}
-
-// drainGuard rejects new requests with 503 + Retry-After once shutdown
-// has begun, while in-flight requests drain. The probes stay reachable:
-// /healthz keeps reporting live, /readyz reports the not-ready reason.
-func (s *server) drainGuard(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.front.Draining() && r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
-			writeError(w, &httpError{code: http.StatusServiceUnavailable, msg: "server is shutting down", retryAfter: time.Second})
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
+	return serve.Handler(s.routeTable(), func() bool { return s.front.Draining() })
 }
 
 // options holds every command-line flag value. Tests construct it
@@ -1004,7 +864,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.DurationVar(&opt.queueWait, "queue-wait", time.Second, "queueing latency target: a request that waits longer for a slot is rejected with 429 and a Retry-After hint")
 	fs.DurationVar(&opt.matchDeadline, "match-deadline", 30*time.Second, "end-to-end deadline per match request, threaded through the candidate-scoring loops; 0 disables")
 	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the response's mappings, not the similarity matrices: about 0.2 MB per pair of 289-element schemas; 0 disables")
-	fs.Int64Var(&opt.maxBody, "max-body", 4<<20, "request body cap in bytes; larger bodies are rejected with 413")
+	fs.Int64Var(&opt.maxBody, "max-body", serve.DefaultMaxBody, "request body cap in bytes; larger bodies are rejected with 413")
 	return fs, opt
 }
 
@@ -1128,13 +988,18 @@ func run(args []string) error {
 		log.Printf("cupidd: read-only replica following %s", s.primary)
 		followDone = s.followLoop(ctx)
 	}
-	// waitFollow stops the follower loop and waits for its apply path to
-	// quiesce, so the journal is closed only after the last replicated
-	// record committed.
-	waitFollow := func() {
-		if followDone == nil {
-			return
-		}
+	log.Printf("cupidd: listening on %s", opt.addr)
+	err = serve.ListenAndDrain(ctx, srv, func() {
+		stop()
+		log.Print("cupidd: shutting down: draining in-flight requests, rejecting new ones with 503")
+		// New requests (including queued admissions) are refused from here
+		// on; Shutdown then waits for the in-flight ones.
+		s.front.BeginDrain()
+	})
+	// Close the journal only after in-flight requests drained and, on a
+	// follower, the replication apply loop stopped, so the last replicated
+	// record has committed.
+	if followDone != nil {
 		stop()
 		select {
 		case <-followDone:
@@ -1142,48 +1007,19 @@ func run(args []string) error {
 			log.Print("cupidd: replication loop did not stop in time")
 		}
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("cupidd: listening on %s", opt.addr)
-		errCh <- srv.ListenAndServe()
-	}()
-	// closeLoud closes the journal on the error exits, where the HTTP
-	// error takes precedence but a persistence failure must not vanish
-	// silently.
-	closeLoud := func() {
-		waitFollow()
-		if err := s.close(); err != nil {
-			log.Printf("cupidd: closing repository journal: %v", err)
+	cerr := s.close()
+	if err != nil {
+		// The HTTP error takes precedence, but a persistence failure must
+		// not vanish silently.
+		if cerr != nil {
+			log.Printf("cupidd: closing repository journal: %v", cerr)
 		}
-	}
-	select {
-	case err := <-errCh:
-		closeLoud()
 		return err
-	case <-ctx.Done():
-		stop()
-		log.Print("cupidd: shutting down: draining in-flight requests, rejecting new ones with 503")
-		// New requests (including queued admissions) are refused from here
-		// on; Shutdown then waits for the in-flight ones.
-		s.front.BeginDrain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			closeLoud()
-			return fmt.Errorf("graceful shutdown: %w", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			closeLoud()
-			return err
-		}
-		// Close the journal only after in-flight requests (and the
-		// replication apply loop, on a follower) drained.
-		waitFollow()
-		if err := s.close(); err != nil {
-			return fmt.Errorf("closing repository journal: %w", err)
-		}
-		return nil
 	}
+	if cerr != nil {
+		return fmt.Errorf("closing repository journal: %w", cerr)
+	}
+	return nil
 }
 
 func main() {

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	cupid "repro"
+	"repro/internal/serve"
 )
 
 const ordersDDL = `
@@ -490,5 +492,54 @@ func TestRetrievalFlagResolution(t *testing.T) {
 	// A directly constructed zero options value means the flag default.
 	if got, err := (&options{}).retrievalStrategy(); err != nil || got != cupid.RetrievalAuto {
 		t.Errorf("zero options: strategy = %v, err %v; want auto", got, err)
+	}
+}
+
+// TestExactBatchRanksOnlyWhatTheReplyNeeds: under -retrieval=exact a
+// batch request asks the serving frontend for the caller's topK (plus the
+// self-match slot) like every other strategy, instead of ranking — and
+// mapping and caching — every repository entry. The reply is the head of
+// the full exact ranking, and the frontend's cache holds exactly the
+// top-4 ranking the topK=3 request needed.
+func TestExactBatchRanksOnlyWhatTheReplyNeeds(t *testing.T) {
+	s, err := newServer(cupid.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.retrieval = cupid.RetrievalExact
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	register(t, ts, "orders", "sql", ordersDDL)
+	register(t, ts, "purchases", "sql", purchasesDDL)
+	for i := 0; i < 30; i++ {
+		register(t, ts, fmt.Sprintf("filler%d", i), "sql",
+			fmt.Sprintf("CREATE TABLE Filler%d (Customer%d INT, Amount DECIMAL(10,2), Shelf%d INT);", i, i, i))
+	}
+
+	resp := batchOf(t, ts, map[string]any{"source": map[string]string{"name": "orders"}, "topK": 3})
+	src, _ := s.reg.Get("orders")
+	full, _, err := s.reg.Match(src.Prepared, 0, cupid.PlanOptions{Force: cupid.RetrievalExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full = full[1:] // the source's own entry ranks first
+	if full[0].Entry.Name == "orders" || len(resp.Results) != 3 {
+		t.Fatalf("unexpected rankings: full head %q, %d results", full[0].Entry.Name, len(resp.Results))
+	}
+	for i, got := range resp.Results {
+		if got.Name != full[i].Entry.Name || got.Score != full[i].Score {
+			t.Errorf("rank %d: reply (%s %v) != full exact ranking (%s %v)",
+				i, got.Name, got.Score, full[i].Entry.Name, full[i].Score)
+		}
+	}
+
+	res, err := s.front.MatchBatch(context.Background(), src.Prepared,
+		serve.MatchSpec{Retrieval: cupid.RetrievalExact, TopK: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cached || len(res.Ranked) != 4 {
+		t.Errorf("exact topK=3 batch left cached=%t with %d entries for MatchSpec{exact, TopK: 4}; want a cache hit holding 4",
+			res.Cached, len(res.Ranked))
 	}
 }

@@ -58,7 +58,7 @@ func TestJSONErrorContractCovers404And405(t *testing.T) {
 
 	declared := map[string][]string{} // pattern -> methods
 	for _, rt := range s.routeTable() {
-		declared[rt.pattern] = append(declared[rt.pattern], rt.method)
+		declared[rt.Pattern] = append(declared[rt.Pattern], rt.Method)
 	}
 	for pattern, methods := range declared {
 		supported := map[string]bool{}

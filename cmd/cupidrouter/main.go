@@ -9,8 +9,10 @@
 // holding the whole corpus. A shard that misses the match deadline is shed:
 // the response carries the surviving shards' merged results with
 // "degraded": true and a per-shard status list instead of hanging.
-// GET /healthz and GET /readyz behave exactly as on cupidd, so the same
-// probes work against either binary.
+// The HTTP contract is cupidd's, served by the same code in
+// internal/serve: JSON errors (404 and 405 included), the -max-body 413,
+// 429 + Retry-After when the admission queue sheds, and GET /healthz and
+// GET /readyz probes that work against either binary.
 //
 // Flags:
 //
@@ -23,7 +25,7 @@
 //	-match-deadline  end-to-end deadline per scatter-gather match
 //	-max-body        request body cap in bytes (413 beyond)
 //
-// SIGTERM/SIGINT drain exactly like cupidd: new work is refused with 503
+// SIGTERM/SIGINT run the shared drain loop: new work is refused with 503
 // while in-flight fan-outs finish.
 package main
 
@@ -65,7 +67,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "bounded admission queue; arrivals beyond it are rejected with 429 immediately; 0 means 8x the concurrency")
 	fs.DurationVar(&opt.queueWait, "queue-wait", time.Second, "queueing latency target: a request that waits longer for a slot is rejected with 429 and a Retry-After hint")
 	fs.DurationVar(&opt.matchDeadline, "match-deadline", 30*time.Second, "end-to-end deadline per scatter-gather match; a shard that misses it is shed and the response marked degraded; 0 disables")
-	fs.Int64Var(&opt.maxBody, "max-body", 4<<20, "request body cap in bytes; larger bodies are rejected with 413")
+	fs.Int64Var(&opt.maxBody, "max-body", serve.DefaultMaxBody, "request body cap in bytes; larger bodies are rejected with 413")
 	return fs, opt
 }
 
@@ -106,28 +108,12 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("cupidrouter: routing over %d shards, listening on %s", len(rt.Shards()), opt.addr)
-		errCh <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
+	log.Printf("cupidrouter: routing over %d shards, listening on %s", len(rt.Shards()), opt.addr)
+	return serve.ListenAndDrain(ctx, srv, func() {
 		stop()
 		log.Print("cupidrouter: shutting down: draining in-flight fan-outs, rejecting new ones with 503")
 		rt.BeginDrain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("graceful shutdown: %w", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	}
+	})
 }
 
 func main() {

@@ -10,12 +10,12 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/serve"
 )
 
@@ -37,7 +37,7 @@ type Options struct {
 	// included; 0 means no deadline. A shard that cannot answer within it
 	// is shed from the merge, not waited for.
 	MatchDeadline time.Duration
-	// MaxBody caps request bodies (<= 0: 4 MiB, cupidd's default).
+	// MaxBody caps request bodies (<= 0: serve.DefaultMaxBody).
 	MaxBody int64
 	// Client issues the shard requests; nil uses a plain http.Client
 	// (per-request contexts carry the deadline, so no global timeout).
@@ -82,7 +82,7 @@ func NewRouter(opt Options) (*Router, error) {
 	}
 	maxBody := opt.MaxBody
 	if maxBody <= 0 {
-		maxBody = 4 << 20
+		maxBody = serve.DefaultMaxBody
 	}
 	client := opt.Client
 	if client == nil {
@@ -96,7 +96,7 @@ func NewRouter(opt Options) (*Router, error) {
 		maxBody:  maxBody,
 		client:   client,
 	}
-	rt.handler = rt.routes()
+	rt.handler = serve.Handler(rt.RouteTable(), rt.Draining)
 	return rt, nil
 }
 
@@ -116,15 +116,10 @@ func (rt *Router) BeginDrain() { rt.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (rt *Router) Draining() bool { return rt.draining.Load() }
 
-// ServeHTTP dispatches to the route table behind the drain guard.
+// ServeHTTP dispatches to the route table; once draining, everything but
+// the probes is refused with 503.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.handler.ServeHTTP(w, r)
-}
-
-// routerRoute is one (method, pattern, handler) row of the route table.
-type routerRoute struct {
-	method, pattern string
-	handler         http.HandlerFunc
 }
 
 // RouteTable lists every endpoint the router exposes — the single-node
@@ -132,71 +127,20 @@ type routerRoute struct {
 // shard directly) plus nothing: clients cannot tell a router from a
 // cupidd for the endpoints both serve. Exported so the cupidrouter
 // command's documentation conformance test can diff it against API.md.
-func (rt *Router) RouteTable() []struct{ Method, Pattern string } {
-	table := rt.routeTable()
-	out := make([]struct{ Method, Pattern string }, len(table))
-	for i, r := range table {
-		out[i] = struct{ Method, Pattern string }{r.method, r.pattern}
+func (rt *Router) RouteTable() []serve.Route {
+	return []serve.Route{
+		{Method: http.MethodPost, Pattern: "/schemas", Handler: rt.handleRegister},
+		{Method: http.MethodGet, Pattern: "/schemas", Handler: rt.handleList},
+		{Method: http.MethodGet, Pattern: "/schemas/{name}", Handler: rt.handleGetSchema},
+		{Method: http.MethodDelete, Pattern: "/schemas/{name}", Handler: rt.handleDelete},
+		{Method: http.MethodPost, Pattern: "/match/batch", Handler: rt.handleBatch},
+		{Method: http.MethodGet, Pattern: "/healthz", Handler: rt.handleHealth},
+		{Method: http.MethodGet, Pattern: "/readyz", Handler: rt.handleReady},
 	}
-	return out
-}
-
-func (rt *Router) routeTable() []routerRoute {
-	return []routerRoute{
-		{http.MethodPost, "/schemas", rt.handleRegister},
-		{http.MethodGet, "/schemas", rt.handleList},
-		{http.MethodGet, "/schemas/{name}", rt.handleGetSchema},
-		{http.MethodDelete, "/schemas/{name}", rt.handleDelete},
-		{http.MethodPost, "/match/batch", rt.handleBatch},
-		{http.MethodGet, "/healthz", rt.handleHealth},
-		{http.MethodGet, "/readyz", rt.handleReady},
-	}
-}
-
-// routes builds the dispatch tree with the same JSON 404/405 contract as
-// cupidd, behind the drain guard.
-func (rt *Router) routes() http.Handler {
-	byPattern := map[string]map[string]http.HandlerFunc{}
-	var patterns []string
-	for _, rr := range rt.routeTable() {
-		if byPattern[rr.pattern] == nil {
-			byPattern[rr.pattern] = map[string]http.HandlerFunc{}
-			patterns = append(patterns, rr.pattern)
-		}
-		byPattern[rr.pattern][rr.method] = rr.handler
-	}
-	mux := http.NewServeMux()
-	for _, pattern := range patterns {
-		methods := byPattern[pattern]
-		allowed := make([]string, 0, len(methods))
-		for m := range methods {
-			allowed = append(allowed, m)
-		}
-		sort.Strings(allowed)
-		allow := strings.Join(allowed, ", ")
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			if h, ok := methods[r.Method]; ok {
-				h(w, r)
-				return
-			}
-			w.Header().Set("Allow", allow)
-			writeRouterError(w, routerErrf(http.StatusMethodNotAllowed, "method %s is not allowed for %s (allowed: %s)", r.Method, r.URL.Path, allow))
-		})
-	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeRouterError(w, routerErrf(http.StatusNotFound, "no such endpoint: %s", r.URL.Path))
-	})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if rt.draining.Load() && r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
-			writeRouterError(w, &routerError{code: http.StatusServiceUnavailable, msg: "router is shutting down", retryAfter: time.Second})
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeRouterJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"shards": len(rt.shards),
 		"read":   rt.reads.Stats(),
@@ -205,19 +149,19 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if rt.draining.Load() {
-		writeRouterJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 		return
 	}
-	writeRouterJSON(w, http.StatusOK, map[string]any{"ready": true})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
 // handleRegister forwards a registration to the shard that owns the
 // schema's name and relays the shard's reply verbatim (status code
 // included, so 201-created vs 200-replaced survives the hop).
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		writeRouterError(w, err)
+	var body json.RawMessage
+	if err := serve.DecodeJSON(w, r, rt.maxBody, &body); err != nil {
+		serve.WriteError(w, err)
 		return
 	}
 	// Peek only the name for placement; the owning shard validates the
@@ -226,19 +170,19 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 	}
 	if err := json.Unmarshal(body, &peek); err != nil {
-		writeRouterError(w, routerErrf(http.StatusBadRequest, "decoding request body: %v", err))
+		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "decoding request body: %v", err))
 		return
 	}
 	if peek.Name == "" {
-		writeRouterError(w, routerErrf(http.StatusBadRequest, "registration needs a schema name for placement"))
+		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "registration needs a schema name for placement"))
 		return
 	}
-	ctx, cancel := rt.withDeadline(r.Context())
+	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
 	defer cancel()
 	owner := rt.shards[rt.ring.Owner(peek.Name)]
 	status, reply, err := rt.call(ctx, http.MethodPost, owner, "/schemas", body)
 	if err != nil {
-		writeRouterError(w, routerErrf(http.StatusBadGateway, "shard %s: %v", owner, err))
+		serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: %v", owner, err))
 		return
 	}
 	relay(w, status, reply)
@@ -258,12 +202,12 @@ func (rt *Router) handleGetSchema(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) forwardByName(w http.ResponseWriter, r *http.Request, method string) {
 	name := r.PathValue("name")
-	ctx, cancel := rt.withDeadline(r.Context())
+	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
 	defer cancel()
 	owner := rt.shards[rt.ring.Owner(name)]
 	status, reply, err := rt.call(ctx, method, owner, "/schemas/"+url.PathEscape(name), nil)
 	if err != nil {
-		writeRouterError(w, routerErrf(http.StatusBadGateway, "shard %s: %v", owner, err))
+		serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: %v", owner, err))
 		return
 	}
 	relay(w, status, reply)
@@ -274,7 +218,7 @@ func (rt *Router) forwardByName(w http.ResponseWriter, r *http.Request, method s
 // listing that silently omits a shard's schemas would misreport what is
 // registered, so any shard failure fails the list with 502.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := rt.withDeadline(r.Context())
+	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
 	defer cancel()
 	type listReply struct {
 		Schemas []json.RawMessage `json:"schemas"`
@@ -304,7 +248,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	var all []namedRaw
 	for i := range rt.shards {
 		if errs[i] != nil {
-			writeRouterError(w, routerErrf(http.StatusBadGateway, "shard %s: %v", rt.shards[i], errs[i]))
+			serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: %v", rt.shards[i], errs[i]))
 			return
 		}
 		for _, raw := range replies[i].Schemas {
@@ -312,7 +256,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 				Name string `json:"name"`
 			}
 			if err := json.Unmarshal(raw, &peek); err != nil {
-				writeRouterError(w, routerErrf(http.StatusBadGateway, "shard %s: malformed schema entry: %v", rt.shards[i], err))
+				serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: malformed schema entry: %v", rt.shards[i], err))
 				return
 			}
 			all = append(all, namedRaw{peek.Name, raw})
@@ -323,7 +267,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	for i, nr := range all {
 		merged[i] = nr.raw
 	}
-	writeRouterJSON(w, http.StatusOK, map[string]any{"schemas": merged})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"schemas": merged})
 }
 
 // schemaRef mirrors cupidd's request schema reference.
@@ -364,6 +308,19 @@ type shardBatch struct {
 	Results          []wireResult `json:"results"`
 }
 
+// stats decodes the reply's retrieval fields for MergeStats; a strategy
+// name the registry does not know fails the shard.
+func (b shardBatch) stats() (registry.RetrievalStats, error) {
+	strategy, err := registry.ParseStrategy(b.Strategy)
+	return registry.RetrievalStats{
+		Strategy:         strategy,
+		Planned:          b.Planned,
+		CandidatesScored: b.CandidatesScored,
+		CandidateBudget:  b.CandidateBudget,
+		Degraded:         b.Degraded,
+	}, err
+}
+
 // shardStatus is the per-shard outcome in the router's batch reply.
 type shardStatus struct {
 	Shard    string `json:"shard"`
@@ -383,26 +340,25 @@ type shardStatus struct {
 // with the shard's error in "shards", instead of the router hanging on
 // it.
 //
-// Aggregation rules (the wire-level mirror of MergeStats):
-// candidates_scored and candidate_budget sum; "degraded" ORs the shard
-// flags and any shed shard; "planned" and "cached" AND over responding
-// shards; "strategy" is the shared value, or the literal "mixed" when
-// shards ran different paths.
+// The aggregate fields are MergeStats over the responding shards' stats:
+// candidates_scored and candidate_budget sum, "planned" ANDs, "degraded"
+// ORs (and any shed shard sets it too), and "strategy" is the shared
+// value or the literal "mixed". "cached" ANDs over the responding shards.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Source schemaRef `json:"source"`
 		TopK   int       `json:"topK,omitempty"`
 	}
-	if err := rt.decodeBody(w, r, &req); err != nil {
-		writeRouterError(w, err)
+	if err := serve.DecodeJSON(w, r, rt.maxBody, &req); err != nil {
+		serve.WriteError(w, err)
 		return
 	}
-	ctx, cancel := rt.withDeadline(r.Context())
+	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
 	defer cancel()
 
 	release, err := rt.reads.Acquire(ctx)
 	if err != nil {
-		writeRouterError(w, rt.admitErr(err))
+		serve.WriteError(w, serve.OverloadError(err, rt.reads.MaxWait()))
 		return
 	}
 	defer release()
@@ -417,16 +373,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		owner := rt.shards[rt.ring.Owner(req.Source.Name)]
 		status, body, err := rt.call(ctx, http.MethodGet, owner, "/schemas/"+url.PathEscape(req.Source.Name), nil)
 		if err != nil {
-			writeRouterError(w, routerErrf(http.StatusBadGateway, "resolving source on shard %s: %v", owner, err))
+			serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "resolving source on shard %s: %v", owner, err))
 			return
 		}
 		if status != http.StatusOK {
-			writeRouterError(w, routerErrf(status, "%s", shardErrText(body)))
+			serve.WriteError(w, serve.Errorf(status, "%s", shardErrText(body)))
 			return
 		}
 		var doc shardDoc
 		if err := json.Unmarshal(body, &doc); err != nil {
-			writeRouterError(w, routerErrf(http.StatusBadGateway, "shard %s: malformed schema document: %v", owner, err))
+			serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: malformed schema document: %v", owner, err))
 			return
 		}
 		selfName, selfFP = doc.Name, doc.Fingerprint
@@ -441,11 +397,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, err := json.Marshal(map[string]any{"source": scatter, "topK": want})
 	if err != nil {
-		writeRouterError(w, routerErrf(http.StatusInternalServerError, "encoding scatter request: %v", err))
+		serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "encoding scatter request: %v", err))
 		return
 	}
 
 	batches := make([]shardBatch, len(rt.shards))
+	stats := make([]registry.RetrievalStats, len(rt.shards))
 	errs := make([]error, len(rt.shards))
 	var wg sync.WaitGroup
 	for i, shard := range rt.shards {
@@ -459,6 +416,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if err == nil {
 				err = json.Unmarshal(body, &batches[i])
 			}
+			if err == nil {
+				stats[i], err = batches[i].stats()
+			}
 			errs[i] = err
 		}()
 	}
@@ -466,45 +426,35 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	statuses := make([]shardStatus, len(rt.shards))
 	var (
-		merged           []wireResult
-		scored, budget   int
-		okCount          int
-		strategy         string
-		mixed            bool
-		planned, cached  = true, true
-		degraded, source = false, ""
+		merged []wireResult
+		parts  []registry.RetrievalStats
+		source string
+		cached = true
+		shed   bool
 	)
 	for i, shard := range rt.shards {
 		if errs[i] != nil {
 			statuses[i] = shardStatus{Shard: shard, OK: false, Error: errs[i].Error()}
-			degraded = true
+			shed = true
 			continue
 		}
 		b := batches[i]
 		statuses[i] = shardStatus{Shard: shard, OK: true, Strategy: b.Strategy}
-		if okCount == 0 {
-			strategy, source = b.Strategy, b.Source
-		} else if b.Strategy != strategy {
-			mixed = true
+		if len(parts) == 0 {
+			source = b.Source
 		}
-		okCount++
-		scored += b.CandidatesScored
-		budget += b.CandidateBudget
-		planned = planned && b.Planned
+		parts = append(parts, stats[i])
 		cached = cached && b.Cached
-		degraded = degraded || b.Degraded
 		merged = append(merged, b.Results...)
 	}
-	if okCount == 0 {
-		writeRouterError(w, routerErrf(http.StatusBadGateway, "all %d shards failed; first: %v", len(rt.shards), errs[0]))
+	if len(parts) == 0 {
+		serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "all %d shards failed; first: %v", len(rt.shards), errs[0]))
 		return
 	}
 	if selfName != "" {
 		source = selfName
 	}
-	if mixed {
-		strategy = "mixed"
-	}
+	agg := MergeStats(parts)
 
 	sort.SliceStable(merged, func(i, j int) bool {
 		return rankedLess(merged[i].Score, merged[i].Name, merged[i].Fingerprint,
@@ -521,14 +471,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results = append(results, m)
 	}
 
-	writeRouterJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"source":            source,
-		"strategy":          strategy,
-		"planned":           planned,
-		"candidates_scored": scored,
-		"candidate_budget":  budget,
+		"strategy":          agg.StrategyLabel(),
+		"planned":           agg.Planned,
+		"candidates_scored": agg.CandidatesScored,
+		"candidate_budget":  agg.CandidateBudget,
 		"cached":            cached,
-		"degraded":          degraded,
+		"degraded":          agg.Degraded || shed,
 		"shards":            statuses,
 		"results":           results,
 	})
@@ -580,95 +530,4 @@ func shardErrText(body []byte) string {
 		s = s[:200]
 	}
 	return s
-}
-
-func (rt *Router) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rt.deadline <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, rt.deadline)
-}
-
-// admitErr maps pool admission errors onto the same HTTP overload
-// contract cupidd uses.
-func (rt *Router) admitErr(err error) error {
-	hint := rt.reads.MaxWait()
-	if hint < time.Second {
-		hint = time.Second
-	}
-	switch {
-	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrQueueWait):
-		return &routerError{code: http.StatusTooManyRequests, msg: "router overloaded: " + err.Error(), retryAfter: hint}
-	case errors.Is(err, context.DeadlineExceeded):
-		return &routerError{code: http.StatusServiceUnavailable, msg: "match deadline exceeded under load; retry", retryAfter: time.Second}
-	case errors.Is(err, context.Canceled):
-		return routerErrf(http.StatusServiceUnavailable, "request canceled by client")
-	}
-	return err
-}
-
-// readBody reads a request body under the MaxBody cap.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, routerErrf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes (-max-body)", mbe.Limit)
-		}
-		return nil, routerErrf(http.StatusBadRequest, "reading request body: %v", err)
-	}
-	return body, nil
-}
-
-// decodeBody decodes a JSON body with the same contract as cupidd:
-// unknown fields rejected, size capped.
-func (rt *Router) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return routerErrf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes (-max-body)", mbe.Limit)
-		}
-		return routerErrf(http.StatusBadRequest, "decoding request body: %v", err)
-	}
-	return nil
-}
-
-// routerError carries a status code (and optional Retry-After) out of a
-// handler helper — the router-side twin of cupidd's httpError.
-type routerError struct {
-	code       int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *routerError) Error() string { return e.msg }
-
-func routerErrf(code int, format string, args ...any) error {
-	return &routerError{code: code, msg: fmt.Sprintf(format, args...)}
-}
-
-func writeRouterJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeRouterError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	var re *routerError
-	if errors.As(err, &re) {
-		code = re.code
-		if re.retryAfter > 0 {
-			secs := int((re.retryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-	}
-	writeRouterJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -104,6 +104,11 @@ func TestNoStaleSingleMapDocs(t *testing.T) {
 		"PruneOptions",
 		"DefaultIndexOptions",
 		"Halve(",
+		"routerError",
+		"writeRouterJSON",
+		"writeRouterError",
+		"drainGuard",
+		"twin of cupidd",
 	}
 	const root = "../.."
 	var files []string

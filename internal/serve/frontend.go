@@ -177,7 +177,7 @@ func (f *Frontend) MatchBatch(ctx context.Context, src *core.Prepared, spec Matc
 	if f.draining.Load() {
 		return Result{}, ErrDraining
 	}
-	ctx, cancel := f.withDeadline(ctx)
+	ctx, cancel := WithDeadline(ctx, f.deadline)
 	defer cancel()
 	key := batchKey(src, spec)
 	v, shared, err := f.cache.Do(ctx, key, func(ctx context.Context) (any, bool, error) {
@@ -239,7 +239,7 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*map
 	if f.draining.Load() {
 		return nil, false, ErrDraining
 	}
-	ctx, cancel := f.withDeadline(ctx)
+	ctx, cancel := WithDeadline(ctx, f.deadline)
 	defer cancel()
 	key := "pair|" + src.Fingerprint() + "|" + dst.Fingerprint()
 	v, shared, err := f.cache.Do(ctx, key, func(ctx context.Context) (any, bool, error) {
@@ -258,16 +258,6 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*map
 		return nil, false, err
 	}
 	return v.(*mapping.Mapping), shared, nil
-}
-
-func (f *Frontend) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if f.deadline <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, f.deadline)
 }
 
 // batchKey is the cache identity of a batch match: the source schema's

@@ -1,9 +1,16 @@
-// Package serve is the overload-resilience layer between cupidd's HTTP
-// handlers and the schema registry: bounded admission pools that fast-fail
-// instead of queueing without limit, a singleflight LRU cache over match
-// results with epoch-based invalidation, and a Frontend that threads
-// request deadlines into the registry's context-aware match paths and
-// sheds load by shrinking candidate budgets when the read pool saturates.
+// Package serve is the serving layer of cupidd and cupidrouter. It holds
+// the overload-resilience machinery between the HTTP handlers and the
+// schema registry: bounded admission pools that fast-fail instead of
+// queueing without limit, a singleflight LRU cache over match results
+// with epoch-based invalidation, and a Frontend that threads request
+// deadlines into the registry's context-aware match paths and sheds load
+// by shrinking candidate budgets when the read pool saturates.
+//
+// It also carries the HTTP contract both binaries share (http.go): the
+// route-table dispatcher with JSON 404/405 and the drain-time 503, the
+// status-carrying Error and its JSON writer, the capped body decoder, the
+// mapping of admission and context errors onto 429/503 + Retry-After,
+// and the listen-drain-shutdown loop.
 //
 // The layering is deliberate: admission happens *inside* the cache's
 // compute callback, so a pure cache hit (or a request coalesced onto an
