@@ -18,9 +18,9 @@ package main
 //     shards.
 //   - Router recall: every probe's per-shard top-K rankings (adaptive
 //     planner, the path cupidrouter actually fans out through) are
-//     merged with cluster.MergeRanked and compared against the
-//     single-node exhaustive ground truth. Gated: recall@10 exactly
-//     1.0.
+//     merged with serve.Merge and truncated with serve.Trim — the merge
+//     and batch rule cupidrouter serves — and compared against the
+//     single-node exhaustive ground truth. Gated: recall@10 exactly 1.0.
 //   - Replica convergence: a WAL primary streams its journal to a
 //     follower over the real replication codec (io.Pipe transport);
 //     the follower is killed mid-stream by a byte-limited reader,
@@ -70,9 +70,9 @@ const clusterReplicaKillLimit = 16 << 10
 // ClusterScalePoint is one shard-count cell of the scaling sweep.
 type ClusterScalePoint struct {
 	Shards int `json:"shards"`
-	// MinShardDocs/MaxShardDocs report the ring's partition balance.
-	MinShardDocs int `json:"min_shard_docs"`
-	MaxShardDocs int `json:"max_shard_docs"`
+	// MinDocs/MaxDocs report the ring's partition balance.
+	MinDocs int `json:"min_shard_docs"`
+	MaxDocs int `json:"max_shard_docs"`
 	// SweepNs is the aggregate critical-path time for one full probe
 	// sweep: per probe, the slowest shard's subquery, each subquery at
 	// its fastest repetition.
@@ -205,13 +205,13 @@ func runClusterScaling(point *ClusterPoint) error {
 				if err != nil {
 					return err
 				}
-				mergedAuto = append(mergedAuto, cluster.MergeRanked(parts, clusterTopK))
+				mergedAuto = append(mergedAuto, serve.Trim(serve.Merge(parts...), "", "", clusterTopK))
 			}
 		}
 		pt := ClusterScalePoint{
 			Shards:        n,
-			MinShardDocs:  minDocs,
-			MaxShardDocs:  maxDocs,
+			MinDocs:       minDocs,
+			MaxDocs:       maxDocs,
 			SweepNs:       sweepNs,
 			MatchesPerSec: float64(len(probes)) / (float64(sweepNs) / 1e9),
 		}

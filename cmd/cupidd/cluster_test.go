@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,8 @@ import (
 
 	cupid "repro"
 	"repro/internal/cluster"
+	"repro/internal/serve"
+	"repro/internal/workloads"
 )
 
 // clusterSchema is one unit of test traffic: a registerable document.
@@ -83,7 +86,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// reads while the corpus is still growing.
 	corpus := clusterCorpus()
 	for i, cs := range corpus {
-		var got schemaInfo
+		var got serve.SchemaInfo
 		code := call(t, rts, http.MethodPost, "/schemas",
 			map[string]string{"name": cs.name, "format": cs.format, "content": cs.content}, &got)
 		if code != http.StatusCreated {
@@ -104,7 +107,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// totals add up to twelve with no overlap, and placement followed the
 	// ring.
 	var routerList struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	call(t, rts, http.MethodGet, "/schemas", nil, &routerList)
 	if len(routerList.Schemas) != len(corpus) {
@@ -184,7 +187,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	var fl, sl struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	call(t, fts, http.MethodGet, "/schemas", nil, &fl)
 	call(t, shards[0].ts, http.MethodGet, "/schemas", nil, &sl)
@@ -227,6 +230,55 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 		if err := p.Close(); err != nil {
 			t.Errorf("closing reopened shard %d: %v", i, err)
+		}
+	}
+}
+
+// TestRouterBatchKeepsSourceInstances: a by-name batch source registered
+// with instance samples reaches every shard with those samples, so the
+// router ranks it exactly as a single node does. The tie-break corpus
+// makes the samples decisive: its targets are one SQL document with
+// different value distributions, so a source prepared without its
+// profiles ties every target and the merge falls back to name order.
+func TestRouterBatchKeepsSourceInstances(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		urls = append(urls, newReplServer(t, t.TempDir(), "").ts.URL)
+	}
+	rt, err := cluster.NewRouter(cluster.Options{Shards: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+	oracle := newReplServer(t, t.TempDir(), "")
+
+	const j = 2
+	probe := workloads.TieBreakProbe(j)
+	for _, d := range append(workloads.TieBreakTargets(6), probe) {
+		body := map[string]any{"name": d.Name, "format": "sql", "content": d.SQL, "instances": json.RawMessage(d.Instances)}
+		for _, ts := range []*httptest.Server{rts, oracle.ts} {
+			if code := call(t, ts, http.MethodPost, "/schemas", body, nil); code != http.StatusCreated {
+				t.Fatalf("registering %s at %s: status %d", d.Name, ts.URL, code)
+			}
+		}
+	}
+	ranking := func(rs []serve.BatchResult) string {
+		var b strings.Builder
+		for _, r := range rs {
+			fmt.Fprintf(&b, "%s:%.17g ", r.Name, r.Score)
+		}
+		return b.String()
+	}
+	for _, topK := range []int{0, 3} {
+		req := map[string]any{"source": map[string]string{"name": probe.Name}, "topK": topK}
+		got, want := batchOf(t, rts, req), batchOf(t, oracle.ts, req)
+		if len(want.Results) == 0 || want.Results[0].Name != fmt.Sprintf("tiebreak%d", j) {
+			t.Fatalf("topK=%d: single node does not rank the probe's own distribution first: %s", topK, ranking(want.Results))
+		}
+		if ranking(got.Results) != ranking(want.Results) {
+			t.Errorf("topK=%d: router ranking diverged from single node:\nrouter: %s\noracle: %s",
+				topK, ranking(got.Results), ranking(want.Results))
 		}
 	}
 }

@@ -214,7 +214,7 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		}
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "direct", "cached": cached,
-			"leaves": pairsOf(m.Leaves), "nonLeaves": pairsOf(m.NonLeaves),
+			"leaves": serve.PairsOf(m.Leaves), "nonLeaves": serve.PairsOf(m.NonLeaves),
 		})
 	case "family":
 		medoid, ok := s.reg.FamilyOf(aName)
@@ -253,7 +253,7 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "family", "medoid": medoid,
 			"cached": cachedA && cachedC,
-			"leaves": pairsOf(composed.Leaves), "nonLeaves": pairsOf(composed.NonLeaves),
+			"leaves": serve.PairsOf(composed.Leaves), "nonLeaves": serve.PairsOf(composed.NonLeaves),
 		})
 	default:
 		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "query parameter via must be direct or family, got %q", via))

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // corpusFixture registers two six-schema cliques — order-flavoured and
@@ -125,12 +127,12 @@ func TestServerCorpusClusterAndFamilies(t *testing.T) {
 
 // mappingResp is the GET /mappings/{a}/{c} response shape.
 type mappingResp struct {
-	Source string     `json:"source"`
-	Target string     `json:"target"`
-	Via    string     `json:"via"`
-	Medoid string     `json:"medoid"`
-	Cached bool       `json:"cached"`
-	Leaves []jsonPair `json:"leaves"`
+	Source string       `json:"source"`
+	Target string       `json:"target"`
+	Via    string       `json:"via"`
+	Medoid string       `json:"medoid"`
+	Cached bool         `json:"cached"`
+	Leaves []serve.Pair `json:"leaves"`
 }
 
 func TestServerFamilyMappingAgreesWithDirect(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	cupid "repro"
+	"repro/internal/serve"
 )
 
 const apiDocPath = "../../docs/API.md"
@@ -137,7 +138,7 @@ func TestAPIDocQuickstartFlow(t *testing.T) {
 	defer ts.Close()
 
 	// POST /schemas: 201 with name/fingerprint/elements/leaves.
-	var info schemaInfo
+	var info serve.SchemaInfo
 	code := call(t, ts, http.MethodPost, "/schemas",
 		map[string]string{"name": "orders", "format": "sql", "content": string(ordersSQL)}, &info)
 	if code != http.StatusCreated {
@@ -155,10 +156,10 @@ func TestAPIDocQuickstartFlow(t *testing.T) {
 
 	// POST /match with documented body shape.
 	var pair struct {
-		SourceSchema string     `json:"sourceSchema"`
-		TargetSchema string     `json:"targetSchema"`
-		Leaves       []jsonPair `json:"leaves"`
-		NonLeaves    []jsonPair `json:"nonLeaves"`
+		SourceSchema string       `json:"sourceSchema"`
+		TargetSchema string       `json:"targetSchema"`
+		Leaves       []serve.Pair `json:"leaves"`
+		NonLeaves    []serve.Pair `json:"nonLeaves"`
 	}
 	if code := call(t, ts, http.MethodPost, "/match", map[string]any{
 		"source": map[string]string{"name": "orders"},
@@ -172,8 +173,8 @@ func TestAPIDocQuickstartFlow(t *testing.T) {
 
 	// POST /match/batch with the documented inline-source example.
 	var batch struct {
-		Source  string        `json:"source"`
-		Results []batchResult `json:"results"`
+		Source  string              `json:"source"`
+		Results []serve.BatchResult `json:"results"`
 	}
 	if code := call(t, ts, http.MethodPost, "/match/batch", map[string]any{
 		"source": map[string]any{"format": "sql",
@@ -267,7 +268,7 @@ func TestRegisterWithInstancesFlow(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var info schemaInfo
+	var info serve.SchemaInfo
 	code := call(t, ts, http.MethodPost, "/schemas", map[string]any{
 		"name": "orders", "format": "sql",
 		"content":   "CREATE TABLE Orders (OrderID INT, Customer VARCHAR(64));",

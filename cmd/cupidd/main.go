@@ -111,7 +111,8 @@
 //	DELETE /schemas/{name}   remove one schema
 //	POST   /match            match two schemas: {source, target}, each a
 //	                         {"name": ...} reference to a registered schema
-//	                         or an inline {"format", "content"} document
+//	                         or an inline {"format", "content",
+//	                         "instances"?} document
 //	POST   /match/batch      rank the repository against one source schema:
 //	                         {source, topK?}; returns top-K scored results
 //	GET    /mappings/{a}/{c} derive a mapping between two registered
@@ -175,7 +176,8 @@ type server struct {
 	// degrades candidate budgets under saturation. Mutating handlers must
 	// call front.Invalidate after committing, before acknowledging.
 	front *serve.Frontend
-	// maxBody caps request bodies (http.MaxBytesReader; 413 beyond).
+	// maxBody caps request bodies (http.MaxBytesReader; 413 beyond;
+	// <= 0: serve.DefaultMaxBody).
 	maxBody int64
 	// retrieval is /match/batch's strategy: the zero value
 	// (cupid.RetrievalAuto) plans per query, the others force one path
@@ -230,14 +232,10 @@ func newPersistentServer(cfg cupid.Config, dir string, popt cupid.PersistOptions
 
 // initServing (re)builds the serving layer from flag values; called with
 // the defaults by the constructors and again by newServerFromOptions once
-// the real flags are parsed. A zero maxBody (tests construct the zero
-// options value directly) gets the flag's default cap.
+// the real flags are parsed.
 func (s *server) initServing(opt *options) {
 	s.front = serve.NewFrontend(s.reg, opt.serveOptions())
-	s.maxBody = opt.maxBody
-	if s.maxBody <= 0 {
-		s.maxBody = serve.DefaultMaxBody
-	}
+	s.maxBody = opt.MaxBody
 }
 
 // close drains and closes the persistence layer, if any.
@@ -248,35 +246,25 @@ func (s *server) close() error {
 	return s.persist.Close()
 }
 
-// schemaRef names a schema for a match request: either a registered
-// repository entry ({"name": "po"}) or an inline document
-// ({"format": "sql", "content": "CREATE TABLE ..."}).
-type schemaRef struct {
-	Name    string `json:"name,omitempty"`
-	Format  string `json:"format,omitempty"`
-	Content string `json:"content,omitempty"`
-}
-
-// schemaInfo is the summary returned for registered schemas.
-type schemaInfo struct {
-	Name        string `json:"name"`
-	Fingerprint string `json:"fingerprint"`
-	Elements    int    `json:"elements"`
-	Leaves      int    `json:"leaves"`
-}
-
-func infoOf(e *cupid.RegistryEntry) schemaInfo {
-	return schemaInfo{
-		Name:        e.Name,
-		Fingerprint: e.Fingerprint,
-		Elements:    e.Prepared.Schema().Len(),
-		Leaves:      e.Prepared.Tree().NumLeaves(),
+// parseRef parses a reference's inline document and its instance
+// samples (nil when it carries none).
+func parseRef(ref serve.SchemaRef) (*cupid.Schema, cupid.InstanceSamples, error) {
+	sch, err := cupid.ParseSchema(ref.Name, ref.Format, []byte(ref.Content))
+	if err != nil || len(ref.Samples()) == 0 {
+		return sch, nil, err
 	}
+	samples, err := cupid.ParseInstanceSamples(ref.Samples())
+	if err != nil {
+		return nil, nil, fmt.Errorf("instances: %w", err)
+	}
+	return sch, samples, nil
 }
 
-// resolve turns a schemaRef into a prepared schema (plus its repository
-// name when registered).
-func (s *server) resolve(ref schemaRef) (*cupid.Prepared, string, error) {
+// resolve turns a schema reference into a prepared schema (plus its
+// repository name when registered). An inline document is prepared with
+// the reference's instance samples, exactly as registration prepares it;
+// a registered one keeps the samples it was registered with.
+func (s *server) resolve(ref serve.SchemaRef) (*cupid.Prepared, string, error) {
 	switch {
 	case ref.Name != "" && ref.Content == "":
 		e, ok := s.reg.Get(ref.Name)
@@ -288,11 +276,11 @@ func (s *server) resolve(ref schemaRef) (*cupid.Prepared, string, error) {
 		if ref.Format == "" {
 			return nil, "", serve.Errorf(http.StatusBadRequest, "inline schema needs a format (one of %s)", strings.Join(cupid.SchemaFormats(), ", "))
 		}
-		sch, err := cupid.ParseSchema(ref.Name, ref.Format, []byte(ref.Content))
+		sch, samples, err := parseRef(ref)
 		if err != nil {
 			return nil, "", serve.Errorf(http.StatusBadRequest, "parsing inline schema: %v", err)
 		}
-		p, err := s.reg.Matcher().Prepare(sch)
+		p, err := s.reg.Matcher().PrepareWithInstances(sch, samples)
 		if err != nil {
 			return nil, "", serve.Errorf(http.StatusBadRequest, "preparing inline schema: %v", err)
 		}
@@ -307,17 +295,10 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	var req struct {
-		Name    string `json:"name,omitempty"`
-		Format  string `json:"format"`
-		Content string `json:"content"`
-		// Instances is the optional sampled-instances payload: an object
-		// mapping leaf paths to arrays of sampled scalar values. When
-		// present, the entry is registered with per-leaf value profiles
-		// (instance-aware matching) and the payload is journaled with the
-		// source document.
-		Instances json.RawMessage `json:"instances,omitempty"`
-	}
+	// The optional instances payload registers the entry with per-leaf
+	// value profiles (instance-aware matching) and is journaled with the
+	// source document.
+	var req serve.SchemaRef
 	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil {
 		serve.WriteError(w, err)
 		return
@@ -328,10 +309,6 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	instances := []byte(req.Instances)
-	if string(instances) == "null" { // explicit JSON null = no samples
-		instances = nil
-	}
 	var (
 		e       *cupid.RegistryEntry
 		created bool
@@ -342,7 +319,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// failed journal commit (entry exists but err != nil) is a
 		// server-side error: the mutation is in memory but its durability
 		// could not be guaranteed.
-		e, created, err = s.persist.RegisterSourceInstances(req.Name, req.Format, []byte(req.Content), instances)
+		e, created, err = s.persist.RegisterSourceInstances(req.Name, req.Format, []byte(req.Content), req.Samples())
 		if err != nil && e != nil {
 			// The mutation is in memory even though durability failed, so
 			// cached rankings are stale either way.
@@ -350,19 +327,10 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "%v", err))
 			return
 		}
+	} else if sch, samples, perr := parseRef(req); perr != nil {
+		err = perr
 	} else {
-		var sch *cupid.Schema
-		sch, err = cupid.ParseSchema(req.Name, req.Format, []byte(req.Content))
-		var samples cupid.InstanceSamples
-		if err == nil && len(instances) > 0 {
-			samples, err = cupid.ParseInstanceSamples(instances)
-			if err != nil {
-				err = fmt.Errorf("instances: %w", err)
-			}
-		}
-		if err == nil {
-			e, created, err = s.reg.RegisterInstances(req.Name, sch, samples)
-		}
+		e, created, err = s.reg.RegisterInstances(req.Name, sch, samples)
 	}
 	if err != nil {
 		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "%v", err))
@@ -376,16 +344,16 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !created {
 		code = http.StatusOK // idempotent re-registration
 	}
-	serve.WriteJSON(w, code, infoOf(e))
+	serve.WriteJSON(w, code, serve.InfoOf(e))
 }
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	entries := s.reg.List()
-	infos := make([]schemaInfo, 0, len(entries))
+	list := serve.SchemaList{Schemas: make([]serve.SchemaInfo, 0, len(entries))}
 	for _, e := range entries {
-		infos = append(infos, infoOf(e))
+		list.Schemas = append(list.Schemas, serve.InfoOf(e))
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"schemas": infos})
+	serve.WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -599,33 +567,10 @@ func (s *server) followLoop(ctx context.Context) <-chan struct{} {
 	return done
 }
 
-// jsonPair is one mapping element in a match response.
-type jsonPair struct {
-	Source string  `json:"source"`
-	Target string  `json:"target"`
-	WSim   float64 `json:"wsim"`
-	SSim   float64 `json:"ssim"`
-	LSim   float64 `json:"lsim"`
-}
-
-func pairsOf(es []cupid.MappingElement) []jsonPair {
-	out := make([]jsonPair, 0, len(es))
-	for _, e := range es {
-		out = append(out, jsonPair{
-			Source: e.Source.Path(),
-			Target: e.Target.Path(),
-			WSim:   e.WSim,
-			SSim:   e.SSim,
-			LSim:   e.LSim,
-		})
-	}
-	return out
-}
-
 func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Source schemaRef `json:"source"`
-		Target schemaRef `json:"target"`
+		Source serve.SchemaRef `json:"source"`
+		Target serve.SchemaRef `json:"target"`
 	}
 	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil {
 		serve.WriteError(w, err)
@@ -650,24 +595,13 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		"sourceSchema": m.SourceSchema,
 		"targetSchema": m.TargetSchema,
 		"cached":       cached,
-		"leaves":       pairsOf(m.Leaves),
-		"nonLeaves":    pairsOf(m.NonLeaves),
+		"leaves":       serve.PairsOf(m.Leaves),
+		"nonLeaves":    serve.PairsOf(m.NonLeaves),
 	})
 }
 
-// batchResult is one ranked repository schema in a batch response.
-type batchResult struct {
-	Name        string     `json:"name"`
-	Fingerprint string     `json:"fingerprint"`
-	Score       float64    `json:"score"`
-	Leaves      []jsonPair `json:"leaves"`
-}
-
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Source schemaRef `json:"source"`
-		TopK   int       `json:"topK,omitempty"`
-	}
+	var req serve.BatchRequest
 	if err := serve.DecodeJSON(w, r, s.maxBody, &req); err != nil {
 		serve.WriteError(w, err)
 		return
@@ -703,44 +637,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 		return
 	}
-	results := make([]batchResult, 0, len(res.Ranked))
-	for _, rk := range res.Ranked {
-		// A registered source trivially matches itself; skip that entry.
-		// The fingerprint check keeps the entry in the ranking if a
-		// concurrent re-registration replaced the name with different
-		// content between resolve and the MatchAll snapshot.
-		if srcName != "" && rk.Entry.Name == srcName && rk.Entry.Fingerprint == src.Fingerprint() {
-			continue
-		}
-		if req.TopK > 0 && len(results) == req.TopK {
-			break
-		}
-		results = append(results, batchResult{
-			Name:        rk.Entry.Name,
-			Fingerprint: rk.Entry.Fingerprint,
-			Score:       rk.Score,
-			Leaves:      pairsOf(rk.Mapping.Leaves),
-		})
-	}
-	reply := map[string]any{
-		"source":            sourceName(src, srcName),
-		"strategy":          res.Stats.Strategy.String(),
-		"planned":           res.Stats.Planned,
-		"candidates_scored": res.Stats.CandidatesScored,
-		"candidate_budget":  res.Stats.CandidateBudget,
-		"cached":            res.Cached,
-		"degraded":          res.Stats.Degraded,
-		"results":           results,
-	}
-	// Family-route provenance, reported only when the family strategy was
-	// in play: the winning medoid, or the fact that the route fell back.
-	if res.Stats.Family != "" {
-		reply["family"] = res.Stats.Family
-	}
-	if res.Stats.FamilyFallback {
-		reply["family_fallback"] = true
-	}
-	serve.WriteJSON(w, http.StatusOK, reply)
+	// A registered source trivially matches itself; Trim drops that entry
+	// before truncating. The family fields report the family route's
+	// provenance: the winning medoid, or the fact that it fell back.
+	serve.WriteJSON(w, http.StatusOK, serve.BatchReply{
+		Cached:           res.Cached,
+		CandidateBudget:  res.Stats.CandidateBudget,
+		CandidatesScored: res.Stats.CandidatesScored,
+		Degraded:         res.Stats.Degraded,
+		Family:           res.Stats.Family,
+		FamilyFallback:   res.Stats.FamilyFallback,
+		Planned:          res.Stats.Planned,
+		Results:          serve.ResultsOf(serve.Trim(res.Ranked, srcName, src.Fingerprint(), req.TopK)),
+		Source:           sourceName(src, srcName),
+		Strategy:         res.Stats.Strategy.String(),
+	})
 }
 
 // sourceName labels the batch source: its repository name when registered,
@@ -824,22 +735,19 @@ type options struct {
 	walGroupCommit   time.Duration
 	compactThreshold int64
 	retrieval        string
-	concurrency      int
 	writeConcurrency int
-	queueDepth       int
-	queueWait        time.Duration
-	matchDeadline    time.Duration
 	cacheCap         int
-	maxBody          int64
+	// Flags are the serving flags cupidd shares with cupidrouter.
+	serve.Flags
 }
 
 // serveOptions derives the serving-layer configuration from the flags.
 func (opt *options) serveOptions() serve.Options {
 	return serve.Options{
-		Read:          serve.PoolOptions{Slots: opt.concurrency, Queue: opt.queueDepth, MaxWait: opt.queueWait},
-		Write:         serve.PoolOptions{Slots: opt.writeConcurrency, Queue: opt.queueDepth, MaxWait: opt.queueWait},
+		Read:          opt.ReadPool(),
+		Write:         serve.PoolOptions{Slots: opt.writeConcurrency, Queue: opt.QueueDepth, MaxWait: opt.QueueWait},
 		CacheCapacity: opt.cacheCap,
-		MatchDeadline: opt.matchDeadline,
+		MatchDeadline: opt.MatchDeadline,
 	}
 }
 
@@ -858,13 +766,9 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.DurationVar(&opt.walGroupCommit, "wal-group-commit", 0, "linger this long after a write batch opens so more concurrent writers join the same fsync; 0 batches only what queued during the previous fsync")
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
 	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned, family or exact")
-	fs.IntVar(&opt.concurrency, "concurrency", 0, "concurrent match requests admitted; 0 sizes the pool to the match worker count")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
-	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "bounded admission queue per pool; arrivals beyond it are rejected with 429 immediately; 0 means 8x the pool's concurrency")
-	fs.DurationVar(&opt.queueWait, "queue-wait", time.Second, "queueing latency target: a request that waits longer for a slot is rejected with 429 and a Retry-After hint")
-	fs.DurationVar(&opt.matchDeadline, "match-deadline", 30*time.Second, "end-to-end deadline per match request, threaded through the candidate-scoring loops; 0 disables")
 	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the response's mappings, not the similarity matrices: about 0.2 MB per pair of 289-element schemas; 0 disables")
-	fs.Int64Var(&opt.maxBody, "max-body", serve.DefaultMaxBody, "request body cap in bytes; larger bodies are rejected with 413")
+	opt.Flags.Register(fs)
 	return fs, opt
 }
 
@@ -916,11 +820,11 @@ func newServerFromOptions(opt *options) (*server, error) {
 		cfg.Mapping.Cardinality = cupid.OneToOne
 	}
 	cfg.Mapping.ThAccept = opt.minAccept
-	if opt.concurrency < 0 || opt.writeConcurrency < 0 || opt.queueDepth < 0 {
-		return nil, fmt.Errorf("-concurrency, -write-concurrency and -queue-depth must be >= 0")
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	if opt.queueWait < 0 || opt.matchDeadline < 0 || opt.maxBody < 0 {
-		return nil, fmt.Errorf("-queue-wait, -match-deadline and -max-body must be >= 0")
+	if opt.writeConcurrency < 0 {
+		return nil, fmt.Errorf("-write-concurrency must be >= 0")
 	}
 	if opt.cacheCap < 0 {
 		return nil, fmt.Errorf("-cache must be >= 0 (0 disables caching)")

@@ -94,9 +94,9 @@ func call(t *testing.T, ts *httptest.Server, method, path string, body, out any)
 	return code
 }
 
-func register(t *testing.T, ts *httptest.Server, name, format, content string) schemaInfo {
+func register(t *testing.T, ts *httptest.Server, name, format, content string) serve.SchemaInfo {
 	t.Helper()
-	var info schemaInfo
+	var info serve.SchemaInfo
 	code := call(t, ts, http.MethodPost, "/schemas",
 		map[string]string{"name": name, "format": format, "content": content}, &info)
 	if code != http.StatusCreated {
@@ -117,7 +117,7 @@ func TestServerRegisterListMatchBatch(t *testing.T) {
 	register(t, ts, "inventory", "json", inventoryJSON)
 
 	// Idempotent re-registration returns 200, not 201.
-	var again schemaInfo
+	var again serve.SchemaInfo
 	code := call(t, ts, http.MethodPost, "/schemas",
 		map[string]string{"name": "orders", "format": "sql", "content": ordersDDL}, &again)
 	if code != http.StatusOK {
@@ -129,7 +129,7 @@ func TestServerRegisterListMatchBatch(t *testing.T) {
 
 	// List is sorted by name.
 	var list struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	if code := call(t, ts, http.MethodGet, "/schemas", nil, &list); code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
@@ -145,9 +145,9 @@ func TestServerRegisterListMatchBatch(t *testing.T) {
 
 	// Pair match between two registered schemas.
 	var pair struct {
-		SourceSchema string     `json:"sourceSchema"`
-		TargetSchema string     `json:"targetSchema"`
-		Leaves       []jsonPair `json:"leaves"`
+		SourceSchema string       `json:"sourceSchema"`
+		TargetSchema string       `json:"targetSchema"`
+		Leaves       []serve.Pair `json:"leaves"`
 	}
 	code = call(t, ts, http.MethodPost, "/match", map[string]any{
 		"source": map[string]string{"name": "orders"},
@@ -185,8 +185,8 @@ func TestServerRegisterListMatchBatch(t *testing.T) {
 	// DDL schema must outscore the unrelated JSON one, and the source must
 	// not be ranked against itself.
 	var batch struct {
-		Source  string        `json:"source"`
-		Results []batchResult `json:"results"`
+		Source  string              `json:"source"`
+		Results []serve.BatchResult `json:"results"`
 	}
 	code = call(t, ts, http.MethodPost, "/match/batch", map[string]any{
 		"source": map[string]string{"name": "orders"},
@@ -306,7 +306,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func(g int) {
 			ddl := fmt.Sprintf("CREATE TABLE Extra%d (ID INT PRIMARY KEY, Name VARCHAR(10));", g)
-			var info schemaInfo
+			var info serve.SchemaInfo
 			code, err := tryCall(ts, http.MethodPost, "/schemas",
 				map[string]string{"name": fmt.Sprintf("extra%d", g), "format": "sql", "content": ddl}, &info)
 			if err == nil && code != http.StatusCreated {
@@ -316,7 +316,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		}(g)
 		go func() {
 			var batch struct {
-				Results []batchResult `json:"results"`
+				Results []serve.BatchResult `json:"results"`
 			}
 			code, err := tryCall(ts, http.MethodPost, "/match/batch", map[string]any{
 				"source": map[string]string{"format": "sql", "content": purchasesDDL},
@@ -381,12 +381,12 @@ func TestServerBatchRetrievalModes(t *testing.T) {
 		}
 	}
 	type batchResp struct {
-		Source           string        `json:"source"`
-		Strategy         string        `json:"strategy"`
-		Planned          bool          `json:"planned"`
-		CandidatesScored int           `json:"candidates_scored"`
-		CandidateBudget  int           `json:"candidate_budget"`
-		Results          []batchResult `json:"results"`
+		Source           string              `json:"source"`
+		Strategy         string              `json:"strategy"`
+		Planned          bool                `json:"planned"`
+		CandidatesScored int                 `json:"candidates_scored"`
+		CandidateBudget  int                 `json:"candidate_budget"`
+		Results          []serve.BatchResult `json:"results"`
 	}
 	got := map[string]batchResp{}
 	for _, mode := range []string{"exact", "auto", "indexed", "pruned"} {

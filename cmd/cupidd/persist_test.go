@@ -19,6 +19,7 @@ import (
 
 	cupid "repro"
 	"repro/internal/registry"
+	"repro/internal/serve"
 )
 
 // newWALTestServer builds a server persisting under dir through the
@@ -53,8 +54,8 @@ func newOptionsTestServer(t *testing.T, opt *options) (*httptest.Server, func())
 
 // batchResponse captures /match/batch for byte-level comparison.
 type batchResponse struct {
-	Source  string        `json:"source"`
-	Results []batchResult `json:"results"`
+	Source  string              `json:"source"`
+	Results []serve.BatchResult `json:"results"`
 }
 
 func batchOf(t *testing.T, ts *httptest.Server, body any) batchResponse {
@@ -84,7 +85,7 @@ func TestServerRestartServesIdenticalRankings(t *testing.T) {
 	// leaf mappings — must be identical.
 	ts2, _ := newWALTestServer(t, dir)
 	var list struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	if code := call(t, ts2, http.MethodGet, "/schemas", nil, &list); code != http.StatusOK {
 		t.Fatalf("list after restart: status %d", code)
@@ -133,7 +134,7 @@ func TestServerRestartAfterTornSnapshot(t *testing.T) {
 
 	ts3, _ := newWALTestServer(t, dir)
 	var list struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	call(t, ts3, http.MethodGet, "/schemas", nil, &list)
 	if len(list.Schemas) != 2 {
@@ -271,7 +272,7 @@ func TestServerWALCompactionAcrossRestart(t *testing.T) {
 	}
 	ts2, _ := newWALTestServer(t, dir)
 	var list struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	if code := call(t, ts2, http.MethodGet, "/schemas", nil, &list); code != http.StatusOK || len(list.Schemas) != 3 {
 		t.Fatalf("restart after compaction: status %d, %d schemas", code, len(list.Schemas))

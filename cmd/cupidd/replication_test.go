@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // replTestServer is a server plus its httptest front and follower
@@ -121,7 +123,7 @@ func TestReplicaConvergesToByteIdenticalBatches(t *testing.T) {
 
 	// The replica lists the same schemas with the same fingerprints.
 	var pl, fl struct {
-		Schemas []schemaInfo `json:"schemas"`
+		Schemas []serve.SchemaInfo `json:"schemas"`
 	}
 	call(t, primary.ts, http.MethodGet, "/schemas", nil, &pl)
 	call(t, follower.ts, http.MethodGet, "/schemas", nil, &fl)

@@ -289,7 +289,7 @@ func TestClientDisconnectReleasesAdmission(t *testing.T) {
 
 	// The server is still fully functional afterwards.
 	var batch struct {
-		Results []batchResult `json:"results"`
+		Results []serve.BatchResult `json:"results"`
 	}
 	if code := call(t, ts, http.MethodPost, "/match/batch",
 		map[string]any{"source": map[string]string{"name": corpus[2].Name}, "topK": 3}, &batch); code != http.StatusOK {
@@ -359,11 +359,11 @@ func TestDrainLeavesCleanJournal(t *testing.T) {
 // results, a mutation un-caches it, and -cache=0 disables caching.
 func TestCacheFlagAndResponseFields(t *testing.T) {
 	type batchResp struct {
-		CandidatesScored int           `json:"candidates_scored"`
-		CandidateBudget  int           `json:"candidate_budget"`
-		Cached           bool          `json:"cached"`
-		Degraded         bool          `json:"degraded"`
-		Results          []batchResult `json:"results"`
+		CandidatesScored int                 `json:"candidates_scored"`
+		CandidateBudget  int                 `json:"candidate_budget"`
+		Cached           bool                `json:"cached"`
+		Degraded         bool                `json:"degraded"`
+		Results          []serve.BatchResult `json:"results"`
 	}
 	body := map[string]any{"source": map[string]string{"name": "orders"}, "topK": 2}
 
@@ -452,7 +452,7 @@ func sameApartFromCached(t *testing.T, what string, a, b []byte, wantA, wantB bo
 		return m
 	}
 	fa, fb := fields(a, wantA), fields(b, wantB)
-	var leaves []jsonPair
+	var leaves []serve.Pair
 	if err := json.Unmarshal(fa["leaves"], &leaves); err != nil || len(leaves) == 0 {
 		t.Fatalf("%s: response has no leaf pairs to compare (err %v):\n%s", what, err, a)
 	}

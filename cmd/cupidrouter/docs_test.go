@@ -129,3 +129,17 @@ func TestShardsFlagValidation(t *testing.T) {
 		t.Errorf("parsed %d shards, want 2", got)
 	}
 }
+
+// TestServingFlagValidation: negative serving flags are rejected, as
+// cupidd rejects them, instead of silently mapping to defaults.
+func TestServingFlagValidation(t *testing.T) {
+	for _, arg := range []string{"-concurrency=-1", "-queue-depth=-1", "-queue-wait=-1s", "-match-deadline=-1s", "-max-body=-1"} {
+		fs, opt := newFlagSet()
+		if err := fs.Parse([]string{"-shards=http://a:1", arg}); err != nil {
+			t.Fatalf("%s: %v", arg, err)
+		}
+		if _, err := routerFromOptions(opt); err == nil {
+			t.Errorf("%s accepted", arg)
+		}
+	}
+}

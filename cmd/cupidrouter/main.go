@@ -47,14 +47,11 @@ import (
 )
 
 type options struct {
-	addr          string
-	shards        string
-	vnodes        int
-	concurrency   int
-	queueDepth    int
-	queueWait     time.Duration
-	matchDeadline time.Duration
-	maxBody       int64
+	addr   string
+	shards string
+	vnodes int
+	// Flags are the serving flags cupidrouter shares with cupidd.
+	serve.Flags
 }
 
 func newFlagSet() (*flag.FlagSet, *options) {
@@ -63,11 +60,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.StringVar(&opt.addr, "addr", ":8437", "listen address")
 	fs.StringVar(&opt.shards, "shards", "", "comma-separated base URLs of the cupidd shards the ring partitions the corpus over (required)")
 	fs.IntVar(&opt.vnodes, "vnodes", cluster.DefaultVnodes, "virtual nodes per shard on the consistent-hash placement ring")
-	fs.IntVar(&opt.concurrency, "concurrency", 0, "concurrent scatter-gather matches admitted; 0 sizes the pool automatically")
-	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "bounded admission queue; arrivals beyond it are rejected with 429 immediately; 0 means 8x the concurrency")
-	fs.DurationVar(&opt.queueWait, "queue-wait", time.Second, "queueing latency target: a request that waits longer for a slot is rejected with 429 and a Retry-After hint")
-	fs.DurationVar(&opt.matchDeadline, "match-deadline", 30*time.Second, "end-to-end deadline per scatter-gather match; a shard that misses it is shed and the response marked degraded; 0 disables")
-	fs.Int64Var(&opt.maxBody, "max-body", serve.DefaultMaxBody, "request body cap in bytes; larger bodies are rejected with 413")
+	opt.Flags.Register(fs)
 	return fs, opt
 }
 
@@ -75,6 +68,9 @@ func newFlagSet() (*flag.FlagSet, *options) {
 func routerFromOptions(opt *options) (*cluster.Router, error) {
 	if strings.TrimSpace(opt.shards) == "" {
 		return nil, errors.New("-shards is required (comma-separated cupidd base URLs)")
+	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	var urls []string
 	for _, s := range strings.Split(opt.shards, ",") {
@@ -85,9 +81,9 @@ func routerFromOptions(opt *options) (*cluster.Router, error) {
 	return cluster.NewRouter(cluster.Options{
 		Shards:        urls,
 		Vnodes:        opt.vnodes,
-		Read:          serve.PoolOptions{Slots: opt.concurrency, Queue: opt.queueDepth, MaxWait: opt.queueWait},
-		MatchDeadline: opt.matchDeadline,
-		MaxBody:       opt.maxBody,
+		Read:          opt.ReadPool(),
+		MatchDeadline: opt.MatchDeadline,
+		MaxBody:       opt.MaxBody,
 	})
 }
 

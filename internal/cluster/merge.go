@@ -1,49 +1,6 @@
 package cluster
 
-import (
-	"sort"
-
-	"repro/internal/registry"
-)
-
-// MergeRanked merges per-shard rankings into one deterministic global
-// ranking: score descending, ties broken by entry name ascending (the
-// same key the single-node ranking uses, so a merged ranking is
-// element-for-element identical to the unsharded one), then by
-// fingerprint ascending as the final disambiguator for distinct entries
-// that share a name across mis-partitioned shards. topK > 0 truncates;
-// topK <= 0 returns everything. The input slices are not modified.
-func MergeRanked(shards [][]registry.Ranked, topK int) []registry.Ranked {
-	n := 0
-	for _, s := range shards {
-		n += len(s)
-	}
-	all := make([]registry.Ranked, 0, n)
-	for _, s := range shards {
-		all = append(all, s...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		return rankedLess(all[i].Score, all[i].Entry.Name, all[i].Entry.Fingerprint,
-			all[j].Score, all[j].Entry.Name, all[j].Entry.Fingerprint)
-	})
-	if topK > 0 && len(all) > topK {
-		all = all[:topK]
-	}
-	return all
-}
-
-// rankedLess is the global ranking order: score descending, then name
-// ascending, then fingerprint ascending. Shared between the library-level
-// merge and the router's wire-level merge so the two can never disagree.
-func rankedLess(si float64, ni, fi string, sj float64, nj, fj string) bool {
-	if si != sj {
-		return si > sj
-	}
-	if ni != nj {
-		return ni < nj
-	}
-	return fi < fj
-}
+import "repro/internal/registry"
 
 // MergedStats is the aggregate of per-shard RetrievalStats. Strategy and
 // the embedded counters follow the documented aggregation rules (see

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/registry"
+	"repro/internal/serve"
 	"repro/internal/workloads"
 )
 
@@ -104,7 +105,7 @@ func TestMergedScatterGatherMatchesSingleNode(t *testing.T) {
 					// Per-shard top-K suffices for the global top-K: any
 					// globally top-K entry is within its own shard's top-K.
 					rankings, stats := scatterExact(t, shards, probe, topK)
-					got := MergeRanked(rankings, topK)
+					got := serve.Trim(serve.Merge(rankings...), "", "", topK)
 					if len(got) != len(want) {
 						t.Fatalf("probe fam%d topK=%d: merged %d entries, single node %d",
 							probeFam, topK, len(got), len(want))
@@ -138,10 +139,10 @@ func TestMergeRankedTieBreak(t *testing.T) {
 	mk := func(name, fp string, score float64) registry.Ranked {
 		return registry.Ranked{Entry: &registry.Entry{Name: name, Fingerprint: fp}, Score: score}
 	}
-	got := MergeRanked([][]registry.Ranked{
+	got := serve.Merge([][]registry.Ranked{
 		{mk("b", "f1", 0.5), mk("a", "f9", 0.25)},
 		{mk("a", "f2", 0.5), mk("a", "f1", 0.5)},
-	}, 0)
+	}...)
 	want := []registry.Ranked{
 		mk("a", "f1", 0.5), mk("a", "f2", 0.5), mk("b", "f1", 0.5), mk("a", "f9", 0.25),
 	}

@@ -80,10 +80,6 @@ func NewRouter(opt Options) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxBody := opt.MaxBody
-	if maxBody <= 0 {
-		maxBody = serve.DefaultMaxBody
-	}
 	client := opt.Client
 	if client == nil {
 		client = &http.Client{}
@@ -93,7 +89,7 @@ func NewRouter(opt Options) (*Router, error) {
 		ring:     ring,
 		reads:    serve.NewPool(opt.Read),
 		deadline: opt.MatchDeadline,
-		maxBody:  maxBody,
+		maxBody:  opt.MaxBody,
 		client:   client,
 	}
 	rt.handler = serve.Handler(rt.RouteTable(), rt.Draining)
@@ -131,8 +127,8 @@ func (rt *Router) RouteTable() []serve.Route {
 	return []serve.Route{
 		{Method: http.MethodPost, Pattern: "/schemas", Handler: rt.handleRegister},
 		{Method: http.MethodGet, Pattern: "/schemas", Handler: rt.handleList},
-		{Method: http.MethodGet, Pattern: "/schemas/{name}", Handler: rt.handleGetSchema},
-		{Method: http.MethodDelete, Pattern: "/schemas/{name}", Handler: rt.handleDelete},
+		{Method: http.MethodGet, Pattern: "/schemas/{name}", Handler: rt.handleByName},
+		{Method: http.MethodDelete, Pattern: "/schemas/{name}", Handler: rt.handleByName},
 		{Method: http.MethodPost, Pattern: "/match/batch", Handler: rt.handleBatch},
 		{Method: http.MethodGet, Pattern: "/healthz", Handler: rt.handleHealth},
 		{Method: http.MethodGet, Pattern: "/readyz", Handler: rt.handleReady},
@@ -156,61 +152,51 @@ func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleRegister forwards a registration to the shard that owns the
-// schema's name and relays the shard's reply verbatim (status code
-// included, so 201-created vs 200-replaced survives the hop).
+// schema's name (the shard's status survives the hop, so 201-created
+// stays distinct from 200-replaced).
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var body json.RawMessage
 	if err := serve.DecodeJSON(w, r, rt.maxBody, &body); err != nil {
 		serve.WriteError(w, err)
 		return
 	}
-	// Peek only the name for placement; the owning shard validates the
-	// rest (unknown fields, format, parse errors) under its own contract.
-	var peek struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	// Decode the reference for placement only: the owning shard validates
+	// the body (unknown fields, format, parse errors) under its own
+	// contract, and receives it as sent.
+	var ref serve.SchemaRef
+	if err := json.Unmarshal(body, &ref); err != nil {
 		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "decoding request body: %v", err))
 		return
 	}
-	if peek.Name == "" {
+	if ref.Name == "" {
 		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "registration needs a schema name for placement"))
 		return
 	}
-	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
-	defer cancel()
-	owner := rt.shards[rt.ring.Owner(peek.Name)]
-	status, reply, err := rt.call(ctx, http.MethodPost, owner, "/schemas", body)
-	if err != nil {
-		serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: %v", owner, err))
-		return
-	}
-	relay(w, status, reply)
+	rt.forward(w, r, ref.Name, "/schemas", body)
 }
 
-// handleDelete forwards a delete to the owning shard.
-func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	rt.forwardByName(w, r, http.MethodDelete)
-}
-
-// handleGetSchema forwards a source-document fetch to the owning shard —
-// the same endpoint the router itself uses to resolve a by-name match
-// source before scattering it inline.
-func (rt *Router) handleGetSchema(w http.ResponseWriter, r *http.Request) {
-	rt.forwardByName(w, r, http.MethodGet)
-}
-
-func (rt *Router) forwardByName(w http.ResponseWriter, r *http.Request, method string) {
+// handleByName forwards GET and DELETE /schemas/{name} to the owning
+// shard. GET is the endpoint the router itself uses to resolve a by-name
+// match source before scattering it inline.
+func (rt *Router) handleByName(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	rt.forward(w, r, name, "/schemas/"+url.PathEscape(name), nil)
+}
+
+// forward sends r's method to path on the shard that owns name and
+// relays the shard's reply verbatim, status code included.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, name, path string, body []byte) {
 	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
 	defer cancel()
 	owner := rt.shards[rt.ring.Owner(name)]
-	status, reply, err := rt.call(ctx, method, owner, "/schemas/"+url.PathEscape(name), nil)
+	status, reply, err := rt.call(ctx, r.Method, owner, path, body)
 	if err != nil {
 		serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: %v", owner, err))
 		return
 	}
-	relay(w, status, reply)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(reply)
 }
 
 // handleList scatters GET /schemas to every shard and merges the lists,
@@ -220,135 +206,36 @@ func (rt *Router) forwardByName(w http.ResponseWriter, r *http.Request, method s
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := serve.WithDeadline(r.Context(), rt.deadline)
 	defer cancel()
-	type listReply struct {
-		Schemas []json.RawMessage `json:"schemas"`
-	}
-	replies := make([]listReply, len(rt.shards))
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, shard := range rt.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body, err := rt.call(ctx, http.MethodGet, shard, "/schemas", nil)
-			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("status %d: %s", status, shardErrText(body))
-			}
-			if err == nil {
-				err = json.Unmarshal(body, &replies[i])
-			}
-			errs[i] = err
-		}()
-	}
-	wg.Wait()
-	type namedRaw struct {
-		name string
-		raw  json.RawMessage
-	}
-	var all []namedRaw
+	replies, errs := scatter[serve.SchemaList](ctx, rt, http.MethodGet, "/schemas", nil)
+	merged := serve.SchemaList{Schemas: []serve.SchemaInfo{}}
 	for i := range rt.shards {
 		if errs[i] != nil {
 			serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: %v", rt.shards[i], errs[i]))
 			return
 		}
-		for _, raw := range replies[i].Schemas {
-			var peek struct {
-				Name string `json:"name"`
-			}
-			if err := json.Unmarshal(raw, &peek); err != nil {
-				serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: malformed schema entry: %v", rt.shards[i], err))
-				return
-			}
-			all = append(all, namedRaw{peek.Name, raw})
-		}
+		merged.Schemas = append(merged.Schemas, replies[i].Schemas...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	merged := make([]json.RawMessage, len(all))
-	for i, nr := range all {
-		merged[i] = nr.raw
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"schemas": merged})
-}
-
-// schemaRef mirrors cupidd's request schema reference.
-type schemaRef struct {
-	Name    string `json:"name,omitempty"`
-	Format  string `json:"format,omitempty"`
-	Content string `json:"content,omitempty"`
-}
-
-// shardDoc is cupidd's GET /schemas/{name} reply: the stored source
-// document the router re-scatters inline.
-type shardDoc struct {
-	Name        string `json:"name"`
-	Fingerprint string `json:"fingerprint"`
-	Format      string `json:"format"`
-	Content     string `json:"content"`
-}
-
-// wireResult is one ranked entry in a shard's /match/batch reply. Leaves
-// is kept as raw bytes and re-emitted verbatim, so leaf mappings survive
-// the router byte-for-byte.
-type wireResult struct {
-	Name        string          `json:"name"`
-	Fingerprint string          `json:"fingerprint"`
-	Score       float64         `json:"score"`
-	Leaves      json.RawMessage `json:"leaves"`
-}
-
-// shardBatch is a shard's /match/batch reply.
-type shardBatch struct {
-	Source           string       `json:"source"`
-	Strategy         string       `json:"strategy"`
-	Planned          bool         `json:"planned"`
-	CandidatesScored int          `json:"candidates_scored"`
-	CandidateBudget  int          `json:"candidate_budget"`
-	Cached           bool         `json:"cached"`
-	Degraded         bool         `json:"degraded"`
-	Results          []wireResult `json:"results"`
-}
-
-// stats decodes the reply's retrieval fields for MergeStats; a strategy
-// name the registry does not know fails the shard.
-func (b shardBatch) stats() (registry.RetrievalStats, error) {
-	strategy, err := registry.ParseStrategy(b.Strategy)
-	return registry.RetrievalStats{
-		Strategy:         strategy,
-		Planned:          b.Planned,
-		CandidatesScored: b.CandidatesScored,
-		CandidateBudget:  b.CandidateBudget,
-		Degraded:         b.Degraded,
-	}, err
-}
-
-// shardStatus is the per-shard outcome in the router's batch reply.
-type shardStatus struct {
-	Shard    string `json:"shard"`
-	OK       bool   `json:"ok"`
-	Strategy string `json:"strategy,omitempty"`
-	Error    string `json:"error,omitempty"`
+	sort.Slice(merged.Schemas, func(i, j int) bool { return merged.Schemas[i].Name < merged.Schemas[j].Name })
+	serve.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleBatch is the scatter-gather match: resolve a by-name source to
-// its stored document (owning shard), scatter it inline to every shard
-// with one extra top-K slot, merge the per-shard rankings into the
-// global order (score descending, name then fingerprint ascending),
-// drop the source's own entry, and truncate. Admission runs through the
-// read pool before any shard sees the request; the match deadline bounds
-// the whole scatter, and a shard that fails or cannot answer in time is
-// shed — its results are simply absent and the reply is marked degraded
-// with the shard's error in "shards", instead of the router hanging on
-// it.
+// its stored document and instance samples (owning shard), scatter it
+// inline to every shard with one extra top-K slot, merge the per-shard
+// rankings with serve.Merge, and apply the single-node batch rule with
+// serve.Trim (drop the source's own entry, then truncate). Admission
+// runs through the read pool before any shard sees the request; the
+// match deadline bounds the whole scatter, and a shard that fails or
+// cannot answer in time is shed — its results are simply absent and the
+// reply is marked degraded with the shard's error in "shards", instead
+// of the router hanging on it.
 //
 // The aggregate fields are MergeStats over the responding shards' stats:
 // candidates_scored and candidate_budget sum, "planned" ANDs, "degraded"
 // ORs (and any shed shard sets it too), and "strategy" is the shared
 // value or the literal "mixed". "cached" ANDs over the responding shards.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Source schemaRef `json:"source"`
-		TopK   int       `json:"topK,omitempty"`
-	}
+	var req serve.BatchRequest
 	if err := serve.DecodeJSON(w, r, rt.maxBody, &req); err != nil {
 		serve.WriteError(w, err)
 		return
@@ -363,11 +250,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Resolve a by-name source into its stored document so every shard
-	// (not just the owner) can score it. The owner's entry for the name
-	// is the source itself; remember its identity to drop the trivial
-	// self-match after the merge.
-	scatter := req.Source
+	// Resolve a by-name source into its stored document and samples so
+	// every shard (not just the owner) prepares it as the owner did. The
+	// owner's entry for the name is the source itself; remember its
+	// identity to drop the trivial self-match after the merge.
+	shardReq := req
 	var selfName, selfFP string
 	if req.Source.Name != "" && req.Source.Content == "" {
 		owner := rt.shards[rt.ring.Owner(req.Source.Name)]
@@ -380,72 +267,53 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			serve.WriteError(w, serve.Errorf(status, "%s", shardErrText(body)))
 			return
 		}
-		var doc shardDoc
+		var doc registry.Doc
 		if err := json.Unmarshal(body, &doc); err != nil {
 			serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "shard %s: malformed schema document: %v", owner, err))
 			return
 		}
 		selfName, selfFP = doc.Name, doc.Fingerprint
-		scatter = schemaRef{Name: doc.Name, Format: doc.Format, Content: doc.Content}
+		shardReq.Source = serve.SchemaRef{Name: doc.Name, Format: doc.Format, Content: doc.Content, Instances: json.RawMessage(doc.Instances)}
+		// One extra slot absorbs the source's own entry on its owning
+		// shard; merging per-shard top-(K+1) suffices for the global top-K.
+		if shardReq.TopK > 0 {
+			shardReq.TopK++
+		}
 	}
-
-	// One extra slot absorbs the source's own entry on its owning shard;
-	// merging per-shard top-(K+1) is sufficient for the global top-K.
-	want := req.TopK
-	if want > 0 && selfName != "" {
-		want++
-	}
-	payload, err := json.Marshal(map[string]any{"source": scatter, "topK": want})
+	payload, err := json.Marshal(shardReq)
 	if err != nil {
 		serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "encoding scatter request: %v", err))
 		return
 	}
 
-	batches := make([]shardBatch, len(rt.shards))
-	stats := make([]registry.RetrievalStats, len(rt.shards))
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, shard := range rt.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body, err := rt.call(ctx, http.MethodPost, shard, "/match/batch", payload)
-			if err == nil && status != http.StatusOK {
-				err = fmt.Errorf("status %d: %s", status, shardErrText(body))
-			}
-			if err == nil {
-				err = json.Unmarshal(body, &batches[i])
-			}
-			if err == nil {
-				stats[i], err = batches[i].stats()
-			}
-			errs[i] = err
-		}()
-	}
-	wg.Wait()
+	batches, errs := scatter[serve.BatchReply](ctx, rt, http.MethodPost, "/match/batch", payload)
 
-	statuses := make([]shardStatus, len(rt.shards))
+	statuses := make([]serve.ShardStatus, len(rt.shards))
 	var (
-		merged []wireResult
-		parts  []registry.RetrievalStats
-		source string
-		cached = true
-		shed   bool
+		rankings [][]serve.BatchResult
+		parts    []registry.RetrievalStats
+		source   string
+		cached   = true
+		shed     bool
 	)
 	for i, shard := range rt.shards {
+		var st registry.RetrievalStats
+		if errs[i] == nil {
+			st, errs[i] = batches[i].Stats() // an unknown strategy fails the shard
+		}
 		if errs[i] != nil {
-			statuses[i] = shardStatus{Shard: shard, OK: false, Error: errs[i].Error()}
+			statuses[i] = serve.ShardStatus{Shard: shard, OK: false, Error: errs[i].Error()}
 			shed = true
 			continue
 		}
 		b := batches[i]
-		statuses[i] = shardStatus{Shard: shard, OK: true, Strategy: b.Strategy}
+		statuses[i] = serve.ShardStatus{Shard: shard, OK: true, Strategy: b.Strategy}
 		if len(parts) == 0 {
 			source = b.Source
 		}
-		parts = append(parts, stats[i])
+		parts = append(parts, st)
 		cached = cached && b.Cached
-		merged = append(merged, b.Results...)
+		rankings = append(rankings, b.Results)
 	}
 	if len(parts) == 0 {
 		serve.WriteError(w, serve.Errorf(http.StatusBadGateway, "all %d shards failed; first: %v", len(rt.shards), errs[0]))
@@ -455,33 +323,42 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		source = selfName
 	}
 	agg := MergeStats(parts)
-
-	sort.SliceStable(merged, func(i, j int) bool {
-		return rankedLess(merged[i].Score, merged[i].Name, merged[i].Fingerprint,
-			merged[j].Score, merged[j].Name, merged[j].Fingerprint)
+	serve.WriteJSON(w, http.StatusOK, serve.BatchReply{
+		Cached:           cached,
+		CandidateBudget:  agg.CandidateBudget,
+		CandidatesScored: agg.CandidatesScored,
+		Degraded:         agg.Degraded || shed,
+		Planned:          agg.Planned,
+		Results:          serve.Trim(serve.Merge(rankings...), selfName, selfFP, req.TopK),
+		Shards:           statuses,
+		Source:           source,
+		Strategy:         agg.StrategyLabel(),
 	})
-	results := make([]wireResult, 0, len(merged))
-	for _, m := range merged {
-		if selfName != "" && m.Name == selfName && m.Fingerprint == selfFP {
-			continue
-		}
-		if req.TopK > 0 && len(results) == req.TopK {
-			break
-		}
-		results = append(results, m)
+}
+
+// scatter sends one request to every shard concurrently and decodes each
+// 200 reply into replies[i]; errs[i] is the shard's transport error,
+// non-200 status or malformed reply.
+func scatter[T any](ctx context.Context, rt *Router, method, path string, body []byte) (replies []T, errs []error) {
+	replies = make([]T, len(rt.shards))
+	errs = make([]error, len(rt.shards))
+	var wg sync.WaitGroup
+	for i, shard := range rt.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, reply, err := rt.call(ctx, method, shard, path, body)
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("status %d: %s", status, shardErrText(reply))
+			}
+			if err == nil {
+				err = json.Unmarshal(reply, &replies[i])
+			}
+			errs[i] = err
+		}()
 	}
-
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"source":            source,
-		"strategy":          agg.StrategyLabel(),
-		"planned":           agg.Planned,
-		"candidates_scored": agg.CandidatesScored,
-		"candidate_budget":  agg.CandidateBudget,
-		"cached":            cached,
-		"degraded":          agg.Degraded || shed,
-		"shards":            statuses,
-		"results":           results,
-	})
+	wg.Wait()
+	return replies, errs
 }
 
 // call issues one shard request and reads the (bounded) reply.
@@ -507,13 +384,6 @@ func (rt *Router) call(ctx context.Context, method, shard, path string, body []b
 		return 0, nil, err
 	}
 	return resp.StatusCode, b, nil
-}
-
-// relay writes a shard reply through verbatim.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
 }
 
 // shardErrText extracts the "error" field of a shard's JSON error reply,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/serve"
 )
 
@@ -19,10 +20,10 @@ import (
 // without booting real registries (cmd/cupidd's cluster test does that
 // end to end).
 type stubShard struct {
-	batch      shardBatch
+	batch      serve.BatchReply
 	batchCode  int
 	batchDelay time.Duration
-	doc        *shardDoc
+	doc        *registry.Doc
 	schemas    []map[string]any
 	registers  atomic.Int64
 	deletes    atomic.Int64
@@ -122,27 +123,27 @@ func resultNames(t *testing.T, v map[string]any) []string {
 // global score order, the source's own entry is dropped, and the
 // aggregate fields follow the documented rules.
 func TestRouterScatterGatherMergesAndFilters(t *testing.T) {
-	doc := &shardDoc{Name: "src", Fingerprint: "fpsrc", Format: "json", Content: `{"name":"src"}`}
+	doc := &registry.Doc{Name: "src", Fingerprint: "fpsrc", Format: "json", Content: `{"name":"src"}`}
 	a := &stubShard{
 		doc: doc,
-		batch: shardBatch{
+		batch: serve.BatchReply{
 			Source: "src", Strategy: "indexed", Planned: true,
 			CandidatesScored: 4, CandidateBudget: 8,
-			Results: []wireResult{
-				{Name: "src", Fingerprint: "fpsrc", Score: 1.0, Leaves: json.RawMessage(`[]`)},
-				{Name: "a1", Fingerprint: "fa1", Score: 0.9, Leaves: json.RawMessage(`[]`)},
-				{Name: "a2", Fingerprint: "fa2", Score: 0.5, Leaves: json.RawMessage(`[]`)},
+			Results: []serve.BatchResult{
+				{Name: "src", Fingerprint: "fpsrc", Score: 1.0, Leaves: []serve.Pair{}},
+				{Name: "a1", Fingerprint: "fa1", Score: 0.9, Leaves: []serve.Pair{}},
+				{Name: "a2", Fingerprint: "fa2", Score: 0.5, Leaves: []serve.Pair{}},
 			},
 		},
 	}
 	b := &stubShard{
 		doc: doc, // either shard can resolve the source; ownership is the router's choice
-		batch: shardBatch{
+		batch: serve.BatchReply{
 			Source: "src", Strategy: "indexed", Planned: true,
 			CandidatesScored: 3, CandidateBudget: 7,
-			Results: []wireResult{
-				{Name: "b1", Fingerprint: "fb1", Score: 0.7, Leaves: json.RawMessage(`[]`)},
-				{Name: "b2", Fingerprint: "fb2", Score: 0.6, Leaves: json.RawMessage(`[]`)},
+			Results: []serve.BatchResult{
+				{Name: "b1", Fingerprint: "fb1", Score: 0.7, Leaves: []serve.Pair{}},
+				{Name: "b2", Fingerprint: "fb2", Score: 0.6, Leaves: []serve.Pair{}},
 			},
 		},
 	}
@@ -181,9 +182,9 @@ func TestRouterScatterGatherMergesAndFilters(t *testing.T) {
 // and arrives without waiting out the dead member.
 func TestRouterShedsDeadShard(t *testing.T) {
 	live := &stubShard{
-		batch: shardBatch{
+		batch: serve.BatchReply{
 			Source: "inline", Strategy: "exact",
-			Results: []wireResult{{Name: "a1", Fingerprint: "fa1", Score: 0.9, Leaves: json.RawMessage(`[]`)}},
+			Results: []serve.BatchResult{{Name: "a1", Fingerprint: "fa1", Score: 0.9, Leaves: []serve.Pair{}}},
 		},
 	}
 	dead := &stubShard{batchDelay: 10 * time.Second}
@@ -238,8 +239,8 @@ func TestRouterAllShardsDead(t *testing.T) {
 // TestRouterMixedStrategies: shards that ran different retrieval paths
 // merge under the literal strategy "mixed".
 func TestRouterMixedStrategies(t *testing.T) {
-	a := &stubShard{batch: shardBatch{Strategy: "indexed", Planned: true}}
-	b := &stubShard{batch: shardBatch{Strategy: "pruned", Planned: true}}
+	a := &stubShard{batch: serve.BatchReply{Strategy: "indexed", Planned: true}}
+	b := &stubShard{batch: serve.BatchReply{Strategy: "pruned", Planned: true}}
 	rt := newTestRouter(t, Options{Shards: []string{a.start(t), b.start(t)}})
 	code, v := doJSON(t, rt, http.MethodPost, "/match/batch",
 		`{"source":{"format":"json","content":"{\"name\":\"probe\"}"}}`)

@@ -109,6 +109,11 @@ func TestNoStaleSingleMapDocs(t *testing.T) {
 		"writeRouterError",
 		"drainGuard",
 		"twin of cupidd",
+		"shardBatch",
+		"wireResult",
+		"shardDoc",
+		"MergeRanked",
+		"mirrors cupidd",
 	}
 	const root = "../.."
 	var files []string

@@ -287,6 +287,12 @@ type Ranked struct {
 	Score float64
 }
 
+// RankKey returns the entry's score, name and fingerprint: the key a
+// merge of per-shard rankings orders by.
+func (r Ranked) RankKey() (float64, string, string) {
+	return r.Score, r.Entry.Name, r.Entry.Fingerprint
+}
+
 // Score ranks a match result for one-vs-all retrieval: the sum of the
 // leaf mapping elements' weighted similarities, normalized by the larger
 // of the two trees' leaf counts. It rewards both strength (high wsim) and

@@ -157,6 +157,11 @@ type Ranked struct {
 	Mapping *mapping.Mapping
 }
 
+// RankKey returns the entry's ranking key; see Merge.
+func (r Ranked) RankKey() (float64, string, string) {
+	return r.Score, r.Entry.Name, r.Entry.Fingerprint
+}
+
 // Project keeps what a response reads of each ranked result: entry,
 // score and mapping. It is the projection MatchBatch caches and returns.
 func Project(ranked []registry.Ranked) []Ranked {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -16,6 +17,43 @@ import (
 
 // DefaultMaxBody is the request body cap (-max-body) of both binaries.
 const DefaultMaxBody = 4 << 20
+
+// Flags holds the serving flags both binaries declare: read admission
+// (-concurrency, -queue-depth, -queue-wait), the match deadline and the
+// request body cap.
+type Flags struct {
+	Concurrency   int
+	QueueDepth    int
+	QueueWait     time.Duration
+	MatchDeadline time.Duration
+	MaxBody       int64
+}
+
+// Register declares the serving flags on fs with their defaults.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.IntVar(&f.Concurrency, "concurrency", 0, "concurrent match requests admitted; 0 sizes the pool to the match worker count")
+	fs.IntVar(&f.QueueDepth, "queue-depth", 0, "bounded admission queue per pool; arrivals beyond it are rejected with 429 immediately; 0 means 8x the pool's concurrency")
+	fs.DurationVar(&f.QueueWait, "queue-wait", time.Second, "queueing latency target: a request that waits longer for a slot is rejected with 429 and a Retry-After hint")
+	fs.DurationVar(&f.MatchDeadline, "match-deadline", 30*time.Second, "end-to-end deadline per match request (a router sheds a shard that misses it and marks the reply degraded); 0 disables")
+	fs.Int64Var(&f.MaxBody, "max-body", DefaultMaxBody, "request body cap in bytes; larger bodies are rejected with 413")
+}
+
+// Validate rejects negative serving flags; zero keeps each flag's
+// documented default meaning.
+func (f *Flags) Validate() error {
+	if f.Concurrency < 0 || f.QueueDepth < 0 {
+		return errors.New("-concurrency and -queue-depth must be >= 0")
+	}
+	if f.QueueWait < 0 || f.MatchDeadline < 0 || f.MaxBody < 0 {
+		return errors.New("-queue-wait, -match-deadline and -max-body must be >= 0")
+	}
+	return nil
+}
+
+// ReadPool sizes the match-traffic admission pool from the flags.
+func (f *Flags) ReadPool() PoolOptions {
+	return PoolOptions{Slots: f.Concurrency, Queue: f.QueueDepth, MaxWait: f.QueueWait}
+}
 
 // shutdownTimeout bounds how long ListenAndDrain waits for in-flight
 // requests once draining has begun.
@@ -148,11 +186,14 @@ func WriteError(w http.ResponseWriter, err error) {
 
 // DecodeJSON decodes a JSON request body into v. Unknown fields are
 // rejected, so client typos surface as errors instead of silent defaults,
-// and the body is capped at maxBody bytes: beyond it the reply is a 413
-// naming -max-body and the connection is closed (http.MaxBytesReader
-// stops a mis-sized upload from being read to the end just to be
-// refused).
+// and the body is capped at maxBody bytes (<= 0: DefaultMaxBody): beyond
+// it the reply is a 413 naming -max-body and the connection is closed
+// (http.MaxBytesReader stops a mis-sized upload from being read to the
+// end just to be refused).
 func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
+	if maxBody <= 0 {
+		maxBody = DefaultMaxBody
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -10,7 +10,13 @@
 // route-table dispatcher with JSON 404/405 and the drain-time 503, the
 // status-carrying Error and its JSON writer, the capped body decoder, the
 // mapping of admission and context errors onto 429/503 + Retry-After,
-// and the listen-drain-shutdown loop.
+// the serving flags (-concurrency, -queue-depth, -queue-wait,
+// -match-deadline, -max-body) with their validation, and the
+// listen-drain-shutdown loop. And it declares, once, every JSON shape
+// the two binaries exchange (wire.go): the schema reference, the schema
+// summary and list, mapping pairs, the batch request, result and reply,
+// plus the one ranking merge (Merge) and the one batch rule (Trim) that
+// cupidd's replies and the router's merged replies both go through.
 //
 // The layering is deliberate: admission happens *inside* the cache's
 // compute callback, so a pure cache hit (or a request coalesced onto an

@@ -1,0 +1,205 @@
+package serve
+
+import (
+	"encoding/json"
+	"sort"
+
+	"repro/internal/mapping"
+	"repro/internal/registry"
+)
+
+// The JSON shapes cupidd and cupidrouter exchange, declared once: what a
+// client sends either binary, what a shard sends the router, and what
+// the router sends on. Field order is wire order.
+
+// SchemaRef is a schema reference: the POST /schemas body, the source and
+// target of /match and /match/batch, and the router's scatter payload.
+// It names a registered entry ({"name": "po"}) or carries an inline
+// document ({"format": "sql", "content": "CREATE TABLE ..."}), optionally
+// with sampled instances ({"path": [value, ...]}) for per-leaf profiles.
+// Validation is per route: registration needs format and content, a
+// match reference a name or inline content.
+type SchemaRef struct {
+	Name      string          `json:"name,omitempty"`
+	Format    string          `json:"format,omitempty"`
+	Content   string          `json:"content,omitempty"`
+	Instances json.RawMessage `json:"instances,omitempty"`
+}
+
+// Samples returns the instances payload, nil when it is absent or an
+// explicit JSON null.
+func (r SchemaRef) Samples() []byte {
+	if string(r.Instances) == "null" {
+		return nil
+	}
+	return r.Instances
+}
+
+// BatchRequest is the /match/batch body: a source and the number of
+// results wanted (<= 0: every ranked result).
+type BatchRequest struct {
+	Source SchemaRef `json:"source"`
+	TopK   int       `json:"topK,omitempty"`
+}
+
+// SchemaInfo is the summary of a registered schema.
+type SchemaInfo struct {
+	Name        string `json:"name"`
+	Fingerprint string `json:"fingerprint"`
+	Elements    int    `json:"elements"`
+	Leaves      int    `json:"leaves"`
+}
+
+// InfoOf summarizes a registry entry.
+func InfoOf(e *registry.Entry) SchemaInfo {
+	return SchemaInfo{
+		Name:        e.Name,
+		Fingerprint: e.Fingerprint,
+		Elements:    e.Prepared.Schema().Len(),
+		Leaves:      e.Prepared.Tree().NumLeaves(),
+	}
+}
+
+// SchemaList is the GET /schemas reply, sorted by name.
+type SchemaList struct {
+	Schemas []SchemaInfo `json:"schemas"`
+}
+
+// Pair is one mapping element.
+type Pair struct {
+	Source string  `json:"source"`
+	Target string  `json:"target"`
+	WSim   float64 `json:"wsim"`
+	SSim   float64 `json:"ssim"`
+	LSim   float64 `json:"lsim"`
+}
+
+// PairsOf renders mapping elements as pairs.
+func PairsOf(es []mapping.Element) []Pair {
+	out := make([]Pair, 0, len(es))
+	for _, e := range es {
+		out = append(out, Pair{
+			Source: e.Source.Path(),
+			Target: e.Target.Path(),
+			WSim:   e.WSim,
+			SSim:   e.SSim,
+			LSim:   e.LSim,
+		})
+	}
+	return out
+}
+
+// BatchResult is one ranked repository schema in a batch reply.
+type BatchResult struct {
+	Name        string  `json:"name"`
+	Fingerprint string  `json:"fingerprint"`
+	Score       float64 `json:"score"`
+	Leaves      []Pair  `json:"leaves"`
+}
+
+// RankKey returns the result's ranking key; see Merge.
+func (b BatchResult) RankKey() (float64, string, string) { return b.Score, b.Name, b.Fingerprint }
+
+// ResultsOf renders a ranking as batch results.
+func ResultsOf(ranked []Ranked) []BatchResult {
+	out := make([]BatchResult, len(ranked))
+	for i, rk := range ranked {
+		out[i] = BatchResult{
+			Name:        rk.Entry.Name,
+			Fingerprint: rk.Entry.Fingerprint,
+			Score:       rk.Score,
+			Leaves:      PairsOf(rk.Mapping.Leaves),
+		}
+	}
+	return out
+}
+
+// BatchReply is the /match/batch reply of both binaries. Its fields are
+// declared in key order, so it encodes exactly as the sorted map cupidd
+// once built. Family and FamilyFallback appear only when the family
+// strategy was in play; Shards only in a router's reply.
+type BatchReply struct {
+	Cached           bool          `json:"cached"`
+	CandidateBudget  int           `json:"candidate_budget"`
+	CandidatesScored int           `json:"candidates_scored"`
+	Degraded         bool          `json:"degraded"`
+	Family           string        `json:"family,omitempty"`
+	FamilyFallback   bool          `json:"family_fallback,omitempty"`
+	Planned          bool          `json:"planned"`
+	Results          []BatchResult `json:"results"`
+	Shards           []ShardStatus `json:"shards,omitempty"`
+	Source           string        `json:"source"`
+	Strategy         string        `json:"strategy"`
+}
+
+// Stats decodes the retrieval fields a router aggregates; a strategy
+// name the registry does not know is an error.
+func (b BatchReply) Stats() (registry.RetrievalStats, error) {
+	strategy, err := registry.ParseStrategy(b.Strategy)
+	return registry.RetrievalStats{
+		Strategy:         strategy,
+		Planned:          b.Planned,
+		CandidatesScored: b.CandidatesScored,
+		CandidateBudget:  b.CandidateBudget,
+		Degraded:         b.Degraded,
+	}, err
+}
+
+// ShardStatus is one shard's outcome in a router's batch reply.
+type ShardStatus struct {
+	Shard    string `json:"shard"`
+	OK       bool   `json:"ok"`
+	Strategy string `json:"strategy,omitempty"`
+	Error    string `json:"error,omitempty"`
+}
+
+// Rankable is an entry of a ranking: a registry or frontend ranking, or
+// batch results off the wire.
+type Rankable interface {
+	// RankKey returns the entry's score, name and fingerprint.
+	RankKey() (score float64, name, fingerprint string)
+}
+
+// Merge is the one ranking merge: it concatenates per-shard rankings and
+// orders them by score descending, then name ascending — a single
+// registry's ranking order, so merging the rankings of a partitioned
+// corpus reproduces the unpartitioned ranking element for element — then
+// fingerprint ascending, for distinct entries that share a name across
+// mis-partitioned shards. The inputs are not modified.
+func Merge[T Rankable](parts ...[]T) []T {
+	var all []T
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		si, ni, fi := all[i].RankKey()
+		sj, nj, fj := all[j].RankKey()
+		if si != sj {
+			return si > sj
+		}
+		if ni != nj {
+			return ni < nj
+		}
+		return fi < fj
+	})
+	return all
+}
+
+// Trim is the one batch rule: drop a registered source's own entry, then
+// truncate to topK (<= 0 keeps everything). The entry is matched by name
+// and fingerprint, so an entry whose name was concurrently re-registered
+// with other content stays ranked; selfName "" drops nothing. The input
+// is not modified.
+func Trim[T Rankable](ranked []T, selfName, selfFP string, topK int) []T {
+	out := make([]T, 0, len(ranked))
+	for _, rk := range ranked {
+		if topK > 0 && len(out) == topK {
+			break
+		}
+		if _, name, fp := rk.RankKey(); selfName != "" && name == selfName && fp == selfFP {
+			continue
+		}
+		out = append(out, rk)
+	}
+	return out
+}
