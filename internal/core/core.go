@@ -172,10 +172,11 @@ func (m *Matcher) Match(src, dst *model.Schema) (*Result, error) {
 // Prepared artifact (tokS/tokT are the cached token sets; the old code
 // re-tokenized both full path strings for every node pair — O(n·m)
 // normalizations), then the pair sweep runs NameSimTS over the cached
-// token sets, rows fanned out over the worker pool.
-func (m *Matcher) matchLinguisticOnly(res *Result, tokS, tokT []linguistic.TokenSet) (*Result, error) {
+// token sets, rows fanned out over the worker pool. The table is built over
+// buf's storage (matrix.Matrix.Reshape).
+func (m *Matcher) matchLinguisticOnly(res *Result, buf matrix.Matrix, tokS, tokT []linguistic.TokenSet) (*Result, error) {
 	ts, tt := res.SourceTree, res.TargetTree
-	lsim := matrix.New(ts.Len(), tt.Len())
+	lsim := buf.Reshape(ts.Len(), tt.Len())
 	par.For(ts.Len(), func(i int) {
 		row := lsim.Row(i)
 		for j := range tokT {

@@ -152,16 +152,48 @@ func (m *Matcher) MatchPrepared(src, dst *Prepared) (*Result, error) {
 
 // matchPrepared is MatchPrepared with its temporaries drawn from sc.
 func (m *Matcher) matchPrepared(sc *scratch, src, dst *Prepared) (*Result, error) {
+	return m.match(sc, matrix.Matrix{}, new(structural.Result), src, dst)
+}
+
+// MatchMapping returns the mapping of MatchPrepared(src, dst), bit for
+// bit, at the cost a caller that keeps only the mapping needs: the
+// node-level lsim, ssim and wsim are built in the pooled kernel scratch
+// with the other temporaries, which goes back to the pool before
+// MatchMapping returns. The mapping's elements copy their similarity
+// values and point into the two prepared trees, never into the tables, so
+// a later call reusing the scratch cannot change it.
+func (m *Matcher) MatchMapping(src, dst *Prepared) (*mapping.Mapping, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return m.matchMapping(sc, src, dst)
+}
+
+// matchMapping is MatchMapping with every table drawn from sc.
+func (m *Matcher) matchMapping(sc *scratch, src, dst *Prepared) (*mapping.Mapping, error) {
+	res, err := m.match(sc, sc.lsim, &sc.st, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	sc.lsim = res.LSim // keep the storage if it grew
+	return res.Mapping, nil
+}
+
+// match is the one implementation of MatchPrepared and MatchMapping. The
+// Result's node-level lsim is built over lsim's storage and its ssim and
+// wsim over st's (matrix.Matrix.Reshape: zero values allocate, reused ones
+// keep their capacity); the element-level lsim and the TreeMatch and
+// SecondPass working memory come from sc.
+func (m *Matcher) match(sc *scratch, lsim matrix.Matrix, st *structural.Result, src, dst *Prepared) (*Result, error) {
 	res, err := m.newResult(src, dst)
 	if err != nil {
 		return nil, err
 	}
 	if m.cfg.Mode == ModeLinguisticOnly {
-		return m.matchLinguisticOnly(res, src.pathTokens(), dst.pathTokens())
+		return m.matchLinguisticOnly(res, lsim, src.pathTokens(), dst.pathTokens())
 	}
-	res.Struct = new(structural.Result)
+	res.Struct = st
 	var sp structural.Params
-	if res.LSim, sp, err = m.treeMatch(sc, matrix.Matrix{}, res.Struct, src, dst); err != nil {
+	if res.LSim, sp, err = m.treeMatch(sc, lsim, res.Struct, src, dst); err != nil {
 		return nil, err
 	}
 	if m.cfg.Mapping.NonLeaves {

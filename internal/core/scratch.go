@@ -9,10 +9,11 @@ import (
 
 // scratch is the pooled working memory of the per-candidate kernel: the
 // element-level lsim table, the node-level lsim and the TreeMatch result
-// matrices (MatchScore's, which it never returns), and TreeMatch's touched
-// flags and basis slices. Each call takes one scratch from scratchPool for
-// its whole run and gives it back when done, so concurrent calls never
-// share one. Every buffer is reshaped (and so cleared) before use.
+// matrices (MatchScore's and MatchMapping's, which never return them), and
+// TreeMatch's touched flags, basis slices and strong-link pending list.
+// Each call takes one scratch from scratchPool for its whole run and gives
+// it back when done, so concurrent calls never share one. Every buffer is
+// reshaped (and so cleared) before use.
 type scratch struct {
 	elem, lsim matrix.Matrix
 	st         structural.Result
@@ -20,10 +21,12 @@ type scratch struct {
 }
 
 // maxPooledCells caps the matrix cells a scratch may hold and still go
-// back to the pool (2^18 cells: 2 MiB of float64). A scratch grown past it
-// by one huge pair is dropped instead, so that pair's matrices are not
-// pinned in the pool for the calls that follow.
-const maxPooledCells = 1 << 18
+// back to the pool (2^19 cells: 4 MiB of float64). It admits the four
+// tables of a 289-element pair (about 334k cells), the size of a large
+// /match request. A scratch grown past it by one huge pair is dropped
+// instead, so that pair's matrices are not pinned in the pool for the
+// calls that follow.
+const maxPooledCells = 1 << 19
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/sqlddl"
 	"repro/internal/workloads"
 )
@@ -202,5 +203,40 @@ func TestOversizedScratchNotPooled(t *testing.T) {
 		if got := getScratch(); got == sc {
 			t.Fatal("oversized scratch was pooled")
 		}
+	}
+}
+
+// TestMatchMappingReusesScratch runs the sequence through one scratch with
+// matchMapping, whose lsim, ssim and wsim live in that scratch: every
+// mapping must equal MatchPrepared's on a fresh scratch, and the mapping of
+// the previous pair must be left unchanged by the next pair's reuse of the
+// same tables (a mapping that aliased them would change).
+func TestMatchMappingReusesScratch(t *testing.T) {
+	cases := kernelCases(t)
+	sc := new(scratch)
+	var prev []mapping.Element
+	var prevMapping *mapping.Mapping
+	for round := 0; round < 2; round++ {
+		for _, c := range cases {
+			label := fmt.Sprintf("round %d, %s", round, c.name)
+			want, err := c.m.matchPrepared(new(scratch), c.src, c.dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.m.matchMapping(sc, c.src, c.dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.All(), want.Mapping.All()) {
+				t.Errorf("%s: pooled mapping differs from MatchPrepared's", label)
+			}
+			if prevMapping != nil && !slices.Equal(prevMapping.All(), prev) {
+				t.Errorf("%s: matching this pair changed the previous pair's mapping", label)
+			}
+			prev, prevMapping = slices.Clone(got.All()), got
+		}
+	}
+	if sc.lsim.Cap() == 0 || sc.st.SSim.Cap() == 0 || sc.st.WSim.Cap() == 0 {
+		t.Error("matchMapping left the scratch's lsim, ssim or wsim unused")
 	}
 }

@@ -284,7 +284,9 @@ func Cluster(items []Item, neighbors NeighborFunc, opt Options) *Result {
 
 	// Deterministic traversal order: each node's neighbors ascending by
 	// index (the items are name-sorted, so index order is name order),
-	// and its total edge weight for medoid election.
+	// and its total edge weight for medoid election, summed in that same
+	// order: float addition is not associative, so a sum in map order can
+	// split exactly tied nodes in the last bit and skip the name tie-break.
 	nbrs := make([][]int, n)
 	weight := make([]float64, n)
 	for i, m := range adj {
@@ -292,11 +294,13 @@ func Cluster(items []Item, neighbors NeighborFunc, opt Options) *Result {
 			continue
 		}
 		ns := make([]int, 0, len(m))
-		for j, aff := range m {
+		for j := range m {
 			ns = append(ns, j)
-			weight[i] += aff
 		}
 		sort.Ints(ns)
+		for _, j := range ns {
+			weight[i] += m[j]
+		}
 		nbrs[i] = ns
 	}
 

@@ -64,10 +64,11 @@ func (p Params) Validate() error {
 // Matcher performs linguistic matching with one thesaurus and one
 // parameter set. It caches across calls — token-pair similarities in a
 // sharded striped-mutex cache, normalized names as dense IDs and their name
-// similarities in a lock-free memo (memo.go), every cache bounded — so a
-// Matcher IS safe for concurrent use: Analyze, NameSim(TS),
-// CompatiblePairs and LSim may be called from many goroutines at once
-// (LSim itself fans its inner loops out over a bounded worker pool).
+// similarities in a lock-free memo of one row per name (memo.go), every
+// cache bounded — so a Matcher IS safe for concurrent use: Analyze,
+// NameSim(TS), CompatiblePairs and LSim may be called from many goroutines
+// at once (LSim itself fans its inner loops out over a bounded worker
+// pool).
 // Changing P or Th between calls starts a fresh name memo; do not mutate
 // them while matching is in flight.
 type Matcher struct {
@@ -349,9 +350,10 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
 	sims := m.simsFor(a, b)
 	out := make(map[[2]int]float64)
-	for i, nb := 0, len(b.Categories); i < len(a.Categories); i++ {
-		for j := 0; j < nb; j++ {
-			if ns := sims.category(a, b, i, j); ns >= m.P.Thns {
+	for i := range a.Categories {
+		names := sims.categoryRow(a, i)
+		for j, cb := range b.Categories {
+			if ns := names.sim(j, cb.Keywords); ns >= m.P.Thns {
 				out[[2]int{i, j}] = ns
 			}
 		}
@@ -376,20 +378,24 @@ func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
 //
 // Every ns goes through the matcher's name memo (memo.go): the names of a
 // and b are interned on their first LSim, and each distinct name pair's
-// NameSimTS is computed once per memo generation, then looked up. The
-// category scale of every element pair (max is order-independent) is built
-// in the result table itself and then multiplied in place by the pair's
-// name similarity, so the table is the only working memory. The element
-// rows fan out over the par worker pool, each writing its own matrix row,
-// so the result is bit-identical to a sequential sweep of per-pair
-// NameSimTS calls.
+// NameSimTS is computed once per memo generation, then looked up. The memo
+// is organized by the first name, and both loops follow that order: each
+// category of a, and each element row of the result, fetches its name's
+// memo row once, and all of that row's lookups against b's names then
+// stay inside one small table. The category scale of every element pair
+// (max is order-independent) is built in the result table itself and then
+// multiplied in place by the pair's name similarity, so the table is the
+// only working memory. The element rows fan out over the par worker pool,
+// each writing its own matrix row, so the result is bit-identical to a
+// sequential sweep of per-pair NameSimTS calls.
 func (m *Matcher) LSimInto(dst matrix.Matrix, a, b *SchemaInfo) matrix.Matrix {
 	sims := m.simsFor(a, b)
 	lsim := dst.Reshape(a.Schema.Len(), b.Schema.Len())
 	// Scale per element pair: the best compatible category pair.
 	for i, ca := range a.Categories {
+		names := sims.categoryRow(a, i)
 		for j, cb := range b.Categories {
-			ns := sims.category(a, b, i, j)
+			ns := names.sim(j, cb.Keywords)
 			if ns < m.P.Thns {
 				continue
 			}
@@ -405,9 +411,10 @@ func (m *Matcher) LSimInto(dst matrix.Matrix, a, b *SchemaInfo) matrix.Matrix {
 	}
 	par.For(lsim.Rows(), func(i int) {
 		row := lsim.Row(i)
+		names := sims.elementRow(a, i)
 		for j, s := range row {
 			if s > 0 {
-				row[j] = sims.element(a, b, i, j) * s
+				row[j] = names.sim(j, b.Tokens[j]) * s
 			}
 		}
 	})

@@ -17,10 +17,16 @@ import (
 // schemas: one probe matched against hundreds of candidates asks for the
 // same name pairs again and again. So every distinct normalized name (an
 // element token set or a category keyword set) gets a dense integer ID per
-// Matcher, and NameSimTS is memoized by the (ID, ID) pair in a lock-free
-// open-addressing table. IDs are assigned lazily, once per SchemaInfo, on
-// its first LSim: Analyze (and with it Prepare, registration and recovery)
-// never pays for them.
+// Matcher, and NameSimTS is memoized by the (ID, ID) pair. IDs are assigned
+// lazily, once per SchemaInfo, on its first LSim: Analyze (and with it
+// Prepare, registration and recovery) never pays for them.
+//
+// The memo is organized by row: one small lock-free open-addressing table
+// per first name ID x, keyed by the second ID y. LSim asks for one name of
+// the first schema against every name of the second in turn, so it fetches
+// that name's row once and each lookup then probes one small table that
+// stays in cache, where a single table over all pairs would send every
+// lookup to a random slot of up to 16 MiB.
 //
 // Every cache here is bounded by a fixed entry cap and resets when it
 // overflows. The values are pure, so a reset only costs recomputation and
@@ -29,16 +35,16 @@ import (
 // which table its IDs belong to and re-interns when that table is gone.
 
 // Default cache caps. The name cap bounds the interner (one map entry per
-// distinct normalized name); the memo cap bounds the memoized pairs (a
-// power of two; 16 bytes a slot, in at most 2·memoCap slots); the token cap
-// bounds the token-pair thesaurus cache.
+// distinct normalized name); the memo cap bounds the memoized pairs of one
+// memo generation, across all its rows; the token cap bounds the
+// token-pair thesaurus cache.
 const (
 	defaultNameCap  = 1 << 17
 	defaultMemoCap  = 1 << 19
 	defaultTokenCap = 1 << 16
-	// memoMinSlots is a fresh memo's size: small matchers never grow past
-	// it, and a busy one doubles up to 2·memoCap slots.
-	memoMinSlots = 1 << 12
+	// memoRowSlots is a fresh row's size (16 bytes a slot); a row doubles
+	// whenever it is three quarters full.
+	memoRowSlots = 8
 )
 
 // nameTable is one generation of interned names and their memoized
@@ -51,7 +57,7 @@ type nameTable struct {
 	ids      map[string]int32
 	maxNames int
 
-	memo    atomic.Pointer[memoTable]
+	memo    atomic.Pointer[memoGen]
 	memoCap int
 }
 
@@ -63,20 +69,34 @@ type infoIDs struct {
 	cats  []int32
 }
 
-// memoTable is a fixed-size, insert-only open-addressing hash table from a
-// name-ID pair to its similarity. Lookups are one or a few atomic loads and
-// never allocate or lock. A slot is written once per table: an inserter
-// claims an empty slot by CAS to its key with the pending bit set, stores
-// the value, then publishes the bare key, so a reader that sees the bare
-// key also sees the value. Readers treat pending slots as occupied by
-// another key. Inserts stop at limit — at most three quarters of the slots
-// (concurrent inserters can overshoot by one each) — so every probe
-// sequence reaches an empty slot.
-type memoTable struct {
-	slots []memoSlot
-	shift uint // 64 - log2(len(slots))
+// memoGen is one generation of the name memo: a directory of rows indexed
+// by first name ID, each row created on its first lookup. The directory
+// grows with the IDs looked up, not to the name cap up front. used counts
+// the pairs inserted across all rows; once it reaches limit (the memo cap)
+// the generation is replaced by an empty one.
+type memoGen struct {
+	dir   atomic.Pointer[memoDir]
 	used  atomic.Int64
 	limit int64
+}
+
+type memoDir struct {
+	rows []atomic.Pointer[memoRow]
+}
+
+// memoRow is a fixed-size, insert-only open-addressing hash table from a
+// second name ID to its similarity with the row's first name. Lookups are
+// one or a few atomic loads and never allocate or lock. A slot is written
+// once per row: an inserter reserves room under limit (three quarters of
+// the slots, so every probe sequence reaches an empty slot), claims an
+// empty slot by CAS to its key with the pending bit set, stores the value,
+// then publishes the bare key, so a reader that sees the bare key also sees
+// the value. Readers treat pending slots as occupied by another key.
+type memoRow struct {
+	slots []memoSlot
+	shift uint // 64 - log2(len(slots))
+	used  atomic.Int32
+	limit int32
 }
 
 type memoSlot struct {
@@ -86,62 +106,122 @@ type memoSlot struct {
 // memoPending marks a slot whose value is still being written.
 const memoPending = 1 << 63
 
-// newMemoTable returns an empty table of slots slots (a power of two)
-// holding at most min(3/4·slots, maxEntries) pairs.
-func newMemoTable(slots, maxEntries int) *memoTable {
-	return &memoTable{
+func newMemoGen(limit int) *memoGen {
+	g := &memoGen{limit: int64(limit)}
+	g.dir.Store(new(memoDir))
+	return g
+}
+
+// newMemoRow returns an empty row of slots slots (a power of two).
+func newMemoRow(slots int) *memoRow {
+	return &memoRow{
 		slots: make([]memoSlot, slots),
 		shift: uint(64 - bits.TrailingZeros(uint(slots))),
-		limit: int64(min(slots/4*3, maxEntries)),
+		limit: int32(slots / 4 * 3),
 	}
 }
 
-// memoKey packs an ordered ID pair into a nonzero key below memoPending
-// (NameSimTS is not bit-symmetric, so (x,y) and (y,x) are distinct).
-func memoKey(x, y int32) uint64 {
-	return (uint64(x)+1)<<32 | uint64(uint32(y))
+// memoKey maps a second name ID to a nonzero key below memoPending.
+func memoKey(y int32) uint64 {
+	return uint64(uint32(y)) + 1
 }
 
-func (t *memoTable) home(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> t.shift
+func (r *memoRow) home(key uint64) uint64 {
+	return (key * 0x9E3779B97F4A7C15) >> r.shift
 }
 
-func (t *memoTable) get(key uint64) (float64, bool) {
-	mask := uint64(len(t.slots) - 1)
-	for i := t.home(key); ; i = (i + 1) & mask {
-		switch t.slots[i].key.Load() {
+func (r *memoRow) get(key uint64) (float64, bool) {
+	mask := uint64(len(r.slots) - 1)
+	for i := r.home(key); ; i = (i + 1) & mask {
+		switch r.slots[i].key.Load() {
 		case key:
-			return math.Float64frombits(t.slots[i].val.Load()), true
+			return math.Float64frombits(r.slots[i].val.Load()), true
 		case 0:
 			return 0, false
 		}
 	}
 }
 
-// put inserts key → v, reporting false when the table is full (the caller
-// then replaces it). A key already present or being inserted is left alone:
-// its value is the same pure function of the key.
-func (t *memoTable) put(key uint64, v float64) bool {
-	if t.used.Load() >= t.limit {
-		return false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := &t.slots[i]
+// put outcomes.
+const (
+	putAdded = iota
+	putPresent
+	putFull
+)
+
+// put inserts key → v. A key already present or being inserted is left
+// alone (putPresent): its value is the same pure function of the key. A
+// full row reports putFull and the caller grows it.
+func (r *memoRow) put(key uint64, v float64) int {
+	mask := uint64(len(r.slots) - 1)
+	for i := r.home(key); ; i = (i + 1) & mask {
+		s := &r.slots[i]
 		k := s.key.Load()
 		if k == 0 {
+			if r.used.Add(1) > r.limit {
+				r.used.Add(-1)
+				return putFull
+			}
 			if s.key.CompareAndSwap(0, key|memoPending) {
 				s.val.Store(math.Float64bits(v))
 				s.key.Store(key)
-				t.used.Add(1)
-				return true
+				return putAdded
 			}
+			r.used.Add(-1)
 			k = s.key.Load()
 		}
 		if k == key || k == key|memoPending {
-			return true
+			return putPresent
 		}
 	}
+}
+
+// slot returns the directory slot of first name x's row in g, growing the
+// directory when x is past its end.
+func (g *memoGen) slot(x int32) *atomic.Pointer[memoRow] {
+	for {
+		d := g.dir.Load()
+		if int(x) < len(d.rows) {
+			return &d.rows[x]
+		}
+		nd := &memoDir{rows: make([]atomic.Pointer[memoRow], max(int(x)+1, 2*len(d.rows)))}
+		for i := range d.rows {
+			nd.rows[i].Store(d.rows[i].Load())
+		}
+		g.dir.CompareAndSwap(d, nd)
+	}
+}
+
+// row returns first name x's row in g, creating it on first use.
+func (g *memoGen) row(x int32) *memoRow {
+	s := g.slot(x)
+	if r := s.Load(); r != nil {
+		return r
+	}
+	s.CompareAndSwap(nil, newMemoRow(memoRowSlots))
+	return s.Load()
+}
+
+// grow replaces x's full row old with one twice its size holding old's
+// entries, and returns x's current row. Calls in flight keep old until
+// they refetch; an entry they add to it after the copy is dropped, which
+// only costs recomputation. old may be missing from the directory (it was
+// installed in one replaced meanwhile); its copy then takes the empty
+// slot.
+func (g *memoGen) grow(x int32, old *memoRow) *memoRow {
+	s := g.slot(x)
+	cur := s.Load()
+	if cur != old && cur != nil {
+		return cur
+	}
+	nr := newMemoRow(2 * len(old.slots))
+	for i := range old.slots {
+		if k := old.slots[i].key.Load(); k != 0 && k&memoPending == 0 {
+			nr.put(k, math.Float64frombits(old.slots[i].val.Load()))
+		}
+	}
+	s.CompareAndSwap(cur, nr)
+	return s.Load()
 }
 
 // table returns the matcher's current name table, replacing it when P or
@@ -159,7 +239,7 @@ func (m *Matcher) table() *nameTable {
 // callers converge on whichever table won the swap.
 func (m *Matcher) replaceTable(old *nameTable) *nameTable {
 	nt := &nameTable{p: m.P, th: m.Th, ids: map[string]int32{}, maxNames: m.nameCap, memoCap: m.memoCap}
-	nt.memo.Store(newMemoTable(min(memoMinSlots, 2*m.memoCap), m.memoCap))
+	nt.memo.Store(newMemoGen(m.memoCap))
 	if m.names.CompareAndSwap(old, nt) {
 		return nt
 	}
@@ -224,12 +304,11 @@ func nameKey(buf []byte, ts TokenSet) []byte {
 }
 
 // nameSims answers NameSimTS for the names of one schema pair through the
-// memo. With a nil memo (the pair alone has more distinct names than the
+// memo. With a nil tab (the pair alone has more distinct names than the
 // name cap) it computes every value directly.
 type nameSims struct {
 	m      *Matcher
 	tab    *nameTable
-	memo   *memoTable
 	ia, ib *infoIDs
 }
 
@@ -245,54 +324,94 @@ func (m *Matcher) simsFor(a, b *SchemaInfo) nameSims {
 	if ia == nil || ib == nil {
 		return nameSims{m: m}
 	}
-	return nameSims{m: m, tab: t, memo: t.memo.Load(), ia: ia, ib: ib}
+	return nameSims{m: m, tab: t, ia: ia, ib: ib}
 }
 
-func (s *nameSims) sim(x, y int32, ts1, ts2 TokenSet) float64 {
-	key := memoKey(x, y)
-	if v, ok := s.memo.get(key); ok {
+// rowSims is ns of one name of the first schema (an element's or a
+// category's) against the names of the second, through the first name's
+// memo row: fetched on the first lookup, then followed as it grows and
+// across a generation reset. A rowSims is one goroutine's.
+type rowSims struct {
+	m   *Matcher
+	tab *nameTable // nil: no memo
+	ts  TokenSet
+	x   int32
+	ys  []int32 // the second schema's element or category IDs
+
+	gen *memoGen
+	row *memoRow
+}
+
+// elementRow is the row of element i of a against b's elements.
+func (s *nameSims) elementRow(a *SchemaInfo, i int) rowSims {
+	r := rowSims{m: s.m, tab: s.tab, ts: a.Tokens[i]}
+	if s.tab != nil {
+		r.x, r.ys = s.ia.elems[i], s.ib.elems
+	}
+	return r
+}
+
+// categoryRow is the row of category i of a against b's categories.
+func (s *nameSims) categoryRow(a *SchemaInfo, i int) rowSims {
+	r := rowSims{m: s.m, tab: s.tab, ts: a.Categories[i].Keywords}
+	if s.tab != nil {
+		r.x, r.ys = s.ia.cats[i], s.ib.cats
+	}
+	return r
+}
+
+// sim returns ns of the row's name and ts2, the name of element (or
+// category) j of the second schema.
+func (r *rowSims) sim(j int, ts2 TokenSet) float64 {
+	if r.tab == nil {
+		return r.m.NameSimTS(r.ts, ts2)
+	}
+	if r.row == nil {
+		r.fetch()
+	}
+	key := memoKey(r.ys[j])
+	if v, ok := r.row.get(key); ok {
 		return v
 	}
-	v := s.m.NameSimTS(ts1, ts2)
-	if !s.memo.put(key, v) {
-		s.tab.growMemo(s.memo)
-	}
+	v := r.m.NameSimTS(r.ts, ts2)
+	r.store(key, v)
 	return v
 }
 
-// growMemo replaces a full memo with one twice its size holding the old
-// entries, or — at the cap of 2·memoCap slots — with an empty one of the
-// same size. Calls in flight keep the old table until they finish; an entry
-// they add to it after the copy is dropped, which only costs recomputation.
-func (t *nameTable) growMemo(old *memoTable) {
-	if t.memo.Load() != old {
-		return // already replaced
-	}
-	if len(old.slots) >= 2*t.memoCap {
-		t.memo.CompareAndSwap(old, newMemoTable(len(old.slots), t.memoCap))
-		return
-	}
-	nt := newMemoTable(2*len(old.slots), t.memoCap)
-	for i := range old.slots {
-		if k := old.slots[i].key.Load(); k != 0 && k&memoPending == 0 {
-			nt.put(k, math.Float64frombits(old.slots[i].val.Load()))
+// fetch loads the row from the name table's current memo generation.
+func (r *rowSims) fetch() {
+	r.gen = r.tab.memo.Load()
+	r.row = r.gen.row(r.x)
+}
+
+// store memoizes key → v: it reserves the pair under the generation's cap
+// (starting a fresh generation when this one is full) and grows the row
+// when it is full.
+func (r *rowSims) store(key uint64, v float64) {
+	if !r.gen.reserve() {
+		r.tab.memo.CompareAndSwap(r.gen, newMemoGen(r.tab.memoCap))
+		if r.fetch(); !r.gen.reserve() {
+			return // the fresh generation is full already
 		}
 	}
-	t.memo.CompareAndSwap(old, nt)
+	for {
+		switch r.row.put(key, v) {
+		case putAdded:
+			return
+		case putPresent:
+			r.gen.used.Add(-1)
+			return
+		}
+		r.row = r.gen.grow(r.x, r.row)
+	}
 }
 
-// element returns ns of element i of a and element j of b.
-func (s *nameSims) element(a, b *SchemaInfo, i, j int) float64 {
-	if s.memo == nil {
-		return s.m.NameSimTS(a.Tokens[i], b.Tokens[j])
+// reserve counts one more pair against the generation's cap, reporting
+// false (and counting nothing) when it is reached.
+func (g *memoGen) reserve() bool {
+	if g.used.Add(1) > g.limit {
+		g.used.Add(-1)
+		return false
 	}
-	return s.sim(s.ia.elems[i], s.ib.elems[j], a.Tokens[i], b.Tokens[j])
-}
-
-// category returns ns of category i of a and category j of b.
-func (s *nameSims) category(a, b *SchemaInfo, i, j int) float64 {
-	if s.memo == nil {
-		return s.m.NameSimTS(a.Categories[i].Keywords, b.Categories[j].Keywords)
-	}
-	return s.sim(s.ia.cats[i], s.ib.cats[j], a.Categories[i].Keywords, b.Categories[j].Keywords)
+	return true
 }

@@ -117,7 +117,7 @@ func TestLSimMatchesReference(t *testing.T) {
 func TestLSimConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := NewMatcher(memoThesaurus())
-	m.memoCap = 2 * memoMinSlots
+	m.memoCap = 1 << 13
 	ref := NewMatcher(memoThesaurus())
 	infos := make([]*SchemaInfo, 12)
 	want := make([][]matrix.Matrix, len(infos))
@@ -211,7 +211,76 @@ func TestMemoLookupAllocFree(t *testing.T) {
 	b := m.Analyze(randomSchema(rng, "B", ""))
 	m.LSim(a, b) // intern both schemas and memoize their pairs
 	sims := m.simsFor(a, b)
-	if got := testing.AllocsPerRun(200, func() { sims.element(a, b, 1, 1) }); got != 0 {
+	names := sims.elementRow(a, 1)
+	if got := testing.AllocsPerRun(200, func() { names.sim(1, b.Tokens[1]) }); got != 0 {
 		t.Errorf("warm memo lookup allocates %.1f objects, want 0", got)
+	}
+}
+
+// TestLSimConcurrentRowGrowthAndResets runs 8 goroutines over one matcher
+// whose caps are tiny (run with -race): a memo generation holds 64 pairs,
+// so generations reset in the middle of LSim calls, rows start at
+// memoRowSlots and double while other callers read them, and the name
+// table itself resets as the unique names pile up. Every result must equal
+// the reference.
+func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := NewMatcher(memoThesaurus())
+	m.nameCap, m.memoCap = 256, 64
+	ref := NewMatcher(memoThesaurus())
+	infos := make([]*SchemaInfo, 10)
+	want := make([][]matrix.Matrix, len(infos))
+	for i := range infos {
+		unique := ""
+		if i%3 == 2 {
+			unique = fmt.Sprintf("U%d", i)
+		}
+		infos[i] = m.Analyze(randomSchema(rng, fmt.Sprintf("S%d", i), unique))
+	}
+	for i, a := range infos {
+		for _, b := range infos {
+			want[i] = append(want[i], referenceLSim(ref, a, b))
+		}
+	}
+
+	// One call alone already outgrows a row and a generation.
+	gen := m.table().memo.Load()
+	if !m.LSim(infos[0], infos[1]).Equal(want[0][1]) {
+		t.Fatal("LSim differs from the reference")
+	}
+	tab := m.names.Load()
+	if tab.memo.Load() == gen {
+		t.Fatal("one LSim call never reset the memo generation: the test would not cover resets")
+	}
+	grown := false
+	for i := range infos[0].Tokens {
+		sims := m.simsFor(infos[0], infos[1])
+		names := sims.elementRow(infos[0], i)
+		names.fetch()
+		grown = grown || len(names.row.slots) > memoRowSlots
+	}
+	if !grown {
+		t.Fatal("no memo row grew: the test would not cover row growth")
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(infos)*len(infos); k++ {
+				i, j := (k+g)%len(infos), (k/len(infos)+3*g)%len(infos)
+				if !m.LSim(infos[i], infos[j]).Equal(want[i][j]) {
+					errs <- fmt.Sprintf("goroutine %d: LSim(%d,%d) differs from the reference", g, i, j)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/model"
+	"repro/internal/sqlddl"
 	"repro/internal/workloads"
 )
 
@@ -406,4 +407,48 @@ func TestFamiliesDocNameReserved(t *testing.T) {
 	if _, _, err := p.RegisterSource("innocent", FamiliesDocFormat, []byte(`{}`)); err == nil {
 		t.Error("RegisterSource accepted the reserved families document format")
 	}
+}
+
+// TestClusterFamiliesTiesStable: the tie-break corpus registers one SQL
+// document under several names (the instance samples differ, the
+// signatures do not), so its nodes tie exactly in summed edge affinity and
+// the medoid must come from the name tie-break. Every one of many
+// clustering runs over the same registry must encode to the same bytes;
+// a weight summed in map iteration order splits the tie in the last bit
+// and elects a different medoid from run to run.
+func TestClusterFamiliesTiesStable(t *testing.T) {
+	r := newTestRegistry(t)
+	for _, d := range append(workloads.TieBreakTargets(4), workloads.TieBreakProbe(2)) {
+		s, err := sqlddl.Parse(d.Name, d.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.RegisterInstances(d.Name, s, tieBreakSamples(t, d.Instances)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range familyTestCorpus(9) {
+		if _, _, err := r.Register(s.Name, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []byte
+	for run := 0; run < 250; run++ {
+		res, err := r.ClusterFamilies(corpus.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := res.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			want = raw
+			continue
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("run %d: clustering encodes differently from run 0:\n%s\nvs\n%s", run, raw, want)
+		}
+	}
+	t.Logf("families: %s", want)
 }

@@ -253,11 +253,11 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*map
 			return nil, false, err
 		}
 		defer release()
-		res, err := f.reg.Matcher().MatchPrepared(src, dst)
+		mp, err := f.reg.Matcher().MatchMapping(src, dst)
 		if err != nil {
 			return nil, false, err
 		}
-		return res.Mapping, true, nil
+		return mp, true, nil
 	})
 	if err != nil {
 		return nil, false, err

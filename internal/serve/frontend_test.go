@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -508,4 +510,42 @@ func TestWritePoolIndependentOfReadPool(t *testing.T) {
 		t.Fatalf("AcquireWrite with saturated read pool = %v; write path must be independent", err)
 	}
 	relWrite()
+}
+
+// TestMatchPairMappingSurvivesScratchReuse: a /match pair's tables come
+// from the pooled kernel scratch, which the next pair reuses. The first
+// pair's cached mapping must encode to the same bytes after a second,
+// different pair has been matched, and must still be what MatchPrepared
+// computes.
+func TestMatchPairMappingSurvivesScratchReuse(t *testing.T) {
+	r := testRegistry(t, 20)
+	f := NewFrontend(r, calmOptions(16))
+	a, b := prepProbe(t, r, 0, 1), prepProbe(t, r, 0, 2)
+	c, d := prepProbe(t, r, 1, 3), prepProbe(t, r, 2, 4)
+	ctx := context.Background()
+	first, _, err := f.MatchPair(ctx, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := json.Marshal(PairsOf(first.All()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.MatchPair(ctx, c, d); err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(PairsOf(first.All()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("matching a second pair changed the first pair's mapping")
+	}
+	direct, err := r.Matcher().MatchPrepared(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameMapping(direct.Mapping, first); err != nil {
+		t.Errorf("pooled pair mapping differs from MatchPrepared: %v", err)
+	}
 }

@@ -40,13 +40,16 @@ type matcher struct {
 	memo     map[[2]string]float64
 	// frontier caches the descendant basis per node.
 	frontS, frontT [][]int
+	// pending is structuralSim's list of target basis nodes.
+	pending []int
 }
 
 // Scratch is reusable working memory for TreeMatch and SecondPass: the
-// per-node touched flags and basis slices, grown to the largest trees it
-// has served and reused (cleared) on every call. The zero value is ready
-// to use; a Scratch must not be used by two calls at once. It keeps no
-// reference to trees, matrices or results once a call returns.
+// per-node touched flags and basis slices and the strong-link scan's
+// pending list, grown to the largest trees it has served and reused
+// (cleared) on every call. The zero value is ready to use; a Scratch must
+// not be used by two calls at once. It keeps no reference to trees,
+// matrices or results once a call returns.
 type Scratch struct {
 	m matcher
 }
@@ -127,7 +130,7 @@ func (sc *Scratch) TreeMatch(res *Result, ts, tt *schematree.Tree, lsim matrix.M
 func (sc *Scratch) start(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *matcher {
 	m := &sc.m
 	*m = matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Table(), res: res,
-		touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT}
+		touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT, pending: m.pending}
 	m.touchedS = resetFlags(m.touchedS, ts.Len())
 	m.touchedT = resetFlags(m.touchedT, tt.Len())
 	m.frontS = m.bases(m.frontS, ts)
@@ -141,7 +144,7 @@ func (sc *Scratch) release() {
 	m := &sc.m
 	clear(m.frontS)
 	clear(m.frontT)
-	*m = matcher{touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT}
+	*m = matcher{touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT, pending: m.pending}
 }
 
 // resetFlags returns buf resized to n cleared flags, reallocating only when
@@ -195,12 +198,6 @@ func (m *matcher) wsimLeaf(si, ti int) float64 {
 	return w*m.res.SSim.At(si, ti) + (1-w)*m.lsim.At(si, ti)
 }
 
-// strongLink reports whether basis nodes x,y currently have a strong link:
-// weighted similarity at or above ThAccept (paper §6).
-func (m *matcher) strongLink(xi, yi int) bool {
-	return m.wsimLeaf(xi, yi) >= m.p.ThAccept
-}
-
 // compare processes one (s,t) pair of the post-order sweep.
 func (m *matcher) compare(s, t *schematree.Node) {
 	bothLeaves := s.IsLeaf() && t.IsLeaf()
@@ -250,9 +247,22 @@ func (m *matcher) compare(s, t *schematree.Node) {
 }
 
 // structuralSim estimates ssim(s,t) as the fraction of basis nodes in the
-// two subtrees that have at least one strong link into the other subtree.
+// two subtrees that have at least one strong link into the other subtree:
+// a basis pair whose weighted similarity (wsimLeaf, from live ssim) is at
+// or above ThAccept (paper §6).
 // With OptionalDiscount, optional leaves lacking a strong link are dropped
 // from both numerator and denominator (§8.4).
+//
+// Both sides are counted in one walk over the source basis rows, so every
+// read goes along a row of ssim and lsim (two row slices per source basis
+// node) instead of down a column. The target basis starts out pending; a
+// source node checks every pending target, and each one it strongly links
+// is retired. A target is therefore checked against the source rows in
+// order until its first strong link, exactly as a column scan would, and a
+// source node that retired none scans the retired targets until its first
+// link. The linked and total counts are the same integers as two separate
+// scans give. TreeMatch and SecondPass both come here under every basis;
+// the pending list lives in the Scratch.
 func (m *matcher) structuralSim(s, t *schematree.Node, ls, lt []int) float64 {
 	if m.memo != nil {
 		if v, ok := m.memoLookup(s, t, ls, lt); ok {
@@ -266,39 +276,44 @@ func (m *matcher) structuralSim(s, t *schematree.Node, ls, lt []int) float64 {
 			return v
 		}
 	}
-	linked := 0
-	total := 0
-	count := func(from []int, to []int, fromTree int, anchor *schematree.Node) {
-		for _, xi := range from {
-			var has bool
-			if fromTree == 0 {
-				for _, yi := range to {
-					if m.strongLink(xi, yi) {
-						has = true
-						break
-					}
-				}
-			} else {
-				for _, yi := range to {
-					if m.strongLink(yi, xi) {
-						has = true
-						break
-					}
-				}
-			}
-			if has {
-				linked++
-				total++
+	w, th := m.p.WStructLeaf, m.p.ThAccept
+	pending := append(m.pending[:0], lt...)
+	m.pending = pending
+	open := len(pending) // pending[:open] has no strong link yet; pending[open:] has
+	linked, total := 0, 0
+	for _, x := range ls {
+		ss, ll := m.res.SSim.Row(x), m.lsim.Row(x)
+		has := false
+		for k := 0; k < open; {
+			if y := pending[k]; w*ss[y]+(1-w)*ll[y] >= th {
+				open--
+				pending[k], pending[open] = pending[open], y
+				has = true
 				continue
 			}
-			if m.p.OptionalDiscount && m.isOptionalBasis(fromTree, xi, anchor) {
-				continue // dropped from numerator and denominator
-			}
+			k++
+		}
+		for i := open; !has && i < len(pending); i++ {
+			y := pending[i]
+			has = w*ss[y]+(1-w)*ll[y] >= th
+		}
+		switch {
+		case has:
+			linked++
+			total++
+		case m.p.OptionalDiscount && m.isOptionalBasis(0, x, s):
+			// dropped from numerator and denominator
+		default:
 			total++
 		}
 	}
-	count(ls, lt, 0, s)
-	count(lt, ls, 1, t)
+	linked += len(lt) - open
+	total += len(lt) - open
+	for _, y := range pending[:open] {
+		if !m.p.OptionalDiscount || !m.isOptionalBasis(1, y, t) {
+			total++
+		}
+	}
 	var v float64
 	if total > 0 {
 		v = float64(linked) / float64(total)

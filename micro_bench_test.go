@@ -4,6 +4,8 @@
 package cupid_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -234,4 +236,91 @@ func TestAllocRegressions(t *testing.T) {
 	if small != mid || small > 8 {
 		t.Errorf("warm MatchScore allocates %.1f (small pair) and %.1f (mid-size pair) objects/op, want the same <= 8", small, mid)
 	}
+
+	// A warm pooled pair (MatchMapping, what /match runs) builds its lsim,
+	// ssim and wsim in the pooled scratch, so on a pair-large-shaped pair
+	// it allocates under a tenth of MatchPrepared's bytes, which are
+	// mostly those three fresh tables.
+	src, dst := pairLarge(t, m)
+	pooled := bytesPerRun(5, func() {
+		if _, err := m.MatchMapping(src, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := bytesPerRun(5, func() {
+		if _, err := m.MatchPrepared(src, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pooled*10 >= fresh {
+		t.Errorf("warm pooled pair allocates %d bytes/op, MatchPrepared %d: want under a tenth", pooled, fresh)
+	}
+}
+
+// pairLarge prepares the pair-large shape: two 289-element Synthetic
+// schemas of 256 leaves each (16 tables of 16 columns, two deep, 30% of
+// the target's names perturbed, 20% of its leaves moved up a level).
+func pairLarge(tb testing.TB, m *core.Matcher) (src, dst *core.Prepared) {
+	tb.Helper()
+	w := workloads.Synthetic(workloads.SyntheticSpec{Tables: 16, ColsPerTable: 16, Depth: 2, Rename: 0.3, Renest: 0.2, Seed: 1})
+	src, err := m.Prepare(w.Source)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if dst, err = m.Prepare(w.Target); err != nil {
+		tb.Fatal(err)
+	}
+	return src, dst
+}
+
+// bytesPerRun is the heap bytes one call of f allocates, averaged over
+// runs warm calls (one unmeasured call first). It measures on one P with
+// the collector off, so every call finds the scratch the previous one
+// pooled: a collection empties sync.Pool, and a goroutine that moves to
+// another P cannot take what it put in the first P's private slot. Either
+// would make a call allocate a fresh scratch, a warm-up cost rather than
+// a per-call one.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// BenchmarkPairLarge is one warm pair-large-shaped match (pairLarge),
+// through MatchPrepared, which allocates the result's matrices, and
+// through MatchMapping, the pooled path /match runs. It reproduces the
+// per-pair kernel cost of the end-to-end /match workload without the HTTP
+// harness; run with -benchmem.
+func BenchmarkPairLarge(b *testing.B) {
+	m, err := core.NewMatcher(core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst := pairLarge(b, m)
+	if _, err := m.MatchPrepared(src, dst); err != nil { // warm the name memo and the pool
+		b.Fatal(err)
+	}
+	b.Run("MatchPrepared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.MatchPrepared(src, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.MatchMapping(src, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
