@@ -1,11 +1,12 @@
 package main
 
-// The corpus experiment (-exp corpus): corpus-scale schema clustering and
-// family-routed retrieval. One cell clusters a 10k-schema FamilyCorpus
+// The corpus experiment (-exp corpus): corpus-scale schema clustering as a
+// view of the corpus. The recall cell clusters a 10k-schema FamilyCorpus
 // registry into families (index-generated candidate pairs, greedy-medoid
-// components) and races family-routed retrieval against the flat indexed
-// path over a family-probe mix, gated on the family route being faster
-// with recall@10 >= 0.98 against the exhaustive scan. A second cell
+// components), installs the clustering, and gates planned and indexed
+// retrieval on recall@10 >= 0.98 against the exhaustive scan over a
+// family-probe mix; it gates the same on a bridged 10k corpus, whose
+// families chain together through shared vocabulary. A second cell
 // persists a clustering through the write-ahead journal, restarts the
 // node, and replicates it to a follower, gated on both serving
 // byte-identical family assignments (the canonical clustering bytes).
@@ -18,18 +19,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/registry"
+	"repro/internal/workloads"
 )
 
-// corpusScale is the registry size of the routing cell: large enough that
-// generic tokens are stop-common (candidate generation is family-pure)
-// and the per-family member sets dwarf the medoid probe list.
+// corpusScale is the registry size of the recall cell: large enough that
+// generic tokens are stop-common and clustering cost is measurable.
 const corpusScale = 10000
 
-// corpusTopK is the ranking depth of the routing sweeps.
+// corpusBridge bridges every corpusBridge-th member of each family to the
+// next family's vocabulary in the recall cell's second corpus.
+const corpusBridge = 4
+
+// corpusTopK is the ranking depth of the recall sweeps.
 const corpusTopK = 10
 
-// corpusRecallGate is the routing cell's recall floor against the
-// exhaustive scan.
+// corpusRecallGate is the recall cell's floor against the exhaustive
+// scan.
 const corpusRecallGate = 0.98
 
 // corpusReplicaDocs sizes the durability cell's corpus: small enough to
@@ -39,24 +44,21 @@ const corpusReplicaDocs = 600
 
 // CorpusPoint is the -exp corpus report cell.
 type CorpusPoint struct {
-	// Corpus / Families / MedoidsProbed describe the routing cell's
-	// clustering: repository size, families found, medoids the family
-	// route probes per query.
-	Corpus        int `json:"corpus"`
-	Families      int `json:"families"`
-	MedoidsProbed int `json:"medoids_probed"`
-	Probes        int `json:"probes"`
+	// Corpus / Families describe the recall cell's clustering: repository
+	// size and families found.
+	Corpus   int `json:"corpus"`
+	Families int `json:"families"`
+	Probes   int `json:"probes"`
 	// ClusterNs is the one-off clustering cost (index-driven candidate
 	// generation plus greedy-medoid assignment).
 	ClusterNs int64 `json:"cluster_ns"`
-	// IndexedNs / FamilyNs are the aggregate probe-sweep wall clocks.
-	IndexedNs int64 `json:"indexed_ns"`
-	FamilyNs  int64 `json:"family_ns"`
-	// FamilySpeedup is IndexedNs / FamilyNs (the gated ratio).
-	FamilySpeedup float64 `json:"family_speedup"`
-	// Recall@10 against the exhaustive scan.
+	// Recall@10 against the exhaustive scan on the clustered corpus.
 	IndexedRecall float64 `json:"indexed_recall_at_10"`
-	FamilyRecall  float64 `json:"family_recall_at_10"`
+	PlannedRecall float64 `json:"planned_recall_at_10"`
+	// The same on the bridged corpus (FamilyCorpusSpec.Bridge).
+	Bridge               int     `json:"bridge"`
+	BridgedIndexedRecall float64 `json:"bridged_indexed_recall_at_10"`
+	BridgedPlannedRecall float64 `json:"bridged_planned_recall_at_10"`
 	// Durability cell: the clustering's canonical bytes served after a
 	// restart, and by a replication follower, are byte-identical to the
 	// node that clustered.
@@ -65,81 +67,64 @@ type CorpusPoint struct {
 	ReplicaIdentical bool `json:"replica_identical"`
 }
 
-// runCorpusRouting measures the routing cell: cluster the 10k corpus,
-// then race family-routed retrieval against the flat indexed path.
-func runCorpusRouting(cfg core.Config, point *CorpusPoint) error {
-	reg, err := familyRegistry(cfg, corpusScale, 17)
+// corpusRecall registers the 10k FamilyCorpus with the given Bridge (0:
+// none), clusters it when cluster is set, and returns planned and indexed
+// recall@10 against the exhaustive scan over one family probe per domain.
+func corpusRecall(cfg core.Config, bridge int, cluster bool, point *CorpusPoint) (planned, indexed float64, err error) {
+	spec := workloads.FamilyCorpusSpec{PerFamily: corpusScale / workloads.NumFamilies(), Seed: 17, Bridge: bridge}
+	reg, err := registryOf(cfg, workloads.FamilyCorpus(spec))
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	point.Corpus = reg.Len()
+	if cluster {
+		start := time.Now()
+		res, err := reg.ClusterFamilies(corpus.Options{})
+		if err != nil {
+			return 0, 0, err
+		}
+		point.ClusterNs = time.Since(start).Nanoseconds()
+		if err := reg.SetFamilies(res); err != nil {
+			return 0, 0, err
+		}
+		point.Corpus, point.Families = reg.Len(), len(res.Families)
+		fmt.Printf("  clustered %d schemas into %d families in %.1fms\n",
+			res.Corpus, len(res.Families), float64(point.ClusterNs)/1e6)
+	}
 
-	start := time.Now()
-	res, err := reg.ClusterFamilies(corpus.Options{})
-	if err != nil {
-		return err
-	}
-	point.ClusterNs = time.Since(start).Nanoseconds()
-	if err := reg.SetFamilies(res); err != nil {
-		return err
-	}
-	point.Families = len(res.Families)
-	point.MedoidsProbed = len(res.Families)
-	fmt.Printf("  clustered %d schemas into %d families in %.1fms\n",
-		res.Corpus, len(res.Families), float64(point.ClusterNs)/1e6)
-
-	// One family probe per domain — the incoming-schema shape the
-	// repository serves; rare-token probes are the planner workload's
-	// concern.
 	probes, err := prepareProbes(reg.Matcher(), familyProbes(1234))
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	point.Probes = len(probes)
+	var truth, plannedR, indexedR [][]registry.Ranked
+	for _, arm := range []func() error{
+		sweepArm(probes, retrieval(reg, corpusTopK, exactPlan), &truth),
+		sweepArm(probes, retrieval(reg, corpusTopK, registry.DefaultPlanOptions()), &plannedR),
+		sweepArm(probes, retrieval(reg, corpusTopK, registry.PlanOptions{Force: registry.StrategyIndexed}), &indexedR),
+	} {
+		if err := arm(); err != nil {
+			return 0, 0, err
+		}
+	}
+	planned, indexed = meanRecall(truth, plannedR), meanRecall(truth, indexedR)
+	fmt.Printf("  1-vs-%d (bridge %d), top-%d, %d probes: recall planned/indexed %.3f/%.3f\n",
+		reg.Len(), bridge, corpusTopK, len(probes), planned, indexed)
+	if min(planned, indexed) < corpusRecallGate {
+		return 0, 0, fmt.Errorf("corpus gate: recall@%d planned %.3f, indexed %.3f at corpus %d (bridge %d), want both >= %.2f",
+			corpusTopK, planned, indexed, reg.Len(), bridge, corpusRecallGate)
+	}
+	return planned, indexed, nil
+}
 
-	// Exhaustive ground truth, untimed (the planner workload times it).
-	var truth, indexed, family [][]registry.Ranked
-	if err := sweepArm(probes, retrieval(reg, corpusTopK, exactPlan), &truth)(); err != nil {
+// runCorpusRecall measures the recall cell on the clustered plain corpus
+// and on the bridged one.
+func runCorpusRecall(cfg core.Config, point *CorpusPoint) (err error) {
+	if point.PlannedRecall, point.IndexedRecall, err = corpusRecall(cfg, 0, true, point); err != nil {
 		return err
 	}
-	famOpt := registry.DefaultPlanOptions()
-	famOpt.Force = registry.StrategyFamily
-	t, err := timeArms(
-		sweepArm(probes, retrieval(reg, corpusTopK, registry.PlanOptions{Force: registry.StrategyIndexed}), &indexed),
-		sweepArm(probes, retrieval(reg, corpusTopK, famOpt), &family),
-	)
-	if err != nil {
-		return err
-	}
-	point.IndexedNs, point.FamilyNs = t[0].ns, t[1].ns
-	point.FamilySpeedup = float64(point.IndexedNs) / float64(point.FamilyNs)
-	point.IndexedRecall = meanRecall(truth, indexed)
-	point.FamilyRecall = meanRecall(truth, family)
-
-	// The family route must actually route (not fall back), asserted via
-	// the stats of one representative call.
-	_, st, err := reg.Match(probes[0], corpusTopK, famOpt)
-	if err != nil {
-		return err
-	}
-	if st.Strategy != registry.StrategyFamily || st.FamilyFallback {
-		return fmt.Errorf("corpus gate: family retrieval fell back (strategy %s, fallback %v) — the clustering is not routable", st.Strategy, st.FamilyFallback)
-	}
-
-	fmt.Printf("  1-vs-%d, top-%d, %d probes: indexed %.1fms, family %.1fms (%.2fx), recall ix/fam %.3f/%.3f\n",
-		point.Corpus, corpusTopK, point.Probes,
-		float64(point.IndexedNs)/1e6, float64(point.FamilyNs)/1e6, point.FamilySpeedup,
-		point.IndexedRecall, point.FamilyRecall)
-
-	if point.FamilyNs >= point.IndexedNs {
-		return fmt.Errorf("corpus gate: family-routed sweep %.1fms is not faster than flat indexed %.1fms at corpus %d",
-			float64(point.FamilyNs)/1e6, float64(point.IndexedNs)/1e6, point.Corpus)
-	}
-	if point.FamilyRecall < corpusRecallGate {
-		return fmt.Errorf("corpus gate: family recall@%d = %.3f at corpus %d, want >= %.2f",
-			corpusTopK, point.FamilyRecall, point.Corpus, corpusRecallGate)
-	}
-	return nil
+	point.Bridge = corpusBridge
+	point.BridgedPlannedRecall, point.BridgedIndexedRecall, err = corpusRecall(cfg, corpusBridge, false, point)
+	return err
 }
 
 // runCorpusDurability measures the durability cell: persist a clustering
@@ -223,8 +208,8 @@ func runCorpusDurability(cfg core.Config, point *CorpusPoint) (err error) {
 func runCorpus(outPath string) error {
 	cfg := core.DefaultConfig()
 	point := &CorpusPoint{}
-	fmt.Println("cupidbench: corpus clustering + family-routed retrieval (FamilyCorpus)")
-	if err := runCorpusRouting(cfg, point); err != nil {
+	fmt.Println("cupidbench: corpus clustering, retrieval recall and clustering durability (FamilyCorpus)")
+	if err := runCorpusRecall(cfg, point); err != nil {
 		return err
 	}
 	if err := runCorpusDurability(cfg, point); err != nil {

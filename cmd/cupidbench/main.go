@@ -39,13 +39,13 @@
 //	           >= 1.6x from 1 to 4, merged recall@10 gated exactly
 //	           1.0) plus the killed-and-restarted replica, gated on
 //	           byte-identical convergence with the primary
-//	corpus     corpus clustering + family-routed retrieval: cluster a
-//	           10k FamilyCorpus registry into schema families and race
-//	           family-routed matching against the flat indexed path
-//	           (gated faster, recall@10 >= 0.98 vs the exhaustive
-//	           scan), then persist a clustering through the journal
-//	           and gate a restarted node and a replication follower on
-//	           byte-identical family assignments
+//	corpus     corpus clustering: cluster a 10k FamilyCorpus registry
+//	           into schema families, gate planned and indexed recall@10
+//	           >= 0.98 vs the exhaustive scan with the clustering
+//	           installed and on a bridged 10k corpus, then persist a
+//	           clustering through the journal and gate a restarted node
+//	           and a replication follower on byte-identical family
+//	           assignments
 //	crossformat  generic-model fan-in + instance-aware matching: the
 //	           cross-format corpus (each family rendered as SQL DDL,
 //	           JSON Schema and Avro; the examples/crossformat files)

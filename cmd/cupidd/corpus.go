@@ -6,7 +6,7 @@ package main
 // registered corpus (candidate pairs come from the inverted index, so the
 // job is O(n·k) index probes, never the O(n²) cross product); GET
 // /corpus/cluster/{id} polls it. The finished clustering is installed
-// into the registry (the planner's family strategy routes through it) and
+// into the registry as a view of the corpus — no ranking reads it — and
 // — on a durable server — persisted through the write-ahead journal as a
 // reserved metadata document, so it survives restarts and replicates to
 // followers byte-identically. GET /corpus/families serves the canonical
@@ -15,8 +15,8 @@ package main
 // GET /mappings/{a}/{c} derives a mapping between two registered schemas:
 // directly (one match) or, with ?via=family, transitively through their
 // shared family medoid — compose(A→M, invert(C→M)) — reusing the two
-// medoid matches the family route already pays for, the paper's
-// composition of mappings "performed earlier".
+// medoid matches every derivation through that medoid shares, the
+// paper's composition of mappings "performed earlier".
 
 import (
 	"net/http"
@@ -146,10 +146,6 @@ func (s *server) runClusterJob(id int, opt cupid.CorpusOptions) {
 		s.corpusJobs.finish(id, 0, 0, err)
 		return
 	}
-	// Rankings cached before the clustering may have been produced by a
-	// different strategy mix; drop them so family routing takes effect
-	// immediately and observably.
-	s.front.Invalidate()
 	s.corpusJobs.finish(id, res.Corpus, len(res.Families), nil)
 }
 
@@ -236,9 +232,9 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 			serve.WriteError(w, serve.Errorf(http.StatusConflict, "family medoid %q is no longer registered; re-cluster the corpus", medoid))
 			return
 		}
-		// A→M and C→M are the matches the family route (and any sibling
-		// derivation through this medoid) already pays for, so both hit the
-		// singleflight cache on repeat derivations.
+		// A→M and C→M are the matches every derivation through this
+		// medoid shares, so both hit the singleflight cache on repeat
+		// derivations.
 		aToM, cachedA, err := s.front.MatchPair(r.Context(), a.Prepared, m.Prepared)
 		if err != nil {
 			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))

@@ -30,8 +30,10 @@
 // schemas sharing at least one normalized token with the source are
 // touched, re-ranked by exact signature affinity, and just the top
 // candidates pay the full tree match — and size the candidate budget to
-// the query's actual posting pool. -retrieval=index|pruned|family|exact
-// forces one path (every response reports the "strategy" that ran).
+// the query's actual posting pool. -retrieval=index|pruned|exact forces
+// one path (every response reports the "strategy" that ran). An installed
+// corpus clustering (POST /corpus/cluster) never changes a ranking: it
+// serves GET /corpus/families and /mappings?via=family only.
 //
 // The server is overload-resilient (docs/ARCHITECTURE.md has the serving
 // layer diagram). Match traffic and mutations are admitted through
@@ -73,14 +75,12 @@
 //	-compact-threshold N   fold the journal into a new snapshot generation
 //	                       once it exceeds N bytes (default 1 MiB)
 //	-retrieval MODE        /match/batch retrieval strategy: auto (default;
-//	                       a stats-driven planner picks exact, pruned,
-//	                       indexed or family retrieval plus a candidate
-//	                       budget per query), index (force inverted-index
+//	                       a stats-driven planner picks exact, pruned or
+//	                       indexed retrieval plus a candidate budget per
+//	                       query), index (force inverted-index
 //	                       candidates), pruned (force the linear
-//	                       signature-pruned scan), family (force
-//	                       family-routed matching through the installed
-//	                       corpus clustering) or exact (force exhaustive
-//	                       scans)
+//	                       signature-pruned scan) or exact (force
+//	                       exhaustive scans)
 //	-concurrency N         concurrent match requests admitted (default 0:
 //	                       one per match worker)
 //	-write-concurrency N   concurrent mutations admitted (default 2)
@@ -181,7 +181,7 @@ type server struct {
 	maxBody int64
 	// retrieval is /match/batch's strategy: the zero value
 	// (cupid.RetrievalAuto) plans per query, the others force one path
-	// (-retrieval=index|pruned|family|exact).
+	// (-retrieval=index|pruned|exact).
 	retrieval cupid.RetrievalStrategy
 	// dataDir is the persistence root (-data); empty when in-memory. The
 	// follower checkpoint file lives here.
@@ -615,11 +615,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// then truncate — otherwise a registered source would eat one of the
 	// caller's topK slots with itself (one extra slot absorbs it). The
 	// default -retrieval=auto lets the registry's planner pick exhaustive,
-	// pruned, indexed or family retrieval plus a candidate budget per
-	// query; -retrieval=index|pruned|family|exact forces one path. With
-	// topK <= 0 the exact scan ranks the whole repository, the other paths
-	// their candidate set; "strategy" in the reply names what actually ran
-	// (a family fallback names the path it fell back to).
+	// pruned or indexed retrieval plus a candidate budget per query;
+	// -retrieval=index|pruned|exact forces one path. With topK <= 0 the
+	// exact scan ranks the whole repository, the other paths their
+	// candidate set; "strategy" in the reply names what actually ran.
 	//
 	// The call goes through the serving frontend: admission (429/503 when
 	// shed), the match deadline, the singleflight cache ("cached" in the
@@ -638,15 +637,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A registered source trivially matches itself; Trim drops that entry
-	// before truncating. The family fields report the family route's
-	// provenance: the winning medoid, or the fact that it fell back.
+	// before truncating.
 	serve.WriteJSON(w, http.StatusOK, serve.BatchReply{
 		Cached:           res.Cached,
 		CandidateBudget:  res.Stats.CandidateBudget,
 		CandidatesScored: res.Stats.CandidatesScored,
 		Degraded:         res.Stats.Degraded,
-		Family:           res.Stats.Family,
-		FamilyFallback:   res.Stats.FamilyFallback,
 		Planned:          res.Stats.Planned,
 		Results:          serve.ResultsOf(serve.Trim(res.Ranked, srcName, src.Fingerprint(), req.TopK)),
 		Source:           sourceName(src, srcName),
@@ -765,7 +761,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.StringVar(&opt.follow, "follow", "", "replicate from the primary cupidd at this URL (read-only replica; requires -data)")
 	fs.DurationVar(&opt.walGroupCommit, "wal-group-commit", 0, "linger this long after a write batch opens so more concurrent writers join the same fsync; 0 batches only what queued during the previous fsync")
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
-	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned, family or exact")
+	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned or exact")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
 	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the response's mappings, not the similarity matrices: about 0.2 MB per pair of 289-element schemas; 0 disables")
 	opt.Flags.Register(fs)

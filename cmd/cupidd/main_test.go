@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	cupid "repro"
@@ -264,6 +265,8 @@ func TestServerErrorPaths(t *testing.T) {
 			map[string]string{"name": "x", "format": "yaml", "content": "a: 1"}, http.StatusBadRequest},
 		{"malformed ddl", http.MethodPost, "/schemas",
 			map[string]string{"name": "x", "format": "sql", "content": "DROP EVERYTHING"}, http.StatusBadRequest},
+		{"unterminated dtd literal", http.MethodPost, "/schemas",
+			map[string]string{"name": "x", "format": "dtd", "content": `<!ELEMENT a EMPTY><!ATTLIST a b CDATA "x>`}, http.StatusBadRequest},
 		{"no name or content", http.MethodPost, "/match",
 			map[string]any{"source": map[string]string{}, "target": map[string]string{}}, http.StatusBadRequest},
 		{"unregistered name", http.MethodPost, "/match",
@@ -450,7 +453,8 @@ func TestServerBatchRetrievalModes(t *testing.T) {
 }
 
 // TestRetrievalFlagResolution covers the -retrieval knob: every spelling
-// maps onto its strategy and unknown values are refused.
+// maps onto its strategy, and unknown values — family included, a
+// strategy once — are refused with an error naming the valid ones.
 func TestRetrievalFlagResolution(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -464,7 +468,7 @@ func TestRetrievalFlagResolution(t *testing.T) {
 		{name: "retrieval indexed spelling", args: []string{"-retrieval=indexed"}, want: cupid.RetrievalIndexed},
 		{name: "retrieval pruned", args: []string{"-retrieval=pruned"}, want: cupid.RetrievalPruned},
 		{name: "retrieval exact", args: []string{"-retrieval=exact"}, want: cupid.RetrievalExact},
-		{name: "retrieval family", args: []string{"-retrieval=family"}, want: cupid.RetrievalFamily},
+		{name: "retrieval family", args: []string{"-retrieval=family"}, wantErr: true},
 		{name: "unknown strategy", args: []string{"-retrieval=fuzzy"}, wantErr: true},
 	}
 	for _, tc := range cases {
@@ -477,6 +481,11 @@ func TestRetrievalFlagResolution(t *testing.T) {
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("retrievalStrategy() = %v, want an error", got)
+				}
+				for _, valid := range []string{"auto", "index", "pruned", "exact"} {
+					if !strings.Contains(err.Error(), valid) {
+						t.Errorf("error %q does not name %s", err, valid)
+					}
 				}
 				return
 			}

@@ -336,7 +336,7 @@ func NewRegistryWithMatcher(m *Matcher) *SchemaRegistry { return registry.NewWit
 type RetrievalStats = registry.RetrievalStats
 
 // RetrievalStrategy names a repository retrieval path: the planner
-// (RetrievalAuto) or one of the four forced strategies.
+// (RetrievalAuto) or one of the three forced strategies.
 type RetrievalStrategy = registry.Strategy
 
 // Retrieval strategies, mirroring cupidd's -retrieval flag values.
@@ -352,14 +352,10 @@ const (
 	// RetrievalIndexed forces inverted-index candidate generation
 	// (SchemaRegistry.Match with PlanOptions.Force = RetrievalIndexed).
 	RetrievalIndexed = registry.StrategyIndexed
-	// RetrievalFamily forces family-routed matching: probe the installed
-	// corpus clustering's medoids, full-match only inside the winning
-	// family. Falls back to indexed when no fresh clustering is installed.
-	RetrievalFamily = registry.StrategyFamily
 )
 
 // ParseRetrievalStrategy parses a -retrieval flag value (auto, exact,
-// pruned, index, indexed or family).
+// pruned, index or indexed).
 func ParseRetrievalStrategy(s string) (RetrievalStrategy, error) { return registry.ParseStrategy(s) }
 
 // CorpusOptions tunes corpus-scale schema clustering (neighbor count per

@@ -4,9 +4,10 @@
 // O(n²) cross product — and a deterministic greedy-medoid clustering of
 // that graph into schema families. A family is a connected component of
 // the thresholded similarity graph; its medoid is the member with the
-// strongest total affinity to its neighbors — the representative a
-// family-routed retrieval (registry.StrategyFamily) probes first, and
-// the hub transitive mapping composition routes through.
+// strongest total affinity to its neighbors — the family's
+// representative, and the hub transitive mapping composition routes
+// through. The clustering is a view of the corpus: no retrieval ranking
+// reads it.
 //
 // Clustering is deterministic for a given entry set: candidate
 // generation is a pure function of the indexed corpus (the index's
@@ -66,8 +67,8 @@ const (
 // sharedNeighborFloor is how many distinct shared proposed neighbors a
 // mutual pair needs before it becomes an edge (see the shared-near-
 // neighbor test in Cluster). One corroborating witness is the tuned
-// setting: at the corpus sizes family routing targets (>= 512, where
-// per-family k-NN lists saturate in-family) it removes cross-family
+// setting: at corpus sizes of 512 and up (where per-family k-NN lists
+// saturate in-family) it removes cross-family
 // bridges without fragmenting; demanding two starts splitting genuine
 // families once the family size dwarfs the out-degree.
 const sharedNeighborFloor = 1
@@ -349,9 +350,9 @@ func Cluster(items []Item, neighbors NeighborFunc, opt Options) *Result {
 	// its own. Each fragment joins the full-size family whose medoid is
 	// nearest to its medoid by exact signature affinity, unconditionally:
 	// a family outlier often sits below the edge threshold even against
-	// its own medoid, and a fragment left standalone is unreachable by
-	// family-routed retrieval — a guaranteed recall hole, strictly worse
-	// than a best-effort nearest-family assignment. Targets are only
+	// its own medoid, and a fragment left standalone misreports its
+	// members as a family of their own — strictly worse than a
+	// best-effort nearest-family assignment. Targets are only
 	// full-size families and never change during the pass, so the outcome
 	// is independent of fragment order; ties break on medoid name.
 	floor := fragmentFloor

@@ -235,7 +235,10 @@ type attDecl struct {
 }
 
 func parseAttlist(body string) (string, []attDecl, error) {
-	fields := tokenizeAttlist(body)
+	fields, err := tokenizeAttlist(body)
+	if err != nil {
+		return "", nil, err
+	}
 	if len(fields) == 0 {
 		return "", nil, fmt.Errorf("dtd: ATTLIST without element name")
 	}
@@ -278,7 +281,10 @@ func parseAttlist(body string) (string, []attDecl, error) {
 	return elem, atts, nil
 }
 
-func tokenizeAttlist(body string) []string {
+// tokenizeAttlist splits an ATTLIST body into names, punctuation and
+// quoted literals (quotes kept). A literal missing its closing quote is an
+// error.
+func tokenizeAttlist(body string) ([]string, error) {
 	var out []string
 	i := 0
 	for i < len(body) {
@@ -294,6 +300,9 @@ func tokenizeAttlist(body string) []string {
 			for j < len(body) && body[j] != c {
 				j++
 			}
+			if j == len(body) {
+				return nil, fmt.Errorf("dtd: unterminated quoted value in ATTLIST %q", body)
+			}
 			out = append(out, body[i:j+1])
 			i = j + 1
 		default:
@@ -306,7 +315,7 @@ func tokenizeAttlist(body string) []string {
 			i = j
 		}
 	}
-	return out
+	return out, nil
 }
 
 // --- building --------------------------------------------------------------

@@ -184,6 +184,10 @@ func TestParseErrors(t *testing.T) {
 		"unbalanced parens": `<!ELEMENT A (B, (C)>`,
 		"duplicate element": `<!ELEMENT A EMPTY> <!ELEMENT A EMPTY>`,
 		"bad comment":       `<!-- nope`,
+		// An unterminated quoted literal once sliced past the body's end.
+		"unterminated default":       `<!ATTLIST a b CDATA "x>`,
+		"unterminated quoted name":   `<!ATTLIST a "x>`,
+		"unterminated after element": `<!ELEMENT a EMPTY><!ATTLIST a b CDATA 'x>`,
 	}
 	for name, doc := range cases {
 		if _, err := Parse("", doc); err == nil {

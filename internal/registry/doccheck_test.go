@@ -114,6 +114,12 @@ func TestNoStaleSingleMapDocs(t *testing.T) {
 		"shardDoc",
 		"MergeRanked",
 		"mirrors cupidd",
+		"RetrievalFamily",
+		"executeFamily",
+		"family_fallback",
+		"familyAutoMinCorpus",
+		"-retrieval=family",
+		"family-routed",
 	}
 	const root = "../.."
 	var files []string

@@ -1,9 +1,9 @@
 package registry
 
 // Property tests for corpus-scale schema families: clustering determinism
-// across registration interleavings, persistence and staleness of the
-// installed view, the family retrieval route's agreement with the flat
-// indexed path, and the reserved metadata document's lifecycle.
+// across registration interleavings, persistence of the installed view,
+// planned retrieval's independence from it, and the reserved metadata
+// document's lifecycle.
 
 import (
 	"bytes"
@@ -95,247 +95,59 @@ func TestClusterFamiliesDeterministicAcrossInterleavings(t *testing.T) {
 	}
 }
 
-// TestFamilyRouteWithinIndexedTopK: the family route may match far fewer
-// entries, but everything it returns must be something the flat indexed
-// path also ranks in its top-K — family routing narrows the candidate
-// set, it must never surface a result the indexed path would not. The
-// corpus sits above familyAutoMinCorpus: the regime family routing is
-// built for (and the only one the planner auto-selects it in).
-func TestFamilyRouteWithinIndexedTopK(t *testing.T) {
-	const topK = 10
-	docs := familyTestCorpus(2000)
-	r := newTestRegistry(t)
-	for _, s := range docs {
-		if _, _, err := r.Register(s.Name, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := r.ClusterFamilies(corpus.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetFamilies(res); err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultPlanOptions()
-	opt.Force = StrategyFamily
-	for fam := 0; fam < workloads.NumFamilies(); fam++ {
-		probe, err := r.Matcher().Prepare(workloads.FamilyProbe(fam, 4321))
-		if err != nil {
-			t.Fatal(err)
-		}
-		famRanked, st, err := r.Match(probe, topK, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Strategy != StrategyFamily || st.FamilyFallback {
-			t.Fatalf("probe %d: strategy %v fallback %v, want a routed family match", fam, st.Strategy, st.FamilyFallback)
-		}
-		indexed, _, err := r.Match(probe, topK, PlanOptions{Force: StrategyIndexed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inIndexed := make(map[string]bool, len(indexed))
-		for _, rk := range indexed {
-			inIndexed[rk.Entry.Name] = true
-		}
-		for i, rk := range famRanked {
-			if !inIndexed[rk.Entry.Name] {
-				t.Errorf("probe %d: family result %d (%s) is outside the flat indexed top-%d",
-					fam, i, rk.Entry.Name, topK)
-			}
-		}
-	}
-}
-
-// familyOracle reproduces the family route with full matches: rank the
-// installed medoids by their full MatchPrepared score, take the winner's
-// family, rank its members and the medoids together.
-func familyOracle(t *testing.T, r *Registry, src *core.Prepared, topK int) ([]Ranked, RetrievalStats) {
-	t.Helper()
-	fams := r.Families().Families
-	medoids := make([]*Entry, len(fams))
-	for i, f := range fams {
-		medoids[i], _ = r.Get(f.Medoid)
-	}
-	win := oracleRank(t, r, src, medoids, 1)[0].Entry.Name
-	cands := append([]*Entry(nil), medoids...)
-	members := 0
-	for _, f := range fams {
-		if f.Medoid != win {
-			continue
-		}
-		members = len(f.Members)
-		for _, name := range f.Members {
-			if e, _ := r.Get(name); name != win {
-				cands = append(cands, e)
-			}
-		}
-	}
-	st := RetrievalStats{
-		Strategy: StrategyFamily, Families: len(medoids), Family: win,
-		CandidateBudget: len(medoids) + members, CandidatesScored: len(cands), CandidatesMatched: len(cands),
-	}
-	return oracleRank(t, r, src, cands, topK), st
-}
-
-// TestFamilyRouteScoreOnlyMatchesFullMatch: the family route scores its
-// medoids and the winning family without the full pipeline, then
-// materializes the merged top K. Its ranking, results and stats must equal
-// a full-match transcription of the route, for bounded and unbounded
-// rankings and under degraded budgets.
-func TestFamilyRouteScoreOnlyMatchesFullMatch(t *testing.T) {
-	r := newTestRegistry(t)
-	for _, s := range familyTestCorpus(120) {
-		if _, _, err := r.Register(s.Name, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := r.ClusterFamilies(corpus.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetFamilies(res); err != nil {
-		t.Fatal(err)
-	}
-	for _, fam := range []int{0, 3, 7} {
-		src := mustPrepare(t, r, workloads.FamilyProbe(fam, 99))
-		for _, topK := range []int{10, 3, 0} {
-			want, wantSt := familyOracle(t, r, src, topK)
-			for _, degraded := range []bool{false, true} {
-				opt := DefaultPlanOptions()
-				opt.Force, opt.Degraded = StrategyFamily, degraded
-				got, st, err := r.Match(src, topK, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameFullRanking(t, want, got)
-				wantSt.Degraded = degraded
-				if st != wantSt {
-					t.Errorf("family %d topK=%d degraded=%v: stats %+v, oracle %+v", fam, topK, degraded, st, wantSt)
-				}
-			}
-		}
-	}
-}
-
-// TestFamiliesStalenessAndFallback: the planner stops trusting an
-// installed clustering once the corpus has mutated past the tolerance,
-// and a forced family match then falls back to the indexed path (flagged
-// in the stats) instead of serving stale routing.
-func TestFamiliesStalenessAndFallback(t *testing.T) {
-	docs := familyTestCorpus(64)
-	r := newTestRegistry(t)
-	for _, s := range docs {
-		if _, _, err := r.Register(s.Name, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := r.ClusterFamilies(corpus.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetFamilies(res); err != nil {
-		t.Fatal(err)
-	}
-	if !r.FamiliesFresh() {
-		t.Fatal("freshly installed clustering reports stale")
-	}
-
-	// Mutate past the tolerance (max(16, 64/8) = 16 mutations).
-	extra := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 2, Seed: 23})
-	for i, s := range extra {
-		if i >= 17 {
-			break
-		}
-		if _, _, err := r.Register("staleness-"+s.Name, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.FamiliesFresh() {
-		t.Fatal("clustering still fresh after mutating past the tolerance")
-	}
-
-	probe, err := r.Matcher().Prepare(workloads.FamilyProbe(1, 4321))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultPlanOptions()
-	opt.Force = StrategyFamily
-	ranked, st, err := r.Match(probe, 5, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.FamilyFallback {
-		t.Fatalf("stale clustering did not fall back (stats %+v)", st)
-	}
-	indexed, _, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRanking(t, indexed, ranked)
-
-	// Re-clustering restores the route.
-	res, err = r.ClusterFamilies(corpus.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetFamilies(res); err != nil {
-		t.Fatal(err)
-	}
-	if !r.FamiliesFresh() {
-		t.Fatal("re-clustering did not restore freshness")
-	}
-}
-
-// TestPlannedFamilyFallbackReplansWithoutFamilies: a planned family route
-// whose medoids stopped resolving (all but one removed, still within the
-// staleness tolerance) must run exactly the plan the planner makes with
-// no clustering installed. For an index-blind probe that plan is the
-// pruned scan; an indexed fallback would find no candidates at all.
-func TestPlannedFamilyFallbackReplansWithoutFamilies(t *testing.T) {
+// TestClusteringNeverChangesPlannedRanking: installing a clustering must
+// not change what planned retrieval returns. The corpus is a 2k
+// FamilyCorpus with every 4th member bridged to the next family's
+// vocabulary, so the clustering chains several domains into one family
+// and a ranking routed through it would miss most true matches. With the
+// clustering installed, planned Match for one probe per family must be
+// bit-identical — names, scores, mappings and stats — to planned Match
+// with none installed, and recall the exhaustive scan's top 10 in full
+// (which makes it the exhaustive ranking itself).
+func TestClusteringNeverChangesPlannedRanking(t *testing.T) {
 	const topK = 10
 	r := newTestRegistry(t)
-	for _, s := range familyTestCorpus(600) {
+	for _, s := range workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 200, Seed: 17, Bridge: 4}) {
 		if _, _, err := r.Register(s.Name, s); err != nil {
 			t.Fatal(err)
 		}
 	}
+	probes := make([]*core.Prepared, workloads.NumFamilies())
+	want := make([][]Ranked, len(probes))
+	wantSt := make([]RetrievalStats, len(probes))
+	for f := range probes {
+		probes[f] = mustPrepare(t, r, workloads.FamilyProbe(f, 1234))
+		var err error
+		if want[f], wantSt[f], err = r.Match(probes[f], topK, DefaultPlanOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	res, err := r.ClusterFamilies(corpus.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Families) >= workloads.NumFamilies() {
+		t.Fatalf("setup: the bridged corpus clustered into %d families; the test needs chained ones (fewer than %d)",
+			len(res.Families), workloads.NumFamilies())
+	}
 	if err := r.SetFamilies(res); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Families[1:] {
-		if !r.Remove(f.Medoid) {
-			t.Fatalf("removing medoid %s", f.Medoid)
+	for f, src := range probes {
+		got, st, err := r.Match(src, topK, DefaultPlanOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !r.FamiliesFresh() || r.Len() < familyAutoMinCorpus {
-		t.Fatalf("setup: fresh=%v corpus=%d; the planner must still pick the family route", r.FamiliesFresh(), r.Len())
-	}
-	src := mustPrepare(t, r, unseenProbe())
-	if p := r.Plan(src, topK, DefaultPlanOptions()); p.Strategy != StrategyFamily {
-		t.Fatalf("plan = %+v, want the family route", p)
-	}
-	got, st, err := r.Match(src, topK, DefaultPlanOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r.ClearFamilies()
-	want, wantSt, err := r.Match(src, topK, DefaultPlanOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != topK {
-		t.Fatalf("plan without families returned %d results, want %d (stats %+v)", len(want), topK, wantSt)
-	}
-	assertSameRanking(t, want, got)
-	if !st.FamilyFallback || st.Strategy != wantSt.Strategy {
-		t.Errorf("fallback stats %+v, want FamilyFallback and strategy %s", st, wantSt.Strategy)
+		assertSameFullRanking(t, want[f], got)
+		if st != wantSt[f] {
+			t.Errorf("probe %d: stats %+v with the clustering installed, %+v without", f, st, wantSt[f])
+		}
+		truth, err := r.MatchAll(src, topK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRanking(t, truth, got)
 	}
 }
 
@@ -362,9 +174,6 @@ func TestFamiliesPersistAcrossRestartByteIdentical(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no canonical bytes after StoreFamilies")
 	}
-	if !p.FamiliesFresh() {
-		t.Fatal("clustering not routable right after StoreFamilies")
-	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +181,6 @@ func TestFamiliesPersistAcrossRestartByteIdentical(t *testing.T) {
 	p2 := newWAL(t, dir, PersistOptions{})
 	if got := p2.FamiliesJSON(); !bytes.Equal(got, want) {
 		t.Fatalf("restarted node serves different clustering bytes:\n%s\nvs\n%s", got, want)
-	}
-	if !p2.FamiliesFresh() {
-		t.Fatal("recovered clustering reports stale immediately after restart")
 	}
 
 	// Removing the reserved document clears the clustering and survives

@@ -27,9 +27,8 @@ type RetrievalStats struct {
 	// CandidateBudget is the candidate limit the call ran under: the
 	// planner's budget on planned runs, budget(strategy, n, topK,
 	// degraded) for the repository size and topK at hand on forced ones,
-	// the corpus size on exact scans, the medoids plus the winning family
-	// on the family route — so a response always carries the budget that
-	// actually produced it.
+	// the corpus size on exact scans — so a response always carries the
+	// budget that actually produced it.
 	CandidateBudget int
 	// Indexed reports whether the inverted index generated the candidates
 	// (false when the repository was small enough, or the query signature
@@ -56,16 +55,4 @@ type RetrievalStats struct {
 	// tokens: the candidate pool the planner sized its budget against
 	// (planner input; zero on forced runs).
 	PostingsKept int
-	// Families is the number of family medoids the family route probed
-	// (zero unless the family strategy actually ran).
-	Families int
-	// Family is the winning family's medoid name when the family route
-	// produced the ranking.
-	Family string
-	// FamilyFallback reports that a family-strategy call could not run as
-	// one — no clustering installed, the clustering gone stale, or its
-	// medoids no longer resolving — and fell back: a planned call to the
-	// plan made without the clustering, a forced one to the forced
-	// indexed path. Strategy names the path that ran.
-	FamilyFallback bool
 }

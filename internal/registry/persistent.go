@@ -165,14 +165,17 @@ func OpenPersistentOptions(dir string, m *core.Matcher, opts PersistOptions, par
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
-	var famDoc *Doc
 	for _, l := range rec.Docs {
 		if l.Schema == nil && metaDoc(l.Doc.Format) {
-			// Repository metadata rides the same recovery stream but is
-			// installed after the schema registrations (below), so the
-			// staleness clock it records covers the whole recovered corpus.
-			d := l.Doc
-			famDoc = &d
+			// Repository metadata rides the same recovery stream. An
+			// undecodable clustering is dropped with a warning, never
+			// fatal: the registry serves fine without one, and the next
+			// compaction stops persisting it.
+			if err := p.Registry.SetFamiliesJSON([]byte(l.Doc.Content)); err != nil {
+				rec.Warnings = append(rec.Warnings, fmt.Sprintf("dropping persisted corpus clustering: %v", err))
+			} else {
+				p.docs[l.Doc.Name] = l.Doc
+			}
 			continue
 		}
 		// Recover the sampled-instances payload, when the document carries
@@ -199,16 +202,6 @@ func OpenPersistentOptions(dir string, m *core.Matcher, opts PersistOptions, par
 		d := l.Doc
 		d.Fingerprint = e.Fingerprint
 		p.docs[e.Name] = d
-	}
-	if famDoc != nil {
-		// An undecodable clustering is dropped with a warning, never fatal:
-		// the registry serves fine without one (the planner just routes
-		// indexed), and the next compaction stops persisting it.
-		if err := p.Registry.SetFamiliesJSON([]byte(famDoc.Content)); err != nil {
-			rec.Warnings = append(rec.Warnings, fmt.Sprintf("dropping persisted corpus clustering: %v", err))
-		} else {
-			p.docs[famDoc.Name] = *famDoc
-		}
 	}
 	w, err := st.openWAL(rec.WALBase, rec.WALRecords)
 	if err != nil {

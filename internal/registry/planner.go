@@ -42,13 +42,6 @@ const (
 	// token-less probe, falls back to an exact scan (Indexed=false in the
 	// stats).
 	StrategyIndexed
-	// StrategyFamily is the corpus-clustered route (families.go): the
-	// probe is tree-matched against the K family medoids first, then
-	// full-matched only within the winning family. Requires an installed,
-	// fresh clustering (Registry.SetFamilies); otherwise execution falls
-	// back (planned: the plan made without the clustering; forced: the
-	// indexed path), flagged FamilyFallback in the stats.
-	StrategyFamily
 )
 
 // String returns the strategy's wire name (the value cupidd's -retrieval
@@ -63,14 +56,12 @@ func (s Strategy) String() string {
 		return "pruned"
 	case StrategyIndexed:
 		return "indexed"
-	case StrategyFamily:
-		return "family"
 	}
 	return fmt.Sprintf("strategy(%d)", uint8(s))
 }
 
-// ParseStrategy parses a -retrieval flag value: auto, exact, pruned,
-// family, or index (indexed is accepted as a synonym).
+// ParseStrategy parses a -retrieval flag value: auto, exact, pruned, or
+// index (indexed is accepted as a synonym).
 func ParseStrategy(s string) (Strategy, error) {
 	switch s {
 	case "auto":
@@ -81,10 +72,8 @@ func ParseStrategy(s string) (Strategy, error) {
 		return StrategyPruned, nil
 	case "index", "indexed":
 		return StrategyIndexed, nil
-	case "family":
-		return StrategyFamily, nil
 	}
-	return StrategyAuto, fmt.Errorf("unknown retrieval strategy %q (want auto, index, pruned, family or exact)", s)
+	return StrategyAuto, fmt.Errorf("unknown retrieval strategy %q (want auto, index, pruned or exact)", s)
 }
 
 // The candidate budget is one fixed policy: the pruned path lets a
@@ -195,10 +184,6 @@ type Plan struct {
 	// probe's sharpest discriminating signal. The planner abandons the
 	// index when even this cluster overflows the static candidate budget.
 	MinKeptDF int
-	// Families is the installed family count the family route will probe
-	// (zero when the plan is not StrategyFamily). The family budget itself
-	// is resolved at execution time from the winning family's size.
-	Families int
 }
 
 // Plan decides how a probe will be retrieved, without running anything.
@@ -210,12 +195,6 @@ type Plan struct {
 //	exact    n = 0, a token-less probe, or static budgets that already
 //	         reach the whole corpus: every path degenerates to the full
 //	         scan, so run the cheapest spelling of it.
-//	family   a fresh corpus clustering is installed (SetFamilies) and the
-//	         corpus is large enough (familyAutoMinCorpus) for medoid
-//	         routing to pay: tree-match the K medoids, full-match only
-//	         within the winning family. If the clustering is unusable by
-//	         execution time, the executor runs the plan this function
-//	         makes with the clustering left out.
 //	pruned   the index cannot separate this probe's true matches from
 //	         the crowd: it is blind to the probe (no token indexed),
 //	         sees only stop-common tokens (accumulation would touch
@@ -233,36 +212,30 @@ type Plan struct {
 //	         smaller: a selective probe's true matches concentrate in
 //	         its clusters, so matching a fixed corpus fraction beyond
 //	         them is pure waste.
+//
+// An installed corpus clustering (SetFamilies) is never consulted: every
+// strategy ranks by each candidate's own match score, so a clustering
+// cannot change a ranking.
 func (r *Registry) Plan(src *core.Prepared, topK int, opt PlanOptions) Plan {
 	if opt.Force != StrategyAuto {
 		return Plan{Strategy: opt.Force, Degraded: opt.Degraded && opt.Force != StrategyExact}
 	}
-	return r.plan(src, topK, opt.Degraded, r.usableFamilies())
-}
-
-// plan is the planner behind Plan; fams is the clustering the family
-// route may use (nil leaves the route out).
-func (r *Registry) plan(src *core.Prepared, topK int, degraded bool, fams *familyView) Plan {
-	p := Plan{Planned: true, Degraded: degraded}
+	p := Plan{Planned: true, Degraded: opt.Degraded}
 	sig := src.Signature()
 	st := r.idx.ProbeStats(sig)
 	n := st.Docs
 	p.Corpus, p.ProbeTokens = n, st.ProbeTokens
 	p.TokensIndexed, p.TokensCommon = st.TokensIndexed, st.TokensCommon
 	p.PostingsKept, p.MaxKeptDF, p.MinKeptDF = st.PostingsKept, st.MaxKeptDF, st.MinKeptDF
-	pruneLimit := budget(StrategyPruned, n, topK, degraded)
-	idxLimit := budget(StrategyIndexed, n, topK, degraded)
+	pruneLimit := budget(StrategyPruned, n, topK, opt.Degraded)
+	idxLimit := budget(StrategyIndexed, n, topK, opt.Degraded)
 	switch {
 	case n == 0 || len(sig.Tokens) == 0 || idxLimit >= n || pruneLimit >= n:
 		p.Strategy, p.Budget, p.Degraded = StrategyExact, n, false
-	case fams != nil && n >= familyAutoMinCorpus:
-		// Budget resolved at execution from the winning family's size
-		// plus the medoid probes.
-		p.Strategy, p.Families = StrategyFamily, len(fams.medoids)
 	case st.TokensIndexed == 0 || st.PostingsKept == 0 || st.MinKeptDF >= idxLimit:
 		p.Strategy, p.Budget = StrategyPruned, pruneLimit
 	default:
-		p.Strategy, p.Budget = StrategyIndexed, min(idxLimit, adaptiveBudget(st.MaxKeptDF, topK, degraded))
+		p.Strategy, p.Budget = StrategyIndexed, min(idxLimit, adaptiveBudget(st.MaxKeptDF, topK, opt.Degraded))
 	}
 	return p
 }
@@ -309,13 +282,10 @@ func (p Plan) stats() RetrievalStats {
 	}
 }
 
-// execute runs one plan: the family route on its own (executeFamily);
-// every other strategy generates candidates (candidates) and ranks them
-// here, in one place.
+// execute runs one plan: every strategy generates candidates
+// (candidates) and ranks them here, in one place.
 func (r *Registry) execute(ctx context.Context, src *core.Prepared, topK int, plan Plan) ([]Ranked, RetrievalStats, error) {
 	switch plan.Strategy {
-	case StrategyFamily:
-		return r.executeFamily(ctx, src, topK, plan)
 	case StrategyPruned, StrategyIndexed:
 	default: // StrategyExact — and the safe fallback for invalid values
 		plan.Strategy, plan.Degraded = StrategyExact, false

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -24,8 +25,19 @@ func TestStrategyStringParseRoundTrip(t *testing.T) {
 	if got, err := ParseStrategy("index"); err != nil || got != StrategyIndexed {
 		t.Errorf("ParseStrategy(index) = %v, %v; want the indexed strategy", got, err)
 	}
-	if _, err := ParseStrategy("fuzzy"); err == nil {
-		t.Error("ParseStrategy(fuzzy) should fail")
+	// family was a strategy once; it is refused like any unknown name,
+	// with an error naming every valid one.
+	for _, name := range []string{"fuzzy", "family"} {
+		_, err := ParseStrategy(name)
+		if err == nil {
+			t.Errorf("ParseStrategy(%s) should fail", name)
+			continue
+		}
+		for _, valid := range []string{"auto", "index", "pruned", "exact"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ParseStrategy(%s) error %q does not name %s", name, err, valid)
+			}
+		}
 	}
 	if got := Strategy(250).String(); got != "strategy(250)" {
 		t.Errorf("invalid strategy String() = %q", got)

@@ -16,9 +16,8 @@
 //
 // Retrieval goes through one planned entry point (Match/MatchContext,
 // planner.go): a stats-driven planner picks per probe between the
-// strategies — the exhaustive scan, the linear signature-pruned scan, the
-// inverted-index path and the family route — from cheap statistics the
-// index maintains (index.ProbeStats), and sizes the candidate budget to
+// strategies — the exhaustive scan, the linear signature-pruned scan and
+// the inverted-index path — from cheap statistics the index maintains (index.ProbeStats), and sizes the candidate budget to
 // the probe's reachable pool. PlanOptions.Force pins one strategy:
 //
 //   - Indexed retrieval (StrategyIndexed): a sharded token inverted index
@@ -112,11 +111,8 @@ type Registry struct {
 	shards  [regShards]regShard
 
 	// families is the installed corpus clustering (families.go); nil until
-	// SetFamilies. mutations counts committed map mutations (inserts,
-	// replacements, removals) — the staleness clock an installed clustering
-	// is judged against.
-	families  atomic.Pointer[familyView]
-	mutations atomic.Uint64
+	// SetFamilies.
+	families atomic.Pointer[familyView]
 }
 
 // New builds a registry with its own Matcher for the given configuration.
@@ -219,7 +215,6 @@ func (r *Registry) commit(name, fp string, p *core.Prepared) (*Entry, bool, erro
 	// mutations commit in the same order, so a replace can never leave the
 	// index pointing at evicted content.
 	r.idx.Upsert(name, fp, sig)
-	r.mutations.Add(1)
 	return e, true, nil
 }
 
@@ -242,7 +237,6 @@ func (r *Registry) Remove(name string) bool {
 	if ok {
 		delete(sh.byName, name)
 		r.idx.Remove(name)
-		r.mutations.Add(1)
 	}
 	return ok
 }

@@ -116,15 +116,12 @@ func ResultsOf(ranked []Ranked) []BatchResult {
 
 // BatchReply is the /match/batch reply of both binaries. Its fields are
 // declared in key order, so it encodes exactly as the sorted map cupidd
-// once built. Family and FamilyFallback appear only when the family
-// strategy was in play; Shards only in a router's reply.
+// once built. Shards appears only in a router's reply.
 type BatchReply struct {
 	Cached           bool          `json:"cached"`
 	CandidateBudget  int           `json:"candidate_budget"`
 	CandidatesScored int           `json:"candidates_scored"`
 	Degraded         bool          `json:"degraded"`
-	Family           string        `json:"family,omitempty"`
-	FamilyFallback   bool          `json:"family_fallback,omitempty"`
 	Planned          bool          `json:"planned"`
 	Results          []BatchResult `json:"results"`
 	Shards           []ShardStatus `json:"shards,omitempty"`

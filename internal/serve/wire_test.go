@@ -51,17 +51,14 @@ func TestBatchReplyEncoding(t *testing.T) {
   "strategy": "indexed"
 }
 `},
-		{"family fields", BatchReply{
+		{"cached and degraded", BatchReply{
 			Cached: true, CandidateBudget: 8, CandidatesScored: 12, Degraded: true,
-			Family: "medoid-3", FamilyFallback: true, Planned: true,
-			Results: []BatchResult{}, Source: "orders", Strategy: "indexed",
+			Planned: true, Results: []BatchResult{}, Source: "orders", Strategy: "indexed",
 		}, `{
   "cached": true,
   "candidate_budget": 8,
   "candidates_scored": 12,
   "degraded": true,
-  "family": "medoid-3",
-  "family_fallback": true,
   "planned": true,
   "results": [],
   "source": "orders",

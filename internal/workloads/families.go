@@ -107,6 +107,12 @@ type FamilyCorpusSpec struct {
 	// Seed offsets every schema's generator seed, so two corpora with
 	// different seeds differ while equal specs are identical.
 	Seed int64
+	// Bridge, when positive, makes every Bridge-th member of family f
+	// (members 0, Bridge, 2·Bridge, ...) also draw column names from
+	// family f+1's vocabulary, so neighbouring families chain together
+	// through shared tokens. Zero keeps every family to its own
+	// vocabulary.
+	Bridge int
 }
 
 // familySpec derives the deterministic generator spec for schema i of a
@@ -125,8 +131,8 @@ func familySpec(fam, i int, seed int64) SyntheticSpec {
 }
 
 // FamilyCorpus generates Families×PerFamily repository schemas named
-// "fam<f>-<i>", clustered by domain vocabulary. Deterministic for a given
-// spec.
+// "fam<f>-<i>", clustered by domain vocabulary (bridged to the next
+// family's when spec.Bridge is set). Deterministic for a given spec.
 func FamilyCorpus(spec FamilyCorpusSpec) []*model.Schema {
 	if spec.Families <= 0 || spec.Families > NumFamilies() {
 		spec.Families = NumFamilies()
@@ -137,7 +143,12 @@ func FamilyCorpus(spec FamilyCorpusSpec) []*model.Schema {
 	out := make([]*model.Schema, 0, spec.Families*spec.PerFamily)
 	for f := 0; f < spec.Families; f++ {
 		for i := 0; i < spec.PerFamily; i++ {
-			s := Synthetic(familySpec(f, i, spec.Seed)).Target
+			gen := familySpec(f, i, spec.Seed)
+			if spec.Bridge > 0 && i%spec.Bridge == 0 {
+				next := familyVocabs[(f+1)%len(familyVocabs)]
+				gen.Vocab = append(append([][2]string(nil), gen.Vocab...), next...)
+			}
+			s := Synthetic(gen).Target
 			s.Name = fmt.Sprintf("fam%d-%d", f, i)
 			out = append(out, s)
 		}

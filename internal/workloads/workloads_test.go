@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -195,6 +198,57 @@ func TestFamilyCorpusScalesDeterministically(t *testing.T) {
 	c := FamilyCorpus(FamilyCorpusSpec{PerFamily: 2000, Seed: 6})
 	if c[12345].Dump() == a[12345].Dump() {
 		t.Error("different corpus seeds produced an identical schema")
+	}
+}
+
+// corpusDigest hashes a corpus's names and dumps, in order.
+func corpusDigest(corpus []*model.Schema) string {
+	h := sha256.New()
+	for _, s := range corpus {
+		h.Write([]byte(s.Name))
+		h.Write([]byte(s.Dump()))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestFamilyCorpusBridge pins the Bridge knob: zero generates the corpus
+// every earlier FamilyCorpus caller got, byte for byte (the digest was
+// recorded before the knob existed), and Bridge: 4 changes only members
+// 0, 4, 8, ... of each family, which then use the next family's
+// vocabulary. A bridged member draws each name from the union of the two
+// vocabularies, so an occasional one draws only its own names and comes
+// out unchanged.
+func TestFamilyCorpusBridge(t *testing.T) {
+	const unbridged = "f3d559051ef3e07a70a4478ebd03da81931ed59ba78b7b93e80a05e0767f5778"
+	plain := FamilyCorpus(FamilyCorpusSpec{PerFamily: 20, Seed: 17})
+	if got := corpusDigest(plain); got != unbridged {
+		t.Fatalf("Bridge: 0 corpus digest %s, want %s", got, unbridged)
+	}
+	bridged := FamilyCorpus(FamilyCorpusSpec{PerFamily: 20, Seed: 17, Bridge: 4})
+	if len(bridged) != len(plain) {
+		t.Fatalf("bridged corpus has %d schemas, want %d", len(bridged), len(plain))
+	}
+	changed := 0
+	for i, s := range bridged {
+		dump := s.Dump()
+		if dump == plain[i].Dump() {
+			continue
+		}
+		if i%20%4 != 0 {
+			t.Errorf("%s: member %d changed, but only every 4th member is bridged", s.Name, i%20)
+			continue
+		}
+		changed++
+		borrows := false
+		for _, v := range familyVocabs[(i/20+1)%NumFamilies()] {
+			borrows = borrows || strings.Contains(dump, v[0]) || strings.Contains(dump, v[1])
+		}
+		if !borrows {
+			t.Errorf("%s: bridged member uses none of the next family's vocabulary", s.Name)
+		}
+	}
+	if bridgedMembers := NumFamilies() * 5; changed < bridgedMembers*4/5 {
+		t.Errorf("%d of %d bridged members changed, want at least 80%%", changed, bridgedMembers)
 	}
 }
 
