@@ -128,9 +128,11 @@ const batchK = 50
 // runBatch measures the repository workload. The naive baseline issues K
 // independent Match calls on a shared matcher — the pairwise API, which
 // re-validates, re-expands and re-analyzes the probe and the stored
-// schema on every call. The prepared path registers the repository once
-// (outside the timed loop; that is the point of the registry), then pays
-// per op only the probe's Prepare plus MatchAll.
+// schema on every call (re-analysis finds every name already normalized
+// in the shared matcher's name table, so it costs lookups and category
+// building, not normalization). The prepared path registers the
+// repository once (outside the timed loop; that is the point of the
+// registry), then pays per op only the probe's Prepare plus MatchAll.
 func runBatch(cfg core.Config) (*BatchPoint, error) {
 	probe := workloads.Synthetic(workloads.SyntheticSpec{
 		Tables: 2, ColsPerTable: 6, Depth: 2, Seed: 99, Rename: 0.3, Renest: 0.2,

@@ -89,6 +89,7 @@ func (m *Matcher) BlendDescriptions(a, b *SchemaInfo, lsim matrix.Matrix, weight
 	eb := b.Schema.Elements()
 	descA := m.descTokens(a)
 	descB := m.descTokens(b)
+	t := m.table()
 	// Rows are independent (each writes its own matrix row), so the pair
 	// loop fans out over the worker pool.
 	par.For(len(ea), func(i int) {
@@ -100,7 +101,7 @@ func (m *Matcher) BlendDescriptions(a, b *SchemaInfo, lsim matrix.Matrix, weight
 			if descB[j] == nil {
 				continue
 			}
-			ds := m.NameSimTS(*descA[i], *descB[j])
+			ds := t.nameSim(*descA[i], *descB[j])
 			row[j] = (1-weight)*row[j] + weight*ds
 		}
 	})

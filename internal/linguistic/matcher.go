@@ -62,24 +62,26 @@ func (p Params) Validate() error {
 }
 
 // Matcher performs linguistic matching with one thesaurus and one
-// parameter set. It caches across calls — token-pair similarities in a
-// sharded striped-mutex cache, normalized names as dense IDs and their name
-// similarities in a lock-free memo of one row per name (memo.go), every
-// cache bounded — so a Matcher IS safe for concurrent use: Analyze,
-// NameSim(TS), CompatiblePairs and LSim may be called from many goroutines
-// at once (LSim itself fans its inner loops out over a bounded worker
-// pool).
-// Changing P or Th between calls starts a fresh name memo; do not mutate
-// them while matching is in flight.
+// parameter set. Everything it derives from names lives in one name table
+// per (P, Th) generation (memo.go): the normalized token set of every raw
+// element name it has analyzed, shared by every SchemaInfo that contains
+// the name; token-pair similarities; dense name IDs and the lock-free memo
+// of their name similarities. Every cache is bounded, so a Matcher IS safe
+// for concurrent use: Analyze, NameSim(TS), CompatiblePairs and LSim may be
+// called from many goroutines at once (LSim itself fans its inner loops out
+// over a bounded worker pool).
+// Changing P or Th starts a fresh name table: normalized names, IDs, memo
+// and token cache. Do not mutate them while matching is in flight, and do
+// not mutate a thesaurus a Matcher has used: install a new one instead.
 type Matcher struct {
 	Th *thesaurus.Thesaurus
 	P  Params
 
-	simCache *simCache
-	names    atomic.Pointer[nameTable]
-	// nameCap and memoCap bound the name interner and the memo (powers of
-	// two; defaultNameCap and defaultMemoCap unless a test shrinks them).
-	nameCap, memoCap int
+	names atomic.Pointer[nameTable]
+	// nameCap, memoCap, tokenCap and normCap bound the name interner, the
+	// memo, the token-pair cache and the normalized-name cache (powers of
+	// two; the defaults of memo.go unless a test shrinks them).
+	nameCap, memoCap, tokenCap, normCap int
 }
 
 // NewMatcher returns a matcher over the given thesaurus (nil means an
@@ -88,72 +90,15 @@ func NewMatcher(th *thesaurus.Thesaurus) *Matcher {
 	if th == nil {
 		th = thesaurus.New()
 	}
-	return &Matcher{Th: th, P: DefaultParams(), simCache: newSimCache(defaultTokenCap),
-		nameCap: defaultNameCap, memoCap: defaultMemoCap}
-}
-
-// simCacheShards is the stripe count of the token-pair similarity cache.
-// Power of two; 64 stripes keep contention negligible at any realistic
-// GOMAXPROCS while costing ~3KB of empty maps.
-const simCacheShards = 64
-
-// simCache is a striped-mutex map from an ordered token pair to its
-// thesaurus similarity. Stripes are selected by FNV-1a hash of the pair,
-// so goroutines computing different pairs rarely share a lock. Each stripe
-// holds at most shardCap pairs and empties itself when full.
-type simCache struct {
-	shards   [simCacheShards]simCacheShard
-	shardCap int
-}
-
-type simCacheShard struct {
-	mu sync.RWMutex
-	m  map[[2]string]float64
-}
-
-func newSimCache(capacity int) *simCache {
-	c := &simCache{shardCap: max(1, capacity/simCacheShards)}
-	for i := range c.shards {
-		c.shards[i].m = make(map[[2]string]float64)
-	}
-	return c
-}
-
-func (c *simCache) shard(key [2]string) *simCacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key[0]); i++ {
-		h = (h ^ uint32(key[0][i])) * 16777619
-	}
-	h = (h ^ 0xff) * 16777619 // separator so ("ab","c") != ("a","bc")
-	for i := 0; i < len(key[1]); i++ {
-		h = (h ^ uint32(key[1][i])) * 16777619
-	}
-	return &c.shards[h&(simCacheShards-1)]
-}
-
-func (c *simCache) get(key [2]string) (float64, bool) {
-	sh := c.shard(key)
-	sh.mu.RLock()
-	s, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return s, ok
-}
-
-func (c *simCache) put(key [2]string, v float64) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if len(sh.m) >= c.shardCap {
-		clear(sh.m)
-	}
-	sh.m[key] = v
-	sh.mu.Unlock()
+	return &Matcher{Th: th, P: DefaultParams(),
+		nameCap: defaultNameCap, memoCap: defaultMemoCap, tokenCap: defaultTokenCap, normCap: newMatcherNormCap}
 }
 
 // tokenSim returns sim(t1, t2) for two tokens of the same type. Content
 // tokens go through the thesaurus (with substring fallback); the other
 // types compare by surface equality — a number matches only the same
 // number, a symbol the same symbol, a concept the same concept.
-func (m *Matcher) tokenSim(a, b Token) float64 {
+func (t *nameTable) tokenSim(a, b Token) float64 {
 	if a.Type != b.Type {
 		return 0
 	}
@@ -166,17 +111,17 @@ func (m *Matcher) tokenSim(a, b Token) float64 {
 	if a.Stem == b.Stem {
 		return 1
 	}
-	key := [2]string{a.Raw, b.Raw}
+	key := tokenPair{a.Raw, b.Raw}
 	if key[0] > key[1] {
 		key[0], key[1] = key[1], key[0]
 	}
-	if s, ok := m.simCache.get(key); ok {
+	if s, ok := t.sims.get(key); ok {
 		return s
 	}
 	// A concurrent miss on the same pair computes Th.Sim twice; the value
 	// is a pure function of the pair, so last-write-wins is deterministic.
-	s := m.Th.Sim(a.Raw, b.Raw)
-	m.simCache.put(key, s)
+	s := t.th.Sim(a.Raw, b.Raw)
+	t.sims.put(key, s)
 	return s
 }
 
@@ -184,7 +129,7 @@ func (m *Matcher) tokenSim(a, b Token) float64 {
 // best similarity of each token with a token in the other set (paper §5.2).
 // Empty-versus-nonempty scores 0; empty-versus-empty is undefined and the
 // caller skips it.
-func (m *Matcher) setSim(t1, t2 []Token) float64 {
+func (t *nameTable) setSim(t1, t2 []Token) float64 {
 	if len(t1)+len(t2) == 0 {
 		return 0
 	}
@@ -192,7 +137,7 @@ func (m *Matcher) setSim(t1, t2 []Token) float64 {
 	for _, a := range t1 {
 		best := 0.0
 		for _, b := range t2 {
-			if s := m.tokenSim(a, b); s > best {
+			if s := t.tokenSim(a, b); s > best {
 				best = s
 			}
 		}
@@ -201,7 +146,7 @@ func (m *Matcher) setSim(t1, t2 []Token) float64 {
 	for _, b := range t2 {
 		best := 0.0
 		for _, a := range t1 {
-			if s := m.tokenSim(a, b); s > best {
+			if s := t.tokenSim(a, b); s > best {
 				best = s
 			}
 		}
@@ -215,6 +160,11 @@ func (m *Matcher) setSim(t1, t2 []Token) float64 {
 //
 //	ns(m1,m2) = Σ_i w_i·ns(T1i,T2i)·(|T1i|+|T2i|) / Σ_i w_i·(|T1i|+|T2i|)
 func (m *Matcher) NameSimTS(ts1, ts2 TokenSet) float64 {
+	return m.table().nameSim(ts1, ts2)
+}
+
+// nameSim is NameSimTS under the table's parameters and thesaurus.
+func (t *nameTable) nameSim(ts1, ts2 TokenSet) float64 {
 	var num, den float64
 	for tt := TokenType(0); tt < NumTokenTypes; tt++ {
 		t1 := ts1.ByType(tt)
@@ -223,15 +173,15 @@ func (m *Matcher) NameSimTS(ts1, ts2 TokenSet) float64 {
 		if size == 0 {
 			continue
 		}
-		w := m.P.Weights[tt]
-		num += w * m.setSim(t1, t2) * size
+		w := t.p.Weights[tt]
+		num += w * t.setSim(t1, t2) * size
 		den += w * size
 	}
 	if den == 0 {
 		return 0
 	}
 	ns := num / den
-	if !m.P.DisableAcronymDetection {
+	if !t.p.DisableAcronymDetection {
 		if a := acronymSim(ts1, ts2); a > ns {
 			ns = a
 		}
@@ -261,7 +211,9 @@ type Category struct {
 // normalized token set of every element and the element categories.
 type SchemaInfo struct {
 	Schema *model.Schema
-	// Tokens is indexed by element ID.
+	// Tokens is indexed by element ID. The token sets are the analyzing
+	// matcher's shared ones (every SchemaInfo with the same name holds the
+	// same storage): read-only.
 	Tokens []TokenSet
 	// Categories in deterministic creation order.
 	Categories []Category
@@ -286,22 +238,37 @@ func (si *SchemaInfo) CategoriesOf(id int) []int { return si.memberCats[id] }
 // and one per container (§5.2). Elements tagged not-instantiated are
 // excluded from categories — the paper chooses not to linguistically match
 // elements with no significant name, such as keys.
+//
+// Names resolve through the matcher's name table: a name it has seen
+// before costs one lookup and yields the token set every other SchemaInfo
+// holding that name shares. A category's keyword set and name are built
+// once, when its first member joins.
 func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
+	t := m.table()
 	si := &SchemaInfo{
 		Schema:     s,
 		Tokens:     make([]TokenSet, s.Len()),
 		memberCats: make([][]int, s.Len()),
 	}
 	for _, e := range s.Elements() {
-		si.Tokens[e.ID()] = Normalize(e.Name, m.Th)
+		si.Tokens[e.ID()] = t.tokenSet(normKey{name: e.Name})
 	}
-	catIndex := map[string]int{}
-	addMember := func(key, display string, keywords TokenSet, id int) {
+	catIndex := map[catKey]int{}
+	addMember := func(key catKey, id int) {
 		idx, ok := catIndex[key]
 		if !ok {
 			idx = len(si.Categories)
 			catIndex[key] = idx
-			si.Categories = append(si.Categories, Category{Name: display, Keywords: keywords})
+			var c Category
+			switch {
+			case key.container != nil:
+				c = Category{Name: "container:" + key.container.Path(), Keywords: si.Tokens[key.container.ID()]}
+			case key.kw.kind == normConcept:
+				c = Category{Name: "concept:" + key.kw.name, Keywords: t.tokenSet(key.kw)}
+			default:
+				c = Category{Name: "type:" + key.kw.name, Keywords: t.tokenSet(key.kw)}
+			}
+			si.Categories = append(si.Categories, c)
 		}
 		si.Categories[idx].Members = append(si.Categories[idx].Members, id)
 		si.memberCats[id] = append(si.memberCats[id], idx)
@@ -317,19 +284,16 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 		ts := si.Tokens[id]
 		// Concept categories: one per unique concept tag in the schema.
 		for _, tok := range ts.ByType(TokenConcept) {
-			addMember("concept:"+tok.Raw, "concept:"+tok.Raw,
-				TokenSet{Tokens: []Token{{Raw: tok.Raw, Stem: tok.Raw, Type: TokenContent}}}.Partitioned(), id)
+			addMember(catKey{kw: normKey{kind: normConcept, name: tok.Raw}}, id)
 		}
 		// Data-type categories for elements carrying a broad leaf type.
 		if kw := e.Type.CategoryKeyword(); kw != "" {
-			addMember("type:"+kw, "type:"+kw,
-				TokenSet{Tokens: []Token{{Raw: kw, Stem: thesaurus.Stem(kw), Type: TokenContent}}}.Partitioned(), id)
+			addMember(catKey{kw: normKey{kind: normType, name: kw}}, id)
 		}
 		// Container categories: the containment parent groups its children
 		// under its own (normalized) name.
 		if p := e.Parent(); p != nil {
-			key := fmt.Sprintf("container:%d", p.ID())
-			addMember(key, "container:"+p.Path(), si.Tokens[p.ID()], id)
+			addMember(catKey{container: p}, id)
 		}
 		// A container is identified by its own keyword too: it belongs to
 		// the category it defines. Two containers are then comparable when
@@ -337,11 +301,17 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 		// (e.g. Item under POLines vs Item under Items), and the root —
 		// which has no parent — still lands in a category of its own.
 		if len(e.Children()) > 0 || len(e.DerivedFrom()) > 0 {
-			key := fmt.Sprintf("container:%d", e.ID())
-			addMember(key, "container:"+e.Path(), ts, id)
+			addMember(catKey{container: e}, id)
 		}
 	}
 	return si
+}
+
+// catKey identifies a category within one schema: a container element, or
+// else a concept or data-type keyword.
+type catKey struct {
+	container *model.Element
+	kw        normKey
 }
 
 // CompatiblePairs computes, for two analyzed schemas, the pairs of

@@ -257,7 +257,7 @@ func TestCompatiblePairsThreshold(t *testing.T) {
 }
 
 func TestTokenSimAcrossTypesIsZero(t *testing.T) {
-	m := NewMatcher(thesaurus.Base())
+	m := NewMatcher(thesaurus.Base()).table()
 	a := Token{Raw: "1", Stem: "1", Type: TokenNumber}
 	b := Token{Raw: "1", Stem: "1", Type: TokenContent}
 	if got := m.tokenSim(a, b); got != 0 {

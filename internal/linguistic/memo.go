@@ -4,22 +4,33 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/thesaurus"
 )
 
-// Name interning and the name-similarity memo behind LSim.
+// The name table: normalized names, name interning, and the
+// name-similarity memo behind LSim.
+//
+// Normalization (§5.1) is a pure function of a name and the thesaurus, and
+// a repository's names repeat across schemas. So the table keeps the token
+// set of every raw element name Analyze has normalized, and every
+// SchemaInfo holding that name gets the same one: a schema's analysis is
+// then mostly lookups, and registered schemas share their token storage
+// instead of each keeping a copy. Category keyword sets (a concept tag, a
+// data-type keyword) are kept the same way.
 //
 // ns(m1,m2) (§5.3) is a pure function of two normalized names under one
-// thesaurus and parameter set, and a repository's names repeat across
-// schemas: one probe matched against hundreds of candidates asks for the
-// same name pairs again and again. So every distinct normalized name (an
-// element token set or a category keyword set) gets a dense integer ID per
-// Matcher, and NameSimTS is memoized by the (ID, ID) pair. IDs are assigned
-// lazily, once per SchemaInfo, on its first LSim: Analyze (and with it
-// Prepare, registration and recovery) never pays for them.
+// thesaurus and parameter set, and one probe matched against hundreds of
+// candidates asks for the same name pairs again and again. So every
+// distinct normalized name (an element token set or a category keyword
+// set) gets a dense integer ID per Matcher, and NameSimTS is memoized by
+// the (ID, ID) pair. IDs are assigned lazily, once per SchemaInfo, on its
+// first LSim: Analyze (and with it Prepare, registration and recovery)
+// never pays for them. Below the memo, thesaurus similarities of content
+// token pairs are cached too.
 //
 // The memo is organized by row: one small lock-free open-addressing table
 // per first name ID x, keyed by the second ID y. LSim asks for one name of
@@ -30,28 +41,40 @@ import (
 //
 // Every cache here is bounded by a fixed entry cap and resets when it
 // overflows. The values are pure, so a reset only costs recomputation and
-// never changes a result. A reset of the name table invalidates the IDs, so
-// the memo lives inside the table and goes with it; a SchemaInfo remembers
-// which table its IDs belong to and re-interns when that table is gone.
+// never changes a result. All of them belong to one name table, valid for
+// the parameters and thesaurus it was built under; changing either starts
+// a fresh table. A reset of the interner invalidates the IDs, so it starts
+// a fresh table too; a SchemaInfo remembers which table its IDs belong to
+// and re-interns when that table is gone.
 
 // Default cache caps. The name cap bounds the interner (one map entry per
 // distinct normalized name); the memo cap bounds the memoized pairs of one
 // memo generation, across all its rows; the token cap bounds the
-// token-pair thesaurus cache.
+// token-pair thesaurus cache; the norm cap bounds the normalized-name
+// cache.
 const (
 	defaultNameCap  = 1 << 17
 	defaultMemoCap  = 1 << 19
 	defaultTokenCap = 1 << 16
+	// defaultNormCap entries of at most normMaxBytes each: the cache
+	// retains at most 32 MiB, whatever names it is fed. Typical schema
+	// names (two or three words) cost about 600 bytes an entry by
+	// normEntryBytes, so a full cache of them holds about 19 MiB.
+	defaultNormCap = 1 << 15
 	// memoRowSlots is a fresh row's size (16 bytes a slot); a row doubles
 	// whenever it is three quarters full.
 	memoRowSlots = 8
 )
 
-// nameTable is one generation of interned names and their memoized
-// similarities, valid for the parameters and thesaurus it was built under.
+// nameTable is one generation of normalized names, interned names and
+// their memoized similarities, valid for the parameters and thesaurus it
+// was built under.
 type nameTable struct {
 	p  Params
 	th *thesaurus.Thesaurus
+
+	norms *stripedMap[normKey, TokenSet]
+	sims  *stripedMap[tokenPair, float64]
 
 	mu       sync.Mutex // guards ids
 	ids      map[string]int32
@@ -59,6 +82,134 @@ type nameTable struct {
 
 	memo    atomic.Pointer[memoGen]
 	memoCap int
+}
+
+// newMatcherNormCap is the norm cap NewMatcher gives a matcher:
+// defaultNormCap, unless a test shrinks it to force resets in matchers
+// that other packages build.
+var newMatcherNormCap = defaultNormCap
+
+// normKey names one cached token set: a raw element name, or a category
+// keyword, whose one-token set is built by its kind.
+type normKey struct {
+	kind normKind
+	name string
+}
+
+type normKind uint8
+
+const (
+	normName    normKind = iota // Normalize(name)
+	normConcept                 // a concept tag, unstemmed
+	normType                    // a data-type keyword, stemmed
+)
+
+func (k normKey) stripe() uint32 { return fnv1a(2166136261^uint32(k.kind), k.name) }
+
+// tokenPair is an ordered pair of raw content tokens.
+type tokenPair [2]string
+
+func (k tokenPair) stripe() uint32 {
+	h := fnv1a(2166136261, k[0])
+	h = (h ^ 0xff) * 16777619 // separator so ("ab","c") != ("a","bc")
+	return fnv1a(h, k[1])
+}
+
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+// normMaxBytes is the most an entry of the normalized-name cache may
+// retain (normEntryBytes); a larger token set is returned uncached.
+const normMaxBytes = 1 << 10
+
+// normEntryBytes bounds what caching ts under name retains: the map slot
+// and the per-type partition headers, the name, and per token its two
+// copies (Tokens and the partition), its acronym word and its strings.
+func normEntryBytes(name string, ts TokenSet) int {
+	n := 256 + len(name) + 96*len(ts.Tokens)
+	for _, tok := range ts.Tokens {
+		n += len(tok.Raw) + len(tok.Stem)
+	}
+	return n
+}
+
+// tokenSet returns the token set of k under the table's thesaurus: the
+// cached one, shared by every caller, or on a miss a new one — Normalize's
+// for a name, a one-token keyword set for a category keyword — cached when
+// it is within normMaxBytes. Callers must not modify it.
+func (t *nameTable) tokenSet(k normKey) TokenSet {
+	if ts, ok := t.norms.get(k); ok {
+		return ts
+	}
+	var ts TokenSet
+	switch k.kind {
+	case normName:
+		ts = Normalize(k.name, t.th)
+	case normConcept:
+		ts = TokenSet{Tokens: []Token{{Raw: k.name, Stem: k.name, Type: TokenContent}}}.Partitioned()
+	case normType:
+		ts = TokenSet{Tokens: []Token{{Raw: k.name, Stem: thesaurus.Stem(k.name), Type: TokenContent}}}.Partitioned()
+	}
+	if normEntryBytes(k.name, ts) <= normMaxBytes {
+		// The key is cloned so the cache never pins the buffer a parser
+		// sliced the name from.
+		t.norms.put(normKey{kind: k.kind, name: strings.Clone(k.name)}, ts)
+	}
+	return ts
+}
+
+// mapStripes is the stripe count of a stripedMap. Power of two; 64 stripes
+// keep contention negligible at any realistic GOMAXPROCS while costing a
+// few KB of empty maps.
+const mapStripes = 64
+
+// stripeKey is a map key that picks its own stripe (any hash of the key).
+type stripeKey interface {
+	comparable
+	stripe() uint32
+}
+
+// stripedMap is a map split into stripes, each under its own RWMutex, so
+// goroutines working on different keys rarely share a lock. Each stripe
+// holds at most stripeCap entries and empties itself when full.
+type stripedMap[K stripeKey, V any] struct {
+	stripes   [mapStripes]mapStripe[K, V]
+	stripeCap int
+}
+
+type mapStripe[K comparable, V any] struct {
+	mu sync.RWMutex
+	m  map[K]V
+}
+
+func newStripedMap[K stripeKey, V any](capacity int) *stripedMap[K, V] {
+	c := &stripedMap[K, V]{stripeCap: max(1, capacity/mapStripes)}
+	for i := range c.stripes {
+		c.stripes[i].m = make(map[K]V)
+	}
+	return c
+}
+
+func (c *stripedMap[K, V]) get(k K) (V, bool) {
+	st := &c.stripes[k.stripe()&(mapStripes-1)]
+	st.mu.RLock()
+	v, ok := st.m[k]
+	st.mu.RUnlock()
+	return v, ok
+}
+
+func (c *stripedMap[K, V]) put(k K, v V) {
+	st := &c.stripes[k.stripe()&(mapStripes-1)]
+	st.mu.Lock()
+	if len(st.m) >= c.stripeCap {
+		clear(st.m)
+	}
+	st.m[k] = v
+	st.mu.Unlock()
 }
 
 // infoIDs is the name IDs of one SchemaInfo under one name table: per
@@ -226,7 +377,7 @@ func (g *memoGen) grow(x int32, old *memoRow) *memoRow {
 
 // table returns the matcher's current name table, replacing it when P or
 // Th changed since it was built (so mutating them between calls can never
-// serve a stale memoized value).
+// serve a stale cached token set or memoized value).
 func (m *Matcher) table() *nameTable {
 	t := m.names.Load()
 	if t != nil && t.p == m.P && t.th == m.Th {
@@ -238,7 +389,9 @@ func (m *Matcher) table() *nameTable {
 // replaceTable installs a fresh, empty name table in place of old. Racing
 // callers converge on whichever table won the swap.
 func (m *Matcher) replaceTable(old *nameTable) *nameTable {
-	nt := &nameTable{p: m.P, th: m.Th, ids: map[string]int32{}, maxNames: m.nameCap, memoCap: m.memoCap}
+	nt := &nameTable{p: m.P, th: m.Th,
+		norms: newStripedMap[normKey, TokenSet](m.normCap), sims: newStripedMap[tokenPair, float64](m.tokenCap),
+		ids: map[string]int32{}, maxNames: m.nameCap, memoCap: m.memoCap}
 	nt.memo.Store(newMemoGen(m.memoCap))
 	if m.names.CompareAndSwap(old, nt) {
 		return nt
@@ -304,10 +457,9 @@ func nameKey(buf []byte, ts TokenSet) []byte {
 }
 
 // nameSims answers NameSimTS for the names of one schema pair through the
-// memo. With a nil tab (the pair alone has more distinct names than the
-// name cap) it computes every value directly.
+// memo. With nil IDs (the pair alone has more distinct names than the name
+// cap) it computes every value directly.
 type nameSims struct {
-	m      *Matcher
 	tab    *nameTable
 	ia, ib *infoIDs
 }
@@ -322,9 +474,9 @@ func (m *Matcher) simsFor(a, b *SchemaInfo) nameSims {
 		ia, ib = t.idsOf(a), t.idsOf(b)
 	}
 	if ia == nil || ib == nil {
-		return nameSims{m: m}
+		return nameSims{tab: t}
 	}
-	return nameSims{m: m, tab: t, ia: ia, ib: ib}
+	return nameSims{tab: t, ia: ia, ib: ib}
 }
 
 // rowSims is ns of one name of the first schema (an element's or a
@@ -332,11 +484,11 @@ func (m *Matcher) simsFor(a, b *SchemaInfo) nameSims {
 // memo row: fetched on the first lookup, then followed as it grows and
 // across a generation reset. A rowSims is one goroutine's.
 type rowSims struct {
-	m   *Matcher
-	tab *nameTable // nil: no memo
-	ts  TokenSet
-	x   int32
-	ys  []int32 // the second schema's element or category IDs
+	tab  *nameTable
+	memo bool // false: compute every value directly
+	ts   TokenSet
+	x    int32
+	ys   []int32 // the second schema's element or category IDs
 
 	gen *memoGen
 	row *memoRow
@@ -344,8 +496,8 @@ type rowSims struct {
 
 // elementRow is the row of element i of a against b's elements.
 func (s *nameSims) elementRow(a *SchemaInfo, i int) rowSims {
-	r := rowSims{m: s.m, tab: s.tab, ts: a.Tokens[i]}
-	if s.tab != nil {
+	r := rowSims{tab: s.tab, memo: s.ia != nil, ts: a.Tokens[i]}
+	if r.memo {
 		r.x, r.ys = s.ia.elems[i], s.ib.elems
 	}
 	return r
@@ -353,8 +505,8 @@ func (s *nameSims) elementRow(a *SchemaInfo, i int) rowSims {
 
 // categoryRow is the row of category i of a against b's categories.
 func (s *nameSims) categoryRow(a *SchemaInfo, i int) rowSims {
-	r := rowSims{m: s.m, tab: s.tab, ts: a.Categories[i].Keywords}
-	if s.tab != nil {
+	r := rowSims{tab: s.tab, memo: s.ia != nil, ts: a.Categories[i].Keywords}
+	if r.memo {
 		r.x, r.ys = s.ia.cats[i], s.ib.cats
 	}
 	return r
@@ -363,8 +515,8 @@ func (s *nameSims) categoryRow(a *SchemaInfo, i int) rowSims {
 // sim returns ns of the row's name and ts2, the name of element (or
 // category) j of the second schema.
 func (r *rowSims) sim(j int, ts2 TokenSet) float64 {
-	if r.tab == nil {
-		return r.m.NameSimTS(r.ts, ts2)
+	if !r.memo {
+		return r.tab.nameSim(r.ts, ts2)
 	}
 	if r.row == nil {
 		r.fetch()
@@ -373,7 +525,7 @@ func (r *rowSims) sim(j int, ts2 TokenSet) float64 {
 	if v, ok := r.row.get(key); ok {
 		return v
 	}
-	v := r.m.NameSimTS(r.ts, ts2)
+	v := r.tab.nameSim(r.ts, ts2)
 	r.store(key, v)
 	return v
 }

@@ -156,14 +156,13 @@ func TestLSimConcurrentCallers(t *testing.T) {
 }
 
 // TestLinguisticCachesBounded streams schemas of never-seen names through
-// a matcher with tiny caps: the interner, the memo and the token cache
-// must stay within their caps while every result still equals a fresh
-// matcher's.
+// a matcher with tiny caps: the normalized-name cache, the interner, the
+// memo and the token cache must stay within their caps while every result
+// still equals a fresh matcher's.
 func TestLinguisticCachesBounded(t *testing.T) {
-	const nameCap, memoCap, tokenCap = 64, 128, 128
+	const nameCap, memoCap, tokenCap, normCap = 64, 128, 128, 128
 	m := NewMatcher(memoThesaurus())
-	m.nameCap, m.memoCap = nameCap, memoCap
-	m.simCache = newSimCache(tokenCap)
+	m.nameCap, m.memoCap, m.tokenCap, m.normCap = nameCap, memoCap, tokenCap, normCap
 	rng := rand.New(rand.NewSource(13))
 	probe := m.Analyze(randomSchema(rng, "probe", ""))
 	for i := 0; i < 60; i++ {
@@ -182,9 +181,14 @@ func TestLinguisticCachesBounded(t *testing.T) {
 		if n := tab.memo.Load().used.Load(); n > memoCap {
 			t.Fatalf("schema %d: %d memoized pairs, cap %d", i, n, memoCap)
 		}
-		for k := range m.simCache.shards {
-			if n := len(m.simCache.shards[k].m); n > m.simCache.shardCap {
-				t.Fatalf("schema %d: token cache stripe %d holds %d pairs, cap %d", i, k, n, m.simCache.shardCap)
+		for k := range tab.sims.stripes {
+			if n := len(tab.sims.stripes[k].m); n > tab.sims.stripeCap {
+				t.Fatalf("schema %d: token cache stripe %d holds %d pairs, cap %d", i, k, n, tab.sims.stripeCap)
+			}
+		}
+		for k := range tab.norms.stripes {
+			if n := len(tab.norms.stripes[k].m); n > tab.norms.stripeCap {
+				t.Fatalf("schema %d: name cache stripe %d holds %d names, cap %d", i, k, n, tab.norms.stripeCap)
 			}
 		}
 	}

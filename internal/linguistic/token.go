@@ -66,6 +66,11 @@ type Token struct {
 // TokenSet is the normalized form of one schema element name: the tokens in
 // order of appearance (expansion preserves order), including any concept
 // tokens appended by tagging.
+//
+// The token sets Analyze returns (SchemaInfo.Tokens, Category.Keywords)
+// are shared: every schema a Matcher analyzes that contains a name holds
+// the same storage for it. They are read-only; never write to or append
+// to their Tokens.
 type TokenSet struct {
 	Tokens []Token
 

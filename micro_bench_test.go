@@ -175,11 +175,11 @@ func allocFixture(tb testing.TB) (lm *linguistic.Matcher, a, c *linguistic.Schem
 
 // TestAllocRegressions pins the allocation behaviour of the hot paths on a
 // mid-size synthetic schema. Bounds carry ~2x headroom over the measured
-// values (0, 3, 10 and 5 at the time of writing), so incidental churn
+// values (0, 3, 938, 10 and 5 at the time of writing), so incidental churn
 // passes but reintroducing a per-call or per-row allocation (e.g. ByType
-// re-filtering, [][]float64 row allocation, an allocating name-memo
-// lookup, a per-leaf basis slice, kernel working memory outside the pooled
-// scratch) fails loudly. Runs with one worker so the goroutine machinery
+// re-filtering, re-normalizing names already seen, [][]float64 row
+// allocation, an allocating name-memo lookup, a per-leaf basis slice,
+// kernel working memory outside the pooled scratch) fails loudly. Runs with one worker so the goroutine machinery
 // of the parallel path is not counted.
 func TestAllocRegressions(t *testing.T) {
 	prev := par.SetMaxWorkers(1)
@@ -201,6 +201,17 @@ func TestAllocRegressions(t *testing.T) {
 	many := testing.AllocsPerRun(10, func() { lm.LSim(a, a) })
 	if few != many || few > 6 {
 		t.Errorf("warm LSim allocates %.1f and %.1f objects/op for different lookup counts, want the same <= 6", few, many)
+	}
+
+	// A warm Analyze finds every name in the matcher's name table: on the
+	// pair-large shape (289 elements) it allocates only its SchemaInfo,
+	// its categories and their membership lists (938 measured), where
+	// normalizing every name again and building a keyword set per
+	// category member cost 8.8k.
+	large := pairLargeWorkload().Source
+	lm.Analyze(large)
+	if got := testing.AllocsPerRun(10, func() { lm.Analyze(large) }); got > 1900 {
+		t.Errorf("warm Analyze allocates %.1f objects/op on a pair-large-shaped schema, want <= 1900", got)
 	}
 
 	p := structural.DefaultParams()
@@ -262,7 +273,7 @@ func TestAllocRegressions(t *testing.T) {
 // the target's names perturbed, 20% of its leaves moved up a level).
 func pairLarge(tb testing.TB, m *core.Matcher) (src, dst *core.Prepared) {
 	tb.Helper()
-	w := workloads.Synthetic(workloads.SyntheticSpec{Tables: 16, ColsPerTable: 16, Depth: 2, Rename: 0.3, Renest: 0.2, Seed: 1})
+	w := pairLargeWorkload()
 	src, err := m.Prepare(w.Source)
 	if err != nil {
 		tb.Fatal(err)
@@ -271,6 +282,11 @@ func pairLarge(tb testing.TB, m *core.Matcher) (src, dst *core.Prepared) {
 		tb.Fatal(err)
 	}
 	return src, dst
+}
+
+// pairLargeWorkload is the pair-large schema pair (see pairLarge).
+func pairLargeWorkload() workloads.Workload {
+	return workloads.Synthetic(workloads.SyntheticSpec{Tables: 16, ColsPerTable: 16, Depth: 2, Rename: 0.3, Renest: 0.2, Seed: 1})
 }
 
 // bytesPerRun is the heap bytes one call of f allocates, averaged over
