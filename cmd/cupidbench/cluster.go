@@ -337,7 +337,7 @@ func runClusterReplica(point *ClusterPoint) (err error) {
 		if err != nil {
 			return err
 		}
-		if pk, fk := rankingKey(serve.Project(pRanked)), rankingKey(serve.Project(fRanked)); pk != fk {
+		if pk, fk := rankingKey(serve.ResultsOf(pRanked)), rankingKey(serve.ResultsOf(fRanked)); pk != fk {
 			converged = false
 			fmt.Printf("  probe %d diverged:\n    primary  %s\n    follower %s\n", i, pk, fk)
 		}

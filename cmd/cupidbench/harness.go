@@ -231,16 +231,17 @@ func meanRecall(truth, got [][]registry.Ranked) float64 {
 }
 
 // rankingKey renders a ranking as a comparable string: per result the
-// entry name, fingerprint and full-precision score, then every mapping
+// entry name, fingerprint and full-precision score, then every leaf
 // element's paths and similarities. Two rankings are identical, down to
 // the mappings a response serializes, iff their keys are equal. Registry
-// rankings go through serve.Project, the projection the frontend caches.
-func rankingKey(ranked []serve.Ranked) string {
+// rankings go through serve.ResultsOf, the rendering the frontend caches
+// and a reply sends.
+func rankingKey(ranked []serve.BatchResult) string {
 	var b strings.Builder
 	for _, rk := range ranked {
-		fmt.Fprintf(&b, "%s@%s:%.17g{", rk.Entry.Name, rk.Entry.Fingerprint, rk.Score)
-		for _, e := range rk.Mapping.All() {
-			fmt.Fprintf(&b, "%s>%s:%.17g/%.17g/%.17g,", e.Source.Path(), e.Target.Path(), e.WSim, e.SSim, e.LSim)
+		fmt.Fprintf(&b, "%s@%s:%.17g{", rk.Name, rk.Fingerprint, rk.Score)
+		for _, p := range rk.Leaves {
+			fmt.Fprintf(&b, "%s>%s:%.17g/%.17g/%.17g,", p.Source, p.Target, p.WSim, p.SSim, p.LSim)
 		}
 		b.WriteString("};")
 	}

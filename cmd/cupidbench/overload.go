@@ -240,7 +240,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	want := rankingKey(serve.Project(direct))
+	want := rankingKey(serve.ResultsOf(direct))
 
 	// Cached path: cold fill, then a warm hit; both must equal direct.
 	cached := serve.NewFrontend(reg, serve.Options{CacheCapacity: 64, MatchDeadline: time.Minute})
@@ -255,10 +255,10 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if !warm.Cached {
 		return fmt.Errorf("overload identity: repeat ranking was not a cache hit")
 	}
-	if got := rankingKey(cold.Ranked); got != want {
+	if got := rankingKey(cold.Results); got != want {
 		return fmt.Errorf("overload identity: cold frontend ranking differs from the registry's\n got %s\nwant %s", got, want)
 	}
-	if got := rankingKey(warm.Ranked); got != want {
+	if got := rankingKey(warm.Results); got != want {
 		return fmt.Errorf("overload identity: cached ranking differs from the registry's\n got %s\nwant %s", got, want)
 	}
 
@@ -271,7 +271,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if plain.Cached {
 		return fmt.Errorf("overload identity: cache-disabled frontend served a cache hit")
 	}
-	if got := rankingKey(plain.Ranked); got != want {
+	if got := rankingKey(plain.Results); got != want {
 		return fmt.Errorf("overload identity: uncached ranking differs from the registry's\n got %s\nwant %s", got, want)
 	}
 
@@ -300,7 +300,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	if got, wantDeg := rankingKey(deg.Ranked), rankingKey(serve.Project(shrunk)); got != wantDeg {
+	if got, wantDeg := rankingKey(deg.Results), rankingKey(serve.ResultsOf(shrunk)); got != wantDeg {
 		return fmt.Errorf("overload identity: degraded ranking differs from the registry under the same shrunken budget\n got %s\nwant %s", got, wantDeg)
 	}
 	return nil

@@ -210,7 +210,7 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		}
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "direct", "cached": cached,
-			"leaves": serve.PairsOf(m.Leaves), "nonLeaves": serve.PairsOf(m.NonLeaves),
+			"leaves": m.Leaves, "nonLeaves": m.NonLeaves,
 		})
 	case "family":
 		medoid, ok := s.reg.FamilyOf(aName)
@@ -234,7 +234,9 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		}
 		// A→M and C→M are the matches every derivation through this
 		// medoid shares, so both hit the singleflight cache on repeat
-		// derivations.
+		// derivations. The cache keeps them as rendered pairs; each is
+		// rebuilt into a mapping over the registered trees by node index
+		// and composed once.
 		aToM, cachedA, err := s.front.MatchPair(r.Context(), a.Prepared, m.Prepared)
 		if err != nil {
 			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
@@ -245,7 +247,7 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
-		composed := aToM.Compose(cToM.Invert())
+		composed := aToM.Mapping(a.Prepared, m.Prepared).Compose(cToM.Mapping(c.Prepared, m.Prepared).Invert())
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"source": aName, "target": cName, "via": "family", "medoid": medoid,
 			"cached": cachedA && cachedC,

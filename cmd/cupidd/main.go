@@ -91,9 +91,10 @@
 //	-match-deadline DUR    end-to-end deadline per match request
 //	                       (default 30s; 0 = none)
 //	-cache N               match cache capacity in entries (default 1024;
-//	                       0 disables caching); an entry keeps mappings,
-//	                       not similarity matrices (~0.2 MB per pair of
-//	                       289-element schemas)
+//	                       0 disables caching); an entry keeps the reply
+//	                       it serves, not the schemas or similarity
+//	                       matrices (~0.04 MB per pair of 289-element
+//	                       schemas)
 //	-max-body N            request body cap in bytes (default 4 MiB)
 //
 // Endpoints (request and response bodies are JSON; docs/API.md is the full
@@ -595,8 +596,8 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		"sourceSchema": m.SourceSchema,
 		"targetSchema": m.TargetSchema,
 		"cached":       cached,
-		"leaves":       serve.PairsOf(m.Leaves),
-		"nonLeaves":    serve.PairsOf(m.NonLeaves),
+		"leaves":       m.Leaves,
+		"nonLeaves":    m.NonLeaves,
 	})
 }
 
@@ -644,7 +645,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		CandidatesScored: res.Stats.CandidatesScored,
 		Degraded:         res.Stats.Degraded,
 		Planned:          res.Stats.Planned,
-		Results:          serve.ResultsOf(serve.Trim(res.Ranked, srcName, src.Fingerprint(), req.TopK)),
+		Results:          serve.Trim(res.Results, srcName, src.Fingerprint(), req.TopK),
 		Source:           sourceName(src, srcName),
 		Strategy:         res.Stats.Strategy.String(),
 	})
@@ -763,7 +764,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
 	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned or exact")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
-	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the response's mappings, not the similarity matrices: about 0.2 MB per pair of 289-element schemas; 0 disables")
+	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the reply it serves, not the schemas or similarity matrices: about 0.04 MB per pair of 289-element schemas; 0 disables")
 	opt.Flags.Register(fs)
 	return fs, opt
 }

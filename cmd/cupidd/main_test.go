@@ -547,8 +547,8 @@ func TestExactBatchRanksOnlyWhatTheReplyNeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cached || len(res.Ranked) != 4 {
+	if !res.Cached || len(res.Results) != 4 {
 		t.Errorf("exact topK=3 batch left cached=%t with %d entries for MatchSpec{exact, TopK: 4}; want a cache hit holding 4",
-			res.Cached, len(res.Ranked))
+			res.Cached, len(res.Results))
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -453,8 +454,17 @@ func sameApartFromCached(t *testing.T, what string, a, b []byte, wantA, wantB bo
 	}
 	fa, fb := fields(a, wantA), fields(b, wantB)
 	var leaves []serve.Pair
-	if err := json.Unmarshal(fa["leaves"], &leaves); err != nil || len(leaves) == 0 {
-		t.Fatalf("%s: response has no leaf pairs to compare (err %v):\n%s", what, err, a)
+	if results, ok := fa["results"]; ok {
+		var rs []serve.BatchResult
+		if err := json.Unmarshal(results, &rs); err != nil || len(rs) == 0 {
+			t.Fatalf("%s: response has no results to compare (err %v):\n%s", what, err, a)
+		}
+		leaves = rs[0].Leaves
+	} else if err := json.Unmarshal(fa["leaves"], &leaves); err != nil {
+		t.Fatalf("%s: response has no leaf pairs (err %v):\n%s", what, err, a)
+	}
+	if len(leaves) == 0 {
+		t.Fatalf("%s: response has no leaf pairs to compare:\n%s", what, a)
 	}
 	if len(fa) != len(fb) {
 		t.Errorf("%s: %d fields vs %d", what, len(fa), len(fb))
@@ -466,10 +476,11 @@ func sameApartFromCached(t *testing.T, what string, a, b []byte, wantA, wantB bo
 	}
 }
 
-// TestCachedMappingsAreByteIdentical asserts the cached pair mapping is
-// served exactly as computed: POST /match and GET /mappings?via=direct
+// TestCachedMappingsAreByteIdentical asserts a cached reply is served
+// exactly as computed: POST /match, POST /match/batch (a registered
+// source, whose own entry the reply drops) and GET /mappings?via=direct
 // answer byte-identically cold and warm (only "cached" changes), and a
-// via=family mapping composed from two cached pair mappings equals the
+// via=family mapping composed from two cached pair matches equals the
 // answer of a server that caches nothing.
 func TestCachedMappingsAreByteIdentical(t *testing.T) {
 	ts := newTestServer(t) // default -cache 1024
@@ -485,6 +496,7 @@ func TestCachedMappingsAreByteIdentical(t *testing.T) {
 	}{
 		{"POST /match", http.MethodPost, "/match", match},
 		{"via=direct", http.MethodGet, "/mappings/orders/purchases?via=direct", nil},
+		{"POST /match/batch", http.MethodPost, "/match/batch", map[string]any{"source": map[string]string{"name": "orders"}, "topK": 1}},
 	} {
 		code, cold := rawCall(t, ts, c.method, c.path, c.body)
 		if code != http.StatusOK {
@@ -530,6 +542,63 @@ func TestCachedMappingsAreByteIdentical(t *testing.T) {
 	}
 	sameApartFromCached(t, "via=family cold", want, cold, false, false)
 	sameApartFromCached(t, "via=family from cached mappings", want, warm, false, true)
+}
+
+// TestCachedRepliesUnderConcurrentReaders: once a batch (of a registered
+// source, which each reply trims out of the shared cached ranking) and a
+// pair are cached, eight goroutines requesting both at once all receive
+// the bytes of the warm replies. Under the race detector it also asserts
+// no reader writes to the shared entries.
+func TestCachedRepliesUnderConcurrentReaders(t *testing.T) {
+	ts := newTestServer(t) // default -cache 1024
+	register(t, ts, "orders", "sql", ordersDDL)
+	register(t, ts, "purchases", "sql", purchasesDDL)
+	register(t, ts, "inventory", "json", inventoryJSON)
+	batch := map[string]any{"source": map[string]string{"name": "orders"}, "topK": 2}
+	match := map[string]any{
+		"source": map[string]string{"name": "orders"},
+		"target": map[string]string{"format": "sql", "content": purchasesDDL},
+	}
+	rawCall(t, ts, http.MethodPost, "/match/batch", batch)
+	rawCall(t, ts, http.MethodPost, "/match", match)
+	_, wantBatch := rawCall(t, ts, http.MethodPost, "/match/batch", batch)
+	_, wantPair := rawCall(t, ts, http.MethodPost, "/match", match)
+	for what, raw := range map[string][]byte{"batch": wantBatch, "pair": wantPair} {
+		if !bytes.Contains(raw, []byte(`"cached": true`)) {
+			t.Fatalf("warm %s reply is not cached:\n%s", what, raw)
+		}
+	}
+
+	const readers = 8
+	errs := make(chan error, 2*readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range []struct {
+				path string
+				body any
+				want []byte
+			}{{"/match/batch", batch, wantBatch}, {"/match", match, wantPair}} {
+				var got json.RawMessage
+				code, err := tryCall(ts, http.MethodPost, c.path, c.body, &got)
+				switch {
+				case err != nil:
+					errs <- err
+				case code != http.StatusOK:
+					errs <- fmt.Errorf("POST %s: status %d: %s", c.path, code, got)
+				case !bytes.Equal(got, c.want):
+					errs <- fmt.Errorf("POST %s: concurrent reply differs from the warm one:\n%s\nvs\n%s", c.path, got, c.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // waitForCond polls cond generously instead of sleeping fixed amounts.

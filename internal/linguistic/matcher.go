@@ -242,7 +242,11 @@ func (si *SchemaInfo) CategoriesOf(id int) []int { return si.memberCats[id] }
 // Names resolve through the matcher's name table: a name it has seen
 // before costs one lookup and yields the token set every other SchemaInfo
 // holding that name shares. A category's keyword set and name are built
-// once, when its first member joins.
+// once, when its first member joins. Memberships are collected first and
+// then laid out exactly: the categories in one slice of their own length,
+// and every category's Members and every element's category list carved
+// from one backing array per schema, so an analysis retains no spare
+// capacity and no per-category or per-element allocation.
 func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 	t := m.table()
 	si := &SchemaInfo{
@@ -253,11 +257,16 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 	for _, e := range s.Elements() {
 		si.Tokens[e.ID()] = t.tokenSet(normKey{name: e.Name})
 	}
+	var cats []Category
+	// In join order, so each element's joins are contiguous. Most elements
+	// join two or three categories (their parent's, their own or their
+	// type's, and any concept's).
+	joins := make([]membership, 0, 3*s.Len())
 	catIndex := map[catKey]int{}
 	addMember := func(key catKey, id int) {
 		idx, ok := catIndex[key]
 		if !ok {
-			idx = len(si.Categories)
+			idx = len(cats)
 			catIndex[key] = idx
 			var c Category
 			switch {
@@ -268,10 +277,9 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 			default:
 				c = Category{Name: "type:" + key.kw.name, Keywords: t.tokenSet(key.kw)}
 			}
-			si.Categories = append(si.Categories, c)
+			cats = append(cats, c)
 		}
-		si.Categories[idx].Members = append(si.Categories[idx].Members, id)
-		si.memberCats[id] = append(si.memberCats[id], idx)
+		joins = append(joins, membership{elem: id, cat: idx})
 	}
 	for _, e := range s.Elements() {
 		// Keys and other insignificant names are skipped; RefInts and
@@ -304,7 +312,47 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 			addMember(catKey{container: e}, id)
 		}
 	}
+	if len(cats) == 0 {
+		return si
+	}
+	si.Categories = make([]Category, len(cats))
+	copy(si.Categories, cats)
+	// One array holds both views of the memberships: members grouped by
+	// category in the first half, categories grouped by element in the
+	// second. Each category's Members starts empty with its exact
+	// capacity and fills in join order.
+	n := len(joins)
+	flat := make([]int, 2*n)
+	members, elemCats := flat[:n:n], flat[n:]
+	sizes := make([]int, len(cats))
+	for _, j := range joins {
+		sizes[j.cat]++
+	}
+	off := 0
+	for c, size := range sizes {
+		si.Categories[c].Members = members[off : off : off+size]
+		off += size
+	}
+	for k, j := range joins {
+		c := &si.Categories[j.cat]
+		c.Members = append(c.Members, j.elem)
+		elemCats[k] = j.cat
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && joins[hi].elem == joins[lo].elem {
+			hi++
+		}
+		si.memberCats[joins[lo].elem] = elemCats[lo:hi:hi]
+		lo = hi
+	}
 	return si
+}
+
+// membership is one element joining one category (an index into the
+// schema's categories) during Analyze.
+type membership struct {
+	elem, cat int
 }
 
 // catKey identifies a category within one schema: a container element, or

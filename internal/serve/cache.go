@@ -58,6 +58,10 @@ type flight struct {
 	err   error
 }
 
+// errComputePanicked is the error a caller coalesced onto a computation
+// gets when that computation panicked instead of returning.
+var errComputePanicked = errors.New("serve: the shared computation panicked")
+
 // NewCache builds a Cache holding up to capacity entries; capacity <= 0
 // returns nil (caching disabled).
 func NewCache(capacity int) *Cache {
@@ -126,6 +130,9 @@ func (c *Cache) Get(key string) (any, bool) {
 // own ctx is still live retries (possibly becoming the new leader) when
 // the leader's error was only the *leader's* cancellation or deadline,
 // so one abandoned client cannot fail the requests coalesced behind it.
+// A compute that panics panics in the leader; its joiners return
+// errComputePanicked, nothing is cached, and the next Do for the key
+// computes afresh.
 func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Context) (val any, cacheable bool, err error)) (any, bool, error) {
 	if c == nil {
 		v, _, err := compute(ctx)
@@ -165,19 +172,30 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 		c.mu.Unlock()
 		c.misses.Add(1)
 
-		v, cacheable, err := compute(ctx)
-		f.val, f.err = v, err
+		v, err := c.lead(ctx, key, f, compute)
+		return v, false, err
+	}
+}
+
+// lead runs compute for flight f and publishes its outcome. The flight
+// is released and its joiners woken even when compute panics: they then
+// get errComputePanicked, and the panic carries on up the leader's stack.
+func (c *Cache) lead(ctx context.Context, key string, f *flight, compute func(ctx context.Context) (any, bool, error)) (any, error) {
+	var cacheable bool
+	f.err = errComputePanicked // until compute returns
+	defer func() {
 		c.mu.Lock()
 		if c.flights[key] == f {
 			delete(c.flights, key)
 		}
-		if err == nil && cacheable && c.epoch == f.epoch {
-			c.insertLocked(key, v)
+		if f.err == nil && cacheable && c.epoch == f.epoch {
+			c.insertLocked(key, f.val)
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return v, false, err
-	}
+	}()
+	f.val, cacheable, f.err = compute(ctx)
+	return f.val, f.err
 }
 
 func (c *Cache) insertLocked(key string, val any) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func computeConst(v any) func(context.Context) (any, bool, error) {
@@ -193,6 +194,54 @@ func TestCacheJoinerOwnCancellationWins(t *testing.T) {
 	cancel()
 	if _, _, err := c.Do(ctx, "k", computeConst(2)); !errors.Is(err, context.Canceled) {
 		t.Errorf("joiner with dead ctx = %v, want context.Canceled", err)
+	}
+}
+
+// TestCacheLeaderPanicReleasesJoiners: a compute that panics must not
+// strand its flight. The panic reaches the leader, a joiner coalesced
+// onto the flight returns errComputePanicked at once (not after its
+// deadline), nothing is cached, and the next Do for the key recomputes.
+func TestCacheLeaderPanicReleasesJoiners(t *testing.T) {
+	c := NewCache(8)
+	enter := make(chan struct{})
+	proceed := make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+			close(enter)
+			<-proceed
+			panic("compute failed")
+		})
+	}()
+	<-enter
+	joinerDone := make(chan error, 1)
+	go func() {
+		v, _, err := c.Do(context.Background(), "k", computeConst("joiner computed"))
+		if v != nil {
+			err = fmt.Errorf("joiner got value %v alongside error %v", v, err)
+		}
+		joinerDone <- err
+	}()
+	waitFor(t, func() bool { return c.Stats().Coalesced == 1 })
+	close(proceed)
+	if r := <-leaderDone; r != "compute failed" {
+		t.Errorf("leader recovered %v, want the compute's panic", r)
+	}
+	select {
+	case err := <-joinerDone:
+		if !errors.Is(err, errComputePanicked) {
+			t.Errorf("joiner Do error = %v, want errComputePanicked", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("joiner still waiting on the panicked flight after 10s")
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Error("a panicked computation left an entry in the cache")
+	}
+	v, shared, err := c.Do(context.Background(), "k", computeConst("recomputed"))
+	if v != "recomputed" || shared || err != nil {
+		t.Errorf("Do after the panic = %v, %t, %v; want a fresh computation", v, shared, err)
 	}
 }
 

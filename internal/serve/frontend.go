@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mapping"
 	"repro/internal/registry"
 )
 
@@ -123,53 +122,21 @@ type MatchSpec struct {
 // plan that ran, its inputs, and the budget that produced the ranking —
 // recorded on cached entries too, so a cache hit reports the plan of the
 // computation it shares. Cached reports the ranking came from the cache
-// or a coalesced flight rather than a fresh computation. Ranked is
+// or a coalesced flight rather than a fresh computation. Results is
 // shared when Cached — treat it as immutable.
 //
-// A cached Result holds its Ranked projections and nothing else of the
-// matches behind them: at pair-large's 289-element shape a cached pair
-// mapping retains about 0.2 MB, where the full core.Result it was
-// generated from (both analyses and three n×m similarity matrices) holds
-// about 2.2 MB.
+// Results is the ranking as a reply sends it, rendered once when it is
+// computed: a cached ranking keeps neither the matches behind it (their
+// similarity matrices and analyses) nor a reference into any schema
+// tree, and a cache hit renders nothing again.
 type Result struct {
-	// Ranked is the scored ranking.
-	Ranked []Ranked
+	// Results is the scored ranking, rendered for the wire.
+	Results []BatchResult
 	// Stats describes the retrieval that produced (or originally
 	// produced, when Cached) the ranking.
 	Stats registry.RetrievalStats
 	// Cached reports a cache hit or coalesced flight.
 	Cached bool
-}
-
-// Ranked is one entry of a MatchBatch ranking: the part of a
-// registry.Ranked that a response reads. It keeps the repository entry,
-// the ranking score and the generated mapping; the similarity matrices
-// and linguistic analyses of the core.Result the mapping came from are
-// dropped when the request ends instead of living as long as the cache
-// entry.
-type Ranked struct {
-	// Entry is the repository entry the source was matched against.
-	Entry *registry.Entry
-	// Score is the ranking score; see registry.Score.
-	Score float64
-	// Mapping is the match's generated mapping (source = the probe,
-	// target = Entry's schema).
-	Mapping *mapping.Mapping
-}
-
-// RankKey returns the entry's ranking key; see Merge.
-func (r Ranked) RankKey() (float64, string, string) {
-	return r.Score, r.Entry.Name, r.Entry.Fingerprint
-}
-
-// Project keeps what a response reads of each ranked result: entry,
-// score and mapping. It is the projection MatchBatch caches and returns.
-func Project(ranked []registry.Ranked) []Ranked {
-	out := make([]Ranked, len(ranked))
-	for i, rk := range ranked {
-		out[i] = Ranked{Entry: rk.Entry, Score: rk.Score, Mapping: rk.Result.Mapping}
-	}
-	return out
 }
 
 // MatchBatch ranks the repository against src under spec, going through
@@ -226,21 +193,22 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 	if st.Degraded {
 		f.degraded.Add(1)
 	}
-	return Result{Ranked: Project(ranked), Stats: st}, nil
+	return Result{Results: ResultsOf(ranked), Stats: st}, nil
 }
 
 // MatchPair runs a single source-vs-target tree match through deadline,
-// cache and admission, and returns the match's generated mapping: the
-// mapping is what a response reads, so it is all the cache keeps (about
-// 0.2 MB per entry at pair-large's 289-element shape, against about
-// 2.2 MB for the full core.Result with its similarity matrices). Its
-// element node pointers keep both schema trees reachable for Compose and
-// Invert. The key is the fingerprint pair, so the cached value is
-// content-addressed and can never be stale; it still rides the same
-// cache (and is therefore dropped on Invalidate — a freshness non-issue,
-// only a warm-up cost). The bool reports a cache hit or coalesced join.
-// The returned mapping is shared when cached — immutable.
-func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*mapping.Mapping, bool, error) {
+// cache and admission, and returns it as a reply sends it: the mapping
+// rendered once, inside the cached computation, as a PairMatch. That is
+// all the cache keeps, about 0.04 MB per entry at pair-large's
+// 289-element shape; the mapping itself would pin both schema trees
+// (about 0.2 MB). PairMatch.Mapping rebuilds the mapping over the
+// prepared schemas for Compose and Invert. The key is the
+// fingerprint pair, so the cached value is content-addressed and can
+// never be stale; it still rides the same cache (and is therefore dropped
+// on Invalidate — a freshness non-issue, only a warm-up cost). The bool
+// reports a cache hit or coalesced join. The returned PairMatch is shared
+// when cached — immutable.
+func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*PairMatch, bool, error) {
 	if f.draining.Load() {
 		return nil, false, ErrDraining
 	}
@@ -257,12 +225,12 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*map
 		if err != nil {
 			return nil, false, err
 		}
-		return mp, true, nil
+		return PairMatchOf(mp), true, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(*mapping.Mapping), shared, nil
+	return v.(*PairMatch), shared, nil
 }
 
 // batchKey is the cache identity of a batch match: the source schema's

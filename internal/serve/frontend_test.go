@@ -43,12 +43,45 @@ func prepProbe(t *testing.T, r *registry.Registry, family int, seed int64) *core
 	return p
 }
 
-func rankKey(ranked []Ranked) string {
+func rankKey(ranked []BatchResult) string {
 	out := ""
 	for _, rk := range ranked {
-		out += fmt.Sprintf("%s:%.17g;", rk.Entry.Name, rk.Score)
+		out += fmt.Sprintf("%s:%.17g;", rk.Name, rk.Score)
 	}
 	return out
+}
+
+// samePairs reports the first difference between two rendered element
+// lists: paths, node indexes and bit-identical wsim, ssim and lsim.
+func samePairs(want, got []Pair) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("%d elements, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Source != w.Source || g.Target != w.Target || g.SourceIdx != w.SourceIdx || g.TargetIdx != w.TargetIdx ||
+			math.Float64bits(g.WSim) != math.Float64bits(w.WSim) ||
+			math.Float64bits(g.SSim) != math.Float64bits(w.SSim) ||
+			math.Float64bits(g.LSim) != math.Float64bits(w.LSim) {
+			return fmt.Errorf("element %d = %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// samePairMatch reports the first difference between a mapping and its
+// rendering: schema names, then every leaf and non-leaf element.
+func samePairMatch(want *mapping.Mapping, got *PairMatch) error {
+	if want.SourceSchema != got.SourceSchema || want.TargetSchema != got.TargetSchema {
+		return fmt.Errorf("schemas %s→%s, want %s→%s", got.SourceSchema, got.TargetSchema, want.SourceSchema, want.TargetSchema)
+	}
+	if err := samePairs(PairsOf(want.Leaves), got.Leaves); err != nil {
+		return fmt.Errorf("leaf %v", err)
+	}
+	if err := samePairs(PairsOf(want.NonLeaves), got.NonLeaves); err != nil {
+		return fmt.Errorf("non-leaf %v", err)
+	}
+	return nil
 }
 
 // sameMapping reports the first difference between two mappings, element
@@ -107,7 +140,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(Project(direct)) {
+	if rankKey(res.Results) != rankKey(ResultsOf(direct)) {
 		t.Error("exact mode: frontend ranking differs from MatchAll")
 	}
 	if res.Stats.CandidateBudget != r.Len() || res.Stats.Degraded {
@@ -122,7 +155,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(Project(directRanked)) {
+	if rankKey(res.Results) != rankKey(ResultsOf(directRanked)) {
 		t.Error("indexed mode: frontend ranking differs from the forced indexed plan")
 	}
 	if res.Stats.CandidateBudget != directStats.CandidateBudget || res.Stats.CandidatesScored != directStats.CandidatesScored {
@@ -140,7 +173,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(Project(directTop)) {
+	if rankKey(res.Results) != rankKey(ResultsOf(directTop)) {
 		t.Error("pruned mode: frontend ranking differs from the forced pruned plan")
 	}
 	// max(16, ceil(40/4), 5): the floor, below the corpus.
@@ -175,21 +208,22 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	if !warm.Cached {
 		t.Fatal("second identical MatchBatch was not served from cache")
 	}
-	if rankKey(cold.Ranked) != rankKey(warm.Ranked) || cold.Stats != warm.Stats {
+	if rankKey(cold.Results) != rankKey(warm.Results) || cold.Stats != warm.Stats {
 		t.Error("cached reply differs from the fresh one")
 	}
 	direct, _, err := r.MatchContext(ctx, probe, spec.TopK, registry.PlanOptions{Force: spec.Retrieval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(cold.Ranked) != rankKey(Project(direct)) {
+	if rankKey(cold.Results) != rankKey(ResultsOf(direct)) {
 		t.Fatal("frontend ranking differs from the registry's forced indexed plan")
 	}
 	for i, rk := range direct {
-		if err := sameMapping(rk.Result.Mapping, cold.Ranked[i].Mapping); err != nil {
+		want := PairsOf(rk.Result.Mapping.Leaves)
+		if err := samePairs(want, cold.Results[i].Leaves); err != nil {
 			t.Errorf("entry %d (%s): cold mapping: %v", i, rk.Entry.Name, err)
 		}
-		if err := sameMapping(rk.Result.Mapping, warm.Ranked[i].Mapping); err != nil {
+		if err := samePairs(want, warm.Results[i].Leaves); err != nil {
 			t.Errorf("entry %d (%s): cached mapping: %v", i, rk.Entry.Name, err)
 		}
 	}
@@ -238,9 +272,9 @@ func TestInvalidationProperty(t *testing.T) {
 			if !st.Indexed {
 				t.Fatalf("op %d: the index did not engage over %d entries (stats %+v)", i, r.Len(), st)
 			}
-			if rankKey(res.Ranked) != rankKey(Project(fresh)) {
+			if rankKey(res.Results) != rankKey(ResultsOf(fresh)) {
 				t.Fatalf("op %d: stale cache hit (cached=%t):\n  served %s\n  fresh  %s",
-					i, res.Cached, rankKey(res.Ranked), rankKey(Project(fresh)))
+					i, res.Cached, rankKey(res.Results), rankKey(ResultsOf(fresh)))
 			}
 		case op < 8: // register a new schema, or replace an existing name
 			s := reserve[rng.Intn(len(reserve))]
@@ -342,7 +376,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rankKey(res.Ranked) != rankKey(Project(direct)) {
+	if rankKey(res.Results) != rankKey(ResultsOf(direct)) {
 		t.Error("degraded ranking differs from an explicit run under the shrunk budget")
 	}
 	again, err := f.MatchBatch(ctx, probe, spec)
@@ -358,8 +392,9 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 }
 
 // TestMatchPairCachedAndIdentical asserts the cold and the cached pair
-// mapping are both bit-identical, element by element, to a direct
-// MatchPrepared.
+// match are both bit-identical, element by element, to a direct
+// MatchPrepared's mapping, and that the mapping rebuilt from them over the
+// prepared trees is too.
 func TestMatchPairCachedAndIdentical(t *testing.T) {
 	r := testRegistry(t, 20)
 	f := NewFrontend(r, calmOptions(16))
@@ -379,25 +414,30 @@ func TestMatchPairCachedAndIdentical(t *testing.T) {
 		t.Fatalf("direct mapping has %d leaf and %d non-leaf elements; the pair must exercise both",
 			len(direct.Mapping.Leaves), len(direct.Mapping.NonLeaves))
 	}
-	if err := sameMapping(direct.Mapping, cold); err != nil {
-		t.Errorf("cold frontend pair mapping differs from MatchPrepared: %v", err)
+	if err := samePairMatch(direct.Mapping, cold); err != nil {
+		t.Errorf("cold frontend pair match differs from MatchPrepared: %v", err)
+	}
+	if err := sameMapping(direct.Mapping, cold.Mapping(a, b)); err != nil {
+		t.Errorf("mapping rebuilt from the pair match differs from MatchPrepared: %v", err)
 	}
 	warm, shared, err := f.MatchPair(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !shared || warm != cold {
-		t.Errorf("warm MatchPair = shared %t, same pointer %t; want a cache hit returning the shared mapping", shared, warm == cold)
+		t.Errorf("warm MatchPair = shared %t, same pointer %t; want a cache hit returning the shared pair match", shared, warm == cold)
 	}
-	if err := sameMapping(direct.Mapping, warm); err != nil {
-		t.Errorf("cached pair mapping differs from MatchPrepared: %v", err)
+	if err := samePairMatch(direct.Mapping, warm); err != nil {
+		t.Errorf("cached pair match differs from MatchPrepared: %v", err)
 	}
 }
 
 // TestCacheRetainsMappingsNotMatrices pins what a cache entry costs: the
 // heap a full cache retains per pair-large-shaped entry (289 elements,
-// 256 leaves per side) must stay under 1 MB. A cached mapping retains
-// about 0.2 MB; a cached core.Result, with its three 289×289 similarity
+// 256 leaves per side) must stay under 1 MB. A cached pair match retains
+// about 0.04 MB (this test keeps both schemas alive itself, so it does
+// not see what an entry pins of them; TestCachedInlinePairRetainsOnlyItsReply
+// does); a cached core.Result, with its three 289×289 similarity
 // matrices, retains about 2.2 MB, so an entry that keeps the matrices
 // fails here.
 func TestCacheRetainsMappingsNotMatrices(t *testing.T) {
@@ -456,6 +496,69 @@ func TestCacheRetainsMappingsNotMatrices(t *testing.T) {
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(src)
 	runtime.KeepAlive(dst)
+}
+
+// TestCachedInlinePairRetainsOnlyItsReply pins what a cached inline pair
+// (a /match of two uploaded schemas) keeps once the request is over. Each
+// pair-large-shaped pair (289 elements, 256 leaves per side) is parsed
+// and prepared afresh, cached through MatchPair and then dropped, as
+// cupidd does with an inline body; the matcher is warmed on the same
+// names first, so the name table does not grow. An entry that holds the
+// rendered reply retains about 0.04 MB; one whose elements point into the
+// schema trees keeps both parsed schemas and both trees reachable, about
+// 0.2 MB, and fails the 0.08 MB bound.
+func TestCachedInlinePairRetainsOnlyItsReply(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matches 20 large schema pairs twice")
+	}
+	const pairs, maxMB = 20, 0.08
+	r, err := registry.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := r.Matcher()
+	prepare := func(i int) (src, dst *core.Prepared) {
+		w := workloads.Synthetic(workloads.SyntheticSpec{
+			Tables: 16, ColsPerTable: 16, Depth: 2, Rename: 0.3, Renest: 0.2, Seed: int64(i + 1),
+		})
+		if src, err = m.Prepare(w.Source); err != nil {
+			t.Fatal(err)
+		}
+		if dst, err = m.Prepare(w.Target); err != nil {
+			t.Fatal(err)
+		}
+		return src, dst
+	}
+	for i := 0; i < pairs; i++ {
+		if _, err := m.MatchPrepared(prepare(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := NewFrontend(r, calmOptions(pairs))
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < pairs; i++ {
+		src, dst := prepare(i)
+		if _, _, err := f.MatchPair(context.Background(), src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	if n := f.Stats().Cache.Len; n != pairs {
+		t.Fatalf("cache holds %d entries, want %d", n, pairs)
+	}
+	perEntry := (float64(after) - float64(before)) / pairs / (1 << 20)
+	t.Logf("retained heap per cached inline pair: %.3f MB", perEntry)
+	if perEntry > maxMB {
+		t.Errorf("a cached inline pair retains %.3f MB of heap, want <= %.2f MB: the entry keeps more than its reply", perEntry, maxMB)
+	}
+	runtime.KeepAlive(f)
 }
 
 func TestDrainRejectsNewWork(t *testing.T) {
@@ -527,14 +630,14 @@ func TestMatchPairMappingSurvivesScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := json.Marshal(PairsOf(first.All()))
+	before, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := f.MatchPair(ctx, c, d); err != nil {
 		t.Fatal(err)
 	}
-	after, err := json.Marshal(PairsOf(first.All()))
+	after, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +648,7 @@ func TestMatchPairMappingSurvivesScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameMapping(direct.Mapping, first); err != nil {
+	if err := samePairMatch(direct.Mapping, first); err != nil {
 		t.Errorf("pooled pair mapping differs from MatchPrepared: %v", err)
 	}
 }

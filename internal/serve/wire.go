@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/registry"
 )
@@ -65,13 +66,19 @@ type SchemaList struct {
 	Schemas []SchemaInfo `json:"schemas"`
 }
 
-// Pair is one mapping element.
+// Pair is one mapping element as a reply sends it: the two node paths
+// and the element's similarities. SourceIdx and TargetIdx are the two
+// nodes' post-order indexes in the trees the match ran on; they are not
+// sent, and they let a cached PairMatch be rebuilt into a mapping over
+// those trees (PairMatch.Mapping).
 type Pair struct {
-	Source string  `json:"source"`
-	Target string  `json:"target"`
-	WSim   float64 `json:"wsim"`
-	SSim   float64 `json:"ssim"`
-	LSim   float64 `json:"lsim"`
+	Source    string  `json:"source"`
+	Target    string  `json:"target"`
+	WSim      float64 `json:"wsim"`
+	SSim      float64 `json:"ssim"`
+	LSim      float64 `json:"lsim"`
+	SourceIdx int     `json:"-"`
+	TargetIdx int     `json:"-"`
 }
 
 // PairsOf renders mapping elements as pairs.
@@ -79,14 +86,65 @@ func PairsOf(es []mapping.Element) []Pair {
 	out := make([]Pair, 0, len(es))
 	for _, e := range es {
 		out = append(out, Pair{
-			Source: e.Source.Path(),
-			Target: e.Target.Path(),
-			WSim:   e.WSim,
-			SSim:   e.SSim,
-			LSim:   e.LSim,
+			Source:    e.Source.Path(),
+			Target:    e.Target.Path(),
+			WSim:      e.WSim,
+			SSim:      e.SSim,
+			LSim:      e.LSim,
+			SourceIdx: e.Source.Idx,
+			TargetIdx: e.Target.Idx,
 		})
 	}
 	return out
+}
+
+// PairMatch is a pair match as a reply sends it: the two schema names and
+// the leaf and non-leaf elements rendered as pairs. It is what the match
+// cache keeps for /match and /mappings, and it references neither schema
+// nor either tree, so a cached inline pair leaves both parsed schemas
+// collectable.
+type PairMatch struct {
+	SourceSchema string
+	TargetSchema string
+	Leaves       []Pair
+	NonLeaves    []Pair
+}
+
+// PairMatchOf renders a mapping as a PairMatch.
+func PairMatchOf(m *mapping.Mapping) *PairMatch {
+	return &PairMatch{
+		SourceSchema: m.SourceSchema,
+		TargetSchema: m.TargetSchema,
+		Leaves:       PairsOf(m.Leaves),
+		NonLeaves:    PairsOf(m.NonLeaves),
+	}
+}
+
+// Mapping rebuilds the mapping p was rendered from over src and dst, the
+// prepared schemas (or ones with the same fingerprints) the match ran on:
+// each element's nodes are looked up by their post-order indexes. The
+// result can be inverted and composed like the original.
+func (p *PairMatch) Mapping(src, dst *core.Prepared) *mapping.Mapping {
+	ts, tt := src.Tree(), dst.Tree()
+	elements := func(ps []Pair) []mapping.Element {
+		out := make([]mapping.Element, len(ps))
+		for i, q := range ps {
+			out[i] = mapping.Element{
+				Source: ts.Nodes[q.SourceIdx],
+				Target: tt.Nodes[q.TargetIdx],
+				WSim:   q.WSim,
+				SSim:   q.SSim,
+				LSim:   q.LSim,
+			}
+		}
+		return out
+	}
+	return &mapping.Mapping{
+		SourceSchema: p.SourceSchema,
+		TargetSchema: p.TargetSchema,
+		Leaves:       elements(p.Leaves),
+		NonLeaves:    elements(p.NonLeaves),
+	}
 }
 
 // BatchResult is one ranked repository schema in a batch reply.
@@ -100,15 +158,16 @@ type BatchResult struct {
 // RankKey returns the result's ranking key; see Merge.
 func (b BatchResult) RankKey() (float64, string, string) { return b.Score, b.Name, b.Fingerprint }
 
-// ResultsOf renders a ranking as batch results.
-func ResultsOf(ranked []Ranked) []BatchResult {
+// ResultsOf renders a registry ranking as batch results: entry name,
+// fingerprint, score and the mapping's leaf elements.
+func ResultsOf(ranked []registry.Ranked) []BatchResult {
 	out := make([]BatchResult, len(ranked))
 	for i, rk := range ranked {
 		out[i] = BatchResult{
 			Name:        rk.Entry.Name,
 			Fingerprint: rk.Entry.Fingerprint,
 			Score:       rk.Score,
-			Leaves:      PairsOf(rk.Mapping.Leaves),
+			Leaves:      PairsOf(rk.Result.Mapping.Leaves),
 		}
 	}
 	return out
