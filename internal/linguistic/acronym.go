@@ -21,45 +21,51 @@ const (
 	acronymStrength = 0.75
 )
 
-// acronymMatch reports whether single is an initialism of the words list.
-func acronymMatch(single string, words []string) bool {
-	n := len(single)
-	if n < acronymMinLen || n > acronymMaxLen || len(words) != n {
-		return false
-	}
-	for i, w := range words {
-		if len(w) == 0 || w[0] != single[i] {
-			return false
-		}
-	}
-	return true
+// acronymKey is a word of at most acronymMaxLen bytes, held inline: its
+// bytes, zero-padded, and its length (0 for none).
+type acronymKey struct {
+	b [acronymMaxLen]byte
+	n uint8
 }
 
-// wordsOf lists the raw content and common tokens in order (common words
-// participate in initialisms: UoM = Unit *of* Measure). Partitioned token
-// sets carry the list precomputed.
-func wordsOf(ts TokenSet) []string {
-	if ts.parts != nil {
-		return ts.words
-	}
-	var out []string
+// acronymKeys returns what the initialism check reads of a name's words
+// (its raw content and common tokens, in order; common words participate
+// in initialisms: UoM = Unit *of* Measure). one is the only word, when
+// there is exactly one and its length fits an acronym; initials are the
+// first bytes of the words, when their number fits an acronym and none is
+// empty. Each is empty otherwise. One name is an initialism of another
+// exactly when its one is the other's initials.
+func acronymKeys(ts TokenSet) (one, initials acronymKey) {
+	n, whole := 0, true
 	for _, t := range ts.Tokens {
-		if t.Type == TokenContent || t.Type == TokenCommon {
-			out = append(out, t.Raw)
+		if t.Type != TokenContent && t.Type != TokenCommon {
+			continue
 		}
+		if n == 0 && len(t.Raw) >= acronymMinLen && len(t.Raw) <= acronymMaxLen {
+			one.n = uint8(copy(one.b[:], t.Raw))
+		}
+		if t.Raw == "" {
+			whole = false
+		} else if n < acronymMaxLen {
+			initials.b[n] = t.Raw[0]
+		}
+		n++
 	}
-	return out
+	if n != 1 {
+		one = acronymKey{}
+	}
+	if n >= acronymMinLen && n <= acronymMaxLen && whole {
+		initials.n = uint8(n)
+	} else {
+		initials = acronymKey{}
+	}
+	return one, initials
 }
 
-// acronymSim returns acronymStrength when either token set is an
-// initialism of the other, else 0.
-func acronymSim(a, b TokenSet) float64 {
-	wa := wordsOf(a)
-	wb := wordsOf(b)
-	if len(wa) == 1 && acronymMatch(wa[0], wb) {
-		return acronymStrength
-	}
-	if len(wb) == 1 && acronymMatch(wb[0], wa) {
+// acronymSim returns acronymStrength when either name is an initialism of
+// the other, else 0.
+func acronymSim(x, y *nameRec) float64 {
+	if (x.one.n != 0 && x.one == y.initials) || (y.one.n != 0 && y.one == x.initials) {
 		return acronymStrength
 	}
 	return 0

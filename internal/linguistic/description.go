@@ -89,19 +89,25 @@ func (m *Matcher) BlendDescriptions(a, b *SchemaInfo, lsim matrix.Matrix, weight
 	eb := b.Schema.Elements()
 	descA := m.descTokens(a)
 	descB := m.descTokens(b)
-	t := m.table()
+	// Each description is interned once per call, and every pair then
+	// compares two records.
+	var recA, recB []*nameRec
+	t := m.withRoom(func(t *nameTable) bool {
+		recA, recB = t.recsOf(descA), t.recsOf(descB)
+		return recA != nil && recB != nil
+	})
 	// Rows are independent (each writes its own matrix row), so the pair
 	// loop fans out over the worker pool.
 	par.For(len(ea), func(i int) {
-		if descA[i] == nil {
+		if recA[i] == nil {
 			return
 		}
 		row := lsim.Row(i)
 		for j := range eb {
-			if descB[j] == nil {
+			if recB[j] == nil {
 				continue
 			}
-			ds := t.nameSim(*descA[i], *descB[j])
+			ds := t.nameSim(recA[i], recB[j])
 			row[j] = (1-weight)*row[j] + weight*ds
 		}
 	})

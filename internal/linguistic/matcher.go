@@ -65,22 +65,24 @@ func (p Params) Validate() error {
 // parameter set. Everything it derives from names lives in one name table
 // per (P, Th) generation (memo.go): the normalized token set of every raw
 // element name it has analyzed, shared by every SchemaInfo that contains
-// the name; token-pair similarities; dense name IDs and the lock-free memo
-// of their name similarities. Every cache is bounded, so a Matcher IS safe
-// for concurrent use: Analyze, NameSim(TS), CompatiblePairs and LSim may be
-// called from many goroutines at once (LSim itself fans its inner loops out
-// over a bounded worker pool).
-// Changing P or Th starts a fresh name table: normalized names, IDs, memo
-// and token cache. Do not mutate them while matching is in flight, and do
-// not mutate a thesaurus a Matcher has used: install a new one instead.
+// the name; dense name and token IDs, with one record of token IDs per
+// name; and the lock-free memos of name-pair and token-pair similarities.
+// Every cache is bounded, so a Matcher IS safe for concurrent use:
+// Analyze, NameSim(TS), CompatiblePairs and LSim may be called from many
+// goroutines at once (LSim itself fans its inner loops out over a bounded
+// worker pool).
+// Changing P or Th starts a fresh name table: normalized names, IDs and
+// memos. Do not mutate them while matching is in flight, and do not
+// mutate a thesaurus a Matcher has used: install a new one instead.
 type Matcher struct {
 	Th *thesaurus.Thesaurus
 	P  Params
 
 	names atomic.Pointer[nameTable]
-	// nameCap, memoCap, tokenCap and normCap bound the name interner, the
-	// memo, the token-pair cache and the normalized-name cache (powers of
-	// two; the defaults of memo.go unless a test shrinks them).
+	// nameCap, memoCap, tokenCap and normCap bound the name and token
+	// interner, the name memo, the token-pair memo and the
+	// normalized-name cache (powers of two; the defaults of memo.go
+	// unless a test shrinks them).
 	nameCap, memoCap, tokenCap, normCap int
 }
 
@@ -94,87 +96,37 @@ func NewMatcher(th *thesaurus.Thesaurus) *Matcher {
 		nameCap: defaultNameCap, memoCap: defaultMemoCap, tokenCap: defaultTokenCap, normCap: newMatcherNormCap}
 }
 
-// tokenSim returns sim(t1, t2) for two tokens of the same type. Content
-// tokens go through the thesaurus (with substring fallback); the other
-// types compare by surface equality — a number matches only the same
-// number, a symbol the same symbol, a concept the same concept.
-func (t *nameTable) tokenSim(a, b Token) float64 {
-	if a.Type != b.Type {
-		return 0
-	}
-	if a.Type != TokenContent {
-		if a.Raw == b.Raw {
-			return 1
-		}
-		return 0
-	}
-	if a.Stem == b.Stem {
-		return 1
-	}
-	key := tokenPair{a.Raw, b.Raw}
-	if key[0] > key[1] {
-		key[0], key[1] = key[1], key[0]
-	}
-	if s, ok := t.sims.get(key); ok {
-		return s
-	}
-	// A concurrent miss on the same pair computes Th.Sim twice; the value
-	// is a pure function of the pair, so last-write-wins is deterministic.
-	s := t.th.Sim(a.Raw, b.Raw)
-	t.sims.put(key, s)
-	return s
-}
-
-// setSim is ns(T1, T2) over two same-type token lists: the average of the
-// best similarity of each token with a token in the other set (paper §5.2).
-// Empty-versus-nonempty scores 0; empty-versus-empty is undefined and the
-// caller skips it.
-func (t *nameTable) setSim(t1, t2 []Token) float64 {
-	if len(t1)+len(t2) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, a := range t1 {
-		best := 0.0
-		for _, b := range t2 {
-			if s := t.tokenSim(a, b); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	for _, b := range t2 {
-		best := 0.0
-		for _, a := range t1 {
-			if s := t.tokenSim(a, b); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(t1)+len(t2))
-}
-
 // NameSimTS computes the name similarity of two normalized token sets as
 // the weighted mean of the per-token-type name similarities (§5.3):
 //
 //	ns(m1,m2) = Σ_i w_i·ns(T1i,T2i)·(|T1i|+|T2i|) / Σ_i w_i·(|T1i|+|T2i|)
+//
+// Both sets are interned in the matcher's name table (memo.go), and ns is
+// computed from their records, as a memo miss of LSim computes it.
 func (m *Matcher) NameSimTS(ts1, ts2 TokenSet) float64 {
-	return m.table().nameSim(ts1, ts2)
+	var x, y *nameRec
+	t := m.withRoom(func(t *nameTable) bool {
+		x, y = t.recOf(ts1), t.recOf(ts2)
+		return x != nil && y != nil
+	})
+	return t.nameSim(x, y)
 }
 
-// nameSim is NameSimTS under the table's parameters and thesaurus.
-func (t *nameTable) nameSim(ts1, ts2 TokenSet) float64 {
+// nameSim is ns of two names interned in the table, under its parameters
+// and thesaurus.
+func (t *nameTable) nameSim(x, y *nameRec) float64 {
 	var num, den float64
 	for tt := TokenType(0); tt < NumTokenTypes; tt++ {
-		t1 := ts1.ByType(tt)
-		t2 := ts2.ByType(tt)
+		t1, t2 := x.ofType(tt), y.ofType(tt)
 		size := float64(len(t1) + len(t2))
 		if size == 0 {
 			continue
 		}
 		w := t.p.Weights[tt]
-		num += w * t.setSim(t1, t2) * size
+		if w == 0 {
+			continue // adds exactly 0 to both sums
+		}
+		num += w * t.setSim(tt, t1, t2) * size
 		den += w * size
 	}
 	if den == 0 {
@@ -182,11 +134,77 @@ func (t *nameTable) nameSim(ts1, ts2 TokenSet) float64 {
 	}
 	ns := num / den
 	if !t.p.DisableAcronymDetection {
-		if a := acronymSim(ts1, ts2); a > ns {
+		if a := acronymSim(x, y); a > ns {
 			ns = a
 		}
 	}
 	return ns
+}
+
+// setSim is ns(T1, T2) over two lists of type-tt tokens: the average of
+// the best similarity of each token with a token in the other set (paper
+// §5.2). Empty-versus-nonempty scores 0; the caller skips empty-versus-
+// empty, which is undefined. Tokens compare by surface equality — a
+// number matches only the same number, a symbol the same symbol, a
+// concept the same concept — except content tokens, which go through the
+// thesaurus (which scores a word 1 against itself). One sweep over the
+// token pairs finds the best of both sides; each side's bests are then
+// summed in token order.
+func (t *nameTable) setSim(tt TokenType, t1, t2 []tokID) float64 {
+	var buf [16]float64
+	var best2 []float64
+	if len(t2) <= len(buf) {
+		best2 = buf[:len(t2)]
+	} else {
+		best2 = make([]float64, len(t2))
+	}
+	sum := 0.0
+	for _, a := range t1 {
+		best := 0.0
+		for j, b := range t2 {
+			s := 0.0
+			switch {
+			case a.raw == b.raw:
+				s = 1
+			case tt == TokenContent:
+				s = t.contentSim(a, b)
+			}
+			if s > best {
+				best = s
+			}
+			if s > best2[j] {
+				best2[j] = s
+			}
+		}
+		sum += best
+	}
+	for _, best := range best2 {
+		sum += best
+	}
+	return sum / float64(len(t1)+len(t2))
+}
+
+// contentSim returns sim of two content tokens with different raw forms:
+// 1 for equal stems, else the thesaurus similarity of the raw forms (with
+// substring fallback), memoized by their raw IDs.
+func (t *nameTable) contentSim(a, b tokID) float64 {
+	if a.stem == b.stem {
+		return 1
+	}
+	lo, hi := a.raw, b.raw
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	r := t.pairs.row(int32(lo))
+	if s, ok := r.get(int32(hi)); ok {
+		return s
+	}
+	t.mu.RLock()
+	wlo, whi := t.strs[lo], t.strs[hi]
+	t.mu.RUnlock()
+	s := t.th.Sim(wlo, whi) // symmetric: the order of the pair does not matter
+	r.put(int32(hi), s)
+	return s
 }
 
 // NameSim normalizes two raw names and returns their name similarity.
@@ -369,9 +387,9 @@ func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
 	sims := m.simsFor(a, b)
 	out := make(map[[2]int]float64)
 	for i := range a.Categories {
-		names := sims.categoryRow(a, i)
-		for j, cb := range b.Categories {
-			if ns := names.sim(j, cb.Keywords); ns >= m.P.Thns {
+		names := sims.categoryRow(i)
+		for j := range b.Categories {
+			if ns := names.sim(j); ns >= m.P.Thns {
 				out[[2]int{i, j}] = ns
 			}
 		}
@@ -396,7 +414,7 @@ func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
 //
 // Every ns goes through the matcher's name memo (memo.go): the names of a
 // and b are interned on their first LSim, and each distinct name pair's
-// NameSimTS is computed once per memo generation, then looked up. The memo
+// ns is computed once per memo generation, then looked up. The memo
 // is organized by the first name, and both loops follow that order: each
 // category of a, and each element row of the result, fetches its name's
 // memo row once, and all of that row's lookups against b's names then
@@ -411,9 +429,9 @@ func (m *Matcher) LSimInto(dst matrix.Matrix, a, b *SchemaInfo) matrix.Matrix {
 	lsim := dst.Reshape(a.Schema.Len(), b.Schema.Len())
 	// Scale per element pair: the best compatible category pair.
 	for i, ca := range a.Categories {
-		names := sims.categoryRow(a, i)
+		names := sims.categoryRow(i)
 		for j, cb := range b.Categories {
-			ns := names.sim(j, cb.Keywords)
+			ns := names.sim(j)
 			if ns < m.P.Thns {
 				continue
 			}
@@ -429,10 +447,10 @@ func (m *Matcher) LSimInto(dst matrix.Matrix, a, b *SchemaInfo) matrix.Matrix {
 	}
 	par.For(lsim.Rows(), func(i int) {
 		row := lsim.Row(i)
-		names := sims.elementRow(a, i)
+		names := sims.elementRow(i)
 		for j, s := range row {
 			if s > 0 {
-				row[j] = names.sim(j, b.Tokens[j]) * s
+				row[j] = names.sim(j) * s
 			}
 		}
 	})

@@ -257,17 +257,17 @@ func TestCompatiblePairsThreshold(t *testing.T) {
 }
 
 func TestTokenSimAcrossTypesIsZero(t *testing.T) {
-	m := NewMatcher(thesaurus.Base()).table()
-	a := Token{Raw: "1", Stem: "1", Type: TokenNumber}
-	b := Token{Raw: "1", Stem: "1", Type: TokenContent}
-	if got := m.tokenSim(a, b); got != 0 {
+	m := NewMatcher(thesaurus.Base())
+	one := func(raw string, tt TokenType) TokenSet {
+		return TokenSet{Tokens: []Token{{Raw: raw, Stem: raw, Type: tt}}}.Partitioned()
+	}
+	if got := m.NameSimTS(one("1", TokenNumber), one("1", TokenContent)); got != 0 {
 		t.Errorf("cross-type token sim = %v, want 0", got)
 	}
-	c := Token{Raw: "2", Stem: "2", Type: TokenNumber}
-	if got := m.tokenSim(a, c); got != 0 {
+	if got := m.NameSimTS(one("1", TokenNumber), one("2", TokenNumber)); got != 0 {
 		t.Errorf("different numbers = %v, want 0", got)
 	}
-	if got := m.tokenSim(a, a); got != 1 {
+	if got := m.NameSimTS(one("1", TokenNumber), one("1", TokenNumber)); got != 1 {
 		t.Errorf("same number = %v, want 1", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/thesaurus"
 )
 
-// The name table: normalized names, name interning, and the
+// The name table: normalized names, name and token interning, and the
 // name-similarity memo behind LSim.
 //
 // Normalization (§5.1) is a pure function of a name and the thesaurus, and
@@ -26,40 +26,50 @@ import (
 // thesaurus and parameter set, and one probe matched against hundreds of
 // candidates asks for the same name pairs again and again. So every
 // distinct normalized name (an element token set or a category keyword
-// set) gets a dense integer ID per Matcher, and NameSimTS is memoized by
-// the (ID, ID) pair. IDs are assigned lazily, once per SchemaInfo, on its
+// set) gets a dense integer ID per Matcher, and ns is memoized by the
+// (ID, ID) pair. IDs are assigned lazily, once per SchemaInfo, on its
 // first LSim: Analyze (and with it Prepare, registration and recovery)
-// never pays for them. Below the memo, thesaurus similarities of content
-// token pairs are cached too.
+// never pays for them.
 //
-// The memo is organized by row: one small lock-free open-addressing table
-// per first name ID x, keyed by the second ID y. LSim asks for one name of
-// the first schema against every name of the second in turn, so it fetches
-// that name's row once and each lookup then probes one small table that
-// stays in cache, where a single table over all pairs would send every
-// lookup to a random slot of up to 16 MiB.
+// ns depends only on which tokens two names hold, so interning a name
+// interns its tokens too: every distinct token string gets a dense ID,
+// and the name keeps one immutable record (nameRec) of its tokens' raw
+// and stem IDs grouped by type, plus what the acronym check reads. A memo
+// miss computes ns from two records, comparing integers; thesaurus
+// similarities of content token pairs are memoized below it by the pair
+// of raw token IDs. Token IDs, like name IDs, belong to one table and
+// never enter the shared token sets.
+//
+// Both memos are organized by row: one small lock-free open-addressing
+// table per first ID x, keyed by the second ID y. LSim asks for one name
+// of the first schema against every name of the second in turn, so it
+// fetches that name's row once and each lookup then probes one small table
+// that stays in cache, where a single table over all pairs would send
+// every lookup to a random slot of up to 16 MiB.
 //
 // Every cache here is bounded by a fixed entry cap and resets when it
 // overflows. The values are pure, so a reset only costs recomputation and
 // never changes a result. All of them belong to one name table, valid for
 // the parameters and thesaurus it was built under; changing either starts
-// a fresh table. A reset of the interner invalidates the IDs, so it starts
-// a fresh table too; a SchemaInfo remembers which table its IDs belong to
-// and re-interns when that table is gone.
+// a fresh table. A full interner would invalidate the IDs, so it starts a
+// fresh table too; a SchemaInfo remembers which table its IDs belong to
+// and re-interns when that table is gone. Whoever holds a table reads
+// IDs, records and memos of that table only, so IDs of two generations
+// never meet.
 
-// Default cache caps. The name cap bounds the interner (one map entry per
-// distinct normalized name); the memo cap bounds the memoized pairs of one
-// memo generation, across all its rows; the token cap bounds the
-// token-pair thesaurus cache; the norm cap bounds the normalized-name
-// cache.
+// Default cache caps. The name cap bounds the interner: at most that many
+// distinct normalized names, and as many distinct token strings. The memo
+// cap bounds the memoized name pairs of one memo generation, across all
+// its rows; the token cap bounds the memoized token pairs the same way;
+// the norm cap bounds the normalized-name cache.
 const (
 	defaultNameCap  = 1 << 17
 	defaultMemoCap  = 1 << 19
 	defaultTokenCap = 1 << 16
 	// defaultNormCap entries of at most normMaxBytes each: the cache
 	// retains at most 32 MiB, whatever names it is fed. Typical schema
-	// names (two or three words) cost about 600 bytes an entry by
-	// normEntryBytes, so a full cache of them holds about 19 MiB.
+	// names (two or three words) cost about 550 bytes an entry by
+	// normEntryBytes, so a full cache of them holds about 17 MiB.
 	defaultNormCap = 1 << 15
 	// memoRowSlots is a fresh row's size (16 bytes a slot); a row doubles
 	// whenever it is three quarters full.
@@ -67,21 +77,22 @@ const (
 )
 
 // nameTable is one generation of normalized names, interned names and
-// their memoized similarities, valid for the parameters and thesaurus it
-// was built under.
+// tokens and their memoized similarities, valid for the parameters and
+// thesaurus it was built under.
 type nameTable struct {
 	p  Params
 	th *thesaurus.Thesaurus
 
-	norms *stripedMap[normKey, TokenSet]
-	sims  *stripedMap[tokenPair, float64]
+	norms *normCache
 
-	mu       sync.Mutex // guards ids
-	ids      map[string]int32
-	maxNames int
+	mu       sync.RWMutex // guards ids, toks and strs
+	ids      map[string]*nameRec
+	toks     map[string]uint32
+	strs     []string // the token strings by ID
+	maxNames int      // the cap of ids, and of toks
 
-	memo    atomic.Pointer[memoGen]
-	memoCap int
+	memo  pairMemo // ns of (name ID, name ID)
+	pairs pairMemo // thesaurus similarity of (raw token ID, raw token ID)
 }
 
 // newMatcherNormCap is the norm cap NewMatcher gives a matcher:
@@ -106,15 +117,6 @@ const (
 
 func (k normKey) stripe() uint32 { return fnv1a(2166136261^uint32(k.kind), k.name) }
 
-// tokenPair is an ordered pair of raw content tokens.
-type tokenPair [2]string
-
-func (k tokenPair) stripe() uint32 {
-	h := fnv1a(2166136261, k[0])
-	h = (h ^ 0xff) * 16777619 // separator so ("ab","c") != ("a","bc")
-	return fnv1a(h, k[1])
-}
-
 func fnv1a(h uint32, s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint32(s[i])) * 16777619
@@ -128,9 +130,9 @@ const normMaxBytes = 1 << 10
 
 // normEntryBytes bounds what caching ts under name retains: the map slot
 // and the per-type partition headers, the name, and per token its two
-// copies (Tokens and the partition), its acronym word and its strings.
+// copies (Tokens and the partition) and its strings.
 func normEntryBytes(name string, ts TokenSet) int {
-	n := 256 + len(name) + 96*len(ts.Tokens)
+	n := 256 + len(name) + 80*len(ts.Tokens)
 	for _, tok := range ts.Tokens {
 		n += len(tok.Raw) + len(tok.Stem)
 	}
@@ -162,39 +164,34 @@ func (t *nameTable) tokenSet(k normKey) TokenSet {
 	return ts
 }
 
-// mapStripes is the stripe count of a stripedMap. Power of two; 64 stripes
+// mapStripes is the stripe count of a normCache. Power of two; 64 stripes
 // keep contention negligible at any realistic GOMAXPROCS while costing a
 // few KB of empty maps.
 const mapStripes = 64
 
-// stripeKey is a map key that picks its own stripe (any hash of the key).
-type stripeKey interface {
-	comparable
-	stripe() uint32
-}
-
-// stripedMap is a map split into stripes, each under its own RWMutex, so
-// goroutines working on different keys rarely share a lock. Each stripe
-// holds at most stripeCap entries and empties itself when full.
-type stripedMap[K stripeKey, V any] struct {
-	stripes   [mapStripes]mapStripe[K, V]
+// normCache is a map from normKey to its token set, split into stripes,
+// each under its own RWMutex, so goroutines working on different names
+// rarely share a lock. Each stripe holds at most stripeCap entries and
+// empties itself when full.
+type normCache struct {
+	stripes   [mapStripes]normStripe
 	stripeCap int
 }
 
-type mapStripe[K comparable, V any] struct {
+type normStripe struct {
 	mu sync.RWMutex
-	m  map[K]V
+	m  map[normKey]TokenSet
 }
 
-func newStripedMap[K stripeKey, V any](capacity int) *stripedMap[K, V] {
-	c := &stripedMap[K, V]{stripeCap: max(1, capacity/mapStripes)}
+func newNormCache(capacity int) *normCache {
+	c := &normCache{stripeCap: max(1, capacity/mapStripes)}
 	for i := range c.stripes {
-		c.stripes[i].m = make(map[K]V)
+		c.stripes[i].m = make(map[normKey]TokenSet)
 	}
 	return c
 }
 
-func (c *stripedMap[K, V]) get(k K) (V, bool) {
+func (c *normCache) get(k normKey) (TokenSet, bool) {
 	st := &c.stripes[k.stripe()&(mapStripes-1)]
 	st.mu.RLock()
 	v, ok := st.m[k]
@@ -202,7 +199,7 @@ func (c *stripedMap[K, V]) get(k K) (V, bool) {
 	return v, ok
 }
 
-func (c *stripedMap[K, V]) put(k K, v V) {
+func (c *normCache) put(k normKey, v TokenSet) {
 	st := &c.stripes[k.stripe()&(mapStripes-1)]
 	st.mu.Lock()
 	if len(st.m) >= c.stripeCap {
@@ -212,19 +209,64 @@ func (c *stripedMap[K, V]) put(k K, v V) {
 	st.mu.Unlock()
 }
 
-// infoIDs is the name IDs of one SchemaInfo under one name table: per
-// element (indexed by element ID) and per category.
+// infoIDs is the name IDs and records of one SchemaInfo under one name
+// table: per element (indexed by element ID) and per category. The IDs
+// are kept apart from the records because every memo lookup reads an ID
+// and only a miss reads the records.
 type infoIDs struct {
-	tab   *nameTable
-	elems []int32
-	cats  []int32
+	tab      *nameTable
+	elems    []int32
+	cats     []int32
+	elemRecs []*nameRec
+	catRecs  []*nameRec
 }
 
-// memoGen is one generation of the name memo: a directory of rows indexed
-// by first name ID, each row created on its first lookup. The directory
-// grows with the IDs looked up, not to the name cap up front. used counts
-// the pairs inserted across all rows; once it reaches limit (the memo cap)
-// the generation is replaced by an empty one.
+// nameRec is one interned name as the similarity kernel reads it: its ID,
+// its tokens' IDs grouped by type (in type order, each group in token
+// order), and the keys of the acronym check. It is immutable once
+// interned.
+type nameRec struct {
+	id int32
+	// off delimits the groups: toks[off[tt]:off[tt+1]] are the type-tt
+	// tokens.
+	off           [NumTokenTypes + 1]int32
+	one, initials acronymKey
+	toks          []tokID
+}
+
+// tokID is one token as interned IDs: its raw form and its stem. Only
+// content tokens compare stems; for the other types stem equals raw.
+type tokID struct {
+	raw, stem uint32
+}
+
+// ofType returns the name's type-tt tokens.
+func (r *nameRec) ofType(tt TokenType) []tokID {
+	return r.toks[r.off[tt]:r.off[tt+1]]
+}
+
+// pairMemo is a bounded, lock-free map from an ordered pair of dense IDs
+// (x, y) to a float64, organized by row: a directory of rows indexed by x,
+// each row created on its first lookup. The directory grows with the IDs
+// looked up, not to the cap up front. It holds at most limit pairs per
+// generation; once a generation is full it is replaced by an empty one.
+type pairMemo struct {
+	gen   atomic.Pointer[memoGen]
+	limit int
+}
+
+func (pm *pairMemo) init(limit int) {
+	pm.limit = limit
+	pm.gen.Store(newMemoGen(limit))
+}
+
+// row returns a cursor on x's row.
+func (pm *pairMemo) row(x int32) pairRow {
+	return pairRow{pm: pm, x: x}
+}
+
+// memoGen is one generation of a pairMemo. used counts the pairs inserted
+// across all rows, up to limit.
 type memoGen struct {
 	dir   atomic.Pointer[memoDir]
 	used  atomic.Int64
@@ -236,13 +278,13 @@ type memoDir struct {
 }
 
 // memoRow is a fixed-size, insert-only open-addressing hash table from a
-// second name ID to its similarity with the row's first name. Lookups are
-// one or a few atomic loads and never allocate or lock. A slot is written
-// once per row: an inserter reserves room under limit (three quarters of
-// the slots, so every probe sequence reaches an empty slot), claims an
-// empty slot by CAS to its key with the pending bit set, stores the value,
-// then publishes the bare key, so a reader that sees the bare key also sees
-// the value. Readers treat pending slots as occupied by another key.
+// second ID to its value with the row's first ID. Lookups are one or a few
+// atomic loads and never allocate or lock. A slot is written once per row:
+// an inserter reserves room under limit (three quarters of the slots, so
+// every probe sequence reaches an empty slot), claims an empty slot by CAS
+// to its key with the pending bit set, stores the value, then publishes
+// the bare key, so a reader that sees the bare key also sees the value.
+// Readers treat pending slots as occupied by another key.
 type memoRow struct {
 	slots []memoSlot
 	shift uint // 64 - log2(len(slots))
@@ -272,7 +314,7 @@ func newMemoRow(slots int) *memoRow {
 	}
 }
 
-// memoKey maps a second name ID to a nonzero key below memoPending.
+// memoKey maps a second ID to a nonzero key below memoPending.
 func memoKey(y int32) uint64 {
 	return uint64(uint32(y)) + 1
 }
@@ -327,8 +369,8 @@ func (r *memoRow) put(key uint64, v float64) int {
 	}
 }
 
-// slot returns the directory slot of first name x's row in g, growing the
-// directory when x is past its end.
+// slot returns the directory slot of x's row in g, growing the directory
+// when x is past its end.
 func (g *memoGen) slot(x int32) *atomic.Pointer[memoRow] {
 	for {
 		d := g.dir.Load()
@@ -343,7 +385,7 @@ func (g *memoGen) slot(x int32) *atomic.Pointer[memoRow] {
 	}
 }
 
-// row returns first name x's row in g, creating it on first use.
+// row returns x's row in g, creating it on first use.
 func (g *memoGen) row(x int32) *memoRow {
 	s := g.slot(x)
 	if r := s.Load(); r != nil {
@@ -375,173 +417,47 @@ func (g *memoGen) grow(x int32, old *memoRow) *memoRow {
 	return s.Load()
 }
 
-// table returns the matcher's current name table, replacing it when P or
-// Th changed since it was built (so mutating them between calls can never
-// serve a stale cached token set or memoized value).
-func (m *Matcher) table() *nameTable {
-	t := m.names.Load()
-	if t != nil && t.p == m.P && t.th == m.Th {
-		return t
+// reserve counts one more pair against the generation's cap, reporting
+// false (and counting nothing) when it is reached.
+func (g *memoGen) reserve() bool {
+	if g.used.Add(1) > g.limit {
+		g.used.Add(-1)
+		return false
 	}
-	return m.replaceTable(t)
+	return true
 }
 
-// replaceTable installs a fresh, empty name table in place of old. Racing
-// callers converge on whichever table won the swap.
-func (m *Matcher) replaceTable(old *nameTable) *nameTable {
-	nt := &nameTable{p: m.P, th: m.Th,
-		norms: newStripedMap[normKey, TokenSet](m.normCap), sims: newStripedMap[tokenPair, float64](m.tokenCap),
-		ids: map[string]int32{}, maxNames: m.nameCap, memoCap: m.memoCap}
-	nt.memo.Store(newMemoGen(m.memoCap))
-	if m.names.CompareAndSwap(old, nt) {
-		return nt
-	}
-	if cur := m.names.Load(); cur != nil && cur.p == m.P && cur.th == m.Th {
-		return cur
-	}
-	return nt
-}
-
-// idsOf returns si's name IDs under table t, interning its names on first
-// use. It returns nil when t has no room left for them.
-func (t *nameTable) idsOf(si *SchemaInfo) *infoIDs {
-	if cur := si.ids.Load(); cur != nil && cur.tab == t {
-		return cur
-	}
-	ids := &infoIDs{tab: t, elems: make([]int32, len(si.Tokens)), cats: make([]int32, len(si.Categories))}
-	var buf []byte
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	intern := func(ts TokenSet) (int32, bool) {
-		buf = nameKey(buf[:0], ts)
-		if id, ok := t.ids[string(buf)]; ok {
-			return id, true
-		}
-		if len(t.ids) >= t.maxNames {
-			return 0, false
-		}
-		id := int32(len(t.ids))
-		t.ids[string(buf)] = id
-		return id, true
-	}
-	for i, ts := range si.Tokens {
-		id, ok := intern(ts)
-		if !ok {
-			return nil
-		}
-		ids.elems[i] = id
-	}
-	for i, c := range si.Categories {
-		id, ok := intern(c.Keywords)
-		if !ok {
-			return nil
-		}
-		ids.cats[i] = id
-	}
-	si.ids.Store(ids)
-	return ids
-}
-
-// nameKey appends an injective encoding of the token sequence — type, raw
-// form and stem of every token, length-prefixed — which is everything
-// NameSimTS reads.
-func nameKey(buf []byte, ts TokenSet) []byte {
-	for _, tok := range ts.Tokens {
-		buf = append(buf, byte(tok.Type))
-		buf = binary.AppendUvarint(buf, uint64(len(tok.Raw)))
-		buf = append(buf, tok.Raw...)
-		buf = binary.AppendUvarint(buf, uint64(len(tok.Stem)))
-		buf = append(buf, tok.Stem...)
-	}
-	return buf
-}
-
-// nameSims answers NameSimTS for the names of one schema pair through the
-// memo. With nil IDs (the pair alone has more distinct names than the name
-// cap) it computes every value directly.
-type nameSims struct {
-	tab    *nameTable
-	ia, ib *infoIDs
-}
-
-// simsFor prepares the memoized name similarities of a and b, interning
-// their names (and resetting a full name table) as needed.
-func (m *Matcher) simsFor(a, b *SchemaInfo) nameSims {
-	t := m.table()
-	ia, ib := t.idsOf(a), t.idsOf(b)
-	if ia == nil || ib == nil {
-		t = m.replaceTable(t)
-		ia, ib = t.idsOf(a), t.idsOf(b)
-	}
-	if ia == nil || ib == nil {
-		return nameSims{tab: t}
-	}
-	return nameSims{tab: t, ia: ia, ib: ib}
-}
-
-// rowSims is ns of one name of the first schema (an element's or a
-// category's) against the names of the second, through the first name's
-// memo row: fetched on the first lookup, then followed as it grows and
-// across a generation reset. A rowSims is one goroutine's.
-type rowSims struct {
-	tab  *nameTable
-	memo bool // false: compute every value directly
-	ts   TokenSet
-	x    int32
-	ys   []int32 // the second schema's element or category IDs
-
+// pairRow is a cursor on x's row of a pairMemo: it fetches the row on the
+// first lookup, then follows it as it grows and across a generation
+// reset. A pairRow is one goroutine's.
+type pairRow struct {
+	pm  *pairMemo
+	x   int32
 	gen *memoGen
 	row *memoRow
 }
 
-// elementRow is the row of element i of a against b's elements.
-func (s *nameSims) elementRow(a *SchemaInfo, i int) rowSims {
-	r := rowSims{tab: s.tab, memo: s.ia != nil, ts: a.Tokens[i]}
-	if r.memo {
-		r.x, r.ys = s.ia.elems[i], s.ib.elems
-	}
-	return r
-}
-
-// categoryRow is the row of category i of a against b's categories.
-func (s *nameSims) categoryRow(a *SchemaInfo, i int) rowSims {
-	r := rowSims{tab: s.tab, memo: s.ia != nil, ts: a.Categories[i].Keywords}
-	if r.memo {
-		r.x, r.ys = s.ia.cats[i], s.ib.cats
-	}
-	return r
-}
-
-// sim returns ns of the row's name and ts2, the name of element (or
-// category) j of the second schema.
-func (r *rowSims) sim(j int, ts2 TokenSet) float64 {
-	if !r.memo {
-		return r.tab.nameSim(r.ts, ts2)
-	}
+// get returns the value of (x, y), if memoized.
+func (r *pairRow) get(y int32) (float64, bool) {
 	if r.row == nil {
 		r.fetch()
 	}
-	key := memoKey(r.ys[j])
-	if v, ok := r.row.get(key); ok {
-		return v
-	}
-	v := r.tab.nameSim(r.ts, ts2)
-	r.store(key, v)
-	return v
+	return r.row.get(memoKey(y))
 }
 
-// fetch loads the row from the name table's current memo generation.
-func (r *rowSims) fetch() {
-	r.gen = r.tab.memo.Load()
+// fetch loads the row from the memo's current generation.
+func (r *pairRow) fetch() {
+	r.gen = r.pm.gen.Load()
 	r.row = r.gen.row(r.x)
 }
 
-// store memoizes key → v: it reserves the pair under the generation's cap
-// (starting a fresh generation when this one is full) and grows the row
-// when it is full.
-func (r *rowSims) store(key uint64, v float64) {
+// put memoizes (x, y) → v: it reserves the pair under the generation's
+// cap (starting a fresh generation when this one is full) and grows the
+// row when it is full. get must have been called first.
+func (r *pairRow) put(y int32, v float64) {
+	key := memoKey(y)
 	if !r.gen.reserve() {
-		r.tab.memo.CompareAndSwap(r.gen, newMemoGen(r.tab.memoCap))
+		r.pm.gen.CompareAndSwap(r.gen, newMemoGen(r.pm.limit))
 		if r.fetch(); !r.gen.reserve() {
 			return // the fresh generation is full already
 		}
@@ -558,12 +474,234 @@ func (r *rowSims) store(key uint64, v float64) {
 	}
 }
 
-// reserve counts one more pair against the generation's cap, reporting
-// false (and counting nothing) when it is reached.
-func (g *memoGen) reserve() bool {
-	if g.used.Add(1) > g.limit {
-		g.used.Add(-1)
-		return false
+// table returns the matcher's current name table, replacing it when P or
+// Th changed since it was built (so mutating them between calls can never
+// serve a stale cached token set or memoized value).
+func (m *Matcher) table() *nameTable {
+	t := m.names.Load()
+	if t != nil && t.p == m.P && t.th == m.Th {
+		return t
 	}
-	return true
+	return m.replaceTable(t)
+}
+
+// replaceTable installs a fresh, empty name table in place of old. Racing
+// callers converge on whichever table won the swap.
+func (m *Matcher) replaceTable(old *nameTable) *nameTable {
+	nt := newNameTable(m.P, m.Th, m.nameCap, m.memoCap, m.tokenCap)
+	nt.norms = newNormCache(m.normCap)
+	if m.names.CompareAndSwap(old, nt) {
+		return nt
+	}
+	if cur := m.names.Load(); cur != nil && cur.p == m.P && cur.th == m.Th {
+		return cur
+	}
+	return nt
+}
+
+// newNameTable returns an empty table without a normalized-name cache.
+func newNameTable(p Params, th *thesaurus.Thesaurus, maxNames, memoCap, tokenCap int) *nameTable {
+	t := &nameTable{p: p, th: th, ids: map[string]*nameRec{}, toks: map[string]uint32{}, maxNames: maxNames}
+	t.memo.init(memoCap)
+	t.pairs.init(tokenCap)
+	return t
+}
+
+// withRoom runs intern, which interns names into a table and reports
+// whether the table had room for them all, on the matcher's table; when
+// that is full, on a fresh table in its place; and when even a fresh table
+// cannot hold them (the names alone outnumber the cap), on an uncapped
+// table of their own that serves this call only. It returns the table
+// intern succeeded on.
+func (m *Matcher) withRoom(intern func(*nameTable) bool) *nameTable {
+	t := m.table()
+	if intern(t) {
+		return t
+	}
+	if t = m.replaceTable(t); intern(t) {
+		return t
+	}
+	t = newNameTable(t.p, t.th, math.MaxInt, t.memo.limit, t.pairs.limit)
+	intern(t)
+	return t
+}
+
+// idsOf returns si's name IDs under table t, interning its names on first
+// use. It returns nil when t has no room left for them.
+func (t *nameTable) idsOf(si *SchemaInfo) *infoIDs {
+	if cur := si.ids.Load(); cur != nil && cur.tab == t {
+		return cur
+	}
+	ids := &infoIDs{tab: t,
+		elems: make([]int32, len(si.Tokens)), elemRecs: make([]*nameRec, len(si.Tokens)),
+		cats: make([]int32, len(si.Categories)), catRecs: make([]*nameRec, len(si.Categories))}
+	var buf []byte
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, ts := range si.Tokens {
+		buf = nameKey(buf[:0], ts)
+		rec := t.intern(buf, ts)
+		if rec == nil {
+			return nil
+		}
+		ids.elems[i], ids.elemRecs[i] = rec.id, rec
+	}
+	for i, c := range si.Categories {
+		buf = nameKey(buf[:0], c.Keywords)
+		rec := t.intern(buf, c.Keywords)
+		if rec == nil {
+			return nil
+		}
+		ids.cats[i], ids.catRecs[i] = rec.id, rec
+	}
+	si.ids.Store(ids)
+	return ids
+}
+
+// recOf returns the record of ts under t, interning it on first use; nil
+// when t has no room left for it.
+func (t *nameTable) recOf(ts TokenSet) *nameRec {
+	var arr [128]byte
+	key := nameKey(arr[:0], ts)
+	t.mu.RLock()
+	rec := t.ids[string(key)]
+	t.mu.RUnlock()
+	if rec != nil {
+		return rec
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.intern(key, ts)
+}
+
+// recsOf returns the records of sets under t (nil for a nil set),
+// interning them on first use; nil when t has no room left for them.
+func (t *nameTable) recsOf(sets []*TokenSet) []*nameRec {
+	recs := make([]*nameRec, len(sets))
+	var buf []byte
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, ts := range sets {
+		if ts == nil {
+			continue
+		}
+		buf = nameKey(buf[:0], *ts)
+		if recs[i] = t.intern(buf, *ts); recs[i] == nil {
+			return nil
+		}
+	}
+	return recs
+}
+
+// intern returns the record of ts, whose name key is key, interning the
+// name and its tokens on first use; nil when the table has no room left.
+// t.mu must be held for writing.
+func (t *nameTable) intern(key []byte, ts TokenSet) *nameRec {
+	if rec, ok := t.ids[string(key)]; ok {
+		return rec
+	}
+	if len(t.ids) >= t.maxNames {
+		return nil
+	}
+	rec := &nameRec{id: int32(len(t.ids)), toks: make([]tokID, 0, len(ts.Tokens))}
+	for tt := TokenType(0); tt < NumTokenTypes; tt++ {
+		for _, tok := range ts.ByType(tt) {
+			raw, ok := t.tokenID(tok.Raw)
+			stem := raw
+			if ok && tt == TokenContent {
+				stem, ok = t.tokenID(tok.Stem)
+			}
+			if !ok {
+				return nil
+			}
+			rec.toks = append(rec.toks, tokID{raw: raw, stem: stem})
+		}
+		rec.off[tt+1] = int32(len(rec.toks))
+	}
+	rec.one, rec.initials = acronymKeys(ts)
+	t.ids[string(key)] = rec
+	return rec
+}
+
+// tokenID returns the ID of token string s, interning it on first use;
+// false when the table has no room left. t.mu must be held for writing.
+func (t *nameTable) tokenID(s string) (uint32, bool) {
+	if id, ok := t.toks[s]; ok {
+		return id, true
+	}
+	if len(t.toks) >= t.maxNames {
+		return 0, false
+	}
+	id := uint32(len(t.toks))
+	// Cloned so the table never pins a caller's buffer.
+	s = strings.Clone(s)
+	t.toks[s] = id
+	t.strs = append(t.strs, s)
+	return id, true
+}
+
+// nameKey appends an injective encoding of the token sequence — type, raw
+// form and stem of every token, length-prefixed — which is everything
+// ns reads.
+func nameKey(buf []byte, ts TokenSet) []byte {
+	for _, tok := range ts.Tokens {
+		buf = append(buf, byte(tok.Type))
+		buf = binary.AppendUvarint(buf, uint64(len(tok.Raw)))
+		buf = append(buf, tok.Raw...)
+		buf = binary.AppendUvarint(buf, uint64(len(tok.Stem)))
+		buf = append(buf, tok.Stem...)
+	}
+	return buf
+}
+
+// nameSims answers ns for the names of one schema pair through the memo.
+type nameSims struct {
+	tab    *nameTable
+	ia, ib *infoIDs
+}
+
+// simsFor prepares the memoized name similarities of a and b, interning
+// their names (and resetting a full name table) as needed.
+func (m *Matcher) simsFor(a, b *SchemaInfo) nameSims {
+	var ia, ib *infoIDs
+	t := m.withRoom(func(t *nameTable) bool {
+		ia, ib = t.idsOf(a), t.idsOf(b)
+		return ia != nil && ib != nil
+	})
+	return nameSims{tab: t, ia: ia, ib: ib}
+}
+
+// rowSims is ns of one name of the first schema (an element's or a
+// category's) against the names of the second, through the first name's
+// memo row. A rowSims is one goroutine's.
+type rowSims struct {
+	tab   *nameTable
+	x     *nameRec
+	ys    []int32 // the second schema's element or category IDs
+	yrecs []*nameRec
+	memo  pairRow
+}
+
+// elementRow is the row of element i of the first schema against the
+// second's elements.
+func (s *nameSims) elementRow(i int) rowSims {
+	return rowSims{tab: s.tab, x: s.ia.elemRecs[i], ys: s.ib.elems, yrecs: s.ib.elemRecs, memo: s.tab.memo.row(s.ia.elems[i])}
+}
+
+// categoryRow is the row of category i of the first schema against the
+// second's categories.
+func (s *nameSims) categoryRow(i int) rowSims {
+	return rowSims{tab: s.tab, x: s.ia.catRecs[i], ys: s.ib.cats, yrecs: s.ib.catRecs, memo: s.tab.memo.row(s.ia.cats[i])}
+}
+
+// sim returns ns of the row's name and name j (an element or a category)
+// of the second schema.
+func (r *rowSims) sim(j int) float64 {
+	y := r.ys[j]
+	if v, ok := r.memo.get(y); ok {
+		return v
+	}
+	v := r.tab.nameSim(r.x, r.yrecs[j])
+	r.memo.put(y, v)
+	return v
 }

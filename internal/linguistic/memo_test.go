@@ -2,6 +2,7 @@ package linguistic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,14 +12,105 @@ import (
 	"repro/internal/thesaurus"
 )
 
+// referenceNameSim is ns(m1,m2) of §5.2–5.3 over two token sets, with no
+// interning and no cache: the per-type weighted mean of best-counterpart
+// token averages, every content token pair scored by the thesaurus
+// directly, and the acronym floor read from the token lists.
+func referenceNameSim(p Params, th *thesaurus.Thesaurus, ts1, ts2 TokenSet) float64 {
+	tokenSim := func(a, b Token) float64 {
+		if a.Type != b.Type {
+			return 0
+		}
+		if a.Type != TokenContent {
+			if a.Raw == b.Raw {
+				return 1
+			}
+			return 0
+		}
+		if a.Stem == b.Stem {
+			return 1
+		}
+		return th.Sim(a.Raw, b.Raw)
+	}
+	setSim := func(t1, t2 []Token) float64 {
+		sum := 0.0
+		for _, a := range t1 {
+			best := 0.0
+			for _, b := range t2 {
+				if s := tokenSim(a, b); s > best {
+					best = s
+				}
+			}
+			sum += best
+		}
+		for _, b := range t2 {
+			best := 0.0
+			for _, a := range t1 {
+				if s := tokenSim(a, b); s > best {
+					best = s
+				}
+			}
+			sum += best
+		}
+		return sum / float64(len(t1)+len(t2))
+	}
+	var num, den float64
+	for tt := TokenType(0); tt < NumTokenTypes; tt++ {
+		t1, t2 := ts1.ByType(tt), ts2.ByType(tt)
+		size := float64(len(t1) + len(t2))
+		if size == 0 {
+			continue
+		}
+		w := p.Weights[tt]
+		num += w * setSim(t1, t2) * size
+		den += w * size
+	}
+	if den == 0 {
+		return 0
+	}
+	ns := num / den
+	if p.DisableAcronymDetection {
+		return ns
+	}
+	words := func(ts TokenSet) []string {
+		var out []string
+		for _, t := range ts.Tokens {
+			if t.Type == TokenContent || t.Type == TokenCommon {
+				out = append(out, t.Raw)
+			}
+		}
+		return out
+	}
+	initialism := func(single string, words []string) bool {
+		n := len(single)
+		if n < acronymMinLen || n > acronymMaxLen || len(words) != n {
+			return false
+		}
+		for i, w := range words {
+			if len(w) == 0 || w[0] != single[i] {
+				return false
+			}
+		}
+		return true
+	}
+	wa, wb := words(ts1), words(ts2)
+	if (len(wa) == 1 && initialism(wa[0], wb)) || (len(wb) == 1 && initialism(wb[0], wa)) {
+		if acronymStrength > ns {
+			ns = acronymStrength
+		}
+	}
+	return ns
+}
+
 // referenceLSim is LSim without the memo: the category scale reduced into a
-// map from per-pair NameSimTS calls, then one NameSimTS per scaled element
-// pair — the definition of §5.3, transcribed directly.
+// map from per-pair referenceNameSim calls, then one referenceNameSim per
+// scaled element pair — the definition of §5.3, transcribed directly.
 func referenceLSim(m *Matcher, a, b *SchemaInfo) matrix.Matrix {
+	ns := func(ts1, ts2 TokenSet) float64 { return referenceNameSim(m.P, m.Th, ts1, ts2) }
 	scale := map[[2]int]float64{}
 	for _, ca := range a.Categories {
 		for _, cb := range b.Categories {
-			ns := m.NameSimTS(ca.Keywords, cb.Keywords)
+			ns := ns(ca.Keywords, cb.Keywords)
 			if ns < m.P.Thns {
 				continue
 			}
@@ -33,7 +125,7 @@ func referenceLSim(m *Matcher, a, b *SchemaInfo) matrix.Matrix {
 	}
 	out := matrix.New(a.Schema.Len(), b.Schema.Len())
 	for p, s := range scale {
-		out.Set(p[0], p[1], m.NameSimTS(a.Tokens[p[0]], b.Tokens[p[1]])*s)
+		out.Set(p[0], p[1], ns(a.Tokens[p[0]], b.Tokens[p[1]])*s)
 	}
 	return out
 }
@@ -156,9 +248,9 @@ func TestLSimConcurrentCallers(t *testing.T) {
 }
 
 // TestLinguisticCachesBounded streams schemas of never-seen names through
-// a matcher with tiny caps: the normalized-name cache, the interner, the
-// memo and the token cache must stay within their caps while every result
-// still equals a fresh matcher's.
+// a matcher with tiny caps: the normalized-name cache, the name and token
+// interner, the name memo and the token-pair memo must stay within their
+// caps while every result still equals a fresh matcher's.
 func TestLinguisticCachesBounded(t *testing.T) {
 	const nameCap, memoCap, tokenCap, normCap = 64, 128, 128, 128
 	m := NewMatcher(memoThesaurus())
@@ -178,12 +270,20 @@ func TestLinguisticCachesBounded(t *testing.T) {
 		if n := len(tab.ids); n > nameCap {
 			t.Fatalf("schema %d: %d interned names, cap %d", i, n, nameCap)
 		}
-		if n := tab.memo.Load().used.Load(); n > memoCap {
-			t.Fatalf("schema %d: %d memoized pairs, cap %d", i, n, memoCap)
+		if n := len(tab.toks); n > nameCap {
+			t.Fatalf("schema %d: %d interned token strings, cap %d", i, n, nameCap)
 		}
-		for k := range tab.sims.stripes {
-			if n := len(tab.sims.stripes[k].m); n > tab.sims.stripeCap {
-				t.Fatalf("schema %d: token cache stripe %d holds %d pairs, cap %d", i, k, n, tab.sims.stripeCap)
+		if n := tab.memo.gen.Load().used.Load(); n > memoCap {
+			t.Fatalf("schema %d: %d memoized name pairs, cap %d", i, n, memoCap)
+		}
+		if n := tab.pairs.gen.Load().used.Load(); n > tokenCap {
+			t.Fatalf("schema %d: %d memoized token pairs, cap %d", i, n, tokenCap)
+		}
+		// A row directory holds one slot per ID looked up, so it stays
+		// within the interner's cap (doubling at most once past it).
+		for name, pm := range map[string]*pairMemo{"name": &tab.memo, "token": &tab.pairs} {
+			if n := len(pm.gen.Load().dir.Load().rows); n > 2*nameCap {
+				t.Fatalf("schema %d: %s memo directory has %d rows, cap %d", i, name, n, 2*nameCap)
 			}
 		}
 		for k := range tab.norms.stripes {
@@ -215,22 +315,23 @@ func TestMemoLookupAllocFree(t *testing.T) {
 	b := m.Analyze(randomSchema(rng, "B", ""))
 	m.LSim(a, b) // intern both schemas and memoize their pairs
 	sims := m.simsFor(a, b)
-	names := sims.elementRow(a, 1)
-	if got := testing.AllocsPerRun(200, func() { names.sim(1, b.Tokens[1]) }); got != 0 {
+	names := sims.elementRow(1)
+	if got := testing.AllocsPerRun(200, func() { names.sim(1) }); got != 0 {
 		t.Errorf("warm memo lookup allocates %.1f objects, want 0", got)
 	}
 }
 
 // TestLSimConcurrentRowGrowthAndResets runs 8 goroutines over one matcher
-// whose caps are tiny (run with -race): a memo generation holds 64 pairs,
-// so generations reset in the middle of LSim calls, rows start at
+// whose caps are tiny (run with -race): a memo generation holds 64 name
+// pairs and a token-pair generation 16 token pairs, so generations of
+// both reset in the middle of LSim calls, rows start at
 // memoRowSlots and double while other callers read them, and the name
 // table itself resets as the unique names pile up. Every result must equal
 // the reference.
 func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := NewMatcher(memoThesaurus())
-	m.nameCap, m.memoCap = 256, 64
+	m.nameCap, m.memoCap, m.tokenCap = 256, 64, 16
 	ref := NewMatcher(memoThesaurus())
 	infos := make([]*SchemaInfo, 10)
 	want := make([][]matrix.Matrix, len(infos))
@@ -247,21 +348,24 @@ func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
 		}
 	}
 
-	// One call alone already outgrows a row and a generation.
-	gen := m.table().memo.Load()
+	// One call alone already outgrows a row and a generation of each memo.
+	gen, pairs := m.table().memo.gen.Load(), m.table().pairs.gen.Load()
 	if !m.LSim(infos[0], infos[1]).Equal(want[0][1]) {
 		t.Fatal("LSim differs from the reference")
 	}
 	tab := m.names.Load()
-	if tab.memo.Load() == gen {
+	if tab.memo.gen.Load() == gen {
 		t.Fatal("one LSim call never reset the memo generation: the test would not cover resets")
+	}
+	if tab.pairs.gen.Load() == pairs {
+		t.Fatal("one LSim call never reset the token-pair generation: the test would not cover resets")
 	}
 	grown := false
 	for i := range infos[0].Tokens {
 		sims := m.simsFor(infos[0], infos[1])
-		names := sims.elementRow(infos[0], i)
-		names.fetch()
-		grown = grown || len(names.row.slots) > memoRowSlots
+		names := sims.elementRow(i)
+		names.memo.fetch()
+		grown = grown || len(names.memo.row.slots) > memoRowSlots
 	}
 	if !grown {
 		t.Fatal("no memo row grew: the test would not cover row growth")
@@ -286,5 +390,144 @@ func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// randomTokenSet builds a token set by hand: up to nine tokens of all five
+// types, drawn from words that hit the thesaurus (synonyms, a hypernym,
+// an abbreviation's expansion), share prefixes or suffixes (the substring
+// fallback), spell initialisms, or are empty. Stems are the thesaurus's,
+// except now and then one that is not, as a caller's set may hold. Half
+// the sets are partitioned.
+func randomTokenSet(rng *rand.Rand) TokenSet {
+	content := []string{"client", "customer", "customers", "vendor", "supplier", "phone", "contact",
+		"street", "streets", "address", "addresses", "order", "reorder", "purchase", "unit", "measure",
+		"uom", "po", "pu", "stock", "keeping", "sku", "ab", ""}
+	pick := func(ws ...string) string { return ws[rng.Intn(len(ws))] }
+	var ts TokenSet
+	for n := rng.Intn(10); n > 0; n-- {
+		var tok Token
+		tt := TokenContent // half the tokens, so sums run over several
+		if rng.Intn(2) == 0 {
+			tt = TokenType(rng.Intn(int(NumTokenTypes)))
+		}
+		switch tt {
+		case TokenContent:
+			w := pick(content...)
+			tok = Token{Raw: w, Stem: thesaurus.Stem(w), Type: tt}
+			if rng.Intn(8) == 0 {
+				tok.Stem = pick(content...)
+			}
+		case TokenConcept:
+			w := pick("money", "quantity", "contact")
+			tok = Token{Raw: w, Stem: w, Type: tt}
+		case TokenCommon:
+			w := pick("of", "the", "and", "")
+			tok = Token{Raw: w, Stem: w, Type: tt}
+		case TokenNumber:
+			w := pick("1", "2", "10")
+			tok = Token{Raw: w, Stem: w, Type: tt}
+		case TokenSymbol:
+			w := pick("#", "$")
+			tok = Token{Raw: w, Stem: w, Type: tt}
+		}
+		ts.Tokens = append(ts.Tokens, tok)
+	}
+	if rng.Intn(2) == 0 {
+		ts = ts.Partitioned()
+	}
+	return ts
+}
+
+// TestNameSimMatchesReference compares ns computed from interned records —
+// through NameSimTS, and through a memo row, first as a miss and then as a
+// hit — with referenceNameSim, bit for bit, over every pair of a mix of
+// normalized names and hand-built token sets, under the default
+// parameters, without the acronym heuristic, and with every type
+// weighted.
+func TestNameSimMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	th := memoThesaurus()
+	var sets []TokenSet
+	for _, name := range memoNames {
+		sets = append(sets, Normalize(name, th))
+	}
+	for _, name := range []string{"UOM", "unit_of_measure", "PO", "purchase order", "SKU", "StockKeepingUnit", "AB", "A B"} {
+		sets = append(sets, Normalize(name, thesaurus.New()))
+	}
+	for len(sets) < 120 {
+		sets = append(sets, randomTokenSet(rng))
+	}
+	noAcronyms, allWeighted := DefaultParams(), DefaultParams()
+	noAcronyms.DisableAcronymDetection = true
+	allWeighted.Weights = [NumTokenTypes]float64{0.4, 0.2, 0.1, 0.2, 0.1}
+	for _, p := range []Params{DefaultParams(), noAcronyms, allWeighted} {
+		m := NewMatcher(th)
+		m.P = p
+		tab := m.table()
+		for _, a := range sets {
+			x := tab.recOf(a)
+			for _, b := range sets {
+				want := referenceNameSim(p, th, a, b)
+				if got := m.NameSimTS(a, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%+v: NameSimTS(%q, %q) = %v, reference %v", p, a, b, got, want)
+				}
+				y := tab.recOf(b)
+				row := rowSims{tab: tab, x: x, ys: []int32{y.id}, yrecs: []*nameRec{y}, memo: tab.memo.row(x.id)}
+				for _, lookup := range []string{"miss", "hit"} {
+					if got := row.sim(0); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%+v: memo %s ns(%q, %q) = %v, reference %v", p, lookup, a, b, got, want)
+					}
+				}
+			}
+		}
+		if m.names.Load() != tab {
+			t.Fatal("the name table reset: the memo rows above read a stale table")
+		}
+	}
+}
+
+// TestLSimAfterTableReset interns a corpus, makes the name table reset by
+// filling a small interner with names of its own, then matches a probe
+// analyzed after the reset against the corpus, whose IDs still belong to
+// the old table: every table must equal the reference, and the corpus must
+// be re-interned into the new table rather than have its old IDs read
+// there.
+func TestLSimAfterTableReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	m := NewMatcher(memoThesaurus())
+	m.nameCap = 128
+	ref := NewMatcher(memoThesaurus())
+	corpus := make([]*SchemaInfo, 6)
+	for i := range corpus {
+		corpus[i] = m.Analyze(randomSchema(rng, fmt.Sprintf("S%d", i), ""))
+	}
+	for _, a := range corpus {
+		for _, b := range corpus {
+			m.LSim(a, b)
+		}
+	}
+	old := m.names.Load()
+	for i := 0; m.names.Load() == old; i++ {
+		if i == 100 {
+			t.Fatal("the name table never reset: the test would not cover resets")
+		}
+		u := m.Analyze(randomSchema(rng, fmt.Sprintf("U%d", i), fmt.Sprintf("Unique%d", i)))
+		m.LSim(u, u)
+	}
+	probe := m.Analyze(randomSchema(rng, "probe", "Probe"))
+	for i, c := range corpus {
+		if c.ids.Load().tab == m.names.Load() {
+			t.Fatalf("corpus schema %d already has IDs in the new table", i)
+		}
+		for _, pair := range [][2]*SchemaInfo{{probe, c}, {c, probe}} {
+			if got, want := m.LSim(pair[0], pair[1]), referenceLSim(ref, pair[0], pair[1]); !got.Equal(want) {
+				t.Fatalf("%s×%s after a reset: LSim differs from the reference (max diff %g)",
+					pair[0].Schema.Name, pair[1].Schema.Name, got.MaxAbsDiff(want))
+			}
+		}
+		if tab := m.names.Load(); c.ids.Load().tab != tab || probe.ids.Load().tab != tab {
+			t.Fatalf("corpus schema %d: the pair was not matched in the current table", i)
+		}
 	}
 }

@@ -77,9 +77,6 @@ type TokenSet struct {
 	// parts caches the per-type partition of Tokens (see Partitioned).
 	// nil for hand-built literals; ByType falls back to filtering then.
 	parts *[NumTokenTypes][]Token
-	// words caches the content+common raw words for acronym detection;
-	// computed together with parts. Valid only when parts != nil.
-	words []string
 }
 
 // Partitioned returns a TokenSet whose per-type partitions are
@@ -111,14 +108,6 @@ func (ts TokenSet) Partitioned() TokenSet {
 		parts[tt] = buf[start:len(buf):len(buf)]
 	}
 	ts.parts = &parts
-	if n := counts[TokenContent] + counts[TokenCommon]; n > 0 {
-		ts.words = make([]string, 0, n)
-		for _, t := range ts.Tokens {
-			if t.Type == TokenContent || t.Type == TokenCommon {
-				ts.words = append(ts.words, t.Raw)
-			}
-		}
-	}
 	return ts
 }
 

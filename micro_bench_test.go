@@ -125,6 +125,39 @@ func BenchmarkNameSimTS(b *testing.B) {
 	}
 }
 
+// BenchmarkNameSimMiss is NameSimTS over the element names of the
+// mid-size synthetic pair (allocWorkload), a different name pair on every
+// op, with every name and token pair seen once before: the cost of a
+// name-memo miss in LSim, plus NameSimTS's two lookups of the names.
+func BenchmarkNameSimMiss(b *testing.B) {
+	lm := linguistic.NewMatcher(workloads.PaperThesaurus())
+	src, dst := warmNamePairs(lm)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lm.NameSimTS(src[i%len(src)], dst[(i/len(src))%len(dst)])
+	}
+}
+
+// warmNamePairs normalizes the element names of allocWorkload's two
+// schemas and runs NameSimTS once over every pair of them, so every name
+// and every token pair is known to lm.
+func warmNamePairs(lm *linguistic.Matcher) (src, dst []linguistic.TokenSet) {
+	w := allocWorkload()
+	for _, e := range w.Source.Elements() {
+		src = append(src, linguistic.Normalize(e.Name, lm.Th))
+	}
+	for _, e := range w.Target.Elements() {
+		dst = append(dst, linguistic.Normalize(e.Name, lm.Th))
+	}
+	for _, a := range src {
+		for _, c := range dst {
+			lm.NameSimTS(a, c)
+		}
+	}
+	return src, dst
+}
+
 func BenchmarkLSimWarm(b *testing.B) {
 	w := workloads.CIDXExcel()
 	lm := linguistic.NewMatcher(workloads.PaperThesaurus())
@@ -191,6 +224,18 @@ func TestAllocRegressions(t *testing.T) {
 	lm.NameSimTS(ts1, ts2) // warm the cache: steady-state is what we pin
 	if got := testing.AllocsPerRun(200, func() { lm.NameSimTS(ts1, ts2) }); got > 0 {
 		t.Errorf("NameSimTS allocates %.1f objects/op on warm cache, want 0", got)
+	}
+
+	// A name-memo miss over warm tokens allocates nothing: NameSimTS
+	// computes ns from the names' interned records, as a miss in LSim
+	// does, here for a different name pair on every call.
+	names, others := warmNamePairs(lm)
+	k := 0
+	if got := testing.AllocsPerRun(500, func() {
+		lm.NameSimTS(names[k%len(names)], others[(k/len(names))%len(others)])
+		k++
+	}); got > 0 {
+		t.Errorf("a name similarity over warm tokens allocates %.1f objects/op, want 0", got)
 	}
 
 	// A warm name-memo lookup allocates nothing: on a warm memo LSim
