@@ -4,13 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/model/modeltest"
 	"repro/internal/schematree"
 )
 
 // FuzzParseAvro asserts the importer's crash-freedom contract: no input
 // panics, and every accepted declaration yields a schema that validates
 // and expands through schematree.Build (the Prepare pipeline's per-schema
-// phase), tolerating only the deliberate node-cap rejection.
+// phase), tolerating only the deliberate node-cap rejection, and survives
+// a round trip through the native JSON format with the same element count
+// and paths.
 func FuzzParseAvro(f *testing.F) {
 	f.Add([]byte(`{"type": "record", "name": "R", "fields": [{"name": "id", "type": "long"}, {"name": "tags", "type": {"type": "array", "items": "string"}}]}`))
 	f.Add([]byte(`{"type": "record", "name": "Node", "fields": [{"name": "next", "type": ["null", "Node"]}]}`))
@@ -34,6 +37,9 @@ func FuzzParseAvro(f *testing.F) {
 		if _, err := schematree.Build(s, schematree.Options{MaxNodes: 4096}); err != nil &&
 			!strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("accepted schema fails tree expansion: %v", err)
+		}
+		if _, err := modeltest.JSONRoundTrip(s); err != nil {
+			t.Fatalf("accepted schema does not survive the native json format: %v", err)
 		}
 	})
 }

@@ -136,14 +136,31 @@ func Generate(ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matri
 	return m
 }
 
-func eligible(n *schematree.Node, leaves bool, opt Options) bool {
-	if n.IsLeaf() != leaves {
-		return false
+// eligibleIdx returns the post-order indexes, ascending, of tr's nodes
+// that generation may map: its leaves or its non-leaves, as the tree
+// records them, without join-view nodes unless IncludeJoinViews is set.
+// Only that filtering allocates.
+func eligibleIdx(tr *schematree.Tree, leaves bool, opt Options) []int {
+	idx := tr.NonLeaves()
+	if leaves {
+		idx = tr.Leaves(tr.Root)
 	}
-	if n.IsJoinView && !opt.IncludeJoinViews {
-		return false
+	if opt.IncludeJoinViews {
+		return idx
 	}
-	return true
+	out := make([]int, 0, len(idx))
+	for _, i := range idx {
+		if mappable(tr.Nodes[i], opt) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// mappable reports whether opt lets generation map node n: any node when
+// IncludeJoinViews is set, else only nodes that are not join views.
+func mappable(n *schematree.Node, opt Options) bool {
+	return opt.IncludeJoinViews || !n.IsJoinView
 }
 
 // parentWSim is the context tie-break key for leaf generation: the
@@ -172,7 +189,7 @@ type bestElsewhere struct {
 	argmax []int
 }
 
-func computeBestElsewhere(ts, tt *schematree.Tree, res *structural.Result, opt Options, leaves bool) bestElsewhere {
+func computeBestElsewhere(ts *schematree.Tree, res *structural.Result, srcs, tgts []int) bestElsewhere {
 	be := bestElsewhere{
 		max:    make([]float64, ts.Len()),
 		second: make([]float64, ts.Len()),
@@ -181,22 +198,17 @@ func computeBestElsewhere(ts, tt *schematree.Tree, res *structural.Result, opt O
 	for i := range be.argmax {
 		be.argmax[i] = -1
 	}
-	for _, s := range ts.Nodes {
-		if !eligible(s, leaves, opt) {
-			continue
-		}
-		for _, t := range tt.Nodes {
-			if !eligible(t, leaves, opt) {
-				continue
-			}
-			w := res.WSim.At(s.Idx, t.Idx)
+	for _, si := range srcs {
+		row := res.WSim.Row(si)
+		for _, ti := range tgts {
+			w := row[ti]
 			switch {
-			case w > be.max[s.Idx]:
-				be.second[s.Idx] = be.max[s.Idx]
-				be.max[s.Idx] = w
-				be.argmax[s.Idx] = t.Idx
-			case w > be.second[s.Idx]:
-				be.second[s.Idx] = w
+			case w > be.max[si]:
+				be.second[si] = be.max[si]
+				be.max[si] = w
+				be.argmax[si] = ti
+			case w > be.second[si]:
+				be.second[si] = w
 			}
 		}
 	}
@@ -213,44 +225,49 @@ func (be bestElsewhere) other(s, t int) float64 {
 
 // generateOneToN implements the paper's naive scheme: for each target node
 // the best acceptable source node (ties broken by parent context, then by
-// the margin rule, then post-order index).
+// the margin rule, then post-order index). It walks wsim row by row over
+// the eligible sources, keeping a running best per eligible target: each
+// target still meets its sources in ascending post-order, so every
+// tie-break resolves as in a column scan.
 func generateOneToN(ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options, leaves bool) []Element {
-	be := computeBestElsewhere(ts, tt, res, opt, leaves)
-	var out []Element
-	for _, t := range tt.Nodes {
-		if !eligible(t, leaves, opt) {
-			continue
-		}
-		best := -1
-		bestW := 0.0
-		bestPW := 0.0
-		bestOther := 0.0
-		for _, s := range ts.Nodes {
-			if !eligible(s, leaves, opt) {
-				continue
-			}
-			w := res.WSim.At(s.Idx, t.Idx)
+	srcs, tgts := eligibleIdx(ts, leaves, opt), eligibleIdx(tt, leaves, opt)
+	be := computeBestElsewhere(ts, res, srcs, tgts)
+	type pick struct {
+		s            int
+		w, pw, other float64
+	}
+	picks := make([]pick, len(tgts))
+	for k := range picks {
+		picks[k].s = -1
+	}
+	for _, si := range srcs {
+		row := res.WSim.Row(si)
+		for k, ti := range tgts {
+			w := row[ti]
 			if w < opt.ThAccept {
 				continue
 			}
 			pw := 0.0
 			if leaves {
-				pw = parentWSim(res, s, t)
+				pw = parentWSim(res, ts.Nodes[si], tt.Nodes[ti])
 			}
-			other := be.other(s.Idx, t.Idx)
-			if w > bestW ||
-				(w == bestW && pw > bestPW) ||
-				(w == bestW && pw == bestPW && best >= 0 && other < bestOther) {
-				bestW, bestPW, bestOther, best = w, pw, other, s.Idx
+			other := be.other(si, ti)
+			if b := &picks[k]; w > b.w ||
+				(w == b.w && pw > b.pw) ||
+				(w == b.w && pw == b.pw && b.s >= 0 && other < b.other) {
+				*b = pick{si, w, pw, other}
 			}
 		}
-		if best >= 0 {
+	}
+	var out []Element
+	for k, ti := range tgts {
+		if b := picks[k]; b.s >= 0 {
 			out = append(out, Element{
-				Source: ts.Nodes[best],
-				Target: t,
-				WSim:   bestW,
-				SSim:   res.SSim.At(best, t.Idx),
-				LSim:   lsim.At(best, t.Idx),
+				Source: ts.Nodes[b.s],
+				Target: tt.Nodes[ti],
+				WSim:   b.w,
+				SSim:   res.SSim.At(b.s, ti),
+				LSim:   lsim.At(b.s, ti),
 			})
 		}
 	}
@@ -269,12 +286,12 @@ func LeafWSimSum(ts, tt *schematree.Tree, wsim matrix.Matrix, opt Options) float
 	srcLeaves := ts.Leaves(ts.Root)
 	sum := 0.0
 	for _, ti := range tt.Leaves(tt.Root) {
-		if !eligible(tt.Nodes[ti], true, opt) {
+		if !mappable(tt.Nodes[ti], opt) {
 			continue
 		}
 		best := -1.0 // below every acceptable wsim (ThAccept >= 0)
 		for _, si := range srcLeaves {
-			if w := wsim.At(si, ti); w >= opt.ThAccept && w > best && eligible(ts.Nodes[si], true, opt) {
+			if w := wsim.At(si, ti); w >= opt.ThAccept && w > best && mappable(ts.Nodes[si], opt) {
 				best = w
 			}
 		}
@@ -289,7 +306,8 @@ func LeafWSimSum(ts, tt *schematree.Tree, wsim matrix.Matrix, opt Options) float
 // consuming each source and target at most once. Ties break on post-order
 // indexes for determinism.
 func generateOneToOne(ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options, leaves bool) []Element {
-	be := computeBestElsewhere(ts, tt, res, opt, leaves)
+	srcs, tgts := eligibleIdx(ts, leaves, opt), eligibleIdx(tt, leaves, opt)
+	be := computeBestElsewhere(ts, res, srcs, tgts)
 	type cand struct {
 		s, t  int
 		w     float64
@@ -297,20 +315,15 @@ func generateOneToOne(ts, tt *schematree.Tree, res *structural.Result, lsim matr
 		other float64
 	}
 	var cands []cand
-	for _, s := range ts.Nodes {
-		if !eligible(s, leaves, opt) {
-			continue
-		}
-		for _, t := range tt.Nodes {
-			if !eligible(t, leaves, opt) {
-				continue
-			}
-			if w := res.WSim.At(s.Idx, t.Idx); w >= opt.ThAccept {
+	for _, si := range srcs {
+		row := res.WSim.Row(si)
+		for _, ti := range tgts {
+			if w := row[ti]; w >= opt.ThAccept {
 				pw := 0.0
 				if leaves {
-					pw = parentWSim(res, s, t)
+					pw = parentWSim(res, ts.Nodes[si], tt.Nodes[ti])
 				}
-				cands = append(cands, cand{s.Idx, t.Idx, w, pw, be.other(s.Idx, t.Idx)})
+				cands = append(cands, cand{si, ti, w, pw, be.other(si, ti)})
 			}
 		}
 	}

@@ -21,56 +21,86 @@ import (
 // reference edges. It is a content identity, not a semantic one — element
 // order matters, exactly as it does to the matcher's tie-breaking.
 func Fingerprint(s *Schema) string {
-	h := sha256.New()
-	writeString(h, s.Name)
+	fw := fpWriter{h: sha256.New()}
+	fw.string(s.Name)
 	for _, e := range s.elements {
-		writeString(h, e.Name)
-		writeString(h, e.Description)
-		writeInt(h, int(e.Kind))
-		writeInt(h, int(e.Type))
-		writeBool(h, e.Optional)
-		writeBool(h, e.NotInstantiated)
-		writeBool(h, e.IsKey)
+		fw.string(e.Name)
+		fw.string(e.Description)
+		fw.int(int(e.Kind))
+		fw.int(int(e.Type))
+		fw.bool(e.Optional)
+		fw.bool(e.NotInstantiated)
+		fw.bool(e.IsKey)
 		if e.parent != nil {
-			writeInt(h, e.parent.id)
+			fw.int(e.parent.id)
 		} else {
-			writeInt(h, -1)
+			fw.int(-1)
 		}
 		// Children are hashed as an ordered edge list, not only via the
 		// parent pointer: Contain attaches in call order, so two schemas
 		// can create identical elements yet order siblings differently —
 		// which changes post-order indexes and hence tie-breaking.
-		writeEdges(h, e.children)
-		writeEdges(h, e.derivedFrom)
-		writeEdges(h, e.aggregates)
-		writeEdges(h, e.references)
+		fw.edges(e.children)
+		fw.edges(e.derivedFrom)
+		fw.edges(e.aggregates)
+		fw.edges(e.references)
 	}
-	sum := h.Sum(nil)
+	fw.flush()
+	sum := fw.h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }
 
-func writeString(h hash.Hash, s string) {
-	writeInt(h, len(s))
-	h.Write([]byte(s))
+// fpWriter feeds the fingerprint's byte stream to the hash through a
+// small fixed buffer, flushed whenever the next value would not fit: one
+// hash Write per buffer's worth of bytes rather than one per value. A
+// string is its length (as an int) then its bytes, an int its 8-byte
+// little-endian two's complement, a bool one byte (1 or 0) and an edge
+// list its length then the target IDs.
+type fpWriter struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
 }
 
-func writeInt(h hash.Hash, v int) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(int64(v)))
-	h.Write(b[:])
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
 }
 
-func writeBool(h hash.Hash, v bool) {
+func (w *fpWriter) int(v int) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(int64(v)))
+	w.n += 8
+}
+
+func (w *fpWriter) bool(v bool) {
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	w.buf[w.n] = 0
 	if v {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+		w.buf[w.n] = 1
+	}
+	w.n++
+}
+
+func (w *fpWriter) string(s string) {
+	w.int(len(s))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		k := copy(w.buf[w.n:], s)
+		w.n += k
+		s = s[k:]
 	}
 }
 
-func writeEdges(h hash.Hash, es []*Element) {
-	writeInt(h, len(es))
+func (w *fpWriter) edges(es []*Element) {
+	w.int(len(es))
 	for _, e := range es {
-		writeInt(h, e.id)
+		w.int(e.id)
 	}
 }

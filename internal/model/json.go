@@ -4,18 +4,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
 // jsonSchema is the on-disk representation of a schema used by the native
-// .schema.json format of the CLI tools. Elements refer to each other by
-// their string names within the file ("name paths" for disambiguation are
-// unnecessary because the format assigns every element a unique local id).
+// .schema.json format of the CLI tools:
+//
+//   - root: the root element and its containment tree;
+//   - types: the trees of the other elements with no containment parent,
+//     the shared types that IsDerivedFrom targets (XSD named complex
+//     types, Avro named records, JSON Schema $defs); a type's path starts
+//     at its own name;
+//   - refints: the referential constraints built by Schema.AddRefInt, each
+//     re-created on load under the common ancestor of its endpoints;
+//   - derivations: the IsDerivedFrom edges.
+//
+// The refints and derivations sections name elements by dotted path, or
+// by an element's "id" where several elements share a path (a reference
+// first resolves as an id, then as a path; with duplicate paths the last
+// element in document order wins). On load the root tree is created
+// first, then the types, so derivations and refints may name either.
 type jsonSchema struct {
-	Name string        `json:"name"`
-	Root *jsonElement  `json:"root"`
-	Refs []jsonRefInt  `json:"refints,omitempty"`
-	Ders []jsonDerives `json:"derivations,omitempty"`
+	Name  string         `json:"name"`
+	Root  *jsonElement   `json:"root"`
+	Types []*jsonElement `json:"types,omitempty"`
+	Refs  []jsonRefInt   `json:"refints,omitempty"`
+	Ders  []jsonDerives  `json:"derivations,omitempty"`
 }
 
 type jsonElement struct {
@@ -58,16 +73,33 @@ func ParseKind(name string) Kind {
 	return KindOther
 }
 
-// MarshalJSON implements the native schema file format. IsDerivedFrom,
-// aggregation, and reference links that AddRefInt created are emitted in
-// the refints/derivations sections keyed by element path.
+// declaredRefInt reports whether e is a referential constraint the refints
+// section describes: a RefInt with the source and target links AddRefInt
+// gives it. Any other RefInt element is written in place like a plain one.
+func declaredRefInt(e *Element) bool {
+	return e.Kind == KindRefInt && len(e.aggregates) > 0 && len(e.references) > 0
+}
+
+// MarshalJSON implements the native schema file format (see jsonSchema).
+// IsDerivedFrom, aggregation, and reference links that AddRefInt created
+// are emitted in the refints/derivations sections, keyed by element path,
+// or by an id written on the element when its path is not unique.
 func (s *Schema) MarshalJSON() ([]byte, error) {
+	ids := s.referenceIDs()
+	ref := func(e *Element) string {
+		if id, ok := ids[e]; ok {
+			return id
+		}
+		return e.Path()
+	}
 	var conv func(e *Element) *jsonElement
 	conv = func(e *Element) *jsonElement {
 		je := &jsonElement{
+			ID:       ids[e],
 			Name:     e.Name,
 			Optional: e.Optional,
 			Key:      e.IsKey,
+			NoInst:   e.NotInstantiated,
 			Desc:     e.Description,
 		}
 		if e.Kind != KindOther && e.Kind != KindSchema {
@@ -76,37 +108,76 @@ func (s *Schema) MarshalJSON() ([]byte, error) {
 		if e.Type != DTNone {
 			je.Type = e.Type.String()
 		}
-		// RefInt containment children are re-created from the refints
-		// section on load; skip them here and record not-instantiated flags
-		// only for non-refint elements.
-		if e.NotInstantiated && e.Kind != KindRefInt {
-			je.NoInst = true
-		}
+		// Declared refints are re-created from the refints section on
+		// load.
 		for _, c := range e.children {
-			if c.Kind == KindRefInt {
-				continue
+			if !declaredRefInt(c) {
+				je.Children = append(je.Children, conv(c))
 			}
-			je.Children = append(je.Children, conv(c))
 		}
 		return je
 	}
 	js := jsonSchema{Name: s.Name, Root: conv(s.root)}
 	for _, e := range s.elements {
-		if e.Kind == KindRefInt {
-			ri := jsonRefInt{Name: e.Name}
+		switch {
+		case declaredRefInt(e):
+			ri := jsonRefInt{Name: e.Name, Target: ref(e.references[0])}
 			for _, src := range e.aggregates {
-				ri.Sources = append(ri.Sources, src.Path())
-			}
-			if len(e.references) > 0 {
-				ri.Target = e.references[0].Path()
+				ri.Sources = append(ri.Sources, ref(src))
 			}
 			js.Refs = append(js.Refs, ri)
+		case e.parent == nil && e != s.root:
+			js.Types = append(js.Types, conv(e))
 		}
 		for _, t := range e.derivedFrom {
-			js.Ders = append(js.Ders, jsonDerives{Element: e.Path(), Type: t.Path()})
+			js.Ders = append(js.Ders, jsonDerives{Element: ref(e), Type: ref(t)})
 		}
 	}
 	return json.MarshalIndent(js, "", "  ")
+}
+
+// referenceIDs assigns an id to every element that a derivation or refint
+// names but whose path another written element shares, so the reference
+// resolves to it alone. An id is the element's ID after more '#' than any
+// written path starts with, so no path reference can resolve to an id
+// instead. It returns nil when no reference is ambiguous.
+func (s *Schema) referenceIDs() map[*Element]string {
+	var named []*Element
+	for _, e := range s.elements {
+		named = append(named, e.derivedFrom...)
+		if len(e.derivedFrom) > 0 {
+			named = append(named, e)
+		}
+		if declaredRefInt(e) {
+			named = append(named, e.aggregates...)
+			named = append(named, e.references[0])
+		}
+	}
+	if len(named) == 0 {
+		return nil
+	}
+	paths := make(map[string]int, len(s.elements))
+	for _, e := range s.elements {
+		if !declaredRefInt(e) {
+			paths[e.Path()]++
+		}
+	}
+	hashes := 0
+	for p := range paths {
+		hashes = max(hashes, len(p)-len(strings.TrimLeft(p, "#")))
+	}
+	prefix := strings.Repeat("#", hashes+1)
+	var ids map[*Element]string
+	for _, e := range named {
+		if _, done := ids[e]; done || paths[e.Path()] < 2 {
+			continue
+		}
+		if ids == nil {
+			ids = map[*Element]string{}
+		}
+		ids[e] = prefix + strconv.Itoa(e.id)
+	}
+	return ids
 }
 
 // WriteJSON writes the schema in the native JSON format.
@@ -138,10 +209,8 @@ func ReadJSON(r io.Reader) (*Schema, error) {
 	if js.Root.Name != "" {
 		s.root.Name = js.Root.Name
 	}
-	byPath := map[string]*Element{}
 	byID := map[string]*Element{}
 	record := func(je *jsonElement, e *Element) error {
-		byPath[e.Path()] = e
 		if je.ID != "" {
 			if _, dup := byID[je.ID]; dup {
 				return fmt.Errorf("model: duplicate element id %q", je.ID)
@@ -166,26 +235,55 @@ func ReadJSON(r io.Reader) (*Schema, error) {
 	if err := record(js.Root, s.root); err != nil {
 		return nil, err
 	}
-	var build func(parent *Element, jes []*jsonElement) error
-	build = func(parent *Element, jes []*jsonElement) error {
-		for _, je := range jes {
-			e := s.AddChild(parent, je.Name, ParseKind(je.Kind))
-			apply(je, e)
-			if err := record(je, e); err != nil {
-				return err
-			}
-			if err := build(e, je.Children); err != nil {
+	// add creates the element je describes under parent (free-standing
+	// when parent is nil) and then its subtree.
+	var add func(parent *Element, je *jsonElement) error
+	add = func(parent *Element, je *jsonElement) error {
+		if je == nil {
+			return fmt.Errorf("model: schema json has a null element")
+		}
+		var e *Element
+		if parent == nil {
+			e = s.NewElement(je.Name, ParseKind(je.Kind))
+		} else {
+			e = s.AddChild(parent, je.Name, ParseKind(je.Kind))
+		}
+		apply(je, e)
+		if err := record(je, e); err != nil {
+			return err
+		}
+		for _, c := range je.Children {
+			if err := add(e, c); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := build(s.root, js.Root.Children); err != nil {
-		return nil, err
+	for _, je := range js.Root.Children {
+		if err := add(s.root, je); err != nil {
+			return nil, err
+		}
 	}
+	for _, je := range js.Types {
+		if err := add(nil, je); err != nil {
+			return nil, err
+		}
+	}
+	// A path reference names one of the elements created so far (not a
+	// refint the refints section adds), the last in document order when
+	// several share the path. The path map is built on the first
+	// reference that is not an id.
+	named := s.elements
+	var byPath map[string]*Element
 	resolve := func(ref string) (*Element, error) {
 		if e, ok := byID[ref]; ok {
 			return e, nil
+		}
+		if byPath == nil {
+			byPath = make(map[string]*Element, len(named))
+			for _, e := range named {
+				byPath[e.Path()] = e
+			}
 		}
 		if e, ok := byPath[ref]; ok {
 			return e, nil

@@ -97,6 +97,8 @@ type Tree struct {
 	Nodes []*Node
 	// leafIdx lists the post-order indexes of all leaves, ascending.
 	leafIdx []int
+	// nonLeafIdx lists the post-order indexes of all non-leaves, ascending.
+	nonLeafIdx []int
 }
 
 // Len returns the number of nodes.
@@ -112,6 +114,13 @@ func (t *Tree) NumLeaves() int { return len(t.leafIdx) }
 // internal storage; do not modify.
 func (t *Tree) Leaves(n *Node) []int {
 	return t.leafIdx[n.leafLo:n.leafHi:n.leafHi]
+}
+
+// NonLeaves returns the post-order indexes of every non-leaf node of the
+// tree, ascending. Build records the list, so this allocates nothing. The
+// slice aliases internal storage; do not modify.
+func (t *Tree) NonLeaves() []int {
+	return t.nonLeafIdx[:len(t.nonLeafIdx):len(t.nonLeafIdx)]
 }
 
 // LeafCount returns the number of leaves under n (n itself when a leaf).
@@ -406,12 +415,14 @@ func (b *builder) copySubtree(orig *Node, parent *Node) *Node {
 	return cp
 }
 
-// finalize assigns post-order indexes, depths, subtree ranges, leaf lists
-// (with every node's range of them) and per-leaf optional depths.
+// finalize assigns post-order indexes, depths, subtree ranges, the leaf
+// list (with every node's range of it), the non-leaf list and per-leaf
+// optional depths.
 func (b *builder) finalize() {
 	t := b.tree
 	t.Nodes = t.Nodes[:0]
 	t.leafIdx = t.leafIdx[:0]
+	t.nonLeafIdx = t.nonLeafIdx[:0]
 	var walk func(n *Node, depth, deepOpt int) int
 	walk = func(n *Node, depth, deepOpt int) int {
 		n.Depth = depth
@@ -430,6 +441,8 @@ func (b *builder) finalize() {
 			first = n.Idx
 			n.optDepth = deepOpt
 			t.leafIdx = append(t.leafIdx, n.Idx)
+		} else {
+			t.nonLeafIdx = append(t.nonLeafIdx, n.Idx)
 		}
 		n.SubFirst = first
 		n.leafLo, n.leafHi = leafLo, len(t.leafIdx)

@@ -409,7 +409,8 @@ func TestTreeInvariants(t *testing.T) {
 
 // TestLeavesMatchesSubtreeRangeSearch: the leaf range Build records per
 // node must give exactly the slice the subtree range [SubFirst, Idx]
-// selects from the tree's leaf list by binary search, for every node of
+// selects from the tree's leaf list by binary search, and NonLeaves every
+// other index in ascending order, for every node of
 // synthetic trees (with foreign keys), a family corpus, join views (RDB,
 // Star) and type substitution (CIDX/Excel, the shared-type PO).
 func TestLeavesMatchesSubtreeRangeSearch(t *testing.T) {
@@ -431,11 +432,16 @@ func TestLeavesMatchesSubtreeRangeSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		var leaves []int
+		var leaves, nonLeaves []int
 		for _, n := range tr.Nodes {
 			if n.IsLeaf() {
 				leaves = append(leaves, n.Idx)
+			} else {
+				nonLeaves = append(nonLeaves, n.Idx)
 			}
+		}
+		if got := tr.NonLeaves(); !slices.Equal(got, nonLeaves) {
+			t.Fatalf("%s: NonLeaves = %v, want %v", s.Name, got, nonLeaves)
 		}
 		for _, n := range tr.Nodes {
 			lo := sort.SearchInts(leaves, n.SubFirst)

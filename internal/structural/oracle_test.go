@@ -13,16 +13,14 @@ package structural_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/matrix"
-	"repro/internal/model"
 	"repro/internal/schematree"
 	"repro/internal/structural"
-	"repro/internal/workloads"
+	"repro/internal/structural/oraclepairs"
 )
 
 type oracle struct {
@@ -326,67 +324,6 @@ func (o *oracle) secondPass() {
 	}
 }
 
-// oraclePair is one randomized input: two trees and an element-keyed
-// lsim lifted to their nodes (context copies share their element's value,
-// as the core pipeline's lift guarantees).
-type oraclePair struct {
-	name   string
-	ts, tt *schematree.Tree
-	lsim   matrix.Matrix
-}
-
-// lsimLevels put many cells on either side of ThAccept and of the
-// increase/decrease thresholds.
-var lsimLevels = []float64{0, 0, 0, 0.2, 0.4, 0.5, 0.6, 0.8, 1}
-
-func randomPair(t *testing.T, rng *rand.Rand, name string, src, dst *model.Schema) oraclePair {
-	t.Helper()
-	for _, s := range []*model.Schema{src, dst} {
-		for _, e := range s.Elements() {
-			e.Optional = rng.Intn(5) == 0
-		}
-	}
-	ts, err := schematree.Build(src, schematree.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := schematree.Build(dst, schematree.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	elem := matrix.New(src.Len(), dst.Len())
-	for i := 0; i < src.Len(); i++ {
-		for j := 0; j < dst.Len(); j++ {
-			elem.Set(i, j, lsimLevels[rng.Intn(len(lsimLevels))])
-		}
-	}
-	lsim := matrix.New(ts.Len(), tt.Len())
-	for i, sn := range ts.Nodes {
-		for j, tn := range tt.Nodes {
-			lsim.Set(i, j, elem.At(sn.Elem.ID(), tn.Elem.ID()))
-		}
-	}
-	return oraclePair{name, ts, tt, lsim}
-}
-
-// oraclePairs is a few fixed workloads with shared types and join views
-// (context copies for the lazy memo) plus randomized synthetic pairs.
-func oraclePairs(t *testing.T) []oraclePair {
-	rng := rand.New(rand.NewSource(41))
-	var out []oraclePair
-	for _, w := range []workloads.Workload{workloads.SharedTypePO(), workloads.CIDXExcel(), workloads.RDBStar()} {
-		out = append(out, randomPair(t, rng, w.Name, w.Source, w.Target))
-	}
-	for i := 0; i < 9; i++ {
-		w := workloads.Synthetic(workloads.SyntheticSpec{
-			Tables: 2 + rng.Intn(3), ColsPerTable: 2 + rng.Intn(5), Depth: 1 + rng.Intn(3),
-			Seed: rng.Int63(), Rename: 0.3, Renest: 0.3, FKs: rng.Intn(3),
-		})
-		out = append(out, randomPair(t, rng, fmt.Sprintf("synthetic %d", i), w.Source, w.Target))
-	}
-	return out
-}
-
 // oracleParams is every combination of the §8.4 toggles.
 func oracleParams() []structural.Params {
 	var out []structural.Params
@@ -417,43 +354,60 @@ func statsOf(r *structural.Result) [4]int {
 // TestTreeMatchMatchesNaiveOracle: TreeMatch and SecondPass, allocating
 // and through one reused Scratch, equal the naive transcription bit for
 // bit — ssim, wsim and every statistic — on every pair under every toggle
-// combination. The run must exercise pruning, memo hits and shortcuts, so
-// a toggle that silently stopped firing is caught too.
+// combination, and on a pair of the pair-large shape under the default
+// parameters with the children shortcut and the lazy memo toggled. The
+// run must exercise pruning, memo hits and shortcuts, so a toggle that
+// silently stopped firing is caught too.
 func TestTreeMatchMatchesNaiveOracle(t *testing.T) {
-	pairs := oraclePairs(t)
+	pairs, err := oraclepairs.Pairs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var total [4]int
 	var sc structural.Scratch
 	var reused structural.Result
-	for _, pr := range pairs {
-		for k, p := range oracleParams() {
-			label := fmt.Sprintf("%s, params %d", pr.name, k)
-			o := newOracle(pr.ts, pr.tt, pr.lsim, p)
-			o.treeMatch()
-			got := structural.TreeMatch(pr.ts, pr.tt, pr.lsim, p)
-			sc.TreeMatch(&reused, pr.ts, pr.tt, pr.lsim, p)
-			for _, r := range []*structural.Result{got, &reused} {
-				if !r.SSim.Equal(matrix.FromRows(o.ssim)) || !r.WSim.Equal(matrix.FromRows(o.wsim)) {
-					t.Fatalf("%s: TreeMatch matrices differ from the naive oracle", label)
-				}
-				if statsOf(r) != o.stats {
-					t.Fatalf("%s: TreeMatch stats %v, oracle %v", label, statsOf(r), o.stats)
-				}
+	check := func(pr oraclepairs.Pair, label string, p structural.Params) {
+		o := newOracle(pr.TS, pr.TT, pr.LSim, p)
+		o.treeMatch()
+		got := structural.TreeMatch(pr.TS, pr.TT, pr.LSim, p)
+		sc.TreeMatch(&reused, pr.TS, pr.TT, pr.LSim, p)
+		for _, r := range []*structural.Result{got, &reused} {
+			if !r.SSim.Equal(matrix.FromRows(o.ssim)) || !r.WSim.Equal(matrix.FromRows(o.wsim)) {
+				t.Fatalf("%s: TreeMatch matrices differ from the naive oracle", label)
 			}
-			for i := range total {
-				total[i] += o.stats[i]
-			}
-			o.secondPass()
-			structural.SecondPass(got, pr.ts, pr.tt, pr.lsim, p)
-			sc.SecondPass(&reused, pr.ts, pr.tt, pr.lsim, p)
-			for _, r := range []*structural.Result{got, &reused} {
-				if !r.SSim.Equal(matrix.FromRows(o.ssim)) || !r.WSim.Equal(matrix.FromRows(o.wsim)) {
-					t.Fatalf("%s: SecondPass matrices differ from the naive oracle", label)
-				}
-				if statsOf(r) != o.stats {
-					t.Fatalf("%s: SecondPass stats %v, oracle %v", label, statsOf(r), o.stats)
-				}
+			if statsOf(r) != o.stats {
+				t.Fatalf("%s: TreeMatch stats %v, oracle %v", label, statsOf(r), o.stats)
 			}
 		}
+		for i := range total {
+			total[i] += o.stats[i]
+		}
+		o.secondPass()
+		structural.SecondPass(got, pr.TS, pr.TT, pr.LSim, p)
+		sc.SecondPass(&reused, pr.TS, pr.TT, pr.LSim, p)
+		for _, r := range []*structural.Result{got, &reused} {
+			if !r.SSim.Equal(matrix.FromRows(o.ssim)) || !r.WSim.Equal(matrix.FromRows(o.wsim)) {
+				t.Fatalf("%s: SecondPass matrices differ from the naive oracle", label)
+			}
+			if statsOf(r) != o.stats {
+				t.Fatalf("%s: SecondPass stats %v, oracle %v", label, statsOf(r), o.stats)
+			}
+		}
+	}
+	for _, pr := range pairs {
+		for k, p := range oracleParams() {
+			check(pr, fmt.Sprintf("%s, params %d", pr.Name, k), p)
+		}
+	}
+	large, err := oraclepairs.PairLarge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mask := 0; mask < 4; mask++ {
+		p := structural.DefaultParams()
+		p.ChildrenShortcut = mask&1 != 0
+		p.LazyMemo = mask&2 != 0
+		check(large, fmt.Sprintf("%s, shortcut %t, memo %t", large.Name, p.ChildrenShortcut, p.LazyMemo), p)
 	}
 	for i, name := range []string{"comparisons", "pruned pairs", "memo hits", "shortcuts"} {
 		if total[i] == 0 {

@@ -20,7 +20,7 @@ type Result struct {
 	WSim matrix.Matrix
 
 	// Stats.
-	Comparisons int // node pairs fully compared
+	Comparisons int // node pairs fully compared, skipped leaf×leaf visits included
 	Pruned      int // node pairs skipped by leaf-count pruning
 	MemoHits    int // lazy-expansion reuses
 	Shortcuts   int // children-shortcut fast paths taken (§8.4)
@@ -104,12 +104,29 @@ func (sc *Scratch) TreeMatch(res *Result, ts, tt *schematree.Tree, lsim matrix.M
 		}
 	})
 
-	// Phase 2: post-order sweep over all node pairs. Sequential by design:
+	// Phase 2: post-order sweep over the node pairs. Sequential by design:
 	// the increase/decrease steps make later comparisons depend on earlier
 	// ones, so this is where the paper's order semantics live.
+	//
+	// A leaf×leaf visit changes nothing the sweep or the caller reads: it
+	// runs no increase/decrease, writes no ssim, and the wsim it writes is
+	// overwritten by the leaf refresh below. So a leaf source visits only
+	// the target's non-leaves, in post-order, and the skipped visits are
+	// counted in bulk; the remaining visits keep their relative order, so
+	// every result and statistic is the full sweep's. The one reader of
+	// visit-time leaf wsim is the children shortcut (a non-leaf pair reads
+	// its children's wsim), so with it on, leaf sources visit every target.
+	nonLeaves := tt.NonLeaves()
 	for _, s := range ts.Nodes {
-		for _, t := range tt.Nodes {
-			m.compare(s, t)
+		if !s.IsLeaf() || p.ChildrenShortcut {
+			for _, t := range tt.Nodes {
+				m.compare(s, t)
+			}
+			continue
+		}
+		res.Comparisons += len(tgtLeaves)
+		for _, ti := range nonLeaves {
+			m.compare(s, tt.Nodes[ti])
 		}
 	}
 
@@ -198,23 +215,18 @@ func (m *matcher) wsimLeaf(si, ti int) float64 {
 	return w*m.res.SSim.At(si, ti) + (1-w)*m.lsim.At(si, ti)
 }
 
-// compare processes one (s,t) pair of the post-order sweep.
+// compare processes one (s,t) pair of the post-order sweep. The sweep
+// brings it a leaf×leaf pair only when the children shortcut is on.
 func (m *matcher) compare(s, t *schematree.Node) {
 	bothLeaves := s.IsLeaf() && t.IsLeaf()
 	ls, lt := m.frontS[s.Idx], m.frontT[t.Idx]
 
-	if !bothLeaves && m.p.LeafCountPruning {
-		a, b := len(ls), len(lt)
-		if a > b {
-			a, b = b, a
-		}
-		if float64(b) > m.p.LeafCountRatio*float64(a) {
-			m.res.Pruned++
-			// Not compared: ssim stays 0, wsim records the linguistic part
-			// only, no increase/decrease.
-			m.res.WSim.Set(s.Idx, t.Idx, (1-m.p.WStruct)*m.lsim.At(s.Idx, t.Idx))
-			return
-		}
+	if !bothLeaves && m.pruned(ls, lt) {
+		m.res.Pruned++
+		// Not compared: ssim stays 0, wsim records the linguistic part
+		// only, no increase/decrease.
+		m.res.WSim.Set(s.Idx, t.Idx, (1-m.p.WStruct)*m.lsim.At(s.Idx, t.Idx))
+		return
 	}
 	m.res.Comparisons++
 
@@ -244,6 +256,19 @@ func (m *matcher) compare(s, t *schematree.Node) {
 			m.adjustLeaves(s, t, m.p.CDec)
 		}
 	}
+}
+
+// pruned reports whether leaf-count pruning skips a pair with bases ls and
+// lt: their sizes differ by more than LeafCountRatio.
+func (m *matcher) pruned(ls, lt []int) bool {
+	if !m.p.LeafCountPruning {
+		return false
+	}
+	a, b := len(ls), len(lt)
+	if a > b {
+		a, b = b, a
+	}
+	return float64(b) > m.p.LeafCountRatio*float64(a)
 }
 
 // structuralSim estimates ssim(s,t) as the fraction of basis nodes in the
@@ -377,17 +402,26 @@ func (m *matcher) isOptionalBasis(fromTree, xi int, anchor *schematree.Node) boo
 }
 
 // adjustLeaves multiplies the structural similarity of every leaf pair
-// under (s,t) by factor, clamped to [0,1], and records the touched leaves
-// for lazy-memo invalidation.
+// under (s,t) by factor, clamped to [0,1], one source leaf's ssim row at a
+// time. The touched leaves matter only to the lazy memo's invalidation, so
+// they are recorded only when the memo is on.
 func (m *matcher) adjustLeaves(s, t *schematree.Node, factor float64) {
-	for _, xi := range m.ts.Leaves(s) {
-		for _, yi := range m.tt.Leaves(t) {
-			v := m.res.SSim.At(xi, yi) * factor
+	ls, lt := m.ts.Leaves(s), m.tt.Leaves(t)
+	for _, xi := range ls {
+		row := m.res.SSim.Row(xi)
+		for _, yi := range lt {
+			v := row[yi] * factor
 			if v > 1 {
 				v = 1
 			}
-			m.res.SSim.Set(xi, yi, v)
+			row[yi] = v
+		}
+	}
+	if m.memo != nil {
+		for _, xi := range ls {
 			m.touchedS[xi] = true
+		}
+		for _, yi := range lt {
 			m.touchedT[yi] = true
 		}
 	}
@@ -453,11 +487,15 @@ func (m *matcher) memoStore(s, t *schematree.Node, ls, lt []int, v float64) {
 }
 
 // SecondPass re-computes the structural and weighted similarity of
-// non-leaf pairs from the final leaf similarities (paper §7: the updating
-// of leaf similarities during tree match may affect the structural
-// similarity of non-leaf nodes after they were first calculated). No
-// increase/decrease steps run during the second pass. SecondPass
-// allocates its working memory; Scratch.SecondPass reuses it.
+// non-leaf pairs — pairs that include a non-leaf — from the final leaf
+// similarities (paper §7: the updating of leaf similarities during tree
+// match may affect the structural similarity of non-leaf nodes after they
+// were first calculated). No increase/decrease steps run during the second
+// pass. The pairs are visited in the sweep's post-order, since under the
+// frontier and children bases a pair reads the ssim of non-leaf pairs
+// recomputed before it; a leaf source visits only the target's
+// non-leaves. SecondPass allocates its working memory; Scratch.SecondPass
+// reuses it.
 func SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
 	new(Scratch).SecondPass(res, ts, tt, lsim, p)
 }
@@ -467,24 +505,28 @@ func SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Para
 func (sc *Scratch) SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
 	m := sc.start(res, ts, tt, lsim, p)
 	defer sc.release()
+	nonLeaves := tt.NonLeaves()
 	for _, s := range ts.Nodes {
-		for _, t := range tt.Nodes {
-			if s.IsLeaf() && t.IsLeaf() {
-				continue
+		if !s.IsLeaf() {
+			for _, t := range tt.Nodes {
+				m.recompute(s, t)
 			}
-			ls, lt := m.frontS[s.Idx], m.frontT[t.Idx]
-			if m.p.LeafCountPruning {
-				a, b := len(ls), len(lt)
-				if a > b {
-					a, b = b, a
-				}
-				if float64(b) > m.p.LeafCountRatio*float64(a) {
-					continue
-				}
-			}
-			ssim := m.structuralSim(s, t, ls, lt)
-			res.SSim.Set(s.Idx, t.Idx, ssim)
-			res.WSim.Set(s.Idx, t.Idx, p.WStruct*ssim+(1-p.WStruct)*lsim.At(s.Idx, t.Idx))
+			continue
+		}
+		for _, ti := range nonLeaves {
+			m.recompute(s, tt.Nodes[ti])
 		}
 	}
+}
+
+// recompute is SecondPass's visit of one pair that includes a non-leaf:
+// unless leaf-count pruning skips it, its ssim and wsim are recomputed.
+func (m *matcher) recompute(s, t *schematree.Node) {
+	ls, lt := m.frontS[s.Idx], m.frontT[t.Idx]
+	if m.pruned(ls, lt) {
+		return
+	}
+	ssim := m.structuralSim(s, t, ls, lt)
+	m.res.SSim.Set(s.Idx, t.Idx, ssim)
+	m.res.WSim.Set(s.Idx, t.Idx, m.p.WStruct*ssim+(1-m.p.WStruct)*m.lsim.At(s.Idx, t.Idx))
 }

@@ -4,13 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/model/modeltest"
 	"repro/internal/schematree"
 )
 
 // FuzzParseXSD asserts the importer's crash-freedom contract: no input
 // panics, and every accepted document yields a schema that validates and
 // expands through schematree.Build (the Prepare pipeline's per-schema
-// phase), tolerating only the deliberate node-cap rejection.
+// phase), tolerating only the deliberate node-cap rejection, and survives
+// a round trip through the native JSON format with the same element count
+// and paths.
 func FuzzParseXSD(f *testing.F) {
 	f.Add([]byte(`<?xml version="1.0"?>
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -46,6 +49,9 @@ func FuzzParseXSD(f *testing.F) {
 		if _, err := schematree.Build(s, schematree.Options{MaxNodes: 4096}); err != nil &&
 			!strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("accepted schema fails tree expansion: %v", err)
+		}
+		if _, err := modeltest.JSONRoundTrip(s); err != nil {
+			t.Fatalf("accepted schema does not survive the native json format: %v", err)
 		}
 	})
 }

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linguistic"
+	"repro/internal/mapping"
 	"repro/internal/matrix"
+	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/schematree"
 	"repro/internal/structural"
@@ -384,4 +386,35 @@ func BenchmarkPairLarge(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMappingGenerate is mapping generation alone on the pair-large
+// shape (pairLarge): leaf and non-leaf 1:n mappings over the wsim of one
+// finished MatchPrepared, with the core facade's default options.
+func BenchmarkMappingGenerate(b *testing.B) {
+	cfg := core.DefaultConfig()
+	m, err := core.NewMatcher(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst := pairLarge(b, m)
+	res, err := m.MatchPrepared(src, dst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mapping.Generate(res.SourceTree, res.TargetTree, res.Struct, res.LSim, cfg.Mapping)
+	}
+}
+
+// BenchmarkFingerprint is the content hash of one pair-large-shaped
+// schema (289 elements), which keys every registry entry.
+func BenchmarkFingerprint(b *testing.B) {
+	s := pairLargeWorkload().Source
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		model.Fingerprint(s)
+	}
 }
