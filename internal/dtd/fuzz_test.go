@@ -3,14 +3,18 @@ package dtd
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"repro/internal/model/modeltest"
 	"repro/internal/schematree"
 )
 
 // FuzzParseDTD asserts the importer's crash-freedom contract: no input
 // panics, and every accepted DTD yields a schema that validates and
 // expands through schematree.Build (the Prepare pipeline's per-schema
-// phase), tolerating only the deliberate node-cap rejection.
+// phase), tolerating only the deliberate node-cap rejection, and survives
+// a round trip through the native json format with the same elements and
+// links when it is valid UTF-8.
 func FuzzParseDTD(f *testing.F) {
 	f.Add(poDTD)
 	f.Add(`<!ELEMENT a (b, c?)> <!ELEMENT b (#PCDATA)> <!ELEMENT c EMPTY>`)
@@ -32,6 +36,15 @@ func FuzzParseDTD(f *testing.F) {
 		if _, err := schematree.Build(s, schematree.Options{MaxNodes: 4096}); err != nil &&
 			!strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("accepted schema fails tree expansion: %v", err)
+		}
+		// JSON strings are Unicode: the native format writes an invalid
+		// UTF-8 byte in a name as U+FFFD, so only valid input can come
+		// back unchanged.
+		if !utf8.ValidString(doc) {
+			return
+		}
+		if _, err := modeltest.JSONRoundTrip(s); err != nil {
+			t.Fatalf("accepted schema does not survive the native json format: %v", err)
 		}
 	})
 }

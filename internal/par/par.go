@@ -87,12 +87,16 @@ func ForCtx(ctx context.Context, n int, fn func(i int)) error {
 
 // forCancel is the shared loop body: loops shorter than minPar run inline,
 // and canceled (nil = never) is consulted before each iteration.
+//
+// The inline case is decided before Workers() is consulted: that calls
+// runtime.GOMAXPROCS, which takes the scheduler lock, and the short
+// per-candidate loops that run inline are by far the most frequent.
 func forCancel(n, minPar int, canceled func() error, fn func(i int)) {
-	w := Workers()
-	if w > n {
-		w = n
+	w := 1
+	if n >= minPar {
+		w = min(Workers(), n)
 	}
-	if w <= 1 || n < minPar {
+	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if canceled != nil && canceled() != nil {
 				return

@@ -47,3 +47,27 @@ func TestForNestedDoesNotDeadlock(t *testing.T) {
 		t.Fatalf("nested For ran %d iterations, want %d", total.Load(), seqThreshold*seqThreshold)
 	}
 }
+
+var inlineSink int
+
+// BenchmarkForInline times the short loops that For runs inline, the
+// shape of every per-candidate LSim and TreeMatch row loop on small
+// trees, from one goroutine and from one per CPU (the registry's
+// candidate fan-out). Both must report 0 allocs/op: the inline path
+// neither spawns goroutines nor consults the scheduler.
+func BenchmarkForInline(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			For(seqThreshold-1, func(i int) { inlineSink += i })
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				For(8, func(int) {})
+			}
+		})
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,6 +55,9 @@ type Store struct {
 	parse ParseFunc
 	lock  *os.File
 	seq   uint64 // sequence of the most recent snapshot written or seen
+	// snapshotSink, when set, wraps the temp file SaveAt writes through;
+	// tests use it to fail a write partway. Nil in every real store.
+	snapshotSink func(io.Writer) io.Writer
 }
 
 // ParseFunc turns a persisted source document back into a schema. The
@@ -199,12 +203,22 @@ func (st *Store) path(seq uint64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("%s%d%s", snapshotPrefix, seq, snapshotSuffix))
 }
 
+// snapshotBufSize is the one write buffer a snapshot streams through:
+// compaction's extra memory is this buffer plus one Doc header per entry,
+// whatever the documents' sizes.
+const snapshotBufSize = 64 << 10
+
 // SaveAt writes the given docs as snapshot generation seq: temp file,
 // fsync, atomic rename, directory fsync, then pruning of snapshot
 // generations older than the retained window and of journal files every
 // retained generation supersedes. Docs are written sorted by name so
 // equal repository states produce byte-identical snapshots. seq must be
 // newer than every snapshot already seen.
+//
+// The records are encoded straight into the temp file through one
+// snapshotBufSize buffer; the snapshot is never held in memory whole. A
+// failure partway closes and removes the temp file and publishes
+// nothing.
 func (st *Store) SaveAt(seq uint64, docs []Doc) error {
 	if seq <= st.seq {
 		return fmt.Errorf("registry: snapshot generation %d is not newer than %d", seq, st.seq)
@@ -212,27 +226,22 @@ func (st *Store) SaveAt(seq uint64, docs []Doc) error {
 	sorted := append([]Doc(nil), docs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(snapshotHeader{Magic: snapshotMagic, Version: snapshotVersion, Seq: seq, Count: len(sorted)}); err != nil {
-		return fmt.Errorf("registry: encoding snapshot header: %w", err)
-	}
-	for _, d := range sorted {
-		if err := enc.Encode(d); err != nil {
-			return fmt.Errorf("registry: encoding snapshot record %q: %w", d.Name, err)
-		}
-	}
-	if err := enc.Encode(snapshotFooter{EOF: true, Count: len(sorted)}); err != nil {
-		return fmt.Errorf("registry: encoding snapshot footer: %w", err)
-	}
-
 	tmp, err := os.CreateTemp(st.dir, ".snapshot-*.tmp")
 	if err != nil {
 		return fmt.Errorf("registry: creating snapshot temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	var sink io.Writer = tmp
+	if st.snapshotSink != nil {
+		sink = st.snapshotSink(tmp)
+	}
+	bw := bufio.NewWriterSize(sink, snapshotBufSize)
+	if err := writeSnapshot(bw, seq, sorted); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("registry: writing snapshot: %w", err)
 	}
@@ -264,6 +273,25 @@ func (st *Store) SaveAt(seq uint64, docs []Doc) error {
 				os.Remove(st.walPath(base))
 			}
 		}
+	}
+	return nil
+}
+
+// writeSnapshot encodes snapshot generation seq — header, one record per
+// doc in the given order, footer — to w. Each record is encoded from its
+// slice element, so no Doc is copied or boxed on the way.
+func writeSnapshot(w io.Writer, seq uint64, docs []Doc) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(snapshotHeader{Magic: snapshotMagic, Version: snapshotVersion, Seq: seq, Count: len(docs)}); err != nil {
+		return fmt.Errorf("registry: writing snapshot header: %w", err)
+	}
+	for i := range docs {
+		if err := enc.Encode(&docs[i]); err != nil {
+			return fmt.Errorf("registry: writing snapshot record %q: %w", docs[i].Name, err)
+		}
+	}
+	if err := enc.Encode(snapshotFooter{EOF: true, Count: len(docs)}); err != nil {
+		return fmt.Errorf("registry: writing snapshot footer: %w", err)
 	}
 	return nil
 }

@@ -322,3 +322,62 @@ func TestStoreSnapshotRetention(t *testing.T) {
 		t.Errorf("%d snapshot generations retained, want %d", got, snapshotsKept)
 	}
 }
+
+// viewDDL has every link the native JSON format carries outside its
+// refints section: primary-key aggregates and a view's member columns.
+const viewDDL = `CREATE TABLE Orders (ID INT PRIMARY KEY, Total DECIMAL);
+CREATE TABLE Lines (OrderID INT REFERENCES Orders(ID), Qty INT);
+CREATE VIEW Big AS SELECT Orders.ID, Orders.Total FROM Orders;`
+
+// TestPersistentRegisterKeepsViewLinks: an in-memory schema with a view
+// and keys, registered without a source document, is persisted in the
+// native JSON format and reopens as the same expanded tree — the view's
+// join-view node included — and the same mapping against a probe.
+func TestPersistentRegisterKeepsViewLinks(t *testing.T) {
+	s, err := sqlddl.Parse("shop", viewDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := sqlddl.Parse("probe", strings.ReplaceAll(viewDDL, "Total", "Amount"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	p1 := newWAL(t, dir, PersistOptions{})
+	e1, _, err := p1.Register("shop", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e1.Prepared.Tree().Len(); got != 15 {
+		t.Fatalf("registered tree has %d nodes, want 15", got)
+	}
+	want := e1.Prepared.Tree().Dump()
+	m, err := core.NewMatcher(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := m.Match(probe, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := newWAL(t, dir, PersistOptions{})
+	defer p2.Close()
+	e2, ok := p2.Get("shop")
+	if !ok {
+		t.Fatal("registered schema not restored")
+	}
+	if got := e2.Prepared.Tree().Dump(); got != want {
+		t.Errorf("reopened tree differs:\n%s\nwant:\n%s", got, want)
+	}
+	gotRes, err := m.Match(probe, e2.Prepared.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gotRes.Mapping.String(), wantRes.Mapping.String(); got != want {
+		t.Errorf("reopened schema maps differently:\n%s\nwant:\n%s", got, want)
+	}
+}

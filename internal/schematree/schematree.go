@@ -181,8 +181,9 @@ type Options struct {
 	// Views expands view elements into nodes over their members.
 	Views bool
 	// MaxNodes caps the expanded tree size to guard against exponential
-	// type-substitution blow-ups; Build fails beyond it. 0 means the
-	// default of 1,000,000.
+	// blow-ups (type substitution, or views and join views that copy
+	// subtrees holding earlier views); Build fails beyond it. Every node
+	// counts, copies included. 0 means the default of 1,000,000.
 	MaxNodes int
 }
 
@@ -243,9 +244,8 @@ func (b *builder) construct(e *model.Element, parent *Node) (*Node, error) {
 	if skipElement(e) {
 		return nil, nil
 	}
-	b.count++
-	if b.count > b.opt.MaxNodes {
-		return nil, fmt.Errorf("schematree: expansion of %q exceeds %d nodes", b.tree.Schema.Name, b.opt.MaxNodes)
+	if err := b.grow(); err != nil {
+		return nil, err
 	}
 	if b.onPath[e] {
 		return nil, fmt.Errorf("%w: through %s", ErrCycle, e)
@@ -266,6 +266,15 @@ func (b *builder) construct(e *model.Element, parent *Node) (*Node, error) {
 		b.firstOf[e] = n
 	}
 	return n, nil
+}
+
+// grow counts one more node against MaxNodes, before it is allocated.
+func (b *builder) grow() error {
+	b.count++
+	if b.count > b.opt.MaxNodes {
+		return fmt.Errorf("schematree: expansion of %q exceeds %d nodes", b.tree.Schema.Name, b.opt.MaxNodes)
+	}
+	return nil
 }
 
 // expandInto attaches e's containment children to node n and splices in
@@ -359,11 +368,18 @@ func (b *builder) addJoinView(ri *model.Element) error {
 			if c.IsJoinView {
 				continue // no escalating expansion of nested refints
 			}
-			jv.Children = append(jv.Children, b.copySubtree(c, jv))
+			cp, err := b.copySubtree(c, jv)
+			if err != nil {
+				return err
+			}
+			jv.Children = append(jv.Children, cp)
 		}
 	}
 	if len(jv.Children) == 0 {
 		return nil // nothing joinable; drop the view silently
+	}
+	if err := b.grow(); err != nil {
+		return err
 	}
 	parentNode.Children = append(parentNode.Children, jv)
 	return nil
@@ -386,18 +402,30 @@ func (b *builder) addView(v *model.Element) error {
 		if orig == nil {
 			continue
 		}
-		vn.Children = append(vn.Children, b.copySubtree(orig, vn))
+		cp, err := b.copySubtree(orig, vn)
+		if err != nil {
+			return err
+		}
+		vn.Children = append(vn.Children, cp)
 	}
 	if len(vn.Children) == 0 {
 		return nil
+	}
+	if err := b.grow(); err != nil {
+		return err
 	}
 	parentNode.Children = append(parentNode.Children, vn)
 	return nil
 }
 
 // copySubtree deep-copies a subtree under a new parent, marking the copies'
-// CopyOf so lazy expansion can reuse similarity computations.
-func (b *builder) copySubtree(orig *Node, parent *Node) *Node {
+// CopyOf so lazy expansion can reuse similarity computations. Each copy
+// counts against MaxNodes: a view may aggregate an ancestor whose subtree
+// already holds earlier views, so copies alone can grow exponentially.
+func (b *builder) copySubtree(orig *Node, parent *Node) (*Node, error) {
+	if err := b.grow(); err != nil {
+		return nil, err
+	}
 	cp := &Node{
 		Elem:       orig.Elem,
 		Parent:     parent,
@@ -410,9 +438,13 @@ func (b *builder) copySubtree(orig *Node, parent *Node) *Node {
 		cp.CopyOf = orig
 	}
 	for _, c := range orig.Children {
-		cp.Children = append(cp.Children, b.copySubtree(c, cp))
+		cc, err := b.copySubtree(c, cp)
+		if err != nil {
+			return nil, err
+		}
+		cp.Children = append(cp.Children, cc)
 	}
-	return cp
+	return cp, nil
 }
 
 // finalize assigns post-order indexes, depths, subtree ranges, the leaf

@@ -347,6 +347,43 @@ func TestMaxNodesGuard(t *testing.T) {
 	}
 }
 
+// rootViews builds a schema whose root holds one column and k views, each
+// aggregating the root: every view copies the root's subtree, the earlier
+// views included, so the tree doubles per view (2, 5, 11, 23, … nodes).
+func rootViews(t *testing.T, k int) *model.Schema {
+	t.Helper()
+	s := model.New("S")
+	s.AddChild(s.Root(), "c", model.KindColumn)
+	for i := 0; i < k; i++ {
+		v := s.AddChild(s.Root(), "V"+strings.Repeat("i", i), model.KindView)
+		if err := s.Aggregate(v, s.Root()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+func TestMaxNodesCountsViewCopies(t *testing.T) {
+	opt := DefaultOptions()
+	opt.MaxNodes = 23
+	tr, err := Build(rootViews(t, 3), opt)
+	if err != nil {
+		t.Fatalf("3 views within the cap: %v", err)
+	}
+	if n := len(tr.Nodes); n != 23 {
+		t.Fatalf("3 views expand to %d nodes, want 23", n)
+	}
+	opt.MaxNodes = 22
+	if _, err := Build(rootViews(t, 3), opt); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("23 nodes under a cap of 22: err = %v, want the node-cap error", err)
+	}
+	// 40 views would ask for about 2^41 nodes; the cap stops the copying.
+	opt.MaxNodes = 10000
+	if _, err := Build(rootViews(t, 40), opt); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("40 views: err = %v, want the node-cap error", err)
+	}
+}
+
 func TestStatsAndDump(t *testing.T) {
 	s := buildFK(t)
 	tr, err := Build(s, DefaultOptions())

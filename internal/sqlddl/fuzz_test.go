@@ -3,14 +3,18 @@ package sqlddl
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"repro/internal/model/modeltest"
 	"repro/internal/schematree"
 )
 
 // FuzzParseSQL asserts the importer's crash-freedom contract: no input
 // panics, and every accepted DDL script yields a schema that validates and
 // expands through schematree.Build (the Prepare pipeline's per-schema
-// phase), tolerating only the deliberate node-cap rejection.
+// phase), tolerating only the deliberate node-cap rejection, and survives
+// a round trip through the native json format with the same elements and
+// links when it is valid UTF-8.
 func FuzzParseSQL(f *testing.F) {
 	f.Add("CREATE TABLE T (X INT);")
 	f.Add("CREATE TABLE Orders (ID INT PRIMARY KEY, Total DECIMAL(10,2), Placed TIMESTAMP NOT NULL);")
@@ -33,6 +37,15 @@ func FuzzParseSQL(f *testing.F) {
 		if _, err := schematree.Build(s, schematree.Options{MaxNodes: 4096}); err != nil &&
 			!strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("accepted schema fails tree expansion: %v", err)
+		}
+		// JSON strings are Unicode: the native format writes an invalid
+		// UTF-8 byte in a name as U+FFFD, so only valid input can come
+		// back unchanged.
+		if !utf8.ValidString(data) {
+			return
+		}
+		if _, err := modeltest.JSONRoundTrip(s); err != nil {
+			t.Fatalf("accepted schema does not survive the native json format: %v", err)
 		}
 	})
 }
