@@ -110,6 +110,7 @@ func runOverloadCell(front *serve.Frontend, probes []*core.Prepared, reserve []*
 		lats                                       []time.Duration
 		firstErr                                   error
 	)
+	srcs := preparedSources(probes)
 	deadline := time.Now().Add(window)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -134,7 +135,7 @@ func runOverloadCell(front *serve.Frontend, probes []*core.Prepared, reserve []*
 					}
 				} else {
 					var res serve.Result
-					res, err = front.MatchBatch(context.Background(), probes[seq%len(probes)], spec)
+					res, err = front.MatchBatch(context.Background(), srcs[seq%len(srcs)], spec)
 					if err == nil && res.Stats.Degraded {
 						degraded.Add(1)
 					}
@@ -190,6 +191,15 @@ func overloadRegistry(cfg core.Config) (*registry.Registry, []*core.Prepared, []
 	return reg, probes, familyCorpus(overloadChurn, 99), nil
 }
 
+// preparedSources wraps prepared probes as the frontend's match sources.
+func preparedSources(probes []*core.Prepared) []serve.Source {
+	out := make([]serve.Source, len(probes))
+	for i, p := range probes {
+		out[i] = serve.PreparedSource(p)
+	}
+	return out
+}
+
 // cacheWarmRounds is how many cache hits one timed warm round serves.
 const cacheWarmRounds = 200
 
@@ -204,16 +214,17 @@ func runCacheCell(reg *registry.Registry, probes []*core.Prepared) (coldNs, warm
 		MatchDeadline: time.Minute,
 	})
 	spec := overloadSpec()
+	srcs := preparedSources(probes)
 	start := time.Now()
-	for _, p := range probes {
-		if _, err := front.MatchBatch(context.Background(), p, spec); err != nil {
+	for _, src := range srcs {
+		if _, err := front.MatchBatch(context.Background(), src, spec); err != nil {
 			return 0, 0, err
 		}
 	}
 	coldNs = time.Since(start).Nanoseconds() / int64(len(probes))
 	t, err := timeArms(func() error {
 		for i := 0; i < cacheWarmRounds; i++ {
-			res, err := front.MatchBatch(context.Background(), probes[i%len(probes)], spec)
+			res, err := front.MatchBatch(context.Background(), srcs[i%len(srcs)], spec)
 			if err != nil {
 				return err
 			}
@@ -241,14 +252,15 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 		return err
 	}
 	want := rankingKey(serve.ResultsOf(direct))
+	src := serve.PreparedSource(probe)
 
 	// Cached path: cold fill, then a warm hit; both must equal direct.
 	cached := serve.NewFrontend(reg, serve.Options{CacheCapacity: 64, MatchDeadline: time.Minute})
-	cold, err := cached.MatchBatch(context.Background(), probe, spec)
+	cold, err := cached.MatchBatch(context.Background(), src, spec)
 	if err != nil {
 		return err
 	}
-	warm, err := cached.MatchBatch(context.Background(), probe, spec)
+	warm, err := cached.MatchBatch(context.Background(), src, spec)
 	if err != nil {
 		return err
 	}
@@ -264,7 +276,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 
 	// Uncached path (cache disabled) must also equal direct.
 	uncached := serve.NewFrontend(reg, serve.Options{MatchDeadline: time.Minute})
-	plain, err := uncached.MatchBatch(context.Background(), probe, spec)
+	plain, err := uncached.MatchBatch(context.Background(), src, spec)
 	if err != nil {
 		return err
 	}
@@ -283,7 +295,7 @@ func overloadIdentity(reg *registry.Registry, probes []*core.Prepared) error {
 		MatchDeadline: time.Minute,
 		DegradeAt:     0.5,
 	})
-	deg, err := degradedFront.MatchBatch(context.Background(), probe, spec)
+	deg, err := degradedFront.MatchBatch(context.Background(), src, spec)
 	if err != nil {
 		return err
 	}

@@ -166,7 +166,8 @@ func (s *server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleFamilies serves the installed clustering's canonical bytes
 // verbatim — the exact bytes the clustering produced, journaled, and
-// replicated, so two nodes can be diffed byte-for-byte.
+// replicated, so two nodes can be diffed byte-for-byte — ending in "\n"
+// like every other reply.
 func (s *server) handleFamilies(w http.ResponseWriter, _ *http.Request) {
 	raw := s.reg.FamiliesJSON()
 	if raw == nil {
@@ -175,7 +176,7 @@ func (s *server) handleFamilies(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	w.Write(append(raw[:len(raw):len(raw)], '\n'))
 }
 
 // handleMapping derives a mapping between two registered schemas. The
@@ -203,14 +204,14 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 	}
 	switch via {
 	case "direct":
-		m, cached, err := s.front.MatchPair(r.Context(), a.Prepared, c.Prepared)
+		m, cached, err := s.front.MatchPair(r.Context(), serve.PreparedSource(a.Prepared), serve.PreparedSource(c.Prepared))
 		if err != nil {
 			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
-		serve.WriteJSON(w, http.StatusOK, map[string]any{
-			"source": aName, "target": cName, "via": "direct", "cached": cached,
-			"leaves": m.Leaves, "nonLeaves": m.NonLeaves,
+		serve.WriteJSON(w, http.StatusOK, serve.MappingReply{
+			Cached: cached, Leaves: m.Leaves, NonLeaves: m.NonLeaves,
+			Source: aName, Target: cName, Via: "direct",
 		})
 	case "family":
 		medoid, ok := s.reg.FamilyOf(aName)
@@ -237,21 +238,20 @@ func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
 		// derivations. The cache keeps them as rendered pairs; each is
 		// rebuilt into a mapping over the registered trees by node index
 		// and composed once.
-		aToM, cachedA, err := s.front.MatchPair(r.Context(), a.Prepared, m.Prepared)
+		aToM, cachedA, err := s.front.MatchPair(r.Context(), serve.PreparedSource(a.Prepared), serve.PreparedSource(m.Prepared))
 		if err != nil {
 			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
-		cToM, cachedC, err := s.front.MatchPair(r.Context(), c.Prepared, m.Prepared)
+		cToM, cachedC, err := s.front.MatchPair(r.Context(), serve.PreparedSource(c.Prepared), serve.PreparedSource(m.Prepared))
 		if err != nil {
 			serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 			return
 		}
 		composed := aToM.Mapping(a.Prepared, m.Prepared).Compose(cToM.Mapping(c.Prepared, m.Prepared).Invert())
-		serve.WriteJSON(w, http.StatusOK, map[string]any{
-			"source": aName, "target": cName, "via": "family", "medoid": medoid,
-			"cached": cachedA && cachedC,
-			"leaves": serve.PairsOf(composed.Leaves), "nonLeaves": serve.PairsOf(composed.NonLeaves),
+		serve.WriteJSON(w, http.StatusOK, serve.MappingReply{
+			Cached: cachedA && cachedC, Leaves: serve.PairsOf(composed.Leaves), Medoid: medoid,
+			NonLeaves: serve.PairsOf(composed.NonLeaves), Source: aName, Target: cName, Via: "family",
 		})
 	default:
 		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "query parameter via must be direct or family, got %q", via))

@@ -43,9 +43,11 @@
 // Retry-After hint instead of accumulating unbounded latency. Every match
 // runs under -match-deadline, threaded as a context through the
 // candidate-scoring loops, so an abandoned client stops consuming CPU
-// mid-ranking. Repeated matches are served from a fingerprint-keyed LRU
-// cache (-cache) with singleflight coalescing, invalidated on every
-// register/replace/remove before the mutation is acknowledged. Under
+// mid-ranking. Repeated matches are served from an LRU cache (-cache)
+// keyed by the source reference — a registered fingerprint or the hash of
+// an inline document, so a hit never parses — with singleflight
+// coalescing, invalidated on every register/replace/remove before the
+// mutation is acknowledged. Under
 // saturation the candidate budget is halved and the reply is flagged
 // "degraded". Request bodies are capped at -max-body bytes (413 beyond).
 // All errors — including 404 and 405 — are JSON {"error": ...} objects.
@@ -91,14 +93,19 @@
 //	-match-deadline DUR    end-to-end deadline per match request
 //	                       (default 30s; 0 = none)
 //	-cache N               match cache capacity in entries (default 1024;
-//	                       0 disables caching); an entry keeps the reply
-//	                       it serves, not the schemas or similarity
+//	                       0 disables caching); an entry is keyed by its
+//	                       source: a registered fingerprint, or the hash
+//	                       of an inline reference, so a hit never parses;
+//	                       a miss parses within -match-deadline, and
+//	                       errors are never cached; an entry keeps the
+//	                       reply it serves, not the schemas or similarity
 //	                       matrices (~0.04 MB per pair of 289-element
 //	                       schemas)
 //	-max-body N            request body cap in bytes (default 4 MiB)
 //
-// Endpoints (request and response bodies are JSON; docs/API.md is the full
-// reference, kept honest by a doc-conformance test):
+// Endpoints (request and response bodies are JSON, every reply one compact
+// line; docs/API.md is the full reference, kept honest by a
+// doc-conformance test):
 //
 //	POST   /schemas          register {name?, format, content, instances?};
 //	                         format is sql, xsd, dtd, json, jsonschema or
@@ -261,33 +268,39 @@ func parseRef(ref serve.SchemaRef) (*cupid.Schema, cupid.InstanceSamples, error)
 	return sch, samples, nil
 }
 
-// resolve turns a schema reference into a prepared schema (plus its
-// repository name when registered). An inline document is prepared with
-// the reference's instance samples, exactly as registration prepares it;
-// a registered one keeps the samples it was registered with.
-func (s *server) resolve(ref serve.SchemaRef) (*cupid.Prepared, string, error) {
+// source turns a schema reference into a match source, plus its
+// repository entry when the reference names a registered schema. A
+// registered source is keyed by its fingerprint and keeps the samples it
+// was registered with. An inline document is keyed by the hash of the
+// reference (serve.SchemaRef.Key) and is parsed and prepared with the
+// reference's instance samples, exactly as registration prepares it, only
+// when the match cache misses; a parse or prepare error is a 400 that is
+// never cached.
+func (s *server) source(ref serve.SchemaRef) (serve.Source, *cupid.RegistryEntry, error) {
 	switch {
 	case ref.Name != "" && ref.Content == "":
 		e, ok := s.reg.Get(ref.Name)
 		if !ok {
-			return nil, "", serve.Errorf(http.StatusNotFound, "schema %q is not registered", ref.Name)
+			return serve.Source{}, nil, serve.Errorf(http.StatusNotFound, "schema %q is not registered", ref.Name)
 		}
-		return e.Prepared, e.Name, nil
+		return serve.PreparedSource(e.Prepared), e, nil
 	case ref.Content != "":
 		if ref.Format == "" {
-			return nil, "", serve.Errorf(http.StatusBadRequest, "inline schema needs a format (one of %s)", strings.Join(cupid.SchemaFormats(), ", "))
+			return serve.Source{}, nil, serve.Errorf(http.StatusBadRequest, "inline schema needs a format (one of %s)", strings.Join(cupid.SchemaFormats(), ", "))
 		}
-		sch, samples, err := parseRef(ref)
-		if err != nil {
-			return nil, "", serve.Errorf(http.StatusBadRequest, "parsing inline schema: %v", err)
-		}
-		p, err := s.reg.Matcher().PrepareWithInstances(sch, samples)
-		if err != nil {
-			return nil, "", serve.Errorf(http.StatusBadRequest, "preparing inline schema: %v", err)
-		}
-		return p, "", nil
+		return serve.Source{Key: ref.Key(), Prepare: func() (*cupid.Prepared, error) {
+			sch, samples, err := parseRef(ref)
+			if err != nil {
+				return nil, serve.Errorf(http.StatusBadRequest, "parsing inline schema: %v", err)
+			}
+			p, err := s.reg.Matcher().PrepareWithInstances(sch, samples)
+			if err != nil {
+				return nil, serve.Errorf(http.StatusBadRequest, "preparing inline schema: %v", err)
+			}
+			return p, nil
+		}}, nil, nil
 	default:
-		return nil, "", serve.Errorf(http.StatusBadRequest, `schema reference needs "name" or "format"+"content"`)
+		return serve.Source{}, nil, serve.Errorf(http.StatusBadRequest, `schema reference needs "name" or "format"+"content"`)
 	}
 }
 
@@ -577,12 +590,12 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	src, _, err := s.resolve(req.Source)
+	src, _, err := s.source(req.Source)
 	if err != nil {
 		serve.WriteError(w, err)
 		return
 	}
-	dst, _, err := s.resolve(req.Target)
+	dst, _, err := s.source(req.Target)
 	if err != nil {
 		serve.WriteError(w, err)
 		return
@@ -592,12 +605,12 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"sourceSchema": m.SourceSchema,
-		"targetSchema": m.TargetSchema,
-		"cached":       cached,
-		"leaves":       m.Leaves,
-		"nonLeaves":    m.NonLeaves,
+	serve.WriteJSON(w, http.StatusOK, serve.MatchReply{
+		Cached:       cached,
+		Leaves:       m.Leaves,
+		NonLeaves:    m.NonLeaves,
+		SourceSchema: m.SourceSchema,
+		TargetSchema: m.TargetSchema,
 	})
 }
 
@@ -607,7 +620,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	src, srcName, err := s.resolve(req.Source)
+	src, entry, err := s.source(req.Source)
 	if err != nil {
 		serve.WriteError(w, err)
 		return
@@ -629,7 +642,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// during candidate generation — the index's accumulator survivors on
 	// the indexed path, the repository size on the scans.
 	want := req.TopK
-	if want > 0 && srcName != "" {
+	if want > 0 && entry != nil {
 		want++
 	}
 	res, err := s.front.MatchBatch(r.Context(), src, serve.MatchSpec{Retrieval: s.retrieval, TopK: want})
@@ -638,26 +651,22 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A registered source trivially matches itself; Trim drops that entry
-	// before truncating.
+	// before truncating. The reply labels a registered source by its
+	// repository name, an inline one by the parsed schema's own name.
+	source, selfName := res.SourceName, ""
+	if entry != nil {
+		source, selfName = entry.Name, entry.Name
+	}
 	serve.WriteJSON(w, http.StatusOK, serve.BatchReply{
 		Cached:           res.Cached,
 		CandidateBudget:  res.Stats.CandidateBudget,
 		CandidatesScored: res.Stats.CandidatesScored,
 		Degraded:         res.Stats.Degraded,
 		Planned:          res.Stats.Planned,
-		Results:          serve.Trim(res.Results, srcName, src.Fingerprint(), req.TopK),
-		Source:           sourceName(src, srcName),
+		Results:          serve.Trim(res.Results, selfName, res.SourceFingerprint, req.TopK),
+		Source:           source,
 		Strategy:         res.Stats.Strategy.String(),
 	})
-}
-
-// sourceName labels the batch source: its repository name when registered,
-// otherwise the inline schema's own name.
-func sourceName(p *cupid.Prepared, registered string) string {
-	if registered != "" {
-		return registered
-	}
-	return p.Schema().Name
 }
 
 // routeTable lists every endpoint the server exposes.
@@ -764,7 +773,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
 	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned or exact")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
-	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (fingerprint-keyed LRU with singleflight coalescing, invalidated on every mutation); an entry keeps the reply it serves, not the schemas or similarity matrices: about 0.04 MB per pair of 289-element schemas; 0 disables")
+	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (LRU with singleflight coalescing, invalidated on every mutation); an entry is keyed by its source, a registered fingerprint or the hash of an inline reference, so a hit never parses; a miss parses an inline source within -match-deadline, and errors are never cached; an entry keeps the reply it serves, not the schemas or similarity matrices: about 0.04 MB per pair of 289-element schemas; 0 disables")
 	opt.Flags.Register(fs)
 	return fs, opt
 }

@@ -542,7 +542,7 @@ func TestExactBatchRanksOnlyWhatTheReplyNeeds(t *testing.T) {
 		}
 	}
 
-	res, err := s.front.MatchBatch(context.Background(), src.Prepared,
+	res, err := s.front.MatchBatch(context.Background(), serve.PreparedSource(src.Prepared),
 		serve.MatchSpec{Retrieval: cupid.RetrievalExact, TopK: 4})
 	if err != nil {
 		t.Fatal(err)

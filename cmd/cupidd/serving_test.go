@@ -564,8 +564,11 @@ func TestCachedRepliesUnderConcurrentReaders(t *testing.T) {
 	_, wantBatch := rawCall(t, ts, http.MethodPost, "/match/batch", batch)
 	_, wantPair := rawCall(t, ts, http.MethodPost, "/match", match)
 	for what, raw := range map[string][]byte{"batch": wantBatch, "pair": wantPair} {
-		if !bytes.Contains(raw, []byte(`"cached": true`)) {
-			t.Fatalf("warm %s reply is not cached:\n%s", what, raw)
+		var reply struct {
+			Cached bool `json:"cached"`
+		}
+		if err := json.Unmarshal(raw, &reply); err != nil || !reply.Cached {
+			t.Fatalf("warm %s reply is not cached (decode error %v):\n%s", what, err, raw)
 		}
 	}
 

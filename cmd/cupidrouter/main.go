@@ -10,7 +10,8 @@
 // the response carries the surviving shards' merged results with
 // "degraded": true and a per-shard status list instead of hanging.
 // The HTTP contract is cupidd's, served by the same code in
-// internal/serve: JSON errors (404 and 405 included), the -max-body 413,
+// internal/serve: compact one-line JSON replies, JSON errors (404 and 405
+// included), the -max-body 413,
 // 429 + Retry-After when the admission queue sheds, and GET /healthz and
 // GET /readyz probes that work against either binary.
 //

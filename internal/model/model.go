@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind classifies an element by the role it plays in its native data model.
@@ -399,7 +400,10 @@ func Leaves(e *Element) []*Element {
 //     recorded for it (consistency of the parent/children links);
 //   - the root has no parent;
 //   - no containment cycles;
-//   - aggregation and reference endpoints belong to this schema.
+//   - aggregation and reference endpoints belong to this schema;
+//   - the schema name and every element's name and description are valid
+//     UTF-8, so the native JSON format (whose strings are Unicode) writes
+//     them back unchanged and a reloaded schema keeps its fingerprint.
 //
 // IsDerivedFrom+containment cycles are legal in the model (recursive types)
 // but rejected later by schema-tree construction, matching the paper, which
@@ -440,7 +444,16 @@ func (s *Schema) Validate() error {
 	if err := walk(s.root); err != nil {
 		return err
 	}
+	if !utf8.ValidString(s.Name) {
+		return fmt.Errorf("model: schema name %q is not valid UTF-8", s.Name)
+	}
 	for _, e := range s.elements {
+		if !utf8.ValidString(e.Name) {
+			return fmt.Errorf("model: %s element %q has a name that is not valid UTF-8", e.Kind, e.Path())
+		}
+		if !utf8.ValidString(e.Description) {
+			return fmt.Errorf("model: %s element %q has a description that is not valid UTF-8: %q", e.Kind, e.Path(), e.Description)
+		}
 		for _, t := range e.derivedFrom {
 			if t.schema != s {
 				return fmt.Errorf("model: %s derives from foreign element %s", e, t)

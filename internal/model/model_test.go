@@ -397,3 +397,35 @@ func TestDepthMatchesPath(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsInvalidUTF8: a schema name, element name or
+// description that is not valid UTF-8 cannot survive the native JSON
+// format (its strings are Unicode), so Validate refuses it and quotes
+// the offending bytes.
+func TestValidateRejectsInvalidUTF8(t *testing.T) {
+	for _, c := range []struct {
+		what  string
+		build func(s *Schema)
+		want  string
+	}{
+		{"schema name", func(s *Schema) { s.Name = "S\xb6" }, `"S\xb6"`},
+		{"element name", func(s *Schema) { s.AddChild(s.Root(), "\xb6", KindColumn) }, `"S.\xb6"`},
+		{"description", func(s *Schema) { s.AddChild(s.Root(), "A", KindColumn).Description = "d\x80" }, `"d\x80"`},
+	} {
+		s := New("S")
+		c.build(s)
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted bytes that are not valid UTF-8", c.what)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "UTF-8") {
+			t.Errorf("%s: error %q does not quote %s", c.what, err, c.want)
+		}
+	}
+	s := New("Straße")
+	s.AddChild(s.Root(), "Größe", KindColumn).Description = "Maß"
+	if err := s.Validate(); err != nil {
+		t.Errorf("valid UTF-8 refused: %v", err)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/workloads"
 )
 
@@ -580,4 +581,27 @@ func TestMutateAfterCloseFails(t *testing.T) {
 			t.Error("read after Close lost the entry")
 		}
 	})
+}
+
+// TestRegisterRefusesNamesThatAreNotUTF8: a schema whose element name is
+// not valid UTF-8 would be journaled in the native JSON format as U+FFFD
+// and reload under another fingerprint, so Register refuses it and
+// journals nothing.
+func TestRegisterRefusesNamesThatAreNotUTF8(t *testing.T) {
+	dir := t.TempDir()
+	p := newWAL(t, dir, PersistOptions{})
+	s := model.New("fuzz")
+	tbl := s.AddChild(s.Root(), "t", model.KindTable)
+	s.AddChild(tbl, "\xb6", model.KindColumn).Type = model.DTInt
+	if _, _, err := p.Register("fuzz", s); err == nil || !strings.Contains(err.Error(), `\xb6`) {
+		t.Fatalf("Register of a name that is not valid UTF-8 = %v, want an error quoting it", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p = newWAL(t, dir, PersistOptions{})
+	defer p.Close()
+	if p.Len() != 0 {
+		t.Errorf("reopened repository holds %d entries, want 0", p.Len())
+	}
 }

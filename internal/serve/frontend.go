@@ -117,6 +117,26 @@ type MatchSpec struct {
 	TopK int
 }
 
+// Source is a match source as the frontend caches it: Key is its cache
+// identity, and Prepare yields its prepared schema. Prepare runs only
+// when the match cache misses, once per singleflight flight, inside the
+// match deadline; its error is returned to the caller and every joiner
+// and is never cached.
+type Source struct {
+	// Key identifies the source's content in cache keys.
+	Key string
+	// Prepare returns the prepared source schema.
+	Prepare func() (*core.Prepared, error)
+}
+
+// PreparedSource is the source of an already prepared schema — a
+// registered entry's, or one the caller prepared itself — keyed by its
+// fingerprint. An inline reference's source is keyed by SchemaRef.Key
+// instead, and parses the reference in Prepare.
+func PreparedSource(p *core.Prepared) Source {
+	return Source{Key: p.Fingerprint(), Prepare: func() (*core.Prepared, error) { return p, nil }}
+}
+
 // Result is a MatchBatch outcome. Stats is the registry's own
 // RetrievalStats for every strategy (exact and pruned included): the
 // plan that ran, its inputs, and the budget that produced the ranking —
@@ -135,25 +155,36 @@ type Result struct {
 	// Stats describes the retrieval that produced (or originally
 	// produced, when Cached) the ranking.
 	Stats registry.RetrievalStats
+	// SourceName and SourceFingerprint are the name and fingerprint of
+	// the prepared source schema the ranking was computed for.
+	SourceName, SourceFingerprint string
 	// Cached reports a cache hit or coalesced flight.
 	Cached bool
 }
 
 // MatchBatch ranks the repository against src under spec, going through
-// deadline, cache, admission and (when saturated) degradation. Cache hits
-// and coalesced joins bypass admission entirely — repeated-query storms
-// are absorbed before the pool. Errors: ErrQueueFull/ErrQueueWait (shed),
-// ErrDraining (shutdown), ctx errors (caller gave up or deadline hit),
-// or a registry error.
-func (f *Frontend) MatchBatch(ctx context.Context, src *core.Prepared, spec MatchSpec) (Result, error) {
+// deadline, cache, admission and (when saturated) degradation. The cache
+// key is src.Key plus every spec field that can change the ranking;
+// registry content is deliberately absent — the epoch mechanism
+// invalidates on mutation instead. src is prepared only on a miss, before
+// admission. Cache hits and coalesced joins bypass admission entirely —
+// repeated-query storms are absorbed before the pool. Errors:
+// ErrQueueFull/ErrQueueWait (shed), ErrDraining (shutdown), ctx errors
+// (caller gave up or deadline hit), src.Prepare's error, or a registry
+// error.
+func (f *Frontend) MatchBatch(ctx context.Context, src Source, spec MatchSpec) (Result, error) {
 	if f.draining.Load() {
 		return Result{}, ErrDraining
 	}
 	ctx, cancel := WithDeadline(ctx, f.deadline)
 	defer cancel()
-	key := batchKey(src, spec)
+	key := fmt.Sprintf("batch|%s|%d|%s", src.Key, spec.TopK, spec.Retrieval)
 	v, shared, err := f.cache.Do(ctx, key, func(ctx context.Context) (any, bool, error) {
-		res, err := f.matchBatchAdmitted(ctx, src, spec)
+		p, err := src.Prepare()
+		if err != nil {
+			return nil, false, err
+		}
+		res, err := f.matchBatchAdmitted(ctx, p, spec)
 		if err != nil {
 			return nil, false, err
 		}
@@ -193,7 +224,12 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 	if st.Degraded {
 		f.degraded.Add(1)
 	}
-	return Result{Results: ResultsOf(ranked), Stats: st}, nil
+	return Result{
+		Results:           ResultsOf(ranked),
+		Stats:             st,
+		SourceName:        src.Schema().Name,
+		SourceFingerprint: src.Fingerprint(),
+	}, nil
 }
 
 // MatchPair runs a single source-vs-target tree match through deadline,
@@ -202,26 +238,35 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 // all the cache keeps, about 0.04 MB per entry at pair-large's
 // 289-element shape; the mapping itself would pin both schema trees
 // (about 0.2 MB). PairMatch.Mapping rebuilds the mapping over the
-// prepared schemas for Compose and Invert. The key is the
-// fingerprint pair, so the cached value is content-addressed and can
-// never be stale; it still rides the same cache (and is therefore dropped
-// on Invalidate — a freshness non-issue, only a warm-up cost). The bool
-// reports a cache hit or coalesced join. The returned PairMatch is shared
-// when cached — immutable.
-func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*PairMatch, bool, error) {
+// prepared schemas for Compose and Invert. The key is the pair of source
+// keys, so the cached value is content-addressed and can never be stale;
+// it still rides the same cache (and is therefore dropped on Invalidate —
+// a freshness non-issue, only a warm-up cost). src and then dst are
+// prepared only on a miss, before admission. The bool reports a cache hit
+// or coalesced join. The returned PairMatch is shared when cached —
+// immutable.
+func (f *Frontend) MatchPair(ctx context.Context, src, dst Source) (*PairMatch, bool, error) {
 	if f.draining.Load() {
 		return nil, false, ErrDraining
 	}
 	ctx, cancel := WithDeadline(ctx, f.deadline)
 	defer cancel()
-	key := "pair|" + src.Fingerprint() + "|" + dst.Fingerprint()
+	key := "pair|" + src.Key + "|" + dst.Key
 	v, shared, err := f.cache.Do(ctx, key, func(ctx context.Context) (any, bool, error) {
+		sp, err := src.Prepare()
+		if err != nil {
+			return nil, false, err
+		}
+		dp, err := dst.Prepare()
+		if err != nil {
+			return nil, false, err
+		}
 		release, err := f.read.Acquire(ctx)
 		if err != nil {
 			return nil, false, err
 		}
 		defer release()
-		mp, err := f.reg.Matcher().MatchMapping(src, dst)
+		mp, err := f.reg.Matcher().MatchMapping(sp, dp)
 		if err != nil {
 			return nil, false, err
 		}
@@ -231,14 +276,6 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*Pai
 		return nil, false, err
 	}
 	return v.(*PairMatch), shared, nil
-}
-
-// batchKey is the cache identity of a batch match: the source schema's
-// content hash plus every spec field that can change the ranking. Registry
-// content is deliberately absent — the epoch mechanism invalidates on
-// mutation instead.
-func batchKey(src *core.Prepared, spec MatchSpec) string {
-	return fmt.Sprintf("batch|%s|%d|%s", src.Fingerprint(), spec.TopK, spec.Retrieval)
 }
 
 // FrontendStats snapshots the serving layer for /healthz-style reporting.

@@ -132,7 +132,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 	probe := prepProbe(t, r, 1, 3)
 	ctx := context.Background()
 
-	res, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyExact, TopK: 0})
+	res, err := f.MatchBatch(ctx, PreparedSource(probe), MatchSpec{Retrieval: registry.StrategyExact, TopK: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 		t.Errorf("exact stats = %+v; want full budget, not degraded", res.Stats)
 	}
 
-	res, err = f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5})
+	res, err = f.MatchBatch(ctx, PreparedSource(probe), MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMatchBatchModesIdenticalToRegistry(t *testing.T) {
 		t.Errorf("indexed stats = %+v; the index must engage over %d entries", res.Stats, r.Len())
 	}
 
-	res, err = f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyPruned, TopK: 5})
+	res, err = f.MatchBatch(ctx, PreparedSource(probe), MatchSpec{Retrieval: registry.StrategyPruned, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 5}
 	ctx := context.Background()
 
-	cold, err := f.MatchBatch(ctx, probe, spec)
+	cold, err := f.MatchBatch(ctx, PreparedSource(probe), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	if !cold.Stats.Indexed || cold.Stats.CandidateBudget >= r.Len() {
 		t.Fatalf("stats = %+v; the index must engage over %d entries", cold.Stats, r.Len())
 	}
-	warm, err := f.MatchBatch(ctx, probe, spec)
+	warm, err := f.MatchBatch(ctx, PreparedSource(probe), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 		}
 	}
 	// A different spec is a different key.
-	other, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3})
+	other, err := f.MatchBatch(ctx, PreparedSource(probe), MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestInvalidationProperty(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 5: // match (checked against a fresh computation)
 			probe := probes[rng.Intn(len(probes))]
-			res, err := f.MatchBatch(ctx, probe, spec)
+			res, err := f.MatchBatch(ctx, PreparedSource(probe), spec)
 			if err != nil {
 				t.Fatalf("op %d: MatchBatch: %v", i, err)
 			}
@@ -333,7 +333,7 @@ func TestInvalidationUnderConcurrentMutation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
-			if _, err := f.MatchBatch(ctx, probe, spec); err != nil {
+			if _, err := f.MatchBatch(ctx, PreparedSource(probe), spec); err != nil {
 				t.Errorf("MatchBatch: %v", err)
 				return
 			}
@@ -360,7 +360,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	spec := MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3}
 	ctx := context.Background()
 
-	res, err := f.MatchBatch(ctx, probe, spec)
+	res, err := f.MatchBatch(ctx, PreparedSource(probe), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 	if rankKey(res.Results) != rankKey(ResultsOf(direct)) {
 		t.Error("degraded ranking differs from an explicit run under the shrunk budget")
 	}
-	again, err := f.MatchBatch(ctx, probe, spec)
+	again, err := f.MatchBatch(ctx, PreparedSource(probe), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestMatchPairCachedAndIdentical(t *testing.T) {
 	b := prepProbe(t, r, 0, 2)
 	ctx := context.Background()
 
-	cold, shared, err := f.MatchPair(ctx, a, b)
+	cold, shared, err := f.MatchPair(ctx, PreparedSource(a), PreparedSource(b))
 	if err != nil || shared {
 		t.Fatalf("cold MatchPair = shared %t, err %v", shared, err)
 	}
@@ -420,7 +420,7 @@ func TestMatchPairCachedAndIdentical(t *testing.T) {
 	if err := sameMapping(direct.Mapping, cold.Mapping(a, b)); err != nil {
 		t.Errorf("mapping rebuilt from the pair match differs from MatchPrepared: %v", err)
 	}
-	warm, shared, err := f.MatchPair(ctx, a, b)
+	warm, shared, err := f.MatchPair(ctx, PreparedSource(a), PreparedSource(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestCacheRetainsMappingsNotMatrices(t *testing.T) {
 	}
 	before := heap()
 	for i := range src {
-		if _, _, err := f.MatchPair(context.Background(), src[i], dst[i]); err != nil {
+		if _, _, err := f.MatchPair(context.Background(), PreparedSource(src[i]), PreparedSource(dst[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -545,7 +545,7 @@ func TestCachedInlinePairRetainsOnlyItsReply(t *testing.T) {
 	before := heap()
 	for i := 0; i < pairs; i++ {
 		src, dst := prepare(i)
-		if _, _, err := f.MatchPair(context.Background(), src, dst); err != nil {
+		if _, _, err := f.MatchPair(context.Background(), PreparedSource(src), PreparedSource(dst)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -570,10 +570,10 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	if !f.Draining() {
 		t.Fatal("Draining() false after BeginDrain")
 	}
-	if _, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyExact}); !errors.Is(err, ErrDraining) {
+	if _, err := f.MatchBatch(ctx, PreparedSource(probe), MatchSpec{Retrieval: registry.StrategyExact}); !errors.Is(err, ErrDraining) {
 		t.Errorf("MatchBatch while draining = %v, want ErrDraining", err)
 	}
-	if _, _, err := f.MatchPair(ctx, probe, probe); !errors.Is(err, ErrDraining) {
+	if _, _, err := f.MatchPair(ctx, PreparedSource(probe), PreparedSource(probe)); !errors.Is(err, ErrDraining) {
 		t.Errorf("MatchPair while draining = %v, want ErrDraining", err)
 	}
 	if _, err := f.AcquireWrite(ctx); !errors.Is(err, ErrDraining) {
@@ -589,7 +589,7 @@ func TestMatchDeadlineExpires(t *testing.T) {
 		DegradeAt:     -1,
 	})
 	probe := prepProbe(t, r, 2, 1)
-	if _, err := f.MatchBatch(context.Background(), probe, MatchSpec{Retrieval: registry.StrategyExact}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := f.MatchBatch(context.Background(), PreparedSource(probe), MatchSpec{Retrieval: registry.StrategyExact}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("MatchBatch under 1ns deadline = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -626,7 +626,7 @@ func TestMatchPairMappingSurvivesScratchReuse(t *testing.T) {
 	a, b := prepProbe(t, r, 0, 1), prepProbe(t, r, 0, 2)
 	c, d := prepProbe(t, r, 1, 3), prepProbe(t, r, 2, 4)
 	ctx := context.Background()
-	first, _, err := f.MatchPair(ctx, a, b)
+	first, _, err := f.MatchPair(ctx, PreparedSource(a), PreparedSource(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +634,7 @@ func TestMatchPairMappingSurvivesScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.MatchPair(ctx, c, d); err != nil {
+	if _, _, err := f.MatchPair(ctx, PreparedSource(c), PreparedSource(d)); err != nil {
 		t.Fatal(err)
 	}
 	after, err := json.Marshal(first)

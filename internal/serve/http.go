@@ -157,13 +157,12 @@ func OverloadError(err error, maxWait time.Duration) error {
 	return err
 }
 
-// WriteJSON writes v as an indented JSON response with the given status.
+// WriteJSON writes v as a compact JSON response, one line ending in
+// "\n", with the given status.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("writing response: %v", err)
 	}
 }

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"sort"
 
@@ -34,6 +37,24 @@ func (r SchemaRef) Samples() []byte {
 		return nil
 	}
 	return r.Instances
+}
+
+// Key is the cache identity of an inline reference: "inline:" and the
+// hex SHA-256 of its length-prefixed name, format, content and instance
+// bytes. The name is part of it because parsing names the SQL, XSD, DTD,
+// JSON Schema and Avro schemas by it. Two references with the same key
+// prepare the same schema, so a cache hit never has to parse one.
+func (r SchemaRef) Key() string {
+	samples := r.Samples()
+	buf := make([]byte, 0, 4*binary.MaxVarintLen64+len(r.Name)+len(r.Format)+len(r.Content)+len(samples))
+	for _, f := range [...]string{r.Name, r.Format, r.Content} {
+		buf = binary.AppendUvarint(buf, uint64(len(f)))
+		buf = append(buf, f...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(samples)))
+	buf = append(buf, samples...)
+	sum := sha256.Sum256(buf)
+	return "inline:" + hex.EncodeToString(sum[:])
 }
 
 // BatchRequest is the /match/batch body: a source and the number of
@@ -145,6 +166,28 @@ func (p *PairMatch) Mapping(src, dst *core.Prepared) *mapping.Mapping {
 		Leaves:       elements(p.Leaves),
 		NonLeaves:    elements(p.NonLeaves),
 	}
+}
+
+// MatchReply is the /match reply. Its fields are declared in key order,
+// so it encodes exactly as the sorted map cupidd once built.
+type MatchReply struct {
+	Cached       bool   `json:"cached"`
+	Leaves       []Pair `json:"leaves"`
+	NonLeaves    []Pair `json:"nonLeaves"`
+	SourceSchema string `json:"sourceSchema"`
+	TargetSchema string `json:"targetSchema"`
+}
+
+// MappingReply is the /mappings/{a}/{c} reply, its fields declared in
+// key order like MatchReply's. Medoid is set only for ?via=family.
+type MappingReply struct {
+	Cached    bool   `json:"cached"`
+	Leaves    []Pair `json:"leaves"`
+	Medoid    string `json:"medoid,omitempty"`
+	NonLeaves []Pair `json:"nonLeaves"`
+	Source    string `json:"source"`
+	Target    string `json:"target"`
+	Via       string `json:"via"`
 }
 
 // BatchResult is one ranked repository schema in a batch reply.
