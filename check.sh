@@ -96,7 +96,7 @@ else
     echo "check: cupidbench -exp cluster (CHECK_SKIP_BENCH=1 to skip)"
     go run ./cmd/cupidbench -exp cluster || fail cluster-bench "cluster gates failed (scaling, merge-recall or replica-convergence regression; see above)"
     echo "check: cupidbench -exp corpus (CHECK_SKIP_BENCH=1 to skip)"
-    go run ./cmd/cupidbench -exp corpus || fail corpus-bench "corpus gates failed (planned or indexed recall or clustering durability regression; see above)"
+    go run ./cmd/cupidbench -exp corpus || fail corpus-bench "corpus gates failed (planned or indexed recall regression; see above)"
     echo "check: cupidbench -exp crossformat (CHECK_SKIP_BENCH=1 to skip)"
     go run ./cmd/cupidbench -exp crossformat || fail crossformat-bench "crossformat gates failed (cross-format fan-in recall or instance tie-break regression; see above)"
 fi

@@ -71,12 +71,10 @@ type BenchReport struct {
 	// aggregate matches/sec from 1 to 4 shards, merged recall@10
 	// exactly 1.0, byte-identical replica rankings.
 	Cluster *ClusterPoint `json:"cluster,omitempty"`
-	// Corpus is the corpus-clustering workload (-exp corpus): clustering
-	// cost on a 10k FamilyCorpus registry, planned and indexed recall on
-	// it (clustering installed) and on its bridged variant, plus
-	// clustering durability. Gated: every recall@10 >= 0.98 vs the
-	// exhaustive scan, and a restarted node and a replication follower
-	// both serve byte-identical clustering bytes.
+	// Corpus is the corpus-scale retrieval workload (-exp corpus):
+	// planned and indexed recall on a 10k FamilyCorpus registry and on
+	// its bridged variant. Gated: every recall@10 >= 0.98 vs the
+	// exhaustive scan.
 	Corpus *CorpusPoint `json:"corpus,omitempty"`
 	// CrossFormat is the generic-model fan-in workload (-exp crossformat):
 	// cross-format self-match over the examples/crossformat corpus plus

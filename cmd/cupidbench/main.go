@@ -39,13 +39,9 @@
 //	           >= 1.6x from 1 to 4, merged recall@10 gated exactly
 //	           1.0) plus the killed-and-restarted replica, gated on
 //	           byte-identical convergence with the primary
-//	corpus     corpus clustering: cluster a 10k FamilyCorpus registry
-//	           into schema families, gate planned and indexed recall@10
-//	           >= 0.98 vs the exhaustive scan with the clustering
-//	           installed and on a bridged 10k corpus, then persist a
-//	           clustering through the journal and gate a restarted node
-//	           and a replication follower on byte-identical family
-//	           assignments
+//	corpus     corpus-scale retrieval: gate planned and indexed
+//	           recall@10 >= 0.98 vs the exhaustive scan on a 10k
+//	           FamilyCorpus registry and on a bridged 10k corpus
 //	crossformat  generic-model fan-in + instance-aware matching: the
 //	           cross-format corpus (each family rendered as SQL DDL,
 //	           JSON Schema and Avro; the examples/crossformat files)
@@ -60,9 +56,8 @@
 // their own blocks into the report at -benchout (BENCH_cupid.json),
 // keeping every other experiment's, so they can run in any order. Every
 // timed comparison keeps each arm's fastest of interleaved repetitions;
-// one-off costs (the cache's cold pass, corpus clustering, the
-// cross-format sweep) are timed once. -overload-window sets the length
-// of each overload load cell.
+// one-off costs (the cache's cold pass, the cross-format sweep) are timed
+// once. -overload-window sets the length of each overload load cell.
 //
 // With -csv, the scale and ablation experiments additionally emit CSV to
 // stdout (the raw series behind the figures).

@@ -31,9 +31,7 @@
 // touched, re-ranked by exact signature affinity, and just the top
 // candidates pay the full tree match — and size the candidate budget to
 // the query's actual posting pool. -retrieval=index|pruned|exact forces
-// one path (every response reports the "strategy" that ran). An installed
-// corpus clustering (POST /corpus/cluster) never changes a ranking: it
-// serves GET /corpus/families and /mappings?via=family only.
+// one path (every response reports the "strategy" that ran).
 //
 // The server is overload-resilient (docs/ARCHITECTURE.md has the serving
 // layer diagram). Match traffic and mutations are admitted through
@@ -124,18 +122,8 @@
 //	POST   /match/batch      rank the repository against one source schema:
 //	                         {source, topK?}; returns top-K scored results
 //	GET    /mappings/{a}/{c} derive a mapping between two registered
-//	                         schemas: ?via=direct (one full match, the
-//	                         default) or ?via=family (composed transitively
-//	                         through the schemas' shared family medoid,
-//	                         similarities multiplied along each chain)
-//	POST   /corpus/cluster   start an asynchronous corpus-clustering job
-//	                         (greedy-medoid schema families over
-//	                         index-generated candidate pairs); returns 202
-//	                         with a job id; optional body {neighbors,
-//	                         min_affinity}
-//	GET    /corpus/cluster/{id} poll a clustering job (running/done/failed)
-//	GET    /corpus/families  the installed clustering's canonical JSON,
-//	                         byte-identical across restarts and replicas
+//	                         schemas with one full match (?via=direct, the
+//	                         default and only accepted value)
 //	GET    /replicate        stream the write-ahead journal to a follower
 //	                         (snapshot transfer, then commit-ordered tail;
 //	                         ?base=&records= resumes a checkpointed
@@ -202,9 +190,6 @@ type server struct {
 	// replState tracks the follower's replication progress for /readyz
 	// (non-nil exactly in follower mode).
 	replState *cupid.ReplState
-	// corpusJobs tracks asynchronous corpus-clustering runs
-	// (POST /corpus/cluster; corpus.go).
-	corpusJobs clusterJobs
 }
 
 func newServer(cfg cupid.Config) (*server, error) {
@@ -669,6 +654,36 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleMapping derives a mapping between two registered schemas with one
+// full match, served through the same match cache as /match. ?via=direct
+// is the default and the only accepted value.
+func (s *server) handleMapping(w http.ResponseWriter, r *http.Request) {
+	aName, cName := r.PathValue("a"), r.PathValue("c")
+	a, ok := s.reg.Get(aName)
+	if !ok {
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", aName))
+		return
+	}
+	c, ok := s.reg.Get(cName)
+	if !ok {
+		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", cName))
+		return
+	}
+	if via := r.URL.Query().Get("via"); via != "" && via != "direct" {
+		serve.WriteError(w, serve.Errorf(http.StatusBadRequest, "query parameter via must be direct, got %q", via))
+		return
+	}
+	m, cached, err := s.front.MatchPair(r.Context(), serve.PreparedSource(a.Prepared), serve.PreparedSource(c.Prepared))
+	if err != nil {
+		serve.WriteError(w, serve.OverloadError(err, s.front.ReadPool().MaxWait()))
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, serve.MappingReply{
+		Cached: cached, Leaves: m.Leaves, NonLeaves: m.NonLeaves,
+		Source: aName, Target: cName, Via: "direct",
+	})
+}
+
 // routeTable lists every endpoint the server exposes.
 func (s *server) routeTable() []serve.Route {
 	return []serve.Route{
@@ -679,9 +694,6 @@ func (s *server) routeTable() []serve.Route {
 		{Method: http.MethodPost, Pattern: "/match", Handler: s.handleMatch},
 		{Method: http.MethodPost, Pattern: "/match/batch", Handler: s.handleBatch},
 		{Method: http.MethodGet, Pattern: "/mappings/{a}/{c}", Handler: s.handleMapping},
-		{Method: http.MethodPost, Pattern: "/corpus/cluster", Handler: s.handleClusterStart},
-		{Method: http.MethodGet, Pattern: "/corpus/cluster/{id}", Handler: s.handleClusterStatus},
-		{Method: http.MethodGet, Pattern: "/corpus/families", Handler: s.handleFamilies},
 		{Method: http.MethodGet, Pattern: "/replicate", Handler: s.handleReplicate},
 		{Method: http.MethodGet, Pattern: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
 			serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -110,10 +110,12 @@ func TestEveryReplyIsOneCompactLine(t *testing.T) {
 		{http.MethodPost, "/match/batch", map[string]any{"source": map[string]string{"name": "ghost"}}, http.StatusNotFound},
 		{http.MethodPost, "/match/batch", map[string]any{"source": map[string]string{"name": "orders"}, "bogus": 1}, http.StatusBadRequest},
 		{http.MethodGet, "/mappings/orders/purchases", nil, http.StatusOK},
-		{http.MethodGet, "/mappings/orders/purchases?via=family", nil, http.StatusConflict},
+		{http.MethodGet, "/mappings/orders/purchases?via=family", nil, http.StatusBadRequest},
 		{http.MethodGet, "/mappings/orders/purchases?via=bogus", nil, http.StatusBadRequest},
+		// The corpus clustering routes were removed.
+		{http.MethodPost, "/corpus/cluster", nil, http.StatusNotFound},
+		{http.MethodGet, "/corpus/cluster/1", nil, http.StatusNotFound},
 		{http.MethodGet, "/corpus/families", nil, http.StatusNotFound},
-		{http.MethodGet, "/corpus/cluster/99", nil, http.StatusNotFound},
 		{http.MethodGet, "/replicate?base=x", nil, http.StatusBadRequest},
 		{http.MethodGet, "/healthz", nil, http.StatusOK},
 		{http.MethodGet, "/readyz", nil, http.StatusOK},
@@ -121,20 +123,7 @@ func TestEveryReplyIsOneCompactLine(t *testing.T) {
 		{http.MethodPut, "/schemas", nil, http.StatusMethodNotAllowed},
 	}
 	checkOneCompactLine(t, s.routes(), reqs)
-
-	// The clustering routes: start a job, let it finish, read it back.
-	started := []replyRequest{{http.MethodPost, "/corpus/cluster", nil, http.StatusAccepted}}
-	checkOneCompactLine(t, s.routes(), started)
-	waitForCond(t, func() bool {
-		j, ok := s.corpusJobs.get(1)
-		return ok && j.Status != "running"
-	})
-	clustered := []replyRequest{
-		{http.MethodGet, "/corpus/cluster/1", nil, http.StatusOK},
-		{http.MethodGet, "/corpus/families", nil, http.StatusOK},
-	}
-	checkOneCompactLine(t, s.routes(), clustered)
-	routesCovered(t, s.routeTable(), append(append(reqs, started...), clustered...))
+	routesCovered(t, s.routeTable(), reqs)
 
 	rt, err := cluster.NewRouter(cluster.Options{Shards: []string{shard.ts.URL}})
 	if err != nil {

@@ -479,9 +479,7 @@ func sameApartFromCached(t *testing.T, what string, a, b []byte, wantA, wantB bo
 // TestCachedMappingsAreByteIdentical asserts a cached reply is served
 // exactly as computed: POST /match, POST /match/batch (a registered
 // source, whose own entry the reply drops) and GET /mappings?via=direct
-// answer byte-identically cold and warm (only "cached" changes), and a
-// via=family mapping composed from two cached pair matches equals the
-// answer of a server that caches nothing.
+// answer byte-identically cold and warm (only "cached" changes).
 func TestCachedMappingsAreByteIdentical(t *testing.T) {
 	ts := newTestServer(t) // default -cache 1024
 	register(t, ts, "orders", "sql", ordersDDL)
@@ -509,39 +507,6 @@ func TestCachedMappingsAreByteIdentical(t *testing.T) {
 		sameApartFromCached(t, c.what, cold, warm, false, true)
 	}
 
-	// via=family: the first call computes and caches A→M and C→M, the
-	// second composes the two cached mappings; both must equal what a
-	// cache-disabled server derives.
-	fs, opt := newFlagSet()
-	if err := fs.Parse([]string{"-cache", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := newServerFromOptions(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached := httptest.NewServer(plain.routes())
-	defer uncached.Close()
-	cached := newTestServer(t)
-	ord, _ := corpusFixture(t, cached)
-	corpusFixture(t, uncached)
-	clusterAndWait(t, cached)
-	clusterAndWait(t, uncached)
-	path := "/mappings/" + ord[0] + "/" + ord[1] + "?via=family"
-	code, want := rawCall(t, uncached, http.MethodGet, path, nil)
-	if code != http.StatusOK {
-		t.Fatalf("uncached via=family: status %d: %s", code, want)
-	}
-	code, cold := rawCall(t, cached, http.MethodGet, path, nil)
-	if code != http.StatusOK {
-		t.Fatalf("cold via=family: status %d: %s", code, cold)
-	}
-	code, warm := rawCall(t, cached, http.MethodGet, path, nil)
-	if code != http.StatusOK {
-		t.Fatalf("warm via=family: status %d: %s", code, warm)
-	}
-	sameApartFromCached(t, "via=family cold", want, cold, false, false)
-	sameApartFromCached(t, "via=family from cached mappings", want, warm, false, true)
 }
 
 // TestCachedRepliesUnderConcurrentReaders: once a batch (of a registered

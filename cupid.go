@@ -104,7 +104,6 @@ import (
 
 	"repro/internal/avro"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/dtd"
 	"repro/internal/instance"
 	"repro/internal/jsonschema"
@@ -357,17 +356,6 @@ const (
 // ParseRetrievalStrategy parses a -retrieval flag value (auto, exact,
 // pruned, index or indexed).
 func ParseRetrievalStrategy(s string) (RetrievalStrategy, error) { return registry.ParseStrategy(s) }
-
-// CorpusOptions tunes corpus-scale schema clustering (neighbor count per
-// schema and the minimum affinity for a family edge).
-type CorpusOptions = corpus.Options
-
-// CorpusResult is one corpus clustering: the schema families (medoid +
-// sorted members) in canonical, byte-stable JSON form.
-type CorpusResult = corpus.Result
-
-// SchemaFamily is one family of a corpus clustering.
-type SchemaFamily = corpus.Family
 
 // PlanOptions configures SchemaRegistry.Match's planned retrieval: an
 // optional forced strategy and the serving layer's degradation signal,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,20 +24,27 @@ type stubShard struct {
 	batch      serve.BatchReply
 	batchCode  int
 	batchDelay time.Duration
-	doc        *registry.Doc
-	schemas    []map[string]any
-	registers  atomic.Int64
-	deletes    atomic.Int64
-	srv        *httptest.Server
+	// release, when closed, ends every batch request still waiting out
+	// batchDelay.
+	release   chan struct{}
+	doc       *registry.Doc
+	schemas   []map[string]any
+	registers atomic.Int64
+	deletes   atomic.Int64
+	srv       *httptest.Server
 }
 
 func (s *stubShard) start(t *testing.T) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /match/batch", func(w http.ResponseWriter, r *http.Request) {
+		// Reading the body to EOF lets net/http watch the connection, so
+		// r.Context() is cancelled as soon as the router hangs up.
+		io.Copy(io.Discard, r.Body)
 		if s.batchDelay > 0 {
 			select {
 			case <-time.After(s.batchDelay):
+			case <-s.release:
 			case <-r.Context().Done():
 				return
 			}
@@ -343,7 +351,7 @@ func TestRouterDrainAndProbes(t *testing.T) {
 // saturate a 1-slot pool with a held request and verify the overflow is
 // shed with 429 + Retry-After instead of queueing unbounded.
 func TestRouterAdmission(t *testing.T) {
-	slow := &stubShard{batchDelay: 2 * time.Second}
+	slow := &stubShard{batchDelay: 2 * time.Second, release: make(chan struct{})}
 	rt := newTestRouter(t, Options{
 		Shards: []string{slow.start(t)},
 		Read:   serve.PoolOptions{Slots: 1, Queue: 1, MaxWait: 20 * time.Millisecond},
@@ -370,6 +378,7 @@ func TestRouterAdmission(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Errorf("429 without Retry-After hint")
 	}
+	close(slow.release)
 	<-done
 }
 

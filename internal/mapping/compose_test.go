@@ -101,9 +101,8 @@ func TestCompose(t *testing.T) {
 	}
 }
 
-// TestComposeAgreesWithDirect is the agreement property the family-
-// mediated mapping route (GET /mappings/{a}/{c}?via=family) rests on:
-// composing A -> B with B -> C yields exactly the correspondence pairs a
+// TestComposeAgreesWithDirect is the agreement property reusing earlier
+// match results through an intermediate schema rests on: composing A -> B with B -> C yields exactly the correspondence pairs a
 // direct A -> C match finds, and — because per-hop similarities multiply
 // — never claims more confidence than the direct match does.
 func TestComposeAgreesWithDirect(t *testing.T) {

@@ -2,13 +2,11 @@ package registry
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/instance"
 	"repro/internal/model"
 )
@@ -166,18 +164,6 @@ func OpenPersistentOptions(dir string, m *core.Matcher, opts PersistOptions, par
 		stop:        make(chan struct{}),
 	}
 	for _, l := range rec.Docs {
-		if l.Schema == nil && metaDoc(l.Doc.Format) {
-			// Repository metadata rides the same recovery stream. An
-			// undecodable clustering is dropped with a warning, never
-			// fatal: the registry serves fine without one, and the next
-			// compaction stops persisting it.
-			if err := p.Registry.SetFamiliesJSON([]byte(l.Doc.Content)); err != nil {
-				rec.Warnings = append(rec.Warnings, fmt.Sprintf("dropping persisted corpus clustering: %v", err))
-			} else {
-				p.docs[l.Doc.Name] = l.Doc
-			}
-			continue
-		}
 		// Recover the sampled-instances payload, when the document carries
 		// one, so restored entries rebuild the same value profiles (and
 		// the same profile-suffixed fingerprints) the primary registered
@@ -426,9 +412,6 @@ func (p *Persistent) RegisterSource(name, format string, content []byte) (*Entry
 // replication follower — rebuilds the same value profiles the primary
 // registered with. Empty instances degrade to plain RegisterSource.
 func (p *Persistent) RegisterSourceInstances(name, format string, content, instances []byte) (*Entry, bool, error) {
-	if name == FamiliesDocName || metaDoc(format) {
-		return nil, false, fmt.Errorf("registry: name %q / format %q is reserved for corpus clustering metadata", FamiliesDocName, FamiliesDocFormat)
-	}
 	s, err := p.store.parse(name, format, content)
 	if err != nil {
 		return nil, false, err
@@ -533,70 +516,6 @@ func (p *Persistent) journalPutLocked(d Doc, verb string) error {
 	return nil
 }
 
-// familiesFingerprint derives the reserved metadata document's
-// fingerprint from its canonical bytes, so idempotence and replication
-// diffing work the same way they do for schema documents.
-func familiesFingerprint(raw []byte) string {
-	h := fnv.New64a()
-	h.Write(raw)
-	return fmt.Sprintf("corpus-%016x", h.Sum64())
-}
-
-// StoreFamilies validates and installs a corpus clustering result and
-// persists its canonical bytes as the reserved metadata document — one
-// journaled put through the ordinary journal path, so the clustering
-// survives restarts, folds into compaction snapshots, and streams to
-// replication followers like any other acknowledged mutation.
-func (p *Persistent) StoreFamilies(res *corpus.Result) error {
-	if res == nil {
-		return fmt.Errorf("registry: storing nil corpus clustering")
-	}
-	raw, err := res.Encode()
-	if err != nil {
-		return err
-	}
-	return p.storeFamiliesJSON(raw)
-}
-
-// storeFamiliesJSON is StoreFamilies on canonical bytes — also the
-// replication apply path (applyFamiliesDoc), which must journal exactly
-// the primary's bytes locally so a follower's own restart and its own
-// followers see the identical clustering.
-func (p *Persistent) storeFamiliesJSON(raw []byte) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return errClosed()
-	}
-	if err := p.Registry.SetFamiliesJSON(raw); err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	d := Doc{Name: FamiliesDocName, Fingerprint: familiesFingerprint(raw), Format: FamiliesDocFormat, Content: string(raw)}
-	identical := false
-	if cur, ok := p.docs[d.Name]; ok && cur.Content == d.Content {
-		identical = true
-	}
-	p.docs[d.Name] = d
-	if identical {
-		// Same idempotence contract as re-registration: free when the
-		// content is confirmed durable, a fresh record when a pending
-		// marker says the earlier commit never confirmed.
-		if _, pending := p.unjournaled[d.Name]; !pending {
-			p.mu.Unlock()
-			return nil
-		}
-	}
-	return p.journalPutLocked(d, "installed corpus clustering")
-}
-
-// applyFamiliesDoc installs a clustering document received from
-// replication (a streamed put record or a resync snapshot doc),
-// journaling it locally with the primary's exact content bytes.
-func (p *Persistent) applyFamiliesDoc(d Doc) error {
-	return p.storeFamiliesJSON([]byte(d.Content))
-}
-
 // Remove deletes the entry and persists the removal, reporting whether the
 // entry existed.
 func (p *Persistent) Remove(name string) (bool, error) {
@@ -608,16 +527,6 @@ func (p *Persistent) Remove(name string) (bool, error) {
 	existed := p.Registry.Remove(name)
 	if existed {
 		delete(p.docs, name)
-	}
-	if !existed && name == FamiliesDocName {
-		// The reserved metadata document never lives in the entry shards;
-		// removing it clears the installed clustering (planner falls back
-		// to indexed) and journals an ordinary del record.
-		if _, ok := p.docs[name]; ok {
-			p.Registry.ClearFamilies()
-			delete(p.docs, name)
-			existed = true
-		}
 	}
 	// Journal the deletion if the entry existed now, or if an
 	// earlier removal of this name is not yet confirmed durable — a

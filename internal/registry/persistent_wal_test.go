@@ -234,21 +234,7 @@ var legacyFixtureDocs = []Doc{
 // fingerprints and rankings as a fresh registration of its documents, and
 // the first mutation lands in wal-<seq>.log beside the newest snapshot.
 func TestLegacyDataDirOpensAsBaseGeneration(t *testing.T) {
-	const fixture = "testdata/legacy-datadir"
-	dir := t.TempDir()
-	files, err := os.ReadDir(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(fixture, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, "testdata/legacy-datadir")
 	p := newWAL(t, dir, PersistOptions{})
 	defer p.Close()
 

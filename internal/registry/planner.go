@@ -212,10 +212,6 @@ type Plan struct {
 //	         smaller: a selective probe's true matches concentrate in
 //	         its clusters, so matching a fixed corpus fraction beyond
 //	         them is pure waste.
-//
-// An installed corpus clustering (SetFamilies) is never consulted: every
-// strategy ranks by each candidate's own match score, so a clustering
-// cannot change a ranking.
 func (r *Registry) Plan(src *core.Prepared, topK int, opt PlanOptions) Plan {
 	if opt.Force != StrategyAuto {
 		return Plan{Strategy: opt.Force, Degraded: opt.Degraded && opt.Force != StrategyExact}

@@ -470,6 +470,31 @@ func TestPlannedRecallAtLeastBestStatic(t *testing.T) {
 	}
 }
 
+// TestPlannedRankingExactOnBridgedCorpus: on a 2k corpus whose families
+// chain through shared vocabulary (FamilyCorpusSpec.Bridge: 4), the
+// planned top-10 of one probe per domain is the exhaustive scan's.
+func TestPlannedRankingExactOnBridgedCorpus(t *testing.T) {
+	const topK = 10
+	r := newTestRegistry(t)
+	for _, s := range workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 200, Seed: 17, Bridge: 4}) {
+		if _, _, err := r.Register(s.Name, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := 0; f < workloads.NumFamilies(); f++ {
+		src := mustPrepare(t, r, workloads.FamilyProbe(f, 1234))
+		got, _, err := r.Match(src, topK, DefaultPlanOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, err := r.MatchAll(src, topK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRanking(t, truth, got)
+	}
+}
+
 // TestPlanAllocationFree pins the warm-path contract: planning runs on
 // every request, so with the probe signature pre-warmed it must not
 // allocate at all.

@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -109,10 +108,6 @@ type Registry struct {
 	matcher *core.Matcher
 	idx     *index.Index
 	shards  [regShards]regShard
-
-	// families is the installed corpus clustering (families.go); nil until
-	// SetFamilies.
-	families atomic.Pointer[familyView]
 }
 
 // New builds a registry with its own Matcher for the given configuration.

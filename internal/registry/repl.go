@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"sort"
 	"sync"
 	"time"
@@ -572,18 +573,9 @@ func (p *Persistent) applyResync(docs []Doc) error {
 			}
 		}
 	}
-	if !keep[FamiliesDocName] {
-		// The primary dropped (or never had) a corpus clustering; a
-		// follower holding a stale one must drop it too.
-		if _, err := p.Remove(FamiliesDocName); err != nil {
-			return fmt.Errorf("registry: resync removing corpus clustering: %w", err)
-		}
-	}
 	for _, d := range docs {
-		if metaDoc(d.Format) {
-			if err := p.applyFamiliesDoc(d); err != nil {
-				return fmt.Errorf("registry: resync applying corpus clustering: %w", err)
-			}
+		if legacyClustering(d.Format) {
+			skipLegacyClustering(d.Name)
 			continue
 		}
 		if _, _, err := p.RegisterSourceInstances(d.Name, d.Format, []byte(d.Content), []byte(d.Instances)); err != nil {
@@ -593,14 +585,19 @@ func (p *Persistent) applyResync(docs []Doc) error {
 	return nil
 }
 
+// skipLegacyClustering logs the one warning for a corpus clustering
+// record received from an older primary; the caller skips the record and
+// still advances its position past it.
+func skipLegacyClustering(name string) {
+	log.Printf("registry: replication: skipping legacy corpus clustering record %q", name)
+}
+
 // applyReplRecord replays one shipped journal record.
 func (p *Persistent) applyReplRecord(rec walRecord) error {
 	switch rec.Op {
 	case walOpPut:
-		if metaDoc(rec.Format) {
-			if err := p.applyFamiliesDoc(rec.doc()); err != nil {
-				return fmt.Errorf("registry: replaying replicated corpus clustering: %w", err)
-			}
+		if legacyClustering(rec.Format) {
+			skipLegacyClustering(rec.Name)
 			return nil
 		}
 		if _, _, err := p.RegisterSourceInstances(rec.Name, rec.Format, []byte(rec.Content), []byte(rec.Instances)); err != nil {

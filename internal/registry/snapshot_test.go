@@ -16,13 +16,12 @@ import (
 
 // trickyDocs covers every escaping path of the JSON encoder: HTML
 // characters, U+2028/U+2029, non-ASCII text, invalid UTF-8, control
-// bytes, an instances payload and a repository metadata document.
+// bytes and an instances payload.
 func trickyDocs() []Doc {
 	return []Doc{
 		{Name: "zeta", Fingerprint: "f1", Format: "sql", Content: "CREATE TABLE T (X INT); -- <b>&amp;</b>   "},
 		{Name: "alpha", Fingerprint: "f2", Format: "json", Content: `{"name":"Größe","root":{"name":"日本語"}}`},
 		{Name: "mid dle", Fingerprint: "f3", Format: "sql", Content: "bad \xff\xfe utf8 \x00\x1f\t\n\"quoted\"\\", Instances: `{"rows":[["<x>","&"]]}`},
-		{Name: FamiliesDocName, Format: FamiliesDocFormat, Content: `{"families":[{"medoid":"alpha","members":["alpha","zeta"]}]}`},
 	}
 }
 

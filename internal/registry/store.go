@@ -95,22 +95,13 @@ const (
 	snapshotsKept = 2
 )
 
-// FamiliesDocName and FamiliesDocFormat identify the reserved metadata
-// document that carries the corpus clustering (internal/corpus canonical
-// JSON) through the ordinary persistence machinery: journaled like any
-// put, folded into snapshots, shipped to replication followers — so
-// family assignments survive restarts and replicate byte-identically
-// without a second durability path. The name is reserved: RegisterSource
-// refuses it for ordinary schemas.
-const (
-	FamiliesDocName   = ".corpus/families"
-	FamiliesDocFormat = "corpus-families"
-)
-
-// metaDoc reports whether a persisted record is repository metadata
-// rather than a schema document: metadata is never parsed as a schema and
-// never registered into the entry shards.
-func metaDoc(format string) bool { return format == FamiliesDocFormat }
+// legacyClustering reports whether a persisted or replicated record is a
+// corpus clustering (".corpus/families", format "corpus-families"), which
+// data directories and primaries from before the clustering was removed
+// may still carry. Such a record is never parsed as a schema: recovery
+// and replication skip it with a warning, and since it never enters the
+// live document set, the next compaction stops writing it.
+func legacyClustering(format string) bool { return format == "corpus-families" }
 
 // Sentinel failure kinds loadNewest dispatches on: a version mismatch
 // hard-fails the open, a document parse failure skips the generation
@@ -474,10 +465,8 @@ func (st *Store) Recover() (*Recovery, error) {
 	rec.Docs = make([]Loaded, 0, len(names))
 	for _, name := range names {
 		d := state[name]
-		if metaDoc(d.Format) {
-			// Metadata replays like any other record (last writer wins) but
-			// is never parsed as a schema; the opener installs it.
-			rec.Docs = append(rec.Docs, Loaded{Doc: d})
+		if legacyClustering(d.Format) {
+			warnings = append(warnings, fmt.Sprintf("skipping legacy corpus clustering record %q", name))
 			continue
 		}
 		s, ok := parsed[name]
@@ -525,9 +514,9 @@ func (st *Store) loadSnapshot(seq uint64) ([]Loaded, error) {
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			return nil, fmt.Errorf("decoding record %d: %w", i, err)
 		}
-		if metaDoc(d.Format) {
-			// Repository metadata (the corpus clustering) is carried, not
-			// parsed: the opener validates and installs it separately.
+		if legacyClustering(d.Format) {
+			// Carried unparsed so the journal can still supersede it;
+			// Recover skips whatever survives replay.
 			out = append(out, Loaded{Doc: d})
 			continue
 		}

@@ -52,14 +52,14 @@ func rankKey(ranked []BatchResult) string {
 }
 
 // samePairs reports the first difference between two rendered element
-// lists: paths, node indexes and bit-identical wsim, ssim and lsim.
+// lists: paths and bit-identical wsim, ssim and lsim.
 func samePairs(want, got []Pair) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d elements, want %d", len(got), len(want))
 	}
 	for i, w := range want {
 		g := got[i]
-		if g.Source != w.Source || g.Target != w.Target || g.SourceIdx != w.SourceIdx || g.TargetIdx != w.TargetIdx ||
+		if g.Source != w.Source || g.Target != w.Target ||
 			math.Float64bits(g.WSim) != math.Float64bits(w.WSim) ||
 			math.Float64bits(g.SSim) != math.Float64bits(w.SSim) ||
 			math.Float64bits(g.LSim) != math.Float64bits(w.LSim) {
@@ -80,34 +80,6 @@ func samePairMatch(want *mapping.Mapping, got *PairMatch) error {
 	}
 	if err := samePairs(PairsOf(want.NonLeaves), got.NonLeaves); err != nil {
 		return fmt.Errorf("non-leaf %v", err)
-	}
-	return nil
-}
-
-// sameMapping reports the first difference between two mappings, element
-// by element: schema names, source and target paths, and bit-identical
-// wsim, ssim and lsim for every leaf and non-leaf element.
-func sameMapping(want, got *mapping.Mapping) error {
-	if want.SourceSchema != got.SourceSchema || want.TargetSchema != got.TargetSchema {
-		return fmt.Errorf("schemas %s→%s, want %s→%s", got.SourceSchema, got.TargetSchema, want.SourceSchema, want.TargetSchema)
-	}
-	for _, part := range []struct {
-		name      string
-		want, got []mapping.Element
-	}{{"leaf", want.Leaves, got.Leaves}, {"non-leaf", want.NonLeaves, got.NonLeaves}} {
-		if len(part.want) != len(part.got) {
-			return fmt.Errorf("%d %s elements, want %d", len(part.got), part.name, len(part.want))
-		}
-		for i, w := range part.want {
-			g := part.got[i]
-			if g.Source.Path() != w.Source.Path() || g.Target.Path() != w.Target.Path() ||
-				math.Float64bits(g.WSim) != math.Float64bits(w.WSim) ||
-				math.Float64bits(g.SSim) != math.Float64bits(w.SSim) ||
-				math.Float64bits(g.LSim) != math.Float64bits(w.LSim) {
-				return fmt.Errorf("%s element %d = %v (ssim %v, lsim %v), want %v (ssim %v, lsim %v)",
-					part.name, i, g, g.SSim, g.LSim, w, w.SSim, w.LSim)
-			}
-		}
 	}
 	return nil
 }
@@ -393,8 +365,7 @@ func TestDegradedShrinksBudgetAndStaysDeterministic(t *testing.T) {
 
 // TestMatchPairCachedAndIdentical asserts the cold and the cached pair
 // match are both bit-identical, element by element, to a direct
-// MatchPrepared's mapping, and that the mapping rebuilt from them over the
-// prepared trees is too.
+// MatchPrepared's mapping.
 func TestMatchPairCachedAndIdentical(t *testing.T) {
 	r := testRegistry(t, 20)
 	f := NewFrontend(r, calmOptions(16))
@@ -416,9 +387,6 @@ func TestMatchPairCachedAndIdentical(t *testing.T) {
 	}
 	if err := samePairMatch(direct.Mapping, cold); err != nil {
 		t.Errorf("cold frontend pair match differs from MatchPrepared: %v", err)
-	}
-	if err := sameMapping(direct.Mapping, cold.Mapping(a, b)); err != nil {
-		t.Errorf("mapping rebuilt from the pair match differs from MatchPrepared: %v", err)
 	}
 	warm, shared, err := f.MatchPair(ctx, PreparedSource(a), PreparedSource(b))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,6 +181,22 @@ func TestSchemaRefKey(t *testing.T) {
 	} {
 		if c.ref.Key() == base.Key() {
 			t.Errorf("references differing in %s share a key", c.what)
+		}
+	}
+	// Golden digests: the key is the cache identity, so its bytes must
+	// not drift between releases of the hashing code.
+	for _, c := range []struct {
+		ref  SchemaRef
+		want string
+	}{
+		{base, "inline:e876e7121461cb739bd352735531970f37f34ba11915b6d61b6d987892c8ffae"},
+		{SchemaRef{Name: "a", Format: "sql", Content: base.Content}, "inline:f8cdfdd67c0930afb62e0a01353f4cb672876710f8bf5ef052e996c0710ee6e1"},
+		// Content longer than Key's chunk buffer.
+		{SchemaRef{Name: "a", Format: "sql", Content: strings.Repeat("CREATE TABLE T (X INT);\n", 100), Instances: base.Instances},
+			"inline:51fba6e0afe60f95589fe49a709a5bd89b926a265366a2c3ff9f558cc4a7b069"},
+	} {
+		if got := c.ref.Key(); got != c.want {
+			t.Errorf("Key(%+v) = %s, want %s", c.ref, got, c.want)
 		}
 	}
 	null := SchemaRef{Name: "a", Format: "sql", Content: base.Content, Instances: json.RawMessage("null")}

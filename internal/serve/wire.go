@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/registry"
 )
@@ -44,17 +43,25 @@ func (r SchemaRef) Samples() []byte {
 // bytes. The name is part of it because parsing names the SQL, XSD, DTD,
 // JSON Schema and Avro schemas by it. Two references with the same key
 // prepare the same schema, so a cache hit never has to parse one.
+//
+// The fields stream through one hasher, strings in buffer-sized chunks,
+// so the key costs a small fixed buffer rather than a copy of the
+// content.
 func (r SchemaRef) Key() string {
-	samples := r.Samples()
-	buf := make([]byte, 0, 4*binary.MaxVarintLen64+len(r.Name)+len(r.Format)+len(r.Content)+len(samples))
+	h := sha256.New()
+	var buf [1024]byte
 	for _, f := range [...]string{r.Name, r.Format, r.Content} {
-		buf = binary.AppendUvarint(buf, uint64(len(f)))
-		buf = append(buf, f...)
+		h.Write(binary.AppendUvarint(buf[:0], uint64(len(f))))
+		for len(f) > 0 {
+			n := copy(buf[:], f)
+			h.Write(buf[:n])
+			f = f[n:]
+		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(samples)))
-	buf = append(buf, samples...)
-	sum := sha256.Sum256(buf)
-	return "inline:" + hex.EncodeToString(sum[:])
+	samples := r.Samples()
+	h.Write(binary.AppendUvarint(buf[:0], uint64(len(samples))))
+	h.Write(samples)
+	return "inline:" + hex.EncodeToString(h.Sum(buf[:0]))
 }
 
 // BatchRequest is the /match/batch body: a source and the number of
@@ -88,18 +95,13 @@ type SchemaList struct {
 }
 
 // Pair is one mapping element as a reply sends it: the two node paths
-// and the element's similarities. SourceIdx and TargetIdx are the two
-// nodes' post-order indexes in the trees the match ran on; they are not
-// sent, and they let a cached PairMatch be rebuilt into a mapping over
-// those trees (PairMatch.Mapping).
+// and the element's similarities.
 type Pair struct {
-	Source    string  `json:"source"`
-	Target    string  `json:"target"`
-	WSim      float64 `json:"wsim"`
-	SSim      float64 `json:"ssim"`
-	LSim      float64 `json:"lsim"`
-	SourceIdx int     `json:"-"`
-	TargetIdx int     `json:"-"`
+	Source string  `json:"source"`
+	Target string  `json:"target"`
+	WSim   float64 `json:"wsim"`
+	SSim   float64 `json:"ssim"`
+	LSim   float64 `json:"lsim"`
 }
 
 // PairsOf renders mapping elements as pairs.
@@ -107,13 +109,11 @@ func PairsOf(es []mapping.Element) []Pair {
 	out := make([]Pair, 0, len(es))
 	for _, e := range es {
 		out = append(out, Pair{
-			Source:    e.Source.Path(),
-			Target:    e.Target.Path(),
-			WSim:      e.WSim,
-			SSim:      e.SSim,
-			LSim:      e.LSim,
-			SourceIdx: e.Source.Idx,
-			TargetIdx: e.Target.Idx,
+			Source: e.Source.Path(),
+			Target: e.Target.Path(),
+			WSim:   e.WSim,
+			SSim:   e.SSim,
+			LSim:   e.LSim,
 		})
 	}
 	return out
@@ -141,33 +141,6 @@ func PairMatchOf(m *mapping.Mapping) *PairMatch {
 	}
 }
 
-// Mapping rebuilds the mapping p was rendered from over src and dst, the
-// prepared schemas (or ones with the same fingerprints) the match ran on:
-// each element's nodes are looked up by their post-order indexes. The
-// result can be inverted and composed like the original.
-func (p *PairMatch) Mapping(src, dst *core.Prepared) *mapping.Mapping {
-	ts, tt := src.Tree(), dst.Tree()
-	elements := func(ps []Pair) []mapping.Element {
-		out := make([]mapping.Element, len(ps))
-		for i, q := range ps {
-			out[i] = mapping.Element{
-				Source: ts.Nodes[q.SourceIdx],
-				Target: tt.Nodes[q.TargetIdx],
-				WSim:   q.WSim,
-				SSim:   q.SSim,
-				LSim:   q.LSim,
-			}
-		}
-		return out
-	}
-	return &mapping.Mapping{
-		SourceSchema: p.SourceSchema,
-		TargetSchema: p.TargetSchema,
-		Leaves:       elements(p.Leaves),
-		NonLeaves:    elements(p.NonLeaves),
-	}
-}
-
 // MatchReply is the /match reply. Its fields are declared in key order,
 // so it encodes exactly as the sorted map cupidd once built.
 type MatchReply struct {
@@ -179,11 +152,10 @@ type MatchReply struct {
 }
 
 // MappingReply is the /mappings/{a}/{c} reply, its fields declared in
-// key order like MatchReply's. Medoid is set only for ?via=family.
+// key order like MatchReply's.
 type MappingReply struct {
 	Cached    bool   `json:"cached"`
 	Leaves    []Pair `json:"leaves"`
-	Medoid    string `json:"medoid,omitempty"`
 	NonLeaves []Pair `json:"nonLeaves"`
 	Source    string `json:"source"`
 	Target    string `json:"target"`

@@ -43,8 +43,7 @@ func TestBatchReplyEncoding(t *testing.T) {
 
 // TestPairReplyEncoding pins the /match and /mappings reply bytes the
 // same way: each golden is what the earlier map-built reply wrote, keys
-// in encoding/json's sorted order, compacted, with "medoid" present only
-// for a family mapping.
+// in encoding/json's sorted order, compacted.
 func TestPairReplyEncoding(t *testing.T) {
 	leaves := []Pair{{Source: "a.X", Target: "po.X", WSim: 0.7, SSim: 0.6, LSim: 1.0 / 3}}
 	nonLeaves := []Pair{{Source: "a", Target: "po", WSim: 0.5, SSim: 0.5, LSim: 0.5}}
@@ -62,9 +61,6 @@ func TestPairReplyEncoding(t *testing.T) {
 		{"direct", MappingReply{Cached: true, Leaves: leaves, NonLeaves: nonLeaves, Source: "a", Target: "po", Via: "direct"},
 			`{"cached":true,"leaves":` + leavesJSON + `,"nonLeaves":` + nonLeavesJSON + `,"source":"a","target":"po","via":"direct"}
 `},
-		{"family", MappingReply{Leaves: leaves, Medoid: "m", NonLeaves: []Pair{}, Source: "a", Target: "po", Via: "family"},
-			`{"cached":false,"leaves":` + leavesJSON + `,"medoid":"m","nonLeaves":[],"source":"a","target":"po","via":"family"}
-`},
 	})
 }
 
@@ -80,8 +76,6 @@ func TestPairRepliesEncodeLikeTheirMaps(t *testing.T) {
 			map[string]any{"sourceSchema": "a", "targetSchema": "po", "cached": true, "leaves": leaves, "nonLeaves": []Pair{}}},
 		{"direct", MappingReply{Leaves: leaves, NonLeaves: leaves, Source: "a", Target: "po", Via: "direct"},
 			map[string]any{"source": "a", "target": "po", "via": "direct", "cached": false, "leaves": leaves, "nonLeaves": leaves}},
-		{"family", MappingReply{Cached: true, Leaves: leaves, Medoid: "m", NonLeaves: []Pair{}, Source: "a", Target: "po", Via: "family"},
-			map[string]any{"source": "a", "target": "po", "via": "family", "medoid": "m", "cached": true, "leaves": leaves, "nonLeaves": []Pair{}}},
 	} {
 		got, err := json.Marshal(c.reply)
 		if err != nil {
