@@ -71,7 +71,7 @@ type PrunePoint struct {
 // IndexPoint measures indexed retrieval on the big-repository workload:
 // one probe ranked against K prepared schemas three ways — exhaustively
 // (MatchAll), signature-pruned (an affinity against every entry, full
-// match on the top quarter), and indexed (the sharded token inverted index
+// match on the top quarter), and indexed (the token inverted index
 // generates candidates from genuine token overlap only, full match on the
 // top eighth), the latter two as forced plans. Recall@K is averaged over
 // one probe per corpus family against the exact scan; the bench fails
@@ -84,7 +84,7 @@ type IndexPoint struct {
 	// budgets (same Limit policy, different default fractions).
 	PrunedCandidates  int `json:"pruned_candidates"`
 	IndexedCandidates int `json:"indexed_candidates"`
-	// CandidatesScored is how many entries the index's accumulator
+	// CandidatesScored is how many entries the index
 	// actually scored for the timed probe (survivors of the stop-posting
 	// cut); the pruned path always scores all K.
 	CandidatesScored int `json:"candidates_scored"`

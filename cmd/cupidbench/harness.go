@@ -48,8 +48,8 @@ type BenchReport struct {
 	// candidate pruning must beat the exhaustive scan on time with
 	// recall@K = 1.0.
 	Prune *PrunePoint `json:"prune,omitempty"`
-	// Index is the 1-vs-2000 retrieval workload: the sharded token
-	// inverted index must beat the pruned scan on time with recall@10 >=
+	// Index is the 1-vs-2000 retrieval workload: the token inverted
+	// index must beat the pruned scan on time with recall@10 >=
 	// 0.98 against the exact scan.
 	Index *IndexPoint `json:"index,omitempty"`
 	// Overload is the serving-layer saturation sweep (-exp overload):

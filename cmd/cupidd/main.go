@@ -11,14 +11,14 @@
 // is journaled through an append-only write-ahead log — each
 // Register/Replace/Remove appends one checksummed record,
 // a group-commit loop batches concurrent writers into a single fsync
-// (linger tunable via -wal-group-commit), and a background compactor
-// folds the journal into a fresh snapshot generation once it passes
-// -compact-threshold bytes. An acknowledged mutation is on disk, and
+// (everything queued while the previous fsync ran shares the next one),
+// and a background compactor folds the journal into a fresh snapshot
+// generation once it passes -compact-threshold bytes. An acknowledged mutation is on disk, and
 // write cost is O(record) instead of O(corpus). A restart recovers the
 // newest consistent snapshot plus the ordered journal tail (torn tails
 // truncated) and serves bit-identical match rankings; docs/PERSISTENCE.md
 // is the full durability contract; a snapshot-only data directory opens
-// as the journal's base generation. The sharded token inverted index
+// as the journal's base generation. The token inverted index
 // behind batch matching is never persisted; recovery rebuilds it
 // deterministically while re-registering the recovered documents.
 //
@@ -69,9 +69,6 @@
 //	                       its own journal and index, checkpoints its
 //	                       position, and reconnects with backoff; requires
 //	                       -data
-//	-wal-group-commit DUR  linger after a write batch opens, letting more
-//	                       concurrent writers join the same fsync (default 0:
-//	                       batch only what queued during the previous fsync)
 //	-compact-threshold N   fold the journal into a new snapshot generation
 //	                       once it exceeds N bytes (default 1 MiB)
 //	-retrieval MODE        /match/batch retrieval strategy: auto (default;
@@ -624,7 +621,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// reply), and saturation-driven budget shrinking ("degraded", with
 	// "candidate_budget" reporting the budget that actually produced the
 	// ranking). candidates_scored keeps its meaning: signatures scored
-	// during candidate generation — the index's accumulator survivors on
+	// during candidate generation — the index's survivors on
 	// the indexed path, the repository size on the scans.
 	want := req.TopK
 	if want > 0 && entry != nil {
@@ -750,7 +747,6 @@ type options struct {
 	minAccept        float64
 	dataDir          string
 	follow           string
-	walGroupCommit   time.Duration
 	compactThreshold int64
 	retrieval        string
 	writeConcurrency int
@@ -781,7 +777,6 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.Float64Var(&opt.minAccept, "min", 0.5, "acceptance threshold thaccept")
 	fs.StringVar(&opt.dataDir, "data", "", "persist the schema repository under this directory (default: in-memory only)")
 	fs.StringVar(&opt.follow, "follow", "", "replicate from the primary cupidd at this URL (read-only replica; requires -data)")
-	fs.DurationVar(&opt.walGroupCommit, "wal-group-commit", 0, "linger this long after a write batch opens so more concurrent writers join the same fsync; 0 batches only what queued during the previous fsync")
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
 	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned or exact")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
@@ -792,14 +787,10 @@ func newFlagSet() (*flag.FlagSet, *options) {
 
 // persistOptions derives the journal tuning from the flags.
 func (opt *options) persistOptions() (cupid.PersistOptions, error) {
-	if opt.walGroupCommit < 0 {
-		return cupid.PersistOptions{}, fmt.Errorf("negative -wal-group-commit %v", opt.walGroupCommit)
-	}
 	if opt.compactThreshold < 0 {
 		return cupid.PersistOptions{}, fmt.Errorf("negative -compact-threshold %d", opt.compactThreshold)
 	}
 	popt := cupid.DefaultPersistOptions()
-	popt.GroupCommitWindow = opt.walGroupCommit
 	if opt.compactThreshold > 0 {
 		popt.CompactBytes = opt.compactThreshold
 	}

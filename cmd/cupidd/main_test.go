@@ -371,7 +371,7 @@ func TestServerBatchRetrievalModes(t *testing.T) {
 	}
 	// No *ID columns and no PRIMARY KEY constraints: both leave tokens
 	// ("id", "primary", "key", the identity concept) in every signature,
-	// and any shared token would make a filler an accumulator survivor.
+	// and any shared token would make a filler an index survivor.
 	fillers := []struct{ name, ddl string }{
 		{"telemetry", "CREATE TABLE Telemetry%d (Sensor INT, Voltage INT, Reading INT);"},
 		{"payroll", "CREATE TABLE Payroll%d (Employee INT, Salary DECIMAL(10,2), Grade INT);"},

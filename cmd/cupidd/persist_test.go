@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	cupid "repro"
 	"repro/internal/registry"
@@ -287,7 +286,7 @@ func TestServerWALCompactionAcrossRestart(t *testing.T) {
 // set flags override it, and negative values are refused.
 func TestPersistOptionsFlagSemantics(t *testing.T) {
 	tuned := cupid.DefaultPersistOptions()
-	tuned.GroupCommitWindow, tuned.CompactBytes = time.Millisecond, 4096
+	tuned.CompactBytes = 4096
 	cases := []struct {
 		name    string
 		opt     options
@@ -295,8 +294,7 @@ func TestPersistOptionsFlagSemantics(t *testing.T) {
 		wantErr bool
 	}{
 		{"default flags", options{}, cupid.DefaultPersistOptions(), false},
-		{"tuned", options{walGroupCommit: time.Millisecond, compactThreshold: 4096}, tuned, false},
-		{"negative linger", options{walGroupCommit: -time.Second}, cupid.PersistOptions{}, true},
+		{"tuned", options{compactThreshold: 4096}, tuned, false},
 		{"negative threshold", options{compactThreshold: -1}, cupid.PersistOptions{}, true},
 	}
 	for _, tc := range cases {

@@ -70,7 +70,7 @@
 // per-schema signatures (size + normalized token overlap, see
 // Prepared.Signature) so only the top fraction pays the full tree match,
 // or indexed retrieval that generates candidates sublinearly from a
-// sharded token inverted index maintained incrementally on every mutation
+// token inverted index maintained incrementally on every mutation
 // — only entries sharing a normalized token with the query are touched.
 // The candidate budget is one fixed policy, max(16, ceil(f·n), topK) with
 // f = 1/4 for the pruned scan and 1/8 for the indexed path; the serving

@@ -89,16 +89,15 @@ func (p *Prepared) Fingerprint() string {
 }
 
 // Signature returns the schema's retrieval signature (model.Signature):
-// element count, expanded-tree leaf count, and the weighted normalized
-// token bag of the cached linguistic analysis. The repository's candidate
-// pruning stage (the registry's pruned strategy) ranks entries by signature affinity
-// before running the full tree match on the survivors, and the inverted
-// index (internal/index) posts each token with its stable weight.
+// element count, expanded-tree leaf count, and the normalized token bag
+// of the cached linguistic analysis. The repository's candidate pruning
+// stage (the registry's pruned strategy) ranks entries by signature
+// affinity before running the full tree match on the survivors, and the
+// inverted index (internal/index) posts each token.
 // Computed on first use, concurrency-safe, immutable afterwards.
 func (p *Prepared) Signature() model.Signature {
 	p.sigOnce.Do(func() {
-		toks, weights := p.owner.ling.WeightedSignatureTokens(p.info)
-		p.sig = model.NewWeightedSignature(p.schema.Len(), p.tree.NumLeaves(), toks, weights)
+		p.sig = model.NewSignature(p.schema.Len(), p.tree.NumLeaves(), p.owner.ling.SignatureTokens(p.info))
 	})
 	return p.sig
 }

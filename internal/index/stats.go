@@ -1,37 +1,22 @@
 package index
 
-import (
-	"sync"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // Per-query probe statistics: the cheap, O(probe tokens) numbers the
 // retrieval planner (registry.Plan) consults before committing to a
-// strategy. The index already knows, per token, how many documents
-// contain it — the document-frequency table maintained incrementally
-// alongside the posting lists — so a planner can estimate the candidate
-// pool a probe can reach, and how much of that pool sits behind
-// stop-common tokens, without touching a single posting list. None of
-// this changes retrieval behavior; TopK is byte-identical with or
-// without a ProbeStats call.
-
-// dfShard is one token-hash partition of the document-frequency table.
-// Sharding mirrors the posting shards' purpose (maintenance from
-// different registrations rarely contends) but hashes by token, not by
-// document: df is a corpus-wide count, so it cannot live inside the
-// per-document shards.
-type dfShard struct {
-	mu sync.RWMutex
-	df map[string]int
-}
+// strategy. A token's document frequency is the length of its posting
+// list, and the stop-common split uses the same cut TopK applies, so a
+// planner can read the candidate pool a probe reaches, and how much of
+// that pool sits behind stop-common tokens, without walking a single
+// posting list. None of this changes retrieval behavior; TopK is
+// byte-identical with or without a ProbeStats call.
 
 // ProbeStats summarizes what the index knows about one query signature:
 // corpus size, how many of the probe's tokens the index has seen, how
-// many of those are stop-common (posting lists past CommonCutoff), and
-// the size of the posting pool behind the remaining discriminating
-// tokens. Every field is derived from per-token document frequencies —
-// the call is O(len(q.Tokens)) map lookups and allocates nothing.
+// many of those are stop-common (posting lists past the stop-posting
+// cut), and the size of the posting pool behind the remaining
+// discriminating tokens. The call is O(len(q.Tokens)) map lookups and
+// allocates nothing.
 type ProbeStats struct {
 	// Docs is the number of indexed documents (the corpus size).
 	Docs int
@@ -42,18 +27,12 @@ type ProbeStats struct {
 	// generate no candidates at all.
 	TokensIndexed int
 	// TokensCommon is the number of indexed probe tokens whose document
-	// frequency exceeds CommonCutoff — corpus-wide stems the stop-posting
-	// cut will skip during accumulation (approximately; the cut itself is
-	// per shard).
+	// frequency exceeds the stop-posting cut — corpus-wide stems TopK
+	// skips during discovery (unless no token is kept at all).
 	TokensCommon int
-	// PostingsTotal is the summed document frequency over every indexed
-	// probe token — an upper bound on the accumulation work the indexed
-	// path can do for this probe.
-	PostingsTotal int
 	// PostingsKept is the summed document frequency over the indexed,
-	// non-common probe tokens — an estimate of the candidate pool
-	// reachable through discriminating tokens once the stop-posting cut
-	// has done its work.
+	// non-common probe tokens: the number of postings TopK walks for this
+	// probe, and so an upper bound on its survivors.
 	PostingsKept int
 	// MaxKeptDF is the largest single document frequency among the kept
 	// (indexed, non-common) tokens: the size of the biggest one-token
@@ -63,82 +42,32 @@ type ProbeStats struct {
 	MaxKeptDF int
 	// MinKeptDF is the smallest single document frequency among the kept
 	// tokens: the probe's sharpest discriminating signal. When even this
-	// is a large fraction of the corpus, every posting list the
-	// accumulator would walk is near-uniform noise and the index cannot
-	// separate true matches from the crowd. Zero when nothing is kept.
+	// is a large fraction of the corpus, every posting list TopK would
+	// walk is near-uniform noise and the index cannot separate true
+	// matches from the crowd. Zero when nothing is kept.
 	MinKeptDF int
 }
 
-// CommonCutoff is the corpus-wide document-frequency threshold above
-// which a token counts as stop-common for planning purposes:
-//
-//	max(commonPostingFloor × shards, commonPostingFraction × docs)
-//
-// It approximates the per-shard stop-posting cut (shard.commonCutoff)
-// for a token spread uniformly over the shards: such a token's per-shard
-// posting list of df/shards postings exceeds max(floor, fraction ×
-// docs/shards) exactly when df exceeds the value returned here. Skewed
-// tokens can straddle the per-shard cut differently in different shards;
-// the planner only needs the estimate, retrieval always applies the real
-// per-shard rule.
-func CommonCutoff(docs, shards int) int {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	floor := commonPostingFloor * shards
-	frac := int(commonPostingFraction * float64(docs))
-	if frac < floor {
-		return floor
-	}
-	return frac
-}
-
 // ProbeStats reports the planner statistics for one query signature. It
-// is O(len(q.Tokens)), allocation-free, and safe for concurrent use with
-// maintenance; each token's frequency is read under its df shard's read
-// lock, so the numbers are a consistent-enough snapshot for planning (a
-// concurrent registration can shift them by one, never corrupt them).
+// is O(len(q.Tokens)) and allocation-free.
 func (ix *Index) ProbeStats(q model.Signature) ProbeStats {
-	st := ProbeStats{Docs: int(ix.ndocs.Load()), ProbeTokens: len(q.Tokens)}
-	cut := CommonCutoff(st.Docs, len(ix.shards))
+	st := ProbeStats{Docs: len(ix.byKey), ProbeTokens: len(q.Tokens)}
+	cut := stopPostingCut(st.Docs)
 	for _, t := range q.Tokens {
-		sh := &ix.dfs[Hash32(t)%uint32(len(ix.dfs))]
-		sh.mu.RLock()
-		df := sh.df[t]
-		sh.mu.RUnlock()
+		df := len(ix.post[t])
 		if df == 0 {
 			continue
 		}
 		st.TokensIndexed++
-		st.PostingsTotal += df
 		if df > cut {
 			st.TokensCommon++
 			continue
 		}
 		st.PostingsKept += df
-		if df > st.MaxKeptDF {
-			st.MaxKeptDF = df
-		}
+		st.MaxKeptDF = max(st.MaxKeptDF, df)
 		if st.MinKeptDF == 0 || df < st.MinKeptDF {
 			st.MinKeptDF = df
 		}
 	}
 	return st
-}
-
-// dfUpdate shifts every signature token's document frequency by delta
-// (+1 on add, -1 on remove). Signature token bags are deduplicated, so
-// each token counts its document exactly once; entries that reach zero
-// are deleted so the table never outgrows the live vocabulary.
-func (ix *Index) dfUpdate(sig model.Signature, delta int) {
-	for _, t := range sig.Tokens {
-		sh := &ix.dfs[Hash32(t)%uint32(len(ix.dfs))]
-		sh.mu.Lock()
-		if n := sh.df[t] + delta; n <= 0 {
-			delete(sh.df, t)
-		} else {
-			sh.df[t] = n
-		}
-		sh.mu.Unlock()
-	}
 }

@@ -1,43 +1,10 @@
 package linguistic
 
-// Signature support: the repository's candidate pruning stage
-// (internal/registry) compares whole schemas by the overlap of their
+// Signature support: the repository's retrieval stage (internal/registry
+// and internal/index) compares whole schemas by the overlap of their
 // normalized token bags before paying for the full pipeline. This file
-// exposes the two linguistic primitives it needs — a token-set Jaccard and
-// the derivation of one schema's signature token bag from the analysis the
-// matcher has already cached.
-
-// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two normalized
-// token sets, compared by stem so inflection differences ("orders" vs
-// "order") do not break overlap. Common (stop-word) tokens are excluded —
-// they carry no matching signal, exactly as in name comparison. Two empty
-// sets score 0. model.Signature.TokenJaccard computes the same measure
-// over whole-schema bags of these comparison keys, precomputed and sorted
-// (that is the form the pruning hot path uses); the two must agree on the
-// key semantics, which signatureKey centralizes.
-func Jaccard(a, b TokenSet) float64 {
-	seen := map[string]int{} // 1 = in a, 2 = in b, 3 = both
-	for _, t := range a.Tokens {
-		if t.Type != TokenCommon {
-			seen[signatureKey(t)] |= 1
-		}
-	}
-	for _, t := range b.Tokens {
-		if t.Type != TokenCommon {
-			seen[signatureKey(t)] |= 2
-		}
-	}
-	if len(seen) == 0 {
-		return 0
-	}
-	inter := 0
-	for _, v := range seen {
-		if v == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(seen))
-}
+// derives one schema's signature token bag from the analysis the matcher
+// has already cached.
 
 // signatureKey is the comparison key of one token: the stem for content
 // tokens (matching tokenSim's stem-equality fast path), the raw surface
@@ -57,42 +24,11 @@ func signatureKey(t Token) string {
 // token sets are the ones Analyze already computed and cached, so the
 // derivation is a linear sweep, not a re-normalization.
 func (m *Matcher) SignatureTokens(si *SchemaInfo) []string {
-	toks, _ := m.WeightedSignatureTokens(si)
-	return toks
-}
-
-// SignatureTokenWeight is the stable weight of one signature token: a
-// deterministic function of the token alone (its type), independent of
-// corpus statistics or registration order — so equal schemas always carry
-// equal weights, which the inverted index's incremental maintenance
-// relies on (an entry removed and re-added must restore identical
-// postings). Content stems and thesaurus concepts carry full weight (they
-// are the linguistic phase's core evidence); numeric tokens weigh least
-// (Street1/Street2-style suffixes discriminate poorly); anything else
-// sits in between.
-func SignatureTokenWeight(t Token) float64 {
-	switch t.Type {
-	case TokenContent, TokenConcept:
-		return 1.0
-	case TokenNumber:
-		return 0.25
-	default:
-		return 0.5
-	}
-}
-
-// WeightedSignatureTokens is SignatureTokens plus each token's stable
-// weight (SignatureTokenWeight), parallel slices. The pair feeds
-// model.NewWeightedSignature; sorting and deduplication (keeping the
-// largest weight of a duplicated key) happen there.
-func (m *Matcher) WeightedSignatureTokens(si *SchemaInfo) ([]string, []float64) {
 	var out []string
-	var weights []float64
 	add := func(ts TokenSet) {
 		for _, t := range ts.Tokens {
 			if t.Type != TokenCommon {
 				out = append(out, signatureKey(t))
-				weights = append(weights, SignatureTokenWeight(t))
 			}
 		}
 	}
@@ -104,5 +40,5 @@ func (m *Matcher) WeightedSignatureTokens(si *SchemaInfo) ([]string, []float64) 
 			add(*ts)
 		}
 	}
-	return out, weights
+	return out
 }

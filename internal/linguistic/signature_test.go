@@ -2,52 +2,30 @@ package linguistic
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/thesaurus"
 )
 
-func TestJaccard(t *testing.T) {
-	th := thesaurus.Base()
-	norm := func(s string) TokenSet { return Normalize(s, th) }
-
-	if j := Jaccard(norm("PurchaseOrder"), norm("purchase_order")); j != 1 {
-		t.Errorf("case/separator variants: Jaccard = %v, want 1", j)
-	}
-	// Stemming unifies inflections.
-	if j := Jaccard(norm("OrderLines"), norm("OrderLine")); j != 1 {
-		t.Errorf("inflection variants: Jaccard = %v, want 1", j)
-	}
-	if j := Jaccard(norm("City"), norm("Voltage")); j != 0 {
-		t.Errorf("unrelated names: Jaccard = %v, want 0", j)
-	}
-	if j := Jaccard(norm(""), norm("")); j != 0 {
-		t.Errorf("empty sets: Jaccard = %v, want 0", j)
-	}
-	// Stop words are excluded: "of the order" and "order" overlap fully.
-	if j := Jaccard(norm("of the order"), norm("order")); j != 1 {
-		t.Errorf("stop words counted: Jaccard = %v, want 1", j)
-	}
-	// Partial overlap lands strictly between 0 and 1 and is symmetric.
-	a, b := norm("OrderDate"), norm("OrderAmount")
-	j := Jaccard(a, b)
-	if j <= 0 || j >= 1 {
-		t.Errorf("partial overlap: Jaccard = %v, want in (0,1)", j)
-	}
-	if Jaccard(b, a) != j {
-		t.Error("Jaccard is not symmetric")
-	}
-}
-
 func TestJaccardTypePrefixSeparatesConceptFromContent(t *testing.T) {
 	// A concept token must not collide with an identically spelled content
 	// token: "money" as a concept tag is a different signature key than
-	// "money" the word.
-	content := TokenSet{Tokens: []Token{{Raw: "money", Stem: "money", Type: TokenContent}}}.Partitioned()
-	concept := TokenSet{Tokens: []Token{{Raw: "money", Stem: "money", Type: TokenConcept}}}.Partitioned()
-	if j := Jaccard(content, concept); j != 0 {
-		t.Errorf("concept vs content collision: Jaccard = %v, want 0", j)
+	// "money" the word, so the two never count as shared in TokenJaccard.
+	content := TokenSet{Tokens: []Token{{Raw: "money", Stem: "money", Type: TokenContent}}}
+	concept := TokenSet{Tokens: []Token{{Raw: "money", Stem: "money", Type: TokenConcept}}}
+	m := NewMatcher(thesaurus.Base())
+	bag := func(ts TokenSet) model.Signature {
+		si := &SchemaInfo{Schema: model.New("S"), Tokens: []TokenSet{ts}}
+		return model.NewSignature(1, 1, m.SignatureTokens(si))
+	}
+	a, b := bag(content), bag(concept)
+	if len(a.Tokens) != 1 || len(b.Tokens) != 1 {
+		t.Fatalf("want one key per bag, got %v and %v", a.Tokens, b.Tokens)
+	}
+	if j := a.TokenJaccard(b); j != 0 {
+		t.Errorf("concept vs content collision: keys %v and %v, TokenJaccard = %v, want 0", a.Tokens, b.Tokens, j)
 	}
 }
 
@@ -76,40 +54,28 @@ func TestSignatureTokensCoverNamesAndDescriptions(t *testing.T) {
 	}
 }
 
-func TestWeightedSignatureTokensStableAndTyped(t *testing.T) {
+func TestSignatureTokensStableAndTyped(t *testing.T) {
 	s := model.New("Orders")
 	s.AddChild(s.Root(), "Street1", model.KindColumn) // splits into content + number
 	m := NewMatcher(thesaurus.Base())
 
-	toks, weights := m.WeightedSignatureTokens(m.Analyze(s))
-	if len(toks) != len(weights) {
-		t.Fatalf("parallel slices differ: %d tokens, %d weights", len(toks), len(weights))
+	toks := m.SignatureTokens(m.Analyze(s))
+	keys := map[string]bool{}
+	for _, k := range toks {
+		keys[k] = true
 	}
-	byKey := map[string]float64{}
-	for i, k := range toks {
-		byKey[k] = weights[i]
+	if !keys[thesaurus.Stem("street")] {
+		t.Errorf("content token keyed by its stem missing; toks %v", toks)
 	}
-	if w := byKey[thesaurus.Stem("street")]; w != SignatureTokenWeight(Token{Type: TokenContent}) {
-		t.Errorf("content token weight = %v, want full weight (%v); toks %v", w,
-			SignatureTokenWeight(Token{Type: TokenContent}), toks)
-	}
-	numKey := TokenNumber.String() + ":1"
-	if w, ok := byKey[numKey]; ok && w >= byKey[thesaurus.Stem("street")] {
-		t.Errorf("numeric token %q weight %v should be below a content stem's", numKey, w)
+	if numKey := TokenNumber.String() + ":1"; !keys[numKey] {
+		t.Errorf("numeric token missing its type-prefixed key %q; toks %v", numKey, toks)
 	}
 
 	// Stability: two analyses of the same schema produce identical bags.
-	toks2, weights2 := m.WeightedSignatureTokens(m.Analyze(s))
-	sig1 := model.NewWeightedSignature(1, 1, toks, weights)
-	sig2 := model.NewWeightedSignature(1, 1, toks2, weights2)
-	if len(sig1.Tokens) != len(sig2.Tokens) {
-		t.Fatalf("re-analysis changed the bag: %v vs %v", sig1.Tokens, sig2.Tokens)
-	}
-	for i := range sig1.Tokens {
-		if sig1.Tokens[i] != sig2.Tokens[i] || sig1.Weights[i] != sig2.Weights[i] {
-			t.Errorf("token %d differs: (%s,%v) vs (%s,%v)", i,
-				sig1.Tokens[i], sig1.Weights[i], sig2.Tokens[i], sig2.Weights[i])
-		}
+	sig1 := model.NewSignature(1, 1, toks)
+	sig2 := model.NewSignature(1, 1, m.SignatureTokens(m.Analyze(s)))
+	if !reflect.DeepEqual(sig1, sig2) {
+		t.Errorf("re-analysis changed the bag: %v vs %v", sig1.Tokens, sig2.Tokens)
 	}
 }
 

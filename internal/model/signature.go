@@ -22,18 +22,9 @@ type Signature struct {
 	// Tokens is the sorted, deduplicated union of the schema's normalized
 	// name and description tokens.
 	Tokens []string
-	// Weights holds one weight per token (parallel to Tokens), or nil for
-	// uniformly weighted bags. Weights are *stable*: a deterministic
-	// function of the schema alone (token type, not corpus statistics or
-	// registration order), so two builds of the same schema's signature are
-	// identical. They feed the inverted index's overlap accumulator
-	// (internal/index); TokenJaccard and Affinity deliberately ignore them
-	// so the pruning semantics are unchanged by weighting.
-	Weights []float64
 }
 
-// NewSignature builds a uniformly weighted signature (nil Weights, the
-// canonical uniform representation), sorting and deduplicating the token
+// NewSignature builds a signature, sorting and deduplicating the token
 // bag in place.
 func NewSignature(elements, leaves int, tokens []string) Signature {
 	sort.Strings(tokens)
@@ -44,43 +35,6 @@ func NewSignature(elements, leaves int, tokens []string) Signature {
 		}
 	}
 	return Signature{Elements: elements, Leaves: leaves, Tokens: out}
-}
-
-// NewWeightedSignature builds a signature from a parallel (token, weight)
-// bag, sorting by token and deduplicating in place; a duplicated token
-// keeps its largest weight, so the result is independent of input order.
-func NewWeightedSignature(elements, leaves int, tokens []string, weights []float64) Signature {
-	if len(weights) != len(tokens) {
-		panic("model: NewWeightedSignature: len(weights) != len(tokens)")
-	}
-	order := make([]int, len(tokens))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if tokens[order[i]] != tokens[order[j]] {
-			return tokens[order[i]] < tokens[order[j]]
-		}
-		return weights[order[i]] > weights[order[j]]
-	})
-	outT := make([]string, 0, len(tokens))
-	outW := make([]float64, 0, len(tokens))
-	for _, k := range order {
-		if n := len(outT); n > 0 && outT[n-1] == tokens[k] {
-			continue // duplicate: the first (largest-weight) occurrence won
-		}
-		outT = append(outT, tokens[k])
-		outW = append(outW, weights[k])
-	}
-	return Signature{Elements: elements, Leaves: leaves, Tokens: outT, Weights: outW}
-}
-
-// Weight returns the weight of token i (1 for unweighted signatures).
-func (s Signature) Weight(i int) float64 {
-	if s.Weights == nil {
-		return 1
-	}
-	return s.Weights[i]
 }
 
 // SizeSim compares the two schemas' sizes as the ratio of their leaf

@@ -15,53 +15,11 @@ func TestNewSignatureSortsAndDedups(t *testing.T) {
 	if s.Elements != 4 || s.Leaves != 2 {
 		t.Errorf("sizes = (%d,%d), want (4,2)", s.Elements, s.Leaves)
 	}
-}
-
-func TestNewWeightedSignatureSortsDedupsKeepsMaxWeight(t *testing.T) {
-	s := NewWeightedSignature(4, 2,
-		[]string{"order", "city", "order", "amount", "city"},
-		[]float64{0.5, 1, 1, 0.25, 0.5})
-	wantT := []string{"amount", "city", "order"}
-	wantW := []float64{0.25, 1, 1}
-	if !reflect.DeepEqual(s.Tokens, wantT) {
-		t.Errorf("Tokens = %v, want %v", s.Tokens, wantT)
-	}
-	if !reflect.DeepEqual(s.Weights, wantW) {
-		t.Errorf("Weights = %v, want %v", s.Weights, wantW)
-	}
-	// Input order must not matter (stability: registration-order
-	// independence is what the index's remove/re-add path relies on).
-	r := NewWeightedSignature(4, 2,
-		[]string{"city", "amount", "order", "city", "order"},
-		[]float64{0.5, 0.25, 1, 1, 0.5})
+	// Input order must not matter: the index's remove/re-add path relies
+	// on two builds of the same bag being identical.
+	r := NewSignature(4, 2, []string{"city", "amount", "order", "city", "order"})
 	if !reflect.DeepEqual(r, s) {
 		t.Errorf("reordered input built %+v, want %+v", r, s)
-	}
-}
-
-func TestSignatureWeightDefaultsToOne(t *testing.T) {
-	s := Signature{Tokens: []string{"a", "b"}}
-	if w := s.Weight(1); w != 1 {
-		t.Errorf("unweighted Weight(1) = %v, want 1", w)
-	}
-	u := NewSignature(0, 0, []string{"a", "b"})
-	for i := range u.Tokens {
-		if u.Weight(i) != 1 {
-			t.Errorf("NewSignature weight[%d] = %v, want 1", i, u.Weight(i))
-		}
-	}
-}
-
-func TestWeightsDoNotChangeJaccardOrAffinity(t *testing.T) {
-	a := NewSignature(5, 4, []string{"purchase", "order", "city"})
-	b := NewWeightedSignature(5, 4,
-		[]string{"purchase", "order", "city"}, []float64{0.25, 0.5, 1})
-	c := NewSignature(6, 5, []string{"order", "city", "zip"})
-	if a.TokenJaccard(c) != b.TokenJaccard(c) {
-		t.Errorf("TokenJaccard depends on weights: %v vs %v", a.TokenJaccard(c), b.TokenJaccard(c))
-	}
-	if a.Affinity(c) != b.Affinity(c) {
-		t.Errorf("Affinity depends on weights: %v vs %v", a.Affinity(c), b.Affinity(c))
 	}
 }
 

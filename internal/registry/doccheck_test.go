@@ -82,16 +82,28 @@ func TestExportedSymbolsAreDocumented(t *testing.T) {
 
 // TestNoStaleSingleMapDocs greps the repository's non-test Go sources,
 // README.md and docs/*.md for wording that describes removed designs: the
-// pre-sharded, single-mutex registry ("a single map guarded by one
-// RWMutex" — since PR 4 the repository is 16 name-hashed shards), and the
-// names of deleted entry points, options and flags. CHANGES.md and
-// ROADMAP.md are history and stay out of the scan.
+// sharded registry and index (name-hashed map shards, document shards
+// placed by fingerprint, a key directory, a token-sharded document
+// frequency table — replaced by one map and one index behind one lock),
+// the per-token signature weights, and the names of deleted entry points,
+// options and flags. CHANGES.md and ROADMAP.md are history and stay out
+// of the scan.
 func TestNoStaleSingleMapDocs(t *testing.T) {
 	stale := []string{
-		"single map",
-		"one RWMutex",
-		"a global lock",
-		"the registry mutex",
+		"name-hashed",
+		"sharded token inverted index",
+		"key directory",
+		"map shards",
+		"index shards",
+		"Hash32",
+		"CommonCutoff",
+		"PostingsTotal",
+		"weighted overlap",
+		"NewWeightedSignature",
+		"WeightedSignatureTokens",
+		"SignatureTokenWeight",
+		"-wal-group-commit",
+		"GroupCommitWindow",
 		"MatchTop",
 		"MatchIndexed",
 		"MatchAllContext",

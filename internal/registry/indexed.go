@@ -13,8 +13,8 @@ type RetrievalStats struct {
 	// (PlanOptions.Force, or cupidd's -retrieval=index|pruned|exact).
 	Planned bool
 	// CandidatesScored is the number of entries whose cheap signature was
-	// scored during candidate generation: the inverted index's accumulator
-	// survivors on the indexed path, the whole repository on the pruned
+	// scored during candidate generation: the inverted index's survivors
+	// on the indexed path, the whole repository on the pruned
 	// sweep and the scans. The gap between this and the repository size is
 	// the work the index never did.
 	CandidatesScored int
@@ -49,7 +49,8 @@ type RetrievalStats struct {
 	// input; zero on forced runs).
 	TokensIndexed int
 	// TokensCommon is how many of those are stop-common — posting lists
-	// past index.CommonCutoff (planner input; zero on forced runs).
+	// past the index's stop-posting cut, the same corpus-wide rule TopK
+	// skips by (planner input; zero on forced runs).
 	TokensCommon int
 	// PostingsKept is the summed document frequency of the kept probe
 	// tokens: the candidate pool the planner sized its budget against

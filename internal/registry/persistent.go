@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/instance"
@@ -89,14 +88,11 @@ type pendingMark struct {
 	op  string // walOpPut or walOpDel
 }
 
-// PersistOptions tunes the write-ahead journal; the zero value takes the
-// default thresholds (DefaultPersistOptions spells them out).
+// PersistOptions tunes the write-ahead journal's compaction; the zero
+// value takes the default thresholds (DefaultPersistOptions spells them
+// out). Group commit needs no tuning: every record queued while the
+// previous fsync was in flight shares the next one.
 type PersistOptions struct {
-	// GroupCommitWindow is how long the WAL committer lingers after the
-	// first writer of a batch arrives, letting concurrent writers join the
-	// same fsync. 0 still group-commits: everything queued while the
-	// previous fsync was in flight shares the next one.
-	GroupCommitWindow time.Duration
 	// CompactBytes triggers background compaction: once the live journal
 	// reaches this many bytes, its tail is folded into a new snapshot
 	// generation. Zero takes the default (1 MiB).
@@ -114,22 +110,18 @@ const (
 )
 
 // DefaultPersistOptions is the journal with the default compaction
-// thresholds and no extra group-commit linger — the configuration cupidd
-// runs unless flagged otherwise.
+// thresholds — the configuration cupidd runs unless flagged otherwise.
 func DefaultPersistOptions() PersistOptions {
 	return PersistOptions{CompactBytes: DefaultCompactBytes, CompactRecords: DefaultCompactRecords}
 }
 
-// normalized fills zero thresholds and clamps negative durations.
+// normalized fills zero and negative thresholds with the defaults.
 func (o PersistOptions) normalized() PersistOptions {
 	if o.CompactBytes <= 0 {
 		o.CompactBytes = DefaultCompactBytes
 	}
 	if o.CompactRecords <= 0 {
 		o.CompactRecords = DefaultCompactRecords
-	}
-	if o.GroupCommitWindow < 0 {
-		o.GroupCommitWindow = 0
 	}
 	return o
 }
@@ -211,8 +203,8 @@ func OpenPersistentOptions(dir string, m *core.Matcher, opts PersistOptions, par
 }
 
 // committer is the WAL group-commit loop: the journal's only writer. Each
-// round it takes every record queued so far (optionally lingering
-// GroupCommitWindow to let more concurrent writers join), appends them as
+// round it takes every record queued so far — everything that arrived
+// while the previous round's fsync was in flight — appends them as
 // one write + one fsync, acknowledges every waiter with the outcome, and
 // triggers compaction when the journal has outgrown its threshold.
 func (p *Persistent) committer() {
@@ -223,14 +215,6 @@ func (p *Persistent) committer() {
 		case <-p.kick:
 		case <-p.stop:
 			stopping = true
-		}
-		if !stopping && p.opts.GroupCommitWindow > 0 {
-			t := time.NewTimer(p.opts.GroupCommitWindow)
-			select {
-			case <-t.C:
-			case <-p.stop:
-				t.Stop()
-			}
 		}
 		p.commitPending()
 		if stopping {

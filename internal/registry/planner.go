@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // The retrieval planner: one entry point (Match/MatchContext) in front of
@@ -170,8 +171,8 @@ type Plan struct {
 	ProbeTokens int
 	// TokensIndexed is how many probe tokens the index has seen at all.
 	TokensIndexed int
-	// TokensCommon is how many of those are stop-common
-	// (index.CommonCutoff) — skipped by the stop-posting cut.
+	// TokensCommon is how many of those are stop-common: posting lists
+	// past the stop-posting cut, which index.TopK skips.
 	TokensCommon int
 	// PostingsKept is the summed document frequency of the kept
 	// (indexed, non-common) probe tokens: the reachable candidate pool.
@@ -197,11 +198,11 @@ type Plan struct {
 //	         scan, so run the cheapest spelling of it.
 //	pruned   the index cannot separate this probe's true matches from
 //	         the crowd: it is blind to the probe (no token indexed),
-//	         sees only stop-common tokens (accumulation would touch
+//	         sees only stop-common tokens (discovery would touch
 //	         most of the corpus to discriminate nothing), or every
 //	         token it keeps is generic (even the probe's rarest
 //	         indexed token reaches more documents than the candidate
-//	         budget admits, so the accumulator cannot isolate a
+//	         budget admits, so the index cannot isolate a
 //	         cluster and ranks noise). The linear affinity sweep
 //	         scores every entry on the full signature — token overlap
 //	         and size similarity — and reaches everything the index
@@ -218,7 +219,9 @@ func (r *Registry) Plan(src *core.Prepared, topK int, opt PlanOptions) Plan {
 	}
 	p := Plan{Planned: true, Degraded: opt.Degraded}
 	sig := src.Signature()
+	r.mu.RLock()
 	st := r.idx.ProbeStats(sig)
+	r.mu.RUnlock()
 	n := st.Docs
 	p.Corpus, p.ProbeTokens = n, st.ProbeTokens
 	p.TokensIndexed, p.TokensCommon = st.TokensIndexed, st.TokensCommon
@@ -322,40 +325,41 @@ type candidateSet struct {
 // the entry set at execution time, so a forced ranking depends only on
 // the entries it runs over.
 func (r *Registry) candidates(ctx context.Context, src *core.Prepared, topK int, plan Plan) (candidateSet, error) {
-	var entries []*Entry
-	c := candidateSet{budget: plan.Budget}
-	if plan.Strategy == StrategyIndexed {
-		c.corpus = r.Len() // listed below only if it scans everything
-	} else {
-		entries = r.List()
-		c.corpus = len(entries)
+	c, entries := r.generate(src.Signature(), topK, plan)
+	if c.indexed {
+		return c, nil
 	}
-	if !plan.Planned || plan.Strategy == StrategyExact {
-		c.budget = budget(plan.Strategy, c.corpus, topK, plan.Degraded)
-	}
-	sig := src.Signature()
-	switch {
-	case c.budget < c.corpus && plan.Strategy == StrategyPruned:
+	sortByName(entries)
+	if c.budget < c.corpus && plan.Strategy == StrategyPruned {
 		cands, err := r.pruneByAffinity(ctx, entries, src, c.budget)
 		c.entries, c.scored = cands, len(entries)
 		return c, err
-	case c.budget < c.corpus && plan.Strategy == StrategyIndexed && len(sig.Tokens) > 0:
-		cands, ist := r.idx.TopK(sig, c.budget)
-		c.entries = make([]*Entry, 0, len(cands))
-		for _, cand := range cands {
-			// A candidate may have been removed (or replaced under a name
-			// that now hashes elsewhere) since the index snapshot; skip the
-			// gone.
-			if e, ok := r.Get(cand.Key); ok {
-				c.entries = append(c.entries, e)
-			}
-		}
-		c.scored, c.indexed = ist.Scored, true
-		return c, nil
-	}
-	if entries == nil {
-		entries = r.List()
 	}
 	c.entries, c.scored = entries, len(entries)
 	return c, nil
+}
+
+// generate is the part of candidates that reads the repository, all
+// under one read lock: it sizes the budget from the corpus it sees and
+// either returns the index's top budget entries (c.indexed set) or every
+// entry, unordered, for the caller to prune or scan. Index and map are
+// read in the same critical section, so every candidate the index names
+// is a current entry.
+func (r *Registry) generate(sig model.Signature, topK int, plan Plan) (candidateSet, []*Entry) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	c := candidateSet{budget: plan.Budget, corpus: len(r.byName)}
+	if !plan.Planned || plan.Strategy == StrategyExact {
+		c.budget = budget(plan.Strategy, c.corpus, topK, plan.Degraded)
+	}
+	if c.budget < c.corpus && plan.Strategy == StrategyIndexed && len(sig.Tokens) > 0 {
+		cands, st := r.idx.TopK(sig, c.budget)
+		c.entries = make([]*Entry, len(cands))
+		for i, cand := range cands {
+			c.entries[i] = r.byName[cand.Key]
+		}
+		c.scored, c.indexed = st.Scored, true
+		return c, nil
+	}
+	return c, r.entriesLocked()
 }

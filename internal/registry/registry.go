@@ -20,7 +20,7 @@
 // the inverted-index path — from cheap statistics the index maintains (index.ProbeStats), and sizes the candidate budget to
 // the probe's reachable pool. PlanOptions.Force pins one strategy:
 //
-//   - Indexed retrieval (StrategyIndexed): a sharded token inverted index
+//   - Indexed retrieval (StrategyIndexed): a token inverted index
 //     (internal/index), maintained incrementally on every
 //     Register/Replace/Remove, generates candidates sublinearly — only
 //     entries sharing at least one normalized signature token with the
@@ -46,11 +46,12 @@
 //     recovery re-registers every document, rebuilding it
 //     deterministically.
 //
-// The repository itself is sharded: entries live in N name-keyed map
-// shards (FNV-1a on the name) with per-shard locks, and the index shards
-// documents by content fingerprint, so registration and retrieval both
-// scale across the internal/par worker pool instead of serializing on one
-// mutex.
+// The repository itself is one name-keyed entry map and one inverted
+// index behind one sync.RWMutex (Registry): registrations through the
+// durable layer are already serialized by its own lock, and the time a request
+// spends under the read lock is a map lookup or one index walk, while
+// the per-candidate tree matches run over the internal/par worker pool
+// outside any lock.
 package registry
 
 import (
@@ -78,36 +79,25 @@ type Entry struct {
 	Prepared *core.Prepared
 }
 
-// regShards is the registry's map shard count: entries are spread over
-// this many independently locked name-keyed maps so concurrent
-// registrations (and the index maintenance they trigger) contend only
-// when they hash to the same shard.
-const regShards = 16
-
-// regShard is one partition of the repository: a name-keyed entry map
-// under its own lock.
-type regShard struct {
-	mu     sync.RWMutex
-	byName map[string]*Entry
-}
-
 // Registry is the concurrency-safe prepared-schema repository. All
-// methods may be called from any number of goroutines; Register/Remove
-// take one shard's write lock only around the map+index mutation
-// (preparation and signature derivation run outside any lock), and
-// MatchAll works on an immutable snapshot, so matching never blocks
-// registration and vice versa.
+// methods may be called from any number of goroutines. One RWMutex guards
+// the name-keyed entry map and the token inverted index (internal/index)
+// together: Register/Remove take the write lock only around the map+index
+// mutation (preparation and signature derivation run outside any lock),
+// reads take the read lock, and a retrieval reads the index and the map
+// under one read lock, so a candidate the index returns is always a
+// current entry. MatchAll works on a snapshot of the entries, so matching
+// never blocks registration and vice versa.
 //
-// Alongside the entry maps the registry maintains a sharded token
-// inverted index (internal/index) incrementally: every Register (insert
-// or replace) upserts the entry's signature token bag, every Remove
-// evicts it. Same-name mutations are serialized by the name's shard lock,
-// so the index can never disagree with the map about a name's current
-// content; the indexed strategy consumes it.
+// The index is maintained incrementally: every Register (insert or
+// replace) upserts the entry's signature token bag, every Remove evicts
+// it, in the same critical section as the map change, so the index can
+// never disagree with the map about a name's current content.
 type Registry struct {
 	matcher *core.Matcher
+	mu      sync.RWMutex
+	byName  map[string]*Entry
 	idx     *index.Index
-	shards  [regShards]regShard
 }
 
 // New builds a registry with its own Matcher for the given configuration.
@@ -122,17 +112,7 @@ func New(cfg core.Config) (*Registry, error) {
 // NewWithMatcher builds a registry around an existing Matcher. Every
 // schema registered is prepared by (and every match runs on) this matcher.
 func NewWithMatcher(m *core.Matcher) *Registry {
-	r := &Registry{matcher: m, idx: index.New(regShards)}
-	for i := range r.shards {
-		r.shards[i].byName = map[string]*Entry{}
-	}
-	return r
-}
-
-// shard returns the map shard owning name (index.Hash32, the same FNV-1a
-// the inverted index shards by).
-func (r *Registry) shard(name string) *regShard {
-	return &r.shards[index.Hash32(name)%regShards]
+	return &Registry{matcher: m, byName: map[string]*Entry{}, idx: index.New(0)}
 }
 
 // Matcher returns the registry's matcher, e.g. to Prepare an incoming
@@ -144,7 +124,7 @@ func (r *Registry) Matcher() *core.Matcher { return r.matcher }
 // current entry of that name returns the existing entry without
 // re-preparing and reports created=false; new names and changed content
 // store a fresh entry and report created=true. The created flag is
-// decided under the name's shard lock, so concurrent registrations agree
+// decided under the registry's write lock, so concurrent registrations agree
 // on which call actually created the entry.
 func (r *Registry) Register(name string, s *model.Schema) (e *Entry, created bool, err error) {
 	return r.RegisterInstances(name, s, nil)
@@ -171,11 +151,7 @@ func (r *Registry) RegisterInstances(name string, s *model.Schema, samples insta
 	}
 	if len(samples) == 0 {
 		fp := model.Fingerprint(s)
-		sh := r.shard(name)
-		sh.mu.RLock()
-		cur, ok := sh.byName[name]
-		sh.mu.RUnlock()
-		if ok && cur.Fingerprint == fp {
+		if cur, ok := r.Get(name); ok && cur.Fingerprint == fp {
 			return cur, false, nil
 		}
 		p, err := r.matcher.Prepare(s)
@@ -191,7 +167,7 @@ func (r *Registry) RegisterInstances(name string, s *model.Schema, samples insta
 	return r.commit(name, p.Fingerprint(), p)
 }
 
-// commit stores a freshly prepared entry under the name's shard lock,
+// commit stores a freshly prepared entry under the write lock,
 // keeping whichever identical-fingerprint entry a racing registration may
 // have landed first (idempotence).
 func (r *Registry) commit(name, fp string, p *core.Prepared) (*Entry, bool, error) {
@@ -199,38 +175,32 @@ func (r *Registry) commit(name, fp string, p *core.Prepared) (*Entry, bool, erro
 	// is the expensive part of index maintenance, and Signature() caches.
 	sig := p.Signature()
 	e := &Entry{Name: name, Fingerprint: fp, Prepared: p}
-	sh := r.shard(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.byName[name]; ok && cur.Fingerprint == fp {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.byName[name]; ok && cur.Fingerprint == fp {
 		return cur, false, nil
 	}
-	sh.byName[name] = e
-	// Index upsert under the same shard lock: same-name map and index
-	// mutations commit in the same order, so a replace can never leave the
-	// index pointing at evicted content.
+	r.byName[name] = e
 	r.idx.Upsert(name, fp, sig)
 	return e, true, nil
 }
 
 // Get returns the entry registered under name.
 func (r *Registry) Get(name string) (*Entry, bool) {
-	sh := r.shard(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.byName[name]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.byName[name]
 	return e, ok
 }
 
 // Remove deletes the entry registered under name, reporting whether it
 // existed.
 func (r *Registry) Remove(name string) bool {
-	sh := r.shard(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.byName[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.byName[name]
 	if ok {
-		delete(sh.byName, name)
+		delete(r.byName, name)
 		r.idx.Remove(name)
 	}
 	return ok
@@ -238,27 +208,32 @@ func (r *Registry) Remove(name string) bool {
 
 // Len returns the number of registered schemas.
 func (r *Registry) Len() int {
-	n := 0
-	for i := range r.shards {
-		r.shards[i].mu.RLock()
-		n += len(r.shards[i].byName)
-		r.shards[i].mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.byName)
 }
 
 // List returns the entries sorted by name.
 func (r *Registry) List() []*Entry {
-	out := make([]*Entry, 0, r.Len())
-	for i := range r.shards {
-		r.shards[i].mu.RLock()
-		for _, e := range r.shards[i].byName {
-			out = append(out, e)
-		}
-		r.shards[i].mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	r.mu.RLock()
+	out := r.entriesLocked()
+	r.mu.RUnlock()
+	sortByName(out)
 	return out
+}
+
+// entriesLocked returns every entry, unordered; the caller holds r.mu.
+func (r *Registry) entriesLocked() []*Entry {
+	out := make([]*Entry, 0, len(r.byName))
+	for _, e := range r.byName {
+		out = append(out, e)
+	}
+	return out
+}
+
+// sortByName orders entries by name, the order List returns.
+func sortByName(es []*Entry) {
+	sort.Slice(es, func(i, j int) bool { return es[i].Name < es[j].Name })
 }
 
 // Ranked is one repository schema's result in a MatchAll run.

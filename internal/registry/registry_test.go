@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -228,6 +229,74 @@ func TestConcurrentRegisterAndMatchAll(t *testing.T) {
 	}
 	if r.Len() != 6 {
 		t.Fatalf("Len = %d after concurrent registration, want 6", r.Len())
+	}
+}
+
+// TestConcurrentRegisterRemoveAndMatchIndexed runs planned and forced
+// indexed Match against concurrent inserts, replaces and removes (run with
+// -race). The index has no lock of its own: the registry's one lock must
+// keep it and the entry map consistent, so every call succeeds with a
+// descending ranking whose entries all carry a result.
+func TestConcurrentRegisterRemoveAndMatchIndexed(t *testing.T) {
+	r := newTestRegistry(t)
+	schemas := repoSchemas(48)
+	name := func(i int) string { return fmt.Sprintf("e%02d", i) }
+	for i, s := range schemas[:40] {
+		if _, _, err := r.Register(name(i), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := mustPrepare(t, r, schemas[0])
+	if _, st, err := r.Match(probe, 5, PlanOptions{Force: StrategyIndexed}); err != nil || !st.Indexed {
+		t.Fatalf("forced indexed run: indexed=%v, err=%v; want the index to generate the candidates", st.Indexed, err)
+	}
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, 6) // at most one error per goroutine
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (w*17 + i*5) % len(schemas)
+				if i%3 == 2 {
+					r.Remove(name(k))
+					continue
+				}
+				if _, _, err := r.Register(name(k), schemas[(k+i)%len(schemas)]); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for _, opt := range []PlanOptions{{}, {Force: StrategyIndexed}, {}, {Force: StrategyIndexed}} {
+		wg.Add(1)
+		go func(opt PlanOptions) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				ranked, _, err := r.Match(probe, 5, opt)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				for j, rk := range ranked {
+					if rk.Entry == nil || rk.Result == nil {
+						errCh <- fmt.Errorf("ranked[%d] has no entry or no result", j)
+						return
+					}
+					if j > 0 && ranked[j-1].Score < rk.Score {
+						errCh <- errNotSorted
+						return
+					}
+				}
+			}
+		}(opt)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
 	}
 }
 

@@ -290,8 +290,10 @@ func TestAllocRegressions(t *testing.T) {
 		run() // warm the name memo and the pool
 		return testing.AllocsPerRun(100, run)
 	}
+	// Both pool-dependent checks are skipped under -race, where sync.Pool
+	// drops pooled scratch at random (raceEnabled).
 	small, mid := score(workloads.Figure2()), score(allocWorkload())
-	if small != mid || small > 8 {
+	if !raceEnabled && (small != mid || small > 8) {
 		t.Errorf("warm MatchScore allocates %.1f (small pair) and %.1f (mid-size pair) objects/op, want the same <= 8", small, mid)
 	}
 
@@ -310,7 +312,7 @@ func TestAllocRegressions(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if pooled*10 >= fresh {
+	if !raceEnabled && pooled*10 >= fresh {
 		t.Errorf("warm pooled pair allocates %d bytes/op, MatchPrepared %d: want under a tenth", pooled, fresh)
 	}
 }
