@@ -29,11 +29,16 @@ type compareFinding struct {
 	baseline float64
 	fresh    float64
 	kind     string // "speedup" or "recall"
+	// missing marks a gated value the fresh report does not have.
+	missing bool
 }
 
 func (f compareFinding) String() string {
-	switch f.kind {
-	case "speedup":
+	switch {
+	case f.missing:
+		return fmt.Sprintf("%s: %s %.4f -> missing (experiment %q is not in the fresh report, or did not report this value)",
+			f.path, f.kind, f.baseline, experimentOf(f.path))
+	case f.kind == "speedup":
 		return fmt.Sprintf("%s: speedup %.3f -> %.3f (lost %.0f%%, tolerance %.0f%%)",
 			f.path, f.baseline, f.fresh, 100*(1-f.fresh/f.baseline), 100*compareSpeedupTolerance)
 	default:
@@ -94,7 +99,7 @@ func compareWalk(path string, baseline, fresh any, findings *[]compareFinding) {
 		}
 		fv, ok := fresh.(float64)
 		if !ok {
-			*findings = append(*findings, compareFinding{path: path, baseline: b, fresh: 0, kind: kind})
+			*findings = append(*findings, compareFinding{path: path, baseline: b, kind: kind, missing: true})
 			return
 		}
 		switch kind {
@@ -108,6 +113,16 @@ func compareWalk(path string, baseline, fresh any, findings *[]compareFinding) {
 			}
 		}
 	}
+}
+
+// experimentOf returns the experiment a finding's path lies in: its
+// top-level key, as in "$.planner.sweeps[1].recall_at_10" -> "planner".
+func experimentOf(path string) string {
+	exp := strings.TrimPrefix(path, "$.")
+	if i := strings.IndexAny(exp, ".["); i >= 0 {
+		exp = exp[:i]
+	}
+	return exp
 }
 
 // compareReports diffs two parsed reports, returning the regressions.

@@ -79,6 +79,47 @@ func TestCompareFailsOnDroppedGatedMetric(t *testing.T) {
 	}
 }
 
+// TestCompareReportsMissingExperiment: a fresh report without an
+// experiment the baseline has (a run whose gate failed merges nothing)
+// fails with each gated value reported as missing, naming the
+// experiment, rather than as a drop to 0.
+func TestCompareReportsMissingExperiment(t *testing.T) {
+	fresh := strings.Replace(compareBaseline, `"planner": {
+    "sweeps": [
+      {"corpus": 2000, "planned_speedup": 3.0, "recall_at_10": 1.0},
+      {"corpus": 20000, "planned_speedup": 6.0, "recall_at_10": 1.0}
+    ]
+  },`, "", 1)
+	findings := compareReports(parseJSON(t, compareBaseline), parseJSON(t, fresh))
+	if len(findings) != 4 {
+		t.Fatalf("want 4 findings for the planner's two speedups and two recalls, got %v", findings)
+	}
+	for _, f := range findings {
+		msg := f.String()
+		if !f.missing || !strings.Contains(msg, "missing") || !strings.Contains(msg, `experiment "planner"`) || strings.Contains(msg, "0.0000") {
+			t.Errorf("finding %q: want it reported missing, naming the planner experiment", msg)
+		}
+	}
+	if err := runCompareReports(t, compareBaseline, fresh); err == nil || !strings.Contains(err.Error(), `experiment "planner"`) {
+		t.Errorf("runCompare = %v, want a failure naming the missing planner experiment", err)
+	}
+}
+
+// runCompareReports runs runCompare over a baseline and a fresh report
+// written to a temporary directory.
+func runCompareReports(t *testing.T, baseline, fresh string) error {
+	t.Helper()
+	dir := t.TempDir()
+	base, fr := filepath.Join(dir, "baseline.json"), filepath.Join(dir, "fresh.json")
+	if err := os.WriteFile(base, []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fr, []byte(fresh), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return runCompare(fr, base)
+}
+
 func TestCompareIgnoresUngatedAndNewMetrics(t *testing.T) {
 	// Non-gated numbers may move freely; fresh-only metrics pass ungated.
 	fresh := strings.NewReplacer(

@@ -98,8 +98,9 @@ func overloadSpec() serve.MatchSpec {
 // runOverloadCell drives `workers` closed-loop clients (each issues its
 // next request as soon as the previous one resolves) for the window.
 // Every registerEvery-th request is a write: admitted through the write
-// pool, committed into the registry under a churn name, cache
-// invalidated — exactly the server's mutation sequence.
+// pool, committed into the registry under a churn name, cached rankings
+// made stale when the write changed the repository — exactly the
+// server's mutation sequence.
 func runOverloadCell(front *serve.Frontend, probes []*core.Prepared, reserve []*model.Schema, workers int, window time.Duration) (OverloadCell, error) {
 	cell := OverloadCell{Workers: workers}
 	spec := overloadSpec()
@@ -129,8 +130,11 @@ func runOverloadCell(front *serve.Frontend, probes []*core.Prepared, reserve []*
 					release, err = front.AcquireWrite(context.Background())
 					if err == nil {
 						n := int(regSeq.Add(1))
-						_, _, err = reg.Register(fmt.Sprintf("churn-%d", n%overloadChurn), reserve[n%len(reserve)])
-						front.Invalidate()
+						var created bool
+						_, created, err = reg.Register(fmt.Sprintf("churn-%d", n%overloadChurn), reserve[n%len(reserve)])
+						if created {
+							front.Invalidate()
+						}
 						release()
 					}
 				} else {

@@ -44,8 +44,11 @@
 // mid-ranking. Repeated matches are served from an LRU cache (-cache)
 // keyed by the source reference — a registered fingerprint or the hash of
 // an inline document, so a hit never parses — with singleflight
-// coalescing, invalidated on every register/replace/remove before the
-// mutation is acknowledged. Under
+// coalescing. A register, replace or remove that changes the repository
+// makes every cached ranking stale before it is acknowledged; the stale
+// ranking is never served, and its recomputation re-matches only the
+// pairs the change touched. Cached /match and /mappings replies depend
+// only on their two schemas' content and survive writes. Under
 // saturation the candidate budget is halved and the reply is flagged
 // "degraded". Request bodies are capped at -max-body bytes (413 beyond).
 // All errors — including 404 and 405 — are JSON {"error": ...} objects.
@@ -95,7 +98,9 @@
 //	                       errors are never cached; an entry keeps the
 //	                       reply it serves, not the schemas or similarity
 //	                       matrices (~0.04 MB per pair of 289-element
-//	                       schemas)
+//	                       schemas); a batch entry also keeps its
+//	                       candidates' scores, which a write makes a
+//	                       memo for the ranking's recomputation
 //	-max-body N            request body cap in bytes (default 4 MiB)
 //
 // Endpoints (request and response bodies are JSON, every reply one compact
@@ -167,7 +172,8 @@ type server struct {
 	// front admits requests (separate read and write pools), caches match
 	// results with singleflight coalescing, threads the match deadline and
 	// degrades candidate budgets under saturation. Mutating handlers must
-	// call front.Invalidate after committing, before acknowledging.
+	// call front.Invalidate after committing a change, before
+	// acknowledging.
 	front *serve.Frontend
 	// maxBody caps request bodies (http.MaxBytesReader; 413 beyond;
 	// <= 0: serve.DefaultMaxBody).
@@ -317,9 +323,11 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// could not be guaranteed.
 		e, created, err = s.persist.RegisterSourceInstances(req.Name, req.Format, []byte(req.Content), req.Samples())
 		if err != nil && e != nil {
-			// The mutation is in memory even though durability failed, so
-			// cached rankings are stale either way.
-			s.front.Invalidate()
+			// A created entry is in memory even though durability failed,
+			// so cached rankings are stale either way.
+			if created {
+				s.front.Invalidate()
+			}
 			serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "%v", err))
 			return
 		}
@@ -334,11 +342,12 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	// Invalidate after the mutation committed, before acknowledging it:
 	// once the client sees this response, no cached ranking can predate
-	// the registration.
-	s.front.Invalidate()
-	code := http.StatusCreated
-	if !created {
-		code = http.StatusOK // idempotent re-registration
+	// the registration. An idempotent re-registration of identical
+	// content changed nothing, so every cached reply stays servable.
+	code := http.StatusOK
+	if created {
+		s.front.Invalidate()
+		code = http.StatusCreated
 	}
 	serve.WriteJSON(w, code, serve.InfoOf(e))
 }
@@ -374,7 +383,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, serve.Errorf(http.StatusNotFound, "schema %q is not registered", name))
 		return
 	}
-	s.front.Invalidate() // committed (even if journaling failed below): drop cached rankings
+	s.front.Invalidate() // committed (even if journaling failed below): cached rankings go stale
 	if err != nil {
 		serve.WriteError(w, serve.Errorf(http.StatusInternalServerError, "%v", err))
 		return
@@ -505,7 +514,7 @@ func (s *server) saveReplCheckpoint(pos cupid.ReplPos) {
 // followOnce runs one replication session against the primary: connect
 // at the checkpointed position, then apply frames until the stream ends.
 // Every applied (locally durable) position advances the checkpoint and
-// drops cached rankings, so reads on the replica see replicated
+// makes cached rankings stale, so reads on the replica see replicated
 // mutations exactly as they would see local ones.
 func (s *server) followOnce(ctx context.Context) error {
 	from := s.loadReplCheckpoint()
@@ -780,7 +789,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.Int64Var(&opt.compactThreshold, "compact-threshold", cupid.DefaultPersistOptions().CompactBytes, "fold the write-ahead journal into a new snapshot generation once it exceeds this many bytes")
 	fs.StringVar(&opt.retrieval, "retrieval", "auto", "/match/batch retrieval strategy: auto (stats-driven planner picks a strategy and candidate budget per query), index, pruned or exact")
 	fs.IntVar(&opt.writeConcurrency, "write-concurrency", 2, "concurrent register/delete mutations admitted (a separate pool, so match storms cannot starve registrations)")
-	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (LRU with singleflight coalescing, invalidated on every mutation); an entry is keyed by its source, a registered fingerprint or the hash of an inline reference, so a hit never parses; a miss parses an inline source within -match-deadline, and errors are never cached; an entry keeps the reply it serves, not the schemas or similarity matrices: about 0.04 MB per pair of 289-element schemas; 0 disables")
+	fs.IntVar(&opt.cacheCap, "cache", 1024, "match cache capacity in entries (LRU with singleflight coalescing; a write makes cached rankings stale, and a stale ranking's candidate scores are reused when it is recomputed; pair matches survive writes); an entry is keyed by its source, a registered fingerprint or the hash of an inline reference, so a hit never parses; a miss parses an inline source within -match-deadline, and errors are never cached; an entry keeps the reply it serves, not the schemas or similarity matrices: about 0.04 MB per pair of 289-element schemas; 0 disables")
 	opt.Flags.Register(fs)
 	return fs, opt
 }

@@ -22,8 +22,13 @@ type RetrievalStats struct {
 	// match: each was scored through TreeMatch (core.Matcher.MatchScore,
 	// or MatchPrepared where the configuration's leaf score needs the
 	// whole pipeline). Materializing the full results of the returned top
-	// K afterwards is not counted.
+	// K afterwards is not counted. A candidate whose score
+	// PlanOptions.Memo held counts here too (see PairsReused).
 	CandidatesMatched int
+	// PairsReused is how many of the CandidatesMatched took their score
+	// from PlanOptions.Memo instead of a tree match, so
+	// CandidatesMatched − PairsReused pairs were actually matched.
+	PairsReused int
 	// CandidateBudget is the candidate limit the call ran under: the
 	// planner's budget on planned runs, budget(strategy, n, topK,
 	// degraded) for the repository size and topK at hand on forced ones,

@@ -138,6 +138,11 @@ type PlanOptions struct {
 	// and marks the resulting stats Degraded unless the exact path ran (a
 	// full scan has no budget to shrink).
 	Degraded bool
+	// Memo, when set, is an earlier ranking of the same source that this
+	// one may reuse pair by pair, and receives this ranking's candidate
+	// scores (see Memo). Planning and candidate generation ignore it, so
+	// the plan and the candidate set are always current.
+	Memo Memo
 }
 
 // DefaultPlanOptions returns the zero value: automatic planning under the
@@ -263,7 +268,7 @@ func (r *Registry) Match(src *core.Prepared, topK int, opt PlanOptions) ([]Ranke
 // ctx cooperatively in their scoring loops, so an abandoned caller stops
 // consuming CPU; ctx.Err() is returned when cut short.
 func (r *Registry) MatchContext(ctx context.Context, src *core.Prepared, topK int, opt PlanOptions) ([]Ranked, RetrievalStats, error) {
-	return r.execute(ctx, src, topK, r.Plan(src, topK, opt))
+	return r.execute(ctx, src, topK, r.Plan(src, topK, opt), opt.Memo)
 }
 
 // stats returns the part of a RetrievalStats the plan itself decides: the
@@ -282,8 +287,9 @@ func (p Plan) stats() RetrievalStats {
 }
 
 // execute runs one plan: every strategy generates candidates
-// (candidates) and ranks them here, in one place.
-func (r *Registry) execute(ctx context.Context, src *core.Prepared, topK int, plan Plan) ([]Ranked, RetrievalStats, error) {
+// (candidates) and ranks them here, in one place, reusing what memo (may
+// be nil) holds.
+func (r *Registry) execute(ctx context.Context, src *core.Prepared, topK int, plan Plan, memo Memo) ([]Ranked, RetrievalStats, error) {
 	switch plan.Strategy {
 	case StrategyPruned, StrategyIndexed:
 	default: // StrategyExact — and the safe fallback for invalid values
@@ -299,7 +305,8 @@ func (r *Registry) execute(ctx context.Context, src *core.Prepared, topK int, pl
 	if err != nil {
 		return nil, st, err
 	}
-	ranked, err := r.rank(ctx, c.entries, src, topK)
+	ranked, reused, err := r.rank(ctx, c.entries, src, topK, memo)
+	st.PairsReused = reused
 	return ranked, st, err
 }
 

@@ -525,3 +525,105 @@ func TestMatchContextCancelled(t *testing.T) {
 		}
 	}
 }
+
+// recordingMemo is a Memo over an earlier ranking: the scores it
+// recorded and the entries it returned (whose rendered results a caller
+// would hold).
+type recordingMemo struct {
+	scores   map[string]float64
+	rendered map[string]bool
+	recorded []PairScore
+}
+
+func (m *recordingMemo) Score(fp string) (float64, bool) {
+	s, ok := m.scores[fp]
+	return s, ok
+}
+
+func (m *recordingMemo) Rendered(fp string) bool { return m.rendered[fp] }
+
+func (m *recordingMemo) Record(scores []PairScore) { m.recorded = scores }
+
+// next returns the memo the next ranking of the same source gets from
+// this one, which returned ranked.
+func (m *recordingMemo) next(ranked []Ranked) *recordingMemo {
+	n := &recordingMemo{scores: map[string]float64{}, rendered: map[string]bool{}}
+	for _, ps := range m.recorded {
+		n.scores[ps.Fingerprint] = ps.Score
+	}
+	for _, rk := range ranked {
+		n.rendered[rk.Entry.Fingerprint] = true
+	}
+	return n
+}
+
+// TestMemoReusesExactlyTheUnchangedPairs: a ranking recomputed after a
+// replace, with the earlier ranking as its memo, matches only the
+// replaced entry's new content, materializes only the winners the memo
+// does not hold, and returns the same ranking, bit for bit, as a ranking
+// without a memo. Both a score-only top 5 and an unbounded ranking run,
+// under every forced strategy.
+func TestMemoReusesExactlyTheUnchangedPairs(t *testing.T) {
+	for _, strategy := range []Strategy{StrategyExact, StrategyPruned, StrategyIndexed} {
+		for _, topK := range []int{5, 0} {
+			t.Run(fmt.Sprintf("%s/top%d", strategy, topK), func(t *testing.T) {
+				r := newTestRegistry(t)
+				for _, s := range workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 6, Seed: 3}) {
+					if _, _, err := r.Register(s.Name, s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				src := mustPrepare(t, r, workloads.FamilyProbe(2, 9))
+				opt := PlanOptions{Force: strategy}
+				first := &recordingMemo{}
+				opt.Memo = first
+				ranked, st, err := r.Match(src, topK, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.PairsReused != 0 || len(first.recorded) != st.CandidatesMatched {
+					t.Fatalf("first ranking: reused %d pairs, recorded %d of %d candidates; want 0 and all",
+						st.PairsReused, len(first.recorded), st.CandidatesMatched)
+				}
+				// Replace the runner-up with content the repository never held.
+				changed := ranked[1].Entry.Name
+				fresh := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 1, Seed: 77})[2]
+				if _, _, err := r.Register(changed, fresh); err != nil {
+					t.Fatal(err)
+				}
+				opt.Memo = first.next(ranked)
+				got, st, err := r.Match(src, topK, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantSt, err := r.Match(src, topK, PlanOptions{Force: strategy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameRanking(t, want, got)
+				for i := range want {
+					if w, g := fmt.Sprintf("%.17g", want[i].Score), fmt.Sprintf("%.17g", got[i].Score); w != g {
+						t.Errorf("rank %d (%s): score %s, without a memo %s", i, got[i].Entry.Name, g, w)
+					}
+					if held := opt.Memo.Rendered(got[i].Entry.Fingerprint); held != (got[i].Result == nil) {
+						t.Errorf("rank %d (%s): memo holds its result %t, materialized %t; want exactly the others materialized",
+							i, got[i].Entry.Name, held, got[i].Result != nil)
+					}
+					if got[i].Result == nil {
+						continue
+					}
+					if !slices.Equal(want[i].Result.Mapping.Leaves, got[i].Result.Mapping.Leaves) {
+						t.Errorf("rank %d (%s): mapping differs from the ranking without a memo", i, got[i].Entry.Name)
+					}
+				}
+				if st.CandidatesMatched != wantSt.CandidatesMatched {
+					t.Errorf("stats %+v: want %d candidates", st, wantSt.CandidatesMatched)
+				}
+				if matched := st.CandidatesMatched - st.PairsReused; matched != 1 {
+					t.Errorf("matched %d pairs after replacing one entry (reused %d of %d), want 1",
+						matched, st.PairsReused, st.CandidatesMatched)
+				}
+			})
+		}
+	}
+}

@@ -245,10 +245,43 @@ type Ranked struct {
 	// target = Entry's schema). Ranking itself needs only the score, so
 	// Result is materialized for the returned entries only: every Ranked a
 	// retrieval call returns carries it, while the candidates it ranked
-	// below the top K never had one built.
+	// below the top K never had one built. The one exception is an entry
+	// whose rendered result PlanOptions.Memo already holds: its Result is
+	// nil.
 	Result *core.Result
 	// Score is the ranking score; see Score.
 	Score float64
+}
+
+// PairScore is one candidate's ranking score, keyed by the content
+// fingerprint of its entry.
+type PairScore struct {
+	// Fingerprint is the entry's content fingerprint (Entry.Fingerprint).
+	Fingerprint string
+	// Score is the source's ranking score against that content.
+	Score float64
+}
+
+// Memo carries per-pair work from one ranking of a source to the next
+// ranking of the same source (PlanOptions.Memo). Under one matcher, a
+// pair's score and its 1:n leaf mapping are pure functions of the source
+// and the entry's content, and the entry fingerprint covers that content
+// (schema name, so every rendered path, and instance profiles
+// included): a memo keyed by fingerprint is exact by construction, however
+// the repository changed in between. Score and Rendered may be called
+// from several goroutines at once; Record is called once per ranking,
+// from the caller's goroutine, before any Rendered call.
+type Memo interface {
+	// Score returns the source's score against the content fp, if the
+	// memo holds it; a candidate it holds is not matched.
+	Score(fp string) (float64, bool)
+	// Rendered reports whether the caller already holds the source's
+	// rendered result against fp; a returned entry it holds is not
+	// materialized, and its Ranked.Result is nil.
+	Rendered(fp string) bool
+	// Record hands over every candidate's score, in no particular order,
+	// for the memo of the next ranking.
+	Record(scores []PairScore)
 }
 
 // RankKey returns the entry's score, name and fingerprint: the key a
@@ -298,25 +331,51 @@ func (r *Registry) MatchAll(src *core.Prepared, topK int) ([]Ranked, error) {
 // descending-score ranking, ties broken by name, truncated to topK (<= 0
 // keeps all). When the ranking drops entries, candidates are scored with
 // the score-only kernel and only the returned top K get a full result.
-func (r *Registry) rank(ctx context.Context, entries []*Entry, src *core.Prepared, topK int) ([]Ranked, error) {
-	ranked, err := r.score(ctx, entries, src, topK <= 0 || topK >= len(entries))
+// A candidate whose score memo holds is not matched, and a returned
+// entry whose rendered result memo holds is not materialized; memo
+// receives every candidate's score, and rank returns how many it held.
+func (r *Registry) rank(ctx context.Context, entries []*Entry, src *core.Prepared, topK int, memo Memo) ([]Ranked, int, error) {
+	ranked, reused, err := r.score(ctx, entries, src, topK <= 0 || topK >= len(entries), memo)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return r.top(ctx, src, ranked, topK)
+	if memo != nil {
+		scores := make([]PairScore, len(ranked))
+		for i, rk := range ranked {
+			scores[i] = PairScore{Fingerprint: rk.Entry.Fingerprint, Score: rk.Score}
+		}
+		memo.Record(scores)
+	}
+	ranked, err = r.top(ctx, src, ranked, topK, memo)
+	return ranked, reused, err
 }
 
 // score runs one match per entry, fanned over the worker pool. Unless full
 // is set, or the configuration's leaf score depends on the whole pipeline
 // (core.Matcher.ScoreOnly), it runs core.Matcher.MatchScore — TreeMatch
 // and the leaf score, nothing kept — and leaves Result nil; otherwise it
-// runs MatchPrepared and keeps the result.
-func (r *Registry) score(ctx context.Context, entries []*Entry, src *core.Prepared, full bool) ([]Ranked, error) {
+// runs MatchPrepared and keeps the result. An entry whose score memo
+// holds takes that score and no match; score returns how many did. The
+// returned order is not the entries' order: ranking sorts it.
+func (r *Registry) score(ctx context.Context, entries []*Entry, src *core.Prepared, full bool, memo Memo) ([]Ranked, int, error) {
 	full = full || !r.matcher.ScoreOnly()
 	out := make([]Ranked, len(entries))
-	err := forEach(ctx, len(entries), func(i int) error {
+	// The entries to match fill out from the front, memo hits from the
+	// back.
+	n, back := 0, len(out)
+	for _, e := range entries {
+		if memo != nil {
+			if s, ok := memo.Score(e.Fingerprint); ok {
+				back--
+				out[back] = Ranked{Entry: e, Score: s}
+				continue
+			}
+		}
+		out[n].Entry = e
+		n++
+	}
+	err := forEach(ctx, n, func(i int) error {
 		rk := &out[i]
-		rk.Entry = entries[i]
 		if full {
 			return r.materialize(src, rk)
 		}
@@ -328,9 +387,9 @@ func (r *Registry) score(ctx context.Context, entries []*Entry, src *core.Prepar
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, len(out) - n, nil
 }
 
 // materialize runs the full match of src against rk's entry and records
@@ -371,14 +430,15 @@ func rankedBefore(a, b Ranked) bool {
 // top sorts scored candidates into ranking order and returns the first
 // topK (<= 0 keeps all) in a slice of their own — a cached ranking never
 // pins the candidates it dropped — materializing (in parallel) every
-// returned entry scored without a result.
-func (r *Registry) top(ctx context.Context, src *core.Prepared, ranked []Ranked, topK int) ([]Ranked, error) {
+// returned entry scored without a result, unless memo holds its rendered
+// result.
+func (r *Registry) top(ctx context.Context, src *core.Prepared, ranked []Ranked, topK int, memo Memo) ([]Ranked, error) {
 	sort.SliceStable(ranked, func(i, j int) bool { return rankedBefore(ranked[i], ranked[j]) })
 	if topK > 0 && topK < len(ranked) {
 		ranked = append([]Ranked(nil), ranked[:topK]...)
 	}
 	err := forEach(ctx, len(ranked), func(i int) error {
-		if ranked[i].Result != nil {
+		if ranked[i].Result != nil || memo != nil && memo.Rendered(ranked[i].Entry.Fingerprint) {
 			return nil
 		}
 		return r.materialize(src, &ranked[i])

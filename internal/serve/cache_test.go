@@ -10,15 +10,15 @@ import (
 	"time"
 )
 
-func computeConst(v any) func(context.Context) (any, bool, error) {
-	return func(context.Context) (any, bool, error) { return v, true, nil }
+func computeConst(v any) func(context.Context, any) (any, bool, error) {
+	return func(context.Context, any) (any, bool, error) { return v, true, nil }
 }
 
 func TestCacheHitMissAndLRU(t *testing.T) {
 	c := NewCache(2)
 	ctx := context.Background()
 	for _, k := range []string{"a", "b"} {
-		if _, shared, err := c.Do(ctx, k, computeConst(k)); err != nil || shared {
+		if _, shared, err := c.Do(ctx, k, false, computeConst(k)); err != nil || shared {
 			t.Fatalf("first Do(%q) = shared %t, err %v; want fresh compute", k, shared, err)
 		}
 	}
@@ -26,7 +26,7 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 		t.Fatalf("Get(a) = %v, %t; want cached \"a\"", v, ok)
 	}
 	// "a" is now most recent, so inserting "c" evicts "b".
-	if _, _, err := c.Do(ctx, "c", computeConst("c")); err != nil {
+	if _, _, err := c.Do(ctx, "c", false, computeConst("c")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get("b"); ok {
@@ -49,7 +49,7 @@ func TestCacheDoCoalescesConcurrentCallers(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, shared, err := c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+		v, shared, err := c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 			computes.Add(1)
 			close(enter)
 			<-proceed
@@ -66,7 +66,7 @@ func TestCacheDoCoalescesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+			v, shared, err := c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 				computes.Add(1)
 				return -1, true, nil
 			})
@@ -92,7 +92,7 @@ func TestCacheInvalidateDropsInFlightInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, _, err := c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+		v, _, err := c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 			close(enter)
 			<-proceed // an Invalidate lands here, mid-computation
 			return "stale", true, nil
@@ -112,7 +112,7 @@ func TestCacheInvalidateDropsInFlightInsert(t *testing.T) {
 
 func TestCacheUncacheableResultNotStored(t *testing.T) {
 	c := NewCache(8)
-	v, shared, err := c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+	v, shared, err := c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 		return "degraded", false, nil
 	})
 	if v != "degraded" || shared || err != nil {
@@ -126,7 +126,7 @@ func TestCacheUncacheableResultNotStored(t *testing.T) {
 func TestCacheComputeErrorNotStoredAndPropagates(t *testing.T) {
 	c := NewCache(8)
 	boom := errors.New("boom")
-	if _, _, err := c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+	if _, _, err := c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 		return nil, true, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("Do error = %v, want boom", err)
@@ -144,7 +144,7 @@ func TestCacheFollowerRetriesAfterLeaderCancellation(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, err := c.Do(leaderCtx, "k", func(ctx context.Context) (any, bool, error) {
+		_, _, err := c.Do(leaderCtx, "k", false, func(ctx context.Context, _ any) (any, bool, error) {
 			close(enter)
 			<-proceed
 			return nil, false, ctx.Err() // leader's client disconnected mid-compute
@@ -158,7 +158,7 @@ func TestCacheFollowerRetriesAfterLeaderCancellation(t *testing.T) {
 	var followerComputed atomic.Bool
 	go func() {
 		defer close(followerDone)
-		v, _, err := c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+		v, _, err := c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 			followerComputed.Store(true)
 			return "fresh", true, nil
 		})
@@ -184,7 +184,7 @@ func TestCacheJoinerOwnCancellationWins(t *testing.T) {
 	enter := make(chan struct{})
 	proceed := make(chan struct{})
 	defer close(proceed)
-	go c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+	go c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 		close(enter)
 		<-proceed
 		return 1, true, nil
@@ -192,7 +192,7 @@ func TestCacheJoinerOwnCancellationWins(t *testing.T) {
 	<-enter
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Do(ctx, "k", computeConst(2)); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Do(ctx, "k", false, computeConst(2)); !errors.Is(err, context.Canceled) {
 		t.Errorf("joiner with dead ctx = %v, want context.Canceled", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestCacheLeaderPanicReleasesJoiners(t *testing.T) {
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		c.Do(context.Background(), "k", func(context.Context) (any, bool, error) {
+		c.Do(context.Background(), "k", false, func(context.Context, any) (any, bool, error) {
 			close(enter)
 			<-proceed
 			panic("compute failed")
@@ -217,7 +217,7 @@ func TestCacheLeaderPanicReleasesJoiners(t *testing.T) {
 	<-enter
 	joinerDone := make(chan error, 1)
 	go func() {
-		v, _, err := c.Do(context.Background(), "k", computeConst("joiner computed"))
+		v, _, err := c.Do(context.Background(), "k", false, computeConst("joiner computed"))
 		if v != nil {
 			err = fmt.Errorf("joiner got value %v alongside error %v", v, err)
 		}
@@ -239,7 +239,7 @@ func TestCacheLeaderPanicReleasesJoiners(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Error("a panicked computation left an entry in the cache")
 	}
-	v, shared, err := c.Do(context.Background(), "k", computeConst("recomputed"))
+	v, shared, err := c.Do(context.Background(), "k", false, computeConst("recomputed"))
 	if v != "recomputed" || shared || err != nil {
 		t.Errorf("Do after the panic = %v, %t, %v; want a fresh computation", v, shared, err)
 	}
@@ -255,7 +255,7 @@ func TestNilCacheDisablesCaching(t *testing.T) {
 		t.Error("nil cache Get hit")
 	}
 	for i := 0; i < 2; i++ {
-		v, shared, err := c.Do(context.Background(), "k", computeConst(i))
+		v, shared, err := c.Do(context.Background(), "k", false, computeConst(i))
 		if shared || err != nil || v != i {
 			t.Errorf("nil cache Do #%d = %v, %t, %v; want fresh compute each time", i, v, shared, err)
 		}
@@ -283,7 +283,7 @@ func TestCacheKeysAreIndependent(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 8; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if _, _, err := c.Do(ctx, k, computeConst(i)); err != nil {
+		if _, _, err := c.Do(ctx, k, false, computeConst(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,5 +291,81 @@ func TestCacheKeysAreIndependent(t *testing.T) {
 		if v, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || v != i {
 			t.Errorf("Get(k%d) = %v, %t; want %d", i, v, ok, i)
 		}
+	}
+}
+
+// TestCacheInvalidateStalesOnlyMembershipEntries: Invalidate leaves a
+// content entry servable, and makes a membership entry stale — not
+// served, still counted against capacity, and handed to the computation
+// that replaces it.
+func TestCacheInvalidateStalesOnlyMembershipEntries(t *testing.T) {
+	c := NewCache(8)
+	ctx := context.Background()
+	if _, _, err := c.Do(ctx, "pair", true, computeConst("p1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Do(ctx, "batch", false, computeConst("b1")); err != nil {
+		t.Fatal(err)
+	}
+	c.Invalidate()
+	if v, ok := c.Get("pair"); !ok || v != "p1" {
+		t.Errorf("Get(pair) after Invalidate = %v, %t; a content entry must survive", v, ok)
+	}
+	if v, ok := c.Get("batch"); ok {
+		t.Errorf("Get(batch) after Invalidate = %v; a stale membership entry was served", v)
+	}
+	if n := c.Stats().Len; n != 2 {
+		t.Errorf("cache holds %d entries, want 2: the stale one stays under the bound", n)
+	}
+	var got any
+	v, shared, err := c.Do(ctx, "batch", false, func(_ context.Context, stale any) (any, bool, error) {
+		got = stale
+		return "b2", true, nil
+	})
+	if v != "b2" || shared || err != nil || got != "b1" {
+		t.Errorf("Do(batch) after Invalidate = %v, %t, %v with stale %v; want a fresh b2 computed with stale b1", v, shared, err, got)
+	}
+	if v, ok := c.Get("batch"); !ok || v != "b2" {
+		t.Errorf("Get(batch) after recomputation = %v, %t; want b2", v, ok)
+	}
+	if _, _, err := c.Do(ctx, "pair", true, func(_ context.Context, stale any) (any, bool, error) {
+		t.Error("a content entry was recomputed after Invalidate")
+		return nil, false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheContentFlightSurvivesInvalidate: a content computation that an
+// Invalidate lands in the middle of still inserts its result, and a
+// caller arriving after the Invalidate joins it.
+func TestCacheContentFlightSurvivesInvalidate(t *testing.T) {
+	c := NewCache(8)
+	enter := make(chan struct{})
+	proceed := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(context.Background(), "pair", true, func(context.Context, any) (any, bool, error) {
+			close(enter)
+			<-proceed
+			return "p", true, nil
+		})
+	}()
+	<-enter
+	c.Invalidate()
+	joined := make(chan any, 1)
+	go func() {
+		v, _, _ := c.Do(context.Background(), "pair", true, computeConst("second computation"))
+		joined <- v
+	}()
+	waitFor(t, func() bool { return c.Stats().Coalesced == 1 })
+	close(proceed)
+	<-done
+	if v := <-joined; v != "p" {
+		t.Errorf("caller after Invalidate got %v, want the in-flight content result", v)
+	}
+	if v, ok := c.Get("pair"); !ok || v != "p" {
+		t.Errorf("Get(pair) = %v, %t; a content result computed across an Invalidate must be cached", v, ok)
 	}
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +52,9 @@ type Frontend struct {
 
 	draining atomic.Bool
 	degraded atomic.Uint64
+	// matched and reused sum RetrievalStats.PairsReused and the pairs
+	// actually tree-matched over every computed ranking.
+	matched, reused atomic.Uint64
 }
 
 // NewFrontend builds a Frontend over reg.
@@ -93,8 +98,12 @@ func (f *Frontend) AcquireWrite(ctx context.Context) (func(), error) {
 	return f.write.Acquire(ctx)
 }
 
-// Invalidate discards the match cache; call after every committed
-// register/replace/remove, before acking the client.
+// Invalidate makes every cached ranking stale: none is served again, and
+// each stays only as the per-pair memo of its key's next computation.
+// Cached pair matches stay, since no write can change them. Call it
+// after every register, replace or remove that changed the repository,
+// before acking the client; a re-registration of identical content
+// changes nothing and needs none.
 func (f *Frontend) Invalidate() { f.cache.Invalidate() }
 
 // BeginDrain stops admitting new work (ErrDraining); in-flight requests
@@ -165,13 +174,16 @@ type Result struct {
 // MatchBatch ranks the repository against src under spec, going through
 // deadline, cache, admission and (when saturated) degradation. The cache
 // key is src.Key plus every spec field that can change the ranking;
-// registry content is deliberately absent — the epoch mechanism
-// invalidates on mutation instead. src is prepared only on a miss, before
-// admission. Cache hits and coalesced joins bypass admission entirely —
-// repeated-query storms are absorbed before the pool. Errors:
-// ErrQueueFull/ErrQueueWait (shed), ErrDraining (shutdown), ctx errors
-// (caller gave up or deadline hit), src.Prepare's error, or a registry
-// error.
+// registry content is deliberately absent — the entry reads the
+// registry's membership, so Invalidate makes it stale instead. A stale
+// entry of the key is the memo of its recomputation: planning and
+// candidate generation run afresh, and only the candidates whose content
+// the stale ranking never scored are matched (registry.Memo). src is
+// prepared only on a miss, before admission. Cache hits and coalesced
+// joins bypass admission entirely — repeated-query storms are absorbed
+// before the pool. Errors: ErrQueueFull/ErrQueueWait (shed), ErrDraining
+// (shutdown), ctx errors (caller gave up or deadline hit), src.Prepare's
+// error, or a registry error.
 func (f *Frontend) MatchBatch(ctx context.Context, src Source, spec MatchSpec) (Result, error) {
 	if f.draining.Load() {
 		return Result{}, ErrDraining
@@ -179,57 +191,149 @@ func (f *Frontend) MatchBatch(ctx context.Context, src Source, spec MatchSpec) (
 	ctx, cancel := WithDeadline(ctx, f.deadline)
 	defer cancel()
 	key := fmt.Sprintf("batch|%s|%d|%s", src.Key, spec.TopK, spec.Retrieval)
-	v, shared, err := f.cache.Do(ctx, key, func(ctx context.Context) (any, bool, error) {
+	v, shared, err := f.cache.Do(ctx, key, false, func(ctx context.Context, stale any) (any, bool, error) {
 		p, err := src.Prepare()
 		if err != nil {
 			return nil, false, err
 		}
-		res, err := f.matchBatchAdmitted(ctx, p, spec)
+		prior, _ := stale.(*batchEntry)
+		e, err := f.matchBatchAdmitted(ctx, p, spec, prior)
 		if err != nil {
 			return nil, false, err
 		}
 		// Degraded rankings ran under a shrunken budget; caching one would
 		// serve it to un-saturated callers that are owed the full budget.
-		return res, !res.Stats.Degraded, nil
+		return e, !e.res.Stats.Degraded, nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	res := v.(Result)
+	res := v.(*batchEntry).res
 	res.Cached = shared
 	return res, nil
 }
 
 // matchBatchAdmitted is the uncached path: acquire a read slot, decide
 // degradation from the pool's saturation, and hand the spec to the
-// registry's planned entry point. Degradation is a planner input
+// registry's planned entry point, with prior (nil when there is none)
+// as the ranking's memo. Degradation is a planner input
 // (PlanOptions.Degraded halves the candidate budgets), not a serve-side
 // rewrite of the spec; the returned stats report what actually ran.
-func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, spec MatchSpec) (Result, error) {
+func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, spec MatchSpec, prior *batchEntry) (*batchEntry, error) {
 	release, err := f.read.Acquire(ctx)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	defer release()
 
 	degraded := spec.Retrieval != registry.StrategyExact &&
 		f.degrade > 0 && f.read.Saturation() >= f.degrade
+	memo := &pairMemo{prior: prior}
 	ranked, st, err := f.reg.MatchContext(ctx, src, spec.TopK, registry.PlanOptions{
 		Force:    spec.Retrieval,
 		Degraded: degraded,
+		Memo:     memo,
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if st.Degraded {
 		f.degraded.Add(1)
 	}
-	return Result{
-		Results:           ResultsOf(ranked),
+	f.matched.Add(uint64(st.CandidatesMatched - st.PairsReused))
+	f.reused.Add(uint64(st.PairsReused))
+	return memo.entry(Result{
+		Results:           memo.results(ranked),
 		Stats:             st,
 		SourceName:        src.Schema().Name,
 		SourceFingerprint: src.Fingerprint(),
-	}, nil
+	}), nil
+}
+
+// batchEntry is what the cache keeps for a /match/batch key: the ranking
+// as replies send it, and the score of every candidate it ranked — the
+// memo its key's next computation reuses once a write has made it stale.
+type batchEntry struct {
+	res Result
+	// scores holds every candidate's score, sorted by fingerprint, with
+	// the position of its rendered result in res.Results (-1 when the
+	// ranking did not return it).
+	scores []memoScore
+}
+
+// memoScore is one row of a batchEntry's score table.
+type memoScore struct {
+	registry.PairScore
+	result int
+}
+
+// row returns the index of fp's row in e's score table.
+func (e *batchEntry) row(fp string) (int, bool) {
+	return slices.BinarySearchFunc(e.scores, fp, func(m memoScore, fp string) int {
+		return strings.Compare(m.Fingerprint, fp)
+	})
+}
+
+// pairMemo is the registry.Memo of one batch computation: it answers
+// from prior, the key's stale entry (nil when there is none), and
+// collects the new ranking's scores.
+type pairMemo struct {
+	prior  *batchEntry
+	scores []registry.PairScore
+}
+
+// find returns fp's row in prior's score table.
+func (m *pairMemo) find(fp string) (memoScore, bool) {
+	if m.prior == nil {
+		return memoScore{}, false
+	}
+	i, ok := m.prior.row(fp)
+	if !ok {
+		return memoScore{}, false
+	}
+	return m.prior.scores[i], true
+}
+
+func (m *pairMemo) Score(fp string) (float64, bool) {
+	row, ok := m.find(fp)
+	return row.Score, ok
+}
+
+func (m *pairMemo) Rendered(fp string) bool {
+	row, ok := m.find(fp)
+	return ok && row.result >= 0
+}
+
+func (m *pairMemo) Record(scores []registry.PairScore) { m.scores = scores }
+
+// results renders a ranking for the wire: ResultsOf, with the entries
+// the registry did not materialize taking their rendered leaves from
+// prior. They are the same bytes, since the leaves are a pure function of
+// the source and the entry's content.
+func (m *pairMemo) results(ranked []registry.Ranked) []BatchResult {
+	out := ResultsOf(ranked)
+	for i, rk := range ranked {
+		if rk.Result == nil {
+			row, _ := m.find(rk.Entry.Fingerprint)
+			out[i].Leaves = m.prior.res.Results[row.result].Leaves
+		}
+	}
+	return out
+}
+
+// entry builds the cache entry of res from the recorded scores.
+func (m *pairMemo) entry(res Result) *batchEntry {
+	e := &batchEntry{res: res, scores: make([]memoScore, len(m.scores))}
+	for i, ps := range m.scores {
+		e.scores[i] = memoScore{PairScore: ps, result: -1}
+	}
+	slices.SortFunc(e.scores, func(a, b memoScore) int { return strings.Compare(a.Fingerprint, b.Fingerprint) })
+	for i, r := range res.Results {
+		if j, ok := e.row(r.Fingerprint); ok {
+			e.scores[j].result = i
+		}
+	}
+	return e
 }
 
 // MatchPair runs a single source-vs-target tree match through deadline,
@@ -237,14 +341,11 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 // rendered once, inside the cached computation, as a PairMatch. That is
 // all the cache keeps, about 0.04 MB per entry at pair-large's
 // 289-element shape; the mapping itself would pin both schema trees
-// (about 0.2 MB). PairMatch.Mapping rebuilds the mapping over the
-// prepared schemas for Compose and Invert. The key is the pair of source
-// keys, so the cached value is content-addressed and can never be stale;
-// it still rides the same cache (and is therefore dropped on Invalidate —
-// a freshness non-issue, only a warm-up cost). src and then dst are
-// prepared only on a miss, before admission. The bool reports a cache hit
-// or coalesced join. The returned PairMatch is shared when cached —
-// immutable.
+// (about 0.2 MB). The key is the pair of source keys, both content
+// identities, so the entry is a content entry: no write can change it,
+// and Invalidate leaves it cached. src and then dst are prepared only on
+// a miss, before admission. The bool reports a cache hit or coalesced
+// join. The returned PairMatch is shared when cached — immutable.
 func (f *Frontend) MatchPair(ctx context.Context, src, dst Source) (*PairMatch, bool, error) {
 	if f.draining.Load() {
 		return nil, false, ErrDraining
@@ -252,7 +353,7 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst Source) (*PairMatch, 
 	ctx, cancel := WithDeadline(ctx, f.deadline)
 	defer cancel()
 	key := "pair|" + src.Key + "|" + dst.Key
-	v, shared, err := f.cache.Do(ctx, key, func(ctx context.Context) (any, bool, error) {
+	v, shared, err := f.cache.Do(ctx, key, true, func(ctx context.Context, _ any) (any, bool, error) {
 		sp, err := src.Prepare()
 		if err != nil {
 			return nil, false, err
@@ -285,6 +386,11 @@ type FrontendStats struct {
 	Cache           CacheStats `json:"cache"`
 	DegradedMatches uint64     `json:"degradedMatches"`
 	Draining        bool       `json:"draining"`
+	// PairsMatched and PairsReused count the candidates computed rankings
+	// tree-matched, and those whose score they took from a stale ranking
+	// of the same key instead.
+	PairsMatched uint64 `json:"pairsMatched"`
+	PairsReused  uint64 `json:"pairsReused"`
 }
 
 // Stats snapshots the frontend's pools, cache and degradation counter.
@@ -295,5 +401,7 @@ func (f *Frontend) Stats() FrontendStats {
 		Cache:           f.cache.Stats(),
 		DegradedMatches: f.degraded.Load(),
 		Draining:        f.draining.Load(),
+		PairsMatched:    f.matched.Load(),
+		PairsReused:     f.reused.Load(),
 	}
 }

@@ -620,3 +620,56 @@ func TestMatchPairMappingSurvivesScratchReuse(t *testing.T) {
 		t.Errorf("pooled pair mapping differs from MatchPrepared: %v", err)
 	}
 }
+
+// BenchmarkRerankAfterWrite measures what a write costs the rankings
+// that follow it: 200 FamilyCorpus entries, 32 cached top-10 probes, and
+// per operation one replacing write, then all 32 rankings asked again
+// (each recomputed, since the write made it stale).
+func BenchmarkRerankAfterWrite(b *testing.B) {
+	r, err := registry.New(core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 20, Seed: 11})
+	for _, s := range corpus {
+		if _, _, err := r.Register(s.Name, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reserve := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{PerFamily: 4, Seed: 99})
+	probes := make([]Source, 32)
+	for i := range probes {
+		p, err := r.Matcher().Prepare(workloads.FamilyProbe(i%workloads.NumFamilies(), int64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes[i] = PreparedSource(p)
+	}
+	f := NewFrontend(r, calmOptions(1024))
+	ctx := context.Background()
+	spec := MatchSpec{TopK: 10}
+	round := func() {
+		for _, src := range probes {
+			if _, err := f.MatchBatch(ctx, src, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Write i replaces entry i mod 200 with a reserve document other
+		// than the one the entry's previous write left.
+		name := corpus[i%len(corpus)].Name
+		doc := reserve[(i+i/len(corpus))%len(reserve)]
+		if _, created, err := r.Register(name, doc); err != nil || !created {
+			b.Fatalf("replacing %s: created %t, err %v", name, created, err)
+		}
+		f.Invalidate()
+		round()
+	}
+	b.StopTimer()
+	st := f.Stats()
+	b.ReportMetric(float64(st.PairsReused)/float64(st.PairsReused+st.PairsMatched), "reused/pair")
+}

@@ -174,7 +174,9 @@ type BatchResult struct {
 func (b BatchResult) RankKey() (float64, string, string) { return b.Score, b.Name, b.Fingerprint }
 
 // ResultsOf renders a registry ranking as batch results: entry name,
-// fingerprint, score and the mapping's leaf elements.
+// fingerprint, score and the mapping's leaf elements. An entry returned
+// without a Result (its rendered result was in PlanOptions.Memo) gets no
+// leaves; the memo's owner fills them in.
 func ResultsOf(ranked []registry.Ranked) []BatchResult {
 	out := make([]BatchResult, len(ranked))
 	for i, rk := range ranked {
@@ -182,7 +184,9 @@ func ResultsOf(ranked []registry.Ranked) []BatchResult {
 			Name:        rk.Entry.Name,
 			Fingerprint: rk.Entry.Fingerprint,
 			Score:       rk.Score,
-			Leaves:      PairsOf(rk.Result.Mapping.Leaves),
+		}
+		if rk.Result != nil {
+			out[i].Leaves = PairsOf(rk.Result.Mapping.Leaves)
 		}
 	}
 	return out
