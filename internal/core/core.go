@@ -131,8 +131,10 @@ type Result struct {
 
 // Matcher runs the Cupid pipeline for one configuration. A Matcher may be
 // reused across schema pairs and is safe for concurrent Match calls: the
-// linguistic matcher's token-similarity cache is sharded and lock-striped,
-// and all other per-match state is local to the call. Match itself fans
+// linguistic matcher's name table (one record per normalized name, under
+// one RW mutex and a byte budget) and its lock-free similarity memos are
+// the only shared state, and all other per-match state is local to the
+// call. Match itself fans
 // the quadratic phases out over a bounded worker pool (see internal/par),
 // so even a single call uses the available cores.
 type Matcher struct {

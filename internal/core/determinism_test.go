@@ -1,8 +1,8 @@
 package core
 
 // End-to-end parallel-vs-sequential determinism: the whole pipeline
-// (Analyze, CompatiblePairs, LSim, lift, TreeMatch, SecondPass, Generate)
-// must produce bit-identical similarity matrices and the same mapping
+// (Analyze, LSim with its category scale, lift, TreeMatch, SecondPass,
+// Generate) must produce bit-identical similarity matrices and the same mapping
 // whether the par pool runs one worker or many. The ISSUE acceptance
 // criterion; run with -race to exercise the concurrent paths on any
 // machine.

@@ -16,7 +16,7 @@ func TestAcronymDetection(t *testing.T) {
 		{"DOB", "DateOfBirth"},
 	}
 	for _, c := range cases {
-		if got := m.NameSim(c[0], c[1]); got < 0.7 {
+		if got := nameSim(m, c[0], c[1]); got < 0.7 {
 			t.Errorf("NameSim(%q,%q) = %v, want >= 0.7 (acronym heuristic)", c[0], c[1], got)
 		}
 	}
@@ -26,12 +26,12 @@ func TestAcronymDetection(t *testing.T) {
 		{"X", "ExtraLong"},            // too short
 		{"ABCDEFG", "AlphaBetaGamma"}, // too long / wrong count
 	} {
-		if got := m.NameSim(c[0], c[1]); got > 0.3 {
+		if got := nameSim(m, c[0], c[1]); got > 0.3 {
 			t.Errorf("NameSim(%q,%q) = %v, want low", c[0], c[1], got)
 		}
 	}
 	// Common words participate: "UoM" needs "of" counted.
-	if got := m.NameSim("UOM", "unit_of_measure"); got < 0.7 {
+	if got := nameSim(m, "UOM", "unit_of_measure"); got < 0.7 {
 		t.Errorf("NameSim(UOM, unit_of_measure) = %v (common word in initialism)", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestAcronymDetection(t *testing.T) {
 func TestAcronymDetectionDisabled(t *testing.T) {
 	m := NewMatcher(thesaurus.New())
 	m.P.DisableAcronymDetection = true
-	if got := m.NameSim("UOM", "UnitOfMeasure"); got > 0.3 {
+	if got := nameSim(m, "UOM", "UnitOfMeasure"); got > 0.3 {
 		t.Errorf("heuristic fired despite being disabled: %v", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestAcronymDetectionDisabled(t *testing.T) {
 // The floor never outranks an exact or thesaurus match.
 func TestAcronymIsOnlyAFloor(t *testing.T) {
 	m := NewMatcher(thesaurus.Base())
-	if got := m.NameSim("UOM", "UnitOfMeasure"); got < 0.99 {
+	if got := nameSim(m, "UOM", "UnitOfMeasure"); got < 0.99 {
 		t.Errorf("thesaurus expansion should dominate: %v", got)
 	}
 }

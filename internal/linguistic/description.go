@@ -16,22 +16,9 @@ import (
 // sides carry a description; pairs without descriptions are unaffected, so
 // the feature is strictly additive.
 
-// DescriptionSim returns the normalized-token-set similarity of two
-// description strings: the same best-counterpart average used for name
-// similarity, restricted to content and concept tokens (descriptions are
-// prose; numbers and symbols in them carry no matching signal).
-func (m *Matcher) DescriptionSim(a, b string) float64 {
-	if a == "" || b == "" {
-		return 0
-	}
-	ta := filterDescTokens(Normalize(a, m.Th))
-	tb := filterDescTokens(Normalize(b, m.Th))
-	if len(ta.Tokens) == 0 || len(tb.Tokens) == 0 {
-		return 0
-	}
-	return m.NameSimTS(ta, tb)
-}
-
+// filterDescTokens keeps the content and concept tokens of a description:
+// descriptions are prose, and numbers and symbols in them carry no
+// matching signal.
 func filterDescTokens(ts TokenSet) TokenSet {
 	var out TokenSet
 	for _, t := range ts.Tokens {
@@ -39,7 +26,7 @@ func filterDescTokens(ts TokenSet) TokenSet {
 			out.Tokens = append(out.Tokens, t)
 		}
 	}
-	return out.Partitioned()
+	return out
 }
 
 // descTokens returns the filtered description token set of every element

@@ -7,25 +7,36 @@ import (
 	"repro/internal/thesaurus"
 )
 
+// descSim is the similarity of two descriptions as BlendDescriptions
+// scores them: NameSimTS over their normalized content and concept tokens,
+// 0 when either has none.
+func descSim(m *Matcher, a, b string) float64 {
+	ta, tb := filterDescTokens(Normalize(a, m.Th)), filterDescTokens(Normalize(b, m.Th))
+	if len(ta.Tokens) == 0 || len(tb.Tokens) == 0 {
+		return 0
+	}
+	return m.NameSimTS(ta, tb)
+}
+
 func TestDescriptionSim(t *testing.T) {
 	m := NewMatcher(thesaurus.Base())
 	// Similar documentation, different phrasing.
 	a := "The number of the customer placing the order"
 	b := "Customer number for the order"
-	if got := m.DescriptionSim(a, b); got < 0.6 {
-		t.Errorf("DescriptionSim(similar docs) = %v, want >= 0.6", got)
+	if got := descSim(m, a, b); got < 0.6 {
+		t.Errorf("descSim(similar docs) = %v, want >= 0.6", got)
 	}
 	// Unrelated documentation.
 	c := "Shipping weight in kilograms"
-	if got := m.DescriptionSim(a, c); got > 0.3 {
-		t.Errorf("DescriptionSim(unrelated docs) = %v, want <= 0.3", got)
+	if got := descSim(m, a, c); got > 0.3 {
+		t.Errorf("descSim(unrelated docs) = %v, want <= 0.3", got)
 	}
 	// Missing descriptions never match.
-	if m.DescriptionSim("", b) != 0 || m.DescriptionSim(a, "") != 0 {
+	if descSim(m, "", b) != 0 || descSim(m, a, "") != 0 {
 		t.Error("empty description must score 0")
 	}
 	// Stop-word-only descriptions score 0, not NaN.
-	if got := m.DescriptionSim("of the", "for a"); got != 0 {
+	if got := descSim(m, "of the", "for a"); got != 0 {
 		t.Errorf("stop-word-only descriptions = %v", got)
 	}
 }

@@ -1,10 +1,19 @@
 package linguistic
 
-// SetNewMatcherNormCap sets the normalized-name cache cap of the matchers
-// NewMatcher builds from now on and returns the previous cap. Not safe to
-// call while other tests build matchers.
-func SetNewMatcherNormCap(n int) int {
-	prev := newMatcherNormCap
-	newMatcherNormCap = n
+// SetNewMatcherBudget sets the name-table byte budget of the matchers
+// NewMatcher builds from now on and returns the previous budget. Not safe
+// to call while other tests build matchers.
+func SetNewMatcherBudget(n int) int {
+	prev := newMatcherBudget
+	newMatcherBudget = n
 	return prev
+}
+
+// NameTableOf returns the name table si's IDs belong to, comparable with
+// ==, and the bytes that table retains.
+func NameTableOf(si *SchemaInfo) (table any, bytes int) {
+	t := si.ids.Load().tab
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t, t.bytes
 }

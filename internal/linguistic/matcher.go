@@ -63,27 +63,27 @@ func (p Params) Validate() error {
 
 // Matcher performs linguistic matching with one thesaurus and one
 // parameter set. Everything it derives from names lives in one name table
-// per (P, Th) generation (memo.go): the normalized token set of every raw
-// element name it has analyzed, shared by every SchemaInfo that contains
-// the name; dense name and token IDs, with one record of token IDs per
-// name; and the lock-free memos of name-pair and token-pair similarities.
-// Every cache is bounded, so a Matcher IS safe for concurrent use:
-// Analyze, NameSim(TS), CompatiblePairs and LSim may be called from many
-// goroutines at once (LSim itself fans its inner loops out over a bounded
-// worker pool).
-// Changing P or Th starts a fresh name table: normalized names, IDs and
-// memos. Do not mutate them while matching is in flight, and do not
-// mutate a thesaurus a Matcher has used: install a new one instead.
+// per (P, Th) generation (memo.go): one record per normalized name,
+// holding the name's token set (shared by every SchemaInfo that contains
+// the name), its dense ID and its tokens' IDs, indexed by raw name and by
+// token set; and the lock-free memos of name-pair and token-pair
+// similarities. The table is bounded by one byte budget and the memos by
+// their pair caps, so a Matcher IS safe for concurrent use with bounded
+// memory: Analyze, NameSimTS and LSim may be called from many goroutines
+// at once (LSim itself fans its inner loops out over a bounded worker
+// pool). A table that fills its budget is replaced by an empty one.
+// Changing P or Th starts a fresh name table too. Do not mutate them while
+// matching is in flight, and do not mutate a thesaurus a Matcher has used:
+// install a new one instead.
 type Matcher struct {
 	Th *thesaurus.Thesaurus
 	P  Params
 
 	names atomic.Pointer[nameTable]
-	// nameCap, memoCap, tokenCap and normCap bound the name and token
-	// interner, the name memo, the token-pair memo and the
-	// normalized-name cache (powers of two; the defaults of memo.go
-	// unless a test shrinks them).
-	nameCap, memoCap, tokenCap, normCap int
+	// budget bounds the bytes a name table retains; memoCap and tokenCap
+	// bound the pairs of a name-memo and a token-pair-memo generation (the
+	// defaults of memo.go unless a test shrinks them).
+	budget, memoCap, tokenCap int
 }
 
 // NewMatcher returns a matcher over the given thesaurus (nil means an
@@ -93,7 +93,7 @@ func NewMatcher(th *thesaurus.Thesaurus) *Matcher {
 		th = thesaurus.New()
 	}
 	return &Matcher{Th: th, P: DefaultParams(),
-		nameCap: defaultNameCap, memoCap: defaultMemoCap, tokenCap: defaultTokenCap, normCap: newMatcherNormCap}
+		budget: newMatcherBudget, memoCap: defaultMemoCap, tokenCap: defaultTokenCap}
 }
 
 // NameSimTS computes the name similarity of two normalized token sets as
@@ -207,11 +207,6 @@ func (t *nameTable) contentSim(a, b tokID) float64 {
 	return s
 }
 
-// NameSim normalizes two raw names and returns their name similarity.
-func (m *Matcher) NameSim(a, b string) float64 {
-	return m.NameSimTS(Normalize(a, m.Th), Normalize(b, m.Th))
-}
-
 // Category is a group of schema elements identified by a set of keywords
 // (paper §5.2). Compatible categories (name-similar keyword sets) prune
 // the element-to-element comparisons.
@@ -242,8 +237,9 @@ type SchemaInfo struct {
 	// description.
 	descOnce sync.Once
 	descToks []*TokenSet
-	// ids caches the element and category name IDs under the owning
-	// matcher's current name table (memo.go); assigned on first LSim.
+	// ids holds the element and category name IDs and records under the
+	// analyzing matcher's name table (memo.go): assigned by Analyze, and
+	// re-assigned by the first LSim after that table is replaced.
 	ids atomic.Pointer[infoIDs]
 }
 
@@ -258,24 +254,58 @@ func (si *SchemaInfo) CategoriesOf(id int) []int { return si.memberCats[id] }
 // elements with no significant name, such as keys.
 //
 // Names resolve through the matcher's name table: a name it has seen
-// before costs one lookup and yields the token set every other SchemaInfo
-// holding that name shares. A category's keyword set and name are built
-// once, when its first member joins. Memberships are collected first and
-// then laid out exactly: the categories in one slice of their own length,
-// and every category's Members and every element's category list carved
-// from one backing array per schema, so an analysis retains no spare
-// capacity and no per-category or per-element allocation.
+// before costs one lookup and yields the record, and with it the token
+// set, every other SchemaInfo holding that name shares. The SchemaInfo
+// keeps the records' IDs for LSim. A category's keyword set and name are
+// built once, when its first member joins. Memberships are collected first
+// and then laid out exactly: the categories in one slice of their own
+// length, and every category's Members and every element's category list
+// carved from one backing array per schema, so an analysis retains no
+// spare capacity and no per-category or per-element allocation. A table
+// that fills its budget midway is replaced and the schema analyzed again
+// on the fresh one, so all of a SchemaInfo's IDs belong to one table.
 func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
-	t := m.table()
+	var si *SchemaInfo
+	m.withRoom(func(t *nameTable) bool {
+		si = t.analyze(s)
+		return si != nil
+	})
+	return si
+}
+
+// analyze is Analyze on table t; nil when t has no room left for the
+// schema's names.
+func (t *nameTable) analyze(s *model.Schema) *SchemaInfo {
 	si := &SchemaInfo{
 		Schema:     s,
 		Tokens:     make([]TokenSet, s.Len()),
 		memberCats: make([][]int, s.Len()),
 	}
+	ids := &infoIDs{tab: t, elems: make([]int32, s.Len()), elemRecs: make([]*nameRec, s.Len())}
+	// Names seen before, under one read lock; then the others one by one.
+	t.mu.RLock()
 	for _, e := range s.Elements() {
-		si.Tokens[e.ID()] = t.tokenSet(normKey{name: e.Name})
+		ids.elemRecs[e.ID()] = t.names[normKey{name: e.Name}]
 	}
-	var cats []Category
+	t.mu.RUnlock()
+	for _, e := range s.Elements() {
+		id := e.ID()
+		rec := ids.elemRecs[id]
+		if rec == nil {
+			if rec = t.name(normKey{name: e.Name}); rec == nil {
+				return nil
+			}
+			ids.elemRecs[id] = rec
+		}
+		si.Tokens[id], ids.elems[id] = rec.ts, rec.id
+	}
+	// The categories in creation order, each with its keyword set's record.
+	type newCat struct {
+		Category
+		rec *nameRec
+	}
+	var cats []newCat
+	full := false
 	// In join order, so each element's joins are contiguous. Most elements
 	// join two or three categories (their parent's, their own or their
 	// type's, and any concept's).
@@ -286,14 +316,22 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 		if !ok {
 			idx = len(cats)
 			catIndex[key] = idx
-			var c Category
+			var c newCat
 			switch {
 			case key.container != nil:
-				c = Category{Name: "container:" + key.container.Path(), Keywords: si.Tokens[key.container.ID()]}
+				c.rec = ids.elemRecs[key.container.ID()]
+				c.Name = "container:" + key.container.Path()
 			case key.kw.kind == normConcept:
-				c = Category{Name: "concept:" + key.kw.name, Keywords: t.tokenSet(key.kw)}
+				c.rec = t.name(key.kw)
+				c.Name = "concept:" + key.kw.name
 			default:
-				c = Category{Name: "type:" + key.kw.name, Keywords: t.tokenSet(key.kw)}
+				c.rec = t.name(key.kw)
+				c.Name = "type:" + key.kw.name
+			}
+			if c.rec == nil {
+				full = true
+			} else {
+				c.Keywords = c.rec.ts
 			}
 			cats = append(cats, c)
 		}
@@ -307,10 +345,11 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 			continue
 		}
 		id := e.ID()
-		ts := si.Tokens[id]
 		// Concept categories: one per unique concept tag in the schema.
-		for _, tok := range ts.ByType(TokenConcept) {
-			addMember(catKey{kw: normKey{kind: normConcept, name: tok.Raw}}, id)
+		for _, tok := range si.Tokens[id].Tokens {
+			if tok.Type == TokenConcept {
+				addMember(catKey{kw: normKey{kind: normConcept, name: tok.Raw}}, id)
+			}
 		}
 		// Data-type categories for elements carrying a broad leaf type.
 		if kw := e.Type.CategoryKeyword(); kw != "" {
@@ -330,11 +369,22 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 			addMember(catKey{container: e}, id)
 		}
 	}
+	if full {
+		return nil
+	}
+	ids.cats = make([]int32, len(cats))
+	ids.catRecs = make([]*nameRec, len(cats))
+	for i, c := range cats {
+		ids.cats[i], ids.catRecs[i] = c.rec.id, c.rec
+	}
+	si.ids.Store(ids)
 	if len(cats) == 0 {
 		return si
 	}
 	si.Categories = make([]Category, len(cats))
-	copy(si.Categories, cats)
+	for i, c := range cats {
+		si.Categories[i] = c.Category
+	}
 	// One array holds both views of the memberships: members grouped by
 	// category in the first half, categories grouped by element in the
 	// second. Each category's Members starts empty with its exact
@@ -378,23 +428,6 @@ type membership struct {
 type catKey struct {
 	container *model.Element
 	kw        normKey
-}
-
-// CompatiblePairs computes, for two analyzed schemas, the pairs of
-// categories whose keyword sets are name-similar above Thns, together with
-// the name similarity of the keyword sets (used later to scale lsim).
-func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
-	sims := m.simsFor(a, b)
-	out := make(map[[2]int]float64)
-	for i := range a.Categories {
-		names := sims.categoryRow(i)
-		for j := range b.Categories {
-			if ns := names.sim(j); ns >= m.P.Thns {
-				out[[2]int{i, j}] = ns
-			}
-		}
-	}
-	return out
 }
 
 // LSim computes the table of linguistic similarity coefficients between the

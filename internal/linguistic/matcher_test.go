@@ -32,6 +32,11 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// nameSim is ns of two raw names: NameSimTS over their normalizations.
+func nameSim(m *Matcher, a, b string) float64 {
+	return m.NameSimTS(Normalize(a, m.Th), Normalize(b, m.Th))
+}
+
 func TestNameSimPaperExamples(t *testing.T) {
 	m := NewMatcher(thesaurus.Base())
 	// Short forms, acronyms, synonyms (paper §4): Qty~Quantity,
@@ -43,19 +48,19 @@ func TestNameSimPaperExamples(t *testing.T) {
 		{"PO", "PurchaseOrder"},
 		{"Num", "Number"},
 	} {
-		if got := m.NameSim(c[0], c[1]); got < 0.99 {
+		if got := nameSim(m, c[0], c[1]); got < 0.99 {
 			t.Errorf("NameSim(%q,%q) = %v, want 1", c[0], c[1], got)
 		}
 	}
 	// Identical names.
-	if got := m.NameSim("Street", "Street"); got != 1 {
+	if got := nameSim(m, "Street", "Street"); got != 1 {
 		t.Errorf("identical = %v", got)
 	}
 	// The Bill~Invoice synonym must separate POBillTo/InvoiceTo from
 	// POBillTo/DeliverTo (the paper's City-Street disambiguation depends
 	// on it).
-	bill := m.NameSim("POBillTo", "InvoiceTo")
-	ship := m.NameSim("POBillTo", "DeliverTo")
+	bill := nameSim(m, "POBillTo", "InvoiceTo")
+	ship := nameSim(m, "POBillTo", "DeliverTo")
 	if bill <= ship {
 		t.Errorf("NameSim(POBillTo,InvoiceTo)=%v should exceed (POBillTo,DeliverTo)=%v", bill, ship)
 	}
@@ -64,14 +69,14 @@ func TestNameSimPaperExamples(t *testing.T) {
 	}
 	// Prefix/suffix variation (canonical example 3): Address vs
 	// StreetAddress share the token address.
-	if got := m.NameSim("Address", "StreetAddress"); got < 0.4 {
+	if got := nameSim(m, "Address", "StreetAddress"); got < 0.4 {
 		t.Errorf("NameSim(Address,StreetAddress) = %v, want >= 0.4", got)
 	}
-	if got := m.NameSim("Name", "CustomerName"); got < 0.4 {
+	if got := nameSim(m, "Name", "CustomerName"); got < 0.4 {
 		t.Errorf("NameSim(Name,CustomerName) = %v, want >= 0.4", got)
 	}
 	// Unrelated names stay low.
-	if got := m.NameSim("Quantity", "Street"); got > 0.3 {
+	if got := nameSim(m, "Quantity", "Street"); got > 0.3 {
 		t.Errorf("NameSim(Quantity,Street) = %v, want <= 0.3", got)
 	}
 }
@@ -79,11 +84,11 @@ func TestNameSimPaperExamples(t *testing.T) {
 func TestNameSimWithoutThesaurus(t *testing.T) {
 	m := NewMatcher(nil)
 	// Equal stems still match without any thesaurus.
-	if got := m.NameSim("Lines", "line"); got < 0.99 {
+	if got := nameSim(m, "Lines", "line"); got < 0.99 {
 		t.Errorf("NameSim(Lines,line) = %v", got)
 	}
 	// Synonyms do not.
-	if got := m.NameSim("Bill", "Invoice"); got != 0 {
+	if got := nameSim(m, "Bill", "Invoice"); got != 0 {
 		t.Errorf("NameSim(Bill,Invoice) without thesaurus = %v, want 0", got)
 	}
 }
@@ -94,11 +99,11 @@ func TestNameSimProperties(t *testing.T) {
 	m := NewMatcher(thesaurus.Base())
 	const eps = 1e-9
 	f := func(a, b string) bool {
-		s := m.NameSim(a, b)
+		s := nameSim(m, a, b)
 		if s < 0 || s > 1+eps {
 			return false
 		}
-		d := m.NameSim(b, a) - s
+		d := nameSim(m, b, a) - s
 		if d < -eps || d > eps {
 			return false
 		}
@@ -109,7 +114,7 @@ func TestNameSimProperties(t *testing.T) {
 	}
 	names := []string{"PO", "POLines", "ItemNumber", "Street1", "UnitPrice"}
 	for _, n := range names {
-		if got := m.NameSim(n, n); got < 0.999 {
+		if got := nameSim(m, n, n); got < 0.999 {
 			t.Errorf("NameSim(%q,%q) = %v, want 1", n, n, got)
 		}
 	}
@@ -231,35 +236,57 @@ func TestLSimZeroWithoutCompatibleCategories(t *testing.T) {
 	}
 }
 
+// TestCompatiblePairsThreshold: category pairs whose keyword sets are
+// name-similar at Thns or above are compatible, and only those scale
+// lsim: every element pair's lsim is its ns times the best compatible
+// category pair's ns, 0 when none is.
 func TestCompatiblePairsThreshold(t *testing.T) {
 	m := NewMatcher(thesaurus.Base())
 	s1 := buildAddressSchema("S1", "Address")
 	s2 := buildAddressSchema("S2", "Warehouse")
 	a, b := m.Analyze(s1), m.Analyze(s2)
-	pairs := m.CompatiblePairs(a, b)
+	lsim := m.LSim(a, b)
 	// The two type:text categories must be compatible (identical keyword).
 	found := false
-	for k, ns := range pairs {
-		if a.Categories[k[0]].Name == "type:text" && b.Categories[k[1]].Name == "type:text" {
-			found = true
-			if ns < 0.99 {
-				t.Errorf("type:text compatibility = %v", ns)
+	for _, ca := range a.Categories {
+		for _, cb := range b.Categories {
+			if ca.Name == "type:text" && cb.Name == "type:text" {
+				found = true
+				if ns := m.NameSimTS(ca.Keywords, cb.Keywords); ns < 0.99 {
+					t.Errorf("type:text compatibility = %v", ns)
+				}
 			}
-		}
-		// No pair below the threshold may appear.
-		if ns < m.P.Thns {
-			t.Errorf("pair %v below thns: %v", k, ns)
 		}
 	}
 	if !found {
 		t.Error("type:text categories not compatible")
+	}
+	// No pair below the threshold may scale an element pair.
+	for x := 0; x < s1.Len(); x++ {
+		for y := 0; y < s2.Len(); y++ {
+			scale := 0.0
+			for _, i := range a.CategoriesOf(x) {
+				for _, j := range b.CategoriesOf(y) {
+					if ns := m.NameSimTS(a.Categories[i].Keywords, b.Categories[j].Keywords); ns >= m.P.Thns && ns > scale {
+						scale = ns
+					}
+				}
+			}
+			want := 0.0
+			if scale > 0 {
+				want = m.NameSimTS(a.Tokens[x], b.Tokens[y]) * scale
+			}
+			if got := lsim.At(x, y); got != want {
+				t.Errorf("lsim(%d, %d) = %v, want %v from the compatible category pairs", x, y, got, want)
+			}
+		}
 	}
 }
 
 func TestTokenSimAcrossTypesIsZero(t *testing.T) {
 	m := NewMatcher(thesaurus.Base())
 	one := func(raw string, tt TokenType) TokenSet {
-		return TokenSet{Tokens: []Token{{Raw: raw, Stem: raw, Type: tt}}}.Partitioned()
+		return TokenSet{Tokens: []Token{{Raw: raw, Stem: raw, Type: tt}}}
 	}
 	if got := m.NameSimTS(one("1", TokenNumber), one("1", TokenContent)); got != 0 {
 		t.Errorf("cross-type token sim = %v, want 0", got)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,34 +12,37 @@ import (
 	"repro/internal/thesaurus"
 )
 
-// The name table: normalized names, name and token interning, and the
-// name-similarity memo behind LSim.
+// The name table: one record per normalized name, and the name-similarity
+// memo behind LSim.
 //
 // Normalization (§5.1) is a pure function of a name and the thesaurus, and
-// a repository's names repeat across schemas. So the table keeps the token
-// set of every raw element name Analyze has normalized, and every
-// SchemaInfo holding that name gets the same one: a schema's analysis is
-// then mostly lookups, and registered schemas share their token storage
-// instead of each keeping a copy. Category keyword sets (a concept tag, a
-// data-type keyword) are kept the same way.
+// a repository's names repeat across schemas. So the table keeps one
+// record per distinct normalized name (nameRec), holding the name's token
+// set, and every SchemaInfo holding that name gets the same one: a
+// schema's analysis is then mostly lookups, and registered schemas share
+// their token storage instead of each keeping a copy. The records are
+// indexed twice, under one RWMutex: by raw name (a normKey: an element
+// name, or a concept or data-type category keyword), so Analyze finds a
+// name it has seen without normalizing it; and by token-set key (nameKey),
+// so two raw names that normalize alike (Qty and Quantity) share one
+// record, and a token set that arrives without its raw name (a
+// description, a NameSimTS argument, a SchemaInfo from an older table)
+// finds its record too.
 //
 // ns(m1,m2) (§5.3) is a pure function of two normalized names under one
 // thesaurus and parameter set, and one probe matched against hundreds of
-// candidates asks for the same name pairs again and again. So every
-// distinct normalized name (an element token set or a category keyword
-// set) gets a dense integer ID per Matcher, and ns is memoized by the
-// (ID, ID) pair. IDs are assigned lazily, once per SchemaInfo, on its
-// first LSim: Analyze (and with it Prepare, registration and recovery)
-// never pays for them.
+// candidates asks for the same name pairs again and again. So every record
+// has a dense integer ID per table, and ns is memoized by the (ID, ID)
+// pair. Analyze gives each SchemaInfo the IDs and records of its element
+// names and category keywords (infoIDs), so LSim starts from them.
 //
-// ns depends only on which tokens two names hold, so interning a name
-// interns its tokens too: every distinct token string gets a dense ID,
-// and the name keeps one immutable record (nameRec) of its tokens' raw
-// and stem IDs grouped by type, plus what the acronym check reads. A memo
-// miss computes ns from two records, comparing integers; thesaurus
-// similarities of content token pairs are memoized below it by the pair
-// of raw token IDs. Token IDs, like name IDs, belong to one table and
-// never enter the shared token sets.
+// ns depends only on which tokens two names hold, so a record also holds
+// its tokens as dense token IDs: every distinct token string gets one, and
+// the record keeps its tokens' raw and stem IDs grouped by type, plus what
+// the acronym check reads. A memo miss computes ns from two records,
+// comparing integers; thesaurus similarities of content token pairs are
+// memoized below it by the pair of raw token IDs. Token IDs, like name
+// IDs, belong to one table and never enter the shared token sets.
 //
 // Both memos are organized by row: one small lock-free open-addressing
 // table per first ID x, keyed by the second ID y. LSim asks for one name
@@ -47,61 +51,58 @@ import (
 // that stays in cache, where a single table over all pairs would send
 // every lookup to a random slot of up to 16 MiB.
 //
-// Every cache here is bounded by a fixed entry cap and resets when it
-// overflows. The values are pure, so a reset only costs recomputation and
-// never changes a result. All of them belong to one name table, valid for
+// Three caps bound the table. Its records, raw-name entries and token
+// strings are charged to one byte budget, estimated by recordBytes,
+// aliasBytes and tokenBytes; the name memo and the token-pair memo each
+// hold a fixed number of pairs per generation and reset when it is
+// reached. The values are pure, so a reset only costs recomputation and
+// never changes a result. All of it belongs to one name table, valid for
 // the parameters and thesaurus it was built under; changing either starts
-// a fresh table. A full interner would invalidate the IDs, so it starts a
-// fresh table too; a SchemaInfo remembers which table its IDs belong to
-// and re-interns when that table is gone. Whoever holds a table reads
-// IDs, records and memos of that table only, so IDs of two generations
-// never meet.
+// a fresh table. A table whose budget is spent starts a fresh table too; a
+// SchemaInfo remembers which table its IDs belong to and re-interns its
+// token sets when that table is gone. Whoever holds a table reads IDs,
+// records and memos of that table only, so IDs of two generations never
+// meet.
 
-// Default cache caps. The name cap bounds the interner: at most that many
-// distinct normalized names, and as many distinct token strings. The memo
-// cap bounds the memoized name pairs of one memo generation, across all
-// its rows; the token cap bounds the memoized token pairs the same way;
-// the norm cap bounds the normalized-name cache.
+// Default caps. The memo cap bounds the memoized name pairs of one memo
+// generation, across all its rows; the token cap bounds the memoized token
+// pairs the same way.
 const (
-	defaultNameCap  = 1 << 17
 	defaultMemoCap  = 1 << 19
 	defaultTokenCap = 1 << 16
-	// defaultNormCap entries of at most normMaxBytes each: the cache
-	// retains at most 32 MiB, whatever names it is fed. Typical schema
-	// names (two or three words) cost about 550 bytes an entry by
-	// normEntryBytes, so a full cache of them holds about 17 MiB.
-	defaultNormCap = 1 << 15
 	// memoRowSlots is a fresh row's size (16 bytes a slot); a row doubles
 	// whenever it is three quarters full.
 	memoRowSlots = 8
 )
 
-// nameTable is one generation of normalized names, interned names and
-// tokens and their memoized similarities, valid for the parameters and
-// thesaurus it was built under.
+// newMatcherBudget is the byte budget of the name tables of the matchers
+// NewMatcher builds: 32 MiB, whatever names they are fed. Typical schema
+// names (two or three words) cost about 650 bytes a name by the estimates
+// below, and a 2,000-schema FamilyCorpus repository with 200 probes about
+// 1.1 MB. It is a variable only so a test can shrink the budget of
+// matchers that other packages build.
+var newMatcherBudget = 32 << 20
+
+// nameTable is one generation of name records and their memoized
+// similarities, valid for the parameters and thesaurus it was built under.
 type nameTable struct {
 	p  Params
 	th *thesaurus.Thesaurus
 
-	norms *normCache
-
-	mu       sync.RWMutex // guards ids, toks and strs
-	ids      map[string]*nameRec
-	toks     map[string]uint32
-	strs     []string // the token strings by ID
-	maxNames int      // the cap of ids, and of toks
+	mu     sync.RWMutex         // guards names, sets, toks, strs and bytes
+	names  map[normKey]*nameRec // by raw name or category keyword
+	sets   map[string]*nameRec  // by token-set key (nameKey); IDs are dense in insertion order
+	toks   map[string]uint32
+	strs   []string // the token strings by ID
+	bytes  int      // retained, by the estimates below
+	budget int      // the most bytes may reach
 
 	memo  pairMemo // ns of (name ID, name ID)
 	pairs pairMemo // thesaurus similarity of (raw token ID, raw token ID)
 }
 
-// newMatcherNormCap is the norm cap NewMatcher gives a matcher:
-// defaultNormCap, unless a test shrinks it to force resets in matchers
-// that other packages build.
-var newMatcherNormCap = defaultNormCap
-
-// normKey names one cached token set: a raw element name, or a category
-// keyword, whose one-token set is built by its kind.
+// normKey names one raw name: an element name, or a category keyword,
+// whose one-token set is built by its kind.
 type normKey struct {
 	kind normKind
 	name string
@@ -115,98 +116,74 @@ const (
 	normType                    // a data-type keyword, stemmed
 )
 
-func (k normKey) stripe() uint32 { return fnv1a(2166136261^uint32(k.kind), k.name) }
-
-func fnv1a(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// normMaxBytes is the most an entry of the normalized-name cache may
-// retain (normEntryBytes); a larger token set is returned uncached.
-const normMaxBytes = 1 << 10
-
-// normEntryBytes bounds what caching ts under name retains: the map slot
-// and the per-type partition headers, the name, and per token its two
-// copies (Tokens and the partition) and its strings.
-func normEntryBytes(name string, ts TokenSet) int {
-	n := 256 + len(name) + 80*len(ts.Tokens)
+// The byte estimates charged to a table's budget. They count what the
+// table retains and the Go runtime's overhead for it, rounded up.
+//
+// recordBytes is one record: the nameRec and its map slot, its token set
+// (40 bytes a Token, plus the strings) and token IDs (8 bytes a token),
+// its key, and the memo row and directory slots its ID may take.
+func recordBytes(key []byte, ts TokenSet) int {
+	n := 256 + len(key) + 64*len(ts.Tokens)
 	for _, tok := range ts.Tokens {
 		n += len(tok.Raw) + len(tok.Stem)
 	}
 	return n
 }
 
-// tokenSet returns the token set of k under the table's thesaurus: the
-// cached one, shared by every caller, or on a miss a new one — Normalize's
-// for a name, a one-token keyword set for a category keyword — cached when
-// it is within normMaxBytes. Callers must not modify it.
-func (t *nameTable) tokenSet(k normKey) TokenSet {
-	if ts, ok := t.norms.get(k); ok {
-		return ts
+// aliasBytes is one raw-name entry: its map slot and the cloned name.
+func aliasBytes(name string) int { return 64 + len(name) }
+
+// tokenBytes is one token string: its map slot, its strs element, the
+// cloned string, and the token-pair memo row and directory slot its ID
+// may take.
+func tokenBytes(s string) int { return 128 + len(s) }
+
+// charge counts n more retained bytes, reporting false (and counting
+// nothing) when that would pass the budget. t.mu must be held for writing.
+func (t *nameTable) charge(n int) bool {
+	if n > t.budget-t.bytes {
+		return false
+	}
+	t.bytes += n
+	return true
+}
+
+// name returns the record of raw name k, shared by every caller: the one
+// the table holds, or on a miss the record of its token set — Normalize's
+// for an element name, a one-token keyword set for a category keyword —
+// found by the set's key or interned. nil when the table has no room left
+// for it.
+func (t *nameTable) name(k normKey) *nameRec {
+	t.mu.RLock()
+	rec := t.names[k]
+	t.mu.RUnlock()
+	if rec != nil {
+		return rec
 	}
 	var ts TokenSet
 	switch k.kind {
 	case normName:
 		ts = Normalize(k.name, t.th)
 	case normConcept:
-		ts = TokenSet{Tokens: []Token{{Raw: k.name, Stem: k.name, Type: TokenContent}}}.Partitioned()
+		ts = TokenSet{Tokens: []Token{{Raw: k.name, Stem: k.name, Type: TokenContent}}}
 	case normType:
-		ts = TokenSet{Tokens: []Token{{Raw: k.name, Stem: thesaurus.Stem(k.name), Type: TokenContent}}}.Partitioned()
+		ts = TokenSet{Tokens: []Token{{Raw: k.name, Stem: thesaurus.Stem(k.name), Type: TokenContent}}}
 	}
-	if normEntryBytes(k.name, ts) <= normMaxBytes {
-		// The key is cloned so the cache never pins the buffer a parser
-		// sliced the name from.
-		t.norms.put(normKey{kind: k.kind, name: strings.Clone(k.name)}, ts)
+	var arr [128]byte
+	key := nameKey(arr[:0], ts)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rec := t.names[k]; rec != nil {
+		return rec // another caller got here first
 	}
-	return ts
-}
-
-// mapStripes is the stripe count of a normCache. Power of two; 64 stripes
-// keep contention negligible at any realistic GOMAXPROCS while costing a
-// few KB of empty maps.
-const mapStripes = 64
-
-// normCache is a map from normKey to its token set, split into stripes,
-// each under its own RWMutex, so goroutines working on different names
-// rarely share a lock. Each stripe holds at most stripeCap entries and
-// empties itself when full.
-type normCache struct {
-	stripes   [mapStripes]normStripe
-	stripeCap int
-}
-
-type normStripe struct {
-	mu sync.RWMutex
-	m  map[normKey]TokenSet
-}
-
-func newNormCache(capacity int) *normCache {
-	c := &normCache{stripeCap: max(1, capacity/mapStripes)}
-	for i := range c.stripes {
-		c.stripes[i].m = make(map[normKey]TokenSet)
+	rec = t.intern(key, ts)
+	if rec == nil || !t.charge(aliasBytes(k.name)) {
+		return nil
 	}
-	return c
-}
-
-func (c *normCache) get(k normKey) (TokenSet, bool) {
-	st := &c.stripes[k.stripe()&(mapStripes-1)]
-	st.mu.RLock()
-	v, ok := st.m[k]
-	st.mu.RUnlock()
-	return v, ok
-}
-
-func (c *normCache) put(k normKey, v TokenSet) {
-	st := &c.stripes[k.stripe()&(mapStripes-1)]
-	st.mu.Lock()
-	if len(st.m) >= c.stripeCap {
-		clear(st.m)
-	}
-	st.m[k] = v
-	st.mu.Unlock()
+	// The name is cloned so the table never pins the buffer a parser
+	// sliced it from.
+	t.names[normKey{kind: k.kind, name: strings.Clone(k.name)}] = rec
+	return rec
 }
 
 // infoIDs is the name IDs and records of one SchemaInfo under one name
@@ -221,8 +198,9 @@ type infoIDs struct {
 	catRecs  []*nameRec
 }
 
-// nameRec is one interned name as the similarity kernel reads it: its ID,
-// its tokens' IDs grouped by type (in type order, each group in token
+// nameRec is one normalized name: its token set, shared by every
+// SchemaInfo holding the name, and what the similarity kernel reads — its
+// ID, its tokens' IDs grouped by type (in type order, each group in token
 // order), and the keys of the acronym check. It is immutable once
 // interned.
 type nameRec struct {
@@ -232,6 +210,7 @@ type nameRec struct {
 	off           [NumTokenTypes + 1]int32
 	one, initials acronymKey
 	toks          []tokID
+	ts            TokenSet
 }
 
 // tokID is one token as interned IDs: its raw form and its stem. Only
@@ -476,7 +455,7 @@ func (r *pairRow) put(y int32, v float64) {
 
 // table returns the matcher's current name table, replacing it when P or
 // Th changed since it was built (so mutating them between calls can never
-// serve a stale cached token set or memoized value).
+// serve a stale token set or memoized value).
 func (m *Matcher) table() *nameTable {
 	t := m.names.Load()
 	if t != nil && t.p == m.P && t.th == m.Th {
@@ -488,8 +467,7 @@ func (m *Matcher) table() *nameTable {
 // replaceTable installs a fresh, empty name table in place of old. Racing
 // callers converge on whichever table won the swap.
 func (m *Matcher) replaceTable(old *nameTable) *nameTable {
-	nt := newNameTable(m.P, m.Th, m.nameCap, m.memoCap, m.tokenCap)
-	nt.norms = newNormCache(m.normCap)
+	nt := newNameTable(m.P, m.Th, m.budget, m.memoCap, m.tokenCap)
 	if m.names.CompareAndSwap(old, nt) {
 		return nt
 	}
@@ -499,9 +477,10 @@ func (m *Matcher) replaceTable(old *nameTable) *nameTable {
 	return nt
 }
 
-// newNameTable returns an empty table without a normalized-name cache.
-func newNameTable(p Params, th *thesaurus.Thesaurus, maxNames, memoCap, tokenCap int) *nameTable {
-	t := &nameTable{p: p, th: th, ids: map[string]*nameRec{}, toks: map[string]uint32{}, maxNames: maxNames}
+// newNameTable returns an empty table.
+func newNameTable(p Params, th *thesaurus.Thesaurus, budget, memoCap, tokenCap int) *nameTable {
+	t := &nameTable{p: p, th: th, names: map[normKey]*nameRec{}, sets: map[string]*nameRec{},
+		toks: map[string]uint32{}, budget: budget}
 	t.memo.init(memoCap)
 	t.pairs.init(tokenCap)
 	return t
@@ -510,7 +489,7 @@ func newNameTable(p Params, th *thesaurus.Thesaurus, maxNames, memoCap, tokenCap
 // withRoom runs intern, which interns names into a table and reports
 // whether the table had room for them all, on the matcher's table; when
 // that is full, on a fresh table in its place; and when even a fresh table
-// cannot hold them (the names alone outnumber the cap), on an uncapped
+// cannot hold them (the names alone pass the budget), on an unbounded
 // table of their own that serves this call only. It returns the table
 // intern succeeded on.
 func (m *Matcher) withRoom(intern func(*nameTable) bool) *nameTable {
@@ -526,8 +505,9 @@ func (m *Matcher) withRoom(intern func(*nameTable) bool) *nameTable {
 	return t
 }
 
-// idsOf returns si's name IDs under table t, interning its names on first
-// use. It returns nil when t has no room left for them.
+// idsOf returns si's name IDs under table t. Analyze assigned them under
+// the table current then; after a reset, si's token sets are interned into
+// t on first use. It returns nil when t has no room left for them.
 func (t *nameTable) idsOf(si *SchemaInfo) *infoIDs {
 	if cur := si.ids.Load(); cur != nil && cur.tab == t {
 		return cur
@@ -558,24 +538,29 @@ func (t *nameTable) idsOf(si *SchemaInfo) *infoIDs {
 	return ids
 }
 
-// recOf returns the record of ts under t, interning it on first use; nil
-// when t has no room left for it.
+// recOf returns the record of ts under t, interning a copy of ts on first
+// use (the caller keeps its own); nil when t has no room left for it.
 func (t *nameTable) recOf(ts TokenSet) *nameRec {
 	var arr [128]byte
 	key := nameKey(arr[:0], ts)
 	t.mu.RLock()
-	rec := t.ids[string(key)]
+	rec := t.sets[string(key)]
 	t.mu.RUnlock()
 	if rec != nil {
 		return rec
 	}
+	var own TokenSet
+	if len(ts.Tokens) > 0 {
+		own.Tokens = slices.Clone(ts.Tokens)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.intern(key, ts)
+	return t.intern(key, own)
 }
 
 // recsOf returns the records of sets under t (nil for a nil set),
-// interning them on first use; nil when t has no room left for them.
+// interning them on first use; nil when t has no room left for them. The
+// sets must be immutable: the records keep them.
 func (t *nameTable) recsOf(sets []*TokenSet) []*nameRec {
 	recs := make([]*nameRec, len(sets))
 	var buf []byte
@@ -594,18 +579,21 @@ func (t *nameTable) recsOf(sets []*TokenSet) []*nameRec {
 }
 
 // intern returns the record of ts, whose name key is key, interning the
-// name and its tokens on first use; nil when the table has no room left.
-// t.mu must be held for writing.
+// name, which keeps ts, and its tokens on first use; nil when the table
+// has no room left. t.mu must be held for writing.
 func (t *nameTable) intern(key []byte, ts TokenSet) *nameRec {
-	if rec, ok := t.ids[string(key)]; ok {
+	if rec, ok := t.sets[string(key)]; ok {
 		return rec
 	}
-	if len(t.ids) >= t.maxNames {
+	if !t.charge(recordBytes(key, ts)) {
 		return nil
 	}
-	rec := &nameRec{id: int32(len(t.ids)), toks: make([]tokID, 0, len(ts.Tokens))}
+	rec := &nameRec{id: int32(len(t.sets)), ts: ts, toks: make([]tokID, 0, len(ts.Tokens))}
 	for tt := TokenType(0); tt < NumTokenTypes; tt++ {
-		for _, tok := range ts.ByType(tt) {
+		for _, tok := range ts.Tokens {
+			if tok.Type != tt {
+				continue
+			}
 			raw, ok := t.tokenID(tok.Raw)
 			stem := raw
 			if ok && tt == TokenContent {
@@ -619,7 +607,7 @@ func (t *nameTable) intern(key []byte, ts TokenSet) *nameRec {
 		rec.off[tt+1] = int32(len(rec.toks))
 	}
 	rec.one, rec.initials = acronymKeys(ts)
-	t.ids[string(key)] = rec
+	t.sets[string(key)] = rec
 	return rec
 }
 
@@ -629,7 +617,7 @@ func (t *nameTable) tokenID(s string) (uint32, bool) {
 	if id, ok := t.toks[s]; ok {
 		return id, true
 	}
-	if len(t.toks) >= t.maxNames {
+	if !t.charge(tokenBytes(s)) {
 		return 0, false
 	}
 	id := uint32(len(t.toks))
@@ -660,8 +648,9 @@ type nameSims struct {
 	ia, ib *infoIDs
 }
 
-// simsFor prepares the memoized name similarities of a and b, interning
-// their names (and resetting a full name table) as needed.
+// simsFor prepares the memoized name similarities of a and b: their IDs
+// under the current table, re-interning them (and resetting a full name
+// table) after a reset.
 func (m *Matcher) simsFor(a, b *SchemaInfo) nameSims {
 	var ia, ib *infoIDs
 	t := m.withRoom(func(t *nameTable) bool {

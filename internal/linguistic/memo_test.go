@@ -248,16 +248,18 @@ func TestLSimConcurrentCallers(t *testing.T) {
 }
 
 // TestLinguisticCachesBounded streams schemas of never-seen names through
-// a matcher with tiny caps: the normalized-name cache, the name and token
-// interner, the name memo and the token-pair memo must stay within their
-// caps while every result still equals a fresh matcher's.
+// a matcher with tiny caps: the name table must stay within its byte
+// budget, and the name memo and the token-pair memo within their pair
+// caps, while every result still equals a fresh matcher's.
 func TestLinguisticCachesBounded(t *testing.T) {
-	const nameCap, memoCap, tokenCap, normCap = 64, 128, 128, 128
+	const budget, memoCap, tokenCap = 48 << 10, 128, 128
 	m := NewMatcher(memoThesaurus())
-	m.nameCap, m.memoCap, m.tokenCap, m.normCap = nameCap, memoCap, tokenCap, normCap
+	m.budget, m.memoCap, m.tokenCap = budget, memoCap, tokenCap
 	rng := rand.New(rand.NewSource(13))
 	probe := m.Analyze(randomSchema(rng, "probe", ""))
+	resets := 0
 	for i := 0; i < 60; i++ {
+		old := m.names.Load()
 		s := m.Analyze(randomSchema(rng, fmt.Sprintf("S%d", i), fmt.Sprintf("X%d", i)))
 		for _, pair := range [][2]*SchemaInfo{{probe, s}, {s, probe}, {s, s}} {
 			fresh := NewMatcher(memoThesaurus())
@@ -267,11 +269,11 @@ func TestLinguisticCachesBounded(t *testing.T) {
 			}
 		}
 		tab := m.names.Load()
-		if n := len(tab.ids); n > nameCap {
-			t.Fatalf("schema %d: %d interned names, cap %d", i, n, nameCap)
+		if tab != old {
+			resets++
 		}
-		if n := len(tab.toks); n > nameCap {
-			t.Fatalf("schema %d: %d interned token strings, cap %d", i, n, nameCap)
+		if tab.bytes > budget {
+			t.Fatalf("schema %d: the name table retains %d bytes, budget %d", i, tab.bytes, budget)
 		}
 		if n := tab.memo.gen.Load().used.Load(); n > memoCap {
 			t.Fatalf("schema %d: %d memoized name pairs, cap %d", i, n, memoCap)
@@ -280,30 +282,34 @@ func TestLinguisticCachesBounded(t *testing.T) {
 			t.Fatalf("schema %d: %d memoized token pairs, cap %d", i, n, tokenCap)
 		}
 		// A row directory holds one slot per ID looked up, so it stays
-		// within the interner's cap (doubling at most once past it).
-		for name, pm := range map[string]*pairMemo{"name": &tab.memo, "token": &tab.pairs} {
-			if n := len(pm.gen.Load().dir.Load().rows); n > 2*nameCap {
-				t.Fatalf("schema %d: %s memo directory has %d rows, cap %d", i, name, n, 2*nameCap)
-			}
-		}
-		for k := range tab.norms.stripes {
-			if n := len(tab.norms.stripes[k].m); n > tab.norms.stripeCap {
-				t.Fatalf("schema %d: name cache stripe %d holds %d names, cap %d", i, k, n, tab.norms.stripeCap)
+		// within twice the table's records or token strings.
+		for name, dir := range map[string][2]int{
+			"name":  {len(tab.memo.gen.Load().dir.Load().rows), len(tab.sets)},
+			"token": {len(tab.pairs.gen.Load().dir.Load().rows), len(tab.strs)},
+		} {
+			if dir[0] > 2*dir[1] {
+				t.Fatalf("schema %d: %s memo directory has %d rows for %d IDs", i, name, dir[0], dir[1])
 			}
 		}
 	}
+	if resets == 0 {
+		t.Fatal("the name table never reset: the test would not cover its budget")
+	}
 }
 
-// A pair with more distinct names than the name cap bypasses the memo and
-// still computes the reference values.
-func TestLSimPairBeyondNameCap(t *testing.T) {
+// A pair whose names alone pass the budget is matched on a table of its
+// own and still computes the reference values.
+func TestLSimPairBeyondBudget(t *testing.T) {
 	m := NewMatcher(memoThesaurus())
-	m.nameCap = 4
+	m.budget = 2 << 10
 	rng := rand.New(rand.NewSource(21))
 	a := m.Analyze(randomSchema(rng, "A", ""))
 	b := m.Analyze(randomSchema(rng, "B", ""))
 	if got, want := m.LSim(a, b), referenceLSim(NewMatcher(memoThesaurus()), a, b); !got.Equal(want) {
-		t.Fatal("LSim beyond the name cap differs from the reference")
+		t.Fatal("LSim beyond the budget differs from the reference")
+	}
+	if d := analysisDiff(a, referenceAnalyze(m.Th, a.Schema)); d != "" {
+		t.Fatalf("Analyze beyond the budget: %s", d)
 	}
 }
 
@@ -331,7 +337,7 @@ func TestMemoLookupAllocFree(t *testing.T) {
 func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := NewMatcher(memoThesaurus())
-	m.nameCap, m.memoCap, m.tokenCap = 256, 64, 16
+	m.budget, m.memoCap, m.tokenCap = 40<<10, 64, 16
 	ref := NewMatcher(memoThesaurus())
 	infos := make([]*SchemaInfo, 10)
 	want := make([][]matrix.Matrix, len(infos))
@@ -371,6 +377,7 @@ func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
 		t.Fatal("no memo row grew: the test would not cover row growth")
 	}
 
+	before := m.names.Load()
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -391,14 +398,16 @@ func TestLSimConcurrentRowGrowthAndResets(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+	if m.names.Load() == before {
+		t.Error("the name table never reset under concurrent LSim calls: the test would not cover table resets")
+	}
 }
 
 // randomTokenSet builds a token set by hand: up to nine tokens of all five
 // types, drawn from words that hit the thesaurus (synonyms, a hypernym,
 // an abbreviation's expansion), share prefixes or suffixes (the substring
 // fallback), spell initialisms, or are empty. Stems are the thesaurus's,
-// except now and then one that is not, as a caller's set may hold. Half
-// the sets are partitioned.
+// except now and then one that is not, as a caller's set may hold.
 func randomTokenSet(rng *rand.Rand) TokenSet {
 	content := []string{"client", "customer", "customers", "vendor", "supplier", "phone", "contact",
 		"street", "streets", "address", "addresses", "order", "reorder", "purchase", "unit", "measure",
@@ -432,9 +441,6 @@ func randomTokenSet(rng *rand.Rand) TokenSet {
 			tok = Token{Raw: w, Stem: w, Type: tt}
 		}
 		ts.Tokens = append(ts.Tokens, tok)
-	}
-	if rng.Intn(2) == 0 {
-		ts = ts.Partitioned()
 	}
 	return ts
 }
@@ -496,7 +502,7 @@ func TestNameSimMatchesReference(t *testing.T) {
 func TestLSimAfterTableReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := NewMatcher(memoThesaurus())
-	m.nameCap = 128
+	m.budget = 96 << 10
 	ref := NewMatcher(memoThesaurus())
 	corpus := make([]*SchemaInfo, 6)
 	for i := range corpus {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -41,11 +42,11 @@ func referenceAnalyze(th *thesaurus.Thesaurus, s *model.Schema) *SchemaInfo {
 		id := e.ID()
 		for _, tok := range si.Tokens[id].ByType(TokenConcept) {
 			add("concept:"+tok.Raw, "concept:"+tok.Raw,
-				TokenSet{Tokens: []Token{{Raw: tok.Raw, Stem: tok.Raw, Type: TokenContent}}}.Partitioned(), id)
+				TokenSet{Tokens: []Token{{Raw: tok.Raw, Stem: tok.Raw, Type: TokenContent}}}, id)
 		}
 		if kw := e.Type.CategoryKeyword(); kw != "" {
 			add("type:"+kw, "type:"+kw,
-				TokenSet{Tokens: []Token{{Raw: kw, Stem: thesaurus.Stem(kw), Type: TokenContent}}}.Partitioned(), id)
+				TokenSet{Tokens: []Token{{Raw: kw, Stem: thesaurus.Stem(kw), Type: TokenContent}}}, id)
 		}
 		if p := e.Parent(); p != nil {
 			add(fmt.Sprintf("container:%d", p.ID()), "container:"+p.Path(), si.Tokens[p.ID()], id)
@@ -132,6 +133,23 @@ func TestAnalyzeSharesTokenSets(t *testing.T) {
 	}
 }
 
+// Raw names that normalize alike (Cust expands to Customer) share one
+// record: one token storage, and one ID for the name memo.
+func TestAliasesShareOneRecord(t *testing.T) {
+	m := NewMatcher(memoThesaurus())
+	s := model.New("S")
+	cust := s.AddChild(s.Root(), "Cust", model.KindAttribute)
+	customer := s.AddChild(s.Root(), "Customer", model.KindAttribute)
+	si := m.Analyze(s)
+	a, b := si.Tokens[cust.ID()], si.Tokens[customer.ID()]
+	if len(a.Tokens) == 0 || &a.Tokens[0] != &b.Tokens[0] {
+		t.Fatalf("Cust (%q) and Customer (%q) hold separate token sets", a, b)
+	}
+	if ids := si.ids.Load(); ids.elems[cust.ID()] != ids.elems[customer.ID()] {
+		t.Fatalf("Cust and Customer have IDs %d and %d", ids.elems[cust.ID()], ids.elems[customer.ID()])
+	}
+}
+
 // concurrentAnalyze runs Analyze on schemas from 8 goroutines at once,
 // every goroutine over all of them in its own order, and checks every
 // result against the reference.
@@ -185,13 +203,13 @@ func TestAnalyzeConcurrentSharedNames(t *testing.T) {
 	concurrentAnalyze(t, m, append(overlappingSchemas(23, 12), analyzeSchemas()...), 3)
 }
 
-// TestAnalyzeConcurrentCacheResets is the same under a name cache of 64
-// entries, one a stripe: almost every miss resets a stripe while other
-// goroutines read it. Token sets, categories and LSim tables must still
-// equal the reference.
-func TestAnalyzeConcurrentCacheResets(t *testing.T) {
+// TestAnalyzeConcurrentTableResets is the same under a name table whose
+// budget holds a few schemas' names: the table fills and is replaced again
+// and again while other goroutines analyze and match on it. Token sets,
+// categories and LSim tables must still equal the reference.
+func TestAnalyzeConcurrentTableResets(t *testing.T) {
 	m := NewMatcher(memoThesaurus())
-	m.normCap = 64
+	m.budget = 24 << 10
 	schemas := overlappingSchemas(29, 12)
 	concurrentAnalyze(t, m, schemas, 3)
 
@@ -212,8 +230,8 @@ func TestAnalyzeConcurrentCacheResets(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < len(schemas)*len(schemas); k++ {
 				i, j := (k+g)%len(schemas), (k/len(schemas)+g)%len(schemas)
-				// A fresh analysis of i, inserting into the cache (and
-				// resetting its stripes) while other goroutines match.
+				// A fresh analysis of i, inserting into the table (and
+				// replacing it when full) while other goroutines match.
 				a := m.Analyze(schemas[i])
 				if !m.LSim(a, infos[j]).Equal(want[i][j]) {
 					errs <- fmt.Sprintf("goroutine %d: LSim(%d,%d) differs from the reference", g, i, j)
@@ -229,45 +247,77 @@ func TestAnalyzeConcurrentCacheResets(t *testing.T) {
 	}
 }
 
-// TestNormCacheBoundedUnderUniqueNames streams never-repeating names (the
-// adversarial case: nothing is ever shared) through a small cache: no
-// stripe outgrows its cap, so the cache never holds more than normCap
-// entries, no entry retains more than normMaxBytes, and a name too large
-// to cache is still normalized.
-func TestNormCacheBoundedUnderUniqueNames(t *testing.T) {
-	const normCap = 256
-	m := NewMatcher(memoThesaurus())
-	m.normCap = normCap
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 100; i++ {
-		m.Analyze(randomSchema(rng, fmt.Sprintf("S%d", i), fmt.Sprintf("Z%d", i)))
-		tab := m.table()
-		total := 0
-		for k := range tab.norms.stripes {
-			st := &tab.norms.stripes[k]
-			if n := len(st.m); n > tab.norms.stripeCap {
-				t.Fatalf("schema %d: stripe %d holds %d names, cap %d", i, k, n, tab.norms.stripeCap)
-			}
-			for key, ts := range st.m {
-				if b := normEntryBytes(key.name, ts); b > normMaxBytes {
-					t.Fatalf("schema %d: %q retains %d bytes, max %d", i, key.name, b, normMaxBytes)
-				}
-			}
-			total += len(st.m)
-		}
-		if total > normCap {
-			t.Fatalf("schema %d: %d cached names, cap %d", i, total, normCap)
-		}
+// longName is a unique name of about 3 KB that normalizes to about 1,000
+// tokens: two-letter words drawn from a small alphabet, so its tokens
+// repeat across names while the name itself never does.
+func longName(rng *rand.Rand, i int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Name%d", i)
+	for k := 0; k < 1000; k++ {
+		b.WriteByte('_')
+		b.WriteByte(byte('a' + rng.Intn(16)))
+		b.WriteByte(byte('a' + rng.Intn(16)))
 	}
+	return b.String()
+}
 
-	long := strings.Repeat("PurchaseOrderLine", 40)
-	s := model.New("Long")
-	s.AddChild(s.Root(), long, model.KindElement)
-	if d := analysisDiff(m.Analyze(s), referenceAnalyze(m.Th, s)); d != "" {
-		t.Fatalf("oversized name: %s", d)
+// TestNameTableBoundedUnderUniqueNames streams never-repeating ~3 KB names
+// (the adversarial case: nothing is ever shared, and every name is large)
+// through Analyze and LSim under a small budget: the table's byte count
+// never passes the budget, the heap after GC stays flat, and every
+// analysis and LSim table equals the reference.
+func TestNameTableBoundedUnderUniqueNames(t *testing.T) {
+	const budget, names = 512 << 10, 360
+	m := NewMatcher(memoThesaurus())
+	m.budget = budget
+	ref := NewMatcher(memoThesaurus())
+	rng := rand.New(rand.NewSource(31))
+	probe := m.Analyze(randomSchema(rng, "probe", ""))
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	if _, ok := m.table().norms.get(normKey{name: long}); ok {
-		t.Fatalf("a name retaining %d bytes was cached", normEntryBytes(long, Normalize(long, m.Th)))
+	var start uint64
+	resets := 0
+	for i := 0; i < names; i++ {
+		if i == names/3 {
+			start = heap()
+		}
+		s := model.New(fmt.Sprintf("S%d", i))
+		s.AddChild(s.Root(), longName(rng, i), model.KindElement).Type = model.DTString
+		old := m.names.Load()
+		si := m.Analyze(s)
+		lsim := m.LSim(probe, si)
+		if tab := m.names.Load(); tab.bytes > budget {
+			t.Fatalf("name %d: the name table retains %d bytes, budget %d", i, tab.bytes, budget)
+		} else if tab != old {
+			resets++
+		}
+		if i%40 == 0 {
+			if d := analysisDiff(si, referenceAnalyze(m.Th, s)); d != "" {
+				t.Fatalf("name %d: %s", i, d)
+			}
+			if want := referenceLSim(ref, probe, si); !lsim.Equal(want) {
+				t.Fatalf("name %d: LSim differs from the reference", i)
+			}
+		}
+	}
+	end := heap()
+	// The matcher and the probe must stay live through the measurement, or
+	// their table would not be counted.
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(probe)
+	t.Logf("%d names, %d table resets, heap %.1f MB after %d names, %.1f MB after %d",
+		names, resets, float64(start)/(1<<20), names/3, float64(end)/(1<<20), names)
+	if resets == 0 {
+		t.Fatal("the name table never reset: the test would not cover its budget")
+	}
+	// Two thirds of the stream, about 19 MB of records by the table's
+	// estimates, may leave no more than the budget and the memos behind.
+	if end > start+2*budget {
+		t.Fatalf("heap grew from %d to %d bytes over %d unique names", start, end, names-names/3)
 	}
 }
 
@@ -279,7 +329,7 @@ func TestNameSimFollowsThesaurusChange(t *testing.T) {
 	th.AddSynonym("invoice", "bill", 1)
 	th.AddAbbreviation("qty", "quantity")
 	m := NewMatcher(th)
-	if got := m.NameSim("invoice", "bill"); got != 1 {
+	if got := nameSim(m, "invoice", "bill"); got != 1 {
 		t.Fatalf("NameSim(invoice, bill) = %v under a thesaurus with the synonym, want 1", got)
 	}
 	s := model.New("S")
@@ -288,7 +338,7 @@ func TestNameSimFollowsThesaurusChange(t *testing.T) {
 
 	m.Th = thesaurus.New()
 	fresh := NewMatcher(thesaurus.New())
-	if got, want := m.NameSim("invoice", "bill"), fresh.NameSim("invoice", "bill"); got != want {
+	if got, want := nameSim(m, "invoice", "bill"), nameSim(fresh, "invoice", "bill"); got != want {
 		t.Errorf("after a thesaurus change NameSim(invoice, bill) = %v, a fresh matcher gives %v", got, want)
 	}
 	if d := analysisDiff(m.Analyze(s), referenceAnalyze(m.Th, s)); d != "" {

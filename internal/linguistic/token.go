@@ -73,49 +73,10 @@ type Token struct {
 // to their Tokens.
 type TokenSet struct {
 	Tokens []Token
-
-	// parts caches the per-type partition of Tokens (see Partitioned).
-	// nil for hand-built literals; ByType falls back to filtering then.
-	parts *[NumTokenTypes][]Token
-}
-
-// Partitioned returns a TokenSet whose per-type partitions are
-// precomputed, so ByType is an O(1) slice lookup instead of an allocating
-// filter. Normalize applies it to everything it returns; comparison-heavy
-// callers that build TokenSets by hand (category keyword sets) should do
-// the same. The partition caches the token list at call time — do not
-// append to Tokens afterwards.
-func (ts TokenSet) Partitioned() TokenSet {
-	if ts.parts != nil {
-		return ts
-	}
-	var counts [NumTokenTypes]int
-	for _, t := range ts.Tokens {
-		counts[t.Type]++
-	}
-	var parts [NumTokenTypes][]Token
-	buf := make([]Token, 0, len(ts.Tokens))
-	for tt := TokenType(0); tt < NumTokenTypes; tt++ {
-		if counts[tt] == 0 {
-			continue
-		}
-		start := len(buf)
-		for _, t := range ts.Tokens {
-			if t.Type == tt {
-				buf = append(buf, t)
-			}
-		}
-		parts[tt] = buf[start:len(buf):len(buf)]
-	}
-	ts.parts = &parts
-	return ts
 }
 
 // ByType returns the tokens of the given type, in order.
 func (ts TokenSet) ByType(tt TokenType) []Token {
-	if ts.parts != nil {
-		return ts.parts[tt]
-	}
 	var out []Token
 	for _, t := range ts.Tokens {
 		if t.Type == tt {
@@ -273,10 +234,10 @@ func Normalize(name string, th *thesaurus.Thesaurus) TokenSet {
 		for _, w := range exp {
 			add(w, false)
 		}
-		return ts.Partitioned()
+		return ts
 	}
 	for _, w := range Tokenize(name) {
 		add(w, true)
 	}
-	return ts.Partitioned()
+	return ts
 }

@@ -62,7 +62,7 @@ func BenchmarkNameSim(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		m.NameSim(p[0], p[1])
+		m.NameSimTS(linguistic.Normalize(p[0], m.Th), linguistic.Normalize(p[1], m.Th))
 	}
 }
 
