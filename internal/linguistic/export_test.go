@@ -9,11 +9,6 @@ func SetNewMatcherBudget(n int) int {
 	return prev
 }
 
-// NameTableOf returns the name table si's IDs belong to, comparable with
-// ==, and the bytes that table retains.
-func NameTableOf(si *SchemaInfo) (table any, bytes int) {
-	t := si.ids.Load().tab
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t, t.bytes
-}
+// NameTableOf returns the generation number of the name table si's IDs
+// belong to.
+func NameTableOf(si *SchemaInfo) uint64 { return si.ids.Load().gen }

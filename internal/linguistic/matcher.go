@@ -281,7 +281,7 @@ func (t *nameTable) analyze(s *model.Schema) *SchemaInfo {
 		Tokens:     make([]TokenSet, s.Len()),
 		memberCats: make([][]int, s.Len()),
 	}
-	ids := &infoIDs{tab: t, elems: make([]int32, s.Len()), elemRecs: make([]*nameRec, s.Len())}
+	ids := &infoIDs{gen: t.gen, elems: make([]int32, s.Len()), elemRecs: make([]*nameRec, s.Len())}
 	// Names seen before, under one read lock; then the others one by one.
 	t.mu.RLock()
 	for _, e := range s.Elements() {

@@ -59,8 +59,9 @@ import (
 // never changes a result. All of it belongs to one name table, valid for
 // the parameters and thesaurus it was built under; changing either starts
 // a fresh table. A table whose budget is spent starts a fresh table too; a
-// SchemaInfo remembers which table its IDs belong to and re-interns its
-// token sets when that table is gone. Whoever holds a table reads IDs,
+// SchemaInfo remembers the generation number of the table its IDs belong
+// to, not the table, so a replaced table is freed at once, and it
+// re-interns its token sets when that table is gone. Whoever holds a table reads IDs,
 // records and memos of that table only, so IDs of two generations never
 // meet.
 
@@ -86,8 +87,9 @@ var newMatcherBudget = 32 << 20
 // nameTable is one generation of name records and their memoized
 // similarities, valid for the parameters and thesaurus it was built under.
 type nameTable struct {
-	p  Params
-	th *thesaurus.Thesaurus
+	p   Params
+	th  *thesaurus.Thesaurus
+	gen uint64 // unique per table, from tableGens
 
 	mu     sync.RWMutex         // guards names, sets, toks, strs and bytes
 	names  map[normKey]*nameRec // by raw name or category keyword
@@ -100,6 +102,9 @@ type nameTable struct {
 	memo  pairMemo // ns of (name ID, name ID)
 	pairs pairMemo // thesaurus similarity of (raw token ID, raw token ID)
 }
+
+// tableGens numbers the name tables.
+var tableGens atomic.Uint64
 
 // normKey names one raw name: an element name, or a category keyword,
 // whose one-token set is built by its kind.
@@ -187,11 +192,11 @@ func (t *nameTable) name(k normKey) *nameRec {
 }
 
 // infoIDs is the name IDs and records of one SchemaInfo under one name
-// table: per element (indexed by element ID) and per category. The IDs
-// are kept apart from the records because every memo lookup reads an ID
-// and only a miss reads the records.
+// table, named by its generation number: per element (indexed by element
+// ID) and per category. The IDs are kept apart from the records because
+// every memo lookup reads an ID and only a miss reads the records.
 type infoIDs struct {
-	tab      *nameTable
+	gen      uint64
 	elems    []int32
 	cats     []int32
 	elemRecs []*nameRec
@@ -479,8 +484,8 @@ func (m *Matcher) replaceTable(old *nameTable) *nameTable {
 
 // newNameTable returns an empty table.
 func newNameTable(p Params, th *thesaurus.Thesaurus, budget, memoCap, tokenCap int) *nameTable {
-	t := &nameTable{p: p, th: th, names: map[normKey]*nameRec{}, sets: map[string]*nameRec{},
-		toks: map[string]uint32{}, budget: budget}
+	t := &nameTable{p: p, th: th, gen: tableGens.Add(1), names: map[normKey]*nameRec{},
+		sets: map[string]*nameRec{}, toks: map[string]uint32{}, budget: budget}
 	t.memo.init(memoCap)
 	t.pairs.init(tokenCap)
 	return t
@@ -509,10 +514,10 @@ func (m *Matcher) withRoom(intern func(*nameTable) bool) *nameTable {
 // the table current then; after a reset, si's token sets are interned into
 // t on first use. It returns nil when t has no room left for them.
 func (t *nameTable) idsOf(si *SchemaInfo) *infoIDs {
-	if cur := si.ids.Load(); cur != nil && cur.tab == t {
+	if cur := si.ids.Load(); cur != nil && cur.gen == t.gen {
 		return cur
 	}
-	ids := &infoIDs{tab: t,
+	ids := &infoIDs{gen: t.gen,
 		elems: make([]int32, len(si.Tokens)), elemRecs: make([]*nameRec, len(si.Tokens)),
 		cats: make([]int32, len(si.Categories)), catRecs: make([]*nameRec, len(si.Categories))}
 	var buf []byte

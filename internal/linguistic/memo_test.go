@@ -523,7 +523,7 @@ func TestLSimAfterTableReset(t *testing.T) {
 	}
 	probe := m.Analyze(randomSchema(rng, "probe", "Probe"))
 	for i, c := range corpus {
-		if c.ids.Load().tab == m.names.Load() {
+		if c.ids.Load().gen == m.names.Load().gen {
 			t.Fatalf("corpus schema %d already has IDs in the new table", i)
 		}
 		for _, pair := range [][2]*SchemaInfo{{probe, c}, {c, probe}} {
@@ -532,7 +532,7 @@ func TestLSimAfterTableReset(t *testing.T) {
 					pair[0].Schema.Name, pair[1].Schema.Name, got.MaxAbsDiff(want))
 			}
 		}
-		if tab := m.names.Load(); c.ids.Load().tab != tab || probe.ids.Load().tab != tab {
+		if gen := m.names.Load().gen; c.ids.Load().gen != gen || probe.ids.Load().gen != gen {
 			t.Fatalf("corpus schema %d: the pair was not matched in the current table", i)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/matrix"
 	"repro/internal/model"
@@ -343,5 +344,33 @@ func TestNameSimFollowsThesaurusChange(t *testing.T) {
 	}
 	if d := analysisDiff(m.Analyze(s), referenceAnalyze(m.Th, s)); d != "" {
 		t.Errorf("after a thesaurus change Analyze: %s", d)
+	}
+}
+
+// TestReplacedTableIsFreed keeps a schema analyzed under a name table
+// while the budget replaces that table: the schema must not keep the old
+// table (its maps and memos) alive, only its own records, and LSim on it
+// must still equal the reference.
+func TestReplacedTableIsFreed(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	m := NewMatcher(memoThesaurus())
+	m.budget = 64 << 10
+	ref := NewMatcher(memoThesaurus())
+	kept := m.Analyze(randomSchema(rng, "kept", ""))
+	m.LSim(kept, kept)
+	old := weak.Make(m.names.Load())
+	for i := 0; m.names.Load() == old.Value(); i++ {
+		if i == 100 {
+			t.Fatal("the name table never reset: the test would not cover resets")
+		}
+		m.Analyze(randomSchema(rng, fmt.Sprintf("U%d", i), fmt.Sprintf("Unique%d", i)))
+	}
+	runtime.GC()
+	runtime.GC()
+	if old.Value() != nil {
+		t.Fatal("a schema analyzed under a replaced name table keeps that table alive")
+	}
+	if got, want := m.LSim(kept, kept), referenceLSim(ref, kept, kept); !got.Equal(want) {
+		t.Fatalf("LSim after the reset differs from the reference (max diff %g)", got.MaxAbsDiff(want))
 	}
 }

@@ -183,6 +183,34 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// DecodeJSON decodes a JSON request body into v. Unknown fields are
+// rejected, so client typos surface as errors instead of silent defaults,
+// and the body is capped at maxBody bytes (<= 0: DefaultMaxBody): beyond
+// it the reply is a 413 naming -max-body and the connection is closed. A
+// body whose Content-Length already passes the cap is refused unread;
+// any other streams through the decoder, whose buffer grows only as bytes
+// arrive (http.MaxBytesReader stops a mis-sized upload from being read to
+// the end just to be refused).
+func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
+	if maxBody <= 0 {
+		maxBody = DefaultMaxBody
+	}
+	if r.ContentLength > maxBody {
+		w.Header().Set("Connection", "close")
+		return Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes (-max-body)", maxBody)
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes (-max-body)", mbe.Limit)
+		}
+		return Errorf(http.StatusBadRequest, "decoding request body: %v", err)
+	}
+	return nil
+}
+
 // WithDeadline bounds ctx by d; d <= 0 means no deadline.
 func WithDeadline(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if ctx == nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -197,5 +199,86 @@ func TestServeAndDrainFinishesInFlight(t *testing.T) {
 	defer mu.Unlock()
 	if len(order) != 2 || order[0] != "drain" || order[1] != "shutdown" {
 		t.Errorf("steps ran in order %v, want [drain shutdown]", order)
+	}
+}
+
+// TestDecodeJSONBodyLength decodes bodies whose Content-Length is missing,
+// understated or overstated: each is read whole and decoded, a body past
+// the cap is a 413 whatever it declares, and one that declares more than
+// the cap is refused unread, with the connection closed.
+func TestDecodeJSONBodyLength(t *testing.T) {
+	const maxBody = 4096
+	long := strings.Repeat("x", 3000) // past the decoder's first 512-byte buffer
+	type req struct {
+		Name string `json:"name"`
+	}
+	cases := []struct {
+		name     string
+		body     string
+		length   int64 // -2: the body's own length
+		wantCode int   // 0: decoded
+	}{
+		{name: "declared", body: `{"name":"a"}`, length: -2},
+		{name: "missing", body: `{"name":"a"}`, length: -1},
+		{name: "missing, long", body: `{"name":"` + long + `"}`, length: -1},
+		{name: "understated", body: `{"name":"` + long + `"}`, length: 5},
+		{name: "overstated", body: `{"name":"a"}`, length: 3000},
+		{name: "missing, past the cap", body: `{"name":"` + long + long + `"}`, length: -1, wantCode: 413},
+		{name: "understated, past the cap", body: `{"name":"` + long + long + `"}`, length: 10, wantCode: 413},
+		{name: "declared past the cap", body: `{"name":"a"}`, length: maxBody + 1, wantCode: 413},
+		{name: "unknown field, missing", body: `{"nmae":"a"}`, length: -1, wantCode: 400},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A bare io.Reader, so httptest leaves the length unknown.
+			r := httptest.NewRequest(http.MethodPost, "/", struct{ io.Reader }{strings.NewReader(c.body)})
+			r.ContentLength = c.length
+			if c.length == -2 {
+				r.ContentLength = int64(len(c.body))
+			}
+			w := httptest.NewRecorder()
+			var got req
+			err := DecodeJSON(w, r, maxBody, &got)
+			var se *statusError
+			switch {
+			case c.wantCode == 0 && err != nil:
+				t.Fatalf("error %v", err)
+			case c.wantCode == 0:
+				var want req
+				json.Unmarshal([]byte(c.body), &want)
+				if got != want {
+					t.Fatalf("decoded %q, want %q", got.Name, want.Name)
+				}
+			case !errors.As(err, &se) || se.code != c.wantCode:
+				t.Fatalf("error %v, want status %d", err, c.wantCode)
+			case c.wantCode == 413 && !strings.Contains(err.Error(), "request body exceeds 4096 bytes (-max-body)"):
+				t.Fatalf("error %q does not name the cap", err)
+			}
+			if c.length > maxBody && w.Header().Get("Connection") != "close" {
+				t.Error("a body declared past the cap left the connection open")
+			}
+		})
+	}
+}
+
+// TestDecodeJSONAllocatesAsBytesArrive sends a short body that declares
+// the whole cap: the decoder must not allocate the declared length before
+// the bytes arrive, or headers alone would make the server hold -max-body
+// per connection.
+func TestDecodeJSONAllocatesAsBytesArrive(t *testing.T) {
+	const maxBody = 4 << 20
+	var req struct {
+		Name string `json:"name"`
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{"name":"a"}`))
+	r.ContentLength = maxBody
+	if err := DecodeJSON(httptest.NewRecorder(), r, maxBody, &req); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("decoding a 12-byte body that declares %d bytes allocated %d bytes", maxBody, got)
 	}
 }
